@@ -17,8 +17,8 @@
 //!   source line on every token.
 //! * **Items** are parsed for what the rules consume: functions (name,
 //!   impl owner, parameter types, body, test-ness), structs with field
-//!   types, enums with variants, type aliases, inner attributes, and
-//!   `#[cfg(test)]` scoping down `mod` trees.
+//!   types, type aliases, inner attributes, and `#[cfg(test)]` scoping
+//!   down `mod` trees.
 //! * **Expressions** stay token trees; [`sites_in`] extracts the
 //!   syntactic facts the rules match on (method calls with receiver
 //!   chains, path calls, macro invocations, index expressions) without
@@ -443,15 +443,6 @@ pub struct StructDef {
     pub fields: Vec<(String, String)>,
 }
 
-/// An enum definition.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-}
-
 /// One parsed source file.
 #[derive(Debug, Clone)]
 pub struct AstFile {
@@ -463,8 +454,6 @@ pub struct AstFile {
     pub fns: Vec<FnDef>,
     /// Every struct with named fields.
     pub structs: Vec<StructDef>,
-    /// Every enum.
-    pub enums: Vec<EnumDef>,
     /// `type Alias = Target;` pairs, normalized.
     pub aliases: Vec<(String, String)>,
     /// Inclusive line ranges covered by test code (`#[test]` functions,
@@ -528,7 +517,6 @@ impl AstFile {
             inner_attrs: Vec::new(),
             fns: Vec::new(),
             structs: Vec::new(),
-            enums: Vec::new(),
             aliases: Vec::new(),
             test_ranges: Vec::new(),
             comments,
@@ -749,24 +737,6 @@ fn collect_items(trees: &[Tree], owner: Option<&str>, in_test: bool, out: &mut A
                 pending_attrs.clear();
                 i = j;
             }
-            Tree::Ident(kw, _) if kw == "enum" => {
-                let name = trees.get(i + 1).and_then(Tree::as_ident).unwrap_or_default().to_owned();
-                let mut j = i + 2;
-                while j < trees.len() && !matches!(trees[j], Tree::Group(Delim::Brace, ..)) {
-                    if trees[j].is_punct('<') {
-                        j = skip_generics(trees, j);
-                        continue;
-                    }
-                    j += 1;
-                }
-                if let Some(Tree::Group(Delim::Brace, body, _)) = trees.get(j) {
-                    out.enums.push(EnumDef { name, variants: parse_variants(body) });
-                    i = j + 1;
-                } else {
-                    i = j;
-                }
-                pending_attrs.clear();
-            }
             Tree::Ident(kw, _) if kw == "type" => {
                 // `type Name<...> = Target;`
                 let name = trees.get(i + 1).and_then(Tree::as_ident).unwrap_or_default().to_owned();
@@ -888,23 +858,6 @@ fn parse_fields(body: &[Tree]) -> Vec<(String, String)> {
         }
     }
     fields
-}
-
-/// Parses variant names out of an enum body.
-fn parse_variants(body: &[Tree]) -> Vec<String> {
-    let mut variants = Vec::new();
-    for chunk in split_top_level(body, ',') {
-        let mut j = 0;
-        while matches!(chunk.get(j), Some(Tree::Punct('#', _))) {
-            j += 2;
-        }
-        if let Some(name) = chunk.get(j).and_then(Tree::as_ident) {
-            if name.chars().next().is_some_and(char::is_uppercase) {
-                variants.push(name.to_owned());
-            }
-        }
-    }
-    variants
 }
 
 /// Splits a token slice on a top-level separator punct.
@@ -1331,12 +1284,6 @@ mod tests {
         assert_eq!(f.fns[0].owner.as_deref(), Some("Host"));
         assert_eq!(f.fns[1].owner.as_deref(), Some("Host"));
         assert_eq!(f.aliases[0], ("ConnMap".to_owned(), "Arc<Mutex<Outbox>>".to_owned()));
-    }
-
-    #[test]
-    fn enum_variants() {
-        let f = parse("enum Message { Register { user: u64 }, Deregister, Ping(u64) }\n");
-        assert_eq!(f.enums[0].variants, vec!["Register", "Deregister", "Ping"]);
     }
 
     #[test]

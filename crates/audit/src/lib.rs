@@ -1,18 +1,18 @@
-//! The COSOFT verification layer: workspace protocol lints, AST-based
-//! source analyses, and a bounded-exhaustive schedule explorer.
+//! The COSOFT verification layer: a manifest lint, AST-based source
+//! analyses, and a bounded-exhaustive schedule explorer.
 //!
 //! The repository's correctness story has three weak points that
-//! ordinary unit tests do not cover:
+//! neither the type system nor ordinary unit tests cover:
 //!
-//! 1. **Cross-file protocol drift.** The [`cosoft_wire::Message`] enum,
-//!    its codec tag table, the golden byte-vector suite, and the server
-//!    dispatch in `crates/server/src/server.rs` must all enumerate the
-//!    same 38 message kinds. Nothing in the type system ties them
-//!    together across crates and test files, so a new variant can slip
-//!    in with no wire tag, no golden vector, or a silent `_ =>` drop in
-//!    the server. The [`lints`] module checks the literal wire tables
-//!    textually; the [`rules`] module checks the syntactic legs
-//!    (dispatch arms, restricted calls, crate headers) on a parsed AST.
+//! 1. **Conventions no compiler checks.** A `_ =>` arm in the server's
+//!    `Message` dispatch would silently drop a new kind (the exhaustive
+//!    `match` only helps while no arm catches everything); teardown-only
+//!    lock APIs must stay in their sanctioned modules; every crate root
+//!    carries the lint headers; the `fault-injection` feature must never
+//!    reach a release build. The [`rules`] module checks the source
+//!    conventions on a parsed AST, the [`lints`] module checks the
+//!    manifests. (That the `Message` enum, its codec and its kind names
+//!    agree needs no check: `cosoft-wire` generates them from one table.)
 //!
 //! 2. **Runtime failure modes no test happens to hit.** A stray
 //!    `unwrap` in the poll loop, a blocking call reachable from
@@ -33,13 +33,11 @@
 //!    population, checking the server-wide invariant pack after every
 //!    step (`crates/server/tests/lock_model.rs` is the concrete model).
 //!
-//! All halves are pure: lints and rules map source text to violations,
+//! All parts are pure: lints and rules map source text to violations,
 //! the explorer maps a cloneable model to statistics or a
 //! counterexample trace. All I/O lives in the `cosoft-audit` binary,
 //! which `scripts/check.sh` and the CI `audit` job run against the
 //! real workspace.
-//!
-//! [`cosoft_wire::Message`]: ../cosoft_wire/enum.Message.html
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,26 +1,15 @@
-//! Source-level protocol lints.
+//! The manifest lint, and the plumbing every rule shares: the
+//! [`Violation`] type and the [`WorkspaceSources`] loader.
 //!
 //! Every lint is a pure function from source text to a list of
 //! [`Violation`]s, so the negative tests can feed doctored in-memory
 //! sources without touching the filesystem; only [`WorkspaceSources::
 //! load`] and the `cosoft-audit` binary do I/O.
 //!
-//! The lints enforce the four-way agreement that keeps the wire
-//! protocol coherent:
-//!
-//! * the `Message` enum declaration (`crates/wire/src/message.rs`),
-//! * the codec's encoder/decoder tag tables and the shared-frame
-//!   `TAG_KIND_NAMES` table (`crates/wire/src/codec.rs`),
-//! * the golden byte-vector suite (`crates/wire/tests/golden.rs`).
-//!
-//! The former text ports of the dispatch-coverage, restricted-call,
-//! and crate-header rules now live in [`crate::rules`], rebuilt on the
-//! parsed AST (see `rules::dispatch`, `rules::restricted`,
-//! `rules::headers`) — token-level matching removed the false-positive
-//! class where commented-out or string-literal code tripped the scan.
-//! The wire-table lints here remain textual on purpose: their inputs
-//! (`ALL_KINDS`, tag tables, golden vectors) are string/const tables
-//! whose *literal* contents are exactly what is being compared.
+//! The wire protocol needs no lint: `crates/wire/src/message.rs` declares
+//! each message kind once, in a table the `Message` enum, the codec and
+//! the kind names are all generated from. The source-level rules live
+//! in [`crate::rules`], on the parsed AST.
 
 use std::fmt;
 use std::path::Path;
@@ -28,7 +17,7 @@ use std::path::Path;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule identifier (e.g. `wire-tag-unique`).
+    /// Stable rule identifier (e.g. `fault-injection-gating`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -47,16 +36,6 @@ impl fmt::Display for Violation {
 /// for the real tree.
 #[derive(Debug, Clone, Default)]
 pub struct WorkspaceSources {
-    /// Contents of `crates/wire/src/message.rs` (enum + `ALL_KINDS` +
-    /// `kind_name`).
-    pub message_rs: String,
-    /// Contents of `crates/wire/src/codec.rs` (`put_message` /
-    /// `get_message` tag tables).
-    pub codec_rs: String,
-    /// Contents of `crates/wire/tests/golden.rs` (golden vector table).
-    pub golden_rs: String,
-    /// Contents of `crates/server/src/server.rs` (message dispatch).
-    pub server_rs: String,
     /// `(workspace-relative path, contents)` of every crate root
     /// (`src/lib.rs` of each workspace member).
     pub crate_roots: Vec<(String, String)>,
@@ -73,19 +52,9 @@ impl WorkspaceSources {
     ///
     /// # Errors
     ///
-    /// Fails when one of the four protocol files is missing or any
-    /// source file is unreadable.
+    /// Fails when a directory or source file is unreadable.
     pub fn load(root: &Path) -> std::io::Result<WorkspaceSources> {
-        let read = |rel: &str| std::fs::read_to_string(root.join(rel));
-        let mut ws = WorkspaceSources {
-            message_rs: read("crates/wire/src/message.rs")?,
-            codec_rs: read("crates/wire/src/codec.rs")?,
-            golden_rs: read("crates/wire/tests/golden.rs")?,
-            server_rs: read("crates/server/src/server.rs")?,
-            crate_roots: Vec::new(),
-            all_sources: Vec::new(),
-            manifests: Vec::new(),
-        };
+        let mut ws = WorkspaceSources::default();
         let mut files = Vec::new();
         collect_rs_files(root, root, &mut files)?;
         files.sort();
@@ -104,8 +73,17 @@ impl WorkspaceSources {
     }
 }
 
+/// Whether `dir` holds a manifest with a `[workspace]` table. Below the
+/// audited root that marks a workspace of its own — `benchmark/`, with
+/// the third-party stand-ins under it — which this workspace's rules do
+/// not govern.
+pub fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+}
+
 /// Recursively collects workspace-relative `.rs` and `Cargo.toml`
-/// paths, skipping build output and VCS metadata.
+/// paths, skipping build output, VCS metadata and nested workspaces.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -113,7 +91,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name.starts_with('.') || is_workspace_root(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -124,515 +102,6 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
         }
     }
     Ok(())
-}
-
-// ---- parsing helpers -------------------------------------------------------
-
-/// Strips a `//` line comment (doc comments included), ignoring `//`
-/// inside string literals.
-fn strip_line_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_str = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_str => i += 1,
-            b'"' => in_str = !in_str,
-            b'/' if !in_str && i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                return &line[..i];
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    line
-}
-
-/// Extracts the brace-delimited body that follows the first occurrence
-/// of `marker` in `src` (string-literal- and comment-aware).
-fn body_after(src: &str, marker: &str) -> Option<String> {
-    let start = src.find(marker)?;
-    let rest = &src[start..];
-    let mut depth = 0usize;
-    let mut body = String::new();
-    let mut started = false;
-    for line in rest.lines() {
-        let code = strip_line_comment(line);
-        for c in code.chars() {
-            if c == '{' {
-                depth += 1;
-                started = true;
-            } else if c == '}' {
-                depth = depth.saturating_sub(1);
-            }
-        }
-        if started {
-            body.push_str(line);
-            body.push('\n');
-            if depth == 0 {
-                return Some(body);
-            }
-        }
-    }
-    None
-}
-
-/// Parses the variant names of `pub enum Message` in declaration order.
-pub fn message_variants(message_rs: &str) -> Vec<String> {
-    let Some(body) = body_after(message_rs, "pub enum Message") else {
-        return Vec::new();
-    };
-    let mut depth = 0usize;
-    let mut variants = Vec::new();
-    for line in body.lines() {
-        let code = strip_line_comment(line);
-        let trimmed = code.trim();
-        if depth == 1 && !trimmed.is_empty() && !trimmed.starts_with('#') {
-            let ident: String =
-                trimmed.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-            if ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                variants.push(ident);
-            }
-        }
-        for c in code.chars() {
-            if c == '{' {
-                depth += 1;
-            } else if c == '}' {
-                depth = depth.saturating_sub(1);
-            }
-        }
-    }
-    variants
-}
-
-/// Parses the `ALL_KINDS` string list from `message.rs`.
-pub fn all_kinds(message_rs: &str) -> Vec<String> {
-    let Some(start) = message_rs.find("ALL_KINDS") else {
-        return Vec::new();
-    };
-    let rest = &message_rs[start..];
-    let Some(end) = rest.find("];") else {
-        return Vec::new();
-    };
-    let slice = &rest[..end];
-    let mut kinds = Vec::new();
-    let mut remaining = slice;
-    while let Some(open) = remaining.find('"') {
-        let after = &remaining[open + 1..];
-        let Some(close) = after.find('"') else { break };
-        kinds.push(after[..close].to_owned());
-        remaining = &after[close + 1..];
-    }
-    kinds
-}
-
-/// Parses the `kind_name` match: `(variant, kind string)` pairs.
-pub fn kind_name_map(message_rs: &str) -> Vec<(String, String)> {
-    let Some(body) = body_after(message_rs, "pub fn kind_name") else {
-        return Vec::new();
-    };
-    let mut pairs = Vec::new();
-    for line in body.lines() {
-        let code = strip_line_comment(line);
-        let Some(vstart) = code.find("Message::") else { continue };
-        let ident: String = code[vstart + "Message::".len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        let Some(arrow) = code.find("=>") else { continue };
-        let after = &code[arrow + 2..];
-        let Some(open) = after.find('"') else { continue };
-        let lit = &after[open + 1..];
-        let Some(close) = lit.find('"') else { continue };
-        pairs.push((ident, lit[..close].to_owned()));
-    }
-    pairs
-}
-
-/// Finds the first integer literal passed to `put_u8(` within `segment`.
-fn first_literal_tag(segment: &str) -> Option<u32> {
-    let mut rest = segment;
-    while let Some(pos) = rest.find("put_u8(") {
-        let arg = &rest[pos + "put_u8(".len()..];
-        let end = arg.find(')')?;
-        if let Ok(tag) = arg[..end].trim().parse::<u32>() {
-            return Some(tag);
-        }
-        rest = &arg[end..];
-    }
-    None
-}
-
-/// Parses the encoder tag table from `put_message`: `(variant, tag)` in
-/// source order. A variant whose arm carries no literal tag is reported
-/// with tag `None`.
-pub fn encoder_tags(codec_rs: &str) -> Vec<(String, Option<u32>)> {
-    let Some(body) = body_after(codec_rs, "pub fn put_message") else {
-        return Vec::new();
-    };
-    let mut arms: Vec<(String, usize)> = Vec::new();
-    let mut search = 0usize;
-    while let Some(pos) = body[search..].find("Message::") {
-        let at = search + pos;
-        let ident: String = body[at + "Message::".len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !ident.is_empty() {
-            arms.push((ident, at));
-        }
-        search = at + "Message::".len();
-    }
-    let mut out = Vec::new();
-    for (i, (ident, at)) in arms.iter().enumerate() {
-        let end = arms.get(i + 1).map_or(body.len(), |(_, next)| *next);
-        out.push((ident.clone(), first_literal_tag(&body[*at..end])));
-    }
-    out
-}
-
-/// Parses the decoder tag table from `get_message`: `(tag, variant)` in
-/// source order.
-pub fn decoder_tags(codec_rs: &str) -> Vec<(u32, Option<String>)> {
-    let Some(body) = body_after(codec_rs, "pub fn get_message") else {
-        return Vec::new();
-    };
-    // Collect the byte offset and tag of every `N =>` arm.
-    let mut arms: Vec<(u32, usize)> = Vec::new();
-    let mut offset = 0usize;
-    for line in body.lines() {
-        let code = strip_line_comment(line);
-        let trimmed = code.trim_start();
-        let digits: String = trimmed.chars().take_while(char::is_ascii_digit).collect();
-        if !digits.is_empty() && trimmed[digits.len()..].trim_start().starts_with("=>") {
-            if let Ok(tag) = digits.parse::<u32>() {
-                arms.push((tag, offset));
-            }
-        }
-        offset += line.len() + 1;
-    }
-    let mut out = Vec::new();
-    for (i, (tag, at)) in arms.iter().enumerate() {
-        let end = arms.get(i + 1).map_or(body.len(), |(_, next)| *next);
-        let segment = &body[*at..end.min(body.len())];
-        let variant = segment.find("Message::").map(|pos| {
-            segment[pos + "Message::".len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect::<String>()
-        });
-        out.push((*tag, variant));
-    }
-    out
-}
-
-/// All `Message::Ident` references in a source text (deduplicated,
-/// order of first appearance). Honors a `use Message as X;` alias.
-fn message_refs(src: &str) -> Vec<String> {
-    let mut prefixes = vec!["Message::".to_owned()];
-    if let Some(pos) = src.find("use Message as ") {
-        let alias: String = src[pos + "use Message as ".len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !alias.is_empty() {
-            prefixes.push(format!("{alias}::"));
-        }
-    }
-    let mut seen = Vec::new();
-    for prefix in &prefixes {
-        let mut search = 0usize;
-        while let Some(pos) = src[search..].find(prefix.as_str()) {
-            let at = search + pos;
-            // Require a non-ident character before the prefix so `M::`
-            // does not match the tail of e.g. `COM::`.
-            let standalone = at == 0
-                || !src[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-            let ident: String = src[at + prefix.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if standalone
-                && ident.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                && !seen.contains(&ident)
-            {
-                seen.push(ident);
-            }
-            search = at + prefix.len();
-        }
-    }
-    seen
-}
-
-// ---- the lints -------------------------------------------------------------
-
-const MESSAGE_RS: &str = "crates/wire/src/message.rs";
-const CODEC_RS: &str = "crates/wire/src/codec.rs";
-const GOLDEN_RS: &str = "crates/wire/tests/golden.rs";
-
-/// Rule `enum-vs-kinds`: the enum declaration, `kind_name`, and
-/// `ALL_KINDS` enumerate the same kinds.
-pub fn lint_enum_against_kinds(message_rs: &str) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let variants = message_variants(message_rs);
-    let kinds = all_kinds(message_rs);
-    let names = kind_name_map(message_rs);
-    if variants.is_empty() {
-        v.push(Violation {
-            rule: "enum-vs-kinds",
-            file: MESSAGE_RS.into(),
-            detail: "could not parse any variants of `pub enum Message`".into(),
-        });
-        return v;
-    }
-    for variant in &variants {
-        if !names.iter().any(|(n, _)| n == variant) {
-            v.push(Violation {
-                rule: "enum-vs-kinds",
-                file: MESSAGE_RS.into(),
-                detail: format!("variant `{variant}` has no `kind_name` arm"),
-            });
-        }
-    }
-    for (variant, kind) in &names {
-        if !variants.contains(variant) {
-            v.push(Violation {
-                rule: "enum-vs-kinds",
-                file: MESSAGE_RS.into(),
-                detail: format!("`kind_name` names unknown variant `{variant}`"),
-            });
-        }
-        if !kinds.contains(kind) {
-            v.push(Violation {
-                rule: "enum-vs-kinds",
-                file: MESSAGE_RS.into(),
-                detail: format!("kind `{kind}` (variant `{variant}`) missing from ALL_KINDS"),
-            });
-        }
-    }
-    for kind in &kinds {
-        if !names.iter().any(|(_, k)| k == kind) {
-            v.push(Violation {
-                rule: "enum-vs-kinds",
-                file: MESSAGE_RS.into(),
-                detail: format!("ALL_KINDS entry `{kind}` matches no `kind_name` arm"),
-            });
-        }
-    }
-    let mut sorted = kinds.clone();
-    sorted.sort();
-    sorted.dedup();
-    if sorted.len() != kinds.len() {
-        v.push(Violation {
-            rule: "enum-vs-kinds",
-            file: MESSAGE_RS.into(),
-            detail: "ALL_KINDS contains duplicate kind names".into(),
-        });
-    }
-    v
-}
-
-/// Rule `wire-tag`: every variant has exactly one literal encoder tag,
-/// tags are unique, and the decoder maps each tag back to the same
-/// variant.
-pub fn lint_wire_tags(message_rs: &str, codec_rs: &str) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let variants = message_variants(message_rs);
-    let enc = encoder_tags(codec_rs);
-    let dec = decoder_tags(codec_rs);
-    if enc.is_empty() {
-        v.push(Violation {
-            rule: "wire-tag",
-            file: CODEC_RS.into(),
-            detail: "could not parse any encoder arms in `put_message`".into(),
-        });
-        return v;
-    }
-    for variant in &variants {
-        match enc.iter().find(|(name, _)| name == variant) {
-            None => v.push(Violation {
-                rule: "wire-tag",
-                file: CODEC_RS.into(),
-                detail: format!("variant `{variant}` has no `put_message` arm"),
-            }),
-            Some((_, None)) => v.push(Violation {
-                rule: "wire-tag",
-                file: CODEC_RS.into(),
-                detail: format!("encoder arm for `{variant}` carries no literal tag byte"),
-            }),
-            Some((_, Some(tag))) => {
-                // Decoder must round-trip the same tag to the same variant.
-                match dec.iter().find(|(t, _)| t == tag) {
-                    None => v.push(Violation {
-                        rule: "wire-tag",
-                        file: CODEC_RS.into(),
-                        detail: format!("tag {tag} (`{variant}`) has no `get_message` arm"),
-                    }),
-                    Some((_, decoded)) if decoded.as_deref() != Some(variant.as_str()) => {
-                        v.push(Violation {
-                            rule: "wire-tag",
-                            file: CODEC_RS.into(),
-                            detail: format!(
-                                "tag {tag} encodes `{variant}` but decodes to `{}`",
-                                decoded.as_deref().unwrap_or("<nothing>")
-                            ),
-                        });
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-    let mut tags: Vec<u32> = enc.iter().filter_map(|(_, t)| *t).collect();
-    let n = tags.len();
-    tags.sort_unstable();
-    tags.dedup();
-    if tags.len() != n {
-        v.push(Violation {
-            rule: "wire-tag",
-            file: CODEC_RS.into(),
-            detail: "duplicate wire tag in `put_message`".into(),
-        });
-    }
-    for (name, _) in &enc {
-        if !variants.contains(name) {
-            v.push(Violation {
-                rule: "wire-tag",
-                file: CODEC_RS.into(),
-                detail: format!("encoder names unknown variant `{name}`"),
-            });
-        }
-    }
-    v
-}
-
-/// Parses the tag-indexed `TAG_KIND_NAMES` table from `codec.rs`, in
-/// table order (index = wire tag).
-pub fn tag_kind_names(codec_rs: &str) -> Vec<String> {
-    let Some(start) = codec_rs.find("TAG_KIND_NAMES") else {
-        return Vec::new();
-    };
-    let rest = &codec_rs[start..];
-    let Some(end) = rest.find("];") else {
-        return Vec::new();
-    };
-    let mut names = Vec::new();
-    for line in rest[..end].lines() {
-        let code = strip_line_comment(line);
-        let Some(open) = code.find('"') else { continue };
-        let lit = &code[open + 1..];
-        let Some(close) = lit.find('"') else { continue };
-        names.push(lit[..close].to_owned());
-    }
-    names
-}
-
-/// Rule `shared-frame-table`: the shared-frame encode table
-/// (`TAG_KIND_NAMES` in `codec.rs`, backing `SharedFrame::kind_name`)
-/// stays in sync with the protocol. Checked entry-by-entry against the
-/// *encoder's* tag assignments joined with `kind_name` — not
-/// positionally against `ALL_KINDS`, whose declaration order is not
-/// wire-tag order — plus set equality with the canonical kind list and
-/// a duplicate scan.
-pub fn lint_shared_frame_table(message_rs: &str, codec_rs: &str) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let table = tag_kind_names(codec_rs);
-    if table.is_empty() {
-        v.push(Violation {
-            rule: "shared-frame-table",
-            file: CODEC_RS.into(),
-            detail: "could not parse the `TAG_KIND_NAMES` table".into(),
-        });
-        return v;
-    }
-    let names = kind_name_map(message_rs);
-    for (variant, tag) in encoder_tags(codec_rs) {
-        let Some(tag) = tag else { continue }; // `wire-tag` reports missing tags
-        let Some((_, kind)) = names.iter().find(|(n, _)| *n == variant) else {
-            continue; // `enum-vs-kinds` reports missing kind_name arms
-        };
-        match table.get(tag as usize) {
-            Some(entry) if entry == kind => {}
-            Some(entry) => v.push(Violation {
-                rule: "shared-frame-table",
-                file: CODEC_RS.into(),
-                detail: format!(
-                    "TAG_KIND_NAMES[{tag}] is `{entry}` but the encoder assigns tag {tag} \
-                     to `{variant}` (kind `{kind}`)"
-                ),
-            }),
-            None => v.push(Violation {
-                rule: "shared-frame-table",
-                file: CODEC_RS.into(),
-                detail: format!(
-                    "TAG_KIND_NAMES has no entry for tag {tag} (`{variant}`, kind `{kind}`)"
-                ),
-            }),
-        }
-    }
-    let kinds = all_kinds(message_rs);
-    for kind in &kinds {
-        if !table.contains(kind) {
-            v.push(Violation {
-                rule: "shared-frame-table",
-                file: CODEC_RS.into(),
-                detail: format!("kind `{kind}` from ALL_KINDS is missing from TAG_KIND_NAMES"),
-            });
-        }
-    }
-    for entry in &table {
-        if !kinds.contains(entry) {
-            v.push(Violation {
-                rule: "shared-frame-table",
-                file: CODEC_RS.into(),
-                detail: format!("TAG_KIND_NAMES entry `{entry}` matches no ALL_KINDS kind"),
-            });
-        }
-    }
-    let mut sorted = table.clone();
-    sorted.sort();
-    sorted.dedup();
-    if sorted.len() != table.len() {
-        v.push(Violation {
-            rule: "shared-frame-table",
-            file: CODEC_RS.into(),
-            detail: "TAG_KIND_NAMES contains duplicate kind names".into(),
-        });
-    }
-    v
-}
-
-/// Rule `golden-coverage`: every variant is constructed somewhere in
-/// the golden-vector suite, and the suite names no stale variants. The
-/// suite's own `golden_table_is_complete` test enforces the per-entry
-/// byte equality; this lint guarantees the suite cannot silently lag
-/// the enum.
-pub fn lint_golden_coverage(message_rs: &str, golden_rs: &str) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let variants = message_variants(message_rs);
-    let refs = message_refs(golden_rs);
-    for variant in &variants {
-        if !refs.contains(variant) {
-            v.push(Violation {
-                rule: "golden-coverage",
-                file: GOLDEN_RS.into(),
-                detail: format!("variant `{variant}` has no golden byte vector"),
-            });
-        }
-    }
-    for name in &refs {
-        if name != "ALL_KINDS" && !variants.contains(name) {
-            v.push(Violation {
-                rule: "golden-coverage",
-                file: GOLDEN_RS.into(),
-                detail: format!("golden suite names unknown variant `{name}`"),
-            });
-        }
-    }
-    v
 }
 
 // ---- feature-gating lint ---------------------------------------------------
@@ -768,190 +237,17 @@ pub fn lint_fault_injection_gating(manifests: &[(String, String)]) -> Vec<Violat
     v
 }
 
-/// Runs every text lint over the workspace sources. The AST rules
-/// (panic ratchet, blocking calls, lock order, and the ported
-/// dispatch/restricted/header checks) run separately via
+/// Runs the manifest lint over the workspace sources. The AST rules
+/// (panic ratchet, blocking calls, lock order, restricted calls, crate
+/// headers, wildcard dispatch arms) run separately via
 /// [`crate::rules::run_ast_rules`].
 pub fn run_all_lints(ws: &WorkspaceSources) -> Vec<Violation> {
-    let mut v = Vec::new();
-    v.extend(lint_enum_against_kinds(&ws.message_rs));
-    v.extend(lint_wire_tags(&ws.message_rs, &ws.codec_rs));
-    v.extend(lint_shared_frame_table(&ws.message_rs, &ws.codec_rs));
-    v.extend(lint_golden_coverage(&ws.message_rs, &ws.golden_rs));
-    v.extend(lint_fault_injection_gating(&ws.manifests));
-    v
+    lint_fault_injection_gating(&ws.manifests)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ENUM: &str = r#"
-/// Protocol messages.
-pub enum Message {
-    /// Join.
-    Register {
-        /// Who.
-        user: u64,
-    },
-    /// Leave.
-    Deregister,
-}
-
-impl Message {
-    pub const ALL_KINDS: &'static [&'static str] = &[
-        "register",
-        "deregister",
-    ];
-
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Message::Register { .. } => "register",
-            Message::Deregister => "deregister",
-        }
-    }
-}
-"#;
-
-    const CODEC: &str = r#"
-pub fn put_message(buf: &mut BytesMut, m: &Message) {
-    match m {
-        Message::Register { user } => {
-            buf.put_u8(0);
-            put_uvarint(buf, *user);
-        }
-        Message::Deregister => buf.put_u8(1),
-    }
-}
-
-pub fn get_message(buf: &mut Bytes) -> Result<Message> {
-    let tag = get_u8(buf, "message tag")?;
-    Ok(match tag {
-        0 => Message::Register { user: get_uvarint(buf)? },
-        1 => Message::Deregister,
-        other => return Err(DecodeError::UnknownTag(other)),
-    })
-}
-"#;
-
-    #[test]
-    fn parses_variants_kinds_and_names() {
-        assert_eq!(message_variants(ENUM), vec!["Register", "Deregister"]);
-        assert_eq!(all_kinds(ENUM), vec!["register", "deregister"]);
-        assert_eq!(
-            kind_name_map(ENUM),
-            vec![
-                ("Register".to_owned(), "register".to_owned()),
-                ("Deregister".to_owned(), "deregister".to_owned())
-            ]
-        );
-    }
-
-    #[test]
-    fn parses_tag_tables() {
-        assert_eq!(
-            encoder_tags(CODEC),
-            vec![("Register".to_owned(), Some(0)), ("Deregister".to_owned(), Some(1))]
-        );
-        assert_eq!(
-            decoder_tags(CODEC),
-            vec![(0, Some("Register".to_owned())), (1, Some("Deregister".to_owned()))]
-        );
-    }
-
-    #[test]
-    fn consistent_sources_pass() {
-        assert!(lint_enum_against_kinds(ENUM).is_empty());
-        assert!(lint_wire_tags(ENUM, CODEC).is_empty());
-    }
-
-    #[test]
-    fn missing_kind_is_reported() {
-        let doctored = ENUM.replace("\n        \"deregister\",", "");
-        let v = lint_enum_against_kinds(&doctored);
-        assert!(v.iter().any(|v| v.detail.contains("missing from ALL_KINDS")), "got {v:?}");
-    }
-
-    #[test]
-    fn duplicate_tag_is_reported() {
-        let doctored = CODEC.replace("buf.put_u8(1),", "buf.put_u8(0),");
-        let v = lint_wire_tags(ENUM, &doctored);
-        assert!(v.iter().any(|v| v.detail.contains("duplicate wire tag")), "got {v:?}");
-    }
-
-    #[test]
-    fn decoder_mismatch_is_reported() {
-        let doctored = CODEC.replace("1 => Message::Deregister,", "");
-        let v = lint_wire_tags(ENUM, &doctored);
-        assert!(v.iter().any(|v| v.detail.contains("no `get_message` arm")), "got {v:?}");
-    }
-
-    const TABLE: &str = r#"
-pub const TAG_KIND_NAMES: &[&str] = &[
-    "register",   // 0
-    "deregister", // 1
-];
-"#;
-
-    fn codec_with_table() -> String {
-        format!("{CODEC}{TABLE}")
-    }
-
-    #[test]
-    fn parses_tag_kind_names_in_order() {
-        assert_eq!(tag_kind_names(&codec_with_table()), vec!["register", "deregister"]);
-    }
-
-    #[test]
-    fn consistent_shared_frame_table_passes() {
-        assert!(lint_shared_frame_table(ENUM, &codec_with_table()).is_empty());
-    }
-
-    #[test]
-    fn missing_shared_frame_table_is_reported() {
-        let v = lint_shared_frame_table(ENUM, CODEC);
-        assert!(v.iter().any(|v| v.detail.contains("could not parse")), "got {v:?}");
-    }
-
-    #[test]
-    fn swapped_shared_frame_entries_are_reported() {
-        // Same *set* of kinds, wrong tag order: the set checks pass, so
-        // only the entry-by-entry comparison against the encoder's tag
-        // assignments can catch it.
-        let doctored = codec_with_table()
-            .replace("\"register\",   // 0", "\"deregister\", // 0")
-            .replace("\"deregister\", // 1", "\"register\",   // 1");
-        let v = lint_shared_frame_table(ENUM, &doctored);
-        assert!(v.iter().any(|v| v.detail.contains("but the encoder assigns tag")), "got {v:?}");
-    }
-
-    #[test]
-    fn truncated_shared_frame_table_is_reported() {
-        let doctored = codec_with_table().replace("    \"deregister\", // 1\n", "");
-        let v = lint_shared_frame_table(ENUM, &doctored);
-        assert!(v.iter().any(|v| v.detail.contains("no entry for tag 1")), "got {v:?}");
-        assert!(v.iter().any(|v| v.detail.contains("missing from TAG_KIND_NAMES")), "got {v:?}");
-    }
-
-    #[test]
-    fn duplicate_shared_frame_entry_is_reported() {
-        let doctored = codec_with_table().replace("\"deregister\", // 1", "\"register\", // 1");
-        let v = lint_shared_frame_table(ENUM, &doctored);
-        assert!(v.iter().any(|v| v.detail.contains("duplicate kind names")), "got {v:?}");
-    }
-
-    #[test]
-    fn stale_shared_frame_entry_is_reported() {
-        let doctored = codec_with_table().replace("\"deregister\"", "\"bygone\"");
-        let v = lint_shared_frame_table(ENUM, &doctored);
-        assert!(v.iter().any(|v| v.detail.contains("matches no ALL_KINDS kind")), "got {v:?}");
-    }
-
-    #[test]
-    fn comment_stripping_respects_strings() {
-        assert_eq!(strip_line_comment("let a = 1; // tail"), "let a = 1; ");
-        assert_eq!(strip_line_comment("let s = \"a//b\";"), "let s = \"a//b\";");
-    }
 
     const NET_TOML: &str = r#"
 [package]

@@ -1,7 +1,7 @@
-//! The `cosoft-audit` binary: runs every workspace lint — the textual
-//! wire-protocol checks and the AST rules (panic-freedom ratchet,
-//! blocking-call, lock-order, dispatch/restricted/header) — against
-//! the real source tree and exits non-zero on any violation.
+//! The `cosoft-audit` binary: runs every workspace lint — the
+//! fault-injection manifest check and the AST rules (panic-freedom
+//! ratchet, blocking-call, lock-order, dispatch/restricted/header) —
+//! against the real source tree and exits non-zero on any violation.
 //!
 //! Usage: `cosoft-audit [--panic-counts] [workspace-root]` — with no
 //! root argument the workspace root is found by walking up from the
@@ -21,6 +21,7 @@ use std::process::ExitCode;
 
 use cosoft_audit::ast::AstWorkspace;
 use cosoft_audit::baseline::{Baseline, BASELINE_PATH};
+use cosoft_audit::lints::is_workspace_root;
 use cosoft_audit::rules::panics::unannotated_panic_sites;
 use cosoft_audit::rules::run_ast_rules;
 use cosoft_audit::{run_all_lints, Violation, WorkspaceSources};
@@ -31,11 +32,8 @@ fn workspace_root(args: &[String]) -> Option<PathBuf> {
     }
     let mut dir = std::env::current_dir().ok()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if is_workspace_root(&dir) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;

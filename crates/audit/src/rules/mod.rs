@@ -1,9 +1,8 @@
 //! AST-level audit rules and their shared infrastructure.
 //!
 //! Each rule is a pure function from an [`AstWorkspace`] (plus, for the
-//! ratchet, a [`Baseline`]) to a list of [`Violation`]s, mirroring the
-//! text lints in [`crate::lints`] so negative tests can feed doctored
-//! in-memory workspaces. The rules:
+//! ratchet, a [`Baseline`]) to a list of [`Violation`]s, so negative
+//! tests can feed doctored in-memory workspaces. The rules:
 //!
 //! * [`panics`] — the panic-freedom ratchet over `cosoft-server`,
 //!   `cosoft-net`, `cosoft-wire`: every `unwrap`/`expect`/`panic!`/
@@ -16,9 +15,9 @@
 //!   invariants).
 //! * [`lock_order`] — extracts the static mutex-acquisition graph
 //!   across `cosoft-server`/`cosoft-net` and fails on cycles.
-//! * [`restricted`], [`headers`], [`dispatch`] — AST ports of the
-//!   former text lints (restricted-call, crate-header,
-//!   dispatch-coverage); operating on tokens instead of lines kills
+//! * [`restricted`], [`headers`], [`dispatch`] — restricted-call,
+//!   crate-header, and the no-wildcard-arm check on the server's
+//!   `Message` dispatch; operating on tokens instead of lines kills
 //!   the false-positive class where commented-out or string-literal
 //!   code matched the scan.
 //!

@@ -5,12 +5,13 @@
 //!
 //! `cargo run --release -p cosoft-bench --bin connscale` for the full
 //! measurement; pass `--smoke` (as CI does) for a seconds-scale run
-//! that still produces every series. Needs ~2 fds per connection — the
+//! that still produces every series, written under `target/bench/`
+//! instead. Needs ~2 fds per connection — the
 //! 5 000-conn series wants `ulimit -n` ≥ 10 512 and is skipped (loudly)
 //! when the limit is lower.
 
 use cosoft_bench::connscale::{self, CONN_COUNTS};
-use cosoft_bench::report::print_table;
+use cosoft_bench::report::{print_table, write_report};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -56,11 +57,5 @@ fn main() {
     );
 
     let json = connscale::to_json(&samples, smoke);
-    let path = "BENCH_connscale.json";
-    std::fs::write(path, &json).expect("write BENCH_connscale.json");
-    println!(
-        "\nwrote {path} ({} series{})",
-        samples.len(),
-        if smoke { ", smoke mode" } else { "" }
-    );
+    write_report("connscale", &json, samples.len(), smoke);
 }

@@ -5,10 +5,11 @@
 //!
 //! `cargo run --release -p cosoft-bench --bin deltasync` for the full
 //! measurement; pass `--smoke` (as CI does) for a seconds-scale run
-//! that still produces every series.
+//! that still produces every series, written under `target/bench/`
+//! instead.
 
 use cosoft_bench::deltasync::{self, DEPTHS};
-use cosoft_bench::report::print_table;
+use cosoft_bench::report::{print_table, write_report};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -37,11 +38,5 @@ fn main() {
     );
 
     let json = deltasync::to_json(&samples, smoke);
-    let path = "BENCH_deltasync.json";
-    std::fs::write(path, &json).expect("write BENCH_deltasync.json");
-    println!(
-        "\nwrote {path} ({} series{})",
-        samples.len(),
-        if smoke { ", smoke mode" } else { "" }
-    );
+    write_report("deltasync", &json, samples.len(), smoke);
 }

@@ -4,10 +4,11 @@
 //!
 //! `cargo run --release -p cosoft-bench --bin fanout` for the full
 //! measurement; pass `--smoke` (as CI does) for a seconds-scale run
-//! that still produces every series.
+//! that still produces every series, written under `target/bench/`
+//! instead.
 
 use cosoft_bench::fanout::{self, GROUP_SIZES};
-use cosoft_bench::report::print_table;
+use cosoft_bench::report::{print_table, write_report};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -36,11 +37,5 @@ fn main() {
     );
 
     let json = fanout::to_json(&samples, smoke, payload_len);
-    let path = "BENCH_fanout.json";
-    std::fs::write(path, &json).expect("write BENCH_fanout.json");
-    println!(
-        "\nwrote {path} ({} series{})",
-        samples.len(),
-        if smoke { ", smoke mode" } else { "" }
-    );
+    write_report("fanout", &json, samples.len(), smoke);
 }

@@ -5,12 +5,13 @@
 //!
 //! `cargo run --release -p cosoft-bench --bin overload` for the full
 //! measurement; pass `--smoke` (as CI does) for a shorter run that
-//! still produces every series. The workload is deterministic — no
+//! still produces every series, written under `target/bench/`
+//! instead. The workload is deterministic — no
 //! sockets, no threads — so smoke and full runs differ only in window
 //! count.
 
 use cosoft_bench::overload::{self, MULTIPLIERS};
-use cosoft_bench::report::print_table;
+use cosoft_bench::report::{print_table, write_report};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -51,11 +52,5 @@ fn main() {
     );
 
     let json = overload::to_json(&samples, smoke);
-    let path = "BENCH_overload.json";
-    std::fs::write(path, &json).expect("write BENCH_overload.json");
-    println!(
-        "\nwrote {path} ({} series{})",
-        samples.len(),
-        if smoke { ", smoke mode" } else { "" }
-    );
+    write_report("overload", &json, samples.len(), smoke);
 }

@@ -4,9 +4,10 @@
 //!
 //! `cargo run --release -p cosoft-bench --bin shard` for the full
 //! measurement; pass `--smoke` (as CI does) for a seconds-scale run
-//! that still produces every series.
+//! that still produces every series, written under `target/bench/`
+//! instead.
 
-use cosoft_bench::report::print_table;
+use cosoft_bench::report::{print_table, write_report};
 use cosoft_bench::shard::{self, SHARD_COUNTS};
 
 fn main() {
@@ -37,11 +38,5 @@ fn main() {
     );
 
     let json = shard::to_json(&samples, smoke, payload_len);
-    let path = "BENCH_shard.json";
-    std::fs::write(path, &json).expect("write BENCH_shard.json");
-    println!(
-        "\nwrote {path} ({} series{})",
-        samples.len(),
-        if smoke { ", smoke mode" } else { "" }
-    );
+    write_report("shard", &json, samples.len(), smoke);
 }

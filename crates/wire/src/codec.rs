@@ -15,7 +15,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::delta::{EditOp, NodeEdit, NodePatch};
-use crate::message::InstanceInfo;
+use crate::message::{InstanceInfo, MessageKind};
 use crate::{
     AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
     StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind, WireError,
@@ -341,8 +341,26 @@ pub fn put_state(buf: &mut BytesMut, s: &StateNode) {
     }
 }
 
+/// Deepest [`StateNode`] nesting [`get_state`] accepts (a lone node is
+/// depth 1). The decoder recurses once per level, so without the bound a
+/// small frame of single-child nodes would overflow the decoding thread's
+/// stack.
+pub const MAX_STATE_DEPTH: usize = 128;
+
 /// Decodes a [`StateNode`] snapshot tree.
+///
+/// # Errors
+///
+/// Besides malformed input, a tree nested deeper than [`MAX_STATE_DEPTH`]
+/// is rejected with [`WireError::DepthExceeded`].
 pub fn get_state(buf: &mut Bytes) -> Result<StateNode> {
+    get_state_within(buf, MAX_STATE_DEPTH)
+}
+
+fn get_state_within(buf: &mut Bytes, levels: usize) -> Result<StateNode> {
+    let Some(levels_below) = levels.checked_sub(1) else {
+        return Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH });
+    };
     let kind = get_kind(buf)?;
     let name = get_str(buf)?;
     let n_attrs = get_len(buf)?;
@@ -355,7 +373,7 @@ pub fn get_state(buf: &mut Bytes) -> Result<StateNode> {
     node.semantic = get_blob(buf)?;
     let n_children = get_len(buf)?;
     for _ in 0..n_children {
-        node.children.push(get_state(buf)?);
+        node.children.push(get_state_within(buf, levels_below)?);
     }
     Ok(node)
 }
@@ -544,115 +562,220 @@ pub fn get_event(buf: &mut Bytes) -> Result<UiEvent> {
 }
 
 // --------------------------------------------------------------------------
-// small enums / records
+// message fields
 // --------------------------------------------------------------------------
 
-fn put_copy_mode(buf: &mut BytesMut, m: CopyMode) {
-    buf.put_u8(match m {
-        CopyMode::Strict => 0,
-        CopyMode::DestructiveMerge => 1,
-        CopyMode::FlexibleMatch => 2,
-    });
+/// A type that can be a field of a [`Message`]: the protocol table in
+/// `message.rs` encodes and decodes every field through this trait.
+pub(crate) trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, buf: &mut BytesMut);
+    /// Decodes one value.
+    fn get(buf: &mut Bytes) -> Result<Self>;
 }
 
-fn get_copy_mode(buf: &mut Bytes) -> Result<CopyMode> {
-    match get_u8(buf, "copy mode")? {
-        0 => Ok(CopyMode::Strict),
-        1 => Ok(CopyMode::DestructiveMerge),
-        2 => Ok(CopyMode::FlexibleMatch),
-        other => Err(WireError::InvalidTag { kind: "CopyMode", tag: other }),
+impl Wire for u64 {
+    fn put(&self, buf: &mut BytesMut) {
+        put_uvarint(buf, *self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_uvarint(buf)
     }
 }
 
-fn put_right(buf: &mut BytesMut, r: AccessRight) {
-    buf.put_u8(match r {
-        AccessRight::Denied => 0,
-        AccessRight::Read => 1,
-        AccessRight::Write => 2,
-    });
-}
-
-fn get_right(buf: &mut Bytes) -> Result<AccessRight> {
-    match get_u8(buf, "access right")? {
-        0 => Ok(AccessRight::Denied),
-        1 => Ok(AccessRight::Read),
-        2 => Ok(AccessRight::Write),
-        other => Err(WireError::InvalidTag { kind: "AccessRight", tag: other }),
+impl Wire for UserId {
+    fn put(&self, buf: &mut BytesMut) {
+        put_uvarint(buf, self.0);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        Ok(UserId(get_uvarint(buf)?))
     }
 }
 
-fn put_target(buf: &mut BytesMut, t: &Target) {
-    match t {
-        Target::Instance(i) => {
-            buf.put_u8(0);
-            put_uvarint(buf, i.0);
+impl Wire for InstanceId {
+    fn put(&self, buf: &mut BytesMut) {
+        put_uvarint(buf, self.0);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        Ok(InstanceId(get_uvarint(buf)?))
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_str(buf)
+    }
+}
+
+/// The byte blob, copied in bulk (not element by element like other
+/// lists).
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_bytes(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_blob(buf)
+    }
+}
+
+impl Wire for ObjectPath {
+    fn put(&self, buf: &mut BytesMut) {
+        put_path(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_path(buf)
+    }
+}
+
+impl Wire for GlobalObjectId {
+    fn put(&self, buf: &mut BytesMut) {
+        put_gid(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_gid(buf)
+    }
+}
+
+impl Wire for UiEvent {
+    fn put(&self, buf: &mut BytesMut) {
+        put_event(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_event(buf)
+    }
+}
+
+impl Wire for StateNode {
+    fn put(&self, buf: &mut BytesMut) {
+        put_state(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_state(buf)
+    }
+}
+
+impl Wire for StateDelta {
+    fn put(&self, buf: &mut BytesMut) {
+        put_delta(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_delta(buf)
+    }
+}
+
+impl Wire for CopyMode {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(match self {
+            CopyMode::Strict => 0,
+            CopyMode::DestructiveMerge => 1,
+            CopyMode::FlexibleMatch => 2,
+        });
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        match get_u8(buf, "copy mode")? {
+            0 => Ok(CopyMode::Strict),
+            1 => Ok(CopyMode::DestructiveMerge),
+            2 => Ok(CopyMode::FlexibleMatch),
+            other => Err(WireError::InvalidTag { kind: "CopyMode", tag: other }),
         }
-        Target::Broadcast => buf.put_u8(1),
-        Target::Group(g) => {
-            buf.put_u8(2);
-            put_gid(buf, g);
+    }
+}
+
+impl Wire for AccessRight {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(match self {
+            AccessRight::Denied => 0,
+            AccessRight::Read => 1,
+            AccessRight::Write => 2,
+        });
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        match get_u8(buf, "access right")? {
+            0 => Ok(AccessRight::Denied),
+            1 => Ok(AccessRight::Read),
+            2 => Ok(AccessRight::Write),
+            other => Err(WireError::InvalidTag { kind: "AccessRight", tag: other }),
         }
     }
 }
 
-fn get_target(buf: &mut Bytes) -> Result<Target> {
-    match get_u8(buf, "target tag")? {
-        0 => Ok(Target::Instance(InstanceId(get_uvarint(buf)?))),
-        1 => Ok(Target::Broadcast),
-        2 => Ok(Target::Group(get_gid(buf)?)),
-        other => Err(WireError::InvalidTag { kind: "Target", tag: other }),
+impl Wire for Target {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Target::Instance(i) => {
+                buf.put_u8(0);
+                i.put(buf);
+            }
+            Target::Broadcast => buf.put_u8(1),
+            Target::Group(g) => {
+                buf.put_u8(2);
+                g.put(buf);
+            }
+        }
     }
-}
-
-fn put_instance_info(buf: &mut BytesMut, i: &InstanceInfo) {
-    put_uvarint(buf, i.instance.0);
-    put_uvarint(buf, i.user.0);
-    put_str(buf, &i.host);
-    put_str(buf, &i.app_name);
-}
-
-fn get_instance_info(buf: &mut Bytes) -> Result<InstanceInfo> {
-    Ok(InstanceInfo {
-        instance: InstanceId(get_uvarint(buf)?),
-        user: UserId(get_uvarint(buf)?),
-        host: get_str(buf)?,
-        app_name: get_str(buf)?,
-    })
-}
-
-fn put_opt_state(buf: &mut BytesMut, s: &Option<StateNode>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(s) => {
-            buf.put_u8(1);
-            put_state(buf, s);
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        match get_u8(buf, "target tag")? {
+            0 => Ok(Target::Instance(Wire::get(buf)?)),
+            1 => Ok(Target::Broadcast),
+            2 => Ok(Target::Group(Wire::get(buf)?)),
+            other => Err(WireError::InvalidTag { kind: "Target", tag: other }),
         }
     }
 }
 
-fn get_opt_state(buf: &mut Bytes) -> Result<Option<StateNode>> {
-    match get_u8(buf, "option tag")? {
-        0 => Ok(None),
-        1 => Ok(Some(get_state(buf)?)),
-        other => Err(WireError::InvalidTag { kind: "Option<StateNode>", tag: other }),
+impl Wire for InstanceInfo {
+    fn put(&self, buf: &mut BytesMut) {
+        self.instance.put(buf);
+        self.user.put(buf);
+        self.host.put(buf);
+        self.app_name.put(buf);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        Ok(InstanceInfo {
+            instance: Wire::get(buf)?,
+            user: Wire::get(buf)?,
+            host: Wire::get(buf)?,
+            app_name: Wire::get(buf)?,
+        })
     }
 }
 
-fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_uvarint(buf, self.len() as u64);
+        for item in self {
+            item.put(buf);
         }
     }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let n = get_len(buf)?;
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(T::get(buf)?);
+        }
+        Ok(items)
+    }
 }
 
-fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>> {
-    match get_u8(buf, "option tag")? {
-        0 => Ok(None),
-        1 => Ok(Some(get_str(buf)?)),
-        other => Err(WireError::InvalidTag { kind: "Option<String>", tag: other }),
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            None => buf.put_u8(0),
+            Some(v) => {
+                buf.put_u8(1);
+                v.put(buf);
+            }
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        match get_u8(buf, "option tag")? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(buf)?)),
+            other => Err(WireError::InvalidTag { kind: "Option", tag: other }),
+        }
     }
 }
 
@@ -667,214 +790,11 @@ pub fn encode_message(m: &Message) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Appends a [`Message`] body to `buf`.
+/// Appends a [`Message`] body to `buf`: the kind's tag byte, then its
+/// fields in the order the protocol table declares them.
 pub fn put_message(buf: &mut BytesMut, m: &Message) {
-    match m {
-        Message::Register { user, host, app_name } => {
-            buf.put_u8(0);
-            put_uvarint(buf, user.0);
-            put_str(buf, host);
-            put_str(buf, app_name);
-        }
-        Message::Deregister => buf.put_u8(1),
-        Message::QueryInstances => buf.put_u8(2),
-        Message::Welcome { instance } => {
-            buf.put_u8(3);
-            put_uvarint(buf, instance.0);
-        }
-        Message::InstanceList { entries } => {
-            buf.put_u8(4);
-            put_uvarint(buf, entries.len() as u64);
-            for e in entries {
-                put_instance_info(buf, e);
-            }
-        }
-        Message::Couple { src, dst } => {
-            buf.put_u8(5);
-            put_gid(buf, src);
-            put_gid(buf, dst);
-        }
-        Message::Decouple { src, dst } => {
-            buf.put_u8(6);
-            put_gid(buf, src);
-            put_gid(buf, dst);
-        }
-        Message::RemoteCouple { a, b } => {
-            buf.put_u8(7);
-            put_gid(buf, a);
-            put_gid(buf, b);
-        }
-        Message::RemoteDecouple { a, b } => {
-            buf.put_u8(8);
-            put_gid(buf, a);
-            put_gid(buf, b);
-        }
-        Message::CoupleUpdate { group } => {
-            buf.put_u8(9);
-            put_uvarint(buf, group.len() as u64);
-            for g in group {
-                put_gid(buf, g);
-            }
-        }
-        Message::ListCoupled { object } => {
-            buf.put_u8(10);
-            put_gid(buf, object);
-        }
-        Message::CoupledSet { object, coupled } => {
-            buf.put_u8(11);
-            put_gid(buf, object);
-            put_uvarint(buf, coupled.len() as u64);
-            for g in coupled {
-                put_gid(buf, g);
-            }
-        }
-        Message::Event { origin, event, seq } => {
-            buf.put_u8(12);
-            put_gid(buf, origin);
-            put_event(buf, event);
-            put_uvarint(buf, *seq);
-        }
-        Message::EventGranted { seq, exec_id } => {
-            buf.put_u8(13);
-            put_uvarint(buf, *seq);
-            put_uvarint(buf, *exec_id);
-        }
-        Message::EventRejected { seq } => {
-            buf.put_u8(14);
-            put_uvarint(buf, *seq);
-        }
-        Message::ExecuteEvent { exec_id, target, event } => {
-            buf.put_u8(15);
-            put_uvarint(buf, *exec_id);
-            put_path(buf, target);
-            put_event(buf, event);
-        }
-        Message::ExecuteDone { exec_id } => {
-            buf.put_u8(16);
-            put_uvarint(buf, *exec_id);
-        }
-        Message::GroupUnlocked { exec_id, objects } => {
-            buf.put_u8(17);
-            put_uvarint(buf, *exec_id);
-            put_uvarint(buf, objects.len() as u64);
-            for p in objects {
-                put_path(buf, p);
-            }
-        }
-        Message::CopyFrom { src, dst, mode, req_id } => {
-            buf.put_u8(18);
-            put_gid(buf, src);
-            put_gid(buf, dst);
-            put_copy_mode(buf, *mode);
-            put_uvarint(buf, *req_id);
-        }
-        Message::CopyTo { src, dst, snapshot, mode, req_id } => {
-            buf.put_u8(19);
-            put_gid(buf, src);
-            put_gid(buf, dst);
-            put_state(buf, snapshot);
-            put_copy_mode(buf, *mode);
-            put_uvarint(buf, *req_id);
-        }
-        Message::RemoteCopy { src, dst, mode, req_id } => {
-            buf.put_u8(20);
-            put_gid(buf, src);
-            put_gid(buf, dst);
-            put_copy_mode(buf, *mode);
-            put_uvarint(buf, *req_id);
-        }
-        Message::StateRequest { req_id, path } => {
-            buf.put_u8(21);
-            put_uvarint(buf, *req_id);
-            put_path(buf, path);
-        }
-        Message::StateReply { req_id, snapshot } => {
-            buf.put_u8(22);
-            put_uvarint(buf, *req_id);
-            put_opt_state(buf, snapshot);
-        }
-        Message::ApplyState { req_id, path, snapshot, mode } => {
-            buf.put_u8(23);
-            put_uvarint(buf, *req_id);
-            put_path(buf, path);
-            put_state(buf, snapshot);
-            put_copy_mode(buf, *mode);
-        }
-        Message::StateApplied { req_id, overwritten, error } => {
-            buf.put_u8(24);
-            put_uvarint(buf, *req_id);
-            put_opt_state(buf, overwritten);
-            put_opt_str(buf, error);
-        }
-        Message::UndoState { object } => {
-            buf.put_u8(25);
-            put_gid(buf, object);
-        }
-        Message::RedoState { object } => {
-            buf.put_u8(26);
-            put_gid(buf, object);
-        }
-        Message::SetPermission { user, object, right } => {
-            buf.put_u8(27);
-            put_uvarint(buf, user.0);
-            put_gid(buf, object);
-            put_right(buf, *right);
-        }
-        Message::PermissionDenied { what } => {
-            buf.put_u8(28);
-            put_str(buf, what);
-        }
-        Message::CoSendCommand { to, command, payload } => {
-            buf.put_u8(29);
-            put_target(buf, to);
-            put_str(buf, command);
-            put_bytes(buf, payload);
-        }
-        Message::CommandDelivery { from, command, payload } => {
-            buf.put_u8(30);
-            put_uvarint(buf, from.0);
-            put_str(buf, command);
-            put_bytes(buf, payload);
-        }
-        Message::ErrorReply { context, reason } => {
-            buf.put_u8(31);
-            put_str(buf, context);
-            put_str(buf, reason);
-        }
-        Message::ObjectDestroyed { object } => {
-            buf.put_u8(32);
-            put_gid(buf, object);
-        }
-        Message::Rejoin { resume_token } => {
-            buf.put_u8(33);
-            put_uvarint(buf, *resume_token);
-        }
-        Message::Ping { nonce } => {
-            buf.put_u8(34);
-            put_uvarint(buf, *nonce);
-        }
-        Message::Pong { nonce } => {
-            buf.put_u8(35);
-            put_uvarint(buf, *nonce);
-        }
-        Message::SessionToken { resume_token } => {
-            buf.put_u8(36);
-            put_uvarint(buf, *resume_token);
-        }
-        Message::Busy { retry_after_ms } => {
-            buf.put_u8(37);
-            put_uvarint(buf, *retry_after_ms);
-        }
-        Message::ApplyDelta { req_id, path, base_version, new_version, delta, mode } => {
-            buf.put_u8(38);
-            put_uvarint(buf, *req_id);
-            put_path(buf, path);
-            put_uvarint(buf, *base_version);
-            put_uvarint(buf, *new_version);
-            put_delta(buf, delta);
-            put_copy_mode(buf, *mode);
-        }
-    }
+    buf.put_u8(m.kind() as u8);
+    m.put_fields(buf);
 }
 
 /// Decodes a complete [`Message`] body, rejecting trailing bytes.
@@ -895,132 +815,8 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message> {
 /// Decodes one [`Message`] from `buf`, leaving any following bytes.
 pub fn get_message(buf: &mut Bytes) -> Result<Message> {
     let tag = get_u8(buf, "message tag")?;
-    Ok(match tag {
-        0 => Message::Register {
-            user: UserId(get_uvarint(buf)?),
-            host: get_str(buf)?,
-            app_name: get_str(buf)?,
-        },
-        1 => Message::Deregister,
-        2 => Message::QueryInstances,
-        3 => Message::Welcome { instance: InstanceId(get_uvarint(buf)?) },
-        4 => {
-            let n = get_len(buf)?;
-            let mut entries = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                entries.push(get_instance_info(buf)?);
-            }
-            Message::InstanceList { entries }
-        }
-        5 => Message::Couple { src: get_gid(buf)?, dst: get_gid(buf)? },
-        6 => Message::Decouple { src: get_gid(buf)?, dst: get_gid(buf)? },
-        7 => Message::RemoteCouple { a: get_gid(buf)?, b: get_gid(buf)? },
-        8 => Message::RemoteDecouple { a: get_gid(buf)?, b: get_gid(buf)? },
-        9 => {
-            let n = get_len(buf)?;
-            let mut group = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                group.push(get_gid(buf)?);
-            }
-            Message::CoupleUpdate { group }
-        }
-        10 => Message::ListCoupled { object: get_gid(buf)? },
-        11 => {
-            let object = get_gid(buf)?;
-            let n = get_len(buf)?;
-            let mut coupled = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                coupled.push(get_gid(buf)?);
-            }
-            Message::CoupledSet { object, coupled }
-        }
-        12 => {
-            Message::Event { origin: get_gid(buf)?, event: get_event(buf)?, seq: get_uvarint(buf)? }
-        }
-        13 => Message::EventGranted { seq: get_uvarint(buf)?, exec_id: get_uvarint(buf)? },
-        14 => Message::EventRejected { seq: get_uvarint(buf)? },
-        15 => Message::ExecuteEvent {
-            exec_id: get_uvarint(buf)?,
-            target: get_path(buf)?,
-            event: get_event(buf)?,
-        },
-        16 => Message::ExecuteDone { exec_id: get_uvarint(buf)? },
-        17 => {
-            let exec_id = get_uvarint(buf)?;
-            let n = get_len(buf)?;
-            let mut objects = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                objects.push(get_path(buf)?);
-            }
-            Message::GroupUnlocked { exec_id, objects }
-        }
-        18 => Message::CopyFrom {
-            src: get_gid(buf)?,
-            dst: get_gid(buf)?,
-            mode: get_copy_mode(buf)?,
-            req_id: get_uvarint(buf)?,
-        },
-        19 => Message::CopyTo {
-            src: get_gid(buf)?,
-            dst: get_gid(buf)?,
-            snapshot: get_state(buf)?,
-            mode: get_copy_mode(buf)?,
-            req_id: get_uvarint(buf)?,
-        },
-        20 => Message::RemoteCopy {
-            src: get_gid(buf)?,
-            dst: get_gid(buf)?,
-            mode: get_copy_mode(buf)?,
-            req_id: get_uvarint(buf)?,
-        },
-        21 => Message::StateRequest { req_id: get_uvarint(buf)?, path: get_path(buf)? },
-        22 => Message::StateReply { req_id: get_uvarint(buf)?, snapshot: get_opt_state(buf)? },
-        23 => Message::ApplyState {
-            req_id: get_uvarint(buf)?,
-            path: get_path(buf)?,
-            snapshot: get_state(buf)?,
-            mode: get_copy_mode(buf)?,
-        },
-        24 => Message::StateApplied {
-            req_id: get_uvarint(buf)?,
-            overwritten: get_opt_state(buf)?,
-            error: get_opt_str(buf)?,
-        },
-        25 => Message::UndoState { object: get_gid(buf)? },
-        26 => Message::RedoState { object: get_gid(buf)? },
-        27 => Message::SetPermission {
-            user: UserId(get_uvarint(buf)?),
-            object: get_gid(buf)?,
-            right: get_right(buf)?,
-        },
-        28 => Message::PermissionDenied { what: get_str(buf)? },
-        29 => Message::CoSendCommand {
-            to: get_target(buf)?,
-            command: get_str(buf)?,
-            payload: get_blob(buf)?,
-        },
-        30 => Message::CommandDelivery {
-            from: InstanceId(get_uvarint(buf)?),
-            command: get_str(buf)?,
-            payload: get_blob(buf)?,
-        },
-        31 => Message::ErrorReply { context: get_str(buf)?, reason: get_str(buf)? },
-        32 => Message::ObjectDestroyed { object: get_gid(buf)? },
-        33 => Message::Rejoin { resume_token: get_uvarint(buf)? },
-        34 => Message::Ping { nonce: get_uvarint(buf)? },
-        35 => Message::Pong { nonce: get_uvarint(buf)? },
-        36 => Message::SessionToken { resume_token: get_uvarint(buf)? },
-        37 => Message::Busy { retry_after_ms: get_uvarint(buf)? },
-        38 => Message::ApplyDelta {
-            req_id: get_uvarint(buf)?,
-            path: get_path(buf)?,
-            base_version: get_uvarint(buf)?,
-            new_version: get_uvarint(buf)?,
-            delta: get_delta(buf)?,
-            mode: get_copy_mode(buf)?,
-        },
-        other => return Err(WireError::InvalidTag { kind: "Message", tag: other }),
-    })
+    let kind = MessageKind::from_tag(tag).ok_or(WireError::InvalidTag { kind: "Message", tag })?;
+    Message::get_fields(kind, buf)
 }
 
 // --------------------------------------------------------------------------
@@ -1039,57 +835,6 @@ pub fn frame_message(m: &Message) -> Vec<u8> {
 // --------------------------------------------------------------------------
 // shared frames (encode once, deliver everywhere)
 // --------------------------------------------------------------------------
-
-/// Kind name of every message wire tag, indexed by tag byte — the
-/// shared-frame encode table backing [`SharedFrame::kind_name`].
-///
-/// The order is *wire-tag order* (the tag bytes of [`put_message`] /
-/// [`get_message`]), which differs from the declaration order of
-/// [`Message::ALL_KINDS`]. The `cosoft-audit` shared-frame-table lint
-/// checks this table entry-by-entry against the encoder's tag table and
-/// the canonical kind list, so a new `Message` variant cannot land
-/// without extending it.
-pub const TAG_KIND_NAMES: &[&str] = &[
-    "register",          // 0
-    "deregister",        // 1
-    "query-instances",   // 2
-    "welcome",           // 3
-    "instance-list",     // 4
-    "couple",            // 5
-    "decouple",          // 6
-    "remote-couple",     // 7
-    "remote-decouple",   // 8
-    "couple-update",     // 9
-    "list-coupled",      // 10
-    "coupled-set",       // 11
-    "event",             // 12
-    "event-granted",     // 13
-    "event-rejected",    // 14
-    "execute-event",     // 15
-    "execute-done",      // 16
-    "group-unlocked",    // 17
-    "copy-from",         // 18
-    "copy-to",           // 19
-    "remote-copy",       // 20
-    "state-request",     // 21
-    "state-reply",       // 22
-    "apply-state",       // 23
-    "state-applied",     // 24
-    "undo-state",        // 25
-    "redo-state",        // 26
-    "set-permission",    // 27
-    "permission-denied", // 28
-    "co-send-command",   // 29
-    "command-delivery",  // 30
-    "error-reply",       // 31
-    "object-destroyed",  // 32
-    "rejoin",            // 33
-    "ping",              // 34
-    "pong",              // 35
-    "session-token",     // 36
-    "busy",              // 37
-    "apply-delta",       // 38
-];
 
 /// A complete, already-framed wire message (`u32-le length ‖ body`)
 /// behind a refcounted [`Bytes`] buffer.
@@ -1152,10 +897,10 @@ impl SharedFrame {
         self.body().first().copied()
     }
 
-    /// The kind name of the framed message, looked up in
-    /// [`TAG_KIND_NAMES`].
+    /// The kind name of the framed message, if its tag byte is one the
+    /// protocol table declares.
     pub fn kind_name(&self) -> Option<&'static str> {
-        TAG_KIND_NAMES.get(usize::from(self.tag()?)).copied()
+        MessageKind::from_tag(self.tag()?).map(MessageKind::name)
     }
 
     /// Decodes the framed message back into an owned [`Message`].
@@ -1200,7 +945,7 @@ pub fn encode_event_shared(e: &UiEvent) -> Bytes {
 pub fn frame_execute_event(exec_id: u64, target: &ObjectPath, event: &Bytes) -> SharedFrame {
     let mut buf = BytesMut::with_capacity(event.len() + 32);
     buf.put_u32_le(0);
-    buf.put_u8(15); // ExecuteEvent wire tag
+    buf.put_u8(MessageKind::ExecuteEvent as u8);
     put_uvarint(&mut buf, exec_id);
     put_path(&mut buf, target);
     buf.extend_from_slice(event);
@@ -1228,11 +973,11 @@ pub fn frame_apply_state(
 ) -> SharedFrame {
     let mut buf = BytesMut::with_capacity(snapshot.len() + 32);
     buf.put_u32_le(0);
-    buf.put_u8(23); // ApplyState wire tag
+    buf.put_u8(MessageKind::ApplyState as u8);
     put_uvarint(&mut buf, req_id);
     put_path(&mut buf, path);
     buf.extend_from_slice(snapshot);
-    put_copy_mode(&mut buf, mode);
+    mode.put(&mut buf);
     seal_frame(buf)
 }
 
@@ -1259,13 +1004,13 @@ pub fn frame_apply_delta(
 ) -> SharedFrame {
     let mut buf = BytesMut::with_capacity(delta.len() + 48);
     buf.put_u32_le(0);
-    buf.put_u8(38); // ApplyDelta wire tag
+    buf.put_u8(MessageKind::ApplyDelta as u8);
     put_uvarint(&mut buf, req_id);
     put_path(&mut buf, path);
     put_uvarint(&mut buf, base_version);
     put_uvarint(&mut buf, new_version);
     buf.extend_from_slice(delta);
-    put_copy_mode(&mut buf, mode);
+    mode.put(&mut buf);
     seal_frame(buf)
 }
 
@@ -1662,21 +1407,92 @@ mod tests {
         assert!(!r.has_remaining());
     }
 
+    /// The generated table agrees with itself: tags round-trip through
+    /// the kind enum, frames report the name their message reports, and
+    /// every tag byte outside the table is rejected.
     #[test]
-    fn tag_kind_names_agrees_with_encoder() {
-        assert_eq!(TAG_KIND_NAMES.len(), Message::ALL_KINDS.len());
-        let tag_set: std::collections::BTreeSet<&str> = TAG_KIND_NAMES.iter().copied().collect();
-        let kind_set: std::collections::BTreeSet<&str> =
-            Message::ALL_KINDS.iter().copied().collect();
-        assert_eq!(tag_set, kind_set, "TAG_KIND_NAMES and ALL_KINDS must list the same names");
+    fn protocol_table_is_consistent() {
+        assert_eq!(MessageKind::ALL.len(), Message::ALL_KINDS.len());
+        for (kind, name) in MessageKind::ALL.iter().zip(Message::ALL_KINDS) {
+            assert_eq!(MessageKind::from_tag(*kind as u8), Some(*kind));
+            assert_eq!(kind.name(), *name);
+        }
         for m in sample_messages() {
             let shared = frame_message_shared(&m);
-            let tag = shared.tag().expect("tag byte");
-            assert_eq!(
-                TAG_KIND_NAMES[usize::from(tag)],
-                m.kind_name(),
-                "tag {tag} maps to the wrong kind name"
-            );
+            assert_eq!(shared.tag(), Some(m.kind() as u8));
+            assert_eq!(shared.kind_name(), Some(m.kind_name()));
         }
+        for tag in 0..=u8::MAX {
+            if MessageKind::ALL.iter().all(|k| *k as u8 != tag) {
+                assert_eq!(MessageKind::from_tag(tag), None);
+                assert!(
+                    matches!(
+                        decode_message(&[tag]),
+                        Err(WireError::InvalidTag { kind: "Message", tag: t }) if t == tag
+                    ),
+                    "tag {tag} is not in the table and must not decode"
+                );
+            }
+        }
+    }
+
+    /// The bytes of `depth` nested single-child nodes, written without
+    /// recursion so the hostile depths never exist as a tree.
+    fn nested_state_bytes(depth: usize) -> Bytes {
+        let mut b = BytesMut::new();
+        for level in 0..depth {
+            put_str(&mut b, "p"); // kind
+            put_str(&mut b, "n"); // name
+            put_uvarint(&mut b, 0); // attrs
+            put_uvarint(&mut b, 0); // semantic
+            put_uvarint(&mut b, u64::from(level + 1 < depth)); // children
+        }
+        b.freeze()
+    }
+
+    #[test]
+    fn state_depth_is_bounded() {
+        let at_limit = nested_state_bytes(MAX_STATE_DEPTH);
+        let node = get_state(&mut at_limit.clone()).expect("depth = limit decodes");
+        let mut again = BytesMut::new();
+        put_state(&mut again, &node);
+        assert_eq!(again.freeze(), at_limit, "depth = limit round-trips");
+
+        let mut over = nested_state_bytes(MAX_STATE_DEPTH + 1);
+        assert_eq!(get_state(&mut over), Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH }));
+    }
+
+    /// A sub-megabyte frame of 100 000 nested nodes is an error, not a
+    /// stack overflow — as a snapshot, an optional snapshot, and a delta
+    /// subtree alike.
+    #[test]
+    fn hostile_nesting_is_rejected_not_overflowed() {
+        let nested = nested_state_bytes(100_000);
+        assert!(nested.len() < 1024 * 1024);
+        let too_deep = Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH });
+
+        let mut apply = BytesMut::new();
+        apply.put_u8(MessageKind::ApplyState as u8);
+        put_uvarint(&mut apply, 1);
+        put_path(&mut apply, &path("a"));
+        apply.extend_from_slice(&nested);
+        assert_eq!(decode_message(&apply), too_deep);
+
+        let mut reply = BytesMut::new();
+        reply.put_u8(MessageKind::StateReply as u8);
+        put_uvarint(&mut reply, 1);
+        reply.put_u8(1); // Some
+        reply.extend_from_slice(&nested);
+        assert_eq!(decode_message(&reply), too_deep);
+
+        let mut delta = BytesMut::new();
+        put_uvarint(&mut delta, 1); // edits
+        put_uvarint(&mut delta, 0); // path segments
+        delta.put_u8(1); // EditOp::Replace
+        delta.extend_from_slice(&nested);
+        assert_eq!(
+            get_delta(&mut delta.freeze()).map(|_| ()),
+            Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH })
+        );
     }
 }

@@ -36,6 +36,11 @@ pub enum WireError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
+    /// A state tree was nested deeper than the decoder accepts.
+    DepthExceeded {
+        /// The deepest nesting the decoder accepts.
+        max: usize,
+    },
     /// An object pathname was syntactically invalid.
     InvalidPath {
         /// Human-readable reason.
@@ -60,6 +65,9 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after message")
             }
+            WireError::DepthExceeded { max } => {
+                write!(f, "state tree nested deeper than {max} levels")
+            }
             WireError::InvalidPath { reason } => write!(f, "invalid object path: {reason}"),
         }
     }
@@ -80,6 +88,7 @@ mod tests {
             WireError::VarintOverflow,
             WireError::LengthOverflow { declared: 10, max: 5 },
             WireError::TrailingBytes { remaining: 3 },
+            WireError::DepthExceeded { max: 128 },
             WireError::InvalidPath { reason: "empty segment" },
         ];
         for e in errs {

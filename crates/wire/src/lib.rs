@@ -15,8 +15,10 @@
 //!
 //! The codec is written by hand (length-prefixed frames, varints, tagged
 //! unions) rather than derived, mirroring the era of the paper and keeping
-//! the protocol inspectable; `encode ∘ decode = id` is enforced by property
-//! tests.
+//! the protocol inspectable; each message kind is declared once, as a row
+//! of the protocol table in `message.rs`, from which [`Message`],
+//! [`MessageKind`] and the per-kind codec arms are generated.
+//! `encode ∘ decode = id` is enforced by property tests.
 //!
 //! # Example
 //!
@@ -52,6 +54,6 @@ pub use delta::{DeltaError, EditOp, NodeEdit, NodePatch, StateDelta};
 pub use error::WireError;
 pub use event::{EventKind, UiEvent};
 pub use id::{GlobalObjectId, InstanceId, ObjectPath, UserId};
-pub use message::{AccessRight, CopyMode, InstanceInfo, Message, Target};
+pub use message::{AccessRight, CopyMode, InstanceInfo, Message, MessageKind, Target};
 pub use state::{AttrMap, StateNode};
 pub use value::{AttrName, Value, WidgetKind};

@@ -1,6 +1,11 @@
 use std::fmt;
 
-use crate::{GlobalObjectId, InstanceId, ObjectPath, StateDelta, StateNode, UiEvent, UserId};
+use bytes::{Bytes, BytesMut};
+
+use crate::codec::Wire;
+use crate::{
+    GlobalObjectId, InstanceId, ObjectPath, StateDelta, StateNode, UiEvent, UserId, WireError,
+};
 
 /// Access-right category of the server's three-valued permission tuples
 /// `(user, UI-state identifier, access right)` (§2.2).
@@ -88,17 +93,108 @@ pub struct InstanceInfo {
     pub app_name: String,
 }
 
-/// A message of the COSOFT client↔server protocol.
+/// Expands the protocol table — one row per wire kind: the variant with
+/// its doc comment, its tag byte, its kind name, and its typed fields in
+/// wire order — into [`Message`], [`MessageKind`] and the per-kind codec
+/// arms behind [`crate::codec::put_message`] / [`crate::codec::get_message`].
+/// A field type is anything implementing [`Wire`].
 ///
-/// The protocol is application-independent: it is defined entirely over UI
-/// objects, their states and their callback events, plus the
-/// `CoSendCommand` escape hatch for application-defined extensions (§3.4).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+/// A tag used twice does not compile: the `MessageKind` discriminants
+/// collide and the second `from_tag` arm is unreachable.
+macro_rules! protocol {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $tag:literal, $kind:literal $({
+            $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
+        })? ,
+    )*) => {
+        /// A message of the COSOFT client↔server protocol.
+        ///
+        /// The protocol is application-independent: it is defined entirely
+        /// over UI objects, their states and their callback events, plus the
+        /// `CoSendCommand` escape hatch for application-defined extensions
+        /// (§3.4).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Message {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $fty ),* })? , )*
+        }
+
+        /// The kind of a [`Message`] without its fields; the discriminant
+        /// is the wire tag byte.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum MessageKind {
+            $( $(#[$vmeta])* $variant = $tag, )*
+        }
+
+        impl MessageKind {
+            /// Every kind, in declaration order.
+            pub const ALL: &'static [MessageKind] = &[$(MessageKind::$variant),*];
+
+            /// The kind a wire tag byte stands for.
+            pub fn from_tag(tag: u8) -> Option<MessageKind> {
+                #[deny(unreachable_patterns)]
+                match tag {
+                    $( $tag => Some(MessageKind::$variant), )*
+                    _ => None,
+                }
+            }
+
+            /// Short kind name for logging and metrics.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( MessageKind::$variant => $kind, )*
+                }
+            }
+        }
+
+        impl Message {
+            /// Every kind name in the protocol, in declaration order. The
+            /// golden-vector suite (`crates/wire/tests/golden.rs`) asserts
+            /// its vector table covers exactly this list.
+            pub const ALL_KINDS: &'static [&'static str] = &[$($kind),*];
+
+            /// The kind of this message.
+            pub fn kind(&self) -> MessageKind {
+                match self {
+                    $( Message::$variant { .. } => MessageKind::$variant, )*
+                }
+            }
+
+            /// Short variant name for logging and metrics.
+            pub fn kind_name(&self) -> &'static str {
+                self.kind().name()
+            }
+
+            /// Appends the fields (everything after the tag byte).
+            pub(crate) fn put_fields(&self, buf: &mut BytesMut) {
+                match self {
+                    $( Message::$variant { $($($field),*)? } => {
+                        $($( Wire::put($field, buf); )*)?
+                    } )*
+                }
+            }
+
+            /// Decodes the fields of a `kind` message.
+            pub(crate) fn get_fields(
+                kind: MessageKind,
+                buf: &mut Bytes,
+            ) -> Result<Message, WireError> {
+                Ok(match kind {
+                    $( MessageKind::$variant => {
+                        Message::$variant { $($($field: Wire::get(buf)?),*)? }
+                    } )*
+                })
+            }
+        }
+    };
+}
+
+protocol! {
     // ---- session management (client → server) -------------------------
     /// Register a new application instance; the server assigns an
     /// [`InstanceId`] and answers with [`Message::Welcome`].
-    Register {
+    Register = 0, "register" {
         /// The registering user.
         user: UserId,
         /// Host name of the workstation.
@@ -107,40 +203,40 @@ pub enum Message {
         app_name: String,
     },
     /// Graceful instance termination; triggers automatic decoupling.
-    Deregister,
+    Deregister = 1, "deregister",
     /// Reclaim a quarantined instance after a connection drop. Carries the
     /// opaque token issued in [`Message::SessionToken`]; on success the
     /// server re-binds the old [`InstanceId`] — with its couples and access
     /// rights intact — to the new connection and answers with
     /// [`Message::Welcome`] followed by a fresh [`Message::SessionToken`].
-    Rejoin {
+    Rejoin = 33, "rejoin" {
         /// Token proving ownership of the quarantined instance.
         resume_token: u64,
     },
     /// Liveness probe. Either side may send it; the peer answers with
     /// [`Message::Pong`] echoing the nonce. Any traffic counts as liveness,
     /// so pings are only needed on otherwise-idle connections.
-    Ping {
+    Ping = 34, "ping" {
         /// Opaque nonce echoed in the reply.
         nonce: u64,
     },
     /// Reply to [`Message::Ping`].
-    Pong {
+    Pong = 35, "pong" {
         /// Echo of the probe nonce.
         nonce: u64,
     },
     /// Ask for the registration records of all instances (used by the
     /// classroom join UI to show the "stylized classroom situation").
-    QueryInstances,
+    QueryInstances = 2, "query-instances",
 
     // ---- session management (server → client) -------------------------
     /// Registration accepted.
-    Welcome {
+    Welcome = 3, "welcome" {
         /// The id assigned to the newly registered instance.
         instance: InstanceId,
     },
     /// Reply to [`Message::QueryInstances`].
-    InstanceList {
+    InstanceList = 4, "instance-list" {
         /// One record per live instance.
         entries: Vec<InstanceInfo>,
     },
@@ -148,21 +244,21 @@ pub enum Message {
     /// sent right after [`Message::Welcome`] (and re-issued, rotated, after
     /// every successful [`Message::Rejoin`]). Presenting it within the
     /// server's grace period reclaims the instance.
-    SessionToken {
+    SessionToken = 36, "session-token" {
         /// The (rotating) resume token.
         resume_token: u64,
     },
 
     // ---- coupling management -------------------------------------------
     /// Create a couple link from `src` to `dst` (client → server).
-    Couple {
+    Couple = 5, "couple" {
         /// Source object of the directed couple link.
         src: GlobalObjectId,
         /// Destination object.
         dst: GlobalObjectId,
     },
     /// Remove the couple link between `src` and `dst` (client → server).
-    Decouple {
+    Decouple = 6, "decouple" {
         /// Source object of the link to remove.
         src: GlobalObjectId,
         /// Destination object of the link to remove.
@@ -170,14 +266,14 @@ pub enum Message {
     },
     /// Third-party coupling: couple objects in two *remote* instances
     /// (§3.3 `RemoteCouple`), e.g. initiated from the teacher's control UI.
-    RemoteCouple {
+    RemoteCouple = 7, "remote-couple" {
         /// First object.
         a: GlobalObjectId,
         /// Second object.
         b: GlobalObjectId,
     },
     /// Third-party decoupling (§3.3 `RemoteDecouple`).
-    RemoteDecouple {
+    RemoteDecouple = 8, "remote-decouple" {
         /// First object.
         a: GlobalObjectId,
         /// Second object.
@@ -186,25 +282,25 @@ pub enum Message {
     /// Server → all group members: the membership of a coupling group
     /// changed; "the coupling information is replicated for each object
     /// (to be completely available locally)" (§3.2).
-    CoupleUpdate {
+    CoupleUpdate = 9, "couple-update" {
         /// Complete transitive closure of the group, including local
         /// members of the receiving instance.
         group: Vec<GlobalObjectId>,
     },
     /// Ask the server for the coupled set `CO(o)` of an object.
-    ListCoupled {
+    ListCoupled = 10, "list-coupled" {
         /// The object whose group is queried.
         object: GlobalObjectId,
     },
     /// Client → server: a UI object was destroyed; the server applies the
     /// decoupling algorithm automatically (§3.2: "when a UI object is
     /// destroyed or an application instance terminates").
-    ObjectDestroyed {
+    ObjectDestroyed = 32, "object-destroyed" {
         /// The destroyed object.
         object: GlobalObjectId,
     },
     /// Reply to [`Message::ListCoupled`].
-    CoupledSet {
+    CoupledSet = 11, "coupled-set" {
         /// The queried object.
         object: GlobalObjectId,
         /// All objects transitively coupled with it (excluding itself).
@@ -213,7 +309,7 @@ pub enum Message {
 
     // ---- synchronization by multiple execution (§3.2) -------------------
     /// Client → server: a callback event occurred on a coupled object.
-    Event {
+    Event = 12, "event" {
         /// The object the event occurred on.
         origin: GlobalObjectId,
         /// The event, packed with parameters.
@@ -223,7 +319,7 @@ pub enum Message {
     },
     /// Server → origin: floor control granted; proceed with local callback
     /// execution and reply [`Message::ExecuteDone`] when finished.
-    EventGranted {
+    EventGranted = 13, "event-granted" {
         /// Echo of the client sequence number.
         seq: u64,
         /// Server-assigned execution id shared by the whole group.
@@ -231,13 +327,13 @@ pub enum Message {
     },
     /// Server → origin: a member of the group was already locked; "undo
     /// syntactic built-in feedback of the event".
-    EventRejected {
+    EventRejected = 14, "event-rejected" {
         /// Echo of the client sequence number.
         seq: u64,
     },
     /// Server → other group members: disable the target object, simulate
     /// the feedback of the event and execute its callbacks.
-    ExecuteEvent {
+    ExecuteEvent = 15, "execute-event" {
         /// Server-assigned execution id.
         exec_id: u64,
         /// Local object the event is re-executed on.
@@ -247,13 +343,13 @@ pub enum Message {
         event: UiEvent,
     },
     /// Client → server: re-execution of `exec_id` finished locally.
-    ExecuteDone {
+    ExecuteDone = 16, "execute-done" {
         /// The finished execution.
         exec_id: u64,
     },
     /// Server → all group members: all re-executions finished; unlock and
     /// re-enable the listed local objects.
-    GroupUnlocked {
+    GroupUnlocked = 17, "group-unlocked" {
         /// The finished execution.
         exec_id: u64,
         /// Local objects to re-enable.
@@ -264,7 +360,7 @@ pub enum Message {
     /// Active synchronization: the requesting instance pulls the state of
     /// `src` into its own object `dst` ("monitoring another person's
     /// activities").
-    CopyFrom {
+    CopyFrom = 18, "copy-from" {
         /// Remote source object.
         src: GlobalObjectId,
         /// Local destination object of the requester.
@@ -277,7 +373,7 @@ pub enum Message {
     /// Passive synchronization: the sending instance pushes a snapshot of
     /// its object `src` to remote object `dst` ("one person lets another
     /// person see his or her work").
-    CopyTo {
+    CopyTo = 19, "copy-to" {
         /// Local source object of the sender.
         src: GlobalObjectId,
         /// Remote destination object.
@@ -291,7 +387,7 @@ pub enum Message {
     },
     /// Third-party copy (§3.1 `RemoteCopy`): copy `src` (in one remote
     /// instance) to `dst` (in another) on behalf of the sender.
-    RemoteCopy {
+    RemoteCopy = 20, "remote-copy" {
         /// Remote source object.
         src: GlobalObjectId,
         /// Remote destination object.
@@ -303,14 +399,14 @@ pub enum Message {
     },
     /// Server → source instance: produce a snapshot of the object at
     /// `path` (relevant attributes + semantic `store` payloads).
-    StateRequest {
+    StateRequest = 21, "state-request" {
         /// Server-side transfer id.
         req_id: u64,
         /// Local object to snapshot.
         path: ObjectPath,
     },
     /// Source instance → server: the requested snapshot.
-    StateReply {
+    StateReply = 22, "state-reply" {
         /// Echo of the transfer id.
         req_id: u64,
         /// The snapshot, or `None` if the object does not exist.
@@ -318,7 +414,7 @@ pub enum Message {
     },
     /// Server → destination instance: apply `snapshot` to the object at
     /// `path` using `mode`; reply with [`Message::StateApplied`].
-    ApplyState {
+    ApplyState = 23, "apply-state" {
         /// Server-side transfer id.
         req_id: u64,
         /// Local destination object.
@@ -334,7 +430,7 @@ pub enum Message {
     /// [`Message::StateApplied`]. On a version mismatch the receiver
     /// replies with an error and the server falls back to a full
     /// [`Message::ApplyState`] snapshot.
-    ApplyDelta {
+    ApplyDelta = 38, "apply-delta" {
         /// Server-side transfer id.
         req_id: u64,
         /// Local destination object.
@@ -351,7 +447,7 @@ pub enum Message {
     /// Destination instance → server: state applied; `overwritten` is the
     /// destination's previous state, stored by the server as a historical
     /// UI state for undo (§2.2).
-    StateApplied {
+    StateApplied = 24, "state-applied" {
         /// Echo of the transfer id.
         req_id: u64,
         /// Previous state of the destination object, if it existed and the
@@ -363,19 +459,19 @@ pub enum Message {
     },
     /// Ask the server to restore the most recent overwritten state of an
     /// object (undo of synchronization-by-state).
-    UndoState {
+    UndoState = 25, "undo-state" {
         /// The object to restore.
         object: GlobalObjectId,
     },
     /// Ask the server to re-apply an undone state (redo).
-    RedoState {
+    RedoState = 26, "redo-state" {
         /// The object to restore.
         object: GlobalObjectId,
     },
 
     // ---- access control ---------------------------------------------------
     /// Declare an access-permission tuple (owner of the state → server).
-    SetPermission {
+    SetPermission = 27, "set-permission" {
         /// The user the right is granted to.
         user: UserId,
         /// The UI state (object) the right applies to.
@@ -384,7 +480,7 @@ pub enum Message {
         right: AccessRight,
     },
     /// Server → client: an operation was refused by access control.
-    PermissionDenied {
+    PermissionDenied = 28, "permission-denied" {
         /// Human-readable description of the refused operation.
         what: String,
     },
@@ -392,7 +488,7 @@ pub enum Message {
     // ---- protocol extension (§3.4) -----------------------------------------
     /// Application-defined command: "a symbolic name of a function together
     /// with a packed message"; routed by the server without interpretation.
-    CoSendCommand {
+    CoSendCommand = 29, "co-send-command" {
         /// Routing target.
         to: Target,
         /// Symbolic command name; the receiver looks up the corresponding
@@ -402,7 +498,7 @@ pub enum Message {
         payload: Vec<u8>,
     },
     /// Server → receiver: delivery of a `CoSendCommand`.
-    CommandDelivery {
+    CommandDelivery = 30, "command-delivery" {
         /// Originating instance.
         from: InstanceId,
         /// Symbolic command name.
@@ -413,7 +509,7 @@ pub enum Message {
 
     // ---- errors -------------------------------------------------------------
     /// Server → client: an operation failed.
-    ErrorReply {
+    ErrorReply = 31, "error-reply" {
         /// What the client asked for.
         context: String,
         /// Why it failed.
@@ -427,108 +523,10 @@ pub enum Message {
     /// least `retry_after_ms` before retrying. Unlike a disconnect this
     /// keeps the session alive — only sustained abuse escalates to the
     /// §3.2 auto-decoupling path.
-    Busy {
+    Busy = 37, "busy" {
         /// Advisory back-off in milliseconds before retrying.
         retry_after_ms: u64,
     },
-}
-
-impl Message {
-    /// Every kind name in the protocol, in declaration order.
-    ///
-    /// This is the canonical variant list shared by the verification
-    /// layer: the `cosoft-audit` lint checks it against the enum
-    /// declaration and the codec's tag tables, and the golden-vector
-    /// suite (`crates/wire/tests/golden.rs`) asserts its vector table
-    /// covers exactly this list. Adding a `Message` variant without
-    /// extending this list (and the golden table, and the server
-    /// dispatch) fails the audit gate.
-    pub const ALL_KINDS: &'static [&'static str] = &[
-        "register",
-        "deregister",
-        "rejoin",
-        "ping",
-        "pong",
-        "query-instances",
-        "welcome",
-        "instance-list",
-        "session-token",
-        "couple",
-        "decouple",
-        "remote-couple",
-        "remote-decouple",
-        "couple-update",
-        "list-coupled",
-        "object-destroyed",
-        "coupled-set",
-        "event",
-        "event-granted",
-        "event-rejected",
-        "execute-event",
-        "execute-done",
-        "group-unlocked",
-        "copy-from",
-        "copy-to",
-        "remote-copy",
-        "state-request",
-        "state-reply",
-        "apply-state",
-        "apply-delta",
-        "state-applied",
-        "undo-state",
-        "redo-state",
-        "set-permission",
-        "permission-denied",
-        "co-send-command",
-        "command-delivery",
-        "error-reply",
-        "busy",
-    ];
-
-    /// Short variant name for logging and metrics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Message::Register { .. } => "register",
-            Message::Deregister => "deregister",
-            Message::Rejoin { .. } => "rejoin",
-            Message::Ping { .. } => "ping",
-            Message::Pong { .. } => "pong",
-            Message::SessionToken { .. } => "session-token",
-            Message::QueryInstances => "query-instances",
-            Message::Welcome { .. } => "welcome",
-            Message::InstanceList { .. } => "instance-list",
-            Message::Couple { .. } => "couple",
-            Message::Decouple { .. } => "decouple",
-            Message::RemoteCouple { .. } => "remote-couple",
-            Message::RemoteDecouple { .. } => "remote-decouple",
-            Message::CoupleUpdate { .. } => "couple-update",
-            Message::ListCoupled { .. } => "list-coupled",
-            Message::ObjectDestroyed { .. } => "object-destroyed",
-            Message::CoupledSet { .. } => "coupled-set",
-            Message::Event { .. } => "event",
-            Message::EventGranted { .. } => "event-granted",
-            Message::EventRejected { .. } => "event-rejected",
-            Message::ExecuteEvent { .. } => "execute-event",
-            Message::ExecuteDone { .. } => "execute-done",
-            Message::GroupUnlocked { .. } => "group-unlocked",
-            Message::CopyFrom { .. } => "copy-from",
-            Message::CopyTo { .. } => "copy-to",
-            Message::RemoteCopy { .. } => "remote-copy",
-            Message::StateRequest { .. } => "state-request",
-            Message::StateReply { .. } => "state-reply",
-            Message::ApplyState { .. } => "apply-state",
-            Message::ApplyDelta { .. } => "apply-delta",
-            Message::StateApplied { .. } => "state-applied",
-            Message::UndoState { .. } => "undo-state",
-            Message::RedoState { .. } => "redo-state",
-            Message::SetPermission { .. } => "set-permission",
-            Message::PermissionDenied { .. } => "permission-denied",
-            Message::CoSendCommand { .. } => "co-send-command",
-            Message::CommandDelivery { .. } => "command-delivery",
-            Message::ErrorReply { .. } => "error-reply",
-            Message::Busy { .. } => "busy",
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,9 @@
 //!
 //! The table in [`golden_table`] carries one entry per [`Message`]
 //! variant; [`golden_table_is_complete`] asserts it against
-//! [`Message::ALL_KINDS`], the same canonical variant list the
-//! `cosoft-audit` lint checks against the enum declaration and the
-//! codec's tag tables. The two can therefore never drift: a new variant
-//! without a golden vector fails this suite *and* the audit binary.
+//! [`Message::ALL_KINDS`], which is generated from the same protocol
+//! table as the enum and the codec. The two can therefore never drift: a
+//! new variant without a golden vector fails this suite.
 
 use std::collections::BTreeSet;
 
@@ -295,9 +294,8 @@ fn golden_shared_frames_are_byte_identical() {
     }
 }
 
-/// `SharedFrame::kind_name` (driven by the tag-indexed
-/// `TAG_KIND_NAMES` table) agrees with `Message::kind_name` for every
-/// kind — the table the audit lint also checks.
+/// `SharedFrame::kind_name` (looked up from the frame's tag byte)
+/// agrees with `Message::kind_name` for every kind.
 #[test]
 fn golden_shared_frame_kind_names_match() {
     for (m, _) in golden_table() {

@@ -7,13 +7,12 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
-# Protocol/source audit. Text lints: Message enum vs codec tags vs
-# golden vectors, plus the manifest scan keeping the fault-injection
-# feature out of default features and release dependency graphs.
-# AST rules over the parsed workspace: panic-freedom
-# ratchet against audit-baseline.toml, blocking calls reachable from
-# the poll loop, lock-order cycles, restricted teardown APIs, crate
-# lint headers, dispatch coverage.
+# Source audit. Manifest scan keeping the fault-injection feature out
+# of default features and release dependency graphs; AST rules over the
+# parsed workspace: panic-freedom ratchet against audit-baseline.toml,
+# blocking calls reachable from the poll loop, lock-order cycles,
+# restricted teardown APIs, crate lint headers, no catch-all arm in the
+# server's Message dispatch.
 cargo run -q -p cosoft-audit
 # Failure-handling suites, run explicitly so a filtered `cargo test`
 # invocation can't silently skip them.
@@ -31,13 +30,16 @@ cargo test -q -p cosoft-server --test lock_model
 cargo test -q -p cosoft-server --test shard_handoff
 cargo test -q -p cosoft-core --test shard_sim
 # Fan-out throughput smoke: the encode-once broadcast bench must run
-# and emit every group-size series into BENCH_fanout.json.
+# and emit every group-size series into target/bench/BENCH_fanout.json
+# (smoke runs never write the repo-root BENCH_*.json of a full run).
 cargo run -q --release -p cosoft-bench --bin fanout -- --smoke
-# Shard-scaling smoke: every shard-count series into BENCH_shard.json.
+# Shard-scaling smoke: every shard-count series into
+# target/bench/BENCH_shard.json.
 cargo run -q --release -p cosoft-bench --bin shard -- --smoke
 # Connection scale: the readiness-driven host must carry ≥1k concurrent
 # sockets on its fixed poll pool (gate), and the scaling bench must emit
-# every conn-count series into BENCH_connscale.json (smoke). Both want
+# every conn-count series into target/bench/BENCH_connscale.json
+# (smoke). Both want
 # ~2 fds per connection, so raise the soft nofile limit if we can.
 ulimit -n 16384 2>/dev/null || true
 cargo test -q --release --test tcp_connscale
@@ -51,11 +53,12 @@ cargo test -q --test tcp_chaos
 cargo test -q --features fault-injection --test tcp_chaos
 # Overload-control smoke: well-behaved goodput must hold within 90% of
 # baseline against a 16x flooder (shed, told Busy, then evicted) —
-# asserted by the bench's own unit tests, series into BENCH_overload.json.
+# asserted by the bench's own unit tests, series into
+# target/bench/BENCH_overload.json.
 cargo test -q -p cosoft-bench --lib overload
 cargo run -q --release -p cosoft-bench --bin overload -- --smoke
 # Delta-sync smoke: a single-attribute change in a depth-6 tree must
 # travel in ≤25% of the full-snapshot bytes (gated by the bench's own
-# unit tests), every depth series into BENCH_deltasync.json.
+# unit tests), every depth series into target/bench/BENCH_deltasync.json.
 cargo test -q -p cosoft-bench --lib deltasync
 cargo run -q --release -p cosoft-bench --bin deltasync -- --smoke

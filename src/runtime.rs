@@ -78,35 +78,20 @@ impl TcpServer {
         config: TcpHostConfig,
         liveness: LivenessConfig,
     ) -> io::Result<TcpServer> {
-        TcpServer::spawn_sharded(addr, config, liveness, 1)
+        TcpServer::spawn_with_overload(addr, config, liveness, 1, OverloadConfig::default())
     }
 
     /// Binds and starts serving with the server brain split into
     /// `shards` [`cosoft_server::ServerCore`]s keyed by couple-component,
-    /// behind a [`ShardRouter`]. Disjoint components never contend on a
-    /// shared lock table or history store; a cross-shard `Couple` runs
-    /// the router's two-phase component handoff transparently. With
-    /// `shards == 1` this is exactly the classic single-core server.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_sharded(
-        addr: &str,
-        config: TcpHostConfig,
-        liveness: LivenessConfig,
-        shards: usize,
-    ) -> io::Result<TcpServer> {
-        TcpServer::spawn_with_overload(addr, config, liveness, shards, OverloadConfig::default())
-    }
-
-    /// Binds and starts serving with per-endpoint admission control: each
-    /// shard core enforces `overload`'s per-class message budgets and the
-    /// global byte budget, answering excess traffic with
-    /// `Busy { retry_after_ms }` and escalating sustained abuse to the
-    /// §3.2 auto-decoupling eviction. The default [`OverloadConfig`] is
-    /// fully open (no budgets), making this a superset of
-    /// [`TcpServer::spawn_sharded`].
+    /// behind a [`ShardRouter`], and with per-endpoint admission control.
+    /// Disjoint components never contend on a shared lock table or
+    /// history store; a cross-shard `Couple` runs the router's two-phase
+    /// component handoff transparently; with `shards == 1` this is exactly
+    /// the classic single-core server. Each shard core enforces
+    /// `overload`'s per-class message budgets and the global byte budget,
+    /// answering excess traffic with `Busy { retry_after_ms }` and
+    /// escalating sustained abuse to the §3.2 auto-decoupling eviction;
+    /// the default [`OverloadConfig`] is fully open (no budgets).
     ///
     /// # Errors
     ///
