@@ -3,248 +3,32 @@
 //! applied, and provide the possibility of undoing/redoing user's
 //! actions".
 //!
-//! Stacks are stored as a *structural-sharing chain* rather than a vector
-//! of full snapshots: every entry is either an anchor — an immutable
-//! [`Arc`]-shared tree whose unchanged subtrees are physically shared with
-//! its neighbors — or the attribute-level [`StateDelta`] that turns the
-//! previous state into this one. Anchors recur every
-//! [`ANCHOR_EVERY`] entries, so undo/redo reconstruct any state by
-//! replaying at most a handful of deltas from the nearest anchor, and a
-//! deep UI tree no longer costs a full copy per overwrite. Cloning a
-//! store (the model checker forks [`crate::ServerCore`] at every
-//! branching point) only bumps reference counts — the trees themselves
+//! An overwritten state is kept in its wire encoding — the bytes
+//! [`codec::encode_state_shared`] produces for an `ApplyState` payload —
+//! and decoded back into a [`StateNode`] only when an undo or redo pops
+//! it. A stack is a deque of those buffers: pushing is one encode,
+//! depth-cap eviction drops the front, and a ~60-node form costs a few KB
+//! per entry where the tree itself costs tens of KB (DESIGN.md §11.3).
+//! Cloning a store (the model checker forks [`crate::ServerCore`] at every
+//! branching point) only bumps reference counts — the buffers themselves
 //! are shared between the forks.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
-use cosoft_wire::delta::{EditOp, NodeEdit, NodePatch, StateDelta};
-use cosoft_wire::{AttrMap, GlobalObjectId, InstanceId, StateNode, WidgetKind};
+use bytes::Bytes;
+use cosoft_wire::{codec, GlobalObjectId, InstanceId, StateNode};
 
-/// A full anchor snapshot is stored every this many entries; the chain
-/// between two anchors is pure deltas, so reconstructing any state
-/// replays at most `ANCHOR_EVERY - 1` of them.
-const ANCHOR_EVERY: usize = 8;
+/// States kept per object and stack; recording one more drops the oldest.
+const MAX_DEPTH: usize = 64;
 
-/// An immutable, reference-counted state tree. Structurally identical to
-/// [`StateNode`] except that children are `Arc`-shared, so rebuilding one
-/// spine of the tree (the usual shape of an overwrite) shares every
-/// untouched subtree with the previous state.
-#[derive(Debug, Clone, PartialEq)]
-struct SharedNode {
-    kind: WidgetKind,
-    name: String,
-    attrs: AttrMap,
-    semantic: Vec<u8>,
-    children: Vec<Arc<SharedNode>>,
-}
-
-fn from_state(s: &StateNode) -> Arc<SharedNode> {
-    Arc::new(SharedNode {
-        kind: s.kind.clone(),
-        name: s.name.clone(),
-        attrs: s.attrs.clone(),
-        semantic: s.semantic.clone(),
-        children: s.children.iter().map(from_state).collect(),
-    })
-}
-
-fn to_state(n: &SharedNode) -> StateNode {
-    let mut out = StateNode::new(n.kind.clone(), &n.name);
-    out.attrs = n.attrs.clone();
-    out.semantic = n.semantic.clone();
-    out.children = n.children.iter().map(|c| to_state(c)).collect();
-    out
-}
-
-fn eq_state(n: &SharedNode, s: &StateNode) -> bool {
-    n.kind == s.kind
-        && n.name == s.name
-        && n.attrs == s.attrs
-        && n.semantic == s.semantic
-        && n.children.len() == s.children.len()
-        && n.children.iter().zip(&s.children).all(|(a, b)| eq_state(a, b))
-}
-
-fn shared_child<'a>(n: &'a SharedNode, name: &str) -> Option<&'a Arc<SharedNode>> {
-    n.children.iter().find(|c| c.name == name)
-}
-
-fn has_duplicate_names<'a>(names: impl Iterator<Item = &'a str>) -> bool {
-    let mut seen = HashSet::new();
-    names.into_iter().any(|n| !seen.insert(n))
-}
-
-/// Computes the delta that turns the shared tree `base` into `target`,
-/// with exactly the semantics of [`cosoft_wire::delta::diff`] (root
-/// rename and duplicate child names fall back to wholesale replacement;
-/// everything else is per-node patches plus child restructures).
-fn diff_shared(base: &SharedNode, target: &StateNode) -> StateDelta {
-    let mut edits = Vec::new();
-    if base.name != target.name {
-        if !eq_state(base, target) {
-            edits.push(NodeEdit { path: Vec::new(), op: EditOp::Replace(target.clone()) });
-        }
-        return StateDelta { edits };
-    }
-    let mut path = Vec::new();
-    diff_shared_rec(base, target, &mut path, &mut edits);
-    StateDelta { edits }
-}
-
-fn diff_shared_rec(
-    base: &SharedNode,
-    target: &StateNode,
-    path: &mut Vec<String>,
-    edits: &mut Vec<NodeEdit>,
-) {
-    if eq_state(base, target) {
-        return;
-    }
-    if has_duplicate_names(base.children.iter().map(|c| c.name.as_str()))
-        || has_duplicate_names(target.children.iter().map(|c| c.name.as_str()))
-    {
-        edits.push(NodeEdit { path: path.clone(), op: EditOp::Replace(target.clone()) });
-        return;
-    }
-
-    let mut patch = NodePatch::default();
-    if base.kind != target.kind {
-        patch.kind = Some(target.kind.clone());
-    }
-    for (k, v) in &target.attrs {
-        if base.attrs.get(k) != Some(v) {
-            patch.upserts.insert(k.clone(), v.clone());
-        }
-    }
-    for k in base.attrs.keys() {
-        if !target.attrs.contains_key(k) {
-            patch.removals.push(k.clone());
-        }
-    }
-    if base.semantic != target.semantic {
-        patch.semantic = Some(target.semantic.clone());
-    }
-    if !patch.is_empty() {
-        edits.push(NodeEdit { path: path.clone(), op: EditOp::Patch(patch) });
-    }
-
-    let base_names: Vec<&str> = base.children.iter().map(|c| c.name.as_str()).collect();
-    let target_names: Vec<&str> = target.children.iter().map(|c| c.name.as_str()).collect();
-    if base_names != target_names {
-        let base_set: HashSet<&str> = base_names.iter().copied().collect();
-        let inserts: Vec<StateNode> = target
-            .children
-            .iter()
-            .filter(|c| !base_set.contains(c.name.as_str()))
-            .cloned()
-            .collect();
-        edits.push(NodeEdit {
-            path: path.clone(),
-            op: EditOp::Restructure {
-                order: target_names.iter().map(|s| (*s).to_owned()).collect(),
-                inserts,
-            },
-        });
-    }
-
-    for tc in &target.children {
-        if let Some(bc) = shared_child(base, &tc.name) {
-            path.push(tc.name.clone());
-            diff_shared_rec(bc, tc, path, edits);
-            path.pop();
-        }
-    }
-}
-
-/// Applies a delta to a shared tree copy-on-write: only the spine from
-/// the root to each edited node is rebuilt, every untouched subtree is
-/// `Arc`-shared with `base`.
-///
-/// Total by construction: the store only ever applies a delta to the
-/// exact state it was diffed against, so unresolvable paths or child
-/// names cannot occur — if they somehow did, the edit is skipped rather
-/// than panicking.
-fn apply_shared(base: &Arc<SharedNode>, delta: &StateDelta) -> Arc<SharedNode> {
-    let mut cur = base.clone();
-    for edit in &delta.edits {
-        cur = apply_edit_shared(&cur, &edit.path, &edit.op);
-    }
-    cur
-}
-
-fn apply_edit_shared(node: &Arc<SharedNode>, path: &[String], op: &EditOp) -> Arc<SharedNode> {
-    match path.split_first() {
-        None => apply_op_shared(node, op),
-        Some((seg, rest)) => {
-            let Some(idx) = node.children.iter().position(|c| c.name == *seg) else {
-                return node.clone();
-            };
-            let mut n = (**node).clone();
-            // audit: infallible — idx comes from `position` over these same children
-            n.children[idx] = apply_edit_shared(&node.children[idx], rest, op);
-            Arc::new(n)
-        }
-    }
-}
-
-fn apply_op_shared(node: &Arc<SharedNode>, op: &EditOp) -> Arc<SharedNode> {
-    match op {
-        EditOp::Patch(p) => {
-            let mut n = (**node).clone();
-            if let Some(kind) = &p.kind {
-                n.kind = kind.clone();
-            }
-            for (k, v) in &p.upserts {
-                n.attrs.insert(k.clone(), v.clone());
-            }
-            for k in &p.removals {
-                n.attrs.remove(k);
-            }
-            if let Some(semantic) = &p.semantic {
-                n.semantic = semantic.clone();
-            }
-            Arc::new(n)
-        }
-        EditOp::Replace(replacement) => from_state(replacement),
-        EditOp::Restructure { order, inserts } => {
-            let mut n = (**node).clone();
-            let existing = std::mem::take(&mut n.children);
-            let mut rebuilt = Vec::with_capacity(order.len());
-            for name in order {
-                if let Some(c) = existing.iter().find(|c| &c.name == name) {
-                    rebuilt.push(c.clone());
-                } else if let Some(ins) = inserts.iter().find(|c| &c.name == name) {
-                    rebuilt.push(from_state(ins));
-                }
-                // Unknown names cannot occur (see `apply_shared`); skip.
-            }
-            n.children = rebuilt;
-            Arc::new(n)
-        }
-    }
-}
-
-/// One chain entry: a materialized anchor or the delta from the previous
-/// entry's state.
-#[derive(Debug, Clone)]
-enum Entry {
-    Anchor(Arc<SharedNode>),
-    Delta(Arc<StateDelta>),
-}
-
-/// One object's undo (or redo) chain: anchors plus deltas in a
-/// [`VecDeque`] (depth-cap eviction pops the *front* in O(1)), with the
-/// newest state cached in materialized form. Opaque outside the store;
-/// it only exists as a named type so extracted stacks can travel in a
-/// shard-migration slice ([`HistoryStore::extract_instances`] /
+/// One object's undo (or redo) stack: encoded states, oldest first
+/// (depth-cap eviction pops the *front* in O(1)). Opaque outside the
+/// store; it only exists as a named type so extracted stacks can travel
+/// in a shard-migration slice ([`HistoryStore::extract_instances`] /
 /// [`HistoryStore::adopt`]).
 #[derive(Debug, Clone, Default)]
 pub struct HistoryStack {
-    entries: VecDeque<Entry>,
-    /// Materialization of the newest entry (`None` iff the chain is
-    /// empty), so pushes diff against it without replaying the chain.
-    top: Option<Arc<SharedNode>>,
+    entries: VecDeque<Bytes>,
 }
 
 impl HistoryStack {
@@ -256,133 +40,41 @@ impl HistoryStack {
         self.entries.is_empty()
     }
 
-    fn push(&mut self, state: &StateNode, max_depth: usize) {
-        let new_top = match &self.top {
-            Some(top) => {
-                let d = diff_shared(top, state);
-                let nt = apply_shared(top, &d);
-                let trailing_deltas =
-                    self.entries.iter().rev().take_while(|e| matches!(e, Entry::Delta(_))).count();
-                if trailing_deltas >= ANCHOR_EVERY - 1 {
-                    self.entries.push_back(Entry::Anchor(nt.clone()));
-                } else {
-                    self.entries.push_back(Entry::Delta(Arc::new(d)));
-                }
-                nt
-            }
-            None => {
-                let nt = from_state(state);
-                self.entries.push_back(Entry::Anchor(nt.clone()));
-                nt
-            }
-        };
-        self.top = Some(new_top);
-        while self.entries.len() > max_depth {
-            self.evict_front();
+    fn push(&mut self, state: &StateNode) {
+        self.entries.push_back(codec::encode_state_shared(state));
+        if self.entries.len() > MAX_DEPTH {
+            self.entries.pop_front();
         }
     }
 
-    /// Drops the oldest entry. The front of a non-empty chain is always
-    /// an anchor; when its successor is a delta, the successor is first
-    /// materialized into an anchor so the chain still starts from a full
-    /// snapshot.
-    fn evict_front(&mut self) {
-        let Some(front) = self.entries.pop_front() else { return };
-        if let Entry::Anchor(base) = front {
-            let promoted = match self.entries.front() {
-                Some(Entry::Delta(d)) => Some(Entry::Anchor(apply_shared(&base, d))),
-                _ => None,
-            };
-            if let Some(p) = promoted {
-                // audit: infallible — `front()` just returned Some, so index 0 exists
-                self.entries[0] = p;
-            }
-        }
-        if self.entries.is_empty() {
-            self.top = None;
-        }
-    }
-
+    /// Pops and decodes the newest state. An entry the codec refuses —
+    /// only a tree recorded in-process nested past
+    /// [`codec::MAX_STATE_DEPTH`], which no frame can carry — is dropped
+    /// and reads as no state.
     fn pop(&mut self) -> Option<StateNode> {
-        let top = self.top.clone()?;
-        self.entries.pop_back();
-        self.top = self.rematerialize_top();
-        Some(to_state(&top))
+        let mut encoded = self.entries.pop_back()?;
+        codec::get_state(&mut encoded).ok()
     }
 
-    /// Replays the chain suffix from the nearest anchor (at most
-    /// [`ANCHOR_EVERY`] − 1 delta applications) into the new top state.
-    fn rematerialize_top(&self) -> Option<Arc<SharedNode>> {
-        let start = self.entries.iter().rposition(|e| matches!(e, Entry::Anchor(_)))?;
-        let mut cur: Option<Arc<SharedNode>> = None;
-        for e in self.entries.iter().skip(start) {
-            cur = Some(match e {
-                Entry::Anchor(a) => a.clone(),
-                Entry::Delta(d) => match cur {
-                    Some(c) => apply_shared(&c, d),
-                    // Unreachable: the scan starts at an anchor.
-                    None => return None,
-                },
-            });
-        }
-        cur
-    }
-
-    /// Whether `other` is a clone sharing this chain's allocations: same
-    /// entries, each backed by the *same* `Arc` (pointer equality).
+    /// Whether `other` is a clone sharing this stack's allocations: same
+    /// entries, each backed by the *same* buffer (pointer equality).
     fn shares_storage_with(&self, other: &HistoryStack) -> bool {
         self.entries.len() == other.entries.len()
-            && self.entries.iter().zip(&other.entries).all(|(a, b)| match (a, b) {
-                (Entry::Anchor(x), Entry::Anchor(y)) => Arc::ptr_eq(x, y),
-                (Entry::Delta(x), Entry::Delta(y)) => Arc::ptr_eq(x, y),
-                _ => false,
-            })
-    }
-
-    #[cfg(test)]
-    fn count_unique_nodes(&self, seen: &mut HashSet<*const SharedNode>) -> usize {
-        fn walk(n: &Arc<SharedNode>, seen: &mut HashSet<*const SharedNode>) -> usize {
-            if !seen.insert(Arc::as_ptr(n)) {
-                return 0;
-            }
-            1 + n.children.iter().map(|c| walk(c, seen)).sum::<usize>()
-        }
-        let mut total = 0;
-        for e in &self.entries {
-            if let Entry::Anchor(a) = e {
-                total += walk(a, seen);
-            }
-        }
-        if let Some(t) = &self.top {
-            total += walk(t, seen);
-        }
-        total
+            && self.entries.iter().zip(&other.entries).all(|(a, b)| a.as_ptr() == b.as_ptr())
     }
 }
 
-/// Per-object undo/redo chains of overwritten UI states.
-#[derive(Debug, Clone)]
+/// Per-object undo/redo stacks of overwritten UI states.
+#[derive(Debug, Clone, Default)]
 pub struct HistoryStore {
     undo: HashMap<GlobalObjectId, HistoryStack>,
     redo: HashMap<GlobalObjectId, HistoryStack>,
-    max_depth: usize,
-}
-
-impl Default for HistoryStore {
-    fn default() -> Self {
-        HistoryStore { undo: HashMap::new(), redo: HashMap::new(), max_depth: 64 }
-    }
 }
 
 impl HistoryStore {
-    /// Creates a store with the default depth cap (64 states per object).
+    /// Creates an empty store; each stack keeps at most 64 states.
     pub fn new() -> Self {
         HistoryStore::default()
-    }
-
-    /// Creates a store with an explicit per-object depth cap.
-    pub fn with_max_depth(max_depth: usize) -> Self {
-        HistoryStore { undo: HashMap::new(), redo: HashMap::new(), max_depth: max_depth.max(1) }
     }
 
     /// Records a state overwritten by synchronization-by-state.
@@ -391,8 +83,7 @@ impl HistoryStore {
     /// history semantics).
     pub fn record_overwrite(&mut self, object: GlobalObjectId, overwritten: StateNode) {
         self.redo.remove(&object);
-        let max_depth = self.max_depth;
-        self.undo.entry(object).or_default().push(&overwritten, max_depth);
+        self.undo.entry(object).or_default().push(&overwritten);
     }
 
     /// Pops the most recent overwritten state for undo. The caller applies
@@ -404,8 +95,7 @@ impl HistoryStore {
 
     /// Records the state displaced by an undo, making it redoable.
     pub fn record_undone(&mut self, object: GlobalObjectId, displaced: StateNode) {
-        let max_depth = self.max_depth;
-        self.redo.entry(object).or_default().push(&displaced, max_depth);
+        self.redo.entry(object).or_default().push(&displaced);
     }
 
     /// Pops the most recent undone state for redo. The caller applies it
@@ -418,8 +108,7 @@ impl HistoryStore {
     /// Records the state displaced by a redo back onto the undo stack
     /// (without clearing redo, unlike a fresh overwrite).
     pub fn record_redone(&mut self, object: GlobalObjectId, displaced: StateNode) {
-        let max_depth = self.max_depth;
-        self.undo.entry(object).or_default().push(&displaced, max_depth);
+        self.undo.entry(object).or_default().push(&displaced);
     }
 
     /// Depth of the undo stack for `object`.
@@ -463,9 +152,9 @@ impl HistoryStore {
     }
 
     /// Whether `other` (typically a fork of the owning
-    /// [`crate::ServerCore`]) physically shares this store's chain
+    /// [`crate::ServerCore`]) physically shares this store's
     /// allocations: identical stacks whose entries are pointer-equal
-    /// `Arc`s, i.e. the clone cost was reference-count bumps, not tree
+    /// buffers, i.e. the clone cost was reference-count bumps, not
     /// copies.
     pub fn storage_is_shared_with(&self, other: &HistoryStore) -> bool {
         fn maps_share(
@@ -478,7 +167,7 @@ impl HistoryStore {
         maps_share(&self.undo, &other.undo) && maps_share(&self.redo, &other.redo)
     }
 
-    /// Removes and returns the undo/redo chains of every object owned by
+    /// Removes and returns the undo/redo stacks of every object owned by
     /// an instance in `members`, for migration to another shard.
     pub fn extract_instances(
         &mut self,
@@ -503,7 +192,7 @@ impl HistoryStore {
             .collect()
     }
 
-    /// Re-installs chains extracted from another shard's store.
+    /// Re-installs stacks extracted from another shard's store.
     pub fn adopt(&mut self, entries: Vec<(GlobalObjectId, HistoryStack, HistoryStack)>) {
         for (object, undo, redo) in entries {
             if !undo.is_empty() {
@@ -547,18 +236,6 @@ mod tests {
         build(depth, "root", label)
     }
 
-    /// `deep_tree` with one leaf attribute changed, leaving the rest of
-    /// the tree identical — the typical shape of an overwrite.
-    fn deep_tree_variant(depth: usize, label: &str, leaf_text: &str) -> StateNode {
-        let mut t = deep_tree(depth, label);
-        let mut node = &mut t;
-        while let Some(first) = node.children.first_mut() {
-            node = first;
-        }
-        node.attrs.insert(AttrName::Text, Value::Text(leaf_text.into()));
-        t
-    }
-
     #[test]
     fn undo_redo_round_trip() {
         let mut h = HistoryStore::new();
@@ -595,15 +272,15 @@ mod tests {
 
     #[test]
     fn depth_cap_drops_oldest() {
-        let mut h = HistoryStore::with_max_depth(3);
+        let mut h = HistoryStore::new();
         let o = gid("a.f");
-        for i in 0..5 {
+        for i in 0..MAX_DEPTH + 2 {
             h.record_overwrite(o.clone(), state(&format!("v{i}")));
         }
-        assert_eq!(h.undo_depth(&o), 3);
-        assert_eq!(h.pop_undo(&o).unwrap(), state("v4"));
-        assert_eq!(h.pop_undo(&o).unwrap(), state("v3"));
-        assert_eq!(h.pop_undo(&o).unwrap(), state("v2"));
+        assert_eq!(h.undo_depth(&o), MAX_DEPTH);
+        for i in (2..MAX_DEPTH + 2).rev() {
+            assert_eq!(h.pop_undo(&o).unwrap(), state(&format!("v{i}")));
+        }
         assert!(h.pop_undo(&o).is_none());
     }
 
@@ -647,26 +324,26 @@ mod tests {
     }
 
     #[test]
-    fn deep_chain_replays_exactly_across_anchors_and_eviction() {
-        // More pushes than both the anchor interval and the cap: pops must
-        // replay every surviving state exactly, across anchor boundaries
-        // and after front eviction re-anchored the chain.
-        let mut h = HistoryStore::with_max_depth(12);
+    fn deep_trees_replay_exactly_across_the_cap() {
+        // More pushes than the cap: pops must replay every surviving
+        // state exactly, newest first, after front eviction.
+        let mut h = HistoryStore::new();
         let o = gid("a.f");
-        for i in 0..20 {
-            h.record_overwrite(o.clone(), deep_tree_variant(5, "base", &format!("leaf{i}")));
+        let pushes = MAX_DEPTH + 20;
+        for i in 0..pushes {
+            h.record_overwrite(o.clone(), deep_tree(5, &format!("leaf{i}")));
         }
-        assert_eq!(h.undo_depth(&o), 12);
-        for i in (8..20).rev() {
-            assert_eq!(h.pop_undo(&o).unwrap(), deep_tree_variant(5, "base", &format!("leaf{i}")));
+        assert_eq!(h.undo_depth(&o), MAX_DEPTH);
+        for i in (20..pushes).rev() {
+            assert_eq!(h.pop_undo(&o).unwrap(), deep_tree(5, &format!("leaf{i}")));
         }
         assert!(h.pop_undo(&o).is_none());
     }
 
     #[test]
     fn duplicate_child_names_still_replay_exactly() {
-        // Duplicate sibling names force the wholesale-replace fallback in
-        // the delta layer; the chain must still reconstruct each state.
+        // Siblings are stored by position, not looked up by name, so
+        // duplicate names must come back in order.
         let mut twins = StateNode::new(WidgetKind::Panel, "root");
         twins.children.push(state("first"));
         twins.children.push(state("second"));
@@ -681,36 +358,61 @@ mod tests {
     }
 
     #[test]
-    fn overwrites_share_unchanged_subtrees() {
-        // 32 overwrites of a depth-6 tree (63 nodes), each changing one
-        // leaf attribute. With full copies this would retain ~32 × 63
-        // nodes; structural sharing keeps it near one tree plus one spine
-        // (6 nodes) per overwrite.
-        let depth = 6usize;
-        let tree_nodes = (1usize << depth) - 1;
-        let pushes = 32usize;
+    fn history_returns_exactly_what_was_recorded() {
+        // Everything a state can carry: each `Value` variant (floats
+        // compare by bit pattern, so NaN and -0.0 must survive), a
+        // semantic payload, custom attribute and widget names, and
+        // duplicate sibling names.
+        let values = [
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Text("héllo".into()),
+            Value::TextList(Vec::new()),
+            Value::IntList(Vec::new()),
+            Value::Point(-3, 7),
+            Value::Color(0, 128, 255),
+            Value::Bytes(vec![0, 255, 7]),
+            Value::Stroke(vec![(0, 0), (-5, 9)]),
+            Value::StrokeList(vec![Vec::new(), vec![(1, 2)]]),
+        ];
+        let mut node = StateNode::new(WidgetKind::Custom("simview".into()), "twin");
+        for (i, v) in values.into_iter().enumerate() {
+            node.attrs.insert(AttrName::Custom(format!("attr{i}")), v);
+        }
+        node.semantic = vec![0xde, 0xad, 0x00, 0xbe, 0xef];
+        let full = StateNode::new(WidgetKind::Form, "root")
+            .with_attr(AttrName::Title, Value::Text("everything".into()))
+            .with_child(node.clone())
+            .with_child(node.with_attr(AttrName::Text, Value::Text("second twin".into())));
+
         let mut h = HistoryStore::new();
         let o = gid("a");
-        for i in 0..pushes {
-            h.record_overwrite(o.clone(), deep_tree_variant(depth, "base", &format!("v{i}")));
+        h.record_overwrite(o.clone(), full.clone());
+        assert_eq!(h.pop_undo(&o).unwrap(), full);
+        h.record_undone(o.clone(), full.clone());
+        assert_eq!(h.pop_redo(&o).unwrap(), full);
+
+        // A tree the codec refuses to decode can only be recorded
+        // in-process (no frame carries it); it pops as no state.
+        let mut too_deep = StateNode::new(WidgetKind::Panel, "leaf");
+        for _ in 0..codec::MAX_STATE_DEPTH {
+            too_deep = StateNode::new(WidgetKind::Panel, "p").with_child(too_deep);
         }
-        let mut seen = HashSet::new();
-        let unique = h.undo.get(&o).unwrap().count_unique_nodes(&mut seen);
-        let full_copy_cost = pushes * tree_nodes;
-        assert!(
-            unique < tree_nodes + (pushes + 1) * (depth + 1),
-            "unique nodes {unique} suggests full copies (cap {})",
-            tree_nodes + (pushes + 1) * (depth + 1)
-        );
-        assert!(unique * 4 < full_copy_cost, "no structural sharing: {unique} nodes retained");
+        h.record_overwrite(o.clone(), state("below"));
+        h.record_overwrite(o.clone(), too_deep);
+        assert_eq!(h.undo_depth(&o), 2);
+        assert!(h.pop_undo(&o).is_none());
+        assert_eq!(h.pop_undo(&o).unwrap(), state("below"));
     }
 
     #[test]
     fn clones_share_chain_storage() {
-        let mut h = HistoryStore::with_max_depth(50);
+        let mut h = HistoryStore::new();
         let o = gid("a");
-        for i in 0..40 {
-            h.record_overwrite(o.clone(), deep_tree_variant(6, "base", &format!("v{i}")));
+        for i in 0..MAX_DEPTH + 6 {
+            h.record_overwrite(o.clone(), deep_tree(6, &format!("v{i}")));
         }
         h.record_undone(o.clone(), state("displaced"));
         let fork = h.clone();
@@ -726,7 +428,7 @@ mod tests {
         let mut h = HistoryStore::new();
         let o = gid("a");
         for i in 0..10 {
-            h.record_overwrite(o.clone(), deep_tree_variant(4, "base", &format!("v{i}")));
+            h.record_overwrite(o.clone(), deep_tree(4, &format!("v{i}")));
         }
         let members: HashSet<InstanceId> = [InstanceId(1)].into_iter().collect();
         let extracted = h.extract_instances(&members);
@@ -734,7 +436,7 @@ mod tests {
         let mut other = HistoryStore::new();
         other.adopt(extracted);
         for i in (0..10).rev() {
-            assert_eq!(other.pop_undo(&o).unwrap(), deep_tree_variant(4, "base", &format!("v{i}")));
+            assert_eq!(other.pop_undo(&o).unwrap(), deep_tree(4, &format!("v{i}")));
         }
     }
 }

@@ -354,7 +354,7 @@ pub struct ServerStats {
     /// Endpoints currently holding an admission budget window (gauge,
     /// bounded by pruning of idle windows).
     pub overload_tracked_endpoints: usize,
-    /// Objects whose history chains were purged on the teardown path
+    /// Objects whose history stacks were purged on the teardown path
     /// (instance deregistration or an `ObjectDestroyed` notification).
     pub history_purges: u64,
     /// Fan-out legs sent as attribute-level `ApplyDelta` (the destination
@@ -1992,17 +1992,27 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             );
             return out;
         }
+        // Refuse before popping: a state taken off its stack for a group
+        // no member of which is bound (`fan_out_apply` sends to no other)
+        // would be lost for good.
+        let reachable =
+            self.couples.group_of(&object).iter().any(|t| self.registry.is_bound(t.instance));
         let popped = match kind {
-            TransferKind::Undo => self.history.pop_undo(&object),
-            TransferKind::Redo => self.history.pop_redo(&object),
-            TransferKind::Copy => None,
+            TransferKind::Undo if reachable => self.history.pop_undo(&object),
+            TransferKind::Redo if reachable => self.history.pop_redo(&object),
+            _ => None,
         };
         let Some(snapshot) = popped else {
+            let reason = if reachable {
+                "no historical state recorded"
+            } else {
+                "destination instance is unreachable"
+            };
             self.to_instance(
                 from,
                 Message::ErrorReply {
                     context: if kind == TransferKind::Undo { "undo" } else { "redo" }.into(),
-                    reason: "no historical state recorded".into(),
+                    reason: reason.into(),
                 },
                 &mut out,
             );
@@ -2240,7 +2250,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
         self.sever_instance_io(id, &mut out);
         // The departed instance's objects are gone for good: their
-        // history chains and delta sync bases must go with them, or the
+        // history stacks and delta sync bases must go with them, or the
         // stores grow monotonically under register/leave churn.
         self.history_purges += self.history.purge_instance(id) as u64;
         self.sync_bases.retain(|o, _| o.instance != id);

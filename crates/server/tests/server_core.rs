@@ -899,6 +899,79 @@ fn copies_touching_a_quarantined_instance_fail_fast() {
     assert_eq!(stats.live_transfer_legs, 0);
 }
 
+/// A refused undo/redo must not consume the historical state: when no
+/// member of `CO(object)` can receive it, both stacks stay as they were
+/// and the request works once a member is back.
+#[test]
+fn undo_on_unreachable_group_keeps_the_entry() {
+    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+        grace_us: 60_000_000,
+        idle_timeout_us: 0,
+        max_quarantined: 0,
+    });
+    let (a, _) = register_with_token(&mut s, 1, 1);
+    let (b, token_b) = register_with_token(&mut s, 2, 2);
+    let o = gid(b, "l");
+    let label = |text: &str| {
+        StateNode::new(WidgetKind::Label, "l").with_attr(AttrName::Text, Value::Text(text.into()))
+    };
+    // The id of the apply leg sent to `endpoint`, snapshot or delta.
+    let leg_to = |out: &[(Endpoint, Message)], endpoint: Endpoint| {
+        out.iter()
+            .find_map(|(e, m)| match m {
+                Message::ApplyState { req_id, .. } | Message::ApplyDelta { req_id, .. }
+                    if *e == endpoint =>
+                {
+                    Some(*req_id)
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no apply leg sent to endpoint {endpoint}; got {out:?}"))
+    };
+
+    // v2 overwrites v1, v3 overwrites v2, then b undoes once:
+    // undo = [v1], redo = [v3], b shows v2.
+    for (req, new, prev) in [(1, "v2", "v1"), (2, "v3", "v2")] {
+        let out = push_to(&mut s, o.clone(), gid(a, "l"), label(new), req);
+        let req_id = leg_to(&out, 2);
+        s.handle(2, Message::StateApplied { req_id, overwritten: Some(label(prev)), error: None })
+            .into_messages();
+    }
+    let out = s.handle(2, Message::UndoState { object: o.clone() }).into_messages();
+    let req_id = leg_to(&out, 2);
+    s.handle(2, Message::StateApplied { req_id, overwritten: Some(label("v3")), error: None })
+        .into_messages();
+    assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (1, 1));
+
+    // b's whole couple group (just b) is quarantined: both requests are
+    // refused and neither stack loses its entry.
+    s.disconnect(2).into_messages();
+    for request in
+        [Message::UndoState { object: o.clone() }, Message::RedoState { object: o.clone() }]
+    {
+        let out = s.handle(1, request).into_messages();
+        assert!(matches!(find(&out, 1, "error-reply"), Message::ErrorReply { .. }));
+        assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (1, 1));
+    }
+    let stats = s.stats();
+    assert_eq!(stats.live_transfer_groups, 0);
+    assert_eq!(stats.live_transfer_legs, 0);
+
+    // After the rejoin the same undo goes through and restores v1.
+    s.handle(7, Message::Rejoin { resume_token: token_b }).into_messages();
+    let out = s.handle(1, Message::UndoState { object: o.clone() }).into_messages();
+    let req_id = match find(&out, 7, "apply-delta") {
+        Message::ApplyDelta { req_id, delta: d, .. } => {
+            assert_eq!(delta::apply(&label("v2"), d).unwrap(), label("v1"));
+            *req_id
+        }
+        _ => unreachable!(),
+    };
+    s.handle(7, Message::StateApplied { req_id, overwritten: Some(label("v2")), error: None })
+        .into_messages();
+    assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (0, 2));
+}
+
 #[test]
 fn events_skip_quarantined_group_members() {
     let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {

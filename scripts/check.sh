@@ -62,3 +62,8 @@ cargo run -q --release -p cosoft-bench --bin overload -- --smoke
 # unit tests), every depth series into target/bench/BENCH_deltasync.json.
 cargo test -q -p cosoft-bench --lib deltasync
 cargo run -q --release -p cosoft-bench --bin deltasync -- --smoke
+# Benchmark of record: `benchmark/` is a package of its own, so nothing
+# above compiles it. Builds it against this checkout and runs its own
+# tests (a smoke window per workload, BENCHMARK.json byte-equality);
+# idle_herd wants the nofile limit raised above.
+bash benchmark/run.sh test
