@@ -245,9 +245,23 @@ pub fn apply_strict(
     snapshot: &StateNode,
     corr: &CorrespondenceTable,
 ) -> Result<ApplyReport, CompatError> {
-    // Validate first so failure leaves the tree untouched.
     let dst_snapshot = tree.snapshot(dst, false)?;
-    check_s_compatible(snapshot, &dst_snapshot, corr)?;
+    apply_strict_over(tree, dst, &dst_snapshot, snapshot, corr)
+}
+
+/// [`apply_strict`] for a caller that already holds `dst_snapshot`, the
+/// current `tree.snapshot(dst, false)`: the session takes it as the
+/// state the apply overwrites, and a second walk of the widget tree
+/// would only produce the same value.
+pub(crate) fn apply_strict_over(
+    tree: &mut WidgetTree,
+    dst: WidgetId,
+    dst_snapshot: &StateNode,
+    snapshot: &StateNode,
+    corr: &CorrespondenceTable,
+) -> Result<ApplyReport, CompatError> {
+    // Validate first so failure leaves the tree untouched.
+    check_s_compatible(snapshot, dst_snapshot, corr)?;
     let mut report = ApplyReport::default();
     apply_matched(tree, dst, snapshot, corr, &mut report)?;
     Ok(report)

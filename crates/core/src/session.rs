@@ -17,12 +17,12 @@ use std::fmt;
 
 use cosoft_uikit::{FeedbackUndo, Toolkit, UiError};
 use cosoft_wire::{
-    delta, AccessRight, CopyMode, GlobalObjectId, InstanceId, InstanceInfo, Message, ObjectPath,
-    StateNode, Target, UiEvent, UserId,
+    delta, AccessRight, CopyMode, EncodedState, GlobalObjectId, InstanceId, InstanceInfo, Message,
+    ObjectPath, StateNode, Target, UiEvent, UserId,
 };
 
 use crate::compat::{
-    apply_destructive, apply_flexible, apply_strict, CompatError, CorrespondenceTable,
+    apply_destructive, apply_flexible, apply_strict_over, CompatError, CorrespondenceTable,
 };
 use crate::semantic::SemanticHooks;
 
@@ -638,29 +638,21 @@ impl Session {
                 self.outbox.push(Message::StateReply { req_id, snapshot });
             }
             Message::ApplyState { req_id, path, snapshot, mode } => {
-                let reply = self.apply_state(&path, &snapshot, mode);
-                let (overwritten, error) = match reply {
-                    Ok(prev) => {
-                        // Cache the *transmitted* snapshot (not the
-                        // post-reconciliation widget state) as the delta
-                        // base: the server diffs against what it sent, so
-                        // both sides must agree on the base bytes even
-                        // when flexible reconciliation dropped attributes.
-                        let version = delta::state_version(&snapshot);
-                        self.sync_bases.insert(path.clone(), (version, snapshot));
-                        (Some(prev), None)
-                    }
-                    Err(e) => (None, Some(e.to_string())),
-                };
-                self.outbox.push(Message::StateApplied { req_id, overwritten, error });
+                let reply = self.apply_state(&path, &snapshot, mode).map_err(|e| e.to_string());
+                if reply.is_ok() {
+                    // Cache the *transmitted* snapshot (not the
+                    // post-reconciliation widget state) as the delta
+                    // base: the server diffs against what it sent, so
+                    // both sides must agree on the base bytes even
+                    // when flexible reconciliation dropped attributes.
+                    let version = delta::state_version(&snapshot);
+                    self.sync_bases.insert(path, (version, snapshot));
+                }
+                self.reply_state_applied(req_id, reply);
             }
             Message::ApplyDelta { req_id, path, base_version, new_version, delta, mode } => {
                 let reply = self.apply_delta(&path, base_version, new_version, &delta, mode);
-                let (overwritten, error) = match reply {
-                    Ok(prev) => (Some(prev), None),
-                    Err(e) => (None, Some(e)),
-                };
-                self.outbox.push(Message::StateApplied { req_id, overwritten, error });
+                self.reply_state_applied(req_id, reply);
             }
             Message::StateApplied { req_id, .. } => {
                 self.events.push(SessionEvent::CopyCompleted { req_id });
@@ -807,6 +799,17 @@ impl Session {
         }
     }
 
+    /// Answers an `ApplyState`/`ApplyDelta` leg; the overwritten state is
+    /// encoded here, once, and travels (and is filed by the server) as
+    /// those bytes.
+    fn reply_state_applied(&mut self, req_id: u64, reply: Result<StateNode, String>) {
+        let (overwritten, error) = match reply {
+            Ok(prev) => (Some(EncodedState::of(&prev)), None),
+            Err(e) => (None, Some(e)),
+        };
+        self.outbox.push(Message::StateApplied { req_id, overwritten, error });
+    }
+
     fn apply_state(
         &mut self,
         path: &ObjectPath,
@@ -820,7 +823,9 @@ impl Session {
             .ok_or_else(|| CompatError::Ui(UiError::UnknownPath { path: path.clone() }))?;
         let prev = self.toolkit.tree().snapshot(id, false)?;
         match mode {
-            CopyMode::Strict => apply_strict(self.toolkit.tree_mut(), id, snapshot, &self.corr)?,
+            CopyMode::Strict => {
+                apply_strict_over(self.toolkit.tree_mut(), id, &prev, snapshot, &self.corr)?
+            }
             CopyMode::DestructiveMerge => {
                 apply_destructive(self.toolkit.tree_mut(), id, snapshot, &self.corr)?
             }

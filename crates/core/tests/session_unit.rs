@@ -113,6 +113,57 @@ fn apply_state_to_missing_object_reports_error() {
 }
 
 #[test]
+fn strict_apply_that_fails_compatibility_changes_nothing() {
+    use cosoft_wire::{AttrName, StateNode, Value, WidgetKind};
+    let mut s = fresh();
+    s.on_message(Message::Welcome { instance: InstanceId(1) });
+    s.drain_outbox();
+    let before = {
+        let tree = s.toolkit().tree();
+        tree.snapshot(tree.resolve(&path("f")).unwrap(), false).unwrap()
+    };
+    let field = StateNode::new(WidgetKind::TextField, "t")
+        .with_attr(AttrName::Text, Value::Text("copied".into()));
+    let fits = StateNode::new(WidgetKind::Form, "f").with_child(field);
+
+    // One component too many: not s-compatible, so the strict apply is
+    // refused before anything is written and reports no overwritten state.
+    let too_wide = fits.clone().with_child(StateNode::new(WidgetKind::Slider, "s"));
+    s.on_message(Message::ApplyState {
+        req_id: 4,
+        path: path("f"),
+        snapshot: too_wide,
+        mode: CopyMode::Strict,
+    });
+    match &s.drain_outbox()[..] {
+        [Message::StateApplied { req_id: 4, overwritten: None, error: Some(e) }] => {
+            assert!(e.contains("not structurally compatible"), "{e}");
+        }
+        other => panic!("expected refused StateApplied, got {other:?}"),
+    }
+    let tree = s.toolkit().tree();
+    assert_eq!(tree.snapshot(tree.resolve(&path("f")).unwrap(), false).unwrap(), before);
+
+    // The compatible one applies, and what it reports as overwritten is
+    // the state from before the apply.
+    s.on_message(Message::ApplyState {
+        req_id: 5,
+        path: path("f"),
+        snapshot: fits,
+        mode: CopyMode::Strict,
+    });
+    match &s.drain_outbox()[..] {
+        [Message::StateApplied { req_id: 5, overwritten: Some(prev), error: None }] => {
+            assert_eq!(prev.decode().unwrap(), before);
+        }
+        other => panic!("expected successful StateApplied, got {other:?}"),
+    }
+    let tree = s.toolkit().tree();
+    let t = tree.resolve(&path("f.t")).unwrap();
+    assert_eq!(tree.attr(t, &AttrName::Text).unwrap(), &Value::Text("copied".into()));
+}
+
+#[test]
 fn execute_event_for_missing_target_still_reports_done() {
     // The group must never stall because one replica lost the widget.
     let mut s = fresh();
@@ -221,6 +272,7 @@ fn apply_delta_reconstructs_against_cached_base() {
     let out = s.drain_outbox();
     match &out[0] {
         Message::StateApplied { req_id: 2, overwritten: Some(prev), error: None } => {
+            let prev = prev.decode().unwrap();
             assert_eq!(prev.attrs.get(&cosoft_wire::AttrName::Text).unwrap().as_text(), Some("v1"));
         }
         other => panic!("expected successful StateApplied, got {other:?}"),

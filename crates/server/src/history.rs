@@ -3,20 +3,20 @@
 //! applied, and provide the possibility of undoing/redoing user's
 //! actions".
 //!
-//! An overwritten state is kept in its wire encoding — the bytes
-//! [`codec::encode_state_shared`] produces for an `ApplyState` payload —
-//! and decoded back into a [`StateNode`] only when an undo or redo pops
-//! it. A stack is a deque of those buffers: pushing is one encode,
-//! depth-cap eviction drops the front, and a ~60-node form costs a few KB
-//! per entry where the tree itself costs tens of KB (DESIGN.md §11.3).
-//! Cloning a store (the model checker forks [`crate::ServerCore`] at every
-//! branching point) only bumps reference counts — the buffers themselves
-//! are shared between the forks.
+//! An overwritten state is kept in its wire encoding, as an
+//! [`EncodedState`]: for a state a viewer reported in `StateApplied` that
+//! is the slice of the frame it arrived in, pushed as is, and it is
+//! decoded back into a [`StateNode`] only when an undo or redo pops it. A
+//! stack is a deque of those buffers: depth-cap eviction drops the front,
+//! and a ~60-node form costs a few KB per entry where the tree itself
+//! costs tens of KB (DESIGN.md §11.3). Cloning a store (the model checker
+//! forks [`crate::ServerCore`] at every branching point) only bumps
+//! reference counts — the buffers themselves are shared between the
+//! forks.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use bytes::Bytes;
-use cosoft_wire::{codec, GlobalObjectId, InstanceId, StateNode};
+use cosoft_wire::{EncodedState, GlobalObjectId, InstanceId, StateNode};
 
 /// States kept per object and stack; recording one more drops the oldest.
 const MAX_DEPTH: usize = 64;
@@ -28,7 +28,7 @@ const MAX_DEPTH: usize = 64;
 /// [`HistoryStore::adopt`]).
 #[derive(Debug, Clone, Default)]
 pub struct HistoryStack {
-    entries: VecDeque<Bytes>,
+    entries: VecDeque<EncodedState>,
 }
 
 impl HistoryStack {
@@ -40,27 +40,30 @@ impl HistoryStack {
         self.entries.is_empty()
     }
 
-    fn push(&mut self, state: &StateNode) {
-        self.entries.push_back(codec::encode_state_shared(state));
+    fn push(&mut self, state: EncodedState) {
+        self.entries.push_back(state);
         if self.entries.len() > MAX_DEPTH {
             self.entries.pop_front();
         }
     }
 
-    /// Pops and decodes the newest state. An entry the codec refuses —
-    /// only a tree recorded in-process nested past
-    /// [`codec::MAX_STATE_DEPTH`], which no frame can carry — is dropped
-    /// and reads as no state.
+    /// Pops and decodes the newest state — the only place the store
+    /// builds a tree. An entry the codec refuses — only a tree recorded
+    /// in-process nested past [`cosoft_wire::codec::MAX_STATE_DEPTH`],
+    /// which no frame can carry — is dropped and reads as no state.
     fn pop(&mut self) -> Option<StateNode> {
-        let mut encoded = self.entries.pop_back()?;
-        codec::get_state(&mut encoded).ok()
+        self.entries.pop_back()?.decode().ok()
     }
 
     /// Whether `other` is a clone sharing this stack's allocations: same
     /// entries, each backed by the *same* buffer (pointer equality).
     fn shares_storage_with(&self, other: &HistoryStack) -> bool {
         self.entries.len() == other.entries.len()
-            && self.entries.iter().zip(&other.entries).all(|(a, b)| a.as_ptr() == b.as_ptr())
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| a.as_slice().as_ptr() == b.as_slice().as_ptr())
     }
 }
 
@@ -77,13 +80,19 @@ impl HistoryStore {
         HistoryStore::default()
     }
 
-    /// Records a state overwritten by synchronization-by-state.
+    /// Records a state overwritten by synchronization-by-state: the
+    /// [`EncodedState`] of a `StateApplied` reply as it is, or a
+    /// [`StateNode`], which is encoded here.
     ///
     /// A fresh overwrite invalidates the redo stack (standard linear
     /// history semantics).
-    pub fn record_overwrite(&mut self, object: GlobalObjectId, overwritten: StateNode) {
+    pub fn record_overwrite(
+        &mut self,
+        object: GlobalObjectId,
+        overwritten: impl Into<EncodedState>,
+    ) {
         self.redo.remove(&object);
-        self.undo.entry(object).or_default().push(&overwritten);
+        self.undo.entry(object).or_default().push(overwritten.into());
     }
 
     /// Pops the most recent overwritten state for undo. The caller applies
@@ -94,8 +103,8 @@ impl HistoryStore {
     }
 
     /// Records the state displaced by an undo, making it redoable.
-    pub fn record_undone(&mut self, object: GlobalObjectId, displaced: StateNode) {
-        self.redo.entry(object).or_default().push(&displaced);
+    pub fn record_undone(&mut self, object: GlobalObjectId, displaced: impl Into<EncodedState>) {
+        self.redo.entry(object).or_default().push(displaced.into());
     }
 
     /// Pops the most recent undone state for redo. The caller applies it
@@ -107,8 +116,8 @@ impl HistoryStore {
 
     /// Records the state displaced by a redo back onto the undo stack
     /// (without clearing redo, unlike a fresh overwrite).
-    pub fn record_redone(&mut self, object: GlobalObjectId, displaced: StateNode) {
-        self.undo.entry(object).or_default().push(&displaced);
+    pub fn record_redone(&mut self, object: GlobalObjectId, displaced: impl Into<EncodedState>) {
+        self.undo.entry(object).or_default().push(displaced.into());
     }
 
     /// Depth of the undo stack for `object`.
@@ -208,7 +217,7 @@ impl HistoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosoft_wire::{AttrName, InstanceId, ObjectPath, Value, WidgetKind};
+    use cosoft_wire::{codec, AttrName, InstanceId, Message, ObjectPath, Value, WidgetKind};
 
     fn gid(p: &str) -> GlobalObjectId {
         GlobalObjectId::new(InstanceId(1), ObjectPath::parse(p).unwrap())
@@ -393,6 +402,33 @@ mod tests {
         assert_eq!(h.pop_undo(&o).unwrap(), full);
         h.record_undone(o.clone(), full.clone());
         assert_eq!(h.pop_redo(&o).unwrap(), full);
+
+        // Entries fed the way the server feeds them — the `overwritten`
+        // slice of a decoded `StateApplied` frame — pop as the tree the
+        // same bytes decode to. The second frame is not canonical:
+        // attribute names out of order, one of them twice (the later
+        // value wins), so it is stored as bytes `put_state` never writes.
+        let odd: &[u8] =
+            b"\x05label\x01l\x03\x05width\x01\x02\x04text\x03\x02v1\x05width\x01\x06\x00\x00";
+        let odd_tree = StateNode::new(WidgetKind::Label, "l")
+            .with_attr(AttrName::Text, Value::Text("v1".into()))
+            .with_attr(AttrName::Width, Value::Int(3));
+        assert_ne!(EncodedState::of(&odd_tree).as_slice(), odd);
+        for (encoded, tree) in [(EncodedState::of(&full).as_slice(), &full), (odd, &odd_tree)] {
+            let frame = [&[24, 9, 1], encoded, &[0]].concat(); // StateApplied 9, Some, no error
+            let Ok(Message::StateApplied { overwritten: Some(from_socket), .. }) =
+                codec::decode_message(&frame)
+            else {
+                panic!("legal frame");
+            };
+            assert_eq!(from_socket.as_slice(), encoded);
+            h.record_overwrite(o.clone(), from_socket.clone());
+            assert_eq!(h.pop_undo(&o).as_ref(), Some(tree));
+            h.record_undone(o.clone(), from_socket.clone());
+            assert_eq!(h.pop_redo(&o).as_ref(), Some(tree));
+            h.record_redone(o.clone(), from_socket);
+            assert_eq!(h.pop_undo(&o).as_ref(), Some(tree));
+        }
 
         // A tree the codec refuses to decode can only be recorded
         // in-process (no frame carries it); it pops as no state.

@@ -109,7 +109,7 @@ pub fn approx_cost(msg: &Message) -> u64 {
         Message::ApplyState { snapshot, .. } => snapshot.approx_size(),
         Message::ApplyDelta { delta, .. } => delta.approx_size(),
         Message::StateApplied { overwritten, error, .. } => {
-            overwritten.as_ref().map_or(0, cosoft_wire::StateNode::approx_size)
+            overwritten.as_ref().map_or(0, |state| state.as_slice().len())
                 + error.as_ref().map_or(0, String::len)
         }
         Message::CoSendCommand { command, payload, .. } => command.len() + payload.len(),

@@ -821,7 +821,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             transfers_started: self.transfers_started,
             transfers_completed: self.transfers_completed,
             transfers_failed: self.transfers_failed,
-            registered_instances: self.registry.all().len(),
+            registered_instances: self.registry.len(),
             live_transfer_groups: self.transfer_groups.len(),
             live_transfer_legs: self.transfers.len(),
             live_pending_pulls: self.pending_pulls.len(),
@@ -1903,7 +1903,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     fn do_state_applied(
         &mut self,
         req_id: u64,
-        overwritten: Option<cosoft_wire::StateNode>,
+        overwritten: Option<cosoft_wire::EncodedState>,
         error: Option<String>,
     ) -> Outgoing<E> {
         let mut out = Outgoing::new();

@@ -4,7 +4,7 @@
 
 use cosoft_server::ServerCore;
 use cosoft_wire::{
-    delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
+    codec, delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
     ObjectPath, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
@@ -245,7 +245,11 @@ fn copy_from_pulls_state_and_records_history() {
     let out = s
         .handle(
             1,
-            Message::StateApplied { req_id: apply_req, overwritten: Some(prev), error: None },
+            Message::StateApplied {
+                req_id: apply_req,
+                overwritten: Some(prev.into()),
+                error: None,
+            },
         )
         .into_messages();
     match find(&out, 1, "state-applied") {
@@ -332,8 +336,11 @@ fn undo_restores_and_redo_reapplies() {
         Message::ApplyState { req_id, .. } => *req_id,
         _ => unreachable!(),
     };
-    s.handle(2, Message::StateApplied { req_id, overwritten: Some(v1.clone()), error: None })
-        .into_messages();
+    s.handle(
+        2,
+        Message::StateApplied { req_id, overwritten: Some(v1.clone().into()), error: None },
+    )
+    .into_messages();
     assert_eq!(s.history().undo_depth(&gid(b, "l")), 1);
 
     // Undo: the server pushes v1 back to b. The first transfer cached a
@@ -349,8 +356,11 @@ fn undo_restores_and_redo_reapplies() {
         _ => unreachable!(),
     };
     // The displaced v2 becomes redoable.
-    s.handle(2, Message::StateApplied { req_id, overwritten: Some(v2.clone()), error: None })
-        .into_messages();
+    s.handle(
+        2,
+        Message::StateApplied { req_id, overwritten: Some(v2.clone().into()), error: None },
+    )
+    .into_messages();
     assert_eq!(s.history().redo_depth(&gid(b, "l")), 1);
 
     // Redo: the server pushes v2 again, as a delta against v1.
@@ -363,6 +373,67 @@ fn undo_restores_and_redo_reapplies() {
     // Undo with empty history errors.
     let out = s.handle(1, Message::UndoState { object: gid(a, "x") }).into_messages();
     assert!(matches!(find(&out, 1, "error-reply"), Message::ErrorReply { .. }));
+}
+
+/// The viewer's `StateApplied` goes through the real codec: the server
+/// files the `overwritten` bytes of the decoded frame as they came — here
+/// in an encoding `put_state` never produces, attribute names out of
+/// order and one of them twice — and the undo's delta rebuilds exactly
+/// the tree those bytes decode to.
+#[test]
+fn undo_restores_the_state_the_reply_frame_carried() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let v2 =
+        StateNode::new(WidgetKind::Label, "l").with_attr(AttrName::Text, Value::Text("v2".into()));
+    let out = s
+        .handle(
+            1,
+            Message::CopyTo {
+                src: gid(a, "l"),
+                dst: gid(b, "l"),
+                snapshot: v2.clone(),
+                mode: CopyMode::Strict,
+                req_id: 1,
+            },
+        )
+        .into_messages();
+    let req_id = match find(&out, 2, "apply-state") {
+        Message::ApplyState { req_id, .. } => *req_id,
+        _ => unreachable!(),
+    };
+
+    // label "l" { width = 1, text = "v1", width = 3 }, no semantic
+    // payload, no children.
+    let state: &[u8] =
+        b"\x05label\x01l\x03\x05width\x01\x02\x04text\x03\x02v1\x05width\x01\x06\x00\x00";
+    let prev = StateNode::new(WidgetKind::Label, "l")
+        .with_attr(AttrName::Text, Value::Text("v1".into()))
+        .with_attr(AttrName::Width, Value::Int(3));
+    let mut body = vec![24]; // StateApplied
+    body.push(u8::try_from(req_id).expect("small id"));
+    body.push(1); // overwritten: Some
+    body.extend(state);
+    body.push(0); // error: None
+    let reply = codec::decode_message(&body).expect("legal frame");
+    match &reply {
+        Message::StateApplied { overwritten: Some(o), .. } => assert_eq!(o.as_slice(), state),
+        other => panic!("expected StateApplied, got {other:?}"),
+    }
+    s.handle(2, reply).into_messages();
+    assert_eq!(s.history().undo_depth(&gid(b, "l")), 1);
+
+    let out = s.handle(2, Message::UndoState { object: gid(b, "l") });
+    let frames = out.into_frames();
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    match frames[0].1.decode().expect("server frame") {
+        Message::ApplyDelta { delta: d, new_version, .. } => {
+            assert_eq!(delta::apply(&v2, &d).unwrap(), prev);
+            assert_eq!(new_version, delta::state_version(&prev));
+        }
+        other => panic!("expected ApplyDelta, got {other:?}"),
+    }
 }
 
 #[test]
@@ -934,13 +1005,19 @@ fn undo_on_unreachable_group_keeps_the_entry() {
     for (req, new, prev) in [(1, "v2", "v1"), (2, "v3", "v2")] {
         let out = push_to(&mut s, o.clone(), gid(a, "l"), label(new), req);
         let req_id = leg_to(&out, 2);
-        s.handle(2, Message::StateApplied { req_id, overwritten: Some(label(prev)), error: None })
-            .into_messages();
+        s.handle(
+            2,
+            Message::StateApplied { req_id, overwritten: Some(label(prev).into()), error: None },
+        )
+        .into_messages();
     }
     let out = s.handle(2, Message::UndoState { object: o.clone() }).into_messages();
     let req_id = leg_to(&out, 2);
-    s.handle(2, Message::StateApplied { req_id, overwritten: Some(label("v3")), error: None })
-        .into_messages();
+    s.handle(
+        2,
+        Message::StateApplied { req_id, overwritten: Some(label("v3").into()), error: None },
+    )
+    .into_messages();
     assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (1, 1));
 
     // b's whole couple group (just b) is quarantined: both requests are
@@ -967,8 +1044,11 @@ fn undo_on_unreachable_group_keeps_the_entry() {
         }
         _ => unreachable!(),
     };
-    s.handle(7, Message::StateApplied { req_id, overwritten: Some(label("v2")), error: None })
-        .into_messages();
+    s.handle(
+        7,
+        Message::StateApplied { req_id, overwritten: Some(label("v2").into()), error: None },
+    )
+    .into_messages();
     assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (0, 2));
 }
 
@@ -1481,7 +1561,7 @@ fn second_transfer_to_acknowledged_destination_is_a_delta() {
     assert_eq!(stats.delta_legs_sent, 1);
     assert_eq!(stats.delta_fallbacks, 0);
     let out = s
-        .handle(2, Message::StateApplied { req_id, overwritten: Some(v1), error: None })
+        .handle(2, Message::StateApplied { req_id, overwritten: Some(v1.into()), error: None })
         .into_messages();
     match find(&out, 1, "state-applied") {
         Message::StateApplied { req_id, .. } => assert_eq!(*req_id, 2),
@@ -1587,7 +1667,11 @@ fn teardown_purges_history_and_sync_bases() {
             .unwrap();
         s.handle(
             2,
-            Message::StateApplied { req_id, overwritten: Some(deep_tree(3, "prev")), error: None },
+            Message::StateApplied {
+                req_id,
+                overwritten: Some(deep_tree(3, "prev").into()),
+                error: None,
+            },
         )
         .into_messages();
     }
@@ -1626,7 +1710,7 @@ fn forked_core_shares_history_storage() {
             2,
             Message::StateApplied {
                 req_id,
-                overwritten: Some(deep_tree(6, &format!("v{}", req - 1))),
+                overwritten: Some(deep_tree(6, &format!("v{}", req - 1)).into()),
                 error: None,
             },
         )

@@ -345,7 +345,7 @@ proptest! {
                             }
                             Message::ApplyState { req_id, .. } => Some(Message::StateApplied {
                                 req_id,
-                                overwritten: Some(snap()),
+                                overwritten: Some(snap().into()),
                                 error: if req_id % 5 == 0 {
                                     Some("apply failed".into())
                                 } else {
@@ -357,7 +357,7 @@ proptest! {
                             // exercises the full-snapshot fallback resend.
                             Message::ApplyDelta { req_id, .. } => Some(Message::StateApplied {
                                 req_id,
-                                overwritten: Some(snap()),
+                                overwritten: Some(snap().into()),
                                 error: if req_id % 4 == 0 {
                                     Some("delta base version mismatch".into())
                                 } else {

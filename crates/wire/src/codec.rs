@@ -379,6 +379,158 @@ fn get_state_within(buf: &mut Bytes, levels: usize) -> Result<StateNode> {
 }
 
 // --------------------------------------------------------------------------
+// encoded states
+// --------------------------------------------------------------------------
+
+/// A [`StateNode`] snapshot kept in its wire encoding.
+///
+/// A state that is only stored and forwarded — the `overwritten` state a
+/// destination reports in [`Message::StateApplied`], which the server
+/// files as a historical UI state (§2.2) and reads again only at undo —
+/// travels as this type, so nobody builds the tree in between.
+///
+/// A value decoded from a frame ([`get_encoded_state`]) holds bytes that
+/// [`get_state`] accepts: same grammar, same limits ([`MAX_LEN`], UTF-8,
+/// value tags, `i32` coordinates, [`MAX_STATE_DEPTH`]), checked by a walk
+/// that allocates nothing, and the value is a refcounted slice of the
+/// frame itself. The encoding need not be canonical (attribute order and
+/// duplicates are the sender's), so equality is equality of bytes, which
+/// is finer than equality of the decoded trees. [`EncodedState::of`]
+/// encodes whatever tree it is given; one nested past [`MAX_STATE_DEPTH`]
+/// can only be built in-process and is the one case where
+/// [`EncodedState::decode`] fails.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedState(Bytes);
+
+impl EncodedState {
+    /// Encodes `state` once.
+    pub fn of(state: &StateNode) -> EncodedState {
+        EncodedState(encode_state_shared(state))
+    }
+
+    /// Decodes the tree.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::DepthExceeded`] for a value built by
+    /// [`EncodedState::of`] from a tree nested past [`MAX_STATE_DEPTH`];
+    /// never for a value that came out of a frame.
+    pub fn decode(&self) -> Result<StateNode> {
+        get_state(&mut self.0.clone())
+    }
+
+    /// The encoding: exactly the bytes [`put_state`] writes for a
+    /// canonical value, exactly the bytes the frame carried otherwise.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<StateNode> for EncodedState {
+    fn from(state: StateNode) -> EncodedState {
+        EncodedState::of(&state)
+    }
+}
+
+/// Splits one encoded [`StateNode`] off the front of `buf` without
+/// decoding it. Accepts exactly the inputs [`get_state`] accepts, fails
+/// with the same error on the others, and on success leaves `buf` where
+/// [`get_state`] would (`crates/wire/tests/encoded_state.rs` holds the
+/// two walks together).
+///
+/// # Errors
+///
+/// As [`get_state`].
+pub fn get_encoded_state(buf: &mut Bytes) -> Result<EncodedState> {
+    let mut rest = buf.clone();
+    skip_state(&mut rest, MAX_STATE_DEPTH)?;
+    Ok(EncodedState(buf.split_to(buf.len() - rest.len())))
+}
+
+// The skip_* functions mirror get_str, get_blob, get_value and
+// get_state_within check for check and in the same order, so both report
+// the same first error; they build nothing.
+
+fn skip_str(buf: &mut Bytes) -> Result<()> {
+    let n = get_len(buf)?;
+    let raw = buf.get(..n).ok_or(WireError::UnexpectedEof { expected: "string body" })?;
+    std::str::from_utf8(raw).map_err(|_| WireError::InvalidUtf8)?;
+    buf.advance(n);
+    Ok(())
+}
+
+fn skip_blob(buf: &mut Bytes) -> Result<()> {
+    let n = get_len(buf)?;
+    if buf.remaining() < n {
+        return Err(WireError::UnexpectedEof { expected: "byte blob" });
+    }
+    buf.advance(n);
+    Ok(())
+}
+
+fn skip_points(buf: &mut Bytes) -> Result<()> {
+    for _ in 0..get_len(buf)? {
+        get_i32(buf)?;
+        get_i32(buf)?;
+    }
+    Ok(())
+}
+
+fn skip_value(buf: &mut Bytes) -> Result<()> {
+    match get_u8(buf, "value tag")? {
+        0 => get_bool(buf).map(drop)?,
+        1 => get_ivarint(buf).map(drop)?,
+        2 => get_f64(buf).map(drop)?,
+        3 => skip_str(buf)?,
+        4 => {
+            for _ in 0..get_len(buf)? {
+                skip_str(buf)?;
+            }
+        }
+        5 => {
+            for _ in 0..get_len(buf)? {
+                get_ivarint(buf)?;
+            }
+        }
+        6 => {
+            get_i32(buf)?;
+            get_i32(buf)?;
+        }
+        7 => {
+            get_u8(buf, "color r")?;
+            get_u8(buf, "color g")?;
+            get_u8(buf, "color b")?;
+        }
+        8 => skip_blob(buf)?,
+        9 => skip_points(buf)?,
+        10 => {
+            for _ in 0..get_len(buf)? {
+                skip_points(buf)?;
+            }
+        }
+        other => return Err(WireError::InvalidTag { kind: "Value", tag: other }),
+    }
+    Ok(())
+}
+
+fn skip_state(buf: &mut Bytes, levels: usize) -> Result<()> {
+    let Some(levels_below) = levels.checked_sub(1) else {
+        return Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH });
+    };
+    skip_str(buf)?; // kind
+    skip_str(buf)?; // name
+    for _ in 0..get_len(buf)? {
+        skip_str(buf)?; // attribute name
+        skip_value(buf)?;
+    }
+    skip_blob(buf)?; // semantic payload
+    for _ in 0..get_len(buf)? {
+        skip_state(buf, levels_below)?;
+    }
+    Ok(())
+}
+
+// --------------------------------------------------------------------------
 // state deltas
 // --------------------------------------------------------------------------
 
@@ -654,6 +806,15 @@ impl Wire for StateNode {
     }
     fn get(buf: &mut Bytes) -> Result<Self> {
         get_state(buf)
+    }
+}
+
+impl Wire for EncodedState {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_slice(&self.0);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_encoded_state(buf)
     }
 }
 
@@ -1148,7 +1309,11 @@ mod tests {
                 snapshot: sample_state(),
                 mode: CopyMode::Strict,
             },
-            Message::StateApplied { req_id: 3, overwritten: Some(sample_state()), error: None },
+            Message::StateApplied {
+                req_id: 3,
+                overwritten: Some(EncodedState::of(&sample_state())),
+                error: None,
+            },
             Message::StateApplied {
                 req_id: 3,
                 overwritten: None,
@@ -1463,8 +1628,8 @@ mod tests {
     }
 
     /// A sub-megabyte frame of 100 000 nested nodes is an error, not a
-    /// stack overflow — as a snapshot, an optional snapshot, and a delta
-    /// subtree alike.
+    /// stack overflow — as a snapshot, an optional snapshot, an encoded
+    /// state and a delta subtree alike.
     #[test]
     fn hostile_nesting_is_rejected_not_overflowed() {
         let nested = nested_state_bytes(100_000);
@@ -1484,6 +1649,13 @@ mod tests {
         reply.put_u8(1); // Some
         reply.extend_from_slice(&nested);
         assert_eq!(decode_message(&reply), too_deep);
+
+        let mut applied = BytesMut::new();
+        applied.put_u8(MessageKind::StateApplied as u8);
+        put_uvarint(&mut applied, 1);
+        applied.put_u8(1); // Some: the non-building walk recurses too
+        applied.extend_from_slice(&nested);
+        assert_eq!(decode_message(&applied), too_deep);
 
         let mut delta = BytesMut::new();
         put_uvarint(&mut delta, 1); // edits

@@ -49,7 +49,7 @@ mod message;
 mod state;
 mod value;
 
-pub use codec::SharedFrame;
+pub use codec::{EncodedState, SharedFrame};
 pub use delta::{DeltaError, EditOp, NodeEdit, NodePatch, StateDelta};
 pub use error::WireError;
 pub use event::{EventKind, UiEvent};

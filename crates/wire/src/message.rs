@@ -2,7 +2,7 @@ use std::fmt;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::codec::Wire;
+use crate::codec::{EncodedState, Wire};
 use crate::{
     GlobalObjectId, InstanceId, ObjectPath, StateDelta, StateNode, UiEvent, UserId, WireError,
 };
@@ -446,13 +446,16 @@ protocol! {
     },
     /// Destination instance → server: state applied; `overwritten` is the
     /// destination's previous state, stored by the server as a historical
-    /// UI state for undo (§2.2).
+    /// UI state for undo (§2.2). The server only files it and reads it
+    /// again at undo, so the field stays encoded: decoding the message
+    /// checks the state's bytes and slices them out of the frame, and
+    /// the history stack keeps that slice.
     StateApplied = 24, "state-applied" {
         /// Echo of the transfer id.
         req_id: u64,
         /// Previous state of the destination object, if it existed and the
         /// apply succeeded.
-        overwritten: Option<StateNode>,
+        overwritten: Option<EncodedState>,
         /// Error description if the apply failed (e.g. strict-mode
         /// incompatibility).
         error: Option<String>,

@@ -169,7 +169,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
             |(req_id, path, snapshot, mode)| Message::ApplyState { req_id, path, snapshot, mode }
         ),
         (any::<u64>(), prop::option::of(arb_state()), prop::option::of("[a-z ]{0,20}")).prop_map(
-            |(req_id, overwritten, error)| Message::StateApplied { req_id, overwritten, error }
+            |(req_id, overwritten, error)| Message::StateApplied {
+                req_id,
+                overwritten: overwritten.map(Into::into),
+                error
+            }
         ),
         (
             any::<u64>(),

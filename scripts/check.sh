@@ -14,6 +14,11 @@ cargo test -q
 # restricted teardown APIs, crate lint headers, no catch-all arm in the
 # server's Message dispatch.
 cargo run -q -p cosoft-audit
+# The two walks of the state grammar — the decoder that builds a tree
+# and the one that only checks and slices an `EncodedState` off the
+# frame — must accept, refuse and consume alike; nothing but this suite
+# holds them together.
+cargo test -q -p cosoft-wire --test encoded_state
 # Failure-handling suites, run explicitly so a filtered `cargo test`
 # invocation can't silently skip them.
 cargo test -q -p cosoft-server --test server_core
