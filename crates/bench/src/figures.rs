@@ -624,27 +624,11 @@ pub fn server_stats_rows() -> Vec<Vec<String>> {
     h.reconnect(nodes[7]);
     h.settle();
 
-    let s = h.server.stats();
-    vec![
-        vec!["events granted".into(), s.events_granted.to_string()],
-        vec!["events rejected".into(), s.events_rejected.to_string()],
-        vec!["lock conflicts".into(), s.lock_conflicts.to_string()],
-        vec!["permission denials".into(), s.permission_denials.to_string()],
-        vec!["messages out".into(), s.messages_out.to_string()],
-        vec!["max fan-out".into(), s.max_fanout.to_string()],
-        vec!["transfers started".into(), s.transfers_started.to_string()],
-        vec!["transfers completed".into(), s.transfers_completed.to_string()],
-        vec!["transfers failed".into(), s.transfers_failed.to_string()],
-        vec!["registered instances".into(), s.registered_instances.to_string()],
-        vec!["live transfer groups".into(), s.live_transfer_groups.to_string()],
-        vec!["held locks".into(), s.held_locks.to_string()],
-        vec!["pings answered".into(), s.pings.to_string()],
-        vec!["quarantines".into(), s.quarantines.to_string()],
-        vec!["resumes".into(), s.resumes.to_string()],
-        vec!["rejoins rejected".into(), s.rejoins_rejected.to_string()],
-        vec!["quarantine expiries".into(), s.quarantine_expiries.to_string()],
-        vec!["quarantined instances".into(), s.quarantined_instances.to_string()],
-    ]
+    stats_rows(h.server.stats().entries())
+}
+
+fn stats_rows(entries: impl IntoIterator<Item = (&'static str, u64)>) -> Vec<Vec<String>> {
+    entries.into_iter().map(|(name, value)| vec![name.to_string(), value.to_string()]).collect()
 }
 
 /// Runs a short live round over real loopback TCP (register four
@@ -701,19 +685,31 @@ pub fn transport_stats_rows() -> Vec<Vec<String>> {
         let _ = host.send_batch(&outgoing.into_frames());
     }
 
-    let t = stats.snapshot();
-    vec![
-        vec!["frames out".into(), t.frames_out.to_string()],
-        vec!["bytes out".into(), t.bytes_out.to_string()],
-        vec!["frames in".into(), t.frames_in.to_string()],
-        vec!["bytes in".into(), t.bytes_in.to_string()],
-        vec!["coalesced writes".into(), t.coalesced_writes.to_string()],
-        vec!["enqueue-full waits".into(), t.enqueue_full_waits.to_string()],
-        vec!["slow-consumer evictions".into(), t.slow_consumer_evictions.to_string()],
-        vec!["frames dropped".into(), t.frames_dropped.to_string()],
-        vec!["active connections".into(), t.active_connections.to_string()],
-        vec!["max queue depth".into(), t.max_queue_depth.to_string()],
-    ]
+    // Each field is named once; the pattern has no `..`, so a field
+    // added to `TcpStats` fails to compile here until it has a row.
+    macro_rules! rows {
+        ($($field:ident),*) => {{
+            let cosoft_net::TcpStats { $($field),* } = stats.snapshot();
+            stats_rows([$((stringify!($field), $field as u64)),*])
+        }};
+    }
+    rows!(
+        frames_out,
+        bytes_out,
+        frames_in,
+        bytes_in,
+        coalesced_writes,
+        enqueue_full_waits,
+        slow_consumer_evictions,
+        frames_dropped,
+        stale_sweeps,
+        sockopt_failures,
+        connections_refused,
+        handshake_timeouts,
+        active_connections,
+        max_queue_depth,
+        max_queued_bytes
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -853,17 +849,17 @@ mod tests {
         let get = |name: &str| -> u64 {
             rows.iter().find(|r| r[0] == name).expect("counter row")[1].parse().unwrap()
         };
-        assert!(get("events granted") >= 2, "clean round + contention winner");
-        assert_eq!(get("events rejected"), 7, "seven losers in the contended round");
-        assert_eq!(get("transfers completed"), 2, "explicit CopyTo + rejoin resync CopyFrom");
-        assert_eq!(get("registered instances"), 8);
-        assert_eq!(get("live transfer groups"), 0);
-        assert_eq!(get("held locks"), 0, "every round released its locks");
-        assert!(get("max fan-out") >= 7, "a granted event fans out to the whole chain");
-        assert_eq!(get("pings answered"), 1);
+        assert!(get("events_granted") >= 2, "clean round + contention winner");
+        assert_eq!(get("events_rejected"), 7, "seven losers in the contended round");
+        assert_eq!(get("transfers_completed"), 2, "explicit CopyTo + rejoin resync CopyFrom");
+        assert_eq!(get("registered_instances"), 8);
+        assert_eq!(get("live_transfer_groups"), 0);
+        assert_eq!(get("held_locks"), 0, "every round released its locks");
+        assert!(get("max_fanout") >= 7, "a granted event fans out to the whole chain");
+        assert_eq!(get("pings"), 1);
         assert_eq!(get("quarantines"), 1, "the dropped instance was quarantined");
         assert_eq!(get("resumes"), 1, "and resumed within the grace period");
-        assert_eq!(get("quarantined instances"), 0, "nobody left in quarantine");
+        assert_eq!(get("quarantined_instances"), 0, "nobody left in quarantine");
     }
 
     #[test]
@@ -873,11 +869,11 @@ mod tests {
             rows.iter().find(|r| r[0] == name).expect("counter row")[1].parse().unwrap()
         };
         // 4 registrations + 32 broadcasts in; Welcomes + deliveries out.
-        assert_eq!(get("frames in"), 36);
-        assert!(get("frames out") >= 4 + 32 * 3, "welcomes plus broadcast fan-out");
-        assert!(get("bytes out") > 32 * 3 * 4096, "payload bytes actually left");
-        assert_eq!(get("slow-consumer evictions"), 0, "all consumers were healthy");
-        assert_eq!(get("active connections"), 4);
+        assert_eq!(get("frames_in"), 36);
+        assert!(get("frames_out") >= 4 + 32 * 3, "welcomes plus broadcast fan-out");
+        assert!(get("bytes_out") > 32 * 3 * 4096, "payload bytes actually left");
+        assert_eq!(get("slow_consumer_evictions"), 0, "all consumers were healthy");
+        assert_eq!(get("active_connections"), 4);
     }
 
     #[test]

@@ -1,36 +1,18 @@
-//! `cosoft-bench` — the benchmark harness regenerating every figure and
-//! table of the paper (DESIGN.md §3 maps experiment ids to modules).
+//! `cosoft-bench` — regenerates every figure and table of the paper
+//! (DESIGN.md §3 maps experiment ids to modules).
 //!
 //! * [`figures`] computes the paper-style series (virtual-time latencies,
 //!   wire bytes, rejection counts) shared by the criterion benches and
-//!   the printer binaries;
-//! * [`fanout`] measures the encode-once shared-frame broadcast path
-//!   (`--bin fanout` writes `BENCH_fanout.json`);
-//! * [`shard`] measures aggregate delivery throughput of the
-//!   couple-component-sharded server, one thread per shard core
-//!   (`--bin shard` writes `BENCH_shard.json`);
-//! * [`deltasync`] measures bytes-on-wire and latency of attribute-level
-//!   delta transfers against full snapshots at growing tree depths
-//!   (`--bin deltasync` writes `BENCH_deltasync.json`);
-//! * [`connscale`] measures delivery throughput and latency of the
-//!   readiness-driven TCP host at 100/1k/5k concurrent connections on a
-//!   fixed poll pool (`--bin connscale` writes `BENCH_connscale.json`);
-//! * [`overload`] measures goodput isolation under admission control —
-//!   well-behaved senders against a 1×/4×/16× flooder on the virtual
-//!   clock (`--bin overload` writes `BENCH_overload.json`);
+//!   the printer binaries, plus the two live counter tables;
 //! * [`report`] renders plain-text tables.
 //!
 //! Run `cargo bench --workspace` for everything, or
 //! `cargo run -p cosoft-bench --bin table1` / `--bin figures` for just
-//! the paper-style reports.
+//! the paper-style reports. Nothing here times the system: the
+//! end-to-end benchmark of record is the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod connscale;
-pub mod deltasync;
-pub mod fanout;
 pub mod figures;
-pub mod overload;
 pub mod report;
-pub mod shard;

@@ -44,20 +44,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     print!("{}", render_table(title, headers, rows));
 }
 
-/// Writes a suite's JSON report and says where. A full run writes
-/// `BENCH_<suite>.json` into the working directory, where the committed
-/// results live; a smoke run writes `target/bench/BENCH_<suite>.json`, so
-/// it never overwrites them.
-pub fn write_report(suite: &str, json: &str, series: usize, smoke: bool) {
-    let mut path = format!("BENCH_{suite}.json");
-    if smoke {
-        std::fs::create_dir_all("target/bench").expect("create target/bench");
-        path.insert_str(0, "target/bench/");
-    }
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path} ({series} series{})", if smoke { ", smoke mode" } else { "" });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

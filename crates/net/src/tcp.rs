@@ -136,11 +136,6 @@ pub struct TcpStats {
     /// own sweep; those are counted here and skipped, never treated as a
     /// poll-thread invariant violation.
     pub stale_sweeps: u64,
-    /// Threads the host failed to spawn. The poll pool is spawned at
-    /// bind (where failure is a bind error), so this stays 0 on the
-    /// host today; the field is kept so stats consumers survive the
-    /// thread-per-connection → poll-pool transition unchanged.
-    pub thread_spawn_failures: u64,
     /// Socket-option calls (`set_nodelay`, `set_nonblocking`) that
     /// failed. Nodelay failures are tolerated (the connection is merely
     /// slower); nonblocking failures close the connection, since the
@@ -173,7 +168,6 @@ pub(crate) struct Counters {
     pub(crate) slow_consumer_evictions: AtomicU64,
     pub(crate) frames_dropped: AtomicU64,
     pub(crate) stale_sweeps: AtomicU64,
-    pub(crate) thread_spawn_failures: AtomicU64,
     pub(crate) sockopt_failures: AtomicU64,
     pub(crate) connections_refused: AtomicU64,
     pub(crate) handshake_timeouts: AtomicU64,
@@ -213,7 +207,6 @@ impl TcpStatsHandle {
             slow_consumer_evictions: self.counters.slow_consumer_evictions.load(Ordering::Relaxed),
             frames_dropped: self.counters.frames_dropped.load(Ordering::Relaxed),
             stale_sweeps: self.counters.stale_sweeps.load(Ordering::Relaxed),
-            thread_spawn_failures: self.counters.thread_spawn_failures.load(Ordering::Relaxed),
             sockopt_failures: self.counters.sockopt_failures.load(Ordering::Relaxed),
             connections_refused: self.counters.connections_refused.load(Ordering::Relaxed),
             handshake_timeouts: self.counters.handshake_timeouts.load(Ordering::Relaxed),

@@ -263,193 +263,135 @@ struct Quarantined {
     deadline_us: u64,
 }
 
-/// Snapshot of the server's observability counters: floor control,
-/// locking, broadcast fan-out, and state-transfer liveness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// Declares [`ServerStats`] from one field list: the struct, how each
+/// field merges across shard cores (`sum`, or `max` for a high-water
+/// mark) and the `(name, value)` listing all come from the line that
+/// declares the field.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $merge:ident $name:ident: $ty:ty,)*) => {
+        /// Snapshot of the server's observability counters: floor control,
+        /// locking, broadcast fan-out, and state-transfer liveness.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl ServerStats {
+            /// Merges another core's counters into this snapshot (used by
+            /// the shard router to expose one aggregate [`ServerStats`]):
+            /// sums everything except high-water marks, which take the
+            /// maximum.
+            pub fn merge(&mut self, other: &ServerStats) {
+                $(server_stats!(@$merge self.$name, other.$name);)*
+            }
+
+            /// Every field as `(name, value)`, in declaration order.
+            pub fn entries(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name as u64)),*]
+            }
+        }
+    };
+    (@sum $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+}
+
+server_stats! {
     /// Events granted by floor control.
-    pub events_granted: u64,
+    sum events_granted: u64,
     /// Events rejected (permission or lock conflict).
-    pub events_rejected: u64,
+    sum events_rejected: u64,
     /// Rejections caused specifically by a lock conflict.
-    pub lock_conflicts: u64,
+    sum lock_conflicts: u64,
     /// `PermissionDenied` replies sent.
-    pub permission_denials: u64,
+    sum permission_denials: u64,
     /// Total messages produced for delivery.
-    pub messages_out: u64,
+    sum messages_out: u64,
     /// Largest fan-out produced by a single incoming message.
-    pub max_fanout: usize,
+    max max_fanout: usize,
     /// State-transfer groups started (copies, undos, redos).
-    pub transfers_started: u64,
+    sum transfers_started: u64,
     /// Transfer groups that completed successfully.
-    pub transfers_completed: u64,
+    sum transfers_completed: u64,
     /// Transfer groups that finished with an error (including peers
     /// dying mid-transfer).
-    pub transfers_failed: u64,
+    sum transfers_failed: u64,
     /// Currently registered instances (bound + quarantined).
-    pub registered_instances: usize,
+    sum registered_instances: usize,
     /// Transfer groups still in flight.
-    pub live_transfer_groups: usize,
+    sum live_transfer_groups: usize,
     /// Push legs (`ApplyState` awaiting `StateApplied`) still in flight.
-    pub live_transfer_legs: usize,
+    sum live_transfer_legs: usize,
     /// Pull legs (`StateRequest` awaiting `StateReply`) still in flight.
-    pub live_pending_pulls: usize,
+    sum live_pending_pulls: usize,
     /// Multiple-execution groups still awaiting `ExecuteDone`s.
-    pub live_execs: usize,
+    sum live_execs: usize,
     /// Locks currently held.
-    pub held_locks: usize,
+    sum held_locks: usize,
     /// `Ping` probes answered.
-    pub pings: u64,
+    sum pings: u64,
     /// Instances placed in quarantine after a disconnect or idle timeout.
-    pub quarantines: u64,
+    sum quarantines: u64,
     /// Quarantined instances successfully resumed via `Rejoin`.
-    pub resumes: u64,
+    sum resumes: u64,
     /// `Rejoin` attempts refused (unknown or expired token).
-    pub rejoins_rejected: u64,
+    sum rejoins_rejected: u64,
     /// Quarantines that expired into a full deregistration.
-    pub quarantine_expiries: u64,
+    sum quarantine_expiries: u64,
     /// Instances currently quarantined.
-    pub quarantined_instances: usize,
+    sum quarantined_instances: usize,
     /// Messages of a kind the server never accepts from clients
     /// (server-to-client-only kinds arriving inbound); each one is
     /// answered with an [`Message::ErrorReply`] rather than dropped.
-    pub unexpected_messages: u64,
+    sum unexpected_messages: u64,
     /// Shared frames encoded on the outgoing path — each counts one
     /// encode regardless of how many endpoints it reaches.
-    pub shared_frames_encoded: u64,
+    sum shared_frames_encoded: u64,
     /// Per-endpoint deliveries served by shared frames.
-    pub shared_deliveries: u64,
+    sum shared_deliveries: u64,
     /// Bytes encoded into shared frames (counted once per frame).
-    pub shared_bytes_encoded: u64,
+    sum shared_bytes_encoded: u64,
     /// Bytes handed to transports via shared frames (counted once per
     /// delivery); the gap to `shared_bytes_encoded` is what encode-once
     /// saved over the old clone-and-re-encode fan-out.
-    pub shared_bytes_delivered: u64,
+    sum shared_bytes_delivered: u64,
     /// Heavy payloads (event bodies, state snapshots) serialized.
-    pub payload_encodes: u64,
+    sum payload_encodes: u64,
     /// Fan-out legs that spliced an already-serialized heavy payload
     /// into their frame instead of re-encoding it.
-    pub payload_reuses: u64,
+    sum payload_reuses: u64,
     /// `tick` calls whose `now_us` was earlier than the stored virtual
     /// clock. The clock is clamped (it never rewinds — a rewind would
     /// re-arm quarantine grace periods and idle timeouts), and each
     /// regression is counted here so a misbehaving time source is
     /// observable instead of silent.
-    pub clock_regressions: u64,
+    sum clock_regressions: u64,
     /// Control-class messages shed by admission control.
-    pub overload_sheds_control: u64,
+    sum overload_sheds_control: u64,
     /// Bulk-class messages shed by admission control.
-    pub overload_sheds_bulk: u64,
+    sum overload_sheds_bulk: u64,
     /// [`Message::Busy`] replies sent (at most one per endpoint per
     /// budget window, so this counts advisory notifications, not sheds).
-    pub busy_replies: u64,
+    sum busy_replies: u64,
     /// Endpoints evicted via §3.2 auto-decoupling after sustained
     /// admission-control abuse (strikes exhausted).
-    pub overload_evictions: u64,
+    sum overload_evictions: u64,
     /// Quarantine entries expired *early* because
     /// [`LivenessConfig::max_quarantined`] was reached (oldest-deadline
     /// first). Disjoint from `quarantine_expiries`, which counts
     /// on-time expiries.
-    pub quarantine_store_evictions: u64,
+    sum quarantine_store_evictions: u64,
     /// Endpoints currently holding an admission budget window (gauge,
     /// bounded by pruning of idle windows).
-    pub overload_tracked_endpoints: usize,
+    sum overload_tracked_endpoints: usize,
     /// Objects whose history stacks were purged on the teardown path
     /// (instance deregistration or an `ObjectDestroyed` notification).
-    pub history_purges: u64,
+    sum history_purges: u64,
     /// Fan-out legs sent as attribute-level `ApplyDelta` (the destination
     /// held a matching sync base) instead of a full `ApplyState`.
-    pub delta_legs_sent: u64,
+    sum delta_legs_sent: u64,
     /// Delta legs the receiver refused (diverged or unknown base) that
     /// were resent as full snapshots.
-    pub delta_fallbacks: u64,
-}
-
-/// Aggregates counters across shard cores: sums everything except
-/// gauges that only make sense as a maximum.
-impl ServerStats {
-    /// Merges another core's counters into this snapshot (used by the
-    /// shard router to expose one aggregate [`ServerStats`]).
-    pub fn merge(&mut self, other: &ServerStats) {
-        let ServerStats {
-            events_granted,
-            events_rejected,
-            lock_conflicts,
-            permission_denials,
-            messages_out,
-            max_fanout,
-            transfers_started,
-            transfers_completed,
-            transfers_failed,
-            registered_instances,
-            live_transfer_groups,
-            live_transfer_legs,
-            live_pending_pulls,
-            live_execs,
-            held_locks,
-            pings,
-            quarantines,
-            resumes,
-            rejoins_rejected,
-            quarantine_expiries,
-            quarantined_instances,
-            unexpected_messages,
-            shared_frames_encoded,
-            shared_deliveries,
-            shared_bytes_encoded,
-            shared_bytes_delivered,
-            payload_encodes,
-            payload_reuses,
-            clock_regressions,
-            overload_sheds_control,
-            overload_sheds_bulk,
-            busy_replies,
-            overload_evictions,
-            quarantine_store_evictions,
-            overload_tracked_endpoints,
-            history_purges,
-            delta_legs_sent,
-            delta_fallbacks,
-        } = other;
-        self.events_granted += events_granted;
-        self.events_rejected += events_rejected;
-        self.lock_conflicts += lock_conflicts;
-        self.permission_denials += permission_denials;
-        self.messages_out += messages_out;
-        self.max_fanout = self.max_fanout.max(*max_fanout);
-        self.transfers_started += transfers_started;
-        self.transfers_completed += transfers_completed;
-        self.transfers_failed += transfers_failed;
-        self.registered_instances += registered_instances;
-        self.live_transfer_groups += live_transfer_groups;
-        self.live_transfer_legs += live_transfer_legs;
-        self.live_pending_pulls += live_pending_pulls;
-        self.live_execs += live_execs;
-        self.held_locks += held_locks;
-        self.pings += pings;
-        self.quarantines += quarantines;
-        self.resumes += resumes;
-        self.rejoins_rejected += rejoins_rejected;
-        self.quarantine_expiries += quarantine_expiries;
-        self.quarantined_instances += quarantined_instances;
-        self.unexpected_messages += unexpected_messages;
-        self.shared_frames_encoded += shared_frames_encoded;
-        self.shared_deliveries += shared_deliveries;
-        self.shared_bytes_encoded += shared_bytes_encoded;
-        self.shared_bytes_delivered += shared_bytes_delivered;
-        self.payload_encodes += payload_encodes;
-        self.payload_reuses += payload_reuses;
-        self.clock_regressions += clock_regressions;
-        self.overload_sheds_control += overload_sheds_control;
-        self.overload_sheds_bulk += overload_sheds_bulk;
-        self.busy_replies += busy_replies;
-        self.overload_evictions += overload_evictions;
-        self.quarantine_store_evictions += quarantine_store_evictions;
-        self.overload_tracked_endpoints += overload_tracked_endpoints;
-        self.history_purges += history_purges;
-        self.delta_legs_sent += delta_legs_sent;
-        self.delta_fallbacks += delta_fallbacks;
-    }
+    sum delta_fallbacks: u64,
 }
 
 /// A routing-relevant lifecycle change, recorded by the core for its
@@ -578,22 +520,9 @@ pub struct ServerCore<E> {
     next_transfer_group: u64,
     /// Pull-mode transfers awaiting a `StateReply`.
     pending_pulls: HashMap<u64, PendingPull>,
-    /// Floor-control rejections served so far (benchmark metric).
-    rejected_events: u64,
-    /// Events granted so far (benchmark metric).
-    granted_events: u64,
-    /// Rejections caused by a lock conflict (subset of `rejected_events`).
-    lock_conflicts: u64,
-    /// `PermissionDenied` replies sent.
-    permission_denials: u64,
-    /// Total messages produced for delivery.
-    messages_out: u64,
-    /// Largest fan-out of a single incoming message.
-    max_fanout: usize,
-    /// Transfer groups started / completed / failed.
-    transfers_started: u64,
-    transfers_completed: u64,
-    transfers_failed: u64,
+    /// The monotone counters, bumped in place; the gauges stay zero here
+    /// and are read off the tables by [`ServerCore::stats`].
+    stats: ServerStats,
     /// Liveness policy (grace period, idle timeout).
     liveness: LivenessConfig,
     /// Virtual clock, advanced by [`ServerCore::tick`].
@@ -608,37 +537,8 @@ pub struct ServerCore<E> {
     next_token_seq: u64,
     /// Last time (virtual µs) each bound instance produced any traffic.
     last_seen: HashMap<InstanceId, u64>,
-    /// Liveness counters.
-    pings: u64,
-    quarantines: u64,
-    resumes: u64,
-    rejoins_rejected: u64,
-    quarantine_expiries: u64,
-    /// Inbound messages of a server-to-client-only kind.
-    unexpected_messages: u64,
-    /// Shared-frame delivery counters (see [`ServerStats`]).
-    shared_frames_encoded: u64,
-    shared_deliveries: u64,
-    shared_bytes_encoded: u64,
-    shared_bytes_delivered: u64,
-    payload_encodes: u64,
-    payload_reuses: u64,
-    /// `tick` calls that presented a clock earlier than `now_us`.
-    clock_regressions: u64,
     /// Admission-control state (token-bucket budgets per endpoint).
     admission: Admission<E>,
-    /// Overload counters (see [`ServerStats`]).
-    overload_sheds_control: u64,
-    overload_sheds_bulk: u64,
-    busy_replies: u64,
-    overload_evictions: u64,
-    /// Quarantine entries expired early by the `max_quarantined` cap.
-    quarantine_store_evictions: u64,
-    /// Objects whose history was purged on the teardown path.
-    history_purges: u64,
-    /// Delta-sync counters (see [`ServerStats`]).
-    delta_legs_sent: u64,
-    delta_fallbacks: u64,
     /// Increment applied to every id counter (exec, transfer, transfer
     /// group, token seq). Shard `i` of `n` starts its counters at `i + 1`
     /// with stride `n`, so ids minted by different shards never collide.
@@ -674,15 +574,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             transfer_groups: HashMap::new(),
             next_transfer_group: 1,
             pending_pulls: HashMap::new(),
-            rejected_events: 0,
-            granted_events: 0,
-            lock_conflicts: 0,
-            permission_denials: 0,
-            messages_out: 0,
-            max_fanout: 0,
-            transfers_started: 0,
-            transfers_completed: 0,
-            transfers_failed: 0,
+            stats: ServerStats::default(),
             liveness: LivenessConfig::default(),
             now_us: 0,
             quarantined: HashMap::new(),
@@ -690,28 +582,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             token_of: HashMap::new(),
             next_token_seq: 1,
             last_seen: HashMap::new(),
-            pings: 0,
-            quarantines: 0,
-            resumes: 0,
-            rejoins_rejected: 0,
-            quarantine_expiries: 0,
-            unexpected_messages: 0,
-            shared_frames_encoded: 0,
-            shared_deliveries: 0,
-            shared_bytes_encoded: 0,
-            shared_bytes_delivered: 0,
-            payload_encodes: 0,
-            payload_reuses: 0,
-            clock_regressions: 0,
             admission: Admission::new(OverloadConfig::default()),
-            overload_sheds_control: 0,
-            overload_sheds_bulk: 0,
-            busy_replies: 0,
-            overload_evictions: 0,
-            quarantine_store_evictions: 0,
-            history_purges: 0,
-            delta_legs_sent: 0,
-            delta_fallbacks: 0,
             id_stride: 1,
             route_log: Vec::new(),
             route_log_enabled: false,
@@ -801,55 +672,27 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
 
     /// Events rejected by floor control so far.
     pub fn rejected_events(&self) -> u64 {
-        self.rejected_events
+        self.stats.events_rejected
     }
 
     /// Events granted by floor control so far.
     pub fn granted_events(&self) -> u64 {
-        self.granted_events
+        self.stats.events_granted
     }
 
-    /// Snapshot of the server's observability counters.
+    /// Snapshot of the server's observability counters: the counters
+    /// as bumped, plus the gauges read off the tables.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
-            events_granted: self.granted_events,
-            events_rejected: self.rejected_events,
-            lock_conflicts: self.lock_conflicts,
-            permission_denials: self.permission_denials,
-            messages_out: self.messages_out,
-            max_fanout: self.max_fanout,
-            transfers_started: self.transfers_started,
-            transfers_completed: self.transfers_completed,
-            transfers_failed: self.transfers_failed,
             registered_instances: self.registry.len(),
             live_transfer_groups: self.transfer_groups.len(),
             live_transfer_legs: self.transfers.len(),
             live_pending_pulls: self.pending_pulls.len(),
             live_execs: self.execs.len(),
             held_locks: self.locks.len(),
-            pings: self.pings,
-            quarantines: self.quarantines,
-            resumes: self.resumes,
-            rejoins_rejected: self.rejoins_rejected,
-            quarantine_expiries: self.quarantine_expiries,
             quarantined_instances: self.quarantined.len(),
-            unexpected_messages: self.unexpected_messages,
-            shared_frames_encoded: self.shared_frames_encoded,
-            shared_deliveries: self.shared_deliveries,
-            shared_bytes_encoded: self.shared_bytes_encoded,
-            shared_bytes_delivered: self.shared_bytes_delivered,
-            payload_encodes: self.payload_encodes,
-            payload_reuses: self.payload_reuses,
-            clock_regressions: self.clock_regressions,
-            overload_sheds_control: self.overload_sheds_control,
-            overload_sheds_bulk: self.overload_sheds_bulk,
-            busy_replies: self.busy_replies,
-            overload_evictions: self.overload_evictions,
-            quarantine_store_evictions: self.quarantine_store_evictions,
             overload_tracked_endpoints: self.admission.tracked_endpoints(),
-            history_purges: self.history_purges,
-            delta_legs_sent: self.delta_legs_sent,
-            delta_fallbacks: self.delta_fallbacks,
+            ..self.stats
         }
     }
 
@@ -1048,20 +891,20 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// Accounts one incoming message's outgoing batch.
     fn note_outgoing(&mut self, out: &Outgoing<E>) {
         let n = out.message_count();
-        self.messages_out += n as u64;
-        self.max_fanout = self.max_fanout.max(n);
+        self.stats.messages_out += n as u64;
+        self.stats.max_fanout = self.stats.max_fanout.max(n);
         for item in out.items() {
             match item {
                 Delivery::Unicast(_, m) => {
                     if matches!(m, Message::PermissionDenied { .. }) {
-                        self.permission_denials += 1;
+                        self.stats.permission_denials += 1;
                     }
                 }
                 Delivery::Shared(endpoints, frame) => {
-                    self.shared_frames_encoded += 1;
-                    self.shared_deliveries += endpoints.len() as u64;
-                    self.shared_bytes_encoded += frame.len() as u64;
-                    self.shared_bytes_delivered += (frame.len() * endpoints.len()) as u64;
+                    self.stats.shared_frames_encoded += 1;
+                    self.stats.shared_deliveries += endpoints.len() as u64;
+                    self.stats.shared_bytes_encoded += frame.len() as u64;
+                    self.stats.shared_bytes_delivered += (frame.len() * endpoints.len()) as u64;
                 }
             }
         }
@@ -1130,7 +973,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             // Clamp: a rewinding clock (NTP step, suspend/resume, a
             // misbehaving caller) must not re-arm grace periods that
             // already ran down. Count it so the regression is visible.
-            self.clock_regressions += 1;
+            self.stats.clock_regressions += 1;
         } else {
             self.now_us = now_us;
         }
@@ -1144,7 +987,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         expired.sort();
         for id in expired {
             self.quarantined.remove(&id);
-            self.quarantine_expiries += 1;
+            self.stats.quarantine_expiries += 1;
             let dereg = self.deregister_instance(id);
             out.extend(dereg);
         }
@@ -1204,7 +1047,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             .filter(|_| self.registry.instance_at(endpoint).is_none());
         let mut out = Outgoing::new();
         let Some(id) = resumable else {
-            self.rejoins_rejected += 1;
+            self.stats.rejoins_rejected += 1;
             out.push_unicast(
                 endpoint,
                 Message::ErrorReply {
@@ -1218,7 +1061,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         self.registry.rebind(id, endpoint);
         self.route_event(RouteEvent::Bound { instance: id, endpoint });
         self.last_seen.insert(id, self.now_us);
-        self.resumes += 1;
+        self.stats.resumes += 1;
         // Rotate the token: a resume credential is single-use.
         let fresh = self.mint_token(id);
         out.push_unicast(endpoint, Message::Welcome { instance: id });
@@ -1252,14 +1095,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             return None;
         };
         match class {
-            MessageClass::Control => self.overload_sheds_control += 1,
-            MessageClass::Bulk => self.overload_sheds_bulk += 1,
+            MessageClass::Control => self.stats.overload_sheds_control += 1,
+            MessageClass::Bulk => self.stats.overload_sheds_bulk += 1,
             // Liveness is never shed.
             MessageClass::Liveness => {}
         }
         let mut out = Outgoing::new();
         if reply_busy {
-            self.busy_replies += 1;
+            self.stats.busy_replies += 1;
             let retry_after_ms = self.admission.config().retry_after_ms;
             out.push_unicast(endpoint, Message::Busy { retry_after_ms });
         }
@@ -1269,7 +1112,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             // client.
             self.last_seen.insert(id, self.now_us);
             if escalate {
-                self.overload_evictions += 1;
+                self.stats.overload_evictions += 1;
                 self.admission.forget(&endpoint);
                 let evicted = if self.liveness.grace_us > 0 {
                     self.quarantine_instance(id)
@@ -1337,7 +1180,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 unreachable!("handled in handle()")
             }
             Message::Ping { nonce } => {
-                self.pings += 1;
+                self.stats.pings += 1;
                 self.to_instance(from, Message::Pong { nonce }, &mut out);
             }
             // Any traffic counts as liveness; a Pong needs no reply.
@@ -1371,7 +1214,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 } else {
                     let survivors = self.couples.remove_object(&object);
                     if self.history.forget(&object) {
-                        self.history_purges += 1;
+                        self.stats.history_purges += 1;
                     }
                     self.sync_bases.remove(&object);
                     // Each survivor (and the destroyer) learns the new
@@ -1448,7 +1291,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             | Message::CommandDelivery { .. }
             | Message::ErrorReply { .. }
             | Message::Busy { .. }) => {
-                self.unexpected_messages += 1;
+                self.stats.unexpected_messages += 1;
                 self.to_instance(
                     from,
                     Message::ErrorReply {
@@ -1560,7 +1403,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         };
         if !self.right_of(user, &origin).allows_write() {
             self.to_instance(from, Message::EventRejected { seq }, &mut out);
-            self.rejected_events += 1;
+            self.stats.events_rejected += 1;
             return out;
         }
         // Events inside a coupled complex object route through the
@@ -1571,13 +1414,13 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let group = self.couples.group_of(&base);
         let exec_id = self.next_exec;
         if self.locks.try_lock_group(&group, exec_id).is_err() {
-            self.rejected_events += 1;
-            self.lock_conflicts += 1;
+            self.stats.events_rejected += 1;
+            self.stats.lock_conflicts += 1;
             self.to_instance(from, Message::EventRejected { seq }, &mut out);
             return out;
         }
         self.next_exec += self.id_stride;
-        self.granted_events += 1;
+        self.stats.events_granted += 1;
 
         let mut owed: HashMap<InstanceId, usize> = HashMap::new();
         let mut targets = Vec::with_capacity(group.len());
@@ -1603,10 +1446,10 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             let target = member.path.join(&rel);
             targets.push(GlobalObjectId::new(member.instance, target.clone()));
             let payload = if let Some(b) = &event_bytes {
-                self.payload_reuses += 1;
+                self.stats.payload_reuses += 1;
                 b.clone()
             } else {
-                self.payload_encodes += 1;
+                self.stats.payload_encodes += 1;
                 event_bytes.insert(codec::encode_event_shared(&event)).clone()
             };
             out.push_shared(vec![endpoint], codec::frame_execute_event(exec_id, &target, &payload));
@@ -1687,7 +1530,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
         let group_id = self.next_transfer_group;
         self.next_transfer_group += self.id_stride;
-        self.transfers_started += 1;
+        self.stats.transfers_started += 1;
         self.transfer_groups.insert(
             group_id,
             TransferGroup { requester: from, client_req, outstanding: 0, failed: None },
@@ -1776,7 +1619,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let snapshot_bytes = codec::encode_state_shared(&snapshot);
         let new_version = delta::version_of_encoded(&snapshot_bytes);
         let state = Arc::new(snapshot);
-        self.payload_encodes += 1;
+        self.stats.payload_encodes += 1;
         let mut snapshot_spliced = false;
         let mut delta_cache: HashMap<u64, Bytes> = HashMap::new();
         for target in targets {
@@ -1795,11 +1638,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 Some((base_version, base)) => {
                     let payload = match delta_cache.entry(*base_version) {
                         std::collections::hash_map::Entry::Occupied(e) => {
-                            self.payload_reuses += 1;
+                            self.stats.payload_reuses += 1;
                             e.into_mut()
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
-                            self.payload_encodes += 1;
+                            self.stats.payload_encodes += 1;
                             e.insert(codec::encode_delta_shared(&delta::diff(base, &state)))
                         }
                     };
@@ -1815,14 +1658,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 }
                 None => {
                     if snapshot_spliced {
-                        self.payload_reuses += 1;
+                        self.stats.payload_reuses += 1;
                     }
                     snapshot_spliced = true;
                     (codec::frame_apply_state(req_id, &target.path, &snapshot_bytes, mode), false)
                 }
             };
             if via_delta {
-                self.delta_legs_sent += 1;
+                self.stats.delta_legs_sent += 1;
             }
             self.transfers.insert(
                 req_id,
@@ -1882,7 +1725,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         };
         match g.failed {
             Some(reason) => {
-                self.transfers_failed += 1;
+                self.stats.transfers_failed += 1;
                 self.to_instance(
                     g.requester,
                     Message::ErrorReply { context: "copy".into(), reason },
@@ -1890,7 +1733,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 );
             }
             None => {
-                self.transfers_completed += 1;
+                self.stats.transfers_completed += 1;
                 self.to_instance(
                     g.requester,
                     Message::StateApplied { req_id: g.client_req, overwritten: None, error: None },
@@ -1918,13 +1761,13 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         if error.is_some() && t.sync.as_ref().is_some_and(|s| s.via_delta) {
             self.sync_bases.remove(&t.dst);
             if let Some(endpoint) = self.registry.endpoint_of(t.dst.instance) {
-                self.delta_fallbacks += 1;
+                self.stats.delta_fallbacks += 1;
                 let new_req = self.next_transfer;
                 self.next_transfer += self.id_stride;
                 let mut fallback = t;
                 if let Some(sync) = fallback.sync.as_mut() {
                     sync.via_delta = false;
-                    self.payload_reuses += 1;
+                    self.stats.payload_reuses += 1;
                     out.push_shared(
                         vec![endpoint],
                         codec::frame_apply_state(
@@ -2020,7 +1863,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         };
         let group_id = self.next_transfer_group;
         self.next_transfer_group += self.id_stride;
-        self.transfers_started += 1;
+        self.stats.transfers_started += 1;
         self.transfer_groups.insert(
             group_id,
             TransferGroup { requester: from, client_req: 0, outstanding: 0, failed: None },
@@ -2194,7 +2037,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             .map(|(k, _)| *k)
             .collect();
         if !dead_groups.is_empty() {
-            self.transfers_failed += dead_groups.len() as u64;
+            self.stats.transfers_failed += dead_groups.len() as u64;
             for group_id in &dead_groups {
                 self.transfer_groups.remove(group_id);
             }
@@ -2220,7 +2063,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                     self.quarantined.iter().map(|(i, q)| (q.deadline_us, *i)).min().map(|(_, i)| i);
                 let Some(victim) = oldest else { break };
                 self.quarantined.remove(&victim);
-                self.quarantine_store_evictions += 1;
+                self.stats.quarantine_store_evictions += 1;
                 let dereg = self.deregister_instance(victim);
                 out.extend(dereg);
             }
@@ -2233,7 +2076,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         self.last_seen.remove(&id);
         let deadline_us = self.now_us.saturating_add(self.liveness.grace_us);
         self.quarantined.insert(id, Quarantined { deadline_us });
-        self.quarantines += 1;
+        self.stats.quarantines += 1;
         out
     }
 
@@ -2252,7 +2095,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // The departed instance's objects are gone for good: their
         // history stacks and delta sync bases must go with them, or the
         // stores grow monotonically under register/leave churn.
-        self.history_purges += self.history.purge_instance(id) as u64;
+        self.stats.history_purges += self.history.purge_instance(id) as u64;
         self.sync_bases.retain(|o, _| o.instance != id);
         self.quarantined.remove(&id);
         self.last_seen.remove(&id);
@@ -2379,7 +2222,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 }
                 continue;
             }
-            self.transfers_failed += 1;
+            self.stats.transfers_failed += 1;
             self.transfer_groups.remove(&gid);
             self.transfers.retain(|_, t| t.group != gid);
             self.pending_pulls.retain(|_, p| p.group != gid);
@@ -2533,5 +2376,23 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             self.pending_pulls.insert(req_id, p);
         }
         self.debug_check_invariants();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ServerStats;
+
+    #[test]
+    fn stats_merge_sums_counters_and_keeps_the_widest_fanout() {
+        let mut a =
+            ServerStats { events_granted: 2, max_fanout: 7, held_locks: 1, ..Default::default() };
+        let b =
+            ServerStats { events_granted: 3, max_fanout: 4, held_locks: 2, ..Default::default() };
+        a.merge(&b);
+        assert_eq!((a.events_granted, a.max_fanout, a.held_locks), (5, 7, 3));
+        let entries = a.entries();
+        assert_eq!(entries[0], ("events_granted", 5));
+        assert!(entries.contains(&("max_fanout", 7)) && entries.contains(&("held_locks", 3)));
     }
 }

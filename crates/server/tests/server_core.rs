@@ -1499,14 +1499,23 @@ fn quarantine_cap_zero_is_unbounded() {
 
 // ---- delta state sync (attribute-level transfers) --------------------------
 
-/// A deep widget tree whose single varying leaf attribute makes for a tiny
-/// delta against a large snapshot.
+/// A chain of forms, each level carrying a caption and a button so the
+/// snapshot has realistic width, whose single varying leaf attribute
+/// makes for a tiny delta against a large snapshot.
 fn deep_tree(depth: usize, text: &str) -> StateNode {
     let mut node = StateNode::new(WidgetKind::Label, "leaf")
         .with_attr(AttrName::Text, Value::Text(text.into()));
     for level in (0..depth).rev() {
         node = StateNode::new(WidgetKind::Form, &format!("lvl{level}"))
             .with_attr(AttrName::Title, Value::Text(format!("panel {level}")))
+            .with_child(
+                StateNode::new(WidgetKind::Label, "caption")
+                    .with_attr(AttrName::Text, Value::Text(format!("caption {level}"))),
+            )
+            .with_child(
+                StateNode::new(WidgetKind::Button, "ok")
+                    .with_attr(AttrName::Text, Value::Text("ok".into())),
+            )
             .with_child(node);
     }
     node
@@ -1527,18 +1536,28 @@ fn push_to(
 
 /// First contact travels as a full snapshot; once the destination has
 /// acknowledged a base, subsequent transfers ride attribute-level deltas
-/// that reconstruct the transmitted state exactly.
+/// that reconstruct the transmitted state exactly — in a quarter of the
+/// snapshot's bytes at depth 6, and a smaller share the deeper the tree.
 #[test]
 fn second_transfer_to_acknowledged_destination_is_a_delta() {
+    let (shallow, deep) = (delta_share_of_snapshot(2), delta_share_of_snapshot(6));
+    assert!(deep <= 0.25, "depth-6 single-attribute delta is {deep:.2} of its snapshot");
+    assert!(deep < shallow, "deeper trees must widen the gap: {deep:.2} vs {shallow:.2}");
+}
+
+/// Pushes a `depth`-deep tree twice, one leaf attribute apart, and
+/// returns the second leg's frame size as a share of the first's.
+fn delta_share_of_snapshot(depth: usize) -> f64 {
     let mut s: ServerCore<Endpoint> = ServerCore::new();
     let a = register(&mut s, 1, 1);
     let b = register(&mut s, 2, 2);
 
-    let v1 = deep_tree(6, "v1");
-    let v2 = deep_tree(6, "v2");
+    let v1 = deep_tree(depth, "v1");
+    let v2 = deep_tree(depth, "v2");
 
     // First push: no base cached, full snapshot.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+    let snapshot_bytes = codec::frame_message(find(&out, 2, "apply-state")).len();
     let req_id = match find(&out, 2, "apply-state") {
         Message::ApplyState { req_id, .. } => *req_id,
         _ => unreachable!(),
@@ -1548,6 +1567,7 @@ fn second_transfer_to_acknowledged_destination_is_a_delta() {
 
     // Second push: the acknowledged v1 base turns it into a delta.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v2.clone(), 2);
+    let delta_bytes = codec::frame_message(find(&out, 2, "apply-delta")).len();
     let req_id = match find(&out, 2, "apply-delta") {
         Message::ApplyDelta { req_id, base_version, new_version, delta: d, .. } => {
             assert_eq!(*base_version, delta::state_version(&v1));
@@ -1567,6 +1587,7 @@ fn second_transfer_to_acknowledged_destination_is_a_delta() {
         Message::StateApplied { req_id, .. } => assert_eq!(*req_id, 2),
         _ => unreachable!(),
     }
+    delta_bytes as f64 / snapshot_bytes as f64
 }
 
 /// A destination that rejects a delta (diverged or missing base) gets the

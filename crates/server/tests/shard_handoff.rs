@@ -3,10 +3,14 @@
 //! freeze window, and idempotent re-merges. These drive the router's
 //! `begin_handoff`/`complete_handoff` phases separately — exactly what
 //! the message-driven path runs back to back — so every test holds the
-//! freeze open while something inconvenient happens.
+//! freeze open while something inconvenient happens. Two tests at the
+//! end pin what a client may not be able to tell from its deliveries:
+//! how many shards there are, and how hard a stranger is flooding.
 
-use cosoft_server::{LivenessConfig, ShardRouter};
-use cosoft_wire::{EventKind, GlobalObjectId, InstanceId, Message, ObjectPath, UiEvent, UserId};
+use cosoft_server::{LivenessConfig, OverloadConfig, ShardRouter};
+use cosoft_wire::{
+    EventKind, GlobalObjectId, InstanceId, Message, ObjectPath, Target, UiEvent, UserId,
+};
 
 type Endpoint = u32;
 
@@ -230,4 +234,119 @@ fn seed_vanishing_mid_freeze_skips_migration() {
     assert!(out.is_empty());
     assert_eq!(router.router_stats().handoffs_completed, before, "nothing left to migrate");
     router.check_invariants().unwrap();
+}
+
+/// Couples `members` (consecutive endpoints from `first`) on object
+/// `obj` into one group: every other link of the chain first, so the
+/// links between them merge components that already carry a link.
+fn couple_chain(router: &mut ShardRouter<Endpoint>, first: Endpoint, members: &[InstanceId]) {
+    let links: Vec<_> = (first..).zip(members.windows(2)).collect();
+    for (e, pair) in links.iter().step_by(2).chain(links.iter().skip(1).step_by(2)) {
+        router.handle(*e, Message::Couple { src: gid(pair[0], "obj"), dst: gid(pair[1], "obj") });
+    }
+}
+
+/// Sends one group-targeted command from `sender` and returns the
+/// `CommandDelivery` fan-out, ordered by receiving endpoint.
+fn group_command(
+    router: &mut ShardRouter<Endpoint>,
+    (sender, instance): (Endpoint, InstanceId),
+    command: String,
+) -> Vec<(Endpoint, Message)> {
+    let to = Target::Group(gid(instance, "obj"));
+    let msg = Message::CoSendCommand { to, command, payload: vec![0x5A; 64] };
+    let mut out = router.handle(sender, msg).into_messages();
+    out.retain(|(_, m)| matches!(m, Message::CommandDelivery { .. }));
+    out.sort_by_key(|(e, _)| *e);
+    out
+}
+
+/// Sharding must not change delivery semantics: 8 disjoint groups of 4
+/// get the same deliveries per group command on 1, 2 and 4 shards (on
+/// more than one, every group first has to be merged onto one shard).
+#[test]
+fn disjoint_groups_deliver_alike_at_every_shard_count() {
+    let deliveries = |shards: usize| -> Vec<Vec<(Endpoint, Message)>> {
+        let (mut router, inst) = registered_on(ShardRouter::new(shards), 32);
+        for (g, members) in inst.chunks(4).enumerate() {
+            couple_chain(&mut router, 4 * g as Endpoint, members);
+        }
+        router.check_invariants().unwrap();
+        let senders = (0..32).step_by(4);
+        senders
+            .map(|e| group_command(&mut router, (e, inst[e as usize]), format!("c{e}")))
+            .collect()
+    };
+    let one = deliveries(1);
+    for (sender, fan_out) in (0..).step_by(4).zip(&one) {
+        let receivers: Vec<Endpoint> = fan_out.iter().map(|(e, _)| *e).collect();
+        assert_eq!(receivers, [sender + 1, sender + 2, sender + 3], "the group's other members");
+    }
+    assert_eq!(deliveries(2), one);
+    assert_eq!(deliveries(4), one);
+}
+
+/// Admission budgets are per endpoint (DESIGN.md §10): a polite 4-member
+/// group offering half its control budget per window sees the same
+/// deliveries whether a stranger floods at 1x, 4x or 16x its rate, and
+/// the flooder is answered in stages — shed, told `Busy` once per
+/// window, and evicted only after three struck windows. An evicted
+/// flooder stops: the transport has closed its connection.
+#[test]
+fn flooder_is_shed_then_evicted_and_the_polite_group_never_notices() {
+    const POLITE_PER_WINDOW: u32 = 32;
+    let run = |multiplier: u32| {
+        let (mut router, inst) = registered_on(ShardRouter::new(2), 5);
+        couple_chain(&mut router, 0, &inst[..4]);
+        // Flooder and group must share a shard, hence an admission table:
+        // keep the tick-time rebalancer from moving the flooder away.
+        router.set_rebalance_threshold(usize::MAX);
+        assert_eq!(router.shard_of_instance(inst[4]), router.shard_of_instance(inst[0]));
+        // Armed after setup: registrations and couples are not offered load.
+        router.set_overload(OverloadConfig {
+            window_us: 10_000,
+            control_budget: 2 * POLITE_PER_WINDOW,
+            bulk_budget: 8,
+            max_window_bytes: 0,
+            retry_after_ms: 50,
+            strikes_before_evict: 3,
+        });
+        let (mut delivered, mut flooded, mut busy_in, mut evicted_in) =
+            (Vec::new(), 0u64, Vec::new(), None);
+        for window in 0..30u64 {
+            router.tick(window * 10_000);
+            // The flood goes first, so a budget it could drain is gone
+            // by the time the polite sender asks.
+            for _ in 0..POLITE_PER_WINDOW * multiplier {
+                if evicted_in.is_some() {
+                    break;
+                }
+                flooded += 1;
+                let out = router.handle(4, Message::QueryInstances).into_messages();
+                if out.iter().any(|(e, m)| *e == 4 && matches!(m, Message::Busy { .. })) {
+                    busy_in.push(window);
+                }
+                if router.stats().overload_evictions > 0 {
+                    evicted_in = Some(window);
+                }
+            }
+            for i in 0..POLITE_PER_WINDOW {
+                delivered.push(group_command(&mut router, (0, inst[0]), format!("w{window}c{i}")));
+            }
+        }
+        let stats = router.stats();
+        let sheds = stats.overload_sheds_control + stats.overload_sheds_bulk;
+        (delivered, (sheds, flooded), busy_in, evicted_in)
+    };
+    let (polite, (sheds, _), busy_in, evicted_in) = run(1);
+    assert!(polite.iter().all(|fan_out| fan_out.len() == 3), "every command reaches the group");
+    assert_eq!((sheds, busy_in.len(), evicted_in), (0, 0, None), "in budget, never shed");
+
+    assert!(run(4).0 == polite, "a 4x flood changed the polite group's deliveries");
+    let (delivered, (sheds, flooded), busy_in, evicted_in) = run(16);
+    assert!(delivered == polite, "a 16x flood changed the polite group's deliveries");
+    assert!(2 * sheds > flooded, "most of a 16x flood is shed: {sheds} of {flooded}");
+    // Windows 0-2 each earn a strike and one Busy; the first shed of
+    // window 3 carries that window's Busy and then the eviction.
+    assert_eq!((busy_in, evicted_in), (vec![0, 1, 2, 3], Some(3)));
 }
