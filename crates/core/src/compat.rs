@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use cosoft_uikit::{UiError, WidgetId, WidgetTree};
-use cosoft_wire::{AttrName, StateNode, WidgetKind};
+use cosoft_wire::{AttrName, CopyMode, ObjectPath, StateNode, WidgetKind};
 
 /// Error produced by state application and compatibility checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +124,8 @@ impl CorrespondenceTable {
 
 /// Checks s-compatibility between a source snapshot and a destination
 /// snapshot (§3.3's definition, used for coupling-time checks and the L5
-/// benchmark).
+/// benchmark). Only kinds, names and structure are read: the destination
+/// may be a bare shape with no attributes.
 ///
 /// Returns `Ok(())` or the first structural mismatch.
 ///
@@ -154,69 +155,58 @@ pub fn check_s_compatible(
             ),
         });
     }
-    let pairs = match_children(
-        &src.children.iter().collect::<Vec<_>>(),
-        &dst.children.iter().map(|c| (c.kind.clone(), c.name.clone())).collect::<Vec<_>>(),
-        corr,
-    );
-    let mut matched_dst = vec![false; dst.children.len()];
-    for (si, di) in &pairs {
-        matched_dst[*di] = true;
-        check_s_compatible(&src.children[*si], &dst.children[*di], corr)?;
+    let src_of = match_children(&src.children, &dst.children, corr);
+    for (d, si) in dst.children.iter().zip(&src_of) {
+        if let Some(s) = si.and_then(|si| src.children.get(si)) {
+            check_s_compatible(s, d, corr)?;
+        }
     }
-    if pairs.len() != src.children.len() {
-        let unmatched = src
-            .children
-            .iter()
-            .enumerate()
-            .find(|(i, _)| !pairs.iter().any(|(si, _)| si == i))
-            .map(|(_, c)| c.name.clone())
-            .unwrap_or_default();
+    if let Some(c) = unmatched(&src.children, &src_of).next() {
         return Err(CompatError::NotStructurallyCompatible {
-            reason: format!("no counterpart for component {unmatched}"),
+            reason: format!("no counterpart for component {}", c.name),
         });
     }
     Ok(())
 }
 
-/// Greedy one-to-one matching between source children and destination
-/// `(kind, name)` descriptors: exact-name compatible matches first, then
-/// first-fit by kind compatibility in order.
+/// Greedy one-to-one matching between source and destination children,
+/// by kind and name only: exact-name compatible matches first, then
+/// first-fit by kind compatibility in order. Returns, for each
+/// destination child, the index of the source child matched to it.
 fn match_children(
-    src: &[&StateNode],
-    dst: &[(WidgetKind, String)],
+    src: &[StateNode],
+    dst: &[StateNode],
     corr: &CorrespondenceTable,
-) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    let mut dst_taken = vec![false; dst.len()];
+) -> Vec<Option<usize>> {
+    let mut src_of = vec![None; dst.len()];
     let mut src_matched = vec![false; src.len()];
-    // Pass 1: same name + compatible kind.
-    for (si, s) in src.iter().enumerate() {
-        for (di, (dkind, dname)) in dst.iter().enumerate() {
-            if !dst_taken[di] && *dname == s.name && corr.directly_compatible(&s.kind, dkind) {
-                pairs.push((si, di));
-                dst_taken[di] = true;
-                src_matched[si] = true;
-                break;
+    // Pass 1: same name + compatible kind. Pass 2: first unmatched
+    // compatible kind, in order.
+    for by_name in [true, false] {
+        for ((si, s), matched) in src.iter().enumerate().zip(&mut src_matched) {
+            if *matched {
+                continue;
+            }
+            let free = dst.iter().zip(&mut src_of).find(|(d, taken)| {
+                taken.is_none()
+                    && (!by_name || d.name == s.name)
+                    && corr.directly_compatible(&s.kind, &d.kind)
+            });
+            if let Some((_, slot)) = free {
+                *slot = Some(si);
+                *matched = true;
             }
         }
     }
-    // Pass 2: first unmatched compatible kind, in order.
-    for (si, s) in src.iter().enumerate() {
-        if src_matched[si] {
-            continue;
-        }
-        for (di, (dkind, _)) in dst.iter().enumerate() {
-            if !dst_taken[di] && corr.directly_compatible(&s.kind, dkind) {
-                pairs.push((si, di));
-                dst_taken[di] = true;
-                src_matched[si] = true;
-                break;
-            }
-        }
-    }
-    pairs.sort();
-    pairs
+    src_of
+}
+
+/// The source children [`match_children`] left without a counterpart.
+fn unmatched<'a>(
+    src: &'a [StateNode],
+    src_of: &'a [Option<usize>],
+) -> impl Iterator<Item = &'a StateNode> {
+    src.iter().enumerate().filter(|(si, _)| !src_of.contains(&Some(*si))).map(|(_, c)| c)
 }
 
 /// Statistics about one state application.
@@ -232,6 +222,26 @@ pub struct ApplyReport {
     pub semantic_loaded: usize,
 }
 
+/// What one state application did, and the record of what it overwrote:
+/// the historical UI state of §2.2, built while the apply writes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Applied {
+    /// Counts of what was written, created and destroyed.
+    pub report: ApplyReport,
+    /// The destination as it was, restricted to what the apply changed,
+    /// in the destination's own kinds, names and child order: a widget
+    /// the apply wrote holds the *old* value of each attribute written
+    /// (an attribute the widget did not have before holds none), a
+    /// conserved child the apply did not visit holds no attribute, a
+    /// child it destroyed holds its full `snapshot(child, false)`, and a
+    /// child it created is absent. Destructively merged back onto the
+    /// destination, it undoes the apply.
+    pub overwritten: StateNode,
+    /// Pathnames of every widget the apply destroyed; the coupling layer
+    /// decouples them (§3.2).
+    pub destroyed: Vec<ObjectPath>,
+}
+
 /// Applies `snapshot` to the widget at `dst` requiring strict structural
 /// compatibility (§3.1 "copying UI state").
 ///
@@ -245,79 +255,7 @@ pub fn apply_strict(
     snapshot: &StateNode,
     corr: &CorrespondenceTable,
 ) -> Result<ApplyReport, CompatError> {
-    let dst_snapshot = tree.snapshot(dst, false)?;
-    apply_strict_over(tree, dst, &dst_snapshot, snapshot, corr)
-}
-
-/// [`apply_strict`] for a caller that already holds `dst_snapshot`, the
-/// current `tree.snapshot(dst, false)`: the session takes it as the
-/// state the apply overwrites, and a second walk of the widget tree
-/// would only produce the same value.
-pub(crate) fn apply_strict_over(
-    tree: &mut WidgetTree,
-    dst: WidgetId,
-    dst_snapshot: &StateNode,
-    snapshot: &StateNode,
-    corr: &CorrespondenceTable,
-) -> Result<ApplyReport, CompatError> {
-    // Validate first so failure leaves the tree untouched.
-    check_s_compatible(snapshot, dst_snapshot, corr)?;
-    let mut report = ApplyReport::default();
-    apply_matched(tree, dst, snapshot, corr, &mut report)?;
-    Ok(report)
-}
-
-/// Writes the (translated) attributes of `snap` onto `dst` and recurses
-/// over the already-validated child matching.
-fn apply_matched(
-    tree: &mut WidgetTree,
-    dst: WidgetId,
-    snap: &StateNode,
-    corr: &CorrespondenceTable,
-    report: &mut ApplyReport,
-) -> Result<(), CompatError> {
-    let dst_kind = tree.widget(dst)?.kind().clone();
-    for (attr, value) in &snap.attrs {
-        if let Some(translated) = corr.translate(&snap.kind, &dst_kind, attr) {
-            tree.set_attr_unchecked(dst, translated, value.clone())?;
-            report.attrs_written += 1;
-        }
-    }
-    let dst_children: Vec<(WidgetKind, String, WidgetId)> = tree
-        .widget(dst)?
-        .children()
-        .iter()
-        .map(|&c| {
-            let w = tree.widget(c).expect("live child");
-            (w.kind().clone(), w.name().to_owned(), c)
-        })
-        .collect();
-    let descriptors: Vec<(WidgetKind, String)> =
-        dst_children.iter().map(|(k, n, _)| (k.clone(), n.clone())).collect();
-    let pairs = match_children(&snap.children.iter().collect::<Vec<_>>(), &descriptors, corr);
-    for (si, di) in pairs {
-        apply_matched(tree, dst_children[di].2, &snap.children[si], corr, report)?;
-    }
-    Ok(())
-}
-
-/// Instantiates a snapshot subtree as fresh widgets under `parent`.
-fn instantiate(
-    tree: &mut WidgetTree,
-    parent: WidgetId,
-    snap: &StateNode,
-    report: &mut ApplyReport,
-) -> Result<WidgetId, CompatError> {
-    let id = tree.create(parent, snap.kind.clone(), &snap.name)?;
-    report.created += 1;
-    for (attr, value) in &snap.attrs {
-        tree.set_attr_unchecked(id, attr.clone(), value.clone())?;
-        report.attrs_written += 1;
-    }
-    for child in &snap.children {
-        instantiate(tree, id, child, report)?;
-    }
-    Ok(id)
+    apply_recorded(tree, dst, snapshot, CopyMode::Strict, corr).map(|a| a.report)
 }
 
 /// Applies `snapshot` with **destructive merging** (§3.3): the
@@ -334,9 +272,7 @@ pub fn apply_destructive(
     snapshot: &StateNode,
     corr: &CorrespondenceTable,
 ) -> Result<ApplyReport, CompatError> {
-    let mut report = ApplyReport::default();
-    merge_node(tree, dst, snapshot, corr, true, &mut report)?;
-    Ok(report)
+    apply_recorded(tree, dst, snapshot, CopyMode::DestructiveMerge, corr).map(|a| a.report)
 }
 
 /// Applies `snapshot` with **flexible matching** (§3.3): the identical
@@ -352,86 +288,145 @@ pub fn apply_flexible(
     snapshot: &StateNode,
     corr: &CorrespondenceTable,
 ) -> Result<ApplyReport, CompatError> {
-    let mut report = ApplyReport::default();
-    merge_node(tree, dst, snapshot, corr, false, &mut report)?;
-    Ok(report)
+    apply_recorded(tree, dst, snapshot, CopyMode::FlexibleMatch, corr).map(|a| a.report)
 }
 
-fn merge_node(
+/// Applies `snapshot` to the widget at `dst` in `mode` and returns, with
+/// the report, the record of what the apply overwrote ([`Applied`]).
+///
+/// # Errors
+///
+/// [`CopyMode::Strict`] fails without modifying the tree (and yields no
+/// record) if the source and destination are not s-compatible; the
+/// merging modes fail only on toolkit failures.
+pub fn apply_recorded(
     tree: &mut WidgetTree,
     dst: WidgetId,
-    snap: &StateNode,
+    snapshot: &StateNode,
+    mode: CopyMode,
     corr: &CorrespondenceTable,
+) -> Result<Applied, CompatError> {
+    let mut overwritten = shape(tree, dst)?;
+    if mode == CopyMode::Strict {
+        // Validate first so failure leaves the tree untouched. What is
+        // left for the walk is the flexible match of a source that has a
+        // counterpart for every component: nothing to conserve or create.
+        check_s_compatible(snapshot, &overwritten, corr)?;
+    }
+    let mut walk = Walk {
+        tree,
+        corr,
+        destructive: mode == CopyMode::DestructiveMerge,
+        report: ApplyReport::default(),
+        destroyed: Vec::new(),
+    };
+    walk.node(dst, snapshot, &mut overwritten)?;
+    Ok(Applied { report: walk.report, overwritten, destroyed: walk.destroyed })
+}
+
+/// The subtree at `id` as kinds, names and structure, with no attribute:
+/// what the compatibility check reads of a destination, and the record
+/// of an apply before it has written anything.
+fn shape(tree: &WidgetTree, id: WidgetId) -> Result<StateNode, UiError> {
+    let w = tree.widget(id)?;
+    let mut node = StateNode::new(w.kind().clone(), w.name());
+    for &c in w.children() {
+        node.children.push(shape(tree, c)?);
+    }
+    Ok(node)
+}
+
+/// One state application in progress: the single walk that both writes
+/// the destination and records what it overwrites.
+struct Walk<'a> {
+    tree: &'a mut WidgetTree,
+    corr: &'a CorrespondenceTable,
     destructive: bool,
-    report: &mut ApplyReport,
-) -> Result<(), CompatError> {
-    // Attributes of this node.
-    let dst_kind = tree.widget(dst)?.kind().clone();
-    if corr.directly_compatible(&snap.kind, &dst_kind) {
-        for (attr, value) in &snap.attrs {
-            if let Some(translated) = corr.translate(&snap.kind, &dst_kind, attr) {
-                tree.set_attr_unchecked(dst, translated, value.clone())?;
-                report.attrs_written += 1;
+    report: ApplyReport,
+    destroyed: Vec<ObjectPath>,
+}
+
+impl Walk<'_> {
+    /// Writes the (translated) attributes of `snap` onto `dst`, matches
+    /// and recurses over the children, destroys (destructive only) the
+    /// unmatched destination children and creates the missing source
+    /// ones. `rec` is the record node of `dst`: it comes in as `dst`'s
+    /// [`shape`], so its children line up with the widget's one to one.
+    fn node(
+        &mut self,
+        dst: WidgetId,
+        snap: &StateNode,
+        rec: &mut StateNode,
+    ) -> Result<(), CompatError> {
+        if self.corr.directly_compatible(&snap.kind, &rec.kind) {
+            for (attr, value) in &snap.attrs {
+                if let Some(translated) = self.corr.translate(&snap.kind, &rec.kind, attr) {
+                    let old =
+                        self.tree.set_attr_unchecked(dst, translated.clone(), value.clone())?;
+                    self.report.attrs_written += 1;
+                    // Two source attributes may translate to one: the
+                    // state overwritten is the value before the first.
+                    if let Some(old) = old {
+                        rec.attrs.entry(translated).or_insert(old);
+                    }
+                }
             }
         }
-    }
-    // Children.
-    let dst_children: Vec<(WidgetKind, String, WidgetId)> = tree
-        .widget(dst)?
-        .children()
-        .iter()
-        .map(|&c| {
-            let w = tree.widget(c).expect("live child");
-            (w.kind().clone(), w.name().to_owned(), c)
-        })
-        .collect();
-    let descriptors: Vec<(WidgetKind, String)> =
-        dst_children.iter().map(|(k, n, _)| (k.clone(), n.clone())).collect();
-    let pairs = match_children(&snap.children.iter().collect::<Vec<_>>(), &descriptors, corr);
-    let mut dst_matched = vec![false; dst_children.len()];
-    let mut src_matched = vec![false; snap.children.len()];
-    for (si, di) in &pairs {
-        dst_matched[*di] = true;
-        src_matched[*si] = true;
-        merge_node(tree, dst_children[*di].2, &snap.children[*si], corr, destructive, report)?;
-    }
-    if destructive {
-        // Conflicting destination children are destroyed.
-        for (di, (_, _, id)) in dst_children.iter().enumerate() {
-            if !dst_matched[di] {
-                report.destroyed += tree.destroy(*id)?.len();
+        let children = self.tree.widget(dst)?.children().to_vec();
+        let src_of = match_children(&snap.children, &rec.children, self.corr);
+        for ((&child, rec_child), si) in children.iter().zip(&mut rec.children).zip(&src_of) {
+            match si.and_then(|si| snap.children.get(si)) {
+                Some(src_child) => self.node(child, src_child, rec_child)?,
+                // A conflicting destination child is destroyed; the
+                // record keeps all of it, so an undo re-creates it.
+                None if self.destructive => {
+                    *rec_child = self.tree.snapshot(child, false)?;
+                    let paths = self.tree.destroy(child)?;
+                    self.report.destroyed += paths.len();
+                    self.destroyed.extend(paths);
+                }
+                // Flexible matching conserves it, untouched.
+                None => {}
             }
         }
-    }
-    // Missing source children are created (both modes; flexible matching
-    // "conserves differing substructures by merging").
-    for (si, child) in snap.children.iter().enumerate() {
-        if !src_matched[si] {
+        // Missing source children are created (both modes; flexible
+        // matching "conserves differing substructures by merging"). They
+        // stay out of the record, so an undo removes them.
+        for child in unmatched(&snap.children, &src_of) {
             // A name clash with a conserved (incompatible) child would
             // reject creation; disambiguate like a user renaming on merge.
-            let name_taken = {
-                let w = tree.widget(dst)?;
-                w.children()
-                    .iter()
-                    .any(|&c| tree.widget(c).map(|cw| cw.name() == child.name).unwrap_or(false))
-            };
+            let name_taken =
+                self.tree.widget(dst)?.children().iter().any(|&c| {
+                    self.tree.widget(c).is_ok_and(|sibling| sibling.name() == child.name)
+                });
             if name_taken {
                 let mut renamed = child.clone();
                 renamed.name = format!("{}_merged", child.name);
-                instantiate(tree, dst, &renamed, report)?;
+                self.instantiate(dst, &renamed)?;
             } else {
-                instantiate(tree, dst, child, report)?;
+                self.instantiate(dst, child)?;
             }
         }
+        Ok(())
     }
-    Ok(())
+
+    /// Instantiates a snapshot subtree as fresh widgets under `parent`.
+    fn instantiate(&mut self, parent: WidgetId, snap: &StateNode) -> Result<(), CompatError> {
+        let id = self.tree.create(parent, snap.kind.clone(), &snap.name)?;
+        self.report.created += 1;
+        for (attr, value) in &snap.attrs {
+            self.tree.set_attr_unchecked(id, attr.clone(), value.clone())?;
+            self.report.attrs_written += 1;
+        }
+        snap.children.iter().try_for_each(|child| self.instantiate(id, child))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cosoft_uikit::spec::build_tree;
-    use cosoft_wire::{ObjectPath, Value};
+    use cosoft_wire::Value;
 
     fn corr() -> CorrespondenceTable {
         CorrespondenceTable::new()

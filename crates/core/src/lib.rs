@@ -57,8 +57,8 @@ pub mod semantic;
 pub mod session;
 
 pub use compat::{
-    apply_destructive, apply_flexible, apply_strict, check_s_compatible, ApplyReport, CompatError,
-    CorrespondenceTable,
+    apply_destructive, apply_flexible, apply_recorded, apply_strict, check_s_compatible, Applied,
+    ApplyReport, CompatError, CorrespondenceTable,
 };
 pub use harness::{SimHarness, SERVER_NODE};
 pub use semantic::{LoadFn, SemanticHooks, StoreFn};

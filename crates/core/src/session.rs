@@ -21,9 +21,7 @@ use cosoft_wire::{
     ObjectPath, StateNode, Target, UiEvent, UserId,
 };
 
-use crate::compat::{
-    apply_destructive, apply_flexible, apply_strict_over, CompatError, CorrespondenceTable,
-};
+use crate::compat::{apply_recorded, CompatError, CorrespondenceTable};
 use crate::semantic::SemanticHooks;
 
 /// Application-visible notification produced by a [`Session`].
@@ -558,6 +556,16 @@ impl Session {
     pub fn destroy(&mut self, path: &ObjectPath) -> Result<(), SessionError> {
         let id = self.toolkit.tree().resolve_required(path).map_err(SessionError::Ui)?;
         let destroyed = self.toolkit.tree_mut().destroy(id).map_err(SessionError::Ui)?;
+        self.forget_destroyed(destroyed);
+        Ok(())
+    }
+
+    /// The decoupling algorithm "applied automatically when a UI object
+    /// is destroyed" (§3.2), for widgets already gone from the tree —
+    /// by [`Session::destroy`] or by a merge that removed them: hooks,
+    /// sync base and coupling entry go, and the server hears of every
+    /// coupled one.
+    fn forget_destroyed(&mut self, destroyed: Vec<ObjectPath>) {
         for p in destroyed {
             self.hooks.unregister(&p);
             self.sync_bases.remove(&p);
@@ -567,7 +575,6 @@ impl Session {
                 }
             }
         }
-        Ok(())
     }
 
     /// Queues a graceful deregistration.
@@ -810,6 +817,9 @@ impl Session {
         self.outbox.push(Message::StateApplied { req_id, overwritten, error });
     }
 
+    /// Applies a transmitted state and returns the record of what the
+    /// apply overwrote ([`crate::compat::Applied::overwritten`]) — the
+    /// attributes it wrote, not the whole object.
     fn apply_state(
         &mut self,
         path: &ObjectPath,
@@ -821,20 +831,10 @@ impl Session {
             .tree()
             .resolve(path)
             .ok_or_else(|| CompatError::Ui(UiError::UnknownPath { path: path.clone() }))?;
-        let prev = self.toolkit.tree().snapshot(id, false)?;
-        match mode {
-            CopyMode::Strict => {
-                apply_strict_over(self.toolkit.tree_mut(), id, &prev, snapshot, &self.corr)?
-            }
-            CopyMode::DestructiveMerge => {
-                apply_destructive(self.toolkit.tree_mut(), id, snapshot, &self.corr)?
-            }
-            CopyMode::FlexibleMatch => {
-                apply_flexible(self.toolkit.tree_mut(), id, snapshot, &self.corr)?
-            }
-        };
+        let applied = apply_recorded(self.toolkit.tree_mut(), id, snapshot, mode, &self.corr)?;
+        self.forget_destroyed(applied.destroyed);
         self.hooks.deliver_snapshot(self.toolkit.tree_mut(), path, snapshot);
-        Ok(prev)
+        Ok(applied.overwritten)
     }
 
     /// Reconstructs the full transmitted state from a delta against the
@@ -842,6 +842,11 @@ impl Session {
     /// Any mismatch (no base, wrong base version, unapplicable edit,
     /// reconstructed-version disagreement) is reported back as an error so
     /// the server falls back to a full snapshot.
+    ///
+    /// The base is taken out of the cache and edited in place; it goes
+    /// back, as the new base, only when the whole leg succeeded. A failed
+    /// leg leaves no base, and the server's fallback `ApplyState` seeds
+    /// the next one.
     fn apply_delta(
         &mut self,
         path: &ObjectPath,
@@ -850,10 +855,8 @@ impl Session {
         d: &delta::StateDelta,
         mode: CopyMode,
     ) -> Result<StateNode, String> {
-        let next = match self.sync_bases.get(path) {
-            Some((have, base)) if *have == base_version => {
-                delta::apply(base, d).map_err(|e| format!("delta base diverged: {e}"))?
-            }
+        let mut next = match self.sync_bases.remove(path) {
+            Some((have, base)) if have == base_version => base,
             Some((have, _)) => {
                 return Err(format!(
                     "delta base version mismatch: have {have}, server assumed {base_version}"
@@ -861,6 +864,7 @@ impl Session {
             }
             None => return Err("delta base version mismatch: no base cached".to_owned()),
         };
+        delta::apply_in_place(&mut next, d).map_err(|e| format!("delta base diverged: {e}"))?;
         if delta::state_version(&next) != new_version {
             return Err("delta base diverged: reconstructed state version mismatch".to_owned());
         }

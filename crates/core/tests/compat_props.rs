@@ -1,13 +1,15 @@
 //! Property-based tests of the §3.3 compatibility machinery over random
 //! widget-tree snapshots.
 
+mod record_oracle;
+
 use proptest::prelude::*;
 
 use cosoft_core::{
     apply_destructive, apply_flexible, apply_strict, check_s_compatible, CorrespondenceTable,
 };
 use cosoft_uikit::WidgetTree;
-use cosoft_wire::{AttrName, StateNode, Value, WidgetKind};
+use cosoft_wire::{AttrName, CopyMode, StateNode, Value, WidgetKind};
 
 fn arb_leaf_kind() -> impl Strategy<Value = WidgetKind> {
     prop_oneof![
@@ -123,6 +125,32 @@ proptest! {
             let path = cosoft_wire::ObjectPath::parse(&format!("root.{name}")).expect("valid");
             prop_assert!(tree.resolve(&path).is_some(), "conserved child {} vanished", path);
         }
+    }
+
+    /// The record an apply returns undoes it like the full snapshot of
+    /// before did, and holds only what the apply wrote (the properties
+    /// are `record_oracle`'s; `compat_record.rs` runs them on seeded
+    /// cases where proptest is not to be had).
+    #[test]
+    fn record_undoes_like_the_full_snapshot(
+        dst in arb_snapshot(),
+        src in arb_snapshot(),
+        own in any::<bool>(),
+        mode in prop_oneof![
+            Just(CopyMode::Strict),
+            Just(CopyMode::DestructiveMerge),
+            Just(CopyMode::FlexibleMatch),
+        ],
+    ) {
+        let corr = CorrespondenceTable::new();
+        let (mut tree, root) = fresh_target();
+        apply_destructive(&mut tree, root, &dst, &corr).expect("build the destination");
+        // Two random trees are rarely s-compatible: half the sources are
+        // the destination's own relevant state, which a strict apply takes.
+        let mut src = if own { tree.snapshot(root, true).expect("snapshot") } else { src };
+        record_oracle::mark(&mut src);
+        let held = record_oracle::check_record(&tree, root, &src, mode, &corr);
+        prop_assert!(held.is_ok(), "{}", held.unwrap_err());
     }
 
     /// s-compatibility is reflexive on any snapshot.

@@ -6,8 +6,8 @@ use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::NodeId;
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
-    AccessRight, AttrName, CopyMode, EventKind, ObjectPath, Target, UiEvent, UserId, Value,
-    WidgetKind,
+    codec, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
+    ObjectPath, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 fn path(s: &str) -> ObjectPath {
@@ -396,15 +396,167 @@ fn undo_redo_round_trip_over_the_wire() {
     h.settle();
     assert_eq!(text_of(&h, b, "f.t"), "overwritten");
 
+    // b's user resizes the field after the copy. The width is not a
+    // relevant attribute: the copy did not write it, so the historical
+    // state does not hold it and neither undo nor redo may reset it.
+    let width_of = |h: &SimHarness| {
+        let tree = h.session(b).toolkit().tree();
+        tree.attr(tree.resolve(&path("f.t")).unwrap(), &AttrName::Width).unwrap().clone()
+    };
+    assert_ne!(width_of(&h), Value::Int(77));
+    let tree = h.session_mut(b).toolkit_mut().tree_mut();
+    let t = tree.resolve(&path("f.t")).unwrap();
+    tree.set_attr(t, AttrName::Width, Value::Int(77)).unwrap();
+
     // Undo restores the original.
     h.session_mut(b).undo(dst.clone());
     h.settle();
     assert_eq!(text_of(&h, b, "f.t"), "original");
+    assert_eq!(width_of(&h), Value::Int(77), "undo leaves what the copy did not write");
 
     // Redo re-applies the copy.
     h.session_mut(b).redo(dst);
     h.settle();
     assert_eq!(text_of(&h, b, "f.t"), "overwritten");
+    assert_eq!(width_of(&h), Value::Int(77), "and so does redo");
+}
+
+/// A depth-`depth` form in the shape of `server_core.rs`'s `deep_tree`:
+/// a caption and a button at every level, one text field at the bottom.
+fn deep_form(depth: usize) -> String {
+    let mut spec = r#"textfield leaf text="v0""#.to_owned();
+    for level in (0..depth).rev() {
+        let kind = if level == 0 { "form" } else { "panel" };
+        spec = format!(
+            r#"{kind} lvl{level} title="panel {level}" {{
+                 label caption text="caption {level}" button ok title="ok" {spec} }}"#
+        );
+    }
+    spec
+}
+
+/// Runs sessions and server to quiescence by hand and returns every
+/// message exchanged as (sending session if any, kind, frame bytes).
+fn settle_logged(
+    h: &mut SimHarness,
+    nodes: &[NodeId],
+) -> Vec<(Option<NodeId>, &'static str, usize)> {
+    let mut log = Vec::new();
+    loop {
+        let before = log.len();
+        for &node in nodes {
+            for msg in h.session_mut(node).drain_outbox() {
+                log.push((Some(node), msg.kind_name(), codec::frame_message(&msg).len()));
+                for (dst, reply) in h.server.handle(node, msg).into_messages() {
+                    log.push((None, reply.kind_name(), codec::frame_message(&reply).len()));
+                    h.session_mut(dst).on_message(reply);
+                }
+            }
+        }
+        if log.len() == before {
+            return log;
+        }
+    }
+}
+
+/// The wire-size gate of `server_core.rs`
+/// (`second_transfer_to_acknowledged_destination_is_a_delta`) with a real
+/// viewer answering: what `Session::apply_state` reports as overwritten
+/// is what the copy wrote, so the reply is the size of the request, and
+/// the history hands back a state in the transfers' vocabulary, so the
+/// undo leg and the copy after it stay deltas a quarter of the snapshot.
+#[test]
+fn overwritten_state_keeps_replies_and_undo_legs_small() {
+    let mut h = SimHarness::new(1);
+    let a = h.add_session(session(&deep_form(6), 1));
+    let b = h.add_session(session(&deep_form(6), 2));
+    h.settle();
+    let leaf = "lvl0.lvl1.lvl2.lvl3.lvl4.lvl5.leaf";
+    let board = h.session(b).gid(&path("lvl0")).unwrap();
+    let round = |h: &mut SimHarness, text: Option<&str>| {
+        match text {
+            Some(text) => {
+                type_text(h, a, leaf, text);
+                h.session_mut(a).copy_to(&path("lvl0"), board.clone(), CopyMode::Strict).unwrap();
+            }
+            None => h.session_mut(a).undo(board.clone()),
+        }
+        let log = settle_logged(h, &[a, b]);
+        assert_eq!(text_of(h, b, leaf), text.unwrap_or("v1"));
+        let size = |from: Option<NodeId>, kind: &str| {
+            log.iter().find(|(f, k, _)| (*f, *k) == (from, kind)).map(|(_, _, bytes)| *bytes)
+        };
+        // The viewer's reply carries no more than the request did, give
+        // or take the ids around the state.
+        if let (Some(request), Some(reply)) =
+            (size(Some(a), "copy-to"), size(Some(b), "state-applied"))
+        {
+            assert!(reply <= request + 64, "StateApplied is {reply} B for a CopyTo of {request} B");
+        }
+        size(None, "apply-state").or(size(None, "apply-delta")).unwrap()
+    };
+    let snapshot = round(&mut h, Some("v1"));
+    let legs = [("copy", Some("v2")), ("undo", None), ("copy after undo", Some("v3"))];
+    for (what, text) in legs {
+        let leg = round(&mut h, text);
+        assert!(4 * leg <= snapshot, "{what} leg is {leg} B, the ApplyState frame {snapshot} B");
+    }
+    let stats = h.server.stats();
+    assert_eq!((stats.delta_legs_sent, stats.delta_fallbacks), (3, 0));
+}
+
+/// §3.2: "the decoupling algorithm is applied automatically when a UI
+/// object is destroyed" — also when a destructive merge (every undo is
+/// one) is what destroyed it.
+#[test]
+fn merge_that_destroys_a_coupled_child_decouples_it() {
+    let mut h = SimHarness::new(1);
+    let a = h.add_session(session(r#"form f { slider s value=0.5 }"#, 1));
+    let b = h.add_session(session(r#"form f { textfield odd text="" }"#, 2));
+    let c = h.add_session(session(FIELD_FORM, 3));
+    h.settle();
+    let b_odd = h.session(b).gid(&path("f.odd")).unwrap();
+    h.session_mut(c).couple(&path("f.t"), b_odd).unwrap();
+    h.settle();
+    assert!(h.session(b).is_coupled(&path("f.odd")));
+
+    // a's form has no text field: merging it onto b's destroys `odd`.
+    let b_form = h.session(b).gid(&path("f")).unwrap();
+    h.session_mut(a).copy_to(&path("f"), b_form, CopyMode::DestructiveMerge).unwrap();
+    h.settle();
+    assert!(h.session(b).toolkit().tree().resolve(&path("f.odd")).is_none());
+    assert!(h.session(b).group_of(&path("f.odd")).is_none(), "b forgot the dead object's group");
+    assert!(!h.session(c).is_coupled(&path("f.t")), "c heard that its partner is gone");
+    assert!(h.server.couples().is_empty(), "the server dropped the link");
+    h.server.check_invariants().unwrap();
+    // c's field is free again: an event on it neither locks nor
+    // addresses the dead object.
+    type_text(&mut h, c, "f.t", "alone");
+    h.settle();
+    assert_eq!(text_of(&h, c, "f.t"), "alone");
+    h.server.check_invariants().unwrap();
+
+    // The same on one session, message by message: the notification
+    // leaves with the reply to the leg that destroyed the object.
+    let mut s = session(r#"form f { textfield odd text="" }"#, 9);
+    s.on_message(Message::Welcome { instance: InstanceId(4) });
+    let odd = s.gid(&path("f.odd")).unwrap();
+    let partner = GlobalObjectId::new(InstanceId(5), path("f.t"));
+    s.on_message(Message::CoupleUpdate { group: vec![odd.clone(), partner] });
+    s.drain_outbox();
+    s.on_message(Message::ApplyState {
+        req_id: 1,
+        path: path("f"),
+        snapshot: StateNode::new(WidgetKind::Form, "f"),
+        mode: CopyMode::DestructiveMerge,
+    });
+    match &s.drain_outbox()[..] {
+        [Message::ObjectDestroyed { object }, Message::StateApplied { req_id: 1, error: None, .. }] =>
+        {
+            assert_eq!(*object, odd)
+        }
+        other => panic!("expected ObjectDestroyed then StateApplied, got {other:?}"),
+    }
 }
 
 #[test]

@@ -145,7 +145,8 @@ fn strict_apply_that_fails_compatibility_changes_nothing() {
     assert_eq!(tree.snapshot(tree.resolve(&path("f")).unwrap(), false).unwrap(), before);
 
     // The compatible one applies, and what it reports as overwritten is
-    // the state from before the apply.
+    // what it wrote, as it was before: the text field's old text and no
+    // attribute the snapshot did not carry.
     s.on_message(Message::ApplyState {
         req_id: 5,
         path: path("f"),
@@ -154,7 +155,12 @@ fn strict_apply_that_fails_compatibility_changes_nothing() {
     });
     match &s.drain_outbox()[..] {
         [Message::StateApplied { req_id: 5, overwritten: Some(prev), error: None }] => {
-            assert_eq!(prev.decode().unwrap(), before);
+            let old_text = StateNode::new(WidgetKind::TextField, "t")
+                .with_attr(AttrName::Text, Value::Text(String::new()));
+            assert_eq!(
+                prev.decode().unwrap(),
+                StateNode::new(WidgetKind::Form, "f").with_child(old_text)
+            );
         }
         other => panic!("expected successful StateApplied, got {other:?}"),
     }
@@ -338,4 +344,94 @@ fn apply_delta_without_matching_base_is_rejected() {
     let id = tree.resolve(&path("f.t")).unwrap();
     let snap = tree.snapshot(id, false).unwrap();
     assert_eq!(snap.attrs.get(&cosoft_wire::AttrName::Text).unwrap().as_text(), Some("v1"));
+}
+
+/// A delta that does not fit the cached base — or reconstructs a state
+/// of another version — is refused in today's words with the widget
+/// untouched, and costs the session that base: the edits ran on it in
+/// place. The `ApplyState` the server falls back to seeds a new one, and
+/// delta legs work again.
+#[test]
+fn diverged_delta_base_is_dropped_and_reseeded_by_the_fallback_snapshot() {
+    use cosoft_wire::delta::{self, EditOp, NodeEdit, NodePatch, StateDelta};
+    let mut s = fresh();
+    s.on_message(Message::Welcome { instance: InstanceId(1) });
+    s.drain_outbox();
+    let (v1, v2, v3) = (textfield("v1"), textfield("v2"), textfield("v3"));
+    let prime = |s: &mut Session, req_id: u64, snapshot: &cosoft_wire::StateNode| {
+        s.on_message(Message::ApplyState {
+            req_id,
+            path: path("f.t"),
+            snapshot: snapshot.clone(),
+            mode: CopyMode::Strict,
+        });
+        let out = s.drain_outbox();
+        assert!(matches!(&out[0], Message::StateApplied { error: None, .. }), "prime: {out:?}");
+    };
+    let delta_leg = |s: &mut Session, req_id: u64, base: u64, new: u64, delta: StateDelta| {
+        s.on_message(Message::ApplyDelta {
+            req_id,
+            path: path("f.t"),
+            base_version: base,
+            new_version: new,
+            delta,
+            mode: CopyMode::Strict,
+        });
+        match s.drain_outbox().remove(0) {
+            Message::StateApplied { req_id: r, overwritten, error } if r == req_id => {
+                assert_eq!(overwritten.is_none(), error.is_some());
+                error
+            }
+            other => panic!("expected StateApplied, got {other:?}"),
+        }
+    };
+    let text = |s: &Session| {
+        let tree = s.toolkit().tree();
+        let id = tree.resolve(&path("f.t")).unwrap();
+        tree.attr(id, &cosoft_wire::AttrName::Text).unwrap().as_text().unwrap().to_owned()
+    };
+    let (ver1, ver2, ver3) =
+        (delta::state_version(&v1), delta::state_version(&v2), delta::state_version(&v3));
+
+    // An edit addressed at a child the base does not have.
+    prime(&mut s, 1, &v1);
+    let misfit = StateDelta {
+        edits: vec![NodeEdit {
+            path: vec!["gone".into()],
+            op: EditOp::Patch(NodePatch::default()),
+        }],
+    };
+    assert_eq!(
+        delta_leg(&mut s, 2, ver1, ver2, misfit).as_deref(),
+        Some("delta base diverged: delta path 'gone' does not resolve in the base tree")
+    );
+    assert_eq!(text(&s), "v1");
+    // The base went with the failed leg: a well-formed delta against v1
+    // finds none (the server forgot its copy on the error reply too).
+    assert_eq!(
+        delta_leg(&mut s, 3, ver1, ver2, delta::diff(&v1, &v2)).as_deref(),
+        Some("delta base version mismatch: no base cached")
+    );
+
+    // Edits that fit but rebuild something other than what was promised.
+    prime(&mut s, 4, &v1);
+    assert_eq!(
+        delta_leg(&mut s, 5, ver1, ver3, delta::diff(&v1, &v2)).as_deref(),
+        Some("delta base diverged: reconstructed state version mismatch")
+    );
+    // A base of another version than the server assumed.
+    prime(&mut s, 6, &v1);
+    assert_eq!(
+        delta_leg(&mut s, 7, ver2, ver3, delta::diff(&v2, &v3)),
+        Some(format!("delta base version mismatch: have {ver1}, server assumed {ver2}"))
+    );
+    assert_eq!(text(&s), "v1");
+
+    // The fallback snapshot re-seeds the base; deltas ride on it again,
+    // each on the state the one before left.
+    prime(&mut s, 8, &v2);
+    assert_eq!(delta_leg(&mut s, 9, ver2, ver3, delta::diff(&v2, &v3)), None);
+    assert_eq!(text(&s), "v3");
+    assert_eq!(delta_leg(&mut s, 10, ver3, ver1, delta::diff(&v3, &v1)), None);
+    assert_eq!(text(&s), "v1");
 }

@@ -3,13 +3,15 @@
 //! applied, and provide the possibility of undoing/redoing user's
 //! actions".
 //!
-//! An overwritten state is kept in its wire encoding, as an
-//! [`EncodedState`]: for a state a viewer reported in `StateApplied` that
-//! is the slice of the frame it arrived in, pushed as is, and it is
-//! decoded back into a [`StateNode`] only when an undo or redo pops it. A
-//! stack is a deque of those buffers: depth-cap eviction drops the front,
-//! and a ~60-node form costs a few KB per entry where the tree itself
-//! costs tens of KB (DESIGN.md §11.3). Cloning a store (the model checker
+//! What a viewer reports in `StateApplied` is the attributes the apply
+//! overwrote, with the values they had, in the destination's own shape —
+//! the vocabulary of the state it was sent, not every attribute of the
+//! object. It is kept in its wire encoding, as an [`EncodedState`]: the
+//! slice of the frame it arrived in, pushed as is, and decoded back into
+//! a [`StateNode`] only when an undo or redo pops it. A stack is a deque
+//! of those buffers: depth-cap eviction drops the front, and a ~60-node
+//! form costs about 2 KB per entry where the tree itself costs tens of
+//! KB (DESIGN.md §11.3). Cloning a store (the model checker
 //! forks [`crate::ServerCore`] at every branching point) only bumps
 //! reference counts — the buffers themselves are shared between the
 //! forks.

@@ -1538,22 +1538,45 @@ fn push_to(
 /// acknowledged a base, subsequent transfers ride attribute-level deltas
 /// that reconstruct the transmitted state exactly — in a quarter of the
 /// snapshot's bytes at depth 6, and a smaller share the deeper the tree.
+/// So do the undo of such a transfer and the first copy after the undo:
+/// the viewer's record of what an apply overwrote is in the vocabulary of
+/// the state it was sent, so the popped state diffs against the sync base
+/// like any other (`coupling.rs` holds the same gate over real sessions).
 #[test]
 fn second_transfer_to_acknowledged_destination_is_a_delta() {
-    let (shallow, deep) = (delta_share_of_snapshot(2), delta_share_of_snapshot(6));
-    assert!(deep <= 0.25, "depth-6 single-attribute delta is {deep:.2} of its snapshot");
-    assert!(deep < shallow, "deeper trees must widen the gap: {deep:.2} vs {shallow:.2}");
+    let (shallow, deep) = (delta_shares_of_snapshot(2), delta_shares_of_snapshot(6));
+    assert!(deep.copy <= 0.25, "depth-6 single-attribute delta is {deep:.2?} of its snapshot");
+    assert!(
+        deep.copy < shallow.copy,
+        "deeper trees must widen the gap: {deep:.2?} vs {shallow:.2?}"
+    );
+    assert!(deep.undo <= 0.25, "depth-6 undo leg is {deep:.2?} of the snapshot");
+    assert!(
+        deep.copy_after_undo <= 0.25,
+        "depth-6 copy after an undo is {deep:.2?} of the snapshot"
+    );
 }
 
-/// Pushes a `depth`-deep tree twice, one leaf attribute apart, and
-/// returns the second leg's frame size as a share of the first's.
-fn delta_share_of_snapshot(depth: usize) -> f64 {
+/// Frame sizes of three delta legs as shares of the `ApplyState` frame
+/// that seeded the destination's base.
+#[derive(Debug)]
+struct DeltaShares {
+    copy: f64,
+    undo: f64,
+    copy_after_undo: f64,
+}
+
+/// Pushes a `depth`-deep tree twice, one leaf attribute apart, undoes the
+/// second push and pushes a third state; the viewer at endpoint 2 answers
+/// each leg with the state the leg overwrote.
+fn delta_shares_of_snapshot(depth: usize) -> DeltaShares {
     let mut s: ServerCore<Endpoint> = ServerCore::new();
     let a = register(&mut s, 1, 1);
     let b = register(&mut s, 2, 2);
 
     let v1 = deep_tree(depth, "v1");
     let v2 = deep_tree(depth, "v2");
+    let v3 = deep_tree(depth, "v3");
 
     // First push: no base cached, full snapshot.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
@@ -1565,29 +1588,50 @@ fn delta_share_of_snapshot(depth: usize) -> f64 {
     assert_eq!(s.stats().delta_legs_sent, 0);
     s.handle(2, Message::StateApplied { req_id, overwritten: None, error: None }).into_messages();
 
+    // A leg that must be the delta `base` → `target`: its share of the
+    // snapshot frame and its request id.
+    let delta_leg = |out: &[(Endpoint, Message)], base: &StateNode, target: &StateNode| {
+        let leg = find(out, 2, "apply-delta");
+        match leg {
+            Message::ApplyDelta { req_id, base_version, new_version, delta: d, .. } => {
+                assert_eq!(*base_version, delta::state_version(base));
+                assert_eq!(*new_version, delta::state_version(target));
+                assert_eq!(&delta::apply(base, d).unwrap(), target);
+                (codec::frame_message(leg).len() as f64 / snapshot_bytes as f64, *req_id)
+            }
+            _ => unreachable!(),
+        }
+    };
+
     // Second push: the acknowledged v1 base turns it into a delta.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v2.clone(), 2);
-    let delta_bytes = codec::frame_message(find(&out, 2, "apply-delta")).len();
-    let req_id = match find(&out, 2, "apply-delta") {
-        Message::ApplyDelta { req_id, base_version, new_version, delta: d, .. } => {
-            assert_eq!(*base_version, delta::state_version(&v1));
-            assert_eq!(*new_version, delta::state_version(&v2));
-            assert_eq!(delta::apply(&v1, d).unwrap(), v2);
-            *req_id
-        }
-        _ => unreachable!(),
-    };
+    let (copy, req_id) = delta_leg(&out, &v1, &v2);
     let stats = s.stats();
     assert_eq!(stats.delta_legs_sent, 1);
     assert_eq!(stats.delta_fallbacks, 0);
     let out = s
-        .handle(2, Message::StateApplied { req_id, overwritten: Some(v1.into()), error: None })
+        .handle(
+            2,
+            Message::StateApplied { req_id, overwritten: Some(v1.clone().into()), error: None },
+        )
         .into_messages();
     match find(&out, 1, "state-applied") {
         Message::StateApplied { req_id, .. } => assert_eq!(*req_id, 2),
         _ => unreachable!(),
     }
-    delta_bytes as f64 / snapshot_bytes as f64
+
+    // Undo: the popped v1 goes out as a delta against the v2 base.
+    let out = s.handle(1, Message::UndoState { object: gid(b, "f") }).into_messages();
+    let (undo, req_id) = delta_leg(&out, &v2, &v1);
+    s.handle(2, Message::StateApplied { req_id, overwritten: Some(v2.into()), error: None })
+        .into_messages();
+
+    // And the copy after it as one against the v1 the undo left.
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v3.clone(), 3);
+    let (copy_after_undo, _) = delta_leg(&out, &v1, &v3);
+    let stats = s.stats();
+    assert_eq!((stats.delta_legs_sent, stats.delta_fallbacks), (3, 0));
+    DeltaShares { copy, undo, copy_after_undo }
 }
 
 /// A destination that rejects a delta (diverged or missing base) gets the

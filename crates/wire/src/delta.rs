@@ -248,10 +248,18 @@ fn diff_rec(
 /// snapshot instead.
 pub fn apply(base: &StateNode, delta: &StateDelta) -> Result<StateNode, DeltaError> {
     let mut out = base.clone();
-    for edit in &delta.edits {
-        apply_edit(&mut out, edit)?;
-    }
+    apply_in_place(&mut out, delta)?;
     Ok(out)
+}
+
+/// [`apply`] on a base the caller owns and no longer needs: the edits
+/// turn `state` into the target where it stands.
+///
+/// # Errors
+///
+/// As [`apply`]; `state` is then left part-edited and must be discarded.
+pub fn apply_in_place(state: &mut StateNode, delta: &StateDelta) -> Result<(), DeltaError> {
+    delta.edits.iter().try_for_each(|edit| apply_edit(state, edit))
 }
 
 fn apply_edit(root: &mut StateNode, edit: &NodeEdit) -> Result<(), DeltaError> {

@@ -444,17 +444,18 @@ protocol! {
         /// Reconciliation mode for applying the reconstructed state.
         mode: CopyMode,
     },
-    /// Destination instance → server: state applied; `overwritten` is the
-    /// destination's previous state, stored by the server as a historical
-    /// UI state for undo (§2.2). The server only files it and reads it
+    /// Destination instance → server: state applied; `overwritten` holds
+    /// the attributes the apply overwrote, with the values they had —
+    /// not the whole object — stored by the server as a historical UI
+    /// state for undo (§2.2). The server only files it and reads it
     /// again at undo, so the field stays encoded: decoding the message
     /// checks the state's bytes and slices them out of the frame, and
     /// the history stack keeps that slice.
     StateApplied = 24, "state-applied" {
         /// Echo of the transfer id.
         req_id: u64,
-        /// Previous state of the destination object, if it existed and the
-        /// apply succeeded.
+        /// What the apply overwrote on the destination object, if it
+        /// existed and the apply succeeded.
         overwritten: Option<EncodedState>,
         /// Error description if the apply failed (e.g. strict-mode
         /// incompatibility).

@@ -21,10 +21,18 @@ cargo run -q -p cosoft-audit
 cargo test -q -p cosoft-wire --test encoded_state
 # Failure-handling suites, run explicitly so a filtered `cargo test`
 # invocation can't silently skip them. server_core also holds the delta
-# wire-size gate (a depth-6 single-attribute delta ≤ 25% of its
-# snapshot, and a smaller share than at depth 2).
+# wire-size gate (at depth 6 a single-attribute delta, the undo of it
+# and the copy after the undo are each ≤ 25% of the snapshot frame, the
+# first a smaller share than at depth 2).
 cargo test -q -p cosoft-server --test server_core
 cargo test -q -p cosoft-server --test store_props no_leaks_after_all_instances_deregister
+# The same gate over real sessions (undo leg and the copy after it stay
+# deltas, the StateApplied reply is no larger than its CopyTo), and a
+# merge that destroys a coupled child decouples it; then the record of
+# what an apply overwrote against the full snapshot it replaced, 2 000
+# seeded cases per copy mode (std only; compat_props mirrors it).
+cargo test -q -p cosoft-core --test coupling
+cargo test -q -p cosoft-core --test compat_record
 cargo test -q -p cosoft-core --test reconnect_sim
 cargo test -q --test tcp_reconnect
 # Schedule-exploring checker: every interleaving of 3 clients over
