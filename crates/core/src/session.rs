@@ -18,7 +18,7 @@ use std::fmt;
 use cosoft_uikit::{FeedbackUndo, Toolkit, UiError};
 use cosoft_wire::{
     delta, AccessRight, CopyMode, EncodedState, GlobalObjectId, InstanceId, InstanceInfo, Message,
-    ObjectPath, StateNode, Target, UiEvent, UserId,
+    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId,
 };
 
 use crate::compat::{apply_recorded, CompatError, CorrespondenceTable};
@@ -645,7 +645,10 @@ impl Session {
                 self.outbox.push(Message::StateReply { req_id, snapshot });
             }
             Message::ApplyState { req_id, path, snapshot, mode } => {
-                let reply = self.apply_state(&path, &snapshot, mode).map_err(|e| e.to_string());
+                let reply = self
+                    .apply_state(&path, &snapshot, mode)
+                    .map(|prev| Overwritten::State(EncodedState::of(&prev)))
+                    .map_err(|e| e.to_string());
                 if reply.is_ok() {
                     // Cache the *transmitted* snapshot (not the
                     // post-reconciliation widget state) as the delta
@@ -806,12 +809,12 @@ impl Session {
         }
     }
 
-    /// Answers an `ApplyState`/`ApplyDelta` leg; the overwritten state is
-    /// encoded here, once, and travels (and is filed by the server) as
-    /// those bytes.
-    fn reply_state_applied(&mut self, req_id: u64, reply: Result<StateNode, String>) {
+    /// Answers an `ApplyState`/`ApplyDelta` leg. The overwritten state was
+    /// encoded once, by the leg, and travels (and is filed by the server)
+    /// as those bytes — or as the reference to them.
+    fn reply_state_applied(&mut self, req_id: u64, reply: Result<Overwritten, String>) {
         let (overwritten, error) = match reply {
-            Ok(prev) => (Some(EncodedState::of(&prev)), None),
+            Ok(prev) => (Some(prev), None),
             Err(e) => (None, Some(e)),
         };
         self.outbox.push(Message::StateApplied { req_id, overwritten, error });
@@ -847,6 +850,12 @@ impl Session {
     /// back, as the new base, only when the whole leg succeeded. A failed
     /// leg leaves no base, and the server's fallback `ApplyState` seeds
     /// the next one.
+    ///
+    /// When nothing the transfers write has changed here since the last
+    /// one, what this apply overwrote *is* that base — same kinds, names,
+    /// attributes and values, so the same bytes and the same fingerprint
+    /// — and the server, which diffed against it, holds it: the reply
+    /// then names it ([`Overwritten::Base`]) instead of carrying it.
     fn apply_delta(
         &mut self,
         path: &ObjectPath,
@@ -854,7 +863,7 @@ impl Session {
         new_version: u64,
         d: &delta::StateDelta,
         mode: CopyMode,
-    ) -> Result<StateNode, String> {
+    ) -> Result<Overwritten, String> {
         let mut next = match self.sync_bases.remove(path) {
             Some((have, base)) if have == base_version => base,
             Some((have, _)) => {
@@ -870,6 +879,11 @@ impl Session {
         }
         let prev = self.apply_state(path, &next, mode).map_err(|e| e.to_string())?;
         self.sync_bases.insert(path.clone(), (new_version, next));
-        Ok(prev)
+        let prev = EncodedState::of(&prev);
+        Ok(if delta::version_of_encoded(prev.as_slice()) == base_version {
+            Overwritten::Base
+        } else {
+            Overwritten::State(prev)
+        })
     }
 }

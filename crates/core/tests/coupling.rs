@@ -7,7 +7,7 @@ use cosoft_net::sim::NodeId;
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
     codec, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
-    ObjectPath, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 fn path(s: &str) -> ObjectPath {
@@ -436,19 +436,16 @@ fn deep_form(depth: usize) -> String {
 }
 
 /// Runs sessions and server to quiescence by hand and returns every
-/// message exchanged as (sending session if any, kind, frame bytes).
-fn settle_logged(
-    h: &mut SimHarness,
-    nodes: &[NodeId],
-) -> Vec<(Option<NodeId>, &'static str, usize)> {
+/// message exchanged, with the session that sent it (none: the server).
+fn settle_logged(h: &mut SimHarness, nodes: &[NodeId]) -> Vec<(Option<NodeId>, Message)> {
     let mut log = Vec::new();
     loop {
         let before = log.len();
         for &node in nodes {
             for msg in h.session_mut(node).drain_outbox() {
-                log.push((Some(node), msg.kind_name(), codec::frame_message(&msg).len()));
+                log.push((Some(node), msg.clone()));
                 for (dst, reply) in h.server.handle(node, msg).into_messages() {
-                    log.push((None, reply.kind_name(), codec::frame_message(&reply).len()));
+                    log.push((None, reply.clone()));
                     h.session_mut(dst).on_message(reply);
                 }
             }
@@ -462,47 +459,336 @@ fn settle_logged(
 /// The wire-size gate of `server_core.rs`
 /// (`second_transfer_to_acknowledged_destination_is_a_delta`) with a real
 /// viewer answering: what `Session::apply_state` reports as overwritten
-/// is what the copy wrote, so the reply is the size of the request, and
-/// the history hands back a state in the transfers' vocabulary, so the
-/// undo leg and the copy after it stay deltas a quarter of the snapshot.
+/// is what the copy wrote, so the first reply is no larger than the
+/// request, and the history hands back a state in the transfers'
+/// vocabulary, so the undo leg and the copy after it stay deltas a
+/// quarter of the snapshot. From the second copy on, what each apply
+/// overwrote is the base its delta named: the viewer says so, and the
+/// reply is a dozen bytes whatever the depth of the form.
 #[test]
 fn overwritten_state_keeps_replies_and_undo_legs_small() {
-    let mut h = SimHarness::new(1);
-    let a = h.add_session(session(&deep_form(6), 1));
-    let b = h.add_session(session(&deep_form(6), 2));
-    h.settle();
-    let leaf = "lvl0.lvl1.lvl2.lvl3.lvl4.lvl5.leaf";
-    let board = h.session(b).gid(&path("lvl0")).unwrap();
-    let round = |h: &mut SimHarness, text: Option<&str>| {
-        match text {
-            Some(text) => {
-                type_text(h, a, leaf, text);
-                h.session_mut(a).copy_to(&path("lvl0"), board.clone(), CopyMode::Strict).unwrap();
+    for depth in [2, 6] {
+        let mut h = SimHarness::new(1);
+        let a = h.add_session(session(&deep_form(depth), 1));
+        let b = h.add_session(session(&deep_form(depth), 2));
+        h.settle();
+        let leaf =
+            format!("{}.leaf", (0..depth).map(|l| format!("lvl{l}")).collect::<Vec<_>>().join("."));
+        let board = h.session(b).gid(&path("lvl0")).unwrap();
+        // One copy (of the typed text) or undo; returns the frame sizes
+        // of the leg to the viewer and of the viewer's reply.
+        let round = |h: &mut SimHarness, text: Option<&str>| {
+            match text {
+                Some(text) => {
+                    type_text(h, a, &leaf, text);
+                    h.session_mut(a)
+                        .copy_to(&path("lvl0"), board.clone(), CopyMode::Strict)
+                        .unwrap();
+                }
+                None => h.session_mut(a).undo(board.clone()),
             }
-            None => h.session_mut(a).undo(board.clone()),
-        }
-        let log = settle_logged(h, &[a, b]);
-        assert_eq!(text_of(h, b, leaf), text.unwrap_or("v1"));
-        let size = |from: Option<NodeId>, kind: &str| {
-            log.iter().find(|(f, k, _)| (*f, *k) == (from, kind)).map(|(_, _, bytes)| *bytes)
+            let log = settle_logged(h, &[a, b]);
+            assert_eq!(text_of(h, b, &leaf), text.unwrap_or("v1"));
+            let size = |from: Option<NodeId>, kind: &str| {
+                log.iter()
+                    .find(|(f, m)| (*f, m.kind_name()) == (from, kind))
+                    .map(|(_, m)| codec::frame_message(m).len())
+            };
+            let leg = size(None, "apply-state").or(size(None, "apply-delta")).unwrap();
+            (leg, size(Some(b), "state-applied").unwrap(), size(Some(a), "copy-to"))
         };
-        // The viewer's reply carries no more than the request did, give
-        // or take the ids around the state.
-        if let (Some(request), Some(reply)) =
-            (size(Some(a), "copy-to"), size(Some(b), "state-applied"))
-        {
-            assert!(reply <= request + 64, "StateApplied is {reply} B for a CopyTo of {request} B");
+        let (snapshot, reply, request) = round(&mut h, Some("v1"));
+        assert!(
+            reply <= request.unwrap(),
+            "first StateApplied is {reply} B for a CopyTo of {request:?} B"
+        );
+        let legs = [("copy", Some("v2")), ("undo", None), ("copy after undo", Some("v3"))];
+        for (what, text) in legs {
+            let (leg, reply, _) = round(&mut h, text);
+            assert!(reply <= 12, "depth {depth}: the {what} leg's StateApplied is {reply} B");
+            if depth == 6 {
+                assert!(4 * leg <= snapshot, "{what} leg is {leg} B, the ApplyState {snapshot} B");
+            }
         }
-        size(None, "apply-state").or(size(None, "apply-delta")).unwrap()
-    };
-    let snapshot = round(&mut h, Some("v1"));
-    let legs = [("copy", Some("v2")), ("undo", None), ("copy after undo", Some("v3"))];
-    for (what, text) in legs {
-        let leg = round(&mut h, text);
-        assert!(4 * leg <= snapshot, "{what} leg is {leg} B, the ApplyState frame {snapshot} B");
+        let stats = h.server.stats();
+        assert_eq!(
+            (stats.delta_legs_sent, stats.delta_fallbacks, stats.acks_by_reference),
+            (3, 0, 3)
+        );
     }
-    let stats = h.server.stats();
-    assert_eq!((stats.delta_legs_sent, stats.delta_fallbacks), (3, 0));
+}
+
+// ---- acknowledgement by reference, against a model -------------------------
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// The presenter's board and the two like viewers'; the unlike viewer
+/// shows the middle field as a label, under a correspondence table.
+const BOARD: &str = r#"form board title="" {
+    textfield f0 text="" textfield f1 text="" textfield f2 text="" }"#;
+const UNLIKE_BOARD: &str = r#"form board title="" {
+    textfield f0 text="" label f1 text="" textfield f2 text="" }"#;
+
+/// Everything a transfer writes on a board: its title and three texts.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct BoardState {
+    title: String,
+    fields: [String; 3],
+}
+
+impl BoardState {
+    /// The relevant snapshot of a board holding this.
+    fn snapshot(&self, unlike: bool) -> StateNode {
+        let title = Value::Text(self.title.clone());
+        let mut form = StateNode::new(WidgetKind::Form, "board").with_attr(AttrName::Title, title);
+        for (i, text) in self.fields.iter().enumerate() {
+            let kind = if unlike && i == 1 { WidgetKind::Label } else { WidgetKind::TextField };
+            let text = Value::Text(text.clone());
+            form.children
+                .push(StateNode::new(kind, &format!("f{i}")).with_attr(AttrName::Text, text));
+        }
+        form
+    }
+}
+
+/// How a historical state got onto its stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Filed {
+    /// Carried by the reply to a first-contact `ApplyState` leg.
+    FirstContact,
+    /// Carried by the reply to a delta leg: the viewer no longer held the
+    /// base (or holds it in other kinds).
+    InFull,
+    /// Named by the reply to a delta leg and filed from the server's copy.
+    ByReference,
+}
+
+/// A viewer as plain stacks of the states *it* held — what the server's
+/// history must amount to however the states reached it.
+struct ModelViewer {
+    node: NodeId,
+    unlike: bool,
+    held: BoardState,
+    /// The state it last acknowledged, as transmitted: what the server
+    /// diffs the next leg against, and what "by reference" refers to.
+    base: Option<BoardState>,
+    undo: Vec<(BoardState, Filed)>,
+    redo: Vec<(BoardState, Filed)>,
+}
+
+impl ModelViewer {
+    /// Applies a transmitted state and returns what that overwrote. It is
+    /// acknowledged by reference exactly when the leg is a delta and the
+    /// board held that delta's base, kind for kind and value for value
+    /// (every transmitted state here is in the like boards' kinds).
+    fn apply(&mut self, sent: &BoardState) -> (BoardState, Filed) {
+        let filed = match &self.base {
+            None => Filed::FirstContact,
+            Some(base) if !self.unlike && *base == self.held => Filed::ByReference,
+            Some(_) => Filed::InFull,
+        };
+        self.base = Some(sent.clone());
+        (std::mem::replace(&mut self.held, sent.clone()), filed)
+    }
+}
+
+#[derive(Debug)]
+enum Step {
+    /// The presenter edits its board and copies it onto the viewers'.
+    Copy(CopyMode),
+    /// Undo / redo on like viewer `0` or `1`'s board.
+    Undo(usize),
+    Redo(usize),
+    /// Viewer `.0` sets field `.1` behind the coupling's back.
+    LocalEdit(usize, usize),
+    /// Viewer `.0` types into field `.1`; its group re-executes.
+    CoupledEvent(usize, usize),
+}
+
+/// Differential test of acknowledgement by reference, over seeded scripts
+/// (SplitMix64, std only): real sessions and a real server against
+/// [`ModelViewer`], compared at every quiescence. The model knows nothing
+/// of deltas, encodings or references — only which states each viewer
+/// held — so a history entry filed from the server's copy of a base must
+/// be indistinguishable from the record the viewer would have sent.
+#[test]
+fn acknowledgement_by_reference_matches_plain_history_stacks() {
+    const SCRIPTS: u64 = 240;
+    const STEPS: usize = 28;
+    // (acknowledgements, entries popped by undo/redo) per way of filing.
+    let mut seen = [(0u64, 0u64); 3];
+    let mut unlike_delta_legs = 0;
+    for seed in 0..SCRIPTS {
+        let mut rng = SplitMix64(seed);
+        let mut h = SimHarness::new(seed);
+        let presenter = h.add_session(session(BOARD, 1));
+        let mut viewers: Vec<ModelViewer> = [BOARD, BOARD, UNLIKE_BOARD]
+            .iter()
+            .zip(2..)
+            .map(|(spec, user)| ModelViewer {
+                node: h.add_session(session(spec, user)),
+                unlike: *spec == UNLIKE_BOARD,
+                held: BoardState::default(),
+                base: None,
+                undo: Vec::new(),
+                redo: Vec::new(),
+            })
+            .collect();
+        h.settle();
+        h.session_mut(viewers[2].node).correspondences_mut().declare(
+            WidgetKind::TextField,
+            WidgetKind::Label,
+            vec![(AttrName::Text, AttrName::Text)],
+        );
+        let board_of = |h: &SimHarness, node| h.session(node).gid(&path("board")).unwrap();
+        for pair in [(0, 1), (1, 2)] {
+            let dst = board_of(&h, viewers[pair.1].node);
+            h.session_mut(viewers[pair.0].node).couple(&path("board"), dst).unwrap();
+            h.settle();
+        }
+        let nodes: Vec<NodeId> =
+            std::iter::once(presenter).chain(viewers.iter().map(|v| v.node)).collect();
+        let set_text = |h: &mut SimHarness, node, field: usize, text: &str| {
+            let tree = h.session_mut(node).toolkit_mut().tree_mut();
+            let id = tree.resolve(&path(&format!("board.f{field}"))).unwrap();
+            tree.set_attr(id, AttrName::Text, Value::Text(text.into())).unwrap();
+        };
+
+        let mut presented = BoardState::default();
+        let mut acks_by_reference = 0;
+        for n in 0..STEPS {
+            let fresh = format!("s{seed}n{n}");
+            let step = match rng.below(100) {
+                0..=39 => Step::Copy(
+                    [CopyMode::Strict, CopyMode::FlexibleMatch, CopyMode::DestructiveMerge]
+                        [rng.below(3)],
+                ),
+                40..=54 => Step::Undo(rng.below(2)),
+                55..=64 => Step::Redo(rng.below(2)),
+                65..=84 => Step::LocalEdit(rng.below(3), rng.below(3)),
+                _ => Step::CoupledEvent(rng.below(3), 2 * rng.below(2)),
+            };
+            let ctx = format!("seed {seed}, step {n} ({step:?})");
+
+            // The step, on the model; `applied` is what each viewer
+            // overwrote if the step transferred a state.
+            let mut applied: Vec<(BoardState, Filed)> = Vec::new();
+            match step {
+                Step::Copy(mode) => {
+                    for field in 0..3 {
+                        if rng.below(3) == 0 {
+                            presented.fields[field] = format!("{fresh}f{field}");
+                            set_text(&mut h, presenter, field, &presented.fields[field]);
+                        }
+                    }
+                    if rng.below(4) == 0 {
+                        presented.title = fresh.clone();
+                        let tree = h.session_mut(presenter).toolkit_mut().tree_mut();
+                        let id = tree.resolve(&path("board")).unwrap();
+                        tree.set_attr(id, AttrName::Title, Value::Text(fresh.clone())).unwrap();
+                    }
+                    let dst = board_of(&h, viewers[0].node);
+                    h.session_mut(presenter).copy_to(&path("board"), dst, mode).unwrap();
+                    for v in &mut viewers {
+                        let overwritten = v.apply(&presented);
+                        v.undo.push(overwritten.clone());
+                        v.redo.clear();
+                        applied.push(overwritten);
+                    }
+                }
+                Step::Undo(k) | Step::Redo(k) => {
+                    let object = board_of(&h, viewers[k].node);
+                    let undo = matches!(step, Step::Undo(_));
+                    let popped = if undo {
+                        h.session_mut(presenter).undo(object);
+                        viewers[k].undo.pop()
+                    } else {
+                        h.session_mut(presenter).redo(object);
+                        viewers[k].redo.pop()
+                    };
+                    if let Some((restored, filed)) = popped {
+                        seen[filed as usize].1 += 1;
+                        for v in &mut viewers {
+                            let overwritten = v.apply(&restored);
+                            if undo { &mut v.redo } else { &mut v.undo }.push(overwritten.clone());
+                            applied.push(overwritten);
+                        }
+                    }
+                }
+                Step::LocalEdit(i, field) => {
+                    // Now and then back to what the base says: the board
+                    // then holds the base again, and may say so.
+                    let text = match &viewers[i].base {
+                        Some(base) if rng.below(3) == 0 => base.fields[field].clone(),
+                        _ => fresh,
+                    };
+                    set_text(&mut h, viewers[i].node, field, &text);
+                    viewers[i].held.fields[field] = text;
+                }
+                Step::CoupledEvent(i, field) => {
+                    type_text(&mut h, viewers[i].node, &format!("board.f{field}"), &fresh);
+                    for v in &mut viewers {
+                        v.held.fields[field] = fresh.clone();
+                    }
+                }
+            }
+
+            // The same step, for real.
+            let log = settle_logged(&mut h, &nodes);
+            let mut by_reference: Vec<NodeId> = log
+                .iter()
+                .filter_map(|(from, m)| match m {
+                    Message::StateApplied { overwritten: Some(Overwritten::Base), .. } => *from,
+                    _ => None,
+                })
+                .collect();
+            by_reference.sort();
+            let expected: Vec<NodeId> = viewers
+                .iter()
+                .zip(&applied)
+                .filter(|(_, (_, filed))| *filed == Filed::ByReference)
+                .map(|(v, _)| v.node)
+                .collect();
+            for v in &viewers {
+                let tree = h.session(v.node).toolkit().tree();
+                let shown = tree.snapshot(tree.resolve(&path("board")).unwrap(), true).unwrap();
+                assert_eq!(shown, v.held.snapshot(v.unlike), "{ctx}: viewer {:?}", v.node);
+            }
+            assert_eq!(by_reference, expected, "{ctx}: who acknowledged by reference");
+            acks_by_reference += expected.len() as u64;
+            let stats = h.server.stats();
+            assert_eq!(
+                (stats.acks_by_reference, stats.delta_fallbacks),
+                (acks_by_reference, 0),
+                "{ctx}"
+            );
+            h.server.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            for (v, (_, filed)) in viewers.iter().zip(&applied) {
+                seen[*filed as usize].0 += 1;
+                unlike_delta_legs += u64::from(v.unlike && *filed == Filed::InFull);
+            }
+        }
+    }
+    // Every path ran, and every kind of entry was restored from.
+    let [first_contact, in_full, by_reference] = seen;
+    assert!(first_contact.0 >= 3 * SCRIPTS / 2, "first-contact legs: {first_contact:?}");
+    assert!(in_full.0 > unlike_delta_legs && in_full.1 > 100, "diverged like viewers: {in_full:?}");
+    assert!(unlike_delta_legs > 1_000, "delta legs to the unlike viewer: {unlike_delta_legs}");
+    assert!(by_reference.0 > 1_000 && by_reference.1 > 100, "by reference: {by_reference:?}");
 }
 
 /// §3.2: "the decoupling algorithm is applied automatically when a UI

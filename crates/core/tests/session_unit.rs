@@ -5,8 +5,8 @@ use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionError, SessionEvent};
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
-    AccessRight, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath, UiEvent,
-    UserId,
+    AccessRight, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath, Overwritten,
+    UiEvent, UserId,
 };
 
 const FORM: &str = r#"form f { textfield t text="" }"#;
@@ -154,7 +154,11 @@ fn strict_apply_that_fails_compatibility_changes_nothing() {
         mode: CopyMode::Strict,
     });
     match &s.drain_outbox()[..] {
-        [Message::StateApplied { req_id: 5, overwritten: Some(prev), error: None }] => {
+        [Message::StateApplied {
+            req_id: 5,
+            overwritten: Some(Overwritten::State(prev)),
+            error: None,
+        }] => {
             let old_text = StateNode::new(WidgetKind::TextField, "t")
                 .with_attr(AttrName::Text, Value::Text(String::new()));
             assert_eq!(
@@ -249,15 +253,17 @@ fn textfield(text: &str) -> cosoft_wire::StateNode {
 }
 
 /// A snapshot transfer primes the delta base; a subsequent `ApplyDelta`
-/// against it reconstructs and applies the new state.
+/// against it reconstructs and applies the new state. What that apply
+/// overwrote is the base itself, which the server holds: the reply names
+/// it. Once the user has changed the field, what the next apply overwrites
+/// is no longer the base, and the reply carries it.
 #[test]
 fn apply_delta_reconstructs_against_cached_base() {
     let mut s = fresh();
     s.on_message(Message::Welcome { instance: InstanceId(1) });
     s.drain_outbox();
 
-    let v1 = textfield("v1");
-    let v2 = textfield("v2");
+    let (v1, v2, v3) = (textfield("v1"), textfield("v2"), textfield("v3"));
     s.on_message(Message::ApplyState {
         req_id: 1,
         path: path("f.t"),
@@ -265,28 +271,47 @@ fn apply_delta_reconstructs_against_cached_base() {
         mode: CopyMode::Strict,
     });
     let out = s.drain_outbox();
-    assert!(matches!(&out[0], Message::StateApplied { error: None, .. }), "prime: {out:?}");
+    assert!(
+        matches!(
+            &out[0],
+            Message::StateApplied { overwritten: Some(Overwritten::State(_)), error: None, .. }
+        ),
+        "a first-contact leg has no base to refer to: {out:?}"
+    );
 
-    s.on_message(Message::ApplyDelta {
-        req_id: 2,
-        path: path("f.t"),
-        base_version: cosoft_wire::delta::state_version(&v1),
-        new_version: cosoft_wire::delta::state_version(&v2),
-        delta: cosoft_wire::delta::diff(&v1, &v2),
-        mode: CopyMode::Strict,
-    });
-    let out = s.drain_outbox();
-    match &out[0] {
-        Message::StateApplied { req_id: 2, overwritten: Some(prev), error: None } => {
-            let prev = prev.decode().unwrap();
-            assert_eq!(prev.attrs.get(&cosoft_wire::AttrName::Text).unwrap().as_text(), Some("v1"));
+    let delta_leg = |s: &mut Session, req_id: u64, base: &cosoft_wire::StateNode, new| {
+        s.on_message(Message::ApplyDelta {
+            req_id,
+            path: path("f.t"),
+            base_version: cosoft_wire::delta::state_version(base),
+            new_version: cosoft_wire::delta::state_version(new),
+            delta: cosoft_wire::delta::diff(base, new),
+            mode: CopyMode::Strict,
+        });
+        match s.drain_outbox().remove(0) {
+            Message::StateApplied { req_id: r, overwritten: Some(prev), error: None }
+                if r == req_id =>
+            {
+                prev
+            }
+            other => panic!("expected successful StateApplied, got {other:?}"),
         }
-        other => panic!("expected successful StateApplied, got {other:?}"),
-    }
-    let tree = s.toolkit().tree();
+    };
+    let text = |s: &Session| {
+        let tree = s.toolkit().tree();
+        let id = tree.resolve(&path("f.t")).unwrap();
+        tree.attr(id, &cosoft_wire::AttrName::Text).unwrap().as_text().unwrap().to_owned()
+    };
+
+    assert_eq!(delta_leg(&mut s, 2, &v1, &v2), Overwritten::Base);
+    assert_eq!(text(&s), "v2");
+
+    let tree = s.toolkit_mut().tree_mut();
     let id = tree.resolve(&path("f.t")).unwrap();
-    let snap = tree.snapshot(id, false).unwrap();
-    assert_eq!(snap.attrs.get(&cosoft_wire::AttrName::Text).unwrap().as_text(), Some("v2"));
+    tree.set_attr(id, cosoft_wire::AttrName::Text, cosoft_wire::Value::Text("mine".into()))
+        .unwrap();
+    assert_eq!(delta_leg(&mut s, 3, &v2, &v3), Overwritten::State(textfield("mine").into()));
+    assert_eq!(text(&s), "v3");
 }
 
 /// A delta against a missing or stale base must be rejected with an error

@@ -7,14 +7,16 @@
 //! overwrote, with the values they had, in the destination's own shape —
 //! the vocabulary of the state it was sent, not every attribute of the
 //! object. It is kept in its wire encoding, as an [`EncodedState`]: the
-//! slice of the frame it arrived in, pushed as is, and decoded back into
-//! a [`StateNode`] only when an undo or redo pops it. A stack is a deque
-//! of those buffers: depth-cap eviction drops the front, and a ~60-node
-//! form costs about 2 KB per entry where the tree itself costs tens of
-//! KB (DESIGN.md §11.3). Cloning a store (the model checker
-//! forks [`crate::ServerCore`] at every branching point) only bumps
-//! reference counts — the buffers themselves are shared between the
-//! forks.
+//! slice of the frame it arrived in, or the server's own encoding of the
+//! base when the viewer's reply names that base instead of repeating it
+//! (one buffer then serves every viewer of the group). Either is pushed
+//! as is and decoded back into a [`StateNode`] only when an undo or redo
+//! pops it. A stack is a deque of those buffers: depth-cap eviction drops
+//! the front, and a ~60-node form costs about 2 KB per entry where the
+//! tree itself costs tens of KB (DESIGN.md §11.3). Cloning a store (the
+//! model checker forks [`crate::ServerCore`] at every branching point)
+//! only bumps reference counts — the buffers themselves are shared
+//! between the forks.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -122,6 +124,12 @@ impl HistoryStore {
         self.undo.entry(object).or_default().push(displaced.into());
     }
 
+    /// The newest entry of `object`'s undo stack — what the next undo
+    /// restores — as it is stored.
+    pub fn newest_undo(&self, object: &GlobalObjectId) -> Option<&EncodedState> {
+        self.undo.get(object)?.entries.back()
+    }
+
     /// Depth of the undo stack for `object`.
     pub fn undo_depth(&self, object: &GlobalObjectId) -> usize {
         self.undo.get(object).map(HistoryStack::depth).unwrap_or(0)
@@ -219,7 +227,9 @@ impl HistoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosoft_wire::{codec, AttrName, InstanceId, Message, ObjectPath, Value, WidgetKind};
+    use cosoft_wire::{
+        codec, AttrName, InstanceId, Message, ObjectPath, Overwritten, Value, WidgetKind,
+    };
 
     fn gid(p: &str) -> GlobalObjectId {
         GlobalObjectId::new(InstanceId(1), ObjectPath::parse(p).unwrap())
@@ -418,8 +428,10 @@ mod tests {
         assert_ne!(EncodedState::of(&odd_tree).as_slice(), odd);
         for (encoded, tree) in [(EncodedState::of(&full).as_slice(), &full), (odd, &odd_tree)] {
             let frame = [&[24, 9, 1], encoded, &[0]].concat(); // StateApplied 9, Some, no error
-            let Ok(Message::StateApplied { overwritten: Some(from_socket), .. }) =
-                codec::decode_message(&frame)
+            let Ok(Message::StateApplied {
+                overwritten: Some(Overwritten::State(from_socket)),
+                ..
+            }) = codec::decode_message(&frame)
             else {
                 panic!("legal frame");
             };

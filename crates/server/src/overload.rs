@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use cosoft_wire::Message;
+use cosoft_wire::{Message, Overwritten};
 
 /// Priority class of an inbound message, deciding what is shed first
 /// when budgets run out.
@@ -109,8 +109,11 @@ pub fn approx_cost(msg: &Message) -> u64 {
         Message::ApplyState { snapshot, .. } => snapshot.approx_size(),
         Message::ApplyDelta { delta, .. } => delta.approx_size(),
         Message::StateApplied { overwritten, error, .. } => {
-            overwritten.as_ref().map_or(0, |state| state.as_slice().len())
-                + error.as_ref().map_or(0, String::len)
+            let state = match overwritten {
+                Some(Overwritten::State(state)) => state.as_slice().len(),
+                Some(Overwritten::Base) | None => 0,
+            };
+            state + error.as_ref().map_or(0, String::len)
         }
         Message::CoSendCommand { command, payload, .. } => command.len() + payload.len(),
         Message::CommandDelivery { command, payload, .. } => command.len() + payload.len(),

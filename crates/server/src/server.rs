@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use cosoft_wire::{
-    codec, delta, AccessRight, CopyMode, GlobalObjectId, InstanceId, Message, ObjectPath,
-    SharedFrame, StateNode, Target, UserId,
+    codec, delta, AccessRight, CopyMode, EncodedState, GlobalObjectId, InstanceId, Message,
+    ObjectPath, Overwritten, SharedFrame, StateNode, Target, UserId,
 };
 
 use crate::access::AccessTable;
@@ -52,25 +52,40 @@ struct Transfer {
     /// The state this leg is installing at its destination, kept until
     /// the destination acknowledges: a success installs it as the
     /// destination's sync base for future delta diffs; a failed
-    /// delta-encoded leg resends `snapshot_bytes` as a full `ApplyState`.
+    /// delta-encoded leg resends its encoding as a full `ApplyState`.
     sync: Option<AppliedSync>,
+}
+
+/// A state a destination holds (or is being sent) by transfer, in the
+/// three forms the server uses it in. All three are shared: across the
+/// legs of one fan-out, with the sync bases they become, and — the
+/// encoding — with the history entries filed from it.
+#[derive(Debug, Clone)]
+struct SyncBase {
+    /// Content version of the state ([`delta::state_version`]).
+    version: u64,
+    /// The tree, which the next transfer is diffed against.
+    state: Arc<StateNode>,
+    /// The canonical encoding `version` is the fingerprint of: what a
+    /// full `ApplyState` leg splices in, and what the history files when
+    /// a destination acknowledges by reference that it overwrote this.
+    encoded: EncodedState,
 }
 
 /// Bookkeeping for the snapshot a transfer leg carries (see
 /// [`Transfer::sync`]).
 #[derive(Debug, Clone)]
 struct AppliedSync {
-    /// Content version of the carried state ([`delta::state_version`]).
-    version: u64,
-    /// The carried state itself (shared across the fan-out's legs).
-    state: Arc<StateNode>,
-    /// Its canonical encoding, for the full-snapshot fallback resend.
-    snapshot_bytes: Bytes,
+    /// The carried state: the destination's sync base once it
+    /// acknowledges, and the payload of the full-snapshot fallback.
+    carried: SyncBase,
     /// Reconciliation mode of the original leg, reused by the fallback.
     mode: CopyMode,
-    /// Whether the leg went out as an `ApplyDelta` (and may therefore
-    /// fall back) rather than a full `ApplyState`.
-    via_delta: bool,
+    /// For a leg that went out as an `ApplyDelta` (and may therefore fall
+    /// back), the encoding of the base it was diffed against — what an
+    /// [`Overwritten::Base`] acknowledgement refers to. `None` for a full
+    /// `ApplyState` leg.
+    diffed_against: Option<EncodedState>,
 }
 
 /// The logical transfer a requester is waiting on.
@@ -392,6 +407,10 @@ server_stats! {
     /// Delta legs the receiver refused (diverged or unknown base) that
     /// were resent as full snapshots.
     sum delta_fallbacks: u64,
+    /// Delta legs whose destination acknowledged by reference: what the
+    /// apply overwrote was the base the delta was diffed against, so the
+    /// reply named it and the history filed the server's own encoding.
+    sum acks_by_reference: u64,
 }
 
 /// A routing-relevant lifecycle change, recorded by the core for its
@@ -456,10 +475,11 @@ pub struct ComponentSlice<E> {
     tokens: Vec<(u64, InstanceId)>,
     links: Vec<(GlobalObjectId, GlobalObjectId)>,
     history: Vec<(GlobalObjectId, HistoryStack, HistoryStack)>,
-    /// Destination sync bases (object, content version, last applied
-    /// state): delta sync keeps working across a shard migration because
-    /// the versions travel in the slice.
-    sync_bases: Vec<(GlobalObjectId, u64, Arc<StateNode>)>,
+    /// Destination sync bases (version, tree and encoding of the last
+    /// applied state): delta sync and by-reference acknowledgements keep
+    /// working across a shard migration because all three travel in the
+    /// slice.
+    sync_bases: Vec<(GlobalObjectId, SyncBase)>,
     access: Vec<(UserId, GlobalObjectId, AccessRight)>,
     execs: Vec<(u64, ExecState, Vec<GlobalObjectId>)>,
     transfer_groups: Vec<(u64, TransferGroup)>,
@@ -508,10 +528,10 @@ pub struct ServerCore<E> {
     locks: LockTable,
     couples: CoupleDirectory,
     history: HistoryStore,
-    /// Per destination object: the content version and state of the last
-    /// snapshot it acknowledged applying, used to diff attribute-level
-    /// `ApplyDelta` legs instead of re-sending full snapshots.
-    sync_bases: HashMap<GlobalObjectId, (u64, Arc<StateNode>)>,
+    /// Per destination object: the last snapshot it acknowledged
+    /// applying, used to diff attribute-level `ApplyDelta` legs instead
+    /// of re-sending full snapshots.
+    sync_bases: HashMap<GlobalObjectId, SyncBase>,
     next_exec: u64,
     next_transfer: u64,
     execs: HashMap<u64, ExecState>,
@@ -869,9 +889,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
         // Delta sync bases must be purged with their instance, or the
         // cache grows without bound under register/leave churn.
-        for object in self.sync_bases.keys() {
+        for (object, base) in &self.sync_bases {
             if !self.registry.contains(object.instance) {
                 return Err(format!("sync base retained for unregistered object {object}"));
+            }
+            // What a by-reference acknowledgement files must be the state
+            // the destination compared its record against.
+            if delta::version_of_encoded(base.encoded.as_slice()) != base.version {
+                return Err(format!("sync base of {object} does not hash to its version"));
             }
         }
         Ok(())
@@ -1616,9 +1641,12 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // that base instead of the full snapshot; deltas are cached per
         // base version, so one encoded delta serves every group member
         // that last acknowledged the same state.
-        let snapshot_bytes = codec::encode_state_shared(&snapshot);
-        let new_version = delta::version_of_encoded(&snapshot_bytes);
-        let state = Arc::new(snapshot);
+        let encoded = EncodedState::of(&snapshot);
+        let carried = SyncBase {
+            version: delta::version_of_encoded(encoded.as_slice()),
+            state: Arc::new(snapshot),
+            encoded,
+        };
         self.stats.payload_encodes += 1;
         let mut snapshot_spliced = false;
         let mut delta_cache: HashMap<u64, Bytes> = HashMap::new();
@@ -1634,37 +1662,41 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 );
                 continue;
             };
-            let (frame, via_delta) = match self.sync_bases.get(&target) {
-                Some((base_version, base)) => {
-                    let payload = match delta_cache.entry(*base_version) {
+            let (frame, diffed_against) = match self.sync_bases.get(&target) {
+                Some(base) => {
+                    let payload = match delta_cache.entry(base.version) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             self.stats.payload_reuses += 1;
                             e.into_mut()
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
                             self.stats.payload_encodes += 1;
-                            e.insert(codec::encode_delta_shared(&delta::diff(base, &state)))
+                            e.insert(codec::encode_delta_shared(&delta::diff(
+                                &base.state,
+                                &carried.state,
+                            )))
                         }
                     };
                     let frame = codec::frame_apply_delta(
                         req_id,
                         &target.path,
-                        *base_version,
-                        new_version,
+                        base.version,
+                        carried.version,
                         payload,
                         mode,
                     );
-                    (frame, true)
+                    (frame, Some(base.encoded.clone()))
                 }
                 None => {
                     if snapshot_spliced {
                         self.stats.payload_reuses += 1;
                     }
                     snapshot_spliced = true;
-                    (codec::frame_apply_state(req_id, &target.path, &snapshot_bytes, mode), false)
+                    let snapshot = carried.encoded.as_slice();
+                    (codec::frame_apply_state(req_id, &target.path, snapshot, mode), None)
                 }
             };
-            if via_delta {
+            if diffed_against.is_some() {
                 self.stats.delta_legs_sent += 1;
             }
             self.transfers.insert(
@@ -1673,13 +1705,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                     dst: target.clone(),
                     kind,
                     group: group_id,
-                    sync: Some(AppliedSync {
-                        version: new_version,
-                        state: state.clone(),
-                        snapshot_bytes: snapshot_bytes.clone(),
-                        mode,
-                        via_delta,
-                    }),
+                    sync: Some(AppliedSync { carried: carried.clone(), mode, diffed_against }),
                 },
             );
             out.push_shared(vec![endpoint], frame);
@@ -1746,8 +1772,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     fn do_state_applied(
         &mut self,
         req_id: u64,
-        overwritten: Option<cosoft_wire::EncodedState>,
-        error: Option<String>,
+        overwritten: Option<Overwritten>,
+        mut error: Option<String>,
     ) -> Outgoing<E> {
         let mut out = Outgoing::new();
         let Some(t) = self.transfers.remove(&req_id) else {
@@ -1758,7 +1784,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // base, mint a replacement leg splicing the stored encoding, and
         // leave the group's accounting untouched (outstanding stays the
         // same, no failure is recorded, the other legs are unaffected).
-        if error.is_some() && t.sync.as_ref().is_some_and(|s| s.via_delta) {
+        if error.is_some() && t.sync.as_ref().is_some_and(|s| s.diffed_against.is_some()) {
             self.sync_bases.remove(&t.dst);
             if let Some(endpoint) = self.registry.endpoint_of(t.dst.instance) {
                 self.stats.delta_fallbacks += 1;
@@ -1766,14 +1792,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 self.next_transfer += self.id_stride;
                 let mut fallback = t;
                 if let Some(sync) = fallback.sync.as_mut() {
-                    sync.via_delta = false;
+                    sync.diffed_against = None;
                     self.stats.payload_reuses += 1;
                     out.push_shared(
                         vec![endpoint],
                         codec::frame_apply_state(
                             new_req,
                             &fallback.dst.path,
-                            &sync.snapshot_bytes,
+                            sync.carried.encoded.as_slice(),
                             sync.mode,
                         ),
                     );
@@ -1790,6 +1816,25 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             self.maybe_finish_group(t.group, &mut out);
             return out;
         }
+        // What the apply overwrote, as the bytes to file: the slice of the
+        // reply frame, or — acknowledged by reference — the encoding this
+        // leg's delta was diffed against, which the server kept. Only a
+        // delta leg has one; the reference in answer to any other leg
+        // names nothing, and fails the leg.
+        let prev = match (overwritten, t.sync.as_ref().and_then(|s| s.diffed_against.as_ref())) {
+            (Some(Overwritten::State(prev)), _) => Some(prev),
+            (Some(Overwritten::Base), Some(base)) => {
+                self.stats.acks_by_reference += 1;
+                Some(base.clone())
+            }
+            (Some(Overwritten::Base), None) => {
+                error.get_or_insert_with(|| {
+                    "acknowledged by reference to a base the leg did not carry".into()
+                });
+                None
+            }
+            (None, _) => None,
+        };
         let succeeded = error.is_none();
         if let Some(g) = self.transfer_groups.get_mut(&t.group) {
             g.outstanding -= 1;
@@ -1798,18 +1843,19 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             }
         }
         // A successful apply makes the carried state the destination's
-        // sync base: the next transfer to this object can travel as an
-        // attribute-level delta against it.
+        // sync base — the next transfer to this object can travel as an
+        // attribute-level delta against it — and what it overwrote a
+        // historical UI state. A failed one leaves both as they were.
         if succeeded {
-            if let Some(sync) = &t.sync {
-                self.sync_bases.insert(t.dst.clone(), (sync.version, sync.state.clone()));
+            if let Some(sync) = t.sync {
+                self.sync_bases.insert(t.dst.clone(), sync.carried);
             }
-        }
-        if let Some(prev) = overwritten {
-            match t.kind {
-                TransferKind::Copy => self.history.record_overwrite(t.dst.clone(), prev),
-                TransferKind::Undo => self.history.record_undone(t.dst.clone(), prev),
-                TransferKind::Redo => self.history.record_redone(t.dst.clone(), prev),
+            if let Some(prev) = prev {
+                match t.kind {
+                    TransferKind::Copy => self.history.record_overwrite(t.dst, prev),
+                    TransferKind::Undo => self.history.record_undone(t.dst, prev),
+                    TransferKind::Redo => self.history.record_redone(t.dst, prev),
+                }
             }
         }
         self.maybe_finish_group(t.group, &mut out);
@@ -2261,11 +2307,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             .collect();
         let links = self.couples.extract_instance_links(&members);
         let history = self.history.extract_instances(&members);
-        let mut sync_bases: Vec<(GlobalObjectId, u64, Arc<StateNode>)> = Vec::new();
-        self.sync_bases.retain(|o, (version, state)| {
+        let mut sync_bases: Vec<(GlobalObjectId, SyncBase)> = Vec::new();
+        self.sync_bases.retain(|o, base| {
             let inside = members.contains(&o.instance);
             if inside {
-                sync_bases.push((o.clone(), *version, state.clone()));
+                sync_bases.push((o.clone(), base.clone()));
             }
             !inside
         });
@@ -2356,9 +2402,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
         self.couples.adopt_links(links);
         self.history.adopt(history);
-        for (object, version, state) in sync_bases {
-            self.sync_bases.insert(object, (version, state));
-        }
+        self.sync_bases.extend(sync_bases);
         self.access.adopt(access);
         for (exec_id, exec, objects) in execs {
             // Cannot conflict: the objects arrive with the component that

@@ -5,7 +5,7 @@
 use cosoft_server::ServerCore;
 use cosoft_wire::{
     codec, delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
-    ObjectPath, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 type Endpoint = u64;
@@ -418,7 +418,9 @@ fn undo_restores_the_state_the_reply_frame_carried() {
     body.push(0); // error: None
     let reply = codec::decode_message(&body).expect("legal frame");
     match &reply {
-        Message::StateApplied { overwritten: Some(o), .. } => assert_eq!(o.as_slice(), state),
+        Message::StateApplied { overwritten: Some(Overwritten::State(o)), .. } => {
+            assert_eq!(o.as_slice(), state)
+        }
         other => panic!("expected StateApplied, got {other:?}"),
     }
     s.handle(2, reply).into_messages();
@@ -1542,6 +1544,9 @@ fn push_to(
 /// the viewer's record of what an apply overwrote is in the vocabulary of
 /// the state it was sent, so the popped state diffs against the sync base
 /// like any other (`coupling.rs` holds the same gate over real sessions).
+/// And what each of those three applies overwrote is the base its delta
+/// named, so the acknowledgement is a reference to it: a dozen bytes
+/// however deep the tree, filed as the server's own encoding.
 #[test]
 fn second_transfer_to_acknowledged_destination_is_a_delta() {
     let (shallow, deep) = (delta_shares_of_snapshot(2), delta_shares_of_snapshot(6));
@@ -1555,38 +1560,58 @@ fn second_transfer_to_acknowledged_destination_is_a_delta() {
         deep.copy_after_undo <= 0.25,
         "depth-6 copy after an undo is {deep:.2?} of the snapshot"
     );
+    assert!(
+        shallow.largest_ack <= 12 && deep.largest_ack <= 12,
+        "steady-state StateApplied frames: {shallow:?} at depth 2, {deep:?} at depth 6"
+    );
 }
 
 /// Frame sizes of three delta legs as shares of the `ApplyState` frame
-/// that seeded the destination's base.
+/// that seeded the destination's base, and the largest `StateApplied`
+/// frame that answered one of them, in bytes.
 #[derive(Debug)]
 struct DeltaShares {
     copy: f64,
     undo: f64,
     copy_after_undo: f64,
+    largest_ack: usize,
 }
 
 /// Pushes a `depth`-deep tree twice, one leaf attribute apart, undoes the
 /// second push and pushes a third state; the viewer at endpoint 2 answers
-/// each leg with the state the leg overwrote.
+/// each leg as a real one does: the first with the state it held, the
+/// delta legs — each overwrote exactly its base — by reference.
 fn delta_shares_of_snapshot(depth: usize) -> DeltaShares {
     let mut s: ServerCore<Endpoint> = ServerCore::new();
     let a = register(&mut s, 1, 1);
     let b = register(&mut s, 2, 2);
 
+    let v0 = deep_tree(depth, "v0");
     let v1 = deep_tree(depth, "v1");
     let v2 = deep_tree(depth, "v2");
     let v3 = deep_tree(depth, "v3");
 
-    // First push: no base cached, full snapshot.
-    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+    // First push: no base cached, full snapshot; the reply carries the
+    // state in full and is still no larger than the `CopyTo`.
+    let copy_to = Message::CopyTo {
+        src: gid(a, "f"),
+        dst: gid(b, "f"),
+        snapshot: v1.clone(),
+        mode: CopyMode::Strict,
+        req_id: 1,
+    };
+    let copy_to_bytes = codec::frame_message(&copy_to).len();
+    let out = s.handle(1, copy_to).into_messages();
     let snapshot_bytes = codec::frame_message(find(&out, 2, "apply-state")).len();
     let req_id = match find(&out, 2, "apply-state") {
         Message::ApplyState { req_id, .. } => *req_id,
         _ => unreachable!(),
     };
     assert_eq!(s.stats().delta_legs_sent, 0);
-    s.handle(2, Message::StateApplied { req_id, overwritten: None, error: None }).into_messages();
+    let first_reply = Message::StateApplied { req_id, overwritten: Some(v0.into()), error: None };
+    assert!(codec::frame_message(&first_reply).len() <= copy_to_bytes);
+    s.handle(2, first_reply).into_messages();
+    assert_eq!(s.history().undo_depth(&gid(b, "f")), 1);
 
     // A leg that must be the delta `base` → `target`: its share of the
     // snapshot frame and its request id.
@@ -1602,6 +1627,13 @@ fn delta_shares_of_snapshot(depth: usize) -> DeltaShares {
             _ => unreachable!(),
         }
     };
+    let mut largest_ack = 0;
+    let mut ack_by_reference = |s: &mut ServerCore<Endpoint>, req_id: u64| {
+        let reply =
+            Message::StateApplied { req_id, overwritten: Some(Overwritten::Base), error: None };
+        largest_ack = largest_ack.max(codec::frame_message(&reply).len());
+        s.handle(2, reply).into_messages()
+    };
 
     // Second push: the acknowledged v1 base turns it into a delta.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v2.clone(), 2);
@@ -1609,29 +1641,185 @@ fn delta_shares_of_snapshot(depth: usize) -> DeltaShares {
     let stats = s.stats();
     assert_eq!(stats.delta_legs_sent, 1);
     assert_eq!(stats.delta_fallbacks, 0);
-    let out = s
-        .handle(
-            2,
-            Message::StateApplied { req_id, overwritten: Some(v1.clone().into()), error: None },
-        )
-        .into_messages();
+    let out = ack_by_reference(&mut s, req_id);
     match find(&out, 1, "state-applied") {
         Message::StateApplied { req_id, .. } => assert_eq!(*req_id, 2),
         _ => unreachable!(),
     }
+    assert_eq!(s.history().undo_depth(&gid(b, "f")), 2);
 
-    // Undo: the popped v1 goes out as a delta against the v2 base.
+    // Undo: the entry filed by reference is v1, and goes out as a delta
+    // against the v2 base.
     let out = s.handle(1, Message::UndoState { object: gid(b, "f") }).into_messages();
     let (undo, req_id) = delta_leg(&out, &v2, &v1);
-    s.handle(2, Message::StateApplied { req_id, overwritten: Some(v2.into()), error: None })
-        .into_messages();
+    ack_by_reference(&mut s, req_id);
+    assert_eq!(s.history().redo_depth(&gid(b, "f")), 1);
 
     // And the copy after it as one against the v1 the undo left.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v3.clone(), 3);
-    let (copy_after_undo, _) = delta_leg(&out, &v1, &v3);
+    let (copy_after_undo, req_id) = delta_leg(&out, &v1, &v3);
+    ack_by_reference(&mut s, req_id);
     let stats = s.stats();
-    assert_eq!((stats.delta_legs_sent, stats.delta_fallbacks), (3, 0));
-    DeltaShares { copy, undo, copy_after_undo }
+    assert_eq!((stats.delta_legs_sent, stats.delta_fallbacks, stats.acks_by_reference), (3, 0, 3));
+    DeltaShares { copy, undo, copy_after_undo, largest_ack }
+}
+
+/// One copy onto four coupled viewers, each of which overwrote the state
+/// the copy before it installed: four acknowledgements by reference, and
+/// the four history entries they file are the one buffer the server
+/// encoded that state into — not a frame each.
+#[test]
+fn viewers_acknowledging_by_reference_share_one_history_buffer() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let presenter = register(&mut s, 1, 1);
+    let viewers: Vec<(Endpoint, InstanceId)> =
+        (2..=5).map(|e| (e, register(&mut s, e, e))).collect();
+    for pair in viewers.windows(2) {
+        let (src, dst) = (gid(pair[0].1, "f"), gid(pair[1].1, "f"));
+        s.handle(pair[0].0, Message::Couple { src, dst }).into_messages();
+    }
+    let board = gid(viewers[0].1, "f");
+    let legs = |out: &[(Endpoint, Message)]| -> Vec<(Endpoint, u64)> {
+        out.iter()
+            .filter_map(|(e, m)| match m {
+                Message::ApplyState { req_id, .. } | Message::ApplyDelta { req_id, .. } => {
+                    Some((*e, *req_id))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+
+    let (v1, v2) = (deep_tree(4, "v1"), deep_tree(4, "v2"));
+    let out = push_to(&mut s, board.clone(), gid(presenter, "f"), v1.clone(), 1);
+    assert_eq!(count_kind(&out, "apply-state"), 4);
+    for (endpoint, req_id) in legs(&out) {
+        let own = deep_tree(4, &format!("viewer {endpoint}"));
+        s.handle(
+            endpoint,
+            Message::StateApplied { req_id, overwritten: Some(own.into()), error: None },
+        )
+        .into_messages();
+    }
+    assert_eq!(s.stats().acks_by_reference, 0, "first contact is acknowledged in full");
+
+    let out = push_to(&mut s, board, gid(presenter, "f"), v2, 2);
+    assert_eq!(count_kind(&out, "apply-delta"), 4);
+    for (endpoint, req_id) in legs(&out) {
+        s.handle(
+            endpoint,
+            Message::StateApplied { req_id, overwritten: Some(Overwritten::Base), error: None },
+        )
+        .into_messages();
+    }
+    assert_eq!(s.stats().acks_by_reference, 4);
+
+    let newest: Vec<_> = viewers
+        .iter()
+        .map(|(_, v)| s.history().newest_undo(&gid(*v, "f")).expect("filed").clone())
+        .collect();
+    for entry in &newest {
+        assert_eq!(entry.decode().unwrap(), v1);
+        assert_eq!(entry.as_slice().as_ptr(), newest[0].as_slice().as_ptr());
+    }
+    s.check_invariants().unwrap();
+}
+
+/// A reply that reports a failed apply files nothing, whatever else it
+/// carries: the debris of a failed apply is no historical UI state, and
+/// an undo would fan it out to the whole couple group.
+#[test]
+fn failed_apply_files_no_overwritten_state() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let (v1, v2) = (deep_tree(2, "v1"), deep_tree(2, "v2"));
+
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+    let req_id = match find(&out, 2, "apply-state") {
+        Message::ApplyState { req_id, .. } => *req_id,
+        _ => unreachable!(),
+    };
+    let out = s
+        .handle(
+            2,
+            Message::StateApplied {
+                req_id,
+                overwritten: Some(v2.into()),
+                error: Some("half applied".into()),
+            },
+        )
+        .into_messages();
+    match find(&out, 1, "error-reply") {
+        Message::ErrorReply { reason, .. } => assert_eq!(reason, "half applied"),
+        _ => unreachable!(),
+    }
+    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0, "nothing recorded");
+    let out = s.handle(1, Message::UndoState { object: gid(b, "f") }).into_messages();
+    assert_eq!(count_kind(&out, "apply-state") + count_kind(&out, "apply-delta"), 0);
+    assert!(matches!(find(&out, 1, "error-reply"), Message::ErrorReply { .. }));
+    s.check_invariants().unwrap();
+}
+
+/// Acknowledgements by reference that refer to nothing. Only a delta leg
+/// carries a base: in answer to a first-contact `ApplyState`, or to the
+/// `ApplyState` a refused delta fell back to, the reference fails the leg
+/// by name — nothing filed, no sync base installed, the requester told —
+/// and together with an error it is the error that counts.
+#[test]
+fn stray_acknowledgement_by_reference_fails_the_leg() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let (v1, v2, v3) = (deep_tree(2, "v1"), deep_tree(2, "v2"), deep_tree(2, "v3"));
+    let by_reference = |req_id: u64, error: Option<&str>| Message::StateApplied {
+        req_id,
+        overwritten: Some(Overwritten::Base),
+        error: error.map(str::to_owned),
+    };
+    let leg = |out: &[(Endpoint, Message)], kind: &str| match find(out, 2, kind) {
+        Message::ApplyState { req_id, .. } | Message::ApplyDelta { req_id, .. } => *req_id,
+        _ => unreachable!(),
+    };
+    let refused = |out: &[(Endpoint, Message)]| match find(out, 1, "error-reply") {
+        Message::ErrorReply { context, reason } => {
+            assert_eq!(context, "copy");
+            assert_eq!(reason, "acknowledged by reference to a base the leg did not carry");
+        }
+        _ => unreachable!(),
+    };
+
+    // To nobody's leg: ignored, as any unknown transfer id is.
+    assert!(s.handle(2, by_reference(99, None)).is_empty());
+
+    // To a first-contact leg.
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+    let req_id = leg(&out, "apply-state");
+    refused(&s.handle(2, by_reference(req_id, None)).into_messages());
+    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0);
+    // No base was installed: the next push is a full snapshot again.
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 2);
+    let req_id = leg(&out, "apply-state");
+    s.handle(2, Message::StateApplied { req_id, overwritten: None, error: None }).into_messages();
+
+    // With an error, to a delta leg: the error decides, and the leg falls
+    // back to the full snapshot like any refused delta.
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v2.clone(), 3);
+    let req_id = leg(&out, "apply-delta");
+    let out = s.handle(2, by_reference(req_id, Some("no base cached"))).into_messages();
+    assert_eq!(s.stats().delta_fallbacks, 1);
+    let fallback = leg(&out, "apply-state");
+    assert_eq!(count_kind(&out, "error-reply") + count_kind(&out, "state-applied"), 0);
+
+    // To that fallback leg: it carried the snapshot, not a base.
+    refused(&s.handle(2, by_reference(fallback, None)).into_messages());
+    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0);
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v3, 4);
+    leg(&out, "apply-state");
+
+    let stats = s.stats();
+    assert_eq!((stats.acks_by_reference, stats.transfers_failed), (0, 2));
+    s.check_invariants().unwrap();
 }
 
 /// A destination that rejects a delta (diverged or missing base) gets the

@@ -9,7 +9,8 @@
 
 use cosoft_server::{LivenessConfig, OverloadConfig, ShardRouter};
 use cosoft_wire::{
-    EventKind, GlobalObjectId, InstanceId, Message, ObjectPath, Target, UiEvent, UserId,
+    delta, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
+    Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 type Endpoint = u32;
@@ -234,6 +235,98 @@ fn seed_vanishing_mid_freeze_skips_migration() {
     assert!(out.is_empty());
     assert_eq!(router.router_stats().handoffs_completed, before, "nothing left to migrate");
     router.check_invariants().unwrap();
+}
+
+/// A destination's sync base migrates whole — version, tree and the
+/// encoding a by-reference acknowledgement files. Copy onto a lone viewer,
+/// couple it across shards into a larger component (which moves it, base
+/// and history with it), copy again: the migrated viewer gets a delta and
+/// may answer by reference, the history entry filed on the new shard is
+/// the first copy's state, and the undo of it restores that state on
+/// every viewer of the merged group.
+#[test]
+fn sync_base_survives_migration_and_is_filed_by_reference() {
+    let (mut router, inst) = registered(4);
+    let (presenter, lone, pair) = (inst[0], inst[2], [inst[1], inst[3]]);
+    assert_eq!(router.shard_of_instance(presenter), router.shard_of_instance(lone));
+    let board = gid(lone, "f");
+    let state = |text: &str| {
+        StateNode::new(WidgetKind::Form, "f").with_child(
+            StateNode::new(WidgetKind::TextField, "t")
+                .with_attr(AttrName::Text, Value::Text(text.into())),
+        )
+    };
+    let (v1, v2) = (state("v1"), state("v2"));
+    let copy = |router: &mut ShardRouter<Endpoint>, snapshot: &StateNode, req_id: u64| {
+        let msg = Message::CopyTo {
+            src: gid(presenter, "f"),
+            dst: board.clone(),
+            snapshot: snapshot.clone(),
+            mode: CopyMode::Strict,
+            req_id,
+        };
+        let out = router.handle(0, msg).into_messages();
+        router.check_invariants().unwrap();
+        out
+    };
+    let ack = |router: &mut ShardRouter<Endpoint>, endpoint, req_id, overwritten| {
+        let out = router
+            .handle(endpoint, Message::StateApplied { req_id, overwritten, error: None })
+            .into_messages();
+        assert!(!out.iter().any(|(_, m)| matches!(m, Message::ErrorReply { .. })), "{out:?}");
+        router.check_invariants().unwrap();
+    };
+
+    // First contact, on the shard the presenter and the viewer share.
+    let out = copy(&mut router, &v1, 1);
+    let [(2, Message::ApplyState { req_id, .. })] = &out[..] else {
+        panic!("one full leg to the lone viewer, got {out:?}");
+    };
+    ack(&mut router, 2, *req_id, Some(state("own").into()));
+
+    // The other shard's pair couples the viewer in: the smaller
+    // component — the viewer's, with its base and history — moves.
+    let home = router.shard_of_instance(lone).unwrap();
+    router.handle(1, Message::Couple { src: gid(pair[0], "f"), dst: gid(pair[1], "f") });
+    router.handle(1, Message::Couple { src: gid(pair[0], "f"), dst: board.clone() });
+    assert_eq!(router.shard_of_instance(lone), Some(1 - home), "the viewer migrated");
+    assert_eq!(router.shard_of_instance(pair[0]), Some(1 - home));
+    router.check_invariants().unwrap();
+
+    // Second copy: a delta against the migrated base for the viewer,
+    // which overwrote exactly that base; full snapshots for the newcomers.
+    let out = copy(&mut router, &v2, 2);
+    for (endpoint, leg) in &out {
+        match leg {
+            Message::ApplyDelta { req_id, base_version, delta: d, .. } if *endpoint == 2 => {
+                assert_eq!(*base_version, delta::state_version(&v1));
+                assert_eq!(delta::apply(&v1, d).unwrap(), v2);
+                ack(&mut router, 2, *req_id, Some(Overwritten::Base));
+            }
+            Message::ApplyState { req_id, .. } if *endpoint != 2 => {
+                ack(&mut router, *endpoint, *req_id, Some(state("own").into()));
+            }
+            other => panic!("unexpected leg to endpoint {endpoint}: {other:?}"),
+        }
+    }
+    assert_eq!(out.len(), 3);
+    assert_eq!(router.stats().acks_by_reference, 1);
+    let history = router.shard(1 - home).history();
+    assert_eq!(history.undo_depth(&board), 2);
+    assert_eq!(history.newest_undo(&board).unwrap().decode().unwrap(), v1);
+
+    // Undo on the viewer: the first copy's state, to all three.
+    let out = router.handle(0, Message::UndoState { object: board.clone() }).into_messages();
+    assert_eq!(out.len(), 3);
+    for (endpoint, leg) in &out {
+        let Message::ApplyDelta { req_id, delta: d, .. } = leg else {
+            panic!("expected a delta leg to endpoint {endpoint}, got {leg:?}");
+        };
+        assert_eq!(delta::apply(&v2, d).unwrap(), v1);
+        ack(&mut router, *endpoint, *req_id, Some(Overwritten::Base));
+    }
+    let stats = router.stats();
+    assert_eq!((stats.acks_by_reference, stats.delta_fallbacks, stats.transfers_failed), (4, 0, 0));
 }
 
 /// Couples `members` (consecutive endpoints from `first`) on object

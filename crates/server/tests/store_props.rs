@@ -184,7 +184,7 @@ proptest! {
 // ---- whole-core teardown invariant ---------------------------------------
 
 use cosoft_server::ServerCore;
-use cosoft_wire::{CopyMode, EventKind, Message, UiEvent, UserId};
+use cosoft_wire::{CopyMode, EventKind, Message, Overwritten, UiEvent, UserId};
 
 #[derive(Debug, Clone)]
 enum CoreOp {
@@ -354,10 +354,15 @@ proptest! {
                             }),
                             // Delta legs appear once a destination has an
                             // acknowledged base; erroring some of them
-                            // exercises the full-snapshot fallback resend.
+                            // exercises the full-snapshot fallback resend,
+                            // and some are acknowledged by reference.
                             Message::ApplyDelta { req_id, .. } => Some(Message::StateApplied {
                                 req_id,
-                                overwritten: Some(snap().into()),
+                                overwritten: Some(if req_id % 3 == 0 {
+                                    Overwritten::Base
+                                } else {
+                                    snap().into()
+                                }),
                                 error: if req_id % 4 == 0 {
                                     Some("delta base version mismatch".into())
                                 } else {

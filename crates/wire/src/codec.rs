@@ -15,7 +15,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::delta::{EditOp, NodeEdit, NodePatch};
-use crate::message::{InstanceInfo, MessageKind};
+use crate::message::{InstanceInfo, MessageKind, Overwritten};
 use crate::{
     AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
     StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind, WireError,
@@ -940,6 +940,30 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// `StateApplied.overwritten`: none and the state keep the tags and
+/// bytes of the `Option<EncodedState>` the field was; the reference to the
+/// base is a third tag with no payload.
+impl Wire for Option<Overwritten> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            None => buf.put_u8(0),
+            Some(Overwritten::State(state)) => {
+                buf.put_u8(1);
+                state.put(buf);
+            }
+            Some(Overwritten::Base) => buf.put_u8(2),
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        match get_u8(buf, "option tag")? {
+            0 => Ok(None),
+            1 => Ok(Some(Overwritten::State(Wire::get(buf)?))),
+            2 => Ok(Some(Overwritten::Base)),
+            other => Err(WireError::InvalidTag { kind: "Option<Overwritten>", tag: other }),
+        }
+    }
+}
+
 // --------------------------------------------------------------------------
 // messages
 // --------------------------------------------------------------------------
@@ -1122,14 +1146,14 @@ pub fn encode_state_shared(s: &StateNode) -> Bytes {
 }
 
 /// Builds an `ApplyState` frame around an already-encoded snapshot
-/// ([`encode_state_shared`]). A transfer fanning out to a coupling group
+/// ([`encode_state_shared`], [`EncodedState::as_slice`]). A transfer fanning out to a coupling group
 /// encodes the snapshot once instead of deep-cloning and re-encoding it
 /// per leg; the resulting bytes are identical to framing
 /// `Message::ApplyState` whole.
 pub fn frame_apply_state(
     req_id: u64,
     path: &ObjectPath,
-    snapshot: &Bytes,
+    snapshot: &[u8],
     mode: CopyMode,
 ) -> SharedFrame {
     let mut buf = BytesMut::with_capacity(snapshot.len() + 32);
@@ -1311,9 +1335,10 @@ mod tests {
             },
             Message::StateApplied {
                 req_id: 3,
-                overwritten: Some(EncodedState::of(&sample_state())),
+                overwritten: Some(sample_state().into()),
                 error: None,
             },
+            Message::StateApplied { req_id: 3, overwritten: Some(Overwritten::Base), error: None },
             Message::StateApplied {
                 req_id: 3,
                 overwritten: None,

@@ -54,6 +54,6 @@ pub use delta::{DeltaError, EditOp, NodeEdit, NodePatch, StateDelta};
 pub use error::WireError;
 pub use event::{EventKind, UiEvent};
 pub use id::{GlobalObjectId, InstanceId, ObjectPath, UserId};
-pub use message::{AccessRight, CopyMode, InstanceInfo, Message, MessageKind, Target};
+pub use message::{AccessRight, CopyMode, InstanceInfo, Message, MessageKind, Overwritten, Target};
 pub use state::{AttrMap, StateNode};
 pub use value::{AttrName, Value, WidgetKind};

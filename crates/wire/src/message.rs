@@ -78,6 +78,27 @@ pub enum Target {
     Group(GlobalObjectId),
 }
 
+/// What a destination reports its apply overwrote, in
+/// [`Message::StateApplied`]: the record, or a reference to a state the
+/// server already holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Overwritten {
+    /// The record itself, in its wire encoding.
+    State(EncodedState),
+    /// The record is, byte for byte, the sync base the
+    /// [`Message::ApplyDelta`] being answered was diffed against
+    /// (its fingerprint equals the leg's `base_version`), so the server
+    /// files the copy of that base it kept. Answers an `ApplyDelta` only;
+    /// in answer to any other leg it fails the leg.
+    Base,
+}
+
+impl From<StateNode> for Overwritten {
+    fn from(state: StateNode) -> Overwritten {
+        Overwritten::State(EncodedState::of(&state))
+    }
+}
+
 /// Registration record of one application instance (§2.2: "application
 /// instance identifier, host name, and user name, etc.").
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -450,13 +471,17 @@ protocol! {
     /// state for undo (§2.2). The server only files it and reads it
     /// again at undo, so the field stays encoded: decoding the message
     /// checks the state's bytes and slices them out of the frame, and
-    /// the history stack keeps that slice.
+    /// the history stack keeps that slice. In steady state those bytes
+    /// are the very base an [`Message::ApplyDelta`] leg was diffed
+    /// against; the destination then answers [`Overwritten::Base`] — one
+    /// byte — and the server files the encoding of that base it kept.
     StateApplied = 24, "state-applied" {
         /// Echo of the transfer id.
         req_id: u64,
         /// What the apply overwrote on the destination object, if it
-        /// existed and the apply succeeded.
-        overwritten: Option<EncodedState>,
+        /// existed and the apply succeeded: option tag 0 for none, 1
+        /// followed by the state, 2 for [`Overwritten::Base`].
+        overwritten: Option<Overwritten>,
         /// Error description if the apply failed (e.g. strict-mode
         /// incompatibility).
         error: Option<String>,

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use cosoft_wire::codec;
 use cosoft_wire::{
     AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
-    StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -168,13 +168,20 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (any::<u64>(), arb_path(), arb_state(), arb_copy_mode()).prop_map(
             |(req_id, path, snapshot, mode)| Message::ApplyState { req_id, path, snapshot, mode }
         ),
-        (any::<u64>(), prop::option::of(arb_state()), prop::option::of("[a-z ]{0,20}")).prop_map(
-            |(req_id, overwritten, error)| Message::StateApplied {
+        (
+            any::<u64>(),
+            prop_oneof![
+                Just(None::<Overwritten>),
+                Just(Some(Overwritten::Base)),
+                arb_state().prop_map(|state| Some(Overwritten::from(state))),
+            ],
+            prop::option::of("[a-z ]{0,20}")
+        )
+            .prop_map(|(req_id, overwritten, error)| Message::StateApplied {
                 req_id,
-                overwritten: overwritten.map(Into::into),
+                overwritten,
                 error
-            }
-        ),
+            }),
         (
             any::<u64>(),
             arb_gid(),

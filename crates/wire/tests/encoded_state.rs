@@ -9,7 +9,9 @@
 
 use bytes::Bytes;
 use cosoft_wire::codec::{self, MAX_LEN, MAX_STATE_DEPTH};
-use cosoft_wire::{AttrName, EncodedState, Message, StateNode, Value, WidgetKind, WireError};
+use cosoft_wire::{
+    AttrName, EncodedState, Message, Overwritten, StateNode, Value, WidgetKind, WireError,
+};
 
 /// The state of every state-carrying golden vector (`golden.rs`, `snap()`)
 /// and its committed bytes.
@@ -231,11 +233,8 @@ fn limits_are_enforced_alike() {
 #[test]
 fn state_applied_carries_the_bytes_through() {
     // Canonical: the committed golden bytes, both ways.
-    let m = Message::StateApplied {
-        req_id: 3,
-        overwritten: Some(EncodedState::of(&golden_snap())),
-        error: None,
-    };
+    let m =
+        Message::StateApplied { req_id: 3, overwritten: Some(golden_snap().into()), error: None };
     let golden = [[0x18, 0x03, 0x01].as_slice(), &GOLDEN_SNAP, &[0x00]].concat();
     assert_eq!(codec::encode_message(&m), golden);
     assert_eq!(codec::decode_message(&golden), Ok(m));
@@ -246,7 +245,11 @@ fn state_applied_carries_the_bytes_through() {
     let frame = [[0x18, 0x03, 0x01].as_slice(), &odd, &[0x01, 0x01, b'e']].concat();
     let back = codec::decode_message(&frame).expect("legal frame");
     match &back {
-        Message::StateApplied { req_id: 3, overwritten: Some(state), error: Some(e) } => {
+        Message::StateApplied {
+            req_id: 3,
+            overwritten: Some(Overwritten::State(state)),
+            error: Some(e),
+        } => {
             assert_eq!(state.as_slice(), odd);
             assert_ne!(*state, EncodedState::of(&state.decode().expect("checked")));
             assert_eq!(e, "e");

@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 
 use cosoft_wire::{
     codec, AccessRight, AttrName, CopyMode, EditOp, EventKind, GlobalObjectId, InstanceId,
-    InstanceInfo, Message, NodeEdit, NodePatch, ObjectPath, StateDelta, StateNode, Target, UiEvent,
-    UserId, Value, WidgetKind,
+    InstanceInfo, Message, NodeEdit, NodePatch, ObjectPath, Overwritten, StateDelta, StateNode,
+    Target, UiEvent, UserId, Value, WidgetKind, WireError,
 };
 
 fn gid(i: u64, p: &str) -> GlobalObjectId {
@@ -329,6 +329,28 @@ fn golden_couple_annotated() {
             1, 1, b'g', // dst path: 1 segment "g"
         ]
     );
+}
+
+/// `StateApplied.overwritten` has three values on three option tags: the
+/// table pins *none*, `encoded_state.rs` pins the state, this is the
+/// one-byte reference to the base; every other tag byte is refused.
+#[test]
+fn golden_state_applied_by_reference_annotated() {
+    let m = Message::StateApplied { req_id: 3, overwritten: Some(Overwritten::Base), error: None };
+    let bytes = vec![
+        24, // tag StateApplied
+        3,  // req_id
+        2,  // overwritten: the base of the ApplyDelta being answered
+        0,  // error: none
+    ];
+    assert_eq!(codec::encode_message(&m), bytes);
+    assert_eq!(codec::decode_message(&bytes), Ok(m));
+    for tag in 3..=u8::MAX {
+        assert_eq!(
+            codec::decode_message(&[24, 3, tag, 0]),
+            Err(WireError::InvalidTag { kind: "Option<Overwritten>", tag })
+        );
+    }
 }
 
 #[test]

@@ -23,14 +23,19 @@ cargo test -q -p cosoft-wire --test encoded_state
 # invocation can't silently skip them. server_core also holds the delta
 # wire-size gate (at depth 6 a single-attribute delta, the undo of it
 # and the copy after the undo are each ≤ 25% of the snapshot frame, the
-# first a smaller share than at depth 2).
+# first a smaller share than at depth 2; each is acknowledged by
+# reference in ≤ 12 B at either depth, and four viewers' by-reference
+# history entries are one buffer) and the acknowledgements that must
+# file nothing: a failed apply's, and a reference to no base.
 cargo test -q -p cosoft-server --test server_core
 cargo test -q -p cosoft-server --test store_props no_leaks_after_all_instances_deregister
 # The same gate over real sessions (undo leg and the copy after it stay
-# deltas, the StateApplied reply is no larger than its CopyTo), and a
-# merge that destroys a coupled child decouples it; then the record of
-# what an apply overwrote against the full snapshot it replaced, 2 000
-# seeded cases per copy mode (std only; compat_props mirrors it).
+# deltas, the first StateApplied reply is no larger than its CopyTo, the
+# steady-state ones ≤ 12 B), a merge that destroys a coupled child
+# decouples it, and acknowledgement by reference against plain history
+# stacks over 240 seeded scripts; then the record of what an apply
+# overwrote against the full snapshot it replaced, 2 000 seeded cases
+# per copy mode (both std only; compat_props mirrors the second).
 cargo test -q -p cosoft-core --test coupling
 cargo test -q -p cosoft-core --test compat_record
 cargo test -q -p cosoft-core --test reconnect_sim
