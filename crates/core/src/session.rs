@@ -159,12 +159,18 @@ pub struct Session {
     /// survive, even when it happens to equal the echo.
     remote_epoch: HashMap<ObjectPath, u64>,
     command_handlers: HashMap<String, CommandHandler>,
-    /// Last successfully applied transfer per local object, as transmitted
-    /// by the server (version, state). The server sends attribute-level
-    /// deltas against this base on subsequent transfers; a missing or
-    /// stale entry makes the session reject the delta, which triggers the
-    /// server's full-snapshot fallback. Kept across rejoins so resync
-    /// transfers can still ride the delta path.
+    /// Per local object, the last state of it that crossed the connection
+    /// in either direction (version, state): applied from a transfer leg
+    /// as transmitted, pushed by [`Session::copy_to`], or given in answer
+    /// to a `StateRequest`. The server keeps the same state for the
+    /// object, so either end sends the other only the edits since — the
+    /// server its `ApplyDelta` legs, this session its `CopyDelta` pushes.
+    /// When the two copies differ the receiver notices by the version and
+    /// the state travels in full once: a session missing the base of a
+    /// leg rejects it (the server resends an `ApplyState`), a server
+    /// missing the base of a push asks for the state (`StateRequest`).
+    /// Kept across rejoins so resync transfers can still ride the delta
+    /// path.
     sync_bases: HashMap<ObjectPath, (u64, StateNode)>,
     next_seq: u64,
     next_req: u64,
@@ -469,6 +475,10 @@ impl Session {
     /// Passive synchronization (§3.1 `CopyTo`): push a local object's
     /// state to a remote object. Returns the request id.
     ///
+    /// The snapshot shipped becomes the object's sync base, and when the
+    /// session already holds one — the server then holds it too — only
+    /// the edits since travel ([`Message::CopyDelta`]).
+    ///
     /// # Errors
     ///
     /// [`SessionError::NotRegistered`] or a toolkit error resolving `src`.
@@ -484,7 +494,21 @@ impl Session {
         self.hooks.fill_snapshot(self.toolkit.tree(), src, &mut snapshot);
         let req_id = self.next_req;
         self.next_req += 1;
-        self.outbox.push(Message::CopyTo { src: src_gid, dst, snapshot, mode, req_id });
+        let new_version = delta::state_version(&snapshot);
+        let push = match self.sync_bases.get(src) {
+            Some((base_version, base)) => Message::CopyDelta {
+                src: src_gid,
+                dst,
+                base_version: *base_version,
+                new_version,
+                delta: delta::diff(base, &snapshot),
+                mode,
+                req_id,
+            },
+            None => Message::CopyTo { src: src_gid, dst, snapshot: snapshot.clone(), mode, req_id },
+        };
+        self.sync_bases.insert(src.clone(), (new_version, snapshot));
+        self.outbox.push(push);
         Ok(req_id)
     }
 
@@ -642,6 +666,12 @@ impl Session {
                     self.hooks.fill_snapshot(self.toolkit.tree(), &path, &mut snap);
                     Some(snap)
                 });
+                // The reply crosses the connection in full, so it is the
+                // object's sync base at both ends — also after the server
+                // lost its copy and asked because of that.
+                if let Some(snap) = &snapshot {
+                    self.sync_bases.insert(path, (delta::state_version(snap), snap.clone()));
+                }
                 self.outbox.push(Message::StateReply { req_id, snapshot });
             }
             Message::ApplyState { req_id, path, snapshot, mode } => {

@@ -4,6 +4,7 @@
 use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::NodeId;
+use cosoft_server::OverloadConfig;
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
     codec, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
@@ -464,7 +465,10 @@ fn settle_logged(h: &mut SimHarness, nodes: &[NodeId]) -> Vec<(Option<NodeId>, M
 /// vocabulary, so the undo leg and the copy after it stay deltas a
 /// quarter of the snapshot. From the second copy on, what each apply
 /// overwrote is the base its delta named: the viewer says so, and the
-/// reply is a dozen bytes whatever the depth of the form.
+/// reply is a dozen bytes whatever the depth of the form. The request
+/// shrinks the same way: from the second copy on the presenter holds the
+/// snapshot it shipped last and sends a `copy-delta`, so that at depth 6
+/// request, leg and acknowledgement together fit in 200 bytes.
 #[test]
 fn overwritten_state_keeps_replies_and_undo_legs_small() {
     for depth in [2, 6] {
@@ -495,19 +499,29 @@ fn overwritten_state_keeps_replies_and_undo_legs_small() {
                     .map(|(_, m)| codec::frame_message(m).len())
             };
             let leg = size(None, "apply-state").or(size(None, "apply-delta")).unwrap();
-            (leg, size(Some(b), "state-applied").unwrap(), size(Some(a), "copy-to"))
+            let request = [size(Some(a), "copy-to"), size(Some(a), "copy-delta")];
+            (leg, size(Some(b), "state-applied").unwrap(), request)
         };
         let (snapshot, reply, request) = round(&mut h, Some("v1"));
-        assert!(
-            reply <= request.unwrap(),
-            "first StateApplied is {reply} B for a CopyTo of {request:?} B"
-        );
+        let [Some(copy_to), None] = request else {
+            panic!("first contact travels in full, got {request:?}");
+        };
+        assert!(reply <= copy_to, "first StateApplied is {reply} B for a CopyTo of {copy_to} B");
         let legs = [("copy", Some("v2")), ("undo", None), ("copy after undo", Some("v3"))];
         for (what, text) in legs {
-            let (leg, reply, _) = round(&mut h, text);
+            let (leg, reply, request) = round(&mut h, text);
             assert!(reply <= 12, "depth {depth}: the {what} leg's StateApplied is {reply} B");
             if depth == 6 {
                 assert!(4 * leg <= snapshot, "{what} leg is {leg} B, the ApplyState {snapshot} B");
+            }
+            if text.is_some() {
+                let [None, Some(copy_delta)] = request else {
+                    panic!("the {what} is requested by delta, got {request:?}");
+                };
+                assert!(
+                    depth != 6 || copy_delta + leg + reply <= 200,
+                    "{what}: {copy_delta} B up, {leg} B down, {reply} B back"
+                );
             }
         }
         let stats = h.server.stats();
@@ -515,7 +529,59 @@ fn overwritten_state_keeps_replies_and_undo_legs_small() {
             (stats.delta_legs_sent, stats.delta_fallbacks, stats.acks_by_reference),
             (3, 0, 3)
         );
+        assert_eq!((stats.pushes_by_delta, stats.push_fallbacks), (2, 0));
     }
+}
+
+/// A member that pushes onto its own couple group is a destination of
+/// its own push. What it pushed is its sync base before the fan-out
+/// starts, so its own leg is an empty delta, acknowledged by reference,
+/// where the whole snapshot used to be echoed back to it.
+#[test]
+fn push_onto_own_group_echoes_an_empty_delta() {
+    let mut h = SimHarness::new(1);
+    let a = h.add_session(session(&deep_form(6), 1));
+    let b = h.add_session(session(&deep_form(6), 2));
+    h.settle();
+    let board = h.session(b).gid(&path("lvl0")).unwrap();
+    h.session_mut(a).couple(&path("lvl0"), board.clone()).unwrap();
+    h.settle();
+    let tree = h.session_mut(a).toolkit_mut().tree_mut();
+    let leaf = tree.resolve(&path("lvl0.lvl1.lvl2.lvl3.lvl4.lvl5.leaf")).unwrap();
+    tree.set_attr(leaf, AttrName::Text, Value::Text("v1".into())).unwrap();
+
+    h.session_mut(a).copy_to(&path("lvl0"), board, CopyMode::Strict).unwrap();
+    let log = settle_logged(&mut h, &[a, b]);
+    // (frame bytes, whether an empty delta) of the two legs, smaller first.
+    let mut legs: Vec<(usize, bool)> = log
+        .iter()
+        .filter_map(|(from, m)| match (from, m) {
+            (None, Message::ApplyState { .. }) => Some((codec::frame_message(m).len(), false)),
+            (None, Message::ApplyDelta { delta, .. }) => {
+                Some((codec::frame_message(m).len(), delta.is_empty()))
+            }
+            _ => None,
+        })
+        .collect();
+    legs.sort();
+    let [(echo, true), (first_contact, false)] = legs[..] else {
+        panic!("expected an empty delta and a snapshot, got {legs:?}");
+    };
+    assert!(echo <= 40 && first_contact > 400, "{echo} B to the pusher, {first_contact} B on");
+    let acks = |node| {
+        log.iter()
+            .filter_map(|(from, m)| match m {
+                Message::StateApplied { overwritten, .. } if *from == Some(node) => {
+                    Some(overwritten.clone())
+                }
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(acks(a), [Some(Overwritten::Base)]);
+    assert!(matches!(acks(b)[..], [Some(Overwritten::State(_))]));
+    assert_eq!(text_of(&h, b, "lvl0.lvl1.lvl2.lvl3.lvl4.lvl5.leaf"), "v1");
+    h.server.check_invariants().unwrap();
 }
 
 // ---- acknowledgement by reference, against a model -------------------------
@@ -570,46 +636,106 @@ impl BoardState {
 enum Filed {
     /// Carried by the reply to a first-contact `ApplyState` leg.
     FirstContact,
-    /// Carried by the reply to a delta leg: the viewer no longer held the
+    /// Carried by the reply to a delta leg: the board no longer held the
     /// base (or holds it in other kinds).
     InFull,
     /// Named by the reply to a delta leg and filed from the server's copy.
     ByReference,
+    /// Carried by the reply to the `ApplyState` a refused delta leg fell
+    /// back to: the session's base was not the one the server diffed
+    /// against.
+    AfterRefusal,
 }
 
-/// A viewer as plain stacks of the states *it* held — what the server's
-/// history must amount to however the states reached it.
-struct ModelViewer {
+/// How a push travelled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pushed {
+    /// `CopyTo`: the session held no base for the board.
+    InFull,
+    /// `CopyDelta`, rebuilt by the server from its copy of the base.
+    ByDelta,
+    /// `CopyDelta` the server could not rebuild, and pulled instead.
+    Pulled,
+    /// Shed by admission control, whatever it was.
+    Shed,
+}
+
+/// A board as plain values: what it shows, the two copies of its sync
+/// base, and stacks of the states it held — what the server's history
+/// must amount to however the states reached it.
+struct ModelBoard {
     node: NodeId,
     unlike: bool,
     held: BoardState,
-    /// The state it last acknowledged, as transmitted: what the server
-    /// diffs the next leg against, and what "by reference" refers to.
-    base: Option<BoardState>,
+    /// The last state of the board that crossed its connection, in either
+    /// direction and as transmitted, as the session has it and as the
+    /// server does. Each end sends the other the edits since; they part
+    /// when a push is shed or the server forgets the instance.
+    session_base: Option<BoardState>,
+    server_base: Option<BoardState>,
     undo: Vec<(BoardState, Filed)>,
     redo: Vec<(BoardState, Filed)>,
 }
 
-impl ModelViewer {
-    /// Applies a transmitted state and returns what that overwrote. It is
-    /// acknowledged by reference exactly when the leg is a delta and the
-    /// board held that delta's base, kind for kind and value for value
-    /// (every transmitted state here is in the like boards' kinds).
+impl ModelBoard {
+    fn new(node: NodeId, unlike: bool) -> ModelBoard {
+        ModelBoard {
+            node,
+            unlike,
+            held: BoardState::default(),
+            session_base: None,
+            server_base: None,
+            undo: Vec::new(),
+            redo: Vec::new(),
+        }
+    }
+
+    /// Applies a transmitted state and returns what that overwrote. The
+    /// leg is a delta when the server holds a base, refused unless the
+    /// session holds the same, and acknowledged by reference exactly when
+    /// the board held that base, kind for kind and value for value (every
+    /// transmitted state here is in the like boards' kinds).
     fn apply(&mut self, sent: &BoardState) -> (BoardState, Filed) {
-        let filed = match &self.base {
+        let filed = match &self.server_base {
             None => Filed::FirstContact,
+            Some(base) if self.session_base.as_ref() != Some(base) => Filed::AfterRefusal,
             Some(base) if !self.unlike && *base == self.held => Filed::ByReference,
             Some(_) => Filed::InFull,
         };
-        self.base = Some(sent.clone());
+        self.session_base = Some(sent.clone());
+        self.server_base = Some(sent.clone());
         (std::mem::replace(&mut self.held, sent.clone()), filed)
+    }
+
+    /// Pushes what the board holds; returns whether the push leaves as a
+    /// delta — exactly when the session holds a base — and how it fares.
+    /// Pulled instead when the server does not hold the same base; either
+    /// way both ends hold the pushed state afterwards, unless the push
+    /// was shed, which only the session knows of.
+    fn push(&mut self, shed: bool) -> (bool, Pushed) {
+        let pushed = match &self.session_base {
+            _ if shed => Pushed::Shed,
+            None => Pushed::InFull,
+            Some(base) if self.server_base.as_ref() == Some(base) => Pushed::ByDelta,
+            Some(_) => Pushed::Pulled,
+        };
+        let as_delta = self.session_base.is_some();
+        self.session_base = Some(self.held.clone());
+        if !shed {
+            self.server_base = Some(self.held.clone());
+        }
+        (as_delta, pushed)
     }
 }
 
 #[derive(Debug)]
 enum Step {
-    /// The presenter edits its board and copies it onto the viewers'.
-    Copy(CopyMode),
+    /// The presenter edits its board and copies it onto the viewers';
+    /// with `shed`, into a server that sheds the push as `Busy`.
+    Copy {
+        mode: CopyMode,
+        shed: bool,
+    },
     /// Undo / redo on like viewer `0` or `1`'s board.
     Undo(usize),
     Redo(usize),
@@ -617,37 +743,50 @@ enum Step {
     LocalEdit(usize, usize),
     /// Viewer `.0` types into field `.1`; its group re-executes.
     CoupledEvent(usize, usize),
+    /// Like viewer `.0` copies its board back onto the presenter's, whose
+    /// base is then written from the other direction.
+    PushBack(usize, CopyMode),
+    /// The bystander pulls the presenter's board: the `StateReply` is the
+    /// presenter's base at both ends.
+    BystanderPull(CopyMode),
+    /// The presenter's connection is severed and it registers anew (the
+    /// server keeps no resume token): its session keeps its base, the
+    /// server forgets the instance.
+    Reconnect,
 }
 
-/// Differential test of acknowledgement by reference, over seeded scripts
-/// (SplitMix64, std only): real sessions and a real server against
-/// [`ModelViewer`], compared at every quiescence. The model knows nothing
-/// of deltas, encodings or references — only which states each viewer
-/// held — so a history entry filed from the server's copy of a base must
-/// be indistinguishable from the record the viewer would have sent.
+/// Differential test of the sync base and of acknowledgement by
+/// reference, over seeded scripts (SplitMix64, std only): real sessions
+/// and a real server against [`ModelBoard`], compared at every
+/// quiescence. The model knows nothing of deltas, encodings or
+/// references — only which states each board held and which crossed its
+/// connection last — so a history entry filed from the server's copy of a
+/// base must be indistinguishable from the record the viewer would have
+/// sent, and a push rebuilt from the server's copy of a base from the
+/// snapshot the presenter would have sent.
 #[test]
 fn acknowledgement_by_reference_matches_plain_history_stacks() {
     const SCRIPTS: u64 = 240;
-    const STEPS: usize = 28;
-    // (acknowledgements, entries popped by undo/redo) per way of filing.
-    let mut seen = [(0u64, 0u64); 3];
+    const STEPS: usize = 32;
+    const MODES: [CopyMode; 3] =
+        [CopyMode::Strict, CopyMode::FlexibleMatch, CopyMode::DestructiveMerge];
+    // (acknowledgements, entries popped by undo/redo) per way of filing,
+    // and pushes per way of travelling.
+    let mut seen = [(0u64, 0u64); 4];
+    let mut pushes = [0u64; 4];
     let mut unlike_delta_legs = 0;
     for seed in 0..SCRIPTS {
         let mut rng = SplitMix64(seed);
         let mut h = SimHarness::new(seed);
-        let presenter = h.add_session(session(BOARD, 1));
-        let mut viewers: Vec<ModelViewer> = [BOARD, BOARD, UNLIKE_BOARD]
+        let mut presenter = ModelBoard::new(h.add_session(session(BOARD, 1)), false);
+        let mut viewers: Vec<ModelBoard> = [BOARD, BOARD, UNLIKE_BOARD]
             .iter()
             .zip(2..)
-            .map(|(spec, user)| ModelViewer {
-                node: h.add_session(session(spec, user)),
-                unlike: *spec == UNLIKE_BOARD,
-                held: BoardState::default(),
-                base: None,
-                undo: Vec::new(),
-                redo: Vec::new(),
+            .map(|(spec, user)| {
+                ModelBoard::new(h.add_session(session(spec, user)), *spec == UNLIKE_BOARD)
             })
             .collect();
+        let mut bystander = ModelBoard::new(h.add_session(session(BOARD, 5)), false);
         h.settle();
         h.session_mut(viewers[2].node).correspondences_mut().declare(
             WidgetKind::TextField,
@@ -660,79 +799,98 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
             h.session_mut(viewers[pair.0].node).couple(&path("board"), dst).unwrap();
             h.settle();
         }
-        let nodes: Vec<NodeId> =
-            std::iter::once(presenter).chain(viewers.iter().map(|v| v.node)).collect();
+        let nodes: Vec<NodeId> = [presenter.node, bystander.node]
+            .into_iter()
+            .chain(viewers.iter().map(|v| v.node))
+            .collect();
         let set_text = |h: &mut SimHarness, node, field: usize, text: &str| {
             let tree = h.session_mut(node).toolkit_mut().tree_mut();
             let id = tree.resolve(&path(&format!("board.f{field}"))).unwrap();
             tree.set_attr(id, AttrName::Text, Value::Text(text.into())).unwrap();
         };
 
-        let mut presented = BoardState::default();
-        let mut acks_by_reference = 0;
+        // What the server's four counters must read, from the model.
+        let (mut acks_by_reference, mut legs_refused) = (0, 0);
+        let (mut pushes_by_delta, mut pushes_pulled) = (0, 0);
         for n in 0..STEPS {
             let fresh = format!("s{seed}n{n}");
             let step = match rng.below(100) {
-                0..=39 => Step::Copy(
-                    [CopyMode::Strict, CopyMode::FlexibleMatch, CopyMode::DestructiveMerge]
-                        [rng.below(3)],
-                ),
-                40..=54 => Step::Undo(rng.below(2)),
-                55..=64 => Step::Redo(rng.below(2)),
-                65..=84 => Step::LocalEdit(rng.below(3), rng.below(3)),
-                _ => Step::CoupledEvent(rng.below(3), 2 * rng.below(2)),
+                0..=29 => Step::Copy { mode: MODES[rng.below(3)], shed: false },
+                30..=35 => Step::Copy { mode: MODES[rng.below(3)], shed: true },
+                36..=47 => Step::Undo(rng.below(2)),
+                48..=55 => Step::Redo(rng.below(2)),
+                56..=69 => Step::LocalEdit(rng.below(3), rng.below(3)),
+                70..=79 => Step::CoupledEvent(rng.below(3), 2 * rng.below(2)),
+                80..=88 => Step::PushBack(rng.below(2), MODES[rng.below(3)]),
+                89..=94 => Step::BystanderPull(MODES[rng.below(3)]),
+                _ => Step::Reconnect,
             };
             let ctx = format!("seed {seed}, step {n} ({step:?})");
 
-            // The step, on the model; `applied` is what each viewer
-            // overwrote if the step transferred a state.
-            let mut applied: Vec<(BoardState, Filed)> = Vec::new();
+            // The step, on the model; `applied` is what each board that
+            // was sent a state overwrote, `pushed` who pushed and how.
+            let mut applied: Vec<(NodeId, bool, Filed)> = Vec::new();
+            let mut pushed: Option<(NodeId, (bool, Pushed))> = None;
+            let mut apply = |board: &mut ModelBoard, sent: &BoardState| {
+                let (overwritten, filed) = board.apply(sent);
+                applied.push((board.node, board.unlike, filed));
+                (overwritten, filed)
+            };
             match step {
-                Step::Copy(mode) => {
+                Step::Copy { mode, shed } => {
                     for field in 0..3 {
                         if rng.below(3) == 0 {
-                            presented.fields[field] = format!("{fresh}f{field}");
-                            set_text(&mut h, presenter, field, &presented.fields[field]);
+                            presenter.held.fields[field] = format!("{fresh}f{field}");
+                            set_text(&mut h, presenter.node, field, &presenter.held.fields[field]);
                         }
                     }
                     if rng.below(4) == 0 {
-                        presented.title = fresh.clone();
-                        let tree = h.session_mut(presenter).toolkit_mut().tree_mut();
+                        presenter.held.title = fresh.clone();
+                        let tree = h.session_mut(presenter.node).toolkit_mut().tree_mut();
                         let id = tree.resolve(&path("board")).unwrap();
                         tree.set_attr(id, AttrName::Title, Value::Text(fresh.clone())).unwrap();
                     }
+                    if shed {
+                        // One byte a window: whatever arrives is shed.
+                        h.server.set_overload(OverloadConfig {
+                            window_us: 1,
+                            max_window_bytes: 1,
+                            ..OverloadConfig::default()
+                        });
+                    }
                     let dst = board_of(&h, viewers[0].node);
-                    h.session_mut(presenter).copy_to(&path("board"), dst, mode).unwrap();
-                    for v in &mut viewers {
-                        let overwritten = v.apply(&presented);
-                        v.undo.push(overwritten.clone());
-                        v.redo.clear();
-                        applied.push(overwritten);
+                    h.session_mut(presenter.node).copy_to(&path("board"), dst, mode).unwrap();
+                    pushed = Some((presenter.node, presenter.push(shed)));
+                    if !shed {
+                        for v in &mut viewers {
+                            let overwritten = apply(v, &presenter.held);
+                            v.undo.push(overwritten);
+                            v.redo.clear();
+                        }
                     }
                 }
                 Step::Undo(k) | Step::Redo(k) => {
                     let object = board_of(&h, viewers[k].node);
                     let undo = matches!(step, Step::Undo(_));
                     let popped = if undo {
-                        h.session_mut(presenter).undo(object);
+                        h.session_mut(presenter.node).undo(object);
                         viewers[k].undo.pop()
                     } else {
-                        h.session_mut(presenter).redo(object);
+                        h.session_mut(presenter.node).redo(object);
                         viewers[k].redo.pop()
                     };
                     if let Some((restored, filed)) = popped {
                         seen[filed as usize].1 += 1;
                         for v in &mut viewers {
-                            let overwritten = v.apply(&restored);
-                            if undo { &mut v.redo } else { &mut v.undo }.push(overwritten.clone());
-                            applied.push(overwritten);
+                            let overwritten = apply(v, &restored);
+                            if undo { &mut v.redo } else { &mut v.undo }.push(overwritten);
                         }
                     }
                 }
                 Step::LocalEdit(i, field) => {
                     // Now and then back to what the base says: the board
                     // then holds the base again, and may say so.
-                    let text = match &viewers[i].base {
+                    let text = match &viewers[i].session_base {
                         Some(base) if rng.below(3) == 0 => base.fields[field].clone(),
                         _ => fresh,
                     };
@@ -745,10 +903,52 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
                         v.held.fields[field] = fresh.clone();
                     }
                 }
+                Step::PushBack(k, mode) => {
+                    let dst = board_of(&h, presenter.node);
+                    h.session_mut(viewers[k].node).copy_to(&path("board"), dst, mode).unwrap();
+                    pushed = Some((viewers[k].node, viewers[k].push(false)));
+                    apply(&mut presenter, &viewers[k].held);
+                }
+                Step::BystanderPull(mode) => {
+                    let src = board_of(&h, presenter.node);
+                    h.session_mut(bystander.node).copy_from(src, &path("board"), mode).unwrap();
+                    presenter.session_base = Some(presenter.held.clone());
+                    presenter.server_base = Some(presenter.held.clone());
+                    apply(&mut bystander, &presenter.held);
+                }
+                Step::Reconnect => {
+                    h.disconnect(presenter.node);
+                    h.reconnect(presenter.node);
+                    presenter.server_base = None;
+                }
             }
 
             // The same step, for real.
             let log = settle_logged(&mut h, &nodes);
+            h.server.set_overload(OverloadConfig::default());
+            for board in viewers.iter().chain([&presenter, &bystander]) {
+                let tree = h.session(board.node).toolkit().tree();
+                let shown = tree.snapshot(tree.resolve(&path("board")).unwrap(), true).unwrap();
+                assert_eq!(shown, board.held.snapshot(board.unlike), "{ctx}: {:?}", board.node);
+            }
+            let sent_by = |node: NodeId, kind: &str| {
+                log.iter().filter(|(from, m)| (*from, m.kind_name()) == (Some(node), kind)).count()
+            };
+            if let Some((node, (as_delta, how))) = pushed {
+                assert_eq!(
+                    (sent_by(node, "copy-to"), sent_by(node, "copy-delta")),
+                    (usize::from(!as_delta), usize::from(as_delta)),
+                    "{ctx}: pushed {how:?}"
+                );
+                assert_eq!(
+                    sent_by(node, "state-reply"),
+                    usize::from(how == Pushed::Pulled),
+                    "{ctx}"
+                );
+                pushes[how as usize] += 1;
+                pushes_by_delta += u64::from(how == Pushed::ByDelta);
+                pushes_pulled += u64::from(how == Pushed::Pulled);
+            }
             let mut by_reference: Vec<NodeId> = log
                 .iter()
                 .filter_map(|(from, m)| match m {
@@ -757,38 +957,43 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
                 })
                 .collect();
             by_reference.sort();
-            let expected: Vec<NodeId> = viewers
+            let mut named: Vec<NodeId> = applied
                 .iter()
-                .zip(&applied)
-                .filter(|(_, (_, filed))| *filed == Filed::ByReference)
-                .map(|(v, _)| v.node)
+                .filter(|(_, _, filed)| *filed == Filed::ByReference)
+                .map(|(node, ..)| *node)
                 .collect();
-            for v in &viewers {
-                let tree = h.session(v.node).toolkit().tree();
-                let shown = tree.snapshot(tree.resolve(&path("board")).unwrap(), true).unwrap();
-                assert_eq!(shown, v.held.snapshot(v.unlike), "{ctx}: viewer {:?}", v.node);
+            named.sort();
+            assert_eq!(by_reference, named, "{ctx}: who acknowledged by reference");
+            for (_, unlike, filed) in &applied {
+                seen[*filed as usize].0 += 1;
+                unlike_delta_legs += u64::from(*unlike && *filed == Filed::InFull);
+                acks_by_reference += u64::from(*filed == Filed::ByReference);
+                legs_refused += u64::from(*filed == Filed::AfterRefusal);
             }
-            assert_eq!(by_reference, expected, "{ctx}: who acknowledged by reference");
-            acks_by_reference += expected.len() as u64;
             let stats = h.server.stats();
             assert_eq!(
-                (stats.acks_by_reference, stats.delta_fallbacks),
-                (acks_by_reference, 0),
+                (
+                    stats.acks_by_reference,
+                    stats.delta_fallbacks,
+                    stats.pushes_by_delta,
+                    stats.push_fallbacks
+                ),
+                (acks_by_reference, legs_refused, pushes_by_delta, pushes_pulled),
                 "{ctx}"
             );
             h.server.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            for (v, (_, filed)) in viewers.iter().zip(&applied) {
-                seen[*filed as usize].0 += 1;
-                unlike_delta_legs += u64::from(v.unlike && *filed == Filed::InFull);
-            }
         }
     }
     // Every path ran, and every kind of entry was restored from.
-    let [first_contact, in_full, by_reference] = seen;
+    let [first_contact, in_full, by_reference, after_refusal] = seen;
     assert!(first_contact.0 >= 3 * SCRIPTS / 2, "first-contact legs: {first_contact:?}");
     assert!(in_full.0 > unlike_delta_legs && in_full.1 > 100, "diverged like viewers: {in_full:?}");
     assert!(unlike_delta_legs > 1_000, "delta legs to the unlike viewer: {unlike_delta_legs}");
     assert!(by_reference.0 > 1_000 && by_reference.1 > 100, "by reference: {by_reference:?}");
+    assert!(after_refusal.0 > 20, "refused delta legs: {after_refusal:?}");
+    let [in_full, by_delta, pulled, shed] = pushes;
+    assert!(in_full > 150 && by_delta > 1_000, "pushes: {pushes:?}");
+    assert!(pulled > 200 && shed > 200, "pushes: {pushes:?}");
 }
 
 /// §3.2: "the decoupling algorithm is applied automatically when a UI

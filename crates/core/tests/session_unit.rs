@@ -460,3 +460,80 @@ fn diverged_delta_base_is_dropped_and_reseeded_by_the_fallback_snapshot() {
     assert_eq!(delta_leg(&mut s, 10, ver3, ver1, delta::diff(&v3, &v1)), None);
     assert_eq!(text(&s), "v1");
 }
+
+/// The one rule of `copy_to`, message by message: a `CopyDelta` exactly
+/// when the session holds a base for the source, diffed against that
+/// base — and the base is whatever state of the object crossed the
+/// connection last, in either direction: the push before, the answer to
+/// a `StateRequest`, a leg applied.
+#[test]
+fn copy_to_sends_the_edits_since_the_last_state_that_crossed() {
+    use cosoft_wire::delta;
+    let mut s = fresh();
+    s.on_message(Message::Welcome { instance: InstanceId(1) });
+    s.drain_outbox();
+    let remote = GlobalObjectId::new(InstanceId(2), path("f.t"));
+    let set_text = |s: &mut Session, text: &str| {
+        let tree = s.toolkit_mut().tree_mut();
+        let id = tree.resolve(&path("f.t")).unwrap();
+        tree.set_attr(id, cosoft_wire::AttrName::Text, cosoft_wire::Value::Text(text.into()))
+            .unwrap();
+    };
+    // Pushes the field, which must leave as the edits `base` → `now`.
+    let push_delta = |s: &mut Session, base: &cosoft_wire::StateNode, now: &str| {
+        set_text(s, now);
+        let req = s.copy_to(&path("f.t"), remote.clone(), CopyMode::Strict).unwrap();
+        match s.drain_outbox().remove(0) {
+            Message::CopyDelta { src, base_version, new_version, delta: d, req_id, .. } => {
+                assert_eq!((src, req_id), (s.gid(&path("f.t")).unwrap(), req));
+                assert_eq!(base_version, delta::state_version(base));
+                assert_eq!(new_version, delta::state_version(&textfield(now)));
+                assert_eq!(delta::apply(base, &d).unwrap(), textfield(now));
+            }
+            other => panic!("expected a CopyDelta against {base:?}, got {other:?}"),
+        }
+    };
+
+    // No base: in full.
+    set_text(&mut s, "v1");
+    s.copy_to(&path("f.t"), remote.clone(), CopyMode::Strict).unwrap();
+    match s.drain_outbox().remove(0) {
+        Message::CopyTo { snapshot, .. } => assert_eq!(snapshot, textfield("v1")),
+        other => panic!("expected a CopyTo, got {other:?}"),
+    }
+    // Against the push before — an unchanged field is an empty delta.
+    push_delta(&mut s, &textfield("v1"), "v2");
+    push_delta(&mut s, &textfield("v2"), "v2");
+
+    // Against the answer to a `StateRequest`, which travels in full.
+    set_text(&mut s, "v3");
+    s.on_message(Message::StateRequest { req_id: 7, path: path("f.t") });
+    match s.drain_outbox().remove(0) {
+        Message::StateReply { req_id: 7, snapshot } => assert_eq!(snapshot, Some(textfield("v3"))),
+        other => panic!("expected a StateReply, got {other:?}"),
+    }
+    push_delta(&mut s, &textfield("v3"), "v4");
+
+    // Against a leg applied here, as transmitted.
+    s.on_message(Message::ApplyState {
+        req_id: 8,
+        path: path("f.t"),
+        snapshot: textfield("theirs"),
+        mode: CopyMode::Strict,
+    });
+    s.drain_outbox();
+    push_delta(&mut s, &textfield("theirs"), "v5");
+
+    // A refused delta leg costs the base; the next push is in full again.
+    s.on_message(Message::ApplyDelta {
+        req_id: 9,
+        path: path("f.t"),
+        base_version: 0,
+        new_version: 0,
+        delta: delta::StateDelta::default(),
+        mode: CopyMode::Strict,
+    });
+    s.drain_outbox();
+    s.copy_to(&path("f.t"), remote.clone(), CopyMode::Strict).unwrap();
+    assert!(matches!(s.drain_outbox().remove(0), Message::CopyTo { .. }));
+}

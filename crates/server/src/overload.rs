@@ -35,8 +35,8 @@ pub enum MessageClass {
     /// groups and make overload worse.
     Control,
     /// Bulk state-synchronization *initiators* (`CopyFrom`, `CopyTo`,
-    /// `RemoteCopy`, undo/redo): the most expensive work a client can
-    /// request, shed first.
+    /// `CopyDelta`, `RemoteCopy`, undo/redo): the most expensive work a
+    /// client can request, shed first.
     Bulk,
 }
 
@@ -51,6 +51,7 @@ pub fn classify(msg: &Message) -> MessageClass {
         | Message::Rejoin { .. } => MessageClass::Liveness,
         Message::CopyFrom { .. }
         | Message::CopyTo { .. }
+        | Message::CopyDelta { .. }
         | Message::RemoteCopy { .. }
         | Message::UndoState { .. }
         | Message::RedoState { .. } => MessageClass::Bulk,
@@ -103,6 +104,7 @@ pub fn approx_cost(msg: &Message) -> u64 {
         Message::Register { host, app_name, .. } => host.len() + app_name.len(),
         Message::Event { event, .. } => 8 * event.params.len() + 8 * event.path.depth(),
         Message::CopyTo { snapshot, .. } => snapshot.approx_size(),
+        Message::CopyDelta { delta, .. } => delta.approx_size(),
         Message::StateReply { snapshot, .. } => {
             snapshot.as_ref().map_or(0, cosoft_wire::StateNode::approx_size)
         }
@@ -556,5 +558,16 @@ mod tests {
         assert_eq!(classify(&Message::ExecuteDone { exec_id: 1 }), MessageClass::Control);
         assert_eq!(classify(&bulk_msg()), MessageClass::Bulk);
         assert_eq!(classify(&Message::UndoState { object: oid(1) }), MessageClass::Bulk);
+        let push = Message::CopyDelta {
+            src: oid(1),
+            dst: oid(2),
+            base_version: 1,
+            new_version: 2,
+            delta: cosoft_wire::StateDelta::default(),
+            mode: cosoft_wire::CopyMode::Strict,
+            req_id: 1,
+        };
+        assert_eq!(classify(&push), MessageClass::Bulk);
+        assert_eq!(approx_cost(&push), BASE_COST, "priced by its edits, and it has none");
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use cosoft_wire::{
     codec, delta, AccessRight, CopyMode, EncodedState, GlobalObjectId, InstanceId, Message,
-    ObjectPath, Overwritten, SharedFrame, StateNode, Target, UserId,
+    ObjectPath, Overwritten, SharedFrame, StateDelta, StateNode, Target, UserId,
 };
 
 use crate::access::AccessTable;
@@ -56,20 +56,34 @@ struct Transfer {
     sync: Option<AppliedSync>,
 }
 
-/// A state a destination holds (or is being sent) by transfer, in the
-/// three forms the server uses it in. All three are shared: across the
-/// legs of one fan-out, with the sync bases they become, and — the
-/// encoding — with the history entries filed from it.
+/// A state that crossed (or is being sent down) an object's connection,
+/// in the three forms the server uses it in. All three are shared: across
+/// the legs of one fan-out, with the sync bases they become — the
+/// pushing source's and each acknowledging destination's — and, the
+/// encoding, with the history entries filed from it.
 #[derive(Debug, Clone)]
 struct SyncBase {
     /// Content version of the state ([`delta::state_version`]).
     version: u64,
-    /// The tree, which the next transfer is diffed against.
+    /// The tree, which the next transfer is diffed against and the next
+    /// `CopyDelta` edits a clone of.
     state: Arc<StateNode>,
     /// The canonical encoding `version` is the fingerprint of: what a
     /// full `ApplyState` leg splices in, and what the history files when
     /// a destination acknowledges by reference that it overwrote this.
     encoded: EncodedState,
+}
+
+impl SyncBase {
+    /// Encodes `state`, once, and fingerprints that encoding.
+    fn of(state: StateNode) -> SyncBase {
+        let encoded = EncodedState::of(&state);
+        SyncBase {
+            version: delta::version_of_encoded(encoded.as_slice()),
+            state: Arc::new(state),
+            encoded,
+        }
+    }
 }
 
 /// Bookkeeping for the snapshot a transfer leg carries (see
@@ -113,7 +127,9 @@ struct ExecState {
 /// instead of leaving the transfer group outstanding forever).
 #[derive(Debug, Clone)]
 struct PendingPull {
-    src: InstanceId,
+    /// The object asked for: only its instance may answer, and the state
+    /// it answers with becomes the object's sync base.
+    src: GlobalObjectId,
     dst: GlobalObjectId,
     mode: CopyMode,
     group: u64,
@@ -411,6 +427,13 @@ server_stats! {
     /// apply overwrote was the base the delta was diffed against, so the
     /// reply named it and the history filed the server's own encoding.
     sum acks_by_reference: u64,
+    /// Pushes that arrived as a `CopyDelta` and were rebuilt from the
+    /// source's sync base.
+    sum pushes_by_delta: u64,
+    /// `CopyDelta` pushes the server could not rebuild (no base, another
+    /// version, edits that do not apply, a result that hashes otherwise)
+    /// and pulled from the sender in full instead.
+    sum push_fallbacks: u64,
 }
 
 /// A routing-relevant lifecycle change, recorded by the core for its
@@ -475,10 +498,10 @@ pub struct ComponentSlice<E> {
     tokens: Vec<(u64, InstanceId)>,
     links: Vec<(GlobalObjectId, GlobalObjectId)>,
     history: Vec<(GlobalObjectId, HistoryStack, HistoryStack)>,
-    /// Destination sync bases (version, tree and encoding of the last
-    /// applied state): delta sync and by-reference acknowledgements keep
-    /// working across a shard migration because all three travel in the
-    /// slice.
+    /// Sync bases (version, tree and encoding of the last state that
+    /// crossed each object's connection): delta legs, delta pushes and
+    /// by-reference acknowledgements keep working across a shard
+    /// migration because all three travel in the slice.
     sync_bases: Vec<(GlobalObjectId, SyncBase)>,
     access: Vec<(UserId, GlobalObjectId, AccessRight)>,
     execs: Vec<(u64, ExecState, Vec<GlobalObjectId>)>,
@@ -528,9 +551,11 @@ pub struct ServerCore<E> {
     locks: LockTable,
     couples: CoupleDirectory,
     history: HistoryStore,
-    /// Per destination object: the last snapshot it acknowledged
-    /// applying, used to diff attribute-level `ApplyDelta` legs instead
-    /// of re-sending full snapshots.
+    /// Per object: the last state that crossed its connection, in either
+    /// direction — acknowledged as applied there, pushed from there, or
+    /// given in answer to a `StateRequest` — which its session holds too.
+    /// `ApplyDelta` legs to the object are diffed against it and
+    /// `CopyDelta` pushes of the object replayed on it.
     sync_bases: HashMap<GlobalObjectId, SyncBase>,
     next_exec: u64,
     next_transfer: u64,
@@ -1265,13 +1290,35 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 out.extend(self.do_copy(from, src, dst, mode, req_id, None));
             }
             Message::CopyTo { src, dst, snapshot, mode, req_id } => {
-                out.extend(self.do_copy(from, src, dst, mode, req_id, Some(snapshot)));
+                let pushed = SyncBase::of(snapshot);
+                out.extend(self.do_copy(from, src, dst, mode, req_id, Some(pushed)));
+            }
+            Message::CopyDelta { src, dst, base_version, new_version, delta, mode, req_id } => {
+                if src.instance != from {
+                    self.to_instance(
+                        from,
+                        Message::PermissionDenied {
+                            what: format!("push edits of foreign object {src}"),
+                        },
+                        &mut out,
+                    );
+                } else {
+                    // Whatever the sender's copy of the base and ours
+                    // disagree on, ours goes: the push degrades to a pull
+                    // of the state in full, whose reply seeds both anew.
+                    let pushed = self.rebuild_push(&src, base_version, new_version, &delta);
+                    match pushed {
+                        Some(_) => self.stats.pushes_by_delta += 1,
+                        None => self.stats.push_fallbacks += 1,
+                    }
+                    out.extend(self.do_copy(from, src, dst, mode, req_id, pushed));
+                }
             }
             Message::StateReply { req_id, snapshot } => {
-                out.extend(self.do_state_reply(req_id, snapshot));
+                out.extend(self.do_state_reply(from, req_id, snapshot));
             }
             Message::StateApplied { req_id, overwritten, error } => {
-                out.extend(self.do_state_applied(req_id, overwritten, error));
+                out.extend(self.do_state_applied(from, req_id, overwritten, error));
             }
             Message::UndoState { object } => {
                 out.extend(self.do_undo(from, object, TransferKind::Undo));
@@ -1522,9 +1569,16 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         dst: GlobalObjectId,
         mode: CopyMode,
         client_req: u64,
-        pushed_snapshot: Option<cosoft_wire::StateNode>,
+        pushed: Option<SyncBase>,
     ) -> Outgoing<E> {
         let mut out = Outgoing::new();
+        // What a session pushes of its own object is that object's sync
+        // base from here on — at the session since it sent this — whether
+        // or not the copy below is allowed: a refused copy must not leave
+        // the two ends a version apart.
+        if let Some(pushed) = pushed.as_ref().filter(|_| src.instance == from) {
+            self.sync_bases.insert(src.clone(), pushed.clone());
+        }
         if let Err(reason) = self.check_objects_exist(&[&src, &dst]) {
             self.to_instance(
                 from,
@@ -1560,15 +1614,17 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             group_id,
             TransferGroup { requester: from, client_req, outstanding: 0, failed: None },
         );
-        match pushed_snapshot {
-            // CopyTo: the sender supplied the snapshot; apply directly.
-            Some(snapshot) => {
-                self.fan_out_apply(group_id, &dst, snapshot, mode, TransferKind::Copy, &mut out);
+        match pushed {
+            // CopyTo / CopyDelta: the sender supplied the state; apply
+            // directly.
+            Some(pushed) => {
+                self.fan_out_apply(group_id, &dst, pushed, mode, TransferKind::Copy, &mut out);
                 // All destinations unreachable -> the group failed with
                 // zero legs outstanding; report instead of hanging.
                 self.maybe_finish_group(group_id, &mut out);
             }
-            // CopyFrom / RemoteCopy: pull the state from the source first.
+            // CopyFrom / RemoteCopy, or a CopyDelta that could not be
+            // rebuilt: pull the state from the source first.
             None => {
                 // A quarantined source will never answer a `StateRequest`;
                 // fail the transfer now rather than after the grace period.
@@ -1581,30 +1637,43 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 }
                 let req_id = self.next_transfer;
                 self.next_transfer += self.id_stride;
-                self.pending_pulls
-                    .insert(req_id, PendingPull { src: src.instance, dst, mode, group: group_id });
+                let request = Message::StateRequest { req_id, path: src.path.clone() };
+                self.to_instance(src.instance, request, &mut out);
+                self.pending_pulls.insert(req_id, PendingPull { src, dst, mode, group: group_id });
                 if let Some(g) = self.transfer_groups.get_mut(&group_id) {
                     g.outstanding += 1;
                 }
-                self.to_instance(
-                    src.instance,
-                    Message::StateRequest { req_id, path: src.path.clone() },
-                    &mut out,
-                );
             }
         }
         out
     }
 
-    /// Sends `ApplyState` for `dst` *and every object coupled with it*:
-    /// a state copy onto a coupled object must keep its whole group
+    /// The state a `CopyDelta` stands for: `delta` replayed on a clone of
+    /// `src`'s sync base, encoded once — the encoding the fan-out sends
+    /// and files. `None`, and no base left, when the base is missing or
+    /// carries another version, an edit does not apply, or that encoding
+    /// does not hash to `new_version`.
+    fn rebuild_push(
+        &mut self,
+        src: &GlobalObjectId,
+        base_version: u64,
+        new_version: u64,
+        delta: &StateDelta,
+    ) -> Option<SyncBase> {
+        let base = self.sync_bases.remove(src).filter(|base| base.version == base_version)?;
+        let pushed = SyncBase::of(delta::apply(&base.state, delta).ok()?);
+        (pushed.version == new_version).then_some(pushed)
+    }
+
+    /// Sends `carried` to `dst` *and every object coupled with it*: a
+    /// state copy onto a coupled object must keep its whole group
     /// consistent. Each leg gets its own transfer id so the overwritten
     /// states land in the right history stacks.
     fn fan_out_apply(
         &mut self,
         group_id: u64,
         dst: &GlobalObjectId,
-        snapshot: cosoft_wire::StateNode,
+        carried: SyncBase,
         mode: CopyMode,
         kind: TransferKind,
         out: &mut Outgoing<E>,
@@ -1633,20 +1702,15 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             return;
         }
         group.outstanding += targets.len();
-        // The snapshot — by far the heavy part of a state transfer — is
-        // serialized exactly once; each leg's frame splices a shared
-        // payload behind its own req-id and target path. Destinations
-        // holding a known-good sync base (they acknowledged an earlier
-        // snapshot) get an attribute-level `ApplyDelta` diffed against
-        // that base instead of the full snapshot; deltas are cached per
-        // base version, so one encoded delta serves every group member
-        // that last acknowledged the same state.
-        let encoded = EncodedState::of(&snapshot);
-        let carried = SyncBase {
-            version: delta::version_of_encoded(encoded.as_slice()),
-            state: Arc::new(snapshot),
-            encoded,
-        };
+        // The snapshot — by far the heavy part of a state transfer — was
+        // serialized exactly once, by whoever built `carried`; each leg's
+        // frame splices a shared payload behind its own req-id and target
+        // path. Destinations holding a known-good sync base (they
+        // acknowledged an earlier snapshot) get an attribute-level
+        // `ApplyDelta` diffed against that base instead of the full
+        // snapshot; deltas are cached per base version, so one encoded
+        // delta serves every group member that last acknowledged the
+        // same state.
         self.stats.payload_encodes += 1;
         let mut snapshot_spliced = false;
         let mut delta_cache: HashMap<u64, Bytes> = HashMap::new();
@@ -1714,11 +1778,22 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
 
     fn do_state_reply(
         &mut self,
+        from: InstanceId,
         req_id: u64,
-        snapshot: Option<cosoft_wire::StateNode>,
+        snapshot: Option<StateNode>,
     ) -> Outgoing<E> {
         let mut out = Outgoing::new();
-        let Some(PendingPull { dst, mode, group: group_id, .. }) =
+        // Transfer ids are sequential, hence guessable: only the instance
+        // that was asked may answer. Anyone else leaves the pull waiting.
+        if self.pending_pulls.get(&req_id).is_some_and(|pull| pull.src.instance != from) {
+            self.to_instance(
+                from,
+                Message::PermissionDenied { what: format!("answer state request {req_id}") },
+                &mut out,
+            );
+            return out;
+        }
+        let Some(PendingPull { src, dst, mode, group: group_id }) =
             self.pending_pulls.remove(&req_id)
         else {
             return out;
@@ -1728,7 +1803,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
         match snapshot {
             Some(snapshot) => {
-                self.fan_out_apply(group_id, &dst, snapshot, mode, TransferKind::Copy, &mut out);
+                // The state crossed the source's connection: it is the
+                // source's sync base, at the session since it answered.
+                let pulled = SyncBase::of(snapshot);
+                self.sync_bases.insert(src, pulled.clone());
+                self.fan_out_apply(group_id, &dst, pulled, mode, TransferKind::Copy, &mut out);
                 self.maybe_finish_group(group_id, &mut out);
             }
             None => {
@@ -1771,11 +1850,23 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
 
     fn do_state_applied(
         &mut self,
+        from: InstanceId,
         req_id: u64,
         overwritten: Option<Overwritten>,
         mut error: Option<String>,
     ) -> Outgoing<E> {
         let mut out = Outgoing::new();
+        // As for a `StateReply`: only the leg's destination may answer it;
+        // anyone else's word leaves the leg outstanding, files nothing
+        // and installs no base.
+        if self.transfers.get(&req_id).is_some_and(|t| t.dst.instance != from) {
+            self.to_instance(
+                from,
+                Message::PermissionDenied { what: format!("acknowledge transfer leg {req_id}") },
+                &mut out,
+            );
+            return out;
+        }
         let Some(t) = self.transfers.remove(&req_id) else {
             return out;
         };
@@ -1916,7 +2007,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         );
         // Undo/redo also fans out to the object's coupling group so the
         // group stays consistent.
-        self.fan_out_apply(group_id, &object, snapshot, CopyMode::DestructiveMerge, kind, &mut out);
+        let restored = SyncBase::of(snapshot);
+        self.fan_out_apply(group_id, &object, restored, CopyMode::DestructiveMerge, kind, &mut out);
         self.maybe_finish_group(group_id, &mut out);
         out
     }
@@ -2056,14 +2148,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let dead_pulls: Vec<u64> = self
             .pending_pulls
             .iter()
-            .filter(|(_, pull)| pull.dst.instance == id || pull.src == id)
+            .filter(|(_, pull)| pull.dst.instance == id || pull.src.instance == id)
             .map(|(k, _)| *k)
             .collect();
         for req_id in dead_pulls {
             let Some(pull) = self.pending_pulls.remove(&req_id) else { continue };
             if let Some(g) = self.transfer_groups.get_mut(&pull.group) {
                 g.outstanding -= 1;
-                g.failed = Some(if pull.src == id {
+                g.failed = Some(if pull.src.instance == id {
                     "source instance terminated before replying".into()
                 } else {
                     "peer instance terminated".into()
@@ -2260,7 +2352,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 .all(|t| members.contains(&t.dst.instance) == req_inside)
                 && self.pending_pulls.values().filter(|p| p.group == gid).all(|p| {
                     members.contains(&p.dst.instance) == req_inside
-                        && members.contains(&p.src) == req_inside
+                        && members.contains(&p.src.instance) == req_inside
                 });
             if uniform {
                 if req_inside {

@@ -91,6 +91,7 @@ pub fn merge_refs(msg: &Message) -> Vec<InstanceId> {
         | Message::RemoteCouple { a: src, b: dst }
         | Message::CopyFrom { src, dst, .. }
         | Message::CopyTo { src, dst, .. }
+        | Message::CopyDelta { src, dst, .. }
         | Message::RemoteCopy { src, dst, .. } => vec![src.instance, dst.instance],
         Message::Event { origin, .. } => vec![origin.instance],
         Message::UndoState { object } | Message::RedoState { object } => vec![object.instance],

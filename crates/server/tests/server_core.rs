@@ -5,7 +5,7 @@
 use cosoft_server::ServerCore;
 use cosoft_wire::{
     codec, delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
-    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    ObjectPath, Overwritten, StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 type Endpoint = u64;
@@ -282,6 +282,95 @@ fn copy_to_pushes_snapshot_directly() {
         Message::ApplyState { snapshot: snap, .. } => assert_eq!(snap, &snapshot),
         _ => unreachable!(),
     }
+}
+
+/// Transfer ids are sequential, so any instance can name another's leg.
+/// Its word on that leg counts for nothing: the leg stays outstanding,
+/// nothing is filed (an undo would fan the forged state out to the whole
+/// couple group), no sync base is installed for a state the destination
+/// never applied, and the real destination's answer then completes it.
+#[test]
+fn state_applied_from_a_bystander_is_refused() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let _c = register(&mut s, 3, 3);
+    let label = |text: &str| {
+        StateNode::new(WidgetKind::Label, "f").with_attr(AttrName::Text, Value::Text(text.into()))
+    };
+    let push = |s: &mut ServerCore<Endpoint>, text: &str, req_id| {
+        let (src, dst, snapshot) = (gid(a, "f"), gid(b, "f"), label(text));
+        s.handle(1, Message::CopyTo { src, dst, snapshot, mode: CopyMode::Strict, req_id })
+            .into_messages()
+    };
+    let leg_of = |out: &[(Endpoint, Message)]| match find(out, 2, "apply-state") {
+        Message::ApplyState { req_id, .. } => *req_id,
+        _ => unreachable!(),
+    };
+    let leg = leg_of(&push(&mut s, "v1", 1));
+
+    let forged = Message::StateApplied {
+        req_id: leg,
+        overwritten: Some(label("forged").into()),
+        error: None,
+    };
+    let out = s.handle(3, forged).into_messages();
+    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0, "a bystander's state was filed");
+    assert!(matches!(find(&out, 3, "permission-denied"), Message::PermissionDenied { .. }));
+    assert_eq!(out.len(), 1, "the requester was told: {out:?}");
+    assert_eq!(s.stats().live_transfer_legs, 1, "b's leg is still b's to answer");
+    // b holds no base yet: the next push travels in full too.
+    let second = leg_of(&push(&mut s, "v2", 2));
+
+    for (req_id, client_req, held) in [(leg, 1, "v0"), (second, 2, "v1")] {
+        let reply =
+            Message::StateApplied { req_id, overwritten: Some(label(held).into()), error: None };
+        let out = s.handle(2, reply).into_messages();
+        match find(&out, 1, "state-applied") {
+            Message::StateApplied { req_id, error: None, .. } => assert_eq!(*req_id, client_req),
+            other => panic!("expected the copy to complete, got {other:?}"),
+        }
+        let filed = s.history().newest_undo(&gid(b, "f")).expect("filed");
+        assert_eq!(filed.decode().unwrap(), label(held));
+    }
+    assert_eq!(s.stats().live_transfer_legs, 0);
+    s.check_invariants().unwrap();
+}
+
+/// The same for the other half of a transfer: a `StateReply` from anyone
+/// but the instance that was asked feeds no fan-out, and the pull waits
+/// for its source.
+#[test]
+fn state_reply_from_a_bystander_is_refused() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let _c = register(&mut s, 3, 3);
+    let pull =
+        Message::CopyFrom { src: gid(b, "q"), dst: gid(a, "q"), mode: CopyMode::Strict, req_id: 5 };
+    let out = s.handle(1, pull).into_messages();
+    let req_id = match find(&out, 2, "state-request") {
+        Message::StateRequest { req_id, .. } => *req_id,
+        _ => unreachable!(),
+    };
+    let form = |title: &str| {
+        StateNode::new(WidgetKind::Form, "q").with_attr(AttrName::Title, Value::Text(title.into()))
+    };
+
+    let out =
+        s.handle(3, Message::StateReply { req_id, snapshot: Some(form("forged")) }).into_messages();
+    assert_eq!(count_kind(&out, "apply-state"), 0, "a bystander's state was fanned out");
+    assert!(matches!(find(&out, 3, "permission-denied"), Message::PermissionDenied { .. }));
+    assert_eq!(s.stats().live_pending_pulls, 1, "the pull still waits for b");
+
+    let out =
+        s.handle(2, Message::StateReply { req_id, snapshot: Some(form("Query")) }).into_messages();
+    match find(&out, 1, "apply-state") {
+        Message::ApplyState { snapshot, .. } => assert_eq!(*snapshot, form("Query")),
+        _ => unreachable!(),
+    }
+    assert_eq!(s.stats().live_pending_pulls, 0);
+    s.check_invariants().unwrap();
 }
 
 #[test]
@@ -1893,6 +1982,239 @@ fn rejected_delta_falls_back_to_full_snapshot_and_converges() {
         }
         _ => unreachable!(),
     }
+}
+
+// ---- delta pushes (`CopyDelta`) ---------------------------------------------
+
+/// What `Session::copy_to` sends from its second push on: the edits from
+/// `base`, the snapshot it shipped last, to `next`.
+fn copy_delta(
+    src: GlobalObjectId,
+    dst: GlobalObjectId,
+    base: &StateNode,
+    next: &StateNode,
+    req_id: u64,
+) -> Message {
+    Message::CopyDelta {
+        src,
+        dst,
+        base_version: delta::state_version(base),
+        new_version: delta::state_version(next),
+        delta: delta::diff(base, next),
+        mode: CopyMode::Strict,
+        req_id,
+    }
+}
+
+/// Answers the leg `out` carries to `endpoint`, from that endpoint, as
+/// applied; returns what the server sends in turn.
+fn acknowledge(
+    s: &mut ServerCore<Endpoint>,
+    out: &[(Endpoint, Message)],
+    endpoint: Endpoint,
+) -> Vec<(Endpoint, Message)> {
+    let req_id = out
+        .iter()
+        .find_map(|(e, m)| match m {
+            Message::ApplyState { req_id, .. } | Message::ApplyDelta { req_id, .. }
+                if *e == endpoint =>
+            {
+                Some(*req_id)
+            }
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no leg to endpoint {endpoint} in {out:?}"));
+    s.handle(endpoint, Message::StateApplied { req_id, overwritten: None, error: None })
+        .into_messages()
+}
+
+/// The legs of a fan-out without their transfer ids, which differ by one
+/// between a push and the pull it degrades to.
+fn legs_sans_ids(out: &[(Endpoint, Message)]) -> Vec<(Endpoint, Message)> {
+    out.iter()
+        .filter_map(|(e, m)| match m.clone() {
+            Message::ApplyState { path, snapshot, mode, .. } => {
+                Some((*e, Message::ApplyState { req_id: 0, path, snapshot, mode }))
+            }
+            Message::ApplyDelta { path, base_version, new_version, delta, mode, .. } => Some((
+                *e,
+                Message::ApplyDelta { req_id: 0, path, base_version, new_version, delta, mode },
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The push half of the wire-size gate. The first push of an object
+/// travels in full and is its sync base at both ends; every push after it
+/// is the edits since — a quarter of the `CopyTo` frame at depth 6, a
+/// smaller share the deeper the tree — and causes exactly the deliveries
+/// the `CopyTo` of the same state would have.
+#[test]
+fn second_push_of_an_object_is_a_delta() {
+    let share_at = |depth: usize| {
+        let mut s: ServerCore<Endpoint> = ServerCore::new();
+        let a = register(&mut s, 1, 1);
+        let b = register(&mut s, 2, 2);
+        let (v1, v2) = (deep_tree(depth, "v1"), deep_tree(depth, "v2"));
+        let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+        acknowledge(&mut s, &out, 2);
+
+        let in_full = Message::CopyTo {
+            src: gid(a, "f"),
+            dst: gid(b, "f"),
+            snapshot: v2.clone(),
+            mode: CopyMode::Strict,
+            req_id: 2,
+        };
+        let push = copy_delta(gid(a, "f"), gid(b, "f"), &v1, &v2, 2);
+        let share =
+            codec::frame_message(&push).len() as f64 / codec::frame_message(&in_full).len() as f64;
+        let expected = s.clone().handle(1, in_full).into_messages();
+        let out = s.handle(1, push).into_messages();
+        assert_eq!(out, expected, "depth {depth}: a delta push and a full one deliver alike");
+        assert_eq!(count_kind(&out, "apply-delta"), 1);
+        let stats = s.stats();
+        assert_eq!((stats.pushes_by_delta, stats.push_fallbacks), (1, 0));
+        s.check_invariants().unwrap();
+        share
+    };
+    let (shallow, deep) = (share_at(2), share_at(6));
+    assert!(deep <= 0.25, "depth-6 single-attribute CopyDelta is {deep:.2} of its CopyTo");
+    assert!(deep < shallow, "deeper trees must widen the gap: {deep:.2} vs {shallow:.2}");
+}
+
+/// Only the owner of an object may push edits of it: the base the edits
+/// name is the owner's connection's. Refused, and nothing installed.
+/// A `CopyTo` naming a foreign source — the sender vouches for a whole
+/// state, not for edits — still works, and installs no base either.
+#[test]
+fn pushes_naming_a_foreign_source() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let c = register(&mut s, 3, 3);
+    let (v1, v2, v3) = (deep_tree(2, "v1"), deep_tree(2, "v2"), deep_tree(2, "v3"));
+    // a's own push seeds a's base.
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+    acknowledge(&mut s, &out, 2);
+
+    // c pushes edits "of a's object".
+    let out = s.handle(3, copy_delta(gid(a, "f"), gid(b, "f"), &v1, &v2, 1)).into_messages();
+    assert!(matches!(find(&out, 3, "permission-denied"), Message::PermissionDenied { .. }));
+    assert_eq!(out.len(), 1, "{out:?}");
+    let stats = s.stats();
+    assert_eq!((stats.pushes_by_delta, stats.push_fallbacks, stats.transfers_started), (0, 0, 1));
+
+    // c pushes a whole state in a's name onto its own object: delivered…
+    let out = s
+        .handle(
+            3,
+            Message::CopyTo {
+                src: gid(a, "f"),
+                dst: gid(c, "f"),
+                snapshot: v3.clone(),
+                mode: CopyMode::Strict,
+                req_id: 2,
+            },
+        )
+        .into_messages();
+    match find(&out, 3, "apply-state") {
+        Message::ApplyState { snapshot, .. } => assert_eq!(*snapshot, v3),
+        _ => unreachable!(),
+    }
+    // …and a's base is still the v1 a pushed: a's next delta is accepted.
+    let out = s.handle(1, copy_delta(gid(a, "f"), gid(b, "f"), &v1, &v2, 2)).into_messages();
+    assert_eq!(count_kind(&out, "apply-delta"), 1);
+    let stats = s.stats();
+    assert_eq!((stats.pushes_by_delta, stats.push_fallbacks), (1, 0));
+    s.check_invariants().unwrap();
+}
+
+/// Every way a `CopyDelta` can disagree with the server's copy of the
+/// base costs its sender one round trip and nothing else: the server
+/// drops its base, asks the sender for the state in full, and the reply
+/// — which seeds the base anew — causes the deliveries a `CopyTo` of that
+/// state would have. The push after it is a delta again.
+#[test]
+fn unusable_copy_delta_degrades_to_a_pull() {
+    let (v1, v2, v3) = (deep_tree(3, "v1"), deep_tree(3, "v2"), deep_tree(3, "v3"));
+    type Spoil = fn(&mut u64, &mut u64, &mut StateDelta);
+    let cases: [(&str, bool, Spoil); 4] = [
+        ("no base", false, |_, _, _| {}),
+        ("stale base version", true, |base_version, _, _| *base_version ^= 1),
+        ("wrong new version", true, |_, new_version, _| *new_version ^= 1),
+        ("edit path that does not resolve", true, |_, _, delta| {
+            delta.edits[0].path = vec!["nowhere".into()];
+        }),
+    ];
+    for (what, seeded, spoil) in cases {
+        let mut s: ServerCore<Endpoint> = ServerCore::new();
+        let a = register(&mut s, 1, 1);
+        let b = register(&mut s, 2, 2);
+        if seeded {
+            let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+            acknowledge(&mut s, &out, 2);
+        }
+
+        let mut push = copy_delta(gid(a, "f"), gid(b, "f"), &v1, &v2, 2);
+        if let Message::CopyDelta { base_version, new_version, delta, .. } = &mut push {
+            spoil(base_version, new_version, delta);
+        }
+        let in_full = Message::CopyTo {
+            src: gid(a, "f"),
+            dst: gid(b, "f"),
+            snapshot: v2.clone(),
+            mode: CopyMode::Strict,
+            req_id: 2,
+        };
+        let expected = s.clone().handle(1, in_full).into_messages();
+
+        let out = s.handle(1, push).into_messages();
+        let req_id = match &out[..] {
+            [(1, Message::StateRequest { req_id, path })] => {
+                assert_eq!(path.to_string(), "f", "{what}");
+                *req_id
+            }
+            other => panic!("{what}: expected one StateRequest to the sender, got {other:?}"),
+        };
+        let stats = s.stats();
+        assert_eq!((stats.pushes_by_delta, stats.push_fallbacks), (0, 1), "{what}");
+        let out =
+            s.handle(1, Message::StateReply { req_id, snapshot: Some(v2.clone()) }).into_messages();
+        assert_eq!(legs_sans_ids(&out), legs_sans_ids(&expected), "{what}");
+        match find(&acknowledge(&mut s, &out, 2), 1, "state-applied") {
+            Message::StateApplied { req_id: 2, error: None, .. } => {}
+            other => panic!("{what}: expected the copy to complete, got {other:?}"),
+        }
+
+        // The reply seeded the base: the next push is accepted as a delta.
+        let out = s.handle(1, copy_delta(gid(a, "f"), gid(b, "f"), &v2, &v3, 3)).into_messages();
+        assert_eq!(count_kind(&out, "apply-delta"), 1, "{what}");
+        let stats = s.stats();
+        assert_eq!((stats.pushes_by_delta, stats.push_fallbacks), (1, 1), "{what}");
+        s.check_invariants().unwrap();
+    }
+}
+
+/// A push records the source's base before the permission checks: the
+/// session has recorded it already, and a refused copy must not leave the
+/// two ends a version apart.
+#[test]
+fn refused_push_still_moves_the_base() {
+    let mut s: ServerCore<Endpoint> = ServerCore::with_default_right(AccessRight::Read);
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let (v1, v2) = (deep_tree(2, "v1"), deep_tree(2, "v2"));
+    let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
+    assert!(matches!(find(&out, 1, "permission-denied"), Message::PermissionDenied { .. }));
+    // Refused again, as a delta — not as a fallback.
+    let out = s.handle(1, copy_delta(gid(a, "f"), gid(b, "f"), &v1, &v2, 2)).into_messages();
+    assert!(matches!(find(&out, 1, "permission-denied"), Message::PermissionDenied { .. }));
+    assert_eq!(out.len(), 1, "{out:?}");
+    let stats = s.stats();
+    assert_eq!((stats.pushes_by_delta, stats.push_fallbacks), (1, 0));
+    s.check_invariants().unwrap();
 }
 
 /// Deregistration and object destruction purge history chains and delta

@@ -329,6 +329,84 @@ fn sync_base_survives_migration_and_is_filed_by_reference() {
     assert_eq!((stats.acks_by_reference, stats.delta_fallbacks, stats.transfers_failed), (4, 0, 0));
 }
 
+/// A source's sync base migrates like a destination's, and a `CopyDelta`
+/// merges shards like the `CopyTo` it stands for. Presenter and coupled
+/// viewers start on different shards: the first push merges them, the
+/// presenter's component is then moved away again, and the next push —
+/// the edits since the first, across shards once more — is rebuilt from
+/// the base that travelled in both slices, not pulled.
+#[test]
+fn delta_push_merges_shards_and_its_base_survives_migration() {
+    let (mut router, inst) = registered(4);
+    let (presenter, viewers) = (inst[0], [(1, inst[1]), (3, inst[3])]);
+    let board = gid(viewers[0].1, "f");
+    router.handle(1, Message::Couple { src: board.clone(), dst: gid(viewers[1].1, "f") });
+    router.check_invariants().unwrap();
+    let viewers_shard = router.shard_of_instance(viewers[0].1).unwrap();
+    assert_ne!(router.shard_of_instance(presenter), Some(viewers_shard));
+    let state = |text: &str| {
+        StateNode::new(WidgetKind::Form, "f").with_child(
+            StateNode::new(WidgetKind::TextField, "t")
+                .with_attr(AttrName::Text, Value::Text(text.into())),
+        )
+    };
+    let (v1, v2) = (state("v1"), state("v2"));
+    // Sends the presenter's push and acknowledges its legs, which must
+    // all be of `kind`, one per viewer.
+    let push = |router: &mut ShardRouter<Endpoint>, msg: Message, kind: &str| {
+        let out = router.handle(0, msg).into_messages();
+        router.check_invariants().unwrap();
+        assert_eq!(out.len(), 2, "{out:?}");
+        for (endpoint, leg) in out {
+            assert_eq!(leg.kind_name(), kind, "leg to endpoint {endpoint}: {leg:?}");
+            let (Message::ApplyState { req_id, .. } | Message::ApplyDelta { req_id, .. }) = leg
+            else {
+                unreachable!()
+            };
+            router
+                .handle(endpoint, Message::StateApplied { req_id, overwritten: None, error: None });
+            router.check_invariants().unwrap();
+        }
+    };
+
+    // First contact, in full: merges as any cross-shard copy does, the
+    // lone presenter moving to the viewers.
+    let first = Message::CopyTo {
+        src: gid(presenter, "f"),
+        dst: board.clone(),
+        snapshot: v1.clone(),
+        mode: CopyMode::Strict,
+        req_id: 1,
+    };
+    push(&mut router, first, "apply-state");
+    assert_eq!(router.router_stats().cross_shard_merges, 1);
+    assert_eq!(router.shard_of_instance(presenter), Some(viewers_shard));
+
+    // The presenter's component — it alone, with the base it pushed —
+    // moves back out.
+    let handoff = router.begin_handoff(presenter, 1 - viewers_shard).expect("freeze the presenter");
+    router.complete_handoff(handoff);
+    router.check_invariants().unwrap();
+    assert_eq!(router.shard_of_instance(presenter), Some(1 - viewers_shard));
+
+    // Second push, as the edits since the first.
+    let second = Message::CopyDelta {
+        src: gid(presenter, "f"),
+        dst: board,
+        base_version: delta::state_version(&v1),
+        new_version: delta::state_version(&v2),
+        delta: delta::diff(&v1, &v2),
+        mode: CopyMode::Strict,
+        req_id: 2,
+    };
+    push(&mut router, second, "apply-delta");
+    assert_eq!(router.router_stats().cross_shard_merges, 2, "a CopyDelta colocates src and dst");
+    assert_eq!(router.shard_of_instance(presenter), Some(viewers_shard));
+    let stats = router.stats();
+    assert_eq!((stats.pushes_by_delta, stats.push_fallbacks, stats.transfers_failed), (1, 0, 0));
+    assert_eq!(stats.transfers_completed, 2);
+}
+
 /// Couples `members` (consecutive endpoints from `first`) on object
 /// `obj` into one group: every other link of the chain first, so the
 /// links between them merge components that already carry a link.

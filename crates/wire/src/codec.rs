@@ -1394,6 +1394,15 @@ mod tests {
                 delta: crate::delta::StateDelta::default(),
                 mode: CopyMode::Strict,
             },
+            Message::CopyDelta {
+                src: gid(1, "a"),
+                dst: gid(2, "b"),
+                base_version: 12,
+                new_version: u64::MAX,
+                delta: sample_delta(),
+                mode: CopyMode::DestructiveMerge,
+                req_id: 8,
+            },
         ]
     }
 
@@ -1654,7 +1663,8 @@ mod tests {
 
     /// A sub-megabyte frame of 100 000 nested nodes is an error, not a
     /// stack overflow — as a snapshot, an optional snapshot, an encoded
-    /// state and a delta subtree alike.
+    /// state and a delta subtree (bare, and in the one delta a client
+    /// sends) alike.
     #[test]
     fn hostile_nesting_is_rejected_not_overflowed() {
         let nested = nested_state_bytes(100_000);
@@ -1688,8 +1698,17 @@ mod tests {
         delta.put_u8(1); // EditOp::Replace
         delta.extend_from_slice(&nested);
         assert_eq!(
-            get_delta(&mut delta.freeze()).map(|_| ()),
+            get_delta(&mut delta.clone().freeze()).map(|_| ()),
             Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH })
         );
+
+        let mut push = BytesMut::new();
+        push.put_u8(MessageKind::CopyDelta as u8);
+        put_gid(&mut push, &gid(1, "a"));
+        put_gid(&mut push, &gid(2, "b"));
+        put_uvarint(&mut push, 1); // base version
+        put_uvarint(&mut push, 2); // new version
+        push.extend_from_slice(&delta);
+        assert_eq!(decode_message(&push), too_deep);
     }
 }

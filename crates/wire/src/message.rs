@@ -406,6 +406,31 @@ protocol! {
         /// Request id.
         req_id: u64,
     },
+    /// [`Message::CopyTo`] as the edits since the last state of `src`
+    /// that crossed the sender's connection — pushed, requested
+    /// ([`Message::StateReply`]) or applied there — which both ends hold
+    /// as the object's sync base. The server replays `delta` on its copy
+    /// of that base and goes on as for a `CopyTo` of the result. If it
+    /// holds no base carrying `base_version`, the edits do not apply, or
+    /// the result does not hash to `new_version`, it asks for the state
+    /// in full ([`Message::StateRequest`]) instead; only the owner of
+    /// `src` may send one.
+    CopyDelta = 39, "copy-delta" {
+        /// Local source object of the sender.
+        src: GlobalObjectId,
+        /// Remote destination object.
+        dst: GlobalObjectId,
+        /// Content version of the sync base the delta was diffed against.
+        base_version: u64,
+        /// Content version of the snapshot the delta reconstructs.
+        new_version: u64,
+        /// The attribute-level edits.
+        delta: StateDelta,
+        /// How to reconcile structure differences.
+        mode: CopyMode,
+        /// Request id.
+        req_id: u64,
+    },
     /// Third-party copy (§3.1 `RemoteCopy`): copy `src` (in one remote
     /// instance) to `dst` (in another) on behalf of the sender.
     RemoteCopy = 20, "remote-copy" {

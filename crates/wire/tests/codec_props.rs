@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use cosoft_wire::codec;
+use cosoft_wire::{codec, delta};
 use cosoft_wire::{
     AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
     Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
@@ -163,6 +163,26 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 req_id
             }
         ),
+        // The edits between two arbitrary trees: patches, restructures
+        // and (roots named apart) whole replacements.
+        (
+            (arb_gid(), arb_gid(), arb_copy_mode()),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (arb_state(), arb_state())
+        )
+            .prop_map(
+                |((src, dst, mode), (base_version, new_version, req_id), (base, next))| {
+                    Message::CopyDelta {
+                        src,
+                        dst,
+                        base_version,
+                        new_version,
+                        delta: delta::diff(&base, &next),
+                        mode,
+                        req_id,
+                    }
+                }
+            ),
         (any::<u64>(), prop::option::of(arb_state()))
             .prop_map(|(req_id, snapshot)| Message::StateReply { req_id, snapshot }),
         (any::<u64>(), arb_path(), arb_state(), arb_copy_mode()).prop_map(

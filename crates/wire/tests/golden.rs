@@ -223,6 +223,39 @@ fn golden_table() -> Vec<(Message, Vec<u8>)> {
                 0x01, 0x04, 0x74, 0x65, 0x78, 0x74, 0x03, 0x02, 0x68, 0x69, 0x00, 0x00, 0x02,
             ],
         ),
+        (
+            M::CopyDelta {
+                src: gid(1, "a"),
+                dst: gid(2, "b"),
+                base_version: 9,
+                new_version: 300,
+                delta: StateDelta {
+                    edits: vec![NodeEdit {
+                        path: vec!["l".into()],
+                        op: EditOp::Patch(NodePatch {
+                            kind: None,
+                            upserts: [(AttrName::Text, Value::Text("hi".into()))]
+                                .into_iter()
+                                .collect(),
+                            removals: vec![],
+                            semantic: None,
+                        }),
+                    }],
+                },
+                mode: CopyMode::DestructiveMerge,
+                req_id: 6,
+            },
+            // tag 39 ‖ src 1:"a" ‖ dst 2:"b" ‖ base 9 ‖ new 300 (LEB128
+            // 0xAC 0x02) ‖ 1 edit: path ["l"], Patch (no kind, 1 upsert
+            // "text" → Text "hi", 0 removals, no semantic) ‖ mode ‖ req_id:
+            // `CopyTo`'s fields with `ApplyDelta`'s three in the
+            // snapshot's place.
+            vec![
+                0x27, 0x01, 0x01, 0x01, 0x61, 0x02, 0x01, 0x01, 0x62, 0x09, 0xac, 0x02, 0x01, 0x01,
+                0x01, 0x6c, 0x00, 0x00, 0x01, 0x04, 0x74, 0x65, 0x78, 0x74, 0x03, 0x02, 0x68, 0x69,
+                0x00, 0x00, 0x01, 0x06,
+            ],
+        ),
     ]
 }
 
@@ -237,6 +270,7 @@ fn golden_table_is_complete() {
 
     let expected: BTreeSet<&str> = Message::ALL_KINDS.iter().copied().collect();
     assert_eq!(expected.len(), Message::ALL_KINDS.len(), "Message::ALL_KINDS contains duplicates");
+    assert_eq!(expected.len(), 40, "a new kind needs a golden vector, then this count");
     let missing: Vec<&&str> = expected.difference(&covered_set).collect();
     let stale: Vec<&&str> = covered_set.difference(&expected).collect();
     assert!(

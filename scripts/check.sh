@@ -25,15 +25,22 @@ cargo test -q -p cosoft-wire --test encoded_state
 # and the copy after the undo are each ≤ 25% of the snapshot frame, the
 # first a smaller share than at depth 2; each is acknowledged by
 # reference in ≤ 12 B at either depth, and four viewers' by-reference
-# history entries are one buffer) and the acknowledgements that must
-# file nothing: a failed apply's, and a reference to no base.
+# history entries are one buffer), its push half (at depth 6 the second
+# push of an object is a CopyDelta ≤ 25% of the CopyTo frame, a smaller
+# share than at depth 2, and delivers what the CopyTo would have; one the
+# server cannot rebuild costs its sender a StateRequest and nothing
+# else) and the replies that must change nothing: a failed apply's, a
+# reference to no base, and anybody's but the instance that was asked.
 cargo test -q -p cosoft-server --test server_core
 cargo test -q -p cosoft-server --test store_props no_leaks_after_all_instances_deregister
 # The same gate over real sessions (undo leg and the copy after it stay
 # deltas, the first StateApplied reply is no larger than its CopyTo, the
-# steady-state ones ≤ 12 B), a merge that destroys a coupled child
-# decouples it, and acknowledgement by reference against plain history
-# stacks over 240 seeded scripts; then the record of what an apply
+# steady-state ones ≤ 12 B; from the second copy on the request is a
+# copy-delta, and request, leg and acknowledgement together ≤ 200 B at
+# depth 6), a merge that destroys a coupled child decouples it, and
+# sync bases and acknowledgement by reference against a plain model
+# over 240 seeded scripts (pushes both ways, pulls, a presenter that
+# re-registers, a push shed as Busy); then the record of what an apply
 # overwrote against the full snapshot it replaced, 2 000 seeded cases
 # per copy mode (both std only; compat_props mirrors the second).
 cargo test -q -p cosoft-core --test coupling
