@@ -13,9 +13,6 @@
 //!   time-relaxed private-until-commitment mode expressed through
 //!   decoupling and synchronization-by-state.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod classroom;
 pub mod sketch;
 pub mod tori;

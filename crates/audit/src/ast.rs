@@ -448,8 +448,6 @@ pub struct StructDef {
 pub struct AstFile {
     /// Workspace-relative path.
     pub path: String,
-    /// Inner attributes (`#![...]`), normalized (e.g. `forbid(unsafe_code)`).
-    pub inner_attrs: Vec<String>,
     /// Every function in the file (all nesting levels).
     pub fns: Vec<FnDef>,
     /// Every struct with named fields.
@@ -461,8 +459,6 @@ pub struct AstFile {
     pub test_ranges: Vec<(u32, u32)>,
     /// All `//` comments.
     pub comments: Vec<Comment>,
-    /// The whole-file token forest (for raw scans like dispatch arms).
-    pub trees: Vec<Tree>,
 }
 
 /// Every parsed file of the workspace.
@@ -495,11 +491,6 @@ impl AstWorkspace {
             Err(errors)
         }
     }
-
-    /// The parsed file at `path`, if present.
-    pub fn file(&self, path: &str) -> Option<&AstFile> {
-        self.files.iter().find(|f| f.path == path)
-    }
 }
 
 impl AstFile {
@@ -514,16 +505,13 @@ impl AstFile {
         let trees = build_trees(flat)?;
         let mut file = AstFile {
             path: path.to_owned(),
-            inner_attrs: Vec::new(),
             fns: Vec::new(),
             structs: Vec::new(),
             aliases: Vec::new(),
             test_ranges: Vec::new(),
             comments,
-            trees: Vec::new(),
         };
         collect_items(&trees, None, false, &mut file);
-        file.trees = trees;
         Ok(file)
     }
 }
@@ -648,8 +636,7 @@ fn collect_items(trees: &[Tree], owner: Option<&str>, in_test: bool, out: &mut A
             // `#[...]` outer attribute / `#![...]` inner attribute.
             Tree::Punct('#', _) => {
                 if let Some(Tree::Punct('!', _)) = trees.get(i + 1) {
-                    if let Some(Tree::Group(Delim::Bracket, attr, _)) = trees.get(i + 2) {
-                        out.inner_attrs.push(normalize(attr));
+                    if let Some(Tree::Group(Delim::Bracket, ..)) = trees.get(i + 2) {
                         i += 3;
                         continue;
                     }
@@ -1284,12 +1271,6 @@ mod tests {
         assert_eq!(f.fns[0].owner.as_deref(), Some("Host"));
         assert_eq!(f.fns[1].owner.as_deref(), Some("Host"));
         assert_eq!(f.aliases[0], ("ConnMap".to_owned(), "Arc<Mutex<Outbox>>".to_owned()));
-    }
-
-    #[test]
-    fn inner_attrs() {
-        let f = parse("#![forbid(unsafe_code)]\n#![deny(missing_docs)]\nfn f() {}\n");
-        assert_eq!(f.inner_attrs, vec!["forbid(unsafe_code)", "deny(missing_docs)"]);
     }
 
     #[test]

@@ -36,11 +36,8 @@ impl fmt::Display for Violation {
 /// for the real tree.
 #[derive(Debug, Clone, Default)]
 pub struct WorkspaceSources {
-    /// `(workspace-relative path, contents)` of every crate root
-    /// (`src/lib.rs` of each workspace member).
-    pub crate_roots: Vec<(String, String)>,
     /// `(workspace-relative path, contents)` of every `.rs` file in the
-    /// workspace (restricted-call scan).
+    /// workspace (the AST rules' input).
     pub all_sources: Vec<(String, String)>,
     /// `(workspace-relative path, contents)` of every `Cargo.toml` in
     /// the workspace (feature-gating scan).
@@ -60,9 +57,6 @@ impl WorkspaceSources {
         files.sort();
         for rel in files {
             let text = std::fs::read_to_string(root.join(&rel))?;
-            if rel.ends_with("src/lib.rs") {
-                ws.crate_roots.push((rel.clone(), text.clone()));
-            }
             if rel.ends_with("Cargo.toml") {
                 ws.manifests.push((rel, text));
             } else {
@@ -238,8 +232,7 @@ pub fn lint_fault_injection_gating(manifests: &[(String, String)]) -> Vec<Violat
 }
 
 /// Runs the manifest lint over the workspace sources. The AST rules
-/// (panic ratchet, blocking calls, lock order, restricted calls, crate
-/// headers, wildcard dispatch arms) run separately via
+/// (panic ratchet, blocking calls, lock order) run separately via
 /// [`crate::rules::run_ast_rules`].
 pub fn run_all_lints(ws: &WorkspaceSources) -> Vec<Violation> {
     lint_fault_injection_gating(&ws.manifests)

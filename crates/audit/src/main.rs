@@ -1,7 +1,7 @@
 //! The `cosoft-audit` binary: runs every workspace lint — the
 //! fault-injection manifest check and the AST rules (panic-freedom
-//! ratchet, blocking-call, lock-order, dispatch/restricted/header) —
-//! against the real source tree and exits non-zero on any violation.
+//! ratchet, blocking-call, lock-order) — against the real source tree
+//! and exits non-zero on any violation.
 //!
 //! Usage: `cosoft-audit [--panic-counts] [workspace-root]` — with no
 //! root argument the workspace root is found by walking up from the
@@ -12,9 +12,6 @@
 //! `--panic-counts` prints every unannotated panic site and the
 //! per-crate totals instead of auditing — the numbers to copy into
 //! `audit-baseline.toml` when ratcheting it down.
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -99,11 +96,7 @@ fn main() -> ExitCode {
         }),
     }
     if violations.is_empty() {
-        println!(
-            "cosoft-audit: OK ({} sources parsed, {} crate roots clean)",
-            ws.all_sources.len(),
-            ws.crate_roots.len()
-        );
+        println!("cosoft-audit: OK ({} sources parsed)", ws.all_sources.len());
         ExitCode::SUCCESS
     } else {
         for v in &violations {

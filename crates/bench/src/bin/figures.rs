@@ -20,6 +20,7 @@ fn main() {
     print_table("L2: state copy vs action replay after decoupling", &L2_HEADERS, &l2_rows());
     print_table("L3: multiple evaluation vs evaluate-once-and-share", &L3_HEADERS, &l3_rows());
     print_table("L4: per-commit vs per-keystroke floor control", &L4_HEADERS, &l4_rows());
+    print_table("L5: compatibility machinery vs form size (wall clock)", &L5_HEADERS, &l5_rows());
     print_table(
         "Observability: server-core counters (coupling workload, 8 instances)",
         &STATS_HEADERS,

@@ -557,6 +557,95 @@ pub const L4_HEADERS: [&str; 6] =
     ["chars", "commit bytes", "commit time", "keystroke bytes", "keystroke time", "time ratio"];
 
 // ---------------------------------------------------------------------------
+// L5 — the compatibility machinery of §3.3
+// ---------------------------------------------------------------------------
+
+/// Median, in µs, of five runs of `timed`, which returns how long the
+/// part of it that counts took.
+fn median_us(mut timed: impl FnMut() -> std::time::Duration) -> f64 {
+    let mut runs: Vec<_> = (0..5).map(|_| timed()).collect();
+    runs.sort();
+    runs[runs.len() / 2].as_secs_f64() * 1e6
+}
+
+/// Wall time in µs — the median of five runs each — of an
+/// s-compatibility check between two fully matching `n`-node forms, and
+/// of a destructive merge and a flexible match of an `n`-node snapshot
+/// onto a tree built from one sharing 70 % of its names. The paper warns
+/// that "calculating [the mapping] over several levels of nesting may be
+/// costly in practice"; the (kind, name) heuristics keep it near-linear.
+pub fn l5_measure(n: usize) -> [f64; 3] {
+    use cosoft_core::{apply_destructive, apply_flexible, check_s_compatible};
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    let corr = cosoft_core::CorrespondenceTable::new();
+    let (a, b) = (synthetic_form(n, 1.0, 1), synthetic_form(n, 1.0, 2));
+    let check = median_us(|| {
+        let start = Instant::now();
+        check_s_compatible(black_box(&a), &b, &corr).expect("compatible");
+        start.elapsed()
+    });
+    let (snap, base) = (synthetic_form(n, 0.7, 1), synthetic_form(n, 0.7, 2));
+    // Each timed apply starts from a tree freshly built from `base`.
+    let seeded = || {
+        let mut tree = cosoft_uikit::WidgetTree::new();
+        let root = tree.create_root(cosoft_wire::WidgetKind::Form, "root").expect("fresh");
+        apply_destructive(&mut tree, root, &base, &corr).expect("seed");
+        (tree, root)
+    };
+    let merge = median_us(|| {
+        let (mut tree, root) = seeded();
+        let start = Instant::now();
+        apply_destructive(&mut tree, root, black_box(&snap), &corr).expect("merge");
+        start.elapsed()
+    });
+    let flexible = median_us(|| {
+        let (mut tree, root) = seeded();
+        let start = Instant::now();
+        apply_flexible(&mut tree, root, black_box(&snap), &corr).expect("match");
+        start.elapsed()
+    });
+    [check, merge, flexible]
+}
+
+/// L5 series over form sizes a factor of ten apart, each time beside its
+/// ratio to the row above: near-linear is a ratio near the 10x the size
+/// grew by. Wall-clock, so printed and not asserted.
+pub fn l5_rows() -> Vec<Vec<String>> {
+    let mut previous: Option<(usize, [f64; 3])> = None;
+    [10usize, 100, 1_000]
+        .iter()
+        .map(|&n| {
+            let times = l5_measure(n);
+            let ratio = |now: f64, then: Option<f64>| match then {
+                Some(then) => format!("{:.1}x", now / then.max(f64::MIN_POSITIVE)),
+                None => "-".to_owned(),
+            };
+            let mut row = vec![n.to_string(), ratio(n as f64, previous.map(|(m, _)| m as f64))];
+            for (i, us) in times.iter().enumerate() {
+                row.push(fmt_us(*us));
+                row.push(ratio(*us, previous.map(|(_, then)| then[i])));
+            }
+            previous = Some((n, times));
+            row
+        })
+        .collect()
+}
+
+/// Column headers for [`l5_rows`].
+pub const L5_HEADERS: [&str; 8] = [
+    "nodes",
+    "size ratio",
+    "s-compat check",
+    "ratio",
+    "destructive merge",
+    "ratio",
+    "flexible match",
+    "ratio",
+];
+
+// ---------------------------------------------------------------------------
 // Observability — server-core and transport counters
 // ---------------------------------------------------------------------------
 
@@ -713,7 +802,7 @@ pub fn transport_stats_rows() -> Vec<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------------
-// shared helpers for L5 / micro benches
+// shared helper for L5
 // ---------------------------------------------------------------------------
 
 /// Builds a synthetic complex-object snapshot of roughly `n` nodes for the
@@ -841,6 +930,14 @@ mod tests {
         check_s_compatible(&a, &b, &CorrespondenceTable::new()).expect("same shape");
         let c = synthetic_form(53, 1.0, 3);
         assert!(check_s_compatible(&a, &c, &CorrespondenceTable::new()).is_err());
+    }
+
+    #[test]
+    fn l5_has_expected_shape() {
+        let rows = l5_rows();
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|row| row.len() == L5_HEADERS.len()));
+        assert_eq!((rows[0][1].as_str(), rows[2][1].as_str()), ("-", "10.0x"));
     }
 
     #[test]

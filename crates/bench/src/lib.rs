@@ -2,17 +2,15 @@
 //! (DESIGN.md §3 maps experiment ids to modules).
 //!
 //! * [`figures`] computes the paper-style series (virtual-time latencies,
-//!   wire bytes, rejection counts) shared by the criterion benches and
-//!   the printer binaries, plus the two live counter tables;
+//!   wire bytes, rejection counts) the printer binaries show, plus the
+//!   two live counter tables;
 //! * [`report`] renders plain-text tables.
 //!
-//! Run `cargo bench --workspace` for everything, or
-//! `cargo run -p cosoft-bench --bin table1` / `--bin figures` for just
-//! the paper-style reports. Nothing here times the system: the
-//! end-to-end benchmark of record is the `benchmark/` package.
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+//! Run `cargo run -p cosoft-bench --bin figures` for everything, or
+//! `--bin table1` for just Table 1. Nothing here times the system — L5,
+//! the one wall-clock table, times three library calls and asserts
+//! nothing: the end-to-end benchmark of record is the `benchmark/`
+//! package.
 
 pub mod figures;
 pub mod report;

@@ -15,9 +15,6 @@
 //! The server and client cores are written sans-I/O (they map an incoming
 //! message to outgoing messages) so both carriers drive identical logic.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 /// Deterministic fault injection for the TCP transport (scripted and
 /// seeded-random partial writes, short reads, `WouldBlock` storms,
 /// injected socket errors). The module is always compiled so the poll

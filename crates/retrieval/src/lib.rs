@@ -32,9 +32,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use std::collections::BTreeSet;
 use std::fmt;
 

@@ -140,6 +140,11 @@ impl HistoryStore {
         self.redo.get(object).map(HistoryStack::depth).unwrap_or(0)
     }
 
+    /// Whether no object has a stack at all, not even a drained one.
+    pub fn is_empty(&self) -> bool {
+        self.undo.is_empty() && self.redo.is_empty()
+    }
+
     /// Drops all history of `object` (e.g. when it is destroyed). Returns
     /// whether any entries were actually held.
     pub fn forget(&mut self, object: &GlobalObjectId) -> bool {

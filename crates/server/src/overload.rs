@@ -43,6 +43,7 @@ pub enum MessageClass {
 /// Classifies a message for admission. Exhaustive over [`Message`] so
 /// adding a protocol kind without deciding its overload priority is a
 /// compile error.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn classify(msg: &Message) -> MessageClass {
     match msg {
         Message::Ping { .. }
@@ -99,6 +100,7 @@ const BASE_COST: u64 = 16;
 /// [`OverloadConfig::max_window_bytes`]. A cheap over-the-structure
 /// estimate, not an exact encoding length: the budget is a pressure
 /// valve, not an accountant.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn approx_cost(msg: &Message) -> u64 {
     let heavy = match msg {
         Message::Register { host, app_name, .. } => host.len() + app_name.len(),
@@ -318,15 +320,17 @@ impl<E: Copy + Eq + Hash> Admission<E> {
 
     /// Evicts budget windows idle for two or more window lengths, so the
     /// bucket map is bounded by the set of recently-active endpoints
-    /// rather than every endpoint ever seen. Called from the core's
-    /// `tick`.
+    /// rather than every endpoint ever seen. A window that shed ages out
+    /// like any other: strikes count *consecutive* windows with a shed,
+    /// and an endpoint silent for two window lengths has had a clean one
+    /// in between, so the chain its bucket carried is broken anyway.
+    /// Called from the core's `tick`.
     pub(crate) fn prune(&mut self, now_us: u64) {
         if !self.config.enabled() {
             return;
         }
         let horizon = self.config.window_us.saturating_mul(2);
-        self.buckets
-            .retain(|_, b| now_us.saturating_sub(b.window_start_us) < horizon || b.shed_in_window);
+        self.buckets.retain(|_, b| now_us.saturating_sub(b.window_start_us) < horizon);
     }
 
     /// Number of endpoints with a live budget window (observability).

@@ -85,17 +85,54 @@ pub struct RouterStats {
 /// that only touches the sender's own component (or no component at
 /// all). Shared by the sans-I/O router and the threaded dispatcher in
 /// `src/runtime.rs` so the two agree on which messages can merge shards.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn merge_refs(msg: &Message) -> Vec<InstanceId> {
     match msg {
+        // A decouple colocates like its couple: the link to remove lives
+        // with the two objects' component, which need not be the
+        // sender's (the paper's teacher decoupling two students).
         Message::Couple { src, dst }
+        | Message::Decouple { src, dst }
         | Message::RemoteCouple { a: src, b: dst }
+        | Message::RemoteDecouple { a: src, b: dst }
         | Message::CopyFrom { src, dst, .. }
         | Message::CopyTo { src, dst, .. }
         | Message::CopyDelta { src, dst, .. }
         | Message::RemoteCopy { src, dst, .. } => vec![src.instance, dst.instance],
         Message::Event { origin, .. } => vec![origin.instance],
         Message::UndoState { object } | Message::RedoState { object } => vec![object.instance],
-        _ => Vec::new(),
+        // Answered by the router itself, without moving anything.
+        Message::QueryInstances | Message::ListCoupled { .. } | Message::CoSendCommand { .. }
+        // The sender's own record, objects and rights.
+        | Message::Register { .. }
+        | Message::Rejoin { .. }
+        | Message::Deregister
+        | Message::Ping { .. }
+        | Message::Pong { .. }
+        | Message::ObjectDestroyed { .. }
+        | Message::SetPermission { .. }
+        // Answers to what the sender's shard asked of it: the execution
+        // or transfer they complete was colocated when it started.
+        | Message::ExecuteDone { .. }
+        | Message::StateReply { .. }
+        | Message::StateApplied { .. }
+        // Server-to-client kinds, refused by the sender's core.
+        | Message::Welcome { .. }
+        | Message::InstanceList { .. }
+        | Message::SessionToken { .. }
+        | Message::CoupleUpdate { .. }
+        | Message::CoupledSet { .. }
+        | Message::EventGranted { .. }
+        | Message::EventRejected { .. }
+        | Message::ExecuteEvent { .. }
+        | Message::GroupUnlocked { .. }
+        | Message::StateRequest { .. }
+        | Message::ApplyState { .. }
+        | Message::ApplyDelta { .. }
+        | Message::PermissionDenied { .. }
+        | Message::CommandDelivery { .. }
+        | Message::ErrorReply { .. }
+        | Message::Busy { .. } => Vec::new(),
     }
 }
 
@@ -103,6 +140,19 @@ pub fn merge_refs(msg: &Message) -> Vec<InstanceId> {
 ///
 /// `Clone` forks the entire sharded database — the schedule-exploring
 /// model checker branches the router state at every decision point.
+///
+/// The cores are reachable from outside only as `&ServerCore`
+/// ([`ShardRouter::shard`]), and what moves a component between them,
+/// delivers into one on another's behalf or drains its route log
+/// (`extract_component`, `absorb_component`, `deliver_command`,
+/// `take_route_events`) is private to this crate: a stray caller would
+/// leave the routing maps describing a core that has changed under
+/// them. This does not build:
+///
+/// ```compile_fail,E0624
+/// let mut core: cosoft_server::ServerCore<u64> = cosoft_server::ServerCore::new();
+/// let _ = core.extract_component(cosoft_wire::InstanceId(1));
+/// ```
 #[derive(Debug, Clone)]
 pub struct ShardRouter<E> {
     shards: Vec<ServerCore<E>>,
@@ -728,13 +778,9 @@ impl<E: Copy + Eq + Hash> ShardRouter<E> {
                 return Err(format!("endpoint routed to nonexistent shard {s}"));
             }
         }
-        if self.endpoint_shard.len()
-            != self
-                .shards
-                .iter()
-                .map(|s| s.registry().ids().iter().filter(|i| s.registry().is_bound(**i)).count())
-                .sum::<usize>()
-        {
+        let bound: usize =
+            self.shards.iter().map(|s| s.registry().len() - s.registry().quarantined_len()).sum();
+        if self.endpoint_shard.len() != bound {
             return Err("endpoint routing map disagrees with the shard registries".into());
         }
         for (&token, &s) in &self.token_shard {

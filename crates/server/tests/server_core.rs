@@ -2,7 +2,7 @@
 //! each test feeds messages in and asserts on the outgoing message sets,
 //! exercising the protocol flows of §3.1–§3.4.
 
-use cosoft_server::ServerCore;
+use cosoft_server::{LivenessConfig, Outgoing, ServerCore, ShardRouter};
 use cosoft_wire::{
     codec, delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
     ObjectPath, Overwritten, StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
@@ -1532,6 +1532,53 @@ fn register_floods_are_shed_before_registration() {
     assert!(s.stats().overload_sheds_control >= 10);
 }
 
+/// Connect / flood / disconnect churn by endpoints that never register
+/// leaves no budget window behind: a disconnect drops the endpoint's
+/// window whether or not an instance was bound to it, and a window that
+/// shed ages out of `tick` at the same two-window horizon as a clean one.
+#[test]
+fn budget_windows_of_unregistered_endpoints_are_dropped() {
+    let mut s = overloaded(0, 1, 0, 0);
+    let flood = |s: &mut ServerCore<Endpoint>, endpoints: std::ops::Range<u64>| {
+        for e in endpoints {
+            for _ in 0..3 {
+                s.handle(e, Message::QueryInstances);
+            }
+        }
+    };
+    flood(&mut s, 0..100);
+    assert_eq!(s.stats().overload_sheds_control, 200, "one admitted, two shed, per endpoint");
+    assert_eq!(s.stats().overload_tracked_endpoints, 100);
+    for e in 0..100 {
+        s.disconnect(e);
+    }
+    assert_eq!(s.stats().overload_tracked_endpoints, 0, "a closed connection keeps no window");
+
+    // The same flood from connections that stay open and fall silent.
+    flood(&mut s, 100..200);
+    s.tick(1_000);
+    assert_eq!(s.stats().overload_tracked_endpoints, 100, "one window old: still tracked");
+    s.tick(2_000);
+    assert_eq!(s.stats().overload_tracked_endpoints, 0, "two windows silent: aged out");
+}
+
+/// One connection, one instance: a second `Register` on an endpoint that
+/// already carries one is refused, and the first record stays the one the
+/// endpoint speaks for.
+#[test]
+fn second_register_on_a_connection_is_refused() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let reg = Message::Register { user: UserId(2), host: "ws".into(), app_name: "app".into() };
+    let out = s.handle(1, reg).into_messages();
+    assert_eq!((out.len(), count_kind(&out, "error-reply")), (1, 1));
+    assert_eq!(s.registry().ids(), vec![a]);
+    assert_eq!(s.registry().instance_at(1), Some(a));
+    s.check_invariants().unwrap();
+    s.disconnect(1);
+    assert!(s.registry().is_empty());
+}
+
 #[test]
 fn busy_inbound_is_server_to_client_only() {
     let mut s: ServerCore<Endpoint> = ServerCore::new();
@@ -2298,4 +2345,313 @@ fn forked_core_shares_history_storage() {
         fork.history().storage_is_shared_with(s.history()),
         "cloned history must share its chain storage entry-for-entry"
     );
+}
+
+// ---- churn: the folded database leaks nothing ------------------------------
+
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Names the seed of the script that is running when a panic unwinds
+/// through it — the test's own or a debug-build invariant check inside
+/// the server.
+struct NameSeedOnPanic(u64);
+
+impl Drop for NameSeedOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("churn script failed: seed {}", self.0);
+        }
+    }
+}
+
+/// Something the server asked of a client, which the script may answer
+/// late, answer wrongly, or never answer.
+#[derive(Clone, Copy)]
+enum Owed {
+    Reply { req_id: u64 },
+    Ack { req_id: u64, delta: bool },
+    Done { exec_id: u64 },
+}
+
+struct ChurnClient {
+    /// `None` while its connection is dropped.
+    endpoint: Option<Endpoint>,
+    instance: InstanceId,
+    token: u64,
+    owed: Vec<Owed>,
+}
+
+const CHURN_GRACE_US: u64 = 10_000;
+
+struct Churn {
+    router: ShardRouter<Endpoint>,
+    rng: SplitMix64,
+    clients: Vec<ChurnClient>,
+    /// Every resume token the server ever issued.
+    tokens: Vec<u64>,
+    next_endpoint: Endpoint,
+    now_us: u64,
+}
+
+impl Churn {
+    /// Files what the server sent: each client's new token, and what it
+    /// now owes an answer to.
+    fn deliver(&mut self, out: Outgoing<Endpoint>) {
+        for (endpoint, msg) in out.into_messages() {
+            let Some(client) = self.clients.iter_mut().find(|c| c.endpoint == Some(endpoint))
+            else {
+                continue;
+            };
+            match msg {
+                Message::SessionToken { resume_token } => {
+                    client.token = resume_token;
+                    self.tokens.push(resume_token);
+                }
+                Message::StateRequest { req_id, .. } => client.owed.push(Owed::Reply { req_id }),
+                Message::ApplyState { req_id, .. } => {
+                    client.owed.push(Owed::Ack { req_id, delta: false });
+                }
+                Message::ApplyDelta { req_id, .. } => {
+                    client.owed.push(Owed::Ack { req_id, delta: true });
+                }
+                Message::EventGranted { exec_id, .. } | Message::ExecuteEvent { exec_id, .. } => {
+                    client.owed.push(Owed::Done { exec_id });
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn send(&mut self, endpoint: Endpoint, msg: Message) {
+        let out = self.router.handle(endpoint, msg);
+        self.deliver(out);
+    }
+
+    /// Opens a connection and registers on it or, with a token, rejoins;
+    /// whether the server welcomed it.
+    fn connect(&mut self, rejoin: Option<u64>) -> bool {
+        let endpoint = self.next_endpoint;
+        self.next_endpoint += 1;
+        let hello = match rejoin {
+            Some(resume_token) => Message::Rejoin { resume_token },
+            None => Message::Register { user: UserId(1), host: "ws".into(), app_name: "c".into() },
+        };
+        let out = self.router.handle(endpoint, hello);
+        let welcome = out.clone().into_messages().into_iter().find_map(|(_, m)| match m {
+            Message::Welcome { instance } => Some(instance),
+            _ => None,
+        });
+        let Some(instance) = welcome else {
+            self.router.disconnect(endpoint);
+            return false;
+        };
+        match self.clients.iter_mut().find(|c| c.instance == instance) {
+            Some(client) => client.endpoint = Some(endpoint),
+            None => self.clients.push(ChurnClient {
+                endpoint: Some(endpoint),
+                instance,
+                token: 0,
+                owed: Vec::new(),
+            }),
+        }
+        self.deliver(out);
+        true
+    }
+
+    fn state(&mut self) -> StateNode {
+        deep_tree(1, &format!("v{}", self.rng.below(3)))
+    }
+
+    /// Answers one thing `client` owes — rightly, with a refusal, or with
+    /// a reference to a base the leg may not have.
+    fn answer(&mut self, client: usize, endpoint: Endpoint) {
+        if self.clients[client].owed.is_empty() {
+            return;
+        }
+        let which = self.rng.below(self.clients[client].owed.len());
+        let msg = match self.clients[client].owed.swap_remove(which) {
+            Owed::Done { exec_id } => Message::ExecuteDone { exec_id },
+            Owed::Reply { req_id } => {
+                let snapshot = (self.rng.below(100) < 85).then(|| self.state());
+                Message::StateReply { req_id, snapshot }
+            }
+            Owed::Ack { req_id, delta } => {
+                let (overwritten, error) = match self.rng.below(10) {
+                    // A refused delta leg falls back to a full one.
+                    0..=2 if delta => (None, Some("base diverged".to_owned())),
+                    0 => (None, Some("no such object".to_owned())),
+                    1..=4 => (Some(Overwritten::Base), None),
+                    _ => (Some(self.state().into()), None),
+                };
+                Message::StateApplied { req_id, overwritten, error }
+            }
+        };
+        self.send(endpoint, msg);
+    }
+
+    /// One step: a connected client acts on its own object and that of
+    /// some client, connected or not — or a new client registers.
+    fn step(&mut self) -> &'static str {
+        let roll = self.rng.below(100);
+        let connected: Vec<usize> =
+            (0..self.clients.len()).filter(|i| self.clients[*i].endpoint.is_some()).collect();
+        if roll < 10 || connected.is_empty() {
+            if self.clients.len() < 7 {
+                self.connect(None);
+            }
+            return "register";
+        }
+        let actor = connected[self.rng.below(connected.len())];
+        let Some(endpoint) = self.clients[actor].endpoint else { return "nothing" };
+        let own = gid(self.clients[actor].instance, "o");
+        let other = gid(self.clients[self.rng.below(self.clients.len())].instance, "o");
+        let (mode, req_id) = (CopyMode::DestructiveMerge, self.rng.next());
+        match roll {
+            10..=21 => {
+                self.send(endpoint, Message::Couple { src: own, dst: other });
+                "couple"
+            }
+            22..=25 => {
+                self.send(endpoint, Message::Decouple { src: own, dst: other });
+                "decouple"
+            }
+            26..=33 => {
+                let event =
+                    UiEvent::simple(ObjectPath::parse("o").unwrap(), EventKind::TextCommitted);
+                self.send(endpoint, Message::Event { origin: own, event, seq: req_id });
+                "event"
+            }
+            34..=45 => {
+                let snapshot = self.state();
+                self.send(
+                    endpoint,
+                    Message::CopyTo { src: own, dst: other, snapshot, mode, req_id },
+                );
+                "copy-to"
+            }
+            46..=53 => {
+                self.send(endpoint, Message::CopyFrom { src: other, dst: own, mode, req_id });
+                "copy-from"
+            }
+            54..=57 => {
+                self.send(endpoint, Message::UndoState { object: other });
+                "undo"
+            }
+            58..=77 => {
+                self.answer(actor, endpoint);
+                "answer"
+            }
+            78..=84 => {
+                let out = self.router.disconnect(endpoint);
+                self.clients[actor].endpoint = None;
+                self.deliver(out);
+                "disconnect"
+            }
+            85..=91 => {
+                // Whoever has been gone longest comes back, if its grace
+                // has not run out or its place in quarantine been taken.
+                if let Some(gone) = self.clients.iter().position(|c| c.endpoint.is_none()) {
+                    if !self.connect(Some(self.clients[gone].token)) {
+                        self.clients.remove(gone);
+                    }
+                }
+                "rejoin"
+            }
+            92..=93 => {
+                self.send(endpoint, Message::Deregister);
+                self.clients.remove(actor);
+                "deregister"
+            }
+            _ => {
+                let past_grace = self.rng.below(100) < 30;
+                self.now_us += if past_grace { CHURN_GRACE_US + 1 } else { CHURN_GRACE_US / 20 };
+                let out = self.router.tick(self.now_us);
+                self.deliver(out);
+                "tick"
+            }
+        }
+    }
+}
+
+/// Whatever order registrations, couples across the two shards, events,
+/// pushes, pulls whose reply is withheld, acknowledgements right and
+/// wrong, delta fallbacks, disconnects, rejoins and grace expiries come
+/// in — components migrating mid-transfer and mid-quarantine — every
+/// table agrees with every index after every step, and once everyone has
+/// left and the grace has run out nothing is left: no gauge above zero,
+/// no history, no sync base, no token that still resumes anything.
+#[test]
+fn churn_leaves_nothing_behind() {
+    let liveness = LivenessConfig {
+        grace_us: CHURN_GRACE_US,
+        idle_timeout_us: 4 * CHURN_GRACE_US,
+        max_quarantined: 3,
+    };
+    for seed in 0..320 {
+        let _seed = NameSeedOnPanic(seed);
+        let mut churn = Churn {
+            router: ShardRouter::with_liveness(2, liveness),
+            rng: SplitMix64(seed),
+            clients: Vec::new(),
+            tokens: Vec::new(),
+            next_endpoint: 0,
+            now_us: 0,
+        };
+        for step in 0..160 {
+            let what = churn.step();
+            if let Err(e) = churn.router.check_invariants() {
+                panic!("step {step} ({what}): {e}");
+            }
+        }
+        // Everyone leaves, by closing the connection or by saying so first.
+        let connected: Vec<Endpoint> = churn.clients.iter().filter_map(|c| c.endpoint).collect();
+        for endpoint in connected {
+            if churn.rng.below(2) == 0 {
+                churn.router.handle(endpoint, Message::Deregister);
+            }
+            churn.router.disconnect(endpoint);
+            churn.router.check_invariants().unwrap();
+        }
+        churn.router.tick(churn.now_us + CHURN_GRACE_US);
+        churn.router.check_invariants().unwrap();
+        let stats = churn.router.stats();
+        let gauges = [
+            stats.registered_instances,
+            stats.quarantined_instances,
+            stats.live_transfer_groups,
+            stats.live_transfer_legs,
+            stats.live_pending_pulls,
+            stats.live_execs,
+            stats.held_locks,
+            stats.overload_tracked_endpoints,
+        ];
+        assert_eq!(gauges, [0; 8], "{stats:?}");
+        assert_eq!(
+            stats.transfers_started,
+            stats.transfers_completed + stats.transfers_failed,
+            "every transfer group was answered or counted lost"
+        );
+        for shard in 0..churn.router.shard_count() {
+            let core = churn.router.shard(shard);
+            assert!(core.history().is_empty() && core.couples().is_empty());
+            assert_eq!(core.token_count(), 0);
+        }
+        for token in std::mem::take(&mut churn.tokens) {
+            assert!(!churn.connect(Some(token)), "token {token:#x} still resumes");
+        }
+    }
 }

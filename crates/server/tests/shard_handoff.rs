@@ -170,6 +170,40 @@ fn both_components_mutate_during_freeze() {
     router.check_invariants().unwrap();
 }
 
+/// A round whose group is decoupled under it straddles two components.
+/// When one of them migrates, the round sheds the far side — its owed
+/// replies and its locks alike: a lock kept on an object that now lives
+/// on another shard would meet that object's own next round when the two
+/// components are coupled again.
+#[test]
+fn straddling_round_sheds_the_far_sides_locks_with_its_replies() {
+    let (mut router, inst) = registered(2);
+    let (a, b) = (gid(inst[0], "o"), gid(inst[1], "o"));
+    let event = || UiEvent::simple(a.path.clone(), EventKind::Activate);
+    router.handle(0, Message::Couple { src: a.clone(), dst: b.clone() });
+    router.handle(0, Message::Event { origin: a.clone(), event: event(), seq: 1 });
+    router.handle(0, Message::Decouple { src: a.clone(), dst: b.clone() });
+    let home = router.shard_of_instance(inst[1]).unwrap();
+    assert!(router.shard(home).locks().is_locked(&b), "the round locked the whole group");
+
+    // `b` moves away alone; the round stays with `a`, its submitter.
+    let handoff = router.begin_handoff(inst[1], 1 - home).unwrap();
+    router.complete_handoff(handoff);
+    assert!(router.shard(home).locks().is_locked(&a));
+    assert!(!router.shard(home).locks().is_locked(&b), "a lock on an object that left");
+    router.check_invariants().unwrap();
+
+    // `b` runs a round of its own where it lives now, and while that one
+    // is open the two are coupled again: each round arrives with exactly
+    // the locks of its own side.
+    router.handle(1, Message::Event { origin: b.clone(), event: event(), seq: 2 });
+    router.handle(0, Message::Couple { src: a.clone(), dst: b.clone() });
+    router.check_invariants().unwrap();
+    let merged = router.shard_of_instance(inst[0]).unwrap();
+    assert_eq!(router.shard_of_instance(inst[1]), Some(merged));
+    assert_eq!((router.stats().live_execs, router.stats().held_locks), (2, 2));
+}
+
 /// Re-merging an already-merged component is an idempotent no-op: the
 /// second `Couple` finds everything colocated (no second handoff), and
 /// explicitly freezing toward the component's own shard is rejected
@@ -455,6 +489,33 @@ fn disjoint_groups_deliver_alike_at_every_shard_count() {
     }
     assert_eq!(deliveries(2), one);
     assert_eq!(deliveries(4), one);
+}
+
+/// The paper's teacher decoupling two students: a third party's
+/// `RemoteDecouple` finds the link wherever the students' component
+/// lives. One teacher couples `a` and `b`, another — registered on yet
+/// another shard — decouples them; every client sees the same on 1 and
+/// on 4 shards, and the link is gone.
+#[test]
+fn third_party_decouple_reaches_a_component_on_another_shard() {
+    let transcript = |shards: usize| -> Vec<Vec<(Endpoint, Message)>> {
+        let (mut router, inst) = registered_on(ShardRouter::new(shards), 4);
+        let (teacher, a, b, other_teacher) = (0, gid(inst[1], "obj"), gid(inst[2], "obj"), 3);
+        let steps = [
+            (teacher, Message::RemoteCouple { a: a.clone(), b: b.clone() }),
+            (other_teacher, Message::RemoteDecouple { a: a.clone(), b: b.clone() }),
+            (other_teacher, Message::ListCoupled { object: a.clone() }),
+        ];
+        let log = steps.map(|(e, msg)| router.handle(e, msg).into_messages()).to_vec();
+        router.check_invariants().unwrap();
+        log
+    };
+    let one = transcript(1);
+    let (a, b) = (gid(InstanceId(2), "obj"), gid(InstanceId(3), "obj"));
+    let alone = |object: &GlobalObjectId| Message::CoupleUpdate { group: vec![object.clone()] };
+    assert_eq!(one[1], [(1, alone(&a)), (2, alone(&b))], "each student learns it stands alone");
+    assert_eq!(one[2], [(3, Message::CoupledSet { object: a, coupled: Vec::new() })]);
+    assert_eq!(transcript(4), one);
 }
 
 /// Admission budgets are per endpoint (DESIGN.md §10): a polite 4-member

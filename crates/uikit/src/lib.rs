@@ -41,9 +41,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod error;
 pub mod feedback;
 pub mod render;

@@ -37,9 +37,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod codec;
 pub mod delta;
 mod error;

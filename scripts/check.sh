@@ -10,9 +10,12 @@ cargo test -q
 # Source audit. Manifest scan keeping the fault-injection feature out
 # of default features and release dependency graphs; AST rules over the
 # parsed workspace: panic-freedom ratchet against audit-baseline.toml,
-# blocking calls reachable from the poll loop, lock-order cycles,
-# restricted teardown APIs, crate lint headers, no catch-all arm in the
-# server's Message dispatch.
+# blocking calls reachable from the poll loop, lock-order cycles. That
+# teardown- and shard-only calls stay inside cosoft-server, that every
+# crate forbids unsafe code and denies missing docs, and that no match
+# dispatching on Message has a catch-all arm are held by the build
+# above: `&`-only accessors and pub(crate), [workspace.lints], and
+# clippy's wildcard_enum_match_arm denied on those functions.
 cargo run -q -p cosoft-audit
 # The two walks of the state grammar — the decoder that builds a tree
 # and the one that only checks and slices an `EncodedState` off the

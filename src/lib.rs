@@ -3,9 +3,6 @@
 //! Facade crate re-exporting the whole workspace. See the README for the
 //! architecture overview and `examples/` for runnable scenarios.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod runtime;
 
 pub use cosoft_apps as apps;

@@ -36,7 +36,7 @@ fn fast_policy() -> ReconnectPolicy {
         base_delay: Duration::from_millis(20),
         max_delay: Duration::from_millis(100),
         jitter: 0.2,
-        jitter_seed: Some(0xC05F_0F7),
+        jitter_seed: Some(0x0C05_F0F7),
     }
 }
 
