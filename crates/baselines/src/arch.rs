@@ -339,26 +339,48 @@ mod tests {
         assert!(stats.messages_sent > 0);
     }
 
+    /// The canonical comparison — mostly private work with some shared
+    /// editing and semantic actions, 8 users — on seeds 0..64, asserting
+    /// what the three models have by construction.
+    ///
+    /// Not asserted: that on this mix the UI-replicated mean semantic
+    /// latency is at least the fully replicated one. It held on 31 of
+    /// these 64 seeds. A shared action of the fully replicated model
+    /// queues for its group's lock, held for a round trip plus the
+    /// slowest replica's re-execution, and every replica re-executes
+    /// every shared action; a semantic action of the UI-replicated model
+    /// queues for the centre. Which queue is the longer at 30 % shared
+    /// and 15 % semantic is the draw's, not the architecture's.
     #[test]
     fn table1_ordering_holds_on_mixed_workload() {
-        // The canonical comparison: mostly private work with some shared
-        // editing and semantic actions, 8 users.
-        let w = crate::workload::mixed_workload(7, 8, 40, 20_000, 0.15, 0.3);
         let cfg = cfg();
-        let m = run_multiplex(&w, &cfg);
-        let u = run_ui_replicated(&w, &cfg);
-        let f = run_fully_replicated(&w, &cfg);
-        // UI latency: multiplex worst (round trip + queue), UI-replicated
-        // and fully replicated local-ish.
-        assert!(m.mean_latency_us(Some(ActionKind::Ui)) > u.mean_latency_us(Some(ActionKind::Ui)));
-        // Semantic latency: UI-replicated queues centrally; fully
-        // replicated executes locally after floor control.
-        assert!(
-            u.mean_latency_us(Some(ActionKind::Semantic))
-                >= f.mean_latency_us(Some(ActionKind::Semantic))
-        );
-        // All three produce traffic for this shared workload.
-        assert!(m.bytes_sent > 0 && u.bytes_sent > 0 && f.bytes_sent > 0);
+        let central_round_trip = 2 * cfg.one_way_latency_us + cfg.semantic_service_us;
+        for seed in 0..64 {
+            let w = crate::workload::mixed_workload(seed, 8, 40, 20_000, 0.15, 0.3);
+            let m = run_multiplex(&w, &cfg);
+            let u = run_ui_replicated(&w, &cfg);
+            let f = run_fully_replicated(&w, &cfg);
+            // UI latency: multiplex pays the round trip and the queue,
+            // the UI replica echoes locally.
+            let ui = |s: &RunStats| s.mean_latency_us(Some(ActionKind::Ui));
+            assert!(ui(&m) > ui(&u), "seed {seed}: {} vs {}", ui(&m), ui(&u));
+            // Semantic latency: every semantic action of the UI-replicated
+            // model, private ones too, travels to the one semantic
+            // component and back.
+            let sem = u.latencies_us(Some(ActionKind::Semantic));
+            assert!(sem.iter().all(|&l| l >= central_round_trip), "seed {seed}: {sem:?}");
+            // All three produce traffic for this shared workload.
+            assert!(m.bytes_sent > 0 && u.bytes_sent > 0 && f.bytes_sent > 0);
+
+            // With nothing shared (partial coupling at its limit) the
+            // fully replicated model keeps every action in its instance:
+            // below that round trip, and silent.
+            let private = crate::workload::mixed_workload(seed, 8, 40, 20_000, 0.15, 0.0);
+            let f = run_fully_replicated(&private, &cfg);
+            let own = f.mean_latency_us(Some(ActionKind::Semantic));
+            assert!(own < central_round_trip as f64, "seed {seed}: {own}");
+            assert_eq!(f.messages_sent, 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Seeded workload generation shared by all architecture runners.
 
+use cosoft_rng::Rng;
 use cosoft_wire::{EventKind, ObjectPath, UiEvent, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::stats::ActionKind;
 
@@ -61,12 +60,12 @@ pub fn editing_workload(
     mean_think_us: u64,
     semantic_fraction: f64,
 ) -> Workload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut actions = Vec::with_capacity(users * actions_per_user);
     for user in 0..users {
-        let mut t = rng.gen_range(0..mean_think_us.max(1));
+        let mut t = rng.range(0..mean_think_us.max(1));
         for k in 0..actions_per_user {
-            let semantic = rng.gen_bool(semantic_fraction.clamp(0.0, 1.0));
+            let semantic = rng.bool(semantic_fraction.clamp(0.0, 1.0));
             let event = if semantic {
                 UiEvent::simple(paths::compute(), EventKind::Activate)
             } else {
@@ -83,7 +82,7 @@ pub fn editing_workload(
                 event,
             });
             // Geometric think time approximating an exponential.
-            let jitter = rng.gen_range(1..=2 * mean_think_us.max(1));
+            let jitter = rng.range(1..=2 * mean_think_us.max(1));
             t += jitter;
         }
     }
@@ -104,15 +103,15 @@ pub fn mixed_workload(
     semantic_fraction: f64,
     shared_fraction: f64,
 ) -> Workload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let private_field = ObjectPath::parse("private.field").expect("static path");
     let private_compute = ObjectPath::parse("private.compute").expect("static path");
     let mut actions = Vec::with_capacity(users * actions_per_user);
     for user in 0..users {
-        let mut t = rng.gen_range(0..mean_think_us.max(1));
+        let mut t = rng.range(0..mean_think_us.max(1));
         for k in 0..actions_per_user {
-            let semantic = rng.gen_bool(semantic_fraction.clamp(0.0, 1.0));
-            let shared = rng.gen_bool(shared_fraction.clamp(0.0, 1.0));
+            let semantic = rng.bool(semantic_fraction.clamp(0.0, 1.0));
+            let shared = rng.bool(shared_fraction.clamp(0.0, 1.0));
             let event = match (semantic, shared) {
                 (true, true) => UiEvent::simple(paths::compute(), EventKind::Activate),
                 (true, false) => UiEvent::simple(private_compute.clone(), EventKind::Activate),
@@ -133,7 +132,7 @@ pub fn mixed_workload(
                 kind: if semantic { ActionKind::Semantic } else { ActionKind::Ui },
                 event,
             });
-            let jitter = rng.gen_range(1..=2 * mean_think_us.max(1));
+            let jitter = rng.range(1..=2 * mean_think_us.max(1));
             t += jitter;
         }
     }
@@ -145,22 +144,21 @@ pub fn mixed_workload(
 /// sketch example and throughput benches): every action adds a short
 /// stroke to `canvas.board`.
 pub fn sketch_workload(seed: u64, users: usize, strokes_per_user: usize) -> Workload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let path = ObjectPath::parse("canvas.board").expect("static path");
     let mut actions = Vec::new();
     for user in 0..users {
-        let mut t = rng.gen_range(0..1_000u64);
+        let mut t = rng.range(0..1_000u64);
         for _ in 0..strokes_per_user {
-            let pts: Vec<(i32, i32)> = (0..rng.gen_range(2..6))
-                .map(|_| (rng.gen_range(0..640), rng.gen_range(0..480)))
-                .collect();
+            let pts: Vec<(i32, i32)> =
+                (0..rng.range(2..6)).map(|_| (rng.range(0..640), rng.range(0..480))).collect();
             actions.push(WorkAction {
                 user,
                 issue_us: t,
                 kind: ActionKind::Ui,
                 event: UiEvent::new(path.clone(), EventKind::StrokeAdded, vec![Value::Stroke(pts)]),
             });
-            t += rng.gen_range(5_000..50_000);
+            t += rng.range(5_000..50_000);
         }
     }
     actions.sort_by_key(|a| a.issue_us);

@@ -4,6 +4,7 @@
 use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::NodeId;
+use cosoft_rng::Rng;
 use cosoft_server::OverloadConfig;
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
@@ -586,22 +587,6 @@ fn push_onto_own_group_echoes_an_empty_delta() {
 
 // ---- acknowledgement by reference, against a model -------------------------
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// The presenter's board and the two like viewers'; the unlike viewer
 /// shows the middle field as a label, under a correspondence table.
 const BOARD: &str = r#"form board title="" {
@@ -756,7 +741,7 @@ enum Step {
 }
 
 /// Differential test of the sync base and of acknowledgement by
-/// reference, over seeded scripts (SplitMix64, std only): real sessions
+/// reference, over seeded scripts (seeded): real sessions
 /// and a real server against [`ModelBoard`], compared at every
 /// quiescence. The model knows nothing of deltas, encodings or
 /// references — only which states each board held and which crossed its
@@ -776,7 +761,7 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
     let mut pushes = [0u64; 4];
     let mut unlike_delta_legs = 0;
     for seed in 0..SCRIPTS {
-        let mut rng = SplitMix64(seed);
+        let mut rng = Rng::new(seed);
         let mut h = SimHarness::new(seed);
         let mut presenter = ModelBoard::new(h.add_session(session(BOARD, 1)), false);
         let mut viewers: Vec<ModelBoard> = [BOARD, BOARD, UNLIKE_BOARD]
@@ -814,15 +799,15 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
         let (mut pushes_by_delta, mut pushes_pulled) = (0, 0);
         for n in 0..STEPS {
             let fresh = format!("s{seed}n{n}");
-            let step = match rng.below(100) {
-                0..=29 => Step::Copy { mode: MODES[rng.below(3)], shed: false },
-                30..=35 => Step::Copy { mode: MODES[rng.below(3)], shed: true },
-                36..=47 => Step::Undo(rng.below(2)),
-                48..=55 => Step::Redo(rng.below(2)),
-                56..=69 => Step::LocalEdit(rng.below(3), rng.below(3)),
-                70..=79 => Step::CoupledEvent(rng.below(3), 2 * rng.below(2)),
-                80..=88 => Step::PushBack(rng.below(2), MODES[rng.below(3)]),
-                89..=94 => Step::BystanderPull(MODES[rng.below(3)]),
+            let step = match rng.range(0..100) {
+                0..=29 => Step::Copy { mode: MODES[rng.range(0..3)], shed: false },
+                30..=35 => Step::Copy { mode: MODES[rng.range(0..3)], shed: true },
+                36..=47 => Step::Undo(rng.range(0..2)),
+                48..=55 => Step::Redo(rng.range(0..2)),
+                56..=69 => Step::LocalEdit(rng.range(0..3), rng.range(0..3)),
+                70..=79 => Step::CoupledEvent(rng.range(0..3), 2 * rng.range(0..2)),
+                80..=88 => Step::PushBack(rng.range(0..2), MODES[rng.range(0..3)]),
+                89..=94 => Step::BystanderPull(MODES[rng.range(0..3)]),
                 _ => Step::Reconnect,
             };
             let ctx = format!("seed {seed}, step {n} ({step:?})");
@@ -839,12 +824,12 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
             match step {
                 Step::Copy { mode, shed } => {
                     for field in 0..3 {
-                        if rng.below(3) == 0 {
+                        if rng.range(0..3) == 0 {
                             presenter.held.fields[field] = format!("{fresh}f{field}");
                             set_text(&mut h, presenter.node, field, &presenter.held.fields[field]);
                         }
                     }
-                    if rng.below(4) == 0 {
+                    if rng.range(0..4) == 0 {
                         presenter.held.title = fresh.clone();
                         let tree = h.session_mut(presenter.node).toolkit_mut().tree_mut();
                         let id = tree.resolve(&path("board")).unwrap();
@@ -891,7 +876,7 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
                     // Now and then back to what the base says: the board
                     // then holds the base again, and may say so.
                     let text = match &viewers[i].session_base {
-                        Some(base) if rng.below(3) == 0 => base.fields[field].clone(),
+                        Some(base) if rng.range(0..3) == 0 => base.fields[field].clone(),
                         _ => fresh,
                     };
                     set_text(&mut h, viewers[i].node, field, &text);

@@ -7,8 +7,8 @@
 //! error. Faults are either *scripted* — per-connection queues consumed
 //! one decision per I/O operation, so a test can spell out "first write
 //! is cut to 3 bytes, second write would-blocks, third passes" — or
-//! *randomized* from a seeded [SplitMix64] stream, so a chaos soak is
-//! fully reproducible from its seed.
+//! *randomized* from a seeded [`Rng`] stream, so a chaos soak is fully
+//! reproducible from its seed.
 //!
 //! The injector deliberately only models faults the transport must
 //! absorb *without* help from the peer: partial writes exercise the
@@ -24,8 +24,6 @@
 //! non-default `fault-injection` cargo feature, so a release build has
 //! no way to instrument a host (the workspace audit asserts the feature
 //! stays out of default feature sets).
-//!
-//! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
 // Without the feature there is no way to construct faults, so the
 // scripting surface is (correctly) unreachable — not a code smell.
@@ -34,9 +32,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use cosoft_rng::Rng;
 
+use crate::held;
 use crate::tcp::ConnId;
 
 /// One scripted decision for a socket write.
@@ -100,27 +100,18 @@ pub(crate) enum ReadDecision {
 /// Hard errors are never rolled randomly — a chaos soak asserts traffic
 /// completes *despite* faults, which injected teardowns would turn into
 /// a different (and flaky) test.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct RandomMode {
-    state: u64,
+    rng: Rng,
     truncate_per_mille: u16,
     wouldblock_per_mille: u16,
     short_per_mille: u16,
 }
 
 impl RandomMode {
-    /// SplitMix64 step: a full-period 64-bit stream from any seed.
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Rolls one in-a-thousand chance; `per_mille` of 0 never hits.
     fn roll(&mut self, per_mille: u16) -> bool {
-        per_mille > 0 && self.next() % 1000 < u64::from(per_mille)
+        per_mille > 0 && self.rng.range(0..1000) < per_mille
     }
 }
 
@@ -161,8 +152,8 @@ impl FaultInjector {
         short_per_mille: u16,
     ) -> FaultInjector {
         let injector = FaultInjector::default();
-        injector.scripts.lock().random = Some(RandomMode {
-            state: seed,
+        held(injector.scripts.lock()).random = Some(RandomMode {
+            rng: Rng::new(seed),
             truncate_per_mille,
             wouldblock_per_mille,
             short_per_mille,
@@ -176,14 +167,14 @@ impl FaultInjector {
     /// scripts `ConnId(1)`.
     #[cfg(feature = "fault-injection")]
     pub fn script_writes(&self, conn: ConnId, faults: impl IntoIterator<Item = WriteFault>) {
-        self.scripts.lock().writes.entry(conn).or_default().extend(faults);
+        held(self.scripts.lock()).writes.entry(conn).or_default().extend(faults);
     }
 
     /// Appends scripted read faults for one connection; see
     /// [`FaultInjector::script_writes`].
     #[cfg(feature = "fault-injection")]
     pub fn script_reads(&self, conn: ConnId, faults: impl IntoIterator<Item = ReadFault>) {
-        self.scripts.lock().reads.entry(conn).or_default().extend(faults);
+        held(self.scripts.lock()).reads.entry(conn).or_default().extend(faults);
     }
 
     /// Total faults injected so far (every non-`Pass` decision).
@@ -195,26 +186,26 @@ impl FaultInjector {
     /// A test asserting "the schedule ran to completion" checks this
     /// reaches 0.
     pub fn pending_write_faults(&self) -> usize {
-        self.scripts.lock().writes.values().map(VecDeque::len).sum()
+        held(self.scripts.lock()).writes.values().map(VecDeque::len).sum()
     }
 
     /// Scripted read faults not yet consumed, across all connections.
     pub fn pending_read_faults(&self) -> usize {
-        self.scripts.lock().reads.values().map(VecDeque::len).sum()
+        held(self.scripts.lock()).reads.values().map(VecDeque::len).sum()
     }
 
     /// Decision for the next write on `conn`. Scripted faults are
     /// consumed first; with none queued, random mode (if configured)
     /// rolls; otherwise the write passes.
     pub(crate) fn on_write(&self, conn: ConnId) -> WriteDecision {
-        let mut scripts = self.scripts.lock();
+        let mut scripts = held(self.scripts.lock());
         if let Some(fault) = scripts.writes.get_mut(&conn).and_then(VecDeque::pop_front) {
             return self.decide_write(fault);
         }
         if let Some(random) = scripts.random.as_mut() {
             if random.roll(random.truncate_per_mille) {
                 // 1..=4096 bytes: small enough to split frames, never 0.
-                let n = (random.next() % 4096 + 1) as usize;
+                let n = random.rng.range(1..=4096);
                 drop(scripts);
                 return self.decide_write(WriteFault::Truncate(n));
             }
@@ -229,13 +220,13 @@ impl FaultInjector {
     /// Decision for the next read on `conn`; mirrors
     /// [`FaultInjector::on_write`].
     pub(crate) fn on_read(&self, conn: ConnId) -> ReadDecision {
-        let mut scripts = self.scripts.lock();
+        let mut scripts = held(self.scripts.lock());
         if let Some(fault) = scripts.reads.get_mut(&conn).and_then(VecDeque::pop_front) {
             return self.decide_read(fault);
         }
         if let Some(random) = scripts.random.as_mut() {
             if random.roll(random.short_per_mille) {
-                let n = (random.next() % 64 + 1) as usize;
+                let n = random.rng.range(1..=64);
                 drop(scripts);
                 return self.decide_read(ReadFault::Short(n));
             }
@@ -297,7 +288,7 @@ mod tests {
     #[test]
     fn scripted_faults_consume_in_order_then_pass() {
         let inj = injector();
-        inj.scripts.lock().writes.entry(ConnId(7)).or_default().extend([
+        held(inj.scripts.lock()).writes.entry(ConnId(7)).or_default().extend([
             WriteFault::Truncate(3),
             WriteFault::WouldBlock,
             WriteFault::Pass,
@@ -323,7 +314,7 @@ mod tests {
     #[test]
     fn scripts_are_per_connection() {
         let inj = injector();
-        inj.scripts.lock().reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(5));
+        held(inj.scripts.lock()).reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(5));
         assert_eq!(inj.pending_read_faults(), 1);
         assert!(matches!(inj.on_read(ConnId(2)), ReadDecision::Pass));
         assert!(matches!(inj.on_read(ConnId(1)), ReadDecision::Short(5)));
@@ -333,7 +324,7 @@ mod tests {
     #[test]
     fn read_stall_and_error_faults_map_to_io_errors() {
         let inj = injector();
-        inj.scripts.lock().reads.entry(ConnId(4)).or_default().extend([
+        held(inj.scripts.lock()).reads.entry(ConnId(4)).or_default().extend([
             ReadFault::WouldBlock,
             ReadFault::Pass,
             ReadFault::Error(io::ErrorKind::BrokenPipe),
@@ -353,8 +344,12 @@ mod tests {
     #[test]
     fn truncate_and_short_clamp_to_one_byte() {
         let inj = injector();
-        inj.scripts.lock().writes.entry(ConnId(1)).or_default().push_back(WriteFault::Truncate(0));
-        inj.scripts.lock().reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(0));
+        held(inj.scripts.lock())
+            .writes
+            .entry(ConnId(1))
+            .or_default()
+            .push_back(WriteFault::Truncate(0));
+        held(inj.scripts.lock()).reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(0));
         assert!(matches!(inj.on_write(ConnId(1)), WriteDecision::Truncate(1)));
         assert!(matches!(inj.on_read(ConnId(1)), ReadDecision::Short(1)));
     }
@@ -363,8 +358,8 @@ mod tests {
     fn random_mode_is_deterministic_per_seed_and_never_errors() {
         let run = |seed: u64| {
             let inj = injector();
-            inj.scripts.lock().random = Some(RandomMode {
-                state: seed,
+            held(inj.scripts.lock()).random = Some(RandomMode {
+                rng: Rng::new(seed),
                 truncate_per_mille: 200,
                 wouldblock_per_mille: 200,
                 short_per_mille: 200,
@@ -397,11 +392,41 @@ mod tests {
         assert_ne!(trace_a, trace_c, "different seeds should diverge");
     }
 
+    /// `COSOFT_CHAOS_SEED` names a run only while the stream and the
+    /// order of draws stay what they are: per write one roll for a
+    /// truncation (then its length) and one for a `WouldBlock`, per read
+    /// one roll for a short read (then its length).
+    #[test]
+    fn a_random_mode_seed_fixes_its_decisions() {
+        let inj = injector();
+        held(inj.scripts.lock()).random = Some(RandomMode {
+            rng: Rng::new(1),
+            truncate_per_mille: 300,
+            wouldblock_per_mille: 300,
+            short_per_mille: 300,
+        });
+        let decisions: Vec<String> = (0..6)
+            .flat_map(|_| {
+                let write = match inj.on_write(ConnId(1)) {
+                    WriteDecision::Pass => "w".to_owned(),
+                    WriteDecision::Truncate(n) => format!("w{n}"),
+                    WriteDecision::Err(_) => "w!".to_owned(),
+                };
+                let read = match inj.on_read(ConnId(1)) {
+                    ReadDecision::Short(n) => format!("r{n}"),
+                    _ => "r".to_owned(),
+                };
+                [write, read]
+            })
+            .collect();
+        assert_eq!(decisions.join(" "), "w r w1466 r38 w r w r w r w! r9");
+    }
+
     #[test]
     fn zero_per_mille_random_mode_never_faults() {
         let inj = injector();
-        inj.scripts.lock().random = Some(RandomMode {
-            state: 9,
+        held(inj.scripts.lock()).random = Some(RandomMode {
+            rng: Rng::new(9),
             truncate_per_mille: 0,
             wouldblock_per_mille: 0,
             short_per_mille: 0,

@@ -6,7 +6,7 @@
 //!   virtual microsecond clock, seeded latency models and fault injection.
 //!   All benchmarks and most tests run here, replacing the paper's 1994
 //!   LAN with a reproducible substrate.
-//! * [`tcp`] — real sockets (`std::net`, crossbeam channels) so the same
+//! * [`tcp`] — real sockets (`std::net`, the crate's own [`queue`]) so the same
 //!   server and client logic also runs end-to-end over TCP. The host is
 //!   readiness-driven: a fixed pool of poll threads owns every accepted
 //!   socket (the internal `poll` module), so connection count adds
@@ -27,8 +27,18 @@ pub mod fault;
 #[cfg(not(feature = "fault-injection"))]
 pub(crate) mod fault;
 pub(crate) mod poll;
+pub mod queue;
 pub mod sim;
 pub mod tcp;
+
+/// The guard a `lock()` or a condition-variable wait returns, poisoning
+/// ignored: `held(conns.lock())`. A transport thread that panicked under
+/// a lock must not take the other connections' threads with it, and every
+/// structure these mutexes guard (connection map, outbox ring, queue,
+/// fault scripts, wake flags) is valid between any two of its updates.
+pub(crate) fn held<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultInjector, ReadFault, WriteFault};

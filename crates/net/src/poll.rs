@@ -24,15 +24,14 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use cosoft_wire::{codec, Message};
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
+use cosoft_wire::{codec, Bytes, Message};
 
 use crate::fault::{FaultInjector, ReadDecision, WriteDecision};
+use crate::held;
+use crate::queue::{Receiver, Sender, TryRecvError};
 use crate::tcp::{ConnId, Counters, NetEvent};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
@@ -64,7 +63,7 @@ const MAX_SKIP: u32 = 4;
 /// for backpressure and flush waiting.
 #[derive(Debug, Default)]
 pub(crate) struct Gate {
-    generation: StdMutex<u64>,
+    generation: Mutex<u64>,
     cv: Condvar,
 }
 
@@ -72,12 +71,12 @@ impl Gate {
     /// Current notification generation; capture before checking the
     /// awaited condition.
     pub(crate) fn generation(&self) -> u64 {
-        *self.generation.lock().unwrap_or_else(|e| e.into_inner())
+        *held(self.generation.lock())
     }
 
     /// Bumps the generation and wakes every waiter.
     pub(crate) fn notify(&self) {
-        *self.generation.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        *held(self.generation.lock()) += 1;
         self.cv.notify_all();
     }
 
@@ -85,7 +84,7 @@ impl Gate {
     /// immediately if a notification already happened after `seen` was
     /// captured.
     pub(crate) fn wait(&self, seen: u64, timeout: Duration) {
-        let guard = self.generation.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = held(self.generation.lock());
         if *guard != seen {
             return;
         }
@@ -97,7 +96,7 @@ impl Gate {
 /// blocks; `park` sleeps until woken or the timeout elapses.
 #[derive(Debug, Default)]
 pub(crate) struct PollWaker {
-    woken: StdMutex<bool>,
+    woken: Mutex<bool>,
     cv: Condvar,
 }
 
@@ -105,15 +104,15 @@ impl PollWaker {
     /// Signals the poll thread; latched, so a wake during a sweep makes
     /// the following park return immediately.
     pub(crate) fn wake(&self) {
-        *self.woken.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        *held(self.woken.lock()) = true;
         self.cv.notify_one();
     }
 
     /// Parks until woken or `timeout`; consumes the latch.
     pub(crate) fn park(&self, timeout: Duration) {
-        let mut guard = self.woken.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = held(self.woken.lock());
         if !*guard {
-            let (g, _) = self.cv.wait_timeout(guard, timeout).unwrap_or_else(|e| e.into_inner());
+            let (g, _) = held(self.cv.wait_timeout(guard, timeout));
             guard = g;
         }
         *guard = false;
@@ -159,7 +158,7 @@ impl Outbox {
     /// Bytes of the front batch already on the wire.
     fn front_written(&self) -> usize {
         let Some(front) = self.batches.front() else { return 0 };
-        front.segments.iter().take(self.head_seg).map(Bytes::len).sum::<usize>() + self.head_off
+        front.segments.iter().take(self.head_seg).map(|b| b.len()).sum::<usize>() + self.head_off
     }
 }
 
@@ -430,7 +429,7 @@ impl PollThread {
         let mut wrote_any = false;
         loop {
             // audit: lock-across-write — per-connection outbox lock held over the nonblocking write so head accounting stays atomic with the bytes the socket took; only enqueuers contend
-            let mut ob = conn.outbox.lock();
+            let mut ob = held(conn.outbox.lock());
             if ob.batches.is_empty() {
                 return Ok(wrote_any);
             }
@@ -586,9 +585,9 @@ impl PollThread {
     /// once (commands for already-gone connections are ignored).
     fn teardown(&mut self, id: ConnId) {
         let Some(conn) = self.conns.remove(&id) else { return };
-        self.conns_shared.lock().remove(&id);
+        held(self.conns_shared.lock()).remove(&id);
         let (dropped_frames, dropped_bytes) = {
-            let mut ob = conn.outbox.lock();
+            let mut ob = held(conn.outbox.lock());
             ob.closed = true;
             let frames: u64 = ob.batches.iter().map(|b| b.frames).sum();
             let bytes: usize =

@@ -9,9 +9,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use cosoft_rng::Rng;
 use cosoft_wire::{codec, Message};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Identifier of a simulated network endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,7 +35,7 @@ pub enum Latency {
 }
 
 impl Latency {
-    fn sample(&self, rng: &mut StdRng) -> u64 {
+    fn sample(&self, rng: &mut Rng) -> u64 {
         match self {
             Latency::Zero => 0,
             Latency::Fixed(us) => *us,
@@ -44,7 +43,7 @@ impl Latency {
                 if min >= max {
                     *min
                 } else {
-                    rng.gen_range(*min..=*max)
+                    rng.range(*min..=*max)
                 }
             }
         }
@@ -172,7 +171,7 @@ pub struct SimNet {
     heap: BinaryHeap<Reverse<Queued>>,
     latency: Latency,
     faults: FaultPlan,
-    rng: StdRng,
+    rng: Rng,
     stats: NetStats,
 }
 
@@ -186,7 +185,7 @@ impl SimNet {
             heap: BinaryHeap::new(),
             latency: Latency::Zero,
             faults: FaultPlan::default(),
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             stats: NetStats::default(),
         }
     }
@@ -253,13 +252,13 @@ impl SimNet {
             self.stats.link_down_dropped += 1;
             return;
         }
-        if self.faults.drop_prob > 0.0 && self.rng.gen_bool(self.faults.drop_prob.clamp(0.0, 1.0)) {
+        if self.faults.drop_prob > 0.0 && self.rng.bool(self.faults.drop_prob.clamp(0.0, 1.0)) {
             self.stats.dropped += 1;
             return;
         }
         let latency = self.latency.sample(&mut self.rng);
         self.push(src, dst, msg.clone(), latency);
-        if self.faults.dup_prob > 0.0 && self.rng.gen_bool(self.faults.dup_prob.clamp(0.0, 1.0)) {
+        if self.faults.dup_prob > 0.0 && self.rng.bool(self.faults.dup_prob.clamp(0.0, 1.0)) {
             let latency = self.latency.sample(&mut self.rng);
             self.push(src, dst, msg, latency);
             self.stats.duplicated += 1;

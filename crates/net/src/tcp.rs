@@ -1,5 +1,5 @@
 //! Real TCP transport: length-prefixed COSOFT frames over `std::net`
-//! sockets, delivered through crossbeam channels.
+//! sockets, delivered through the crate's own [`queue`](crate::queue).
 //!
 //! The simulated network ([`crate::sim`]) carries all benchmarks; this
 //! transport exists so the same server/client logic also runs over real
@@ -27,18 +27,17 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use cosoft_wire::{codec, Message, SharedFrame};
-use crossbeam::channel::{
+use cosoft_wire::{codec, Bytes, Message, SharedFrame};
+
+use crate::held;
+use crate::poll::{Cmd, ConnMap, ConnShared, Gate, OutBatch, Outbox, PollThread, PollWaker};
+use crate::queue::{
     bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
 };
-use parking_lot::Mutex;
-
-use crate::poll::{Cmd, ConnMap, ConnShared, Gate, OutBatch, Outbox, PollThread, PollWaker};
 
 /// Identifier of one accepted connection on a [`TcpHost`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -191,8 +190,9 @@ impl TcpStatsHandle {
     /// Current counter values.
     pub fn snapshot(&self) -> TcpStats {
         let (active, deepest, deepest_bytes) = {
-            let conns = self.conns.lock();
-            let deepest = conns.values().map(|c| c.outbox.lock().batches.len()).max().unwrap_or(0);
+            let conns = held(self.conns.lock());
+            let deepest =
+                conns.values().map(|c| held(c.outbox.lock()).batches.len()).max().unwrap_or(0);
             let deepest_bytes =
                 conns.values().map(|c| c.queued_bytes.load(Ordering::Relaxed)).max().unwrap_or(0);
             (conns.len(), deepest, deepest_bytes)
@@ -356,7 +356,7 @@ impl TcpHost {
                     // the poll pool: a refused dial costs one accept and
                     // one shutdown, never poll-pool state or events.
                     if config.max_connections > 0
-                        && accept_conns.lock().len() >= config.max_connections
+                        && held(accept_conns.lock()).len() >= config.max_connections
                     {
                         accept_counters.connections_refused.fetch_add(1, Ordering::Relaxed);
                         let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -395,7 +395,7 @@ impl TcpHost {
                     let queued_bytes = Arc::new(AtomicUsize::new(0));
                     let gate = Arc::new(Gate::default());
                     let thread = (id.0 as usize) % accept_pool.len();
-                    accept_conns.lock().insert(
+                    held(accept_conns.lock()).insert(
                         id,
                         ConnShared {
                             outbox: outbox.clone(),
@@ -458,7 +458,7 @@ impl TcpHost {
     /// Queued (not yet fully written) outbound batches for one
     /// connection.
     pub fn queue_depth(&self, conn: ConnId) -> Option<usize> {
-        self.conns.lock().get(&conn).map(|c| c.outbox.lock().batches.len())
+        held(self.conns.lock()).get(&conn).map(|c| held(c.outbox.lock()).batches.len())
     }
 
     /// Sends a message to one connection by enqueueing it on the
@@ -524,7 +524,7 @@ impl TcpHost {
         // Hold the map lock only to clone the connection's handles: the
         // admission wait happens outside, so a full backlog on one
         // connection never blocks sends to its peers.
-        let (outbox, queued_bytes, gate, thread) = match self.conns.lock().get(&conn) {
+        let (outbox, queued_bytes, gate, thread) = match held(self.conns.lock()).get(&conn) {
             Some(c) => (c.outbox.clone(), c.queued_bytes.clone(), c.gate.clone(), c.thread),
             None => {
                 self.counters.frames_dropped.fetch_add(batch.frames, Ordering::Relaxed);
@@ -542,7 +542,7 @@ impl TcpHost {
             // returns immediately instead of losing the wakeup.
             let seen = gate.generation();
             {
-                let mut ob = outbox.lock();
+                let mut ob = held(outbox.lock());
                 if ob.closed {
                     self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
                     return Err(io::Error::new(io::ErrorKind::NotConnected, "connection closed"));
@@ -590,7 +590,7 @@ impl TcpHost {
     /// Forcibly disconnects a consumer whose backlog stayed over budget.
     /// The owning poll thread surfaces the [`NetEvent::Disconnected`].
     fn evict_slow_consumer(&self, conn: ConnId) {
-        if let Some(c) = self.conns.lock().remove(&conn) {
+        if let Some(c) = held(self.conns.lock()).remove(&conn) {
             self.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
             c.control.shutdown(std::net::Shutdown::Both).ok();
             if let Some(t) = self.pool.get(c.thread) {
@@ -603,7 +603,7 @@ impl TcpHost {
     /// Closes one connection; the owning poll thread will surface a
     /// [`NetEvent::Disconnected`].
     pub fn disconnect(&self, conn: ConnId) {
-        if let Some(c) = self.conns.lock().remove(&conn) {
+        if let Some(c) = held(self.conns.lock()).remove(&conn) {
             c.control.shutdown(std::net::Shutdown::Both).ok();
             if let Some(t) = self.pool.get(c.thread) {
                 let _ = t.cmds.send(Cmd::Close(conn));
@@ -888,7 +888,7 @@ impl TcpClient {
             Err(e) => {
                 // Surface thread exhaustion as a connect failure; close
                 // the socket so the peer sees the dead connection.
-                let _ = stream.lock().shutdown(std::net::Shutdown::Both);
+                let _ = held(stream.lock()).shutdown(std::net::Shutdown::Both);
                 return Err(e);
             }
         };
@@ -918,7 +918,7 @@ impl TcpClient {
                 // and shut the socket down so it exits instead of
                 // leaking, then report the failure to the caller.
                 closed.store(true, Ordering::SeqCst);
-                let _ = stream.lock().shutdown(std::net::Shutdown::Both);
+                let _ = held(stream.lock()).shutdown(std::net::Shutdown::Both);
                 return Err(e);
             }
         };
@@ -953,7 +953,7 @@ impl TcpClient {
             // Clone the fd under the lock, write on the clone with the
             // lock released: a wedged socket write must never pin the
             // stream mutex (close/sever and the reconnect swap need it).
-            let cloned = stream.lock().try_clone();
+            let cloned = held(stream.lock()).try_clone();
             let result = match cloned {
                 Ok(mut s) => s.write_all(&frame),
                 Err(e) => Err(e),
@@ -975,7 +975,7 @@ impl TcpClient {
                 // frames go to the new socket.
             }
         }
-        for _ in outbox.try_iter() {
+        while outbox.try_recv().is_ok() {
             pending.fetch_sub(1, Ordering::AcqRel);
         }
         flushed.notify();
@@ -995,7 +995,7 @@ impl TcpClient {
         event_tx: Option<&Sender<ClientEvent>>,
     ) {
         loop {
-            let Ok(reader_stream) = stream.lock().try_clone() else {
+            let Ok(reader_stream) = held(stream.lock()).try_clone() else {
                 return;
             };
             let mut reader = BufReader::new(reader_stream);
@@ -1043,12 +1043,12 @@ impl TcpClient {
                         if fresh.set_nodelay(true).is_err() {
                             sockopt_failures.fetch_add(1, Ordering::Relaxed);
                         }
-                        *stream.lock() = fresh;
+                        *held(stream.lock()) = fresh;
                         // close() may have raced the swap: shut the fresh
                         // socket down too rather than resurrecting a
                         // client the application already closed.
                         if closed.load(Ordering::SeqCst) {
-                            stream.lock().shutdown(std::net::Shutdown::Both).ok();
+                            held(stream.lock()).shutdown(std::net::Shutdown::Both).ok();
                             return;
                         }
                         reconnects.fetch_add(1, Ordering::Relaxed);
@@ -1207,14 +1207,14 @@ impl TcpClient {
                 self.flushed.wait(seen, deadline - now);
             }
         }
-        self.stream.lock().shutdown(std::net::Shutdown::Both).ok();
+        held(self.stream.lock()).shutdown(std::net::Shutdown::Both).ok();
     }
 
     /// Kills the current connection *without* marking the client closed —
     /// indistinguishable from a network failure, so a reconnect-enabled
     /// client redials. Intended for fault-injection tests.
     pub fn sever(&self) {
-        self.stream.lock().shutdown(std::net::Shutdown::Both).ok();
+        held(self.stream.lock()).shutdown(std::net::Shutdown::Both).ok();
     }
 }
 
@@ -1241,6 +1241,33 @@ mod tests {
             command: "blob".into(),
             payload: vec![0xA5; kb * 1024],
         }
+    }
+
+    /// Poisoning is ignored at every acquisition: a thread that dies
+    /// holding a connection's outbox leaves neither the sender nor the
+    /// poll thread wedged, and its panic does not spread to them.
+    #[test]
+    fn a_panic_under_an_outbox_lock_neither_wedges_nor_cascades() {
+        let host = TcpHost::bind("127.0.0.1:0").unwrap();
+        let client = TcpClient::connect(host.local_addr()).unwrap();
+        let conn = match host.events().recv_timeout(TIMEOUT).unwrap() {
+            NetEvent::Connected(c) => c,
+            other => panic!("expected Connected, got {other:?}"),
+        };
+        let outbox = held(host.conns.lock()).get(&conn).expect("registered").outbox.clone();
+        let doomed = outbox.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = doomed.lock().unwrap();
+            panic!("dies holding the outbox");
+        });
+        assert!(died.join().is_err());
+        assert!(outbox.is_poisoned());
+
+        // The sender enqueues under that lock, the poll thread flushes
+        // under it, the stats handle reads it.
+        host.send(conn, &Message::Welcome { instance: InstanceId(3) }).unwrap();
+        assert!(matches!(client.recv_timeout(TIMEOUT), Some(Message::Welcome { .. })));
+        assert_eq!(host.stats().active_connections, 1);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Property-based tests of the relation engine: predicate evaluation
+//! Properties of the relation engine: predicate evaluation
 //! against a naive reference implementation, and query-combinator laws.
 
-use proptest::prelude::*;
-
 use cosoft_retrieval::{ColumnType, Predicate, Query, Table, Value};
+use cosoft_rng::{forall, Rng};
 
 fn table_from_rows(rows: &[(String, i64)]) -> Table {
     let mut t = Table::new("t", vec![("name", ColumnType::Text), ("num", ColumnType::Int)])
@@ -14,27 +13,40 @@ fn table_from_rows(rows: &[(String, i64)]) -> Table {
     t
 }
 
-fn arb_rows() -> impl Strategy<Value = Vec<(String, i64)>> {
-    prop::collection::vec(("[a-c]{0,4}", -50i64..50), 0..30)
+type Rows = Vec<(String, i64)>;
+
+fn arb_rows(r: &mut Rng) -> Rows {
+    r.vec(0..30, |r| (r.string("abc", 0..=4), r.range(-50..50)))
 }
 
-fn arb_predicate() -> impl Strategy<Value = Predicate> {
-    let leaf = prop_oneof![
-        Just(Predicate::True),
-        "[a-c]{0,3}".prop_map(|s| Predicate::substring("name", &s)),
-        "[a-c]{0,3}".prop_map(|s| Predicate::Prefix("name".into(), s)),
-        (-50i64..50).prop_map(|n| Predicate::eq("num", Value::Int(n))),
-        (-50i64..50, 0i64..30).prop_map(|(lo, d)| Predicate::Range("num".into(), lo, lo + d)),
-        prop::collection::vec("[a-c]{0,4}", 0..3)
-            .prop_map(|alts| Predicate::like_one_of("name", alts)),
-    ];
-    leaf.prop_recursive(3, 16, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..3).prop_map(Predicate::And),
-            prop::collection::vec(inner.clone(), 0..3).prop_map(Predicate::Or),
-            inner.prop_map(|p| Predicate::Not(Box::new(p))),
-        ]
-    })
+/// Up to three connectives deep.
+fn arb_predicate(r: &mut Rng) -> Predicate {
+    fn within(r: &mut Rng, levels_below: usize) -> Predicate {
+        let connective = if levels_below == 0 { 0 } else { r.range(0..4) };
+        let inner = |r: &mut Rng| within(r, levels_below - 1);
+        match connective {
+            1 => return Predicate::And(r.vec(0..3, inner)),
+            2 => return Predicate::Or(r.vec(0..3, inner)),
+            3 => return Predicate::Not(Box::new(inner(r))),
+            _ => {}
+        }
+        match r.range(0..6) {
+            0 => Predicate::True,
+            1 => Predicate::substring("name", &r.string("abc", 0..=3)),
+            2 => Predicate::Prefix("name".into(), r.string("abc", 0..=3)),
+            3 => Predicate::eq("num", Value::Int(r.range(-50..50))),
+            4 => {
+                let lo = r.range(-50..50);
+                Predicate::Range("num".into(), lo, lo + r.range(0..30))
+            }
+            _ => Predicate::like_one_of("name", r.vec(0..3, |r| r.string("abc", 0..=4))),
+        }
+    }
+    within(r, 3)
+}
+
+fn rows_and_predicate(r: &mut Rng) -> (Rows, Predicate) {
+    (arb_rows(r), arb_predicate(r))
 }
 
 /// Reference evaluation, written independently of the engine.
@@ -61,48 +73,62 @@ fn reference_matches(p: &Predicate, name: &str, num: i64) -> bool {
 
 // The generator keeps text operators on `name` and numeric operators on
 // `num`, so every generated predicate is type-correct by construction.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn engine_matches_reference(rows in arb_rows(), p in arb_predicate()) {
+#[test]
+fn engine_matches_reference() {
+    forall(0..256, rows_and_predicate, |(rows, p)| {
         let table = table_from_rows(&rows);
         let result = Query::new().filter(p.clone()).run(&table).expect("valid predicate");
         let expected: Vec<&(String, i64)> =
             rows.iter().filter(|(n, i)| reference_matches(&p, n, *i)).collect();
-        prop_assert_eq!(result.len(), expected.len());
+        assert_eq!(result.len(), expected.len());
         for (row, (name, num)) in result.rows.iter().zip(expected) {
-            prop_assert_eq!(&row[0], &Value::text(name));
-            prop_assert_eq!(&row[1], &Value::Int(*num));
+            assert_eq!(&row[0], &Value::text(name));
+            assert_eq!(&row[1], &Value::Int(*num));
         }
-    }
+    });
+}
 
-    #[test]
-    fn double_negation_is_identity(rows in arb_rows(), p in arb_predicate()) {
+#[test]
+fn double_negation_is_identity() {
+    forall(0..256, rows_and_predicate, |(rows, p)| {
         let table = table_from_rows(&rows);
         let direct = Query::new().filter(p.clone()).run(&table).expect("valid");
         let double_neg = Query::new()
             .filter(Predicate::Not(Box::new(Predicate::Not(Box::new(p)))))
             .run(&table)
             .expect("valid");
-        prop_assert_eq!(direct, double_neg);
-    }
+        assert_eq!(direct, double_neg);
+    });
+}
 
-    #[test]
-    fn limit_is_prefix_of_unlimited(rows in arb_rows(), p in arb_predicate(), k in 0usize..10) {
-        let table = table_from_rows(&rows);
-        let full = Query::new().filter(p.clone()).run(&table).expect("valid");
-        let limited = Query::new().filter(p).limit(k).run(&table).expect("valid");
-        prop_assert_eq!(limited.len(), full.len().min(k));
-        prop_assert_eq!(&limited.rows[..], &full.rows[..limited.len()]);
-    }
+#[test]
+fn limit_is_prefix_of_unlimited() {
+    let gen = |r: &mut Rng| (arb_rows(r), arb_predicate(r), r.range(0..10));
+    forall(0..256, gen, |(rows, p, k)| limit_is_prefix(&rows, p, k));
+}
 
-    #[test]
-    fn projection_preserves_row_count(rows in arb_rows(), p in arb_predicate()) {
+/// The case proptest's regression file recorded: one empty-named row,
+/// the empty conjunction, no rows asked for.
+#[test]
+fn limit_zero_of_the_empty_conjunction_is_empty() {
+    limit_is_prefix(&[(String::new(), 0)], Predicate::And(Vec::new()), 0);
+}
+
+fn limit_is_prefix(rows: &[(String, i64)], p: Predicate, k: usize) {
+    let table = table_from_rows(rows);
+    let full = Query::new().filter(p.clone()).run(&table).expect("valid");
+    let limited = Query::new().filter(p).limit(k).run(&table).expect("valid");
+    assert_eq!(limited.len(), full.len().min(k));
+    assert_eq!(&limited.rows[..], &full.rows[..limited.len()]);
+}
+
+#[test]
+fn projection_preserves_row_count() {
+    forall(0..256, rows_and_predicate, |(rows, p)| {
         let table = table_from_rows(&rows);
         let full = Query::new().filter(p.clone()).run(&table).expect("valid");
         let projected = Query::new().filter(p).select(["num"]).run(&table).expect("valid");
-        prop_assert_eq!(projected.len(), full.len());
-        prop_assert!(projected.rows.iter().all(|r| r.len() == 1));
-    }
+        assert_eq!(projected.len(), full.len());
+        assert!(projected.rows.iter().all(|r| r.len() == 1));
+    });
 }

@@ -4,8 +4,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use bytes::Bytes;
-use cosoft_wire::{codec, GlobalObjectId, InstanceId, Message, ObjectPath};
+use cosoft_wire::{codec, Bytes, GlobalObjectId, InstanceId, Message, ObjectPath};
 
 use super::{Outgoing, ServerCore};
 

@@ -6,9 +6,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use cosoft_wire::{
-    codec, delta, CopyMode, EncodedState, GlobalObjectId, InstanceId, Message, Overwritten,
+    codec, delta, Bytes, CopyMode, EncodedState, GlobalObjectId, InstanceId, Message, Overwritten,
     StateDelta, StateNode,
 };
 

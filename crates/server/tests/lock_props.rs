@@ -1,4 +1,4 @@
-//! Property-based tests of [`LockTable`]'s reverse index under random
+//! Properties of [`LockTable`]'s reverse index under random
 //! teardown-heavy operation sequences: lock, indexed unlock, forced
 //! single-object unlock (object destruction), and bulk teardown.
 //!
@@ -10,8 +10,7 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
-
+use cosoft_rng::{forall, Rng};
 use cosoft_server::LockTable;
 use cosoft_wire::{GlobalObjectId, InstanceId, ObjectPath};
 
@@ -34,23 +33,23 @@ enum Op {
     TeardownAll,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (prop::collection::vec(0u8..16, 1..5), 1u64..6).prop_map(|(g, e)| Op::Lock(g, e)),
-        3 => (1u64..6).prop_map(Op::Unlock),
-        2 => (0u8..16).prop_map(Op::ForceUnlock),
-        1 => Just(Op::TeardownAll),
-    ]
+/// Weighted 4 : 3 : 2 : 1.
+fn arb_op(r: &mut Rng) -> Op {
+    match r.range(0..10) {
+        0..=3 => Op::Lock(r.vec(1..5, |r| r.range(0..16)), r.range(1..6)),
+        4..=6 => Op::Unlock(r.range(1..6)),
+        7..=8 => Op::ForceUnlock(r.range(0..16)),
+        _ => Op::TeardownAll,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// After every operation the reverse index equals the holder map,
-    /// and every release path returns exactly what a naive scan of the
-    /// holder map predicts.
-    #[test]
-    fn index_survives_random_teardown_sequences(ops in prop::collection::vec(arb_op(), 1..60)) {
+/// After every operation the reverse index equals the holder map,
+/// and every release path returns exactly what a naive scan of the
+/// holder map predicts.
+#[test]
+fn index_survives_random_teardown_sequences() {
+    let gen = |r: &mut Rng| r.vec(1..60, arb_op);
+    forall(0..256, gen, |ops| {
         let mut table = LockTable::new();
         // Reference model: the holder map alone, no index.
         let mut model: HashMap<GlobalObjectId, u64> = HashMap::new();
@@ -58,37 +57,32 @@ proptest! {
             match op {
                 Op::Lock(group, exec) => {
                     let group: Vec<GlobalObjectId> = group.into_iter().map(gid).collect();
-                    let conflict = group
-                        .iter()
-                        .find(|o| model.get(o).is_some_and(|&h| h != exec))
-                        .cloned();
+                    let conflict =
+                        group.iter().find(|o| model.get(o).is_some_and(|&h| h != exec)).cloned();
                     match table.try_lock_group(&group, exec) {
                         Ok(()) => {
-                            prop_assert!(conflict.is_none());
+                            assert!(conflict.is_none());
                             for o in group {
                                 model.insert(o, exec);
                             }
                         }
                         Err(o) => {
-                            prop_assert_eq!(Some(o), conflict);
+                            assert_eq!(Some(o), conflict);
                         }
                     }
                 }
                 Op::Unlock(exec) => {
-                    let mut expected: Vec<GlobalObjectId> = model
-                        .iter()
-                        .filter(|(_, &h)| h == exec)
-                        .map(|(o, _)| o.clone())
-                        .collect();
+                    let mut expected: Vec<GlobalObjectId> =
+                        model.iter().filter(|(_, &h)| h == exec).map(|(o, _)| o.clone()).collect();
                     expected.sort();
                     let mut released = table.unlock_exec(exec);
                     released.sort();
-                    prop_assert_eq!(released, expected);
+                    assert_eq!(released, expected);
                     model.retain(|_, &mut h| h != exec);
                 }
                 Op::ForceUnlock(i) => {
                     let o = gid(i);
-                    prop_assert_eq!(table.force_unlock(&o), model.remove(&o));
+                    assert_eq!(table.force_unlock(&o), model.remove(&o));
                 }
                 Op::TeardownAll => {
                     let mut execs: Vec<u64> = model.values().copied().collect();
@@ -102,14 +96,17 @@ proptest! {
                 }
             }
             table.assert_index_consistent();
-            table.check_invariants().map_err(TestCaseError::fail)?;
-            prop_assert_eq!(table.len(), model.len());
+            table.check_invariants().unwrap();
+            assert_eq!(table.len(), model.len());
         }
-    }
+    });
+}
 
-    /// `held_locks` always enumerates exactly the reference relation.
-    #[test]
-    fn held_locks_enumerates_the_relation(ops in prop::collection::vec(arb_op(), 1..40)) {
+/// `held_locks` always enumerates exactly the reference relation.
+#[test]
+fn held_locks_enumerates_the_relation() {
+    let gen = |r: &mut Rng| r.vec(1..40, arb_op);
+    forall(0..256, gen, |ops| {
         let mut table = LockTable::new();
         let mut model: HashMap<GlobalObjectId, u64> = HashMap::new();
         for op in ops {
@@ -144,7 +141,7 @@ proptest! {
             let mut expected: Vec<(GlobalObjectId, u64)> =
                 model.iter().map(|(o, &e)| (o.clone(), e)).collect();
             expected.sort();
-            prop_assert_eq!(seen, expected);
+            assert_eq!(seen, expected);
         }
-    }
+    });
 }

@@ -2,6 +2,7 @@
 //! each test feeds messages in and asserts on the outgoing message sets,
 //! exercising the protocol flows of §3.1–§3.4.
 
+use cosoft_rng::Rng;
 use cosoft_server::{LivenessConfig, Outgoing, ServerCore, ShardRouter};
 use cosoft_wire::{
     codec, delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
@@ -2349,22 +2350,6 @@ fn forked_core_shares_history_storage() {
 
 // ---- churn: the folded database leaks nothing ------------------------------
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Names the seed of the script that is running when a panic unwinds
 /// through it — the test's own or a debug-build invariant check inside
 /// the server.
@@ -2399,7 +2384,7 @@ const CHURN_GRACE_US: u64 = 10_000;
 
 struct Churn {
     router: ShardRouter<Endpoint>,
-    rng: SplitMix64,
+    rng: Rng,
     clients: Vec<ChurnClient>,
     /// Every resume token the server ever issued.
     tokens: Vec<u64>,
@@ -2473,7 +2458,7 @@ impl Churn {
     }
 
     fn state(&mut self) -> StateNode {
-        deep_tree(1, &format!("v{}", self.rng.below(3)))
+        deep_tree(1, &format!("v{}", self.rng.range(0..3)))
     }
 
     /// Answers one thing `client` owes — rightly, with a refusal, or with
@@ -2482,15 +2467,15 @@ impl Churn {
         if self.clients[client].owed.is_empty() {
             return;
         }
-        let which = self.rng.below(self.clients[client].owed.len());
+        let which = self.rng.range(0..self.clients[client].owed.len());
         let msg = match self.clients[client].owed.swap_remove(which) {
             Owed::Done { exec_id } => Message::ExecuteDone { exec_id },
             Owed::Reply { req_id } => {
-                let snapshot = (self.rng.below(100) < 85).then(|| self.state());
+                let snapshot = (self.rng.range(0..100) < 85).then(|| self.state());
                 Message::StateReply { req_id, snapshot }
             }
             Owed::Ack { req_id, delta } => {
-                let (overwritten, error) = match self.rng.below(10) {
+                let (overwritten, error) = match self.rng.range(0..10) {
                     // A refused delta leg falls back to a full one.
                     0..=2 if delta => (None, Some("base diverged".to_owned())),
                     0 => (None, Some("no such object".to_owned())),
@@ -2506,7 +2491,7 @@ impl Churn {
     /// One step: a connected client acts on its own object and that of
     /// some client, connected or not — or a new client registers.
     fn step(&mut self) -> &'static str {
-        let roll = self.rng.below(100);
+        let roll = self.rng.range(0..100);
         let connected: Vec<usize> =
             (0..self.clients.len()).filter(|i| self.clients[*i].endpoint.is_some()).collect();
         if roll < 10 || connected.is_empty() {
@@ -2515,11 +2500,11 @@ impl Churn {
             }
             return "register";
         }
-        let actor = connected[self.rng.below(connected.len())];
+        let actor = connected[self.rng.range(0..connected.len())];
         let Some(endpoint) = self.clients[actor].endpoint else { return "nothing" };
         let own = gid(self.clients[actor].instance, "o");
-        let other = gid(self.clients[self.rng.below(self.clients.len())].instance, "o");
-        let (mode, req_id) = (CopyMode::DestructiveMerge, self.rng.next());
+        let other = gid(self.clients[self.rng.range(0..self.clients.len())].instance, "o");
+        let (mode, req_id) = (CopyMode::DestructiveMerge, self.rng.next_u64());
         match roll {
             10..=21 => {
                 self.send(endpoint, Message::Couple { src: own, dst: other });
@@ -2577,7 +2562,7 @@ impl Churn {
                 "deregister"
             }
             _ => {
-                let past_grace = self.rng.below(100) < 30;
+                let past_grace = self.rng.range(0..100) < 30;
                 self.now_us += if past_grace { CHURN_GRACE_US + 1 } else { CHURN_GRACE_US / 20 };
                 let out = self.router.tick(self.now_us);
                 self.deliver(out);
@@ -2605,7 +2590,7 @@ fn churn_leaves_nothing_behind() {
         let _seed = NameSeedOnPanic(seed);
         let mut churn = Churn {
             router: ShardRouter::with_liveness(2, liveness),
-            rng: SplitMix64(seed),
+            rng: Rng::new(seed),
             clients: Vec::new(),
             tokens: Vec::new(),
             next_endpoint: 0,
@@ -2620,7 +2605,7 @@ fn churn_leaves_nothing_behind() {
         // Everyone leaves, by closing the connection or by saying so first.
         let connected: Vec<Endpoint> = churn.clients.iter().filter_map(|c| c.endpoint).collect();
         for endpoint in connected {
-            if churn.rng.below(2) == 0 {
+            if churn.rng.range(0..2) == 0 {
                 churn.router.handle(endpoint, Message::Deregister);
             }
             churn.router.disconnect(endpoint);

@@ -1,12 +1,11 @@
-//! Property-based tests of the server's data structures against simple
+//! Properties of the server's data structures against simple
 //! reference models: the lock table never double-grants; the history
 //! store behaves like a pair of stacks; the couple directory's closure
 //! matches a brute-force reachability computation.
 
 use std::collections::{HashMap, HashSet};
 
-use proptest::prelude::*;
-
+use cosoft_rng::{forall, Rng};
 use cosoft_server::{CoupleDirectory, HistoryStore, LockTable};
 use cosoft_wire::{AttrName, GlobalObjectId, InstanceId, ObjectPath, StateNode, Value, WidgetKind};
 
@@ -23,21 +22,20 @@ enum LockOp {
     Unlock(u64),
 }
 
-fn arb_lock_op() -> impl Strategy<Value = LockOp> {
-    prop_oneof![
-        (prop::collection::vec(0u8..16, 1..5), 1u64..5).prop_map(|(g, e)| LockOp::Lock(g, e)),
-        (1u64..5).prop_map(LockOp::Unlock),
-    ]
+fn arb_lock_op(r: &mut Rng) -> LockOp {
+    match r.range(0..2) {
+        0 => LockOp::Lock(r.vec(1..5, |r| r.range(0..16)), r.range(1..5)),
+        _ => LockOp::Unlock(r.range(1..5)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The lock table agrees with a reference `HashMap<object, exec>`
-    /// model under random lock/unlock schedules, and never grants a group
-    /// containing an object held by a different exec.
-    #[test]
-    fn lock_table_matches_reference_model(ops in prop::collection::vec(arb_lock_op(), 1..40)) {
+/// The lock table agrees with a reference `HashMap<object, exec>`
+/// model under random lock/unlock schedules, and never grants a group
+/// containing an object held by a different exec.
+#[test]
+fn lock_table_matches_reference_model() {
+    let gen = |r: &mut Rng| r.vec(1..40, arb_lock_op);
+    forall(0..128, gen, |ops| {
         let mut table = LockTable::new();
         let mut model: HashMap<GlobalObjectId, u64> = HashMap::new();
         for op in ops {
@@ -48,14 +46,14 @@ proptest! {
                         objs.iter().any(|o| model.get(o).map(|&e| e != exec).unwrap_or(false));
                     match table.try_lock_group(&objs, exec) {
                         Ok(()) => {
-                            prop_assert!(!model_conflict, "table granted over a held lock");
+                            assert!(!model_conflict, "table granted over a held lock");
                             for o in objs {
                                 model.insert(o, exec);
                             }
                         }
                         Err(conflicting) => {
-                            prop_assert!(model_conflict, "table refused a free group");
-                            prop_assert!(
+                            assert!(model_conflict, "table refused a free group");
+                            assert!(
                                 model.get(&conflicting).map(|&e| e != exec).unwrap_or(false),
                                 "reported conflict object is not actually conflicting"
                             );
@@ -65,27 +63,27 @@ proptest! {
                 LockOp::Unlock(exec) => {
                     let mut released = table.unlock_exec(exec);
                     released.sort();
-                    let mut expected: Vec<GlobalObjectId> = model
-                        .iter()
-                        .filter(|(_, &e)| e == exec)
-                        .map(|(o, _)| o.clone())
-                        .collect();
+                    let mut expected: Vec<GlobalObjectId> =
+                        model.iter().filter(|(_, &e)| e == exec).map(|(o, _)| o.clone()).collect();
                     expected.sort();
-                    prop_assert_eq!(released, expected);
+                    assert_eq!(released, expected);
                     model.retain(|_, &mut e| e != exec);
                 }
             }
-            prop_assert_eq!(table.len(), model.len());
+            assert_eq!(table.len(), model.len());
         }
-    }
+    });
+}
 
-    /// The couple directory's `group_of` equals brute-force undirected
-    /// reachability over the surviving links.
-    #[test]
-    fn closure_matches_brute_force(
-        links in prop::collection::vec((0u8..12, 0u8..12), 0..25),
-        removals in prop::collection::vec(any::<prop::sample::Index>(), 0..10),
-    ) {
+/// The couple directory's `group_of` equals brute-force undirected
+/// reachability over the surviving links.
+#[test]
+fn closure_matches_brute_force() {
+    let gen = |r: &mut Rng| {
+        let links = r.vec(0..25, |r| (r.range(0..12), r.range(0..12)));
+        (links, r.vec(0..10, |r| r.range(..)))
+    };
+    forall(0..128, gen, |(links, removals): (Vec<(u8, u8)>, Vec<usize>)| {
         let mut dir = CoupleDirectory::new();
         let mut live: Vec<(GlobalObjectId, GlobalObjectId)> = Vec::new();
         for (a, b) in &links {
@@ -97,8 +95,8 @@ proptest! {
             if live.is_empty() {
                 break;
             }
-            let (a, b) = live.remove(idx.index(live.len()));
-            prop_assert!(dir.decouple(&a, &b));
+            let (a, b) = live.remove(idx % live.len());
+            assert!(dir.decouple(&a, &b));
         }
         // Brute-force reachability.
         let mut nodes: HashSet<GlobalObjectId> = HashSet::new();
@@ -124,14 +122,17 @@ proptest! {
             }
             let mut expected: Vec<GlobalObjectId> = reach.into_iter().collect();
             expected.sort();
-            prop_assert_eq!(dir.group_of(&probe), expected);
+            assert_eq!(dir.group_of(&probe), expected);
         }
-    }
+    });
+}
 
-    /// The history store behaves like a pair of reference stacks under
-    /// random overwrite/undo/redo schedules.
-    #[test]
-    fn history_matches_stack_model(ops in prop::collection::vec(0u8..3, 1..40)) {
+/// The history store behaves like a pair of reference stacks under
+/// random overwrite/undo/redo schedules.
+#[test]
+fn history_matches_stack_model() {
+    let gen = |r: &mut Rng| r.vec(1..40, |r| r.range(0..3));
+    forall(0..128, gen, |ops| {
         let object = gid(1);
         let state = |i: usize| {
             StateNode::new(WidgetKind::Label, "l")
@@ -157,7 +158,7 @@ proptest! {
                 1 => {
                     // Undo if possible.
                     let popped = store.pop_undo(&object);
-                    prop_assert_eq!(popped.clone(), undo_model.pop());
+                    assert_eq!(popped.clone(), undo_model.pop());
                     if let Some(restored) = popped {
                         store.record_undone(object.clone(), current.clone());
                         redo_model.push(current.clone());
@@ -167,7 +168,7 @@ proptest! {
                 _ => {
                     // Redo if possible.
                     let popped = store.pop_redo(&object);
-                    prop_assert_eq!(popped.clone(), redo_model.pop());
+                    assert_eq!(popped.clone(), redo_model.pop());
                     if let Some(reapplied) = popped {
                         store.record_redone(object.clone(), current.clone());
                         undo_model.push(current.clone());
@@ -175,10 +176,10 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(store.undo_depth(&object), undo_model.len());
-            prop_assert_eq!(store.redo_depth(&object), redo_model.len());
+            assert_eq!(store.undo_depth(&object), undo_model.len());
+            assert_eq!(store.redo_depth(&object), redo_model.len());
         }
-    }
+    });
 }
 
 // ---- whole-core teardown invariant ---------------------------------------
@@ -199,17 +200,19 @@ enum CoreOp {
     Pump(u8),
 }
 
-fn arb_core_op() -> impl Strategy<Value = CoreOp> {
-    prop_oneof![
-        (0u8..4, 0u8..4).prop_map(|(a, b)| CoreOp::Couple(a, b)),
-        (0u8..4).prop_map(CoreOp::Event),
-        (0u8..4, 0u8..4).prop_map(|(a, b)| CoreOp::CopyFrom(a, b)),
-        (0u8..4, 0u8..4).prop_map(|(a, b)| CoreOp::CopyTo(a, b)),
-        (0u8..4, 0u8..4, 0u8..4).prop_map(|(a, b, c)| CoreOp::RemoteCopy(a, b, c)),
-        (0u8..4).prop_map(CoreOp::Disconnect),
-        (0u8..4).prop_map(CoreOp::Reconnect),
-        (1u8..6).prop_map(CoreOp::Pump),
-    ]
+fn arb_core_op(r: &mut Rng) -> CoreOp {
+    let kind = r.range(0..8);
+    let mut slot = || r.range(0..4);
+    match kind {
+        0 => CoreOp::Couple(slot(), slot()),
+        1 => CoreOp::Event(slot()),
+        2 => CoreOp::CopyFrom(slot(), slot()),
+        3 => CoreOp::CopyTo(slot(), slot()),
+        4 => CoreOp::RemoteCopy(slot(), slot(), slot()),
+        5 => CoreOp::Disconnect(slot()),
+        6 => CoreOp::Reconnect(slot()),
+        _ => CoreOp::Pump(r.range(1..6)),
+    }
 }
 
 fn obj(i: InstanceId, name: &str) -> GlobalObjectId {
@@ -220,17 +223,14 @@ fn snap() -> StateNode {
     StateNode::new(WidgetKind::Label, "x").with_attr(AttrName::Text, Value::Text("s".into()))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// After every instance deregisters, no in-flight work survives:
-    /// transfer groups, push legs, pull legs, execution groups, and
-    /// locks are all empty — whatever the interleaving of transfers,
-    /// events, partially answered requests, and abrupt disconnects.
-    #[test]
-    fn no_leaks_after_all_instances_deregister(
-        ops in prop::collection::vec(arb_core_op(), 1..60),
-    ) {
+/// After every instance deregisters, no in-flight work survives:
+/// transfer groups, push legs, pull legs, execution groups, and
+/// locks are all empty — whatever the interleaving of transfers,
+/// events, partially answered requests, and abrupt disconnects.
+#[test]
+fn no_leaks_after_all_instances_deregister() {
+    let gen = |r: &mut Rng| r.vec(1..60, arb_core_op);
+    forall(0..64, gen, |ops| {
         let mut s: ServerCore<u64> = ServerCore::new();
         // Four client slots; each holds its current endpoint + instance
         // while connected.
@@ -243,11 +243,12 @@ proptest! {
         let register = |s: &mut ServerCore<u64>, next_endpoint: &mut u64| {
             let e = *next_endpoint;
             *next_endpoint += 1;
-            let out = s.handle(e, Message::Register {
-                user: UserId(7),
-                host: "h".into(),
-                app_name: "app".into(),
-            }).into_messages();
+            let out = s
+                .handle(
+                    e,
+                    Message::Register { user: UserId(7), host: "h".into(), app_name: "app".into() },
+                )
+                .into_messages();
             let instance = out
                 .iter()
                 .find_map(|(_, m)| match m {
@@ -264,12 +265,14 @@ proptest! {
         for op in ops {
             match op {
                 CoreOp::Couple(a, b) => {
-                    let (Some((ea, ia)), Some((_, ib))) =
-                        (slots[a as usize], slots[b as usize]) else { continue };
-                    inbox.extend(s.handle(ea, Message::Couple {
-                        src: obj(ia, "x"),
-                        dst: obj(ib, "y"),
-                    }).into_messages());
+                    let (Some((ea, ia)), Some((_, ib))) = (slots[a as usize], slots[b as usize])
+                    else {
+                        continue;
+                    };
+                    inbox.extend(
+                        s.handle(ea, Message::Couple { src: obj(ia, "x"), dst: obj(ib, "y") })
+                            .into_messages(),
+                    );
                 }
                 CoreOp::Event(a) => {
                     let Some((ea, ia)) = slots[a as usize] else { continue };
@@ -279,46 +282,69 @@ proptest! {
                         vec![Value::Text("v".into())],
                     );
                     req += 1;
-                    inbox.extend(s.handle(ea, Message::Event {
-                        origin: obj(ia, "x"),
-                        event,
-                        seq: req,
-                    }).into_messages());
+                    inbox.extend(
+                        s.handle(ea, Message::Event { origin: obj(ia, "x"), event, seq: req })
+                            .into_messages(),
+                    );
                 }
                 CoreOp::CopyFrom(a, b) => {
-                    let (Some((ea, ia)), Some((_, ib))) =
-                        (slots[a as usize], slots[b as usize]) else { continue };
+                    let (Some((ea, ia)), Some((_, ib))) = (slots[a as usize], slots[b as usize])
+                    else {
+                        continue;
+                    };
                     req += 1;
-                    inbox.extend(s.handle(ea, Message::CopyFrom {
-                        src: obj(ib, "x"),
-                        dst: obj(ia, "x"),
-                        mode: CopyMode::Strict,
-                        req_id: req,
-                    }).into_messages());
+                    inbox.extend(
+                        s.handle(
+                            ea,
+                            Message::CopyFrom {
+                                src: obj(ib, "x"),
+                                dst: obj(ia, "x"),
+                                mode: CopyMode::Strict,
+                                req_id: req,
+                            },
+                        )
+                        .into_messages(),
+                    );
                 }
                 CoreOp::CopyTo(a, b) => {
-                    let (Some((ea, ia)), Some((_, ib))) =
-                        (slots[a as usize], slots[b as usize]) else { continue };
+                    let (Some((ea, ia)), Some((_, ib))) = (slots[a as usize], slots[b as usize])
+                    else {
+                        continue;
+                    };
                     req += 1;
-                    inbox.extend(s.handle(ea, Message::CopyTo {
-                        src: obj(ia, "x"),
-                        dst: obj(ib, "y"),
-                        snapshot: snap(),
-                        mode: CopyMode::Strict,
-                        req_id: req,
-                    }).into_messages());
+                    inbox.extend(
+                        s.handle(
+                            ea,
+                            Message::CopyTo {
+                                src: obj(ia, "x"),
+                                dst: obj(ib, "y"),
+                                snapshot: snap(),
+                                mode: CopyMode::Strict,
+                                req_id: req,
+                            },
+                        )
+                        .into_messages(),
+                    );
                 }
                 CoreOp::RemoteCopy(a, b, c) => {
                     let (Some((ea, _)), Some((_, ib)), Some((_, ic))) =
                         (slots[a as usize], slots[b as usize], slots[c as usize])
-                        else { continue };
+                    else {
+                        continue;
+                    };
                     req += 1;
-                    inbox.extend(s.handle(ea, Message::RemoteCopy {
-                        src: obj(ib, "x"),
-                        dst: obj(ic, "y"),
-                        mode: CopyMode::Strict,
-                        req_id: req,
-                    }).into_messages());
+                    inbox.extend(
+                        s.handle(
+                            ea,
+                            Message::RemoteCopy {
+                                src: obj(ib, "x"),
+                                dst: obj(ic, "y"),
+                                mode: CopyMode::Strict,
+                                req_id: req,
+                            },
+                        )
+                        .into_messages(),
+                    );
                 }
                 CoreOp::Disconnect(a) => {
                     let Some((ea, _)) = slots[a as usize].take() else { continue };
@@ -391,11 +417,11 @@ proptest! {
             }
         }
         let stats = s.stats();
-        prop_assert_eq!(stats.registered_instances, 0);
-        prop_assert_eq!(stats.live_transfer_groups, 0);
-        prop_assert_eq!(stats.live_transfer_legs, 0);
-        prop_assert_eq!(stats.live_pending_pulls, 0);
-        prop_assert_eq!(stats.live_execs, 0);
-        prop_assert_eq!(stats.held_locks, 0);
-    }
+        assert_eq!(stats.registered_instances, 0);
+        assert_eq!(stats.live_transfer_groups, 0);
+        assert_eq!(stats.live_transfer_legs, 0);
+        assert_eq!(stats.live_pending_pulls, 0);
+        assert_eq!(stats.live_execs, 0);
+        assert_eq!(stats.held_locks, 0);
+    });
 }

@@ -1,9 +1,8 @@
-//! Property-based tests of the UI-spec parser: generated specs for random
+//! Properties of the UI-spec parser: generated specs for random
 //! widget trees parse back to the same structure and attribute values,
 //! and the parser never panics on arbitrary input.
 
-use proptest::prelude::*;
-
+use cosoft_rng::{forall, Rng};
 use cosoft_uikit::spec::build_tree;
 use cosoft_uikit::WidgetTree;
 use cosoft_wire::{AttrName, Value, WidgetKind};
@@ -16,59 +15,52 @@ struct SpecWidget {
     children: Vec<SpecWidget>,
 }
 
-fn arb_leaf() -> impl Strategy<Value = SpecWidget> {
-    let kinds = prop_oneof![
-        Just(WidgetKind::TextField),
-        Just(WidgetKind::Label),
-        Just(WidgetKind::Slider),
-        Just(WidgetKind::ToggleButton),
-        Just(WidgetKind::Menu),
-        Just(WidgetKind::Button),
-    ];
-    (kinds, 0u32..10_000).prop_flat_map(|(kind, n)| {
-        let attrs: BoxedStrategy<Vec<(AttrName, Value)>> = match kind {
-            WidgetKind::TextField | WidgetKind::Label => "[a-zA-Z0-9 _:,\\.]{0,20}"
-                .prop_map(|s| vec![(AttrName::Text, Value::Text(s))])
-                .boxed(),
-            WidgetKind::Slider => (0..1_000i64)
-                .prop_map(|v| vec![(AttrName::ValueNum, Value::Float(v as f64 / 1_000.0))])
-                .boxed(),
-            WidgetKind::ToggleButton => {
-                any::<bool>().prop_map(|b| vec![(AttrName::Checked, Value::Bool(b))]).boxed()
-            }
-            WidgetKind::Menu => (prop::collection::vec("[a-z]{1,6}", 0..4), -1i64..4)
-                .prop_map(|(items, sel)| {
-                    vec![
-                        (AttrName::Items, Value::TextList(items)),
-                        (AttrName::Selected, Value::Int(sel)),
-                    ]
-                })
-                .boxed(),
-            _ => "[a-zA-Z ]{0,12}".prop_map(|s| vec![(AttrName::Title, Value::Text(s))]).boxed(),
-        };
-        let kind2 = kind.clone();
-        attrs.prop_map(move |attrs| SpecWidget {
-            kind: kind2.clone(),
-            name: format!("w{n}"),
-            attrs,
-            children: Vec::new(),
-        })
-    })
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+const LETTERS: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+fn arb_leaf(r: &mut Rng) -> SpecWidget {
+    let kind = r
+        .pick(&[
+            WidgetKind::TextField,
+            WidgetKind::Label,
+            WidgetKind::Slider,
+            WidgetKind::ToggleButton,
+            WidgetKind::Menu,
+            WidgetKind::Button,
+        ])
+        .clone();
+    let name = format!("w{}", r.range(0..10_000));
+    let attrs = match kind {
+        WidgetKind::TextField | WidgetKind::Label => {
+            let text = r.string(&format!("{LETTERS}0123456789 _:,."), 0..=20);
+            vec![(AttrName::Text, Value::Text(text))]
+        }
+        WidgetKind::Slider => {
+            vec![(AttrName::ValueNum, Value::Float(r.range(0..1_000) as f64 / 1_000.0))]
+        }
+        WidgetKind::ToggleButton => vec![(AttrName::Checked, Value::Bool(r.bool(0.5)))],
+        WidgetKind::Menu => vec![
+            (AttrName::Items, Value::TextList(r.vec(0..4, |r| r.string(LOWER, 1..=6)))),
+            (AttrName::Selected, Value::Int(r.range(-1..4))),
+        ],
+        _ => vec![(AttrName::Title, Value::Text(r.string(&format!("{LETTERS} "), 0..=12)))],
+    };
+    SpecWidget { kind, name, attrs, children: Vec::new() }
 }
 
-fn arb_widget() -> impl Strategy<Value = SpecWidget> {
-    arb_leaf().prop_recursive(3, 20, 4, |inner| {
-        (0u32..10_000, prop::collection::vec(inner, 0..4)).prop_map(|(n, mut children)| {
-            let mut seen = std::collections::BTreeSet::new();
-            children.retain(|c| seen.insert(c.name.clone()));
-            SpecWidget {
-                kind: WidgetKind::Panel,
-                name: format!("p{n}"),
-                attrs: Vec::new(),
-                children,
-            }
-        })
-    })
+/// Panels up to three deep, sibling names unique.
+fn arb_widget(r: &mut Rng) -> SpecWidget {
+    fn within(r: &mut Rng, levels_below: usize) -> SpecWidget {
+        if levels_below == 0 || r.range(0..3) == 0 {
+            return arb_leaf(r);
+        }
+        let name = format!("p{}", r.range(0..10_000));
+        let mut children = r.vec(0..4, |r| within(r, levels_below - 1));
+        let mut seen = std::collections::BTreeSet::new();
+        children.retain(|c| seen.insert(c.name.clone()));
+        SpecWidget { kind: WidgetKind::Panel, name, attrs: Vec::new(), children }
+    }
+    within(r, 3)
 }
 
 fn escape(s: &str) -> String {
@@ -123,53 +115,55 @@ fn emit(widget: &SpecWidget, out: &mut String, depth: usize) {
     out.push('\n');
 }
 
-fn check(
-    tree: &WidgetTree,
-    id: cosoft_uikit::WidgetId,
-    spec: &SpecWidget,
-) -> Result<(), TestCaseError> {
+fn check(tree: &WidgetTree, id: cosoft_uikit::WidgetId, spec: &SpecWidget) {
     let w = tree.widget(id).expect("live widget");
-    prop_assert_eq!(w.kind(), &spec.kind);
-    prop_assert_eq!(w.name(), spec.name.as_str());
+    assert_eq!(w.kind(), &spec.kind);
+    assert_eq!(w.name(), spec.name.as_str());
     for (attr, value) in &spec.attrs {
-        prop_assert_eq!(w.attrs().get(attr), Some(value), "attr {} differs", attr);
+        assert_eq!(w.attrs().get(attr), Some(value), "attr {} differs", attr);
     }
-    prop_assert_eq!(w.children().len(), spec.children.len());
+    assert_eq!(w.children().len(), spec.children.len());
     for (child_id, child_spec) in w.children().iter().zip(&spec.children) {
-        check(tree, *child_id, child_spec)?;
+        check(tree, *child_id, child_spec);
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn generated_specs_round_trip(widget in arb_widget()) {
+#[test]
+fn generated_specs_round_trip() {
+    forall(0..96, arb_widget, |widget| {
         let mut src = String::new();
         emit(&widget, &mut src, 0);
         let tree = build_tree(&src).unwrap_or_else(|e| panic!("spec failed: {e}\n{src}"));
-        let root = tree.root().expect("root exists");
-        check(&tree, root, &widget)?;
-    }
+        check(&tree, tree.root().expect("root exists"), &widget);
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_garbage(src in "\\PC{0,200}") {
+/// Any printable text: ASCII, accented and wide characters, emoji.
+#[test]
+fn parser_never_panics_on_garbage() {
+    let printable = |r: &mut Rng| {
+        let c = match r.range(0..4) {
+            0 => r.range(0x20..0x7f),
+            1 => r.range(0xa1..0x250),
+            2 => r.range(0x4e00..0x9fff),
+            _ => r.range(0x1f300..0x1f650),
+        };
+        char::from_u32(c).expect("no surrogates in these blocks")
+    };
+    let gen = |r: &mut Rng| r.vec(0..201, printable).into_iter().collect();
+    forall(0..96, gen, |src: String| {
         let _ = build_tree(&src);
-    }
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_speclike_garbage(
-        tokens in prop::collection::vec(
-            prop_oneof![
-                Just("form".to_owned()), Just("{".to_owned()), Just("}".to_owned()),
-                Just("=".to_owned()), Just("\"x".to_owned()), Just("[".to_owned()),
-                Just("]".to_owned()), Just("-".to_owned()), Just("3.5".to_owned()),
-                "[a-z]{1,5}".prop_map(|s| s),
-            ],
-            0..40,
-        )
-    ) {
+#[test]
+fn parser_never_panics_on_speclike_garbage() {
+    let token = |r: &mut Rng| match r.range(0..10) {
+        0 => r.string(LOWER, 1..=5),
+        i => ["form", "{", "}", "=", "\"x", "[", "]", "-", "3.5"][i - 1].to_owned(),
+    };
+    let gen = |r: &mut Rng| r.vec(0..40, token);
+    forall(0..96, gen, |tokens| {
         let _ = build_tree(&tokens.join(" "));
-    }
+    });
 }

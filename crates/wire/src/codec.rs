@@ -12,13 +12,12 @@
 //! Every decoder enforces [`MAX_LEN`] on declared lengths so a corrupt or
 //! hostile frame cannot trigger huge allocations.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::delta::{EditOp, NodeEdit, NodePatch};
 use crate::message::{InstanceInfo, MessageKind, Overwritten};
 use crate::{
-    AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
-    StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind, WireError,
+    AccessRight, AttrName, Bytes, BytesMut, CopyMode, EventKind, GlobalObjectId, InstanceId,
+    Message, ObjectPath, StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    WireError,
 };
 
 /// Maximum accepted declared length for any collection, string or frame.
@@ -71,10 +70,7 @@ pub fn get_uvarint(buf: &mut Bytes) -> Result<u64> {
     let mut shift = 0u32;
     let mut out = 0u64;
     loop {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof { expected: "varint" });
-        }
-        let byte = buf.get_u8();
+        let byte = get_u8(buf, "varint")?;
         if shift >= 64 {
             return Err(WireError::VarintOverflow);
         }
@@ -102,40 +98,27 @@ fn get_len(buf: &mut Bytes) -> Result<usize> {
 
 fn get_str(buf: &mut Bytes) -> Result<String> {
     let n = get_len(buf)?;
-    if buf.remaining() < n {
-        return Err(WireError::UnexpectedEof { expected: "string body" });
-    }
-    let raw = buf.split_to(n);
+    let raw = buf.split_to(n).ok_or(WireError::UnexpectedEof { expected: "string body" })?;
     String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
 }
 
 fn get_blob(buf: &mut Bytes) -> Result<Vec<u8>> {
     let n = get_len(buf)?;
-    if buf.remaining() < n {
-        return Err(WireError::UnexpectedEof { expected: "byte blob" });
-    }
-    Ok(buf.split_to(n).to_vec())
+    let raw = buf.split_to(n).ok_or(WireError::UnexpectedEof { expected: "byte blob" })?;
+    Ok(raw.to_vec())
 }
 
 fn get_bool(buf: &mut Bytes) -> Result<bool> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEof { expected: "bool" });
-    }
-    Ok(buf.get_u8() != 0)
+    Ok(get_u8(buf, "bool")? != 0)
 }
 
 fn get_u8(buf: &mut Bytes, what: &'static str) -> Result<u8> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEof { expected: what });
-    }
-    Ok(buf.get_u8())
+    buf.get_u8().ok_or(WireError::UnexpectedEof { expected: what })
 }
 
 fn get_f64(buf: &mut Bytes) -> Result<f64> {
-    if buf.remaining() < 8 {
-        return Err(WireError::UnexpectedEof { expected: "f64" });
-    }
-    Ok(f64::from_bits(buf.get_u64_le()))
+    let bits = buf.get_u64_le().ok_or(WireError::UnexpectedEof { expected: "f64" })?;
+    Ok(f64::from_bits(bits))
 }
 
 // --------------------------------------------------------------------------
@@ -444,7 +427,9 @@ impl From<StateNode> for EncodedState {
 pub fn get_encoded_state(buf: &mut Bytes) -> Result<EncodedState> {
     let mut rest = buf.clone();
     skip_state(&mut rest, MAX_STATE_DEPTH)?;
-    Ok(EncodedState(buf.split_to(buf.len() - rest.len())))
+    // `rest` is a suffix of `buf`, so the split is always in range.
+    let walked = buf.len() - rest.len();
+    buf.split_to(walked).map(EncodedState).ok_or(WireError::UnexpectedEof { expected: "state" })
 }
 
 // The skip_* functions mirror get_str, get_blob, get_value and
@@ -452,20 +437,15 @@ pub fn get_encoded_state(buf: &mut Bytes) -> Result<EncodedState> {
 // the same first error; they build nothing.
 
 fn skip_str(buf: &mut Bytes) -> Result<()> {
+    const EOF: WireError = WireError::UnexpectedEof { expected: "string body" };
     let n = get_len(buf)?;
-    let raw = buf.get(..n).ok_or(WireError::UnexpectedEof { expected: "string body" })?;
-    std::str::from_utf8(raw).map_err(|_| WireError::InvalidUtf8)?;
-    buf.advance(n);
-    Ok(())
+    std::str::from_utf8(buf.get(..n).ok_or(EOF)?).map_err(|_| WireError::InvalidUtf8)?;
+    buf.advance(n).ok_or(EOF)
 }
 
 fn skip_blob(buf: &mut Bytes) -> Result<()> {
     let n = get_len(buf)?;
-    if buf.remaining() < n {
-        return Err(WireError::UnexpectedEof { expected: "byte blob" });
-    }
-    buf.advance(n);
-    Ok(())
+    buf.advance(n).ok_or(WireError::UnexpectedEof { expected: "byte blob" })
 }
 
 fn skip_points(buf: &mut Bytes) -> Result<()> {
@@ -989,10 +969,10 @@ pub fn put_message(buf: &mut BytesMut, m: &Message) {
 /// Returns a [`WireError`] on malformed input (truncation, bad tags,
 /// invalid UTF-8, over-long declared lengths, trailing bytes).
 pub fn decode_message(bytes: &[u8]) -> Result<Message> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+    let mut buf = Bytes::from(bytes.to_vec());
     let m = get_message(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(WireError::TrailingBytes { remaining: buf.remaining() });
+    if !buf.is_empty() {
+        return Err(WireError::TrailingBytes { remaining: buf.len() });
     }
     Ok(m)
 }
@@ -1133,7 +1113,7 @@ pub fn frame_execute_event(exec_id: u64, target: &ObjectPath, event: &Bytes) -> 
     buf.put_u8(MessageKind::ExecuteEvent as u8);
     put_uvarint(&mut buf, exec_id);
     put_path(&mut buf, target);
-    buf.extend_from_slice(event);
+    buf.put_slice(event);
     seal_frame(buf)
 }
 
@@ -1161,7 +1141,7 @@ pub fn frame_apply_state(
     buf.put_u8(MessageKind::ApplyState as u8);
     put_uvarint(&mut buf, req_id);
     put_path(&mut buf, path);
-    buf.extend_from_slice(snapshot);
+    buf.put_slice(snapshot);
     mode.put(&mut buf);
     seal_frame(buf)
 }
@@ -1194,7 +1174,7 @@ pub fn frame_apply_delta(
     put_path(&mut buf, path);
     put_uvarint(&mut buf, base_version);
     put_uvarint(&mut buf, new_version);
-    buf.extend_from_slice(delta);
+    buf.put_slice(delta);
     mode.put(&mut buf);
     seal_frame(buf)
 }
@@ -1483,8 +1463,7 @@ mod tests {
     #[test]
     fn varint_overflow_rejected() {
         // 10 continuation bytes with high bits set → more than 64 bits.
-        let bytes = [0xffu8; 11];
-        let mut b = Bytes::copy_from_slice(&bytes);
+        let mut b = Bytes::from(vec![0xffu8; 11]);
         assert!(matches!(get_uvarint(&mut b), Err(WireError::VarintOverflow)));
     }
 
@@ -1603,7 +1582,7 @@ mod tests {
         put_delta(&mut b, &delta);
         let mut r = b.freeze();
         assert_eq!(get_delta(&mut r).unwrap(), delta);
-        assert!(!r.has_remaining());
+        assert!(r.is_empty());
     }
 
     /// The generated table agrees with itself: tags round-trip through
@@ -1675,28 +1654,28 @@ mod tests {
         apply.put_u8(MessageKind::ApplyState as u8);
         put_uvarint(&mut apply, 1);
         put_path(&mut apply, &path("a"));
-        apply.extend_from_slice(&nested);
+        apply.put_slice(&nested);
         assert_eq!(decode_message(&apply), too_deep);
 
         let mut reply = BytesMut::new();
         reply.put_u8(MessageKind::StateReply as u8);
         put_uvarint(&mut reply, 1);
         reply.put_u8(1); // Some
-        reply.extend_from_slice(&nested);
+        reply.put_slice(&nested);
         assert_eq!(decode_message(&reply), too_deep);
 
         let mut applied = BytesMut::new();
         applied.put_u8(MessageKind::StateApplied as u8);
         put_uvarint(&mut applied, 1);
         applied.put_u8(1); // Some: the non-building walk recurses too
-        applied.extend_from_slice(&nested);
+        applied.put_slice(&nested);
         assert_eq!(decode_message(&applied), too_deep);
 
         let mut delta = BytesMut::new();
         put_uvarint(&mut delta, 1); // edits
         put_uvarint(&mut delta, 0); // path segments
         delta.put_u8(1); // EditOp::Replace
-        delta.extend_from_slice(&nested);
+        delta.put_slice(&nested);
         assert_eq!(
             get_delta(&mut delta.clone().freeze()).map(|_| ()),
             Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH })
@@ -1708,7 +1687,7 @@ mod tests {
         put_gid(&mut push, &gid(2, "b"));
         put_uvarint(&mut push, 1); // base version
         put_uvarint(&mut push, 2); // new version
-        push.extend_from_slice(&delta);
+        push.put_slice(&delta);
         assert_eq!(decode_message(&push), too_deep);
     }
 }

@@ -37,6 +37,7 @@
 //! # }
 //! ```
 
+mod bytes;
 pub mod codec;
 pub mod delta;
 mod error;
@@ -46,6 +47,7 @@ mod message;
 mod state;
 mod value;
 
+pub use bytes::{Bytes, BytesMut};
 pub use codec::{EncodedState, SharedFrame};
 pub use delta::{DeltaError, EditOp, NodeEdit, NodePatch, StateDelta};
 pub use error::WireError;

@@ -1,10 +1,9 @@
 use std::fmt;
 
-use bytes::{Bytes, BytesMut};
-
 use crate::codec::{EncodedState, Wire};
 use crate::{
-    GlobalObjectId, InstanceId, ObjectPath, StateDelta, StateNode, UiEvent, UserId, WireError,
+    Bytes, BytesMut, GlobalObjectId, InstanceId, ObjectPath, StateDelta, StateNode, UiEvent,
+    UserId, WireError,
 };
 
 /// Access-right category of the server's three-valued permission tuples

@@ -7,10 +7,10 @@
 //! every input below the two accept together, fail with the same error,
 //! and on success consume the same bytes and describe the same tree.
 
-use bytes::Bytes;
+use cosoft_rng::Rng;
 use cosoft_wire::codec::{self, MAX_LEN, MAX_STATE_DEPTH};
 use cosoft_wire::{
-    AttrName, EncodedState, Message, Overwritten, StateNode, Value, WidgetKind, WireError,
+    AttrName, Bytes, EncodedState, Message, Overwritten, StateNode, Value, WidgetKind, WireError,
 };
 
 /// The state of every state-carrying golden vector (`golden.rs`, `snap()`)
@@ -118,7 +118,7 @@ fn valid_inputs() -> Vec<Vec<u8>> {
 /// Runs both walks over `input` and asserts they agree; returns what they
 /// agreed on.
 fn agree(input: &[u8]) -> Result<StateNode, WireError> {
-    let mut built_from = Bytes::copy_from_slice(input);
+    let mut built_from = Bytes::from(input.to_vec());
     let mut sliced_from = built_from.clone();
     let built = codec::get_state(&mut built_from);
     let sliced = codec::get_encoded_state(&mut sliced_from);
@@ -158,15 +158,9 @@ fn every_truncation_fails_the_same_way() {
 
 #[test]
 fn seeded_mutations_never_split_the_walks() {
-    // SplitMix64, so a failure replays.
-    let mut seed = 0x5eed_0014_u64;
-    let mut next = move || {
-        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    // Seeded, so a failure replays.
+    let mut rng = Rng::new(0x5eed_0014);
+    let mut next = move || rng.next_u64();
     let rounds = if cfg!(miri) { 100 } else { 5_000 };
     let (mut accepted, mut refused) = (0u32, 0u32);
     for input in valid_inputs() {

@@ -307,6 +307,34 @@ fn golden_vectors_decode_back() {
 /// byte-identical to the owned framing: a peer cannot tell whether the
 /// server unicast-encoded its frame or fanned one shared encode out to
 /// the whole group.
+/// A frame cut short is an error, never a panic: the buffer answers a
+/// read past its end with `None`, the codec with `UnexpectedEof`. Every
+/// cut of every vector, then one spelled out per read primitive of
+/// `Bytes` (`advance`, the fourth, is only the checking walk's:
+/// `encoded_state.rs` holds it to the building walk at every cut).
+#[test]
+fn golden_vectors_cut_anywhere_are_refused() {
+    for (msg, bytes) in golden_table() {
+        for cut in 0..bytes.len() {
+            let refused = codec::decode_message(&bytes[..cut]);
+            assert!(
+                matches!(refused, Err(WireError::UnexpectedEof { .. })),
+                "{} cut at {cut}: {refused:?}",
+                msg.kind_name()
+            );
+        }
+    }
+    let eof = |expected| WireError::UnexpectedEof { expected };
+    // get_u8: Deregister without its tag; Welcome inside its varint.
+    assert_eq!(codec::decode_message(&[]), Err(eof("message tag")));
+    assert_eq!(codec::decode_message(&[0x03, 0xac]), Err(eof("varint")));
+    // split_to: Register inside the host string "ws1".
+    assert_eq!(codec::decode_message(&[0x00, 0x07, 0x03, 0x77, 0x73]), Err(eof("string body")));
+    // get_u64_le: the float of `golden_float_bits`, one byte short.
+    let mut short = cosoft_wire::Bytes::from(vec![2, 0, 0, 0, 0, 0, 0, 0xf0]);
+    assert_eq!(codec::get_value(&mut short), Err(eof("f64")));
+}
+
 #[test]
 fn golden_shared_frames_are_byte_identical() {
     for (m, bytes) in golden_table() {
@@ -396,7 +424,7 @@ fn golden_frame_layout() {
 
 #[test]
 fn golden_float_bits() {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = cosoft_wire::BytesMut::new();
     codec::put_value(&mut buf, &Value::Float(1.0));
     // Tag 2 + IEEE-754 little-endian bits of 1.0.
     assert_eq!(buf.to_vec(), vec![2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f]);
@@ -404,7 +432,7 @@ fn golden_float_bits() {
 
 #[test]
 fn golden_stroke_list() {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = cosoft_wire::BytesMut::new();
     codec::put_value(&mut buf, &Value::StrokeList(vec![vec![(1, -1)], vec![]]));
     assert_eq!(
         buf.to_vec(),

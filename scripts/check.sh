@@ -4,9 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
-cargo clippy --workspace --all-targets -- -D warnings
-cargo build --release
-cargo test -q
+cargo clippy --locked --workspace --all-targets -- -D warnings
+cargo build --locked --release
+cargo test --locked -q
 # Source audit. Manifest scan keeping the fault-injection feature out
 # of default features and release dependency graphs; AST rules over the
 # parsed workspace: panic-freedom ratchet against audit-baseline.toml,
@@ -16,12 +16,12 @@ cargo test -q
 # dispatching on Message has a catch-all arm are held by the build
 # above: `&`-only accessors and pub(crate), [workspace.lints], and
 # clippy's wildcard_enum_match_arm denied on those functions.
-cargo run -q -p cosoft-audit
+cargo run --locked -q -p cosoft-audit
 # The two walks of the state grammar — the decoder that builds a tree
 # and the one that only checks and slices an `EncodedState` off the
 # frame — must accept, refuse and consume alike; nothing but this suite
 # holds them together.
-cargo test -q -p cosoft-wire --test encoded_state
+cargo test --locked -q -p cosoft-wire --test encoded_state
 # Failure-handling suites, run explicitly so a filtered `cargo test`
 # invocation can't silently skip them. server_core also holds the delta
 # wire-size gate (at depth 6 a single-attribute delta, the undo of it
@@ -34,8 +34,8 @@ cargo test -q -p cosoft-wire --test encoded_state
 # server cannot rebuild costs its sender a StateRequest and nothing
 # else) and the replies that must change nothing: a failed apply's, a
 # reference to no base, and anybody's but the instance that was asked.
-cargo test -q -p cosoft-server --test server_core
-cargo test -q -p cosoft-server --test store_props no_leaks_after_all_instances_deregister
+cargo test --locked -q -p cosoft-server --test server_core
+cargo test --locked -q -p cosoft-server --test store_props no_leaks_after_all_instances_deregister
 # The same gate over real sessions (undo leg and the copy after it stay
 # deltas, the first StateApplied reply is no larger than its CopyTo, the
 # steady-state ones ≤ 12 B; from the second copy on the request is a
@@ -45,35 +45,35 @@ cargo test -q -p cosoft-server --test store_props no_leaks_after_all_instances_d
 # over 240 seeded scripts (pushes both ways, pulls, a presenter that
 # re-registers, a push shed as Busy); then the record of what an apply
 # overwrote against the full snapshot it replaced, 2 000 seeded cases
-# per copy mode (both std only; compat_props mirrors the second).
-cargo test -q -p cosoft-core --test coupling
-cargo test -q -p cosoft-core --test compat_record
-cargo test -q -p cosoft-core --test reconnect_sim
-cargo test -q --test tcp_reconnect
+# per copy mode.
+cargo test --locked -q -p cosoft-core --test coupling
+cargo test --locked -q -p cosoft-core --test compat_record
+cargo test --locked -q -p cosoft-core --test reconnect_sim
+cargo test --locked -q --test tcp_reconnect
 # Schedule-exploring checker: every interleaving of 3 clients over
 # overlapping couple groups — and, since the shard refactor, the same
 # explorer driving merge/split/disconnect schedules across 2 shards —
 # with invariants checked at every step.
-cargo test -q -p cosoft-server --test lock_model
+cargo test --locked -q -p cosoft-server --test lock_model
 # Shard handoff failure modes (requester death mid-merge, mutation
 # during freeze, idempotent re-merge) and two delivery gates (the same
 # deliveries on 1/2/4 shards; a polite group's deliveries unchanged by a
 # 1x/4x/16x flooder that is shed, told Busy, then evicted), plus the
 # sharded end-to-end sim.
-cargo test -q -p cosoft-server --test shard_handoff
-cargo test -q -p cosoft-core --test shard_sim
+cargo test --locked -q -p cosoft-server --test shard_handoff
+cargo test --locked -q -p cosoft-core --test shard_sim
 # Connection scale: the readiness-driven host must carry ≥1k concurrent
 # sockets on its fixed poll pool (gate). Wants ~2 fds per connection, so
 # raise the soft nofile limit if we can.
 ulimit -n 16384 2>/dev/null || true
-cargo test -q --release --test tcp_connscale
+cargo test --locked -q --release --test tcp_connscale
 # Chaos suite: scripted peer-side faults (torn/garbage/oversized
 # frames, handshake stalls) plus, with the fault-injection feature,
 # deterministic injected partial writes / short reads / WouldBlock
 # storms and a seeded randomized soak. Every fault must end clean:
 # exactly one Disconnected per torn connection, no poll-thread death.
-cargo test -q --test tcp_chaos
-cargo test -q --features fault-injection --test tcp_chaos
+cargo test --locked -q --test tcp_chaos
+cargo test --locked -q --features fault-injection --test tcp_chaos
 # Benchmark of record: `benchmark/` is a package of its own, so nothing
 # above compiles it. Builds it against this checkout and runs its own
 # tests (a smoke window per workload, BENCHMARK.json byte-equality);

@@ -14,6 +14,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cosoft_core::session::Session;
+use cosoft_net::queue::RecvTimeoutError;
 use cosoft_net::tcp::{
     ClientEvent, ConnId, NetEvent, ReconnectPolicy, RecvError, TcpClient, TcpHost, TcpHostConfig,
     TcpStats, TcpStatsHandle,
@@ -136,8 +137,8 @@ impl TcpServer {
             while !stop.load(Ordering::SeqCst) {
                 let first = match host.events().recv_timeout(tick) {
                     Ok(e) => Some(e),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
                 };
                 // Drain every already-ready event before writing
                 // anything: one wakeup becomes one coalesced batch per

@@ -9,8 +9,7 @@ use cosoft::core::session::Session;
 use cosoft::net::sim::NodeId;
 use cosoft::uikit::{spec, Toolkit};
 use cosoft::wire::{AccessRight, CopyMode, EventKind, ObjectPath, Target, UiEvent, UserId, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use cosoft_rng::Rng;
 
 const FORM: &str = r#"form f {
   textfield t text=""
@@ -26,23 +25,19 @@ fn path(p: &str) -> ObjectPath {
     ObjectPath::parse(p).expect("valid")
 }
 
-fn random_event(rng: &mut StdRng, p: &str) -> UiEvent {
+fn random_event(rng: &mut Rng, p: &str) -> UiEvent {
     match p {
         "f.t" | "f.sub.inner" => UiEvent::new(
             path(p),
             EventKind::TextCommitted,
-            vec![Value::Text(format!("v{}", rng.gen::<u16>()))],
+            vec![Value::Text(format!("v{}", rng.range::<u16>(..)))],
         ),
-        "f.s" => UiEvent::new(
-            path(p),
-            EventKind::ValueChanged,
-            vec![Value::Float(rng.gen_range(0.0..1.0))],
-        ),
-        "f.g" => UiEvent::new(path(p), EventKind::Toggled, vec![Value::Bool(rng.gen())]),
+        "f.s" => UiEvent::new(path(p), EventKind::ValueChanged, vec![Value::Float(rng.f64())]),
+        "f.g" => UiEvent::new(path(p), EventKind::Toggled, vec![Value::Bool(rng.bool(0.5))]),
         "f.c" => UiEvent::new(
             path(p),
             EventKind::StrokeAdded,
-            vec![Value::Stroke(vec![(rng.gen_range(0..100), rng.gen_range(0..100))])],
+            vec![Value::Stroke(vec![(rng.range(0..100), rng.range(0..100))])],
         ),
         _ => UiEvent::simple(path(p), EventKind::Custom("poke".into())),
     }
@@ -50,7 +45,7 @@ fn random_event(rng: &mut StdRng, p: &str) -> UiEvent {
 
 #[test]
 fn thousand_step_soak_survives_everything() {
-    let mut rng = StdRng::seed_from_u64(0xC050F7);
+    let mut rng = Rng::new(0xC050F7);
     let mut h = SimHarness::with_latency(99, 1_000);
     let mut alive: Vec<NodeId> = (0..6)
         .map(|u| {
@@ -72,10 +67,10 @@ fn thousand_step_soak_survives_everything() {
         if alive.len() < 2 {
             break;
         }
-        let a = alive[rng.gen_range(0..alive.len())];
-        let b = alive[rng.gen_range(0..alive.len())];
-        let p = PATHS[rng.gen_range(0..PATHS.len())];
-        match rng.gen_range(0..100) {
+        let a = *rng.pick(&alive);
+        let b = *rng.pick(&alive);
+        let p = *rng.pick(&PATHS);
+        match rng.range(0..100) {
             0..=24 => {
                 // User event (coupled or not; may be refused while locked).
                 let ev = random_event(&mut rng, p);
@@ -95,7 +90,7 @@ fn thousand_step_soak_survives_everything() {
             }
             50..=62 => {
                 if a != b {
-                    let mode = match rng.gen_range(0..3) {
+                    let mode = match rng.range(0..3) {
                         0 => CopyMode::Strict,
                         1 => CopyMode::DestructiveMerge,
                         _ => CopyMode::FlexibleMatch,
@@ -112,27 +107,27 @@ fn thousand_step_soak_survives_everything() {
             }
             70..=75 => {
                 let obj = h.session(a).gid(&path(p)).expect("registered");
-                if rng.gen() {
+                if rng.bool(0.5) {
                     h.session_mut(a).undo(obj);
                 } else {
                     h.session_mut(a).redo(obj);
                 }
             }
             76..=80 => {
-                let right = match rng.gen_range(0..3) {
+                let right = match rng.range(0..3) {
                     0 => AccessRight::Denied,
                     1 => AccessRight::Read,
                     _ => AccessRight::Write,
                 };
-                let user = UserId(rng.gen_range(1..7));
+                let user = UserId(rng.range(1..7));
                 let _ = h.session_mut(a).set_permission(user, &path(p), right);
             }
             81..=87 => {
-                let target = match rng.gen_range(0..3) {
+                let target = match rng.range(0..3) {
                     0 => Target::Broadcast,
                     1 => Target::Group(h.session(a).gid(&path(p)).expect("registered")),
                     _ => {
-                        let other = alive[rng.gen_range(0..alive.len())];
+                        let other = *rng.pick(&alive);
                         match h.instance_of(other) {
                             Some(i) => Target::Instance(i),
                             None => Target::Broadcast,
@@ -144,7 +139,7 @@ fn thousand_step_soak_survives_everything() {
             88..=91 => {
                 // Destroy a subtree (panel or canvas), auto-decoupling it.
                 // It may already be gone — both outcomes are legal.
-                let victim = if rng.gen() { "f.sub" } else { "f.c" };
+                let victim = if rng.bool(0.5) { "f.sub" } else { "f.c" };
                 let _ = h.session_mut(a).destroy(&path(victim));
             }
             92..=94 => {

@@ -1,15 +1,14 @@
-//! System-level property tests: random couple/decouple/event/copy
+//! System-level properties: random couple/decouple/event/copy
 //! schedules over the simulated network must preserve the paper's core
 //! invariants — coupled relevant state converges, locks drain, the couple
 //! relation stays symmetric, decoupled objects survive.
-
-use proptest::prelude::*;
 
 use cosoft::core::harness::SimHarness;
 use cosoft::core::session::Session;
 use cosoft::net::sim::NodeId;
 use cosoft::uikit::{spec, Toolkit};
 use cosoft::wire::{AttrName, CopyMode, EventKind, ObjectPath, UiEvent, UserId, Value};
+use cosoft_rng::{forall, Rng};
 
 const FORM: &str = r#"form f { textfield t text="" }"#;
 
@@ -41,24 +40,23 @@ enum Step {
     CopyTo(usize, usize),
 }
 
-fn arb_step(users: usize) -> impl Strategy<Value = Step> {
-    let u = 0..users;
-    prop_oneof![
-        (u.clone(), 0..users).prop_map(|(a, b)| Step::Couple(a, b)),
-        (u.clone(), 0..users).prop_map(|(a, b)| Step::Decouple(a, b)),
-        (u.clone(), "[a-z]{1,6}").prop_map(|(a, s)| Step::Type(a, s)),
-        (u, 0..users).prop_map(|(a, b)| Step::CopyTo(a, b)),
-    ]
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+
+/// A step among four users.
+fn arb_step(r: &mut Rng) -> Step {
+    let (kind, a, b) = (r.range(0..4), r.range(0..4), r.range(0..4));
+    match kind {
+        0 => Step::Couple(a, b),
+        1 => Step::Decouple(a, b),
+        2 => Step::Type(a, r.string(LOWER, 1..=6)),
+        _ => Step::CopyTo(a, b),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn random_schedules_preserve_invariants(
-        seed in 0u64..1_000,
-        steps in prop::collection::vec(arb_step(4), 1..25),
-    ) {
+#[test]
+fn random_schedules_preserve_invariants() {
+    let gen = |r: &mut Rng| (r.range(0..1_000), r.vec(1..25, arb_step));
+    forall(0..48, gen, |(seed, steps): (u64, Vec<Step>)| {
         let mut h = SimHarness::new(seed);
         let nodes: Vec<NodeId> = (0..4).map(|u| h.add_session(session(u as u64 + 1))).collect();
         h.settle();
@@ -101,7 +99,7 @@ proptest! {
         }
 
         // Invariant 1: the lock table drains at quiescence.
-        prop_assert!(h.server.locks().is_empty(), "locks must drain");
+        assert!(h.server.locks().is_empty(), "locks must drain");
 
         // Invariant 2: the replicated coupling info is symmetric and all
         // members of one group agree on it, and coupled objects hold
@@ -111,17 +109,17 @@ proptest! {
                 let text = text_of(&h, node);
                 for member in group {
                     let peer_idx = (member.instance.0 - 1) as usize;
-                    prop_assert!(peer_idx < nodes.len());
+                    assert!(peer_idx < nodes.len());
                     if peer_idx == i {
                         continue;
                     }
                     let peer = nodes[peer_idx];
                     // Symmetry of the replicated closure.
                     let peer_group = h.session(peer).group_of(&path());
-                    prop_assert!(peer_group.is_some(), "peer lost its coupling info");
-                    prop_assert_eq!(peer_group.unwrap(), group, "closures disagree");
+                    assert!(peer_group.is_some(), "peer lost its coupling info");
+                    assert_eq!(peer_group.unwrap(), group, "closures disagree");
                     // Convergence of the relevant attribute.
-                    prop_assert_eq!(&text_of(&h, peer), &text, "coupled state diverged");
+                    assert_eq!(&text_of(&h, peer), &text, "coupled state diverged");
                 }
             }
         }
@@ -131,38 +129,50 @@ proptest! {
         for &node in &nodes {
             let tree = h.session(node).toolkit().tree();
             let id = tree.resolve(&path()).expect("widget survives");
-            prop_assert!(tree.widget(id).expect("widget").is_interactable());
+            assert!(tree.widget(id).expect("widget").is_interactable());
         }
+    });
+}
+
+#[test]
+fn event_storms_converge_on_chain_groups() {
+    let gen = |r: &mut Rng| {
+        (r.range(0..1_000), r.vec(1..30, |r| (r.string(LOWER, 1..=8), r.range(0..4))))
+    };
+    forall(0..48, gen, |(seed, texts)| storm_converges(seed, &texts));
+}
+
+/// The two cases proptest's regression file recorded: one user typing
+/// three times into the chain, and two neighbours typing the same text.
+#[test]
+fn recorded_storms_converge() {
+    storm_converges(0, &[("a".into(), 0), ("b".into(), 0), ("c".into(), 0)]);
+    storm_converges(0, &[("h".into(), 0), ("h".into(), 1)]);
+}
+
+fn storm_converges(seed: u64, texts: &[(String, usize)]) {
+    let mut h = SimHarness::with_latency(seed, 700);
+    let nodes: Vec<NodeId> = (0..4).map(|u| h.add_session(session(u as u64 + 1))).collect();
+    h.settle();
+    for w in nodes.windows(2) {
+        let dst = h.session(w[1]).gid(&path()).expect("registered");
+        h.session_mut(w[0]).couple(&path(), dst).expect("registered");
+        h.settle();
     }
 
-    #[test]
-    fn event_storms_converge_on_chain_groups(
-        seed in 0u64..1_000,
-        texts in prop::collection::vec(("[a-z]{1,8}", 0usize..4), 1..30),
-    ) {
-        let mut h = SimHarness::with_latency(seed, 700);
-        let nodes: Vec<NodeId> = (0..4).map(|u| h.add_session(session(u as u64 + 1))).collect();
-        h.settle();
-        for w in nodes.windows(2) {
-            let dst = h.session(w[1]).gid(&path()).expect("registered");
-            h.session_mut(w[0]).couple(&path(), dst).expect("registered");
-            h.settle();
-        }
-
-        // Everyone types concurrently (some events get rejected — fine);
-        // after quiescence all four replicas must agree.
-        for (text, user) in &texts {
-            let _ = h.session_mut(nodes[*user]).user_event(UiEvent::new(
-                path(),
-                EventKind::TextCommitted,
-                vec![Value::Text(text.clone())],
-            ));
-        }
-        h.settle();
-        let reference = text_of(&h, nodes[0]);
-        for &n in &nodes[1..] {
-            prop_assert_eq!(&text_of(&h, n), &reference, "replicas diverged after storm");
-        }
-        prop_assert!(h.server.locks().is_empty());
+    // Everyone types concurrently (some events get rejected — fine);
+    // after quiescence all four replicas must agree.
+    for (text, user) in texts {
+        let _ = h.session_mut(nodes[*user]).user_event(UiEvent::new(
+            path(),
+            EventKind::TextCommitted,
+            vec![Value::Text(text.clone())],
+        ));
     }
+    h.settle();
+    let reference = text_of(&h, nodes[0]);
+    for &n in &nodes[1..] {
+        assert_eq!(&text_of(&h, n), &reference, "replicas diverged after storm");
+    }
+    assert!(h.server.locks().is_empty());
 }
