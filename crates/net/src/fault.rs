@@ -22,21 +22,25 @@
 //! plumbing — but the public constructors and
 //! [`crate::tcp::TcpHost::bind_with_faults`] only exist behind the
 //! non-default `fault-injection` cargo feature, so a release build has
-//! no way to instrument a host (the workspace audit asserts the feature
-//! stays out of default feature sets).
+//! no way to instrument a host (a doctest on the `cosoft` facade fails to
+//! compile `cosoft::net::FaultInjector` unless the feature was asked
+//! for).
 
-// Without the feature there is no way to construct faults, so the
-// scripting surface is (correctly) unreachable — not a code smell.
-#![cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
+#![cfg_attr(
+    not(feature = "fault-injection"),
+    allow(
+        dead_code,
+        reason = "without the feature there is no way to construct faults, so the scripting surface is (correctly) unreachable"
+    )
+)]
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use cosoft_rng::Rng;
 
-use crate::held;
+use crate::lock::LeafLock;
 use crate::tcp::ConnId;
 
 /// One scripted decision for a socket write.
@@ -126,7 +130,7 @@ struct Scripts {
 /// instrumented host. See the module docs for the model.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
-    scripts: Mutex<Scripts>,
+    scripts: LeafLock<Scripts>,
     injected: AtomicU64,
 }
 
@@ -152,7 +156,7 @@ impl FaultInjector {
         short_per_mille: u16,
     ) -> FaultInjector {
         let injector = FaultInjector::default();
-        held(injector.scripts.lock()).random = Some(RandomMode {
+        injector.scripts.held().random = Some(RandomMode {
             rng: Rng::new(seed),
             truncate_per_mille,
             wouldblock_per_mille,
@@ -167,14 +171,14 @@ impl FaultInjector {
     /// scripts `ConnId(1)`.
     #[cfg(feature = "fault-injection")]
     pub fn script_writes(&self, conn: ConnId, faults: impl IntoIterator<Item = WriteFault>) {
-        held(self.scripts.lock()).writes.entry(conn).or_default().extend(faults);
+        self.scripts.held().writes.entry(conn).or_default().extend(faults);
     }
 
     /// Appends scripted read faults for one connection; see
     /// [`FaultInjector::script_writes`].
     #[cfg(feature = "fault-injection")]
     pub fn script_reads(&self, conn: ConnId, faults: impl IntoIterator<Item = ReadFault>) {
-        held(self.scripts.lock()).reads.entry(conn).or_default().extend(faults);
+        self.scripts.held().reads.entry(conn).or_default().extend(faults);
     }
 
     /// Total faults injected so far (every non-`Pass` decision).
@@ -186,19 +190,19 @@ impl FaultInjector {
     /// A test asserting "the schedule ran to completion" checks this
     /// reaches 0.
     pub fn pending_write_faults(&self) -> usize {
-        held(self.scripts.lock()).writes.values().map(VecDeque::len).sum()
+        self.scripts.held().writes.values().map(VecDeque::len).sum()
     }
 
     /// Scripted read faults not yet consumed, across all connections.
     pub fn pending_read_faults(&self) -> usize {
-        held(self.scripts.lock()).reads.values().map(VecDeque::len).sum()
+        self.scripts.held().reads.values().map(VecDeque::len).sum()
     }
 
     /// Decision for the next write on `conn`. Scripted faults are
     /// consumed first; with none queued, random mode (if configured)
     /// rolls; otherwise the write passes.
     pub(crate) fn on_write(&self, conn: ConnId) -> WriteDecision {
-        let mut scripts = held(self.scripts.lock());
+        let mut scripts = self.scripts.held();
         if let Some(fault) = scripts.writes.get_mut(&conn).and_then(VecDeque::pop_front) {
             return self.decide_write(fault);
         }
@@ -220,7 +224,7 @@ impl FaultInjector {
     /// Decision for the next read on `conn`; mirrors
     /// [`FaultInjector::on_write`].
     pub(crate) fn on_read(&self, conn: ConnId) -> ReadDecision {
-        let mut scripts = held(self.scripts.lock());
+        let mut scripts = self.scripts.held();
         if let Some(fault) = scripts.reads.get_mut(&conn).and_then(VecDeque::pop_front) {
             return self.decide_read(fault);
         }
@@ -288,7 +292,7 @@ mod tests {
     #[test]
     fn scripted_faults_consume_in_order_then_pass() {
         let inj = injector();
-        held(inj.scripts.lock()).writes.entry(ConnId(7)).or_default().extend([
+        inj.scripts.held().writes.entry(ConnId(7)).or_default().extend([
             WriteFault::Truncate(3),
             WriteFault::WouldBlock,
             WriteFault::Pass,
@@ -314,7 +318,7 @@ mod tests {
     #[test]
     fn scripts_are_per_connection() {
         let inj = injector();
-        held(inj.scripts.lock()).reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(5));
+        inj.scripts.held().reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(5));
         assert_eq!(inj.pending_read_faults(), 1);
         assert!(matches!(inj.on_read(ConnId(2)), ReadDecision::Pass));
         assert!(matches!(inj.on_read(ConnId(1)), ReadDecision::Short(5)));
@@ -324,7 +328,7 @@ mod tests {
     #[test]
     fn read_stall_and_error_faults_map_to_io_errors() {
         let inj = injector();
-        held(inj.scripts.lock()).reads.entry(ConnId(4)).or_default().extend([
+        inj.scripts.held().reads.entry(ConnId(4)).or_default().extend([
             ReadFault::WouldBlock,
             ReadFault::Pass,
             ReadFault::Error(io::ErrorKind::BrokenPipe),
@@ -344,12 +348,8 @@ mod tests {
     #[test]
     fn truncate_and_short_clamp_to_one_byte() {
         let inj = injector();
-        held(inj.scripts.lock())
-            .writes
-            .entry(ConnId(1))
-            .or_default()
-            .push_back(WriteFault::Truncate(0));
-        held(inj.scripts.lock()).reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(0));
+        inj.scripts.held().writes.entry(ConnId(1)).or_default().push_back(WriteFault::Truncate(0));
+        inj.scripts.held().reads.entry(ConnId(1)).or_default().push_back(ReadFault::Short(0));
         assert!(matches!(inj.on_write(ConnId(1)), WriteDecision::Truncate(1)));
         assert!(matches!(inj.on_read(ConnId(1)), ReadDecision::Short(1)));
     }
@@ -358,7 +358,7 @@ mod tests {
     fn random_mode_is_deterministic_per_seed_and_never_errors() {
         let run = |seed: u64| {
             let inj = injector();
-            held(inj.scripts.lock()).random = Some(RandomMode {
+            inj.scripts.held().random = Some(RandomMode {
                 rng: Rng::new(seed),
                 truncate_per_mille: 200,
                 wouldblock_per_mille: 200,
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn a_random_mode_seed_fixes_its_decisions() {
         let inj = injector();
-        held(inj.scripts.lock()).random = Some(RandomMode {
+        inj.scripts.held().random = Some(RandomMode {
             rng: Rng::new(1),
             truncate_per_mille: 300,
             wouldblock_per_mille: 300,
@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn zero_per_mille_random_mode_never_faults() {
         let inj = injector();
-        held(inj.scripts.lock()).random = Some(RandomMode {
+        inj.scripts.held().random = Some(RandomMode {
             rng: Rng::new(9),
             truncate_per_mille: 0,
             wouldblock_per_mille: 0,

@@ -15,6 +15,23 @@
 //! The server and client cores are written sans-I/O (they map an incoming
 //! message to outgoing messages) so both carriers drive identical logic.
 
+// No panic in what a socket can reach: clippy refuses these in the
+// crate's non-test code, and each exception is an `#[expect]` on the
+// site with the invariant that makes it infallible (DESIGN.md §7.1).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 /// Deterministic fault injection for the TCP transport (scripted and
 /// seeded-random partial writes, short reads, `WouldBlock` storms,
 /// injected socket errors). The module is always compiled so the poll
@@ -26,19 +43,11 @@
 pub mod fault;
 #[cfg(not(feature = "fault-injection"))]
 pub(crate) mod fault;
+pub(crate) mod lock;
 pub(crate) mod poll;
 pub mod queue;
 pub mod sim;
 pub mod tcp;
-
-/// The guard a `lock()` or a condition-variable wait returns, poisoning
-/// ignored: `held(conns.lock())`. A transport thread that panicked under
-/// a lock must not take the other connections' threads with it, and every
-/// structure these mutexes guard (connection map, outbox ring, queue,
-/// fault scripts, wake flags) is valid between any two of its updates.
-pub(crate) fn held<G>(result: std::sync::LockResult<G>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultInjector, ReadFault, WriteFault};

@@ -5,10 +5,11 @@
 //!
 //! # Why this is a sweep loop and not epoll
 //!
-//! The workspace forbids `unsafe` in every crate (the `cosoft-audit`
-//! lint enforces it) and the build environment carries no FFI crates, so
-//! raw `epoll`/`kqueue` is out of reach. The layer therefore has the
-//! *shape* of a mio-style poller — one thread owns N sockets, writes are
+//! The workspace forbids `unsafe` in every crate (`unsafe_code =
+//! "forbid"` in the root manifest's `[workspace.lints]`) and the build
+//! environment carries no FFI crates, so raw `epoll`/`kqueue` is out of
+//! reach. The layer therefore has the *shape* of a mio-style poller —
+//! one thread owns N sockets, writes are
 //! buffered in ring outboxes and flushed on writability, a wake token
 //! lets other threads signal the loop — but readiness is discovered by
 //! adaptive nonblocking sweeps: each connection is read-probed on a
@@ -24,14 +25,14 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use cosoft_wire::{codec, Bytes, Message};
 
 use crate::fault::{FaultInjector, ReadDecision, WriteDecision};
-use crate::held;
-use crate::queue::{Receiver, Sender, TryRecvError};
+use crate::lock::{self, ConnMapLock, LeafLock, OutboxLock};
+use crate::queue::{PollReceiver, Sender, TryRecvError};
 use crate::tcp::{ConnId, Counters, NetEvent};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
@@ -63,7 +64,7 @@ const MAX_SKIP: u32 = 4;
 /// for backpressure and flush waiting.
 #[derive(Debug, Default)]
 pub(crate) struct Gate {
-    generation: Mutex<u64>,
+    generation: LeafLock<u64>,
     cv: Condvar,
 }
 
@@ -71,12 +72,12 @@ impl Gate {
     /// Current notification generation; capture before checking the
     /// awaited condition.
     pub(crate) fn generation(&self) -> u64 {
-        *held(self.generation.lock())
+        *self.generation.held()
     }
 
     /// Bumps the generation and wakes every waiter.
     pub(crate) fn notify(&self) {
-        *held(self.generation.lock()) += 1;
+        *self.generation.held() += 1;
         self.cv.notify_all();
     }
 
@@ -84,11 +85,11 @@ impl Gate {
     /// immediately if a notification already happened after `seen` was
     /// captured.
     pub(crate) fn wait(&self, seen: u64, timeout: Duration) {
-        let guard = held(self.generation.lock());
+        let guard = self.generation.held();
         if *guard != seen {
             return;
         }
-        let _ = self.cv.wait_timeout(guard, timeout);
+        drop(guard.wait_timeout(&self.cv, timeout));
     }
 }
 
@@ -96,7 +97,7 @@ impl Gate {
 /// blocks; `park` sleeps until woken or the timeout elapses.
 #[derive(Debug, Default)]
 pub(crate) struct PollWaker {
-    woken: Mutex<bool>,
+    woken: LeafLock<bool>,
     cv: Condvar,
 }
 
@@ -104,16 +105,15 @@ impl PollWaker {
     /// Signals the poll thread; latched, so a wake during a sweep makes
     /// the following park return immediately.
     pub(crate) fn wake(&self) {
-        *held(self.woken.lock()) = true;
+        *self.woken.held() = true;
         self.cv.notify_one();
     }
 
     /// Parks until woken or `timeout`; consumes the latch.
     pub(crate) fn park(&self, timeout: Duration) {
-        let mut guard = held(self.woken.lock());
+        let mut guard = self.woken.held();
         if !*guard {
-            let (g, _) = held(self.cv.wait_timeout(guard, timeout));
-            guard = g;
+            guard = guard.wait_timeout(&self.cv, timeout);
         }
         *guard = false;
     }
@@ -166,7 +166,7 @@ impl Outbox {
 /// thread that owns the connection's socket.
 pub(crate) struct ConnShared {
     /// The outbound ring buffer.
-    pub(crate) outbox: Arc<Mutex<Outbox>>,
+    pub(crate) outbox: Arc<OutboxLock<Outbox>>,
     /// Unwritten outbound bytes; the backpressure budget is accounted
     /// against this (reserved at enqueue, released as bytes hit the
     /// socket).
@@ -182,7 +182,7 @@ pub(crate) struct ConnShared {
 }
 
 /// Connection registry shared by the host handle and the poll pool.
-pub(crate) type ConnMap = Arc<Mutex<HashMap<ConnId, ConnShared>>>;
+pub(crate) type ConnMap = Arc<ConnMapLock<HashMap<ConnId, ConnShared>>>;
 
 // --------------------------------------------------------------------------
 // frame reassembly
@@ -240,7 +240,7 @@ impl FrameReader {
 /// Control messages from the host to one poll thread.
 pub(crate) enum Cmd {
     /// Adopt a freshly accepted nonblocking socket.
-    Register(ConnId, TcpStream, Arc<Mutex<Outbox>>, Arc<AtomicUsize>, Arc<Gate>),
+    Register(ConnId, TcpStream, Arc<OutboxLock<Outbox>>, Arc<AtomicUsize>, Arc<Gate>),
     /// Tear one connection down (eviction or explicit disconnect) and
     /// surface its `Disconnected` event.
     Close(ConnId),
@@ -251,7 +251,7 @@ pub(crate) enum Cmd {
 /// Per-connection state owned by its poll thread.
 struct PollConn {
     stream: TcpStream,
-    outbox: Arc<Mutex<Outbox>>,
+    outbox: Arc<OutboxLock<Outbox>>,
     queued_bytes: Arc<AtomicUsize>,
     gate: Arc<Gate>,
     frames: FrameReader,
@@ -271,7 +271,7 @@ struct PollConn {
 /// flushes outboxes on writability, reassembles inbound frames, and
 /// parks on its waker between unproductive sweeps.
 pub(crate) struct PollThread {
-    cmds: Receiver<Cmd>,
+    cmds: PollReceiver<Cmd>,
     waker: Arc<PollWaker>,
     events: Sender<NetEvent>,
     conns_shared: ConnMap,
@@ -288,7 +288,7 @@ pub(crate) struct PollThread {
 
 impl PollThread {
     pub(crate) fn new(
-        cmds: Receiver<Cmd>,
+        cmds: PollReceiver<Cmd>,
         waker: Arc<PollWaker>,
         events: Sender<NetEvent>,
         conns_shared: ConnMap,
@@ -428,8 +428,10 @@ impl PollThread {
     ) -> io::Result<bool> {
         let mut wrote_any = false;
         loop {
-            // audit: lock-across-write — per-connection outbox lock held over the nonblocking write so head accounting stays atomic with the bytes the socket took; only enqueuers contend
-            let mut ob = held(conn.outbox.lock());
+            // The per-connection outbox lock is held over the nonblocking
+            // write so head accounting stays atomic with the bytes the
+            // socket took; only enqueuers contend.
+            let mut ob = conn.outbox.held();
             if ob.batches.is_empty() {
                 return Ok(wrote_any);
             }
@@ -457,6 +459,9 @@ impl PollThread {
                         }
                     }
                 }
+                // That outbox lock and no other: a host-wide lock held
+                // here would stall every sender behind one socket.
+                lock::assert_holds_only(lock::OUTBOX);
                 match conn.stream.write_vectored(&slices) {
                     Ok(0) => {
                         return Err(io::Error::new(
@@ -585,9 +590,9 @@ impl PollThread {
     /// once (commands for already-gone connections are ignored).
     fn teardown(&mut self, id: ConnId) {
         let Some(conn) = self.conns.remove(&id) else { return };
-        held(self.conns_shared.lock()).remove(&id);
+        self.conns_shared.held().remove(&id);
         let (dropped_frames, dropped_bytes) = {
-            let mut ob = held(conn.outbox.lock());
+            let mut ob = conn.outbox.held();
             ob.closed = true;
             let frames: u64 = ob.batches.iter().map(|b| b.frames).sum();
             let bytes: usize =

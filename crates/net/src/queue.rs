@@ -1,8 +1,9 @@
 //! The channel the transport's threads talk through: one mutex-guarded
 //! queue with two condition variables, any number of [`Sender`]s and one
-//! [`Receiver`]. A side learns that the other is gone — the last sender
-//! dropped, or the receiver — instead of waiting for it, and messages
-//! queued before the senders went stay receivable.
+//! [`Receiver`] (or the [`PollReceiver`] made of it, which cannot wait).
+//! A side learns that the other is gone — the last sender dropped, or
+//! the receiver — instead of waiting for it, and messages queued before
+//! the senders went stay receivable.
 //!
 //! It is what `std::sync::mpsc` is, plus the two things the transport
 //! needs of it: a [`Sender::send_timeout`] on a bounded queue (a client's
@@ -10,10 +11,10 @@
 //! [`RecvTimeoutError::is_timeout`].
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-use crate::held;
+use crate::lock::{Held, LeafLock};
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -22,7 +23,7 @@ struct State<T> {
 }
 
 struct Shared<T> {
-    state: Mutex<State<T>>,
+    state: LeafLock<State<T>>,
     /// `usize::MAX` for an unbounded queue.
     cap: usize,
     not_empty: Condvar,
@@ -39,11 +40,35 @@ pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
+/// The receiving half as a poll thread holds it: a thread that owns
+/// sockets must never sleep on its command queue, so the only way to
+/// take a message is [`PollReceiver::try_recv`].
+///
+/// ```
+/// let (tx, rx) = cosoft_net::queue::unbounded();
+/// let rx = rx.poll_only();
+/// tx.send(7u8).unwrap();
+/// assert_eq!(rx.try_recv(), Ok(7));
+/// ```
+///
+/// The waits of [`Receiver`] do not exist on it:
+///
+/// ```compile_fail,E0599
+/// let (_tx, rx) = cosoft_net::queue::unbounded::<u8>();
+/// let _ = rx.poll_only().recv();
+/// ```
+///
+/// ```compile_fail,E0599
+/// let (_tx, rx) = cosoft_net::queue::unbounded::<u8>();
+/// let _ = rx.poll_only().recv_timeout(std::time::Duration::ZERO);
+/// ```
+pub struct PollReceiver<T>(Receiver<T>);
+
 /// A queue holding at most `cap` messages (at least one: the transport
 /// has no use for a rendezvous).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receiver_alive: true }),
+        state: LeafLock::new(State { queue: VecDeque::new(), senders: 1, receiver_alive: true }),
         cap: cap.max(1),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -118,22 +143,22 @@ enum Wait {
 /// Waits on `cv` as long as `wait` allows; `None` once that is used up.
 fn wait_on<'a, T>(
     cv: &Condvar,
-    guard: MutexGuard<'a, State<T>>,
+    guard: Held<'a, State<T>>,
     wait: Wait,
-) -> Option<MutexGuard<'a, State<T>>> {
+) -> Option<Held<'a, State<T>>> {
     match wait {
         Wait::No => None,
-        Wait::Forever => Some(held(cv.wait(guard))),
+        Wait::Forever => Some(guard.wait(cv)),
         Wait::Until(deadline) => {
             let left = deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())?;
-            Some(held(cv.wait_timeout(guard, left)).0)
+            Some(guard.wait_timeout(cv, left))
         }
     }
 }
 
 impl<T> Sender<T> {
     fn send_within(&self, msg: T, wait: Wait) -> Result<(), SendTimeoutError<T>> {
-        let mut state = held(self.shared.state.lock());
+        let mut state = self.shared.state.held();
         loop {
             if !state.receiver_alive {
                 return Err(SendTimeoutError::Disconnected(msg));
@@ -174,7 +199,7 @@ impl<T> Sender<T> {
 
 impl<T> Receiver<T> {
     fn recv_within(&self, wait: Wait) -> Result<T, RecvTimeoutError> {
-        let mut state = held(self.shared.state.lock());
+        let mut state = self.shared.state.held();
         loop {
             if let Some(msg) = state.queue.pop_front() {
                 drop(state);
@@ -208,18 +233,30 @@ impl<T> Receiver<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         self.recv_within(Wait::Until(Instant::now() + timeout))
     }
+
+    /// Gives up the waits: what is left can only be polled.
+    pub fn poll_only(self) -> PollReceiver<T> {
+        PollReceiver(self)
+    }
+}
+
+impl<T> PollReceiver<T> {
+    /// Dequeues the next message if one is queued.
+    pub fn try_recv(&self) -> Result<T, TryRecvError> {
+        self.0.try_recv()
+    }
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        held(self.shared.state.lock()).senders += 1;
+        self.shared.state.held().senders += 1;
         Sender { shared: self.shared.clone() }
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut state = held(self.shared.state.lock());
+        let mut state = self.shared.state.held();
         state.senders -= 1;
         if state.senders == 0 {
             drop(state);
@@ -230,7 +267,7 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        held(self.shared.state.lock()).receiver_alive = false;
+        self.shared.state.held().receiver_alive = false;
         self.shared.not_full.notify_all();
     }
 }

@@ -27,13 +27,13 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cosoft_wire::{codec, Bytes, Message, SharedFrame};
 
-use crate::held;
+use crate::lock::{ConnMapLock, LeafLock, OutboxLock};
 use crate::poll::{Cmd, ConnMap, ConnShared, Gate, OutBatch, Outbox, PollThread, PollWaker};
 use crate::queue::{
     bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
@@ -190,9 +190,8 @@ impl TcpStatsHandle {
     /// Current counter values.
     pub fn snapshot(&self) -> TcpStats {
         let (active, deepest, deepest_bytes) = {
-            let conns = held(self.conns.lock());
-            let deepest =
-                conns.values().map(|c| held(c.outbox.lock()).batches.len()).max().unwrap_or(0);
+            let conns = self.conns.held();
+            let deepest = conns.values().map(|c| c.outbox.held().batches.len()).max().unwrap_or(0);
             let deepest_bytes =
                 conns.values().map(|c| c.queued_bytes.load(Ordering::Relaxed)).max().unwrap_or(0);
             (conns.len(), deepest, deepest_bytes)
@@ -292,7 +291,7 @@ impl TcpHost {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let (tx, rx) = unbounded();
-        let conns: ConnMap = Arc::new(Mutex::new(HashMap::new()));
+        let conns: ConnMap = Arc::new(ConnMapLock::new(HashMap::new()));
         let counters = Arc::new(Counters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let next_id = Arc::new(AtomicU64::new(1));
@@ -307,7 +306,7 @@ impl TcpHost {
             let (cmd_tx, cmd_rx) = unbounded();
             let waker = Arc::new(PollWaker::default());
             let thread_body = PollThread::new(
-                cmd_rx,
+                cmd_rx.poll_only(),
                 waker.clone(),
                 tx.clone(),
                 conns.clone(),
@@ -356,7 +355,7 @@ impl TcpHost {
                     // the poll pool: a refused dial costs one accept and
                     // one shutdown, never poll-pool state or events.
                     if config.max_connections > 0
-                        && held(accept_conns.lock()).len() >= config.max_connections
+                        && accept_conns.held().len() >= config.max_connections
                     {
                         accept_counters.connections_refused.fetch_add(1, Ordering::Relaxed);
                         let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -391,11 +390,11 @@ impl TcpHost {
                         let _ = stream.shutdown(std::net::Shutdown::Both);
                         continue;
                     };
-                    let outbox = Arc::new(Mutex::new(Outbox::default()));
+                    let outbox = Arc::new(OutboxLock::new(Outbox::default()));
                     let queued_bytes = Arc::new(AtomicUsize::new(0));
                     let gate = Arc::new(Gate::default());
                     let thread = (id.0 as usize) % accept_pool.len();
-                    held(accept_conns.lock()).insert(
+                    accept_conns.held().insert(
                         id,
                         ConnShared {
                             outbox: outbox.clone(),
@@ -408,7 +407,7 @@ impl TcpHost {
                     if tx.send(NetEvent::Connected(id)).is_err() {
                         break;
                     }
-                    // audit: infallible — thread is id % accept_pool.len()
+                    #[expect(clippy::indexing_slicing, reason = "thread is id % accept_pool.len()")]
                     let (cmds, waker) = &accept_pool[thread];
                     if cmds.send(Cmd::Register(id, stream, outbox, queued_bytes, gate)).is_err() {
                         break;
@@ -458,7 +457,7 @@ impl TcpHost {
     /// Queued (not yet fully written) outbound batches for one
     /// connection.
     pub fn queue_depth(&self, conn: ConnId) -> Option<usize> {
-        held(self.conns.lock()).get(&conn).map(|c| held(c.outbox.lock()).batches.len())
+        self.conns.held().get(&conn).map(|c| c.outbox.held().batches.len())
     }
 
     /// Sends a message to one connection by enqueueing it on the
@@ -524,7 +523,7 @@ impl TcpHost {
         // Hold the map lock only to clone the connection's handles: the
         // admission wait happens outside, so a full backlog on one
         // connection never blocks sends to its peers.
-        let (outbox, queued_bytes, gate, thread) = match held(self.conns.lock()).get(&conn) {
+        let (outbox, queued_bytes, gate, thread) = match self.conns.held().get(&conn) {
             Some(c) => (c.outbox.clone(), c.queued_bytes.clone(), c.gate.clone(), c.thread),
             None => {
                 self.counters.frames_dropped.fetch_add(batch.frames, Ordering::Relaxed);
@@ -542,7 +541,7 @@ impl TcpHost {
             // returns immediately instead of losing the wakeup.
             let seen = gate.generation();
             {
-                let mut ob = held(outbox.lock());
+                let mut ob = outbox.held();
                 if ob.closed {
                     self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
                     return Err(io::Error::new(io::ErrorKind::NotConnected, "connection closed"));
@@ -590,25 +589,35 @@ impl TcpHost {
     /// Forcibly disconnects a consumer whose backlog stayed over budget.
     /// The owning poll thread surfaces the [`NetEvent::Disconnected`].
     fn evict_slow_consumer(&self, conn: ConnId) {
-        if let Some(c) = held(self.conns.lock()).remove(&conn) {
+        if let Some(c) = self.unmap(conn) {
             self.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
-            c.control.shutdown(std::net::Shutdown::Both).ok();
-            if let Some(t) = self.pool.get(c.thread) {
-                let _ = t.cmds.send(Cmd::Close(conn));
-                t.waker.wake();
-            }
+            self.shut(conn, &c);
         }
     }
 
     /// Closes one connection; the owning poll thread will surface a
     /// [`NetEvent::Disconnected`].
     pub fn disconnect(&self, conn: ConnId) {
-        if let Some(c) = held(self.conns.lock()).remove(&conn) {
-            c.control.shutdown(std::net::Shutdown::Both).ok();
-            if let Some(t) = self.pool.get(c.thread) {
-                let _ = t.cmds.send(Cmd::Close(conn));
-                t.waker.wake();
-            }
+        if let Some(c) = self.unmap(conn) {
+            self.shut(conn, &c);
+        }
+    }
+
+    /// Takes `conn` out of the map. The guard dies with this call: in an
+    /// `if let` scrutinee it would live to the end of the block, and the
+    /// host-wide map lock is not held over a syscall, a channel send or
+    /// a wake.
+    fn unmap(&self, conn: ConnId) -> Option<ConnShared> {
+        self.conns.held().remove(&conn)
+    }
+
+    /// Shuts an unmapped connection's socket down and has its poll
+    /// thread tear it down.
+    fn shut(&self, conn: ConnId, c: &ConnShared) {
+        c.control.shutdown(std::net::Shutdown::Both).ok();
+        if let Some(t) = self.pool.get(c.thread) {
+            let _ = t.cmds.send(Cmd::Close(conn));
+            t.waker.wake();
         }
     }
 }
@@ -777,7 +786,7 @@ const CLIENT_FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
 /// wedged write used to pin that lock and block `send`/`close`/`sever`
 /// (and the reconnect swap) indefinitely.
 pub struct TcpClient {
-    stream: Arc<Mutex<TcpStream>>,
+    stream: Arc<LeafLock<TcpStream>>,
     outbox: Sender<Bytes>,
     /// Frames enqueued but not yet written (close drains these briefly).
     pending_writes: Arc<AtomicUsize>,
@@ -843,7 +852,7 @@ impl TcpClient {
         if stream.set_nodelay(true).is_err() {
             sockopt_failures.fetch_add(1, Ordering::Relaxed);
         }
-        let stream = Arc::new(Mutex::new(stream));
+        let stream = Arc::new(LeafLock::new(stream));
         let closed = Arc::new(AtomicBool::new(false));
         let broken = Arc::new(AtomicBool::new(false));
         let pending_writes = Arc::new(AtomicUsize::new(0));
@@ -888,7 +897,7 @@ impl TcpClient {
             Err(e) => {
                 // Surface thread exhaustion as a connect failure; close
                 // the socket so the peer sees the dead connection.
-                let _ = held(stream.lock()).shutdown(std::net::Shutdown::Both);
+                let _ = stream.held().shutdown(std::net::Shutdown::Both);
                 return Err(e);
             }
         };
@@ -918,7 +927,7 @@ impl TcpClient {
                 // and shut the socket down so it exits instead of
                 // leaking, then report the failure to the caller.
                 closed.store(true, Ordering::SeqCst);
-                let _ = held(stream.lock()).shutdown(std::net::Shutdown::Both);
+                let _ = stream.held().shutdown(std::net::Shutdown::Both);
                 return Err(e);
             }
         };
@@ -942,7 +951,7 @@ impl TcpClient {
 
     fn writer_loop(
         outbox: Receiver<Bytes>,
-        stream: &Mutex<TcpStream>,
+        stream: &LeafLock<TcpStream>,
         closed: &AtomicBool,
         broken: &AtomicBool,
         pending: &AtomicUsize,
@@ -953,7 +962,7 @@ impl TcpClient {
             // Clone the fd under the lock, write on the clone with the
             // lock released: a wedged socket write must never pin the
             // stream mutex (close/sever and the reconnect swap need it).
-            let cloned = held(stream.lock()).try_clone();
+            let cloned = stream.held().try_clone();
             let result = match cloned {
                 Ok(mut s) => s.write_all(&frame),
                 Err(e) => Err(e),
@@ -981,11 +990,14 @@ impl TcpClient {
         flushed.notify();
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the reader thread's whole state, borrowed from the closure that owns it"
+    )]
     fn reader_loop(
         addr: SocketAddr,
         policy: Option<ReconnectPolicy>,
-        stream: &Mutex<TcpStream>,
+        stream: &LeafLock<TcpStream>,
         closed: &AtomicBool,
         reconnects: &AtomicU64,
         reconnect_attempts: &AtomicU64,
@@ -995,7 +1007,7 @@ impl TcpClient {
         event_tx: Option<&Sender<ClientEvent>>,
     ) {
         loop {
-            let Ok(reader_stream) = held(stream.lock()).try_clone() else {
+            let Ok(reader_stream) = stream.held().try_clone() else {
                 return;
             };
             let mut reader = BufReader::new(reader_stream);
@@ -1034,6 +1046,10 @@ impl TcpClient {
                 // The server's retry advice is a floor under the
                 // policy's own backoff, never a shortcut below it.
                 let advice = Duration::from_millis(busy_advice_ms.load(Ordering::Relaxed));
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the client supervisor's reconnect back-off: this thread owns no socket but the one it is redialing"
+                )]
                 std::thread::sleep(policy.delay_before(attempts).max(advice));
                 if closed.load(Ordering::SeqCst) {
                     return;
@@ -1043,12 +1059,12 @@ impl TcpClient {
                         if fresh.set_nodelay(true).is_err() {
                             sockopt_failures.fetch_add(1, Ordering::Relaxed);
                         }
-                        *held(stream.lock()) = fresh;
+                        *stream.held() = fresh;
                         // close() may have raced the swap: shut the fresh
                         // socket down too rather than resurrecting a
                         // client the application already closed.
                         if closed.load(Ordering::SeqCst) {
-                            held(stream.lock()).shutdown(std::net::Shutdown::Both).ok();
+                            stream.held().shutdown(std::net::Shutdown::Both).ok();
                             return;
                         }
                         reconnects.fetch_add(1, Ordering::Relaxed);
@@ -1207,14 +1223,14 @@ impl TcpClient {
                 self.flushed.wait(seen, deadline - now);
             }
         }
-        held(self.stream.lock()).shutdown(std::net::Shutdown::Both).ok();
+        self.stream.held().shutdown(std::net::Shutdown::Both).ok();
     }
 
     /// Kills the current connection *without* marking the client closed —
     /// indistinguishable from a network failure, so a reconnect-enabled
     /// client redials. Intended for fault-injection tests.
     pub fn sever(&self) {
-        held(self.stream.lock()).shutdown(std::net::Shutdown::Both).ok();
+        self.stream.held().shutdown(std::net::Shutdown::Both).ok();
     }
 }
 
@@ -1254,10 +1270,10 @@ mod tests {
             NetEvent::Connected(c) => c,
             other => panic!("expected Connected, got {other:?}"),
         };
-        let outbox = held(host.conns.lock()).get(&conn).expect("registered").outbox.clone();
+        let outbox = host.conns.held().get(&conn).expect("registered").outbox.clone();
         let doomed = outbox.clone();
         let died = std::thread::spawn(move || {
-            let _guard = doomed.lock().unwrap();
+            let _guard = doomed.held();
             panic!("dies holding the outbox");
         });
         assert!(died.join().is_err());
@@ -1501,10 +1517,16 @@ mod tests {
         };
 
         // Late-starting consumer: the backlog fills first (kernel buffer
-        // + byte budget << ROUNDS × 256 KiB), then drains steadily.
+        // + byte budget << ROUNDS × 256 KiB) and an enqueue has to wait,
+        // then it drains steadily.
+        let counters = host.counters.clone();
         let drainer = std::thread::spawn(move || {
             use std::io::Read;
-            std::thread::sleep(Duration::from_millis(150));
+            let t0 = Instant::now();
+            while counters.enqueue_full_waits.load(Ordering::Relaxed) == 0 && t0.elapsed() < TIMEOUT
+            {
+                std::thread::yield_now();
+            }
             let mut socket = socket;
             let mut sink = vec![0u8; 64 * 1024];
             let mut total = 0usize;

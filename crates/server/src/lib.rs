@@ -10,6 +10,23 @@
 //! endpoint key, so the same core runs on the deterministic simulated
 //! network and over real TCP (see `cosoft-net`).
 
+// No panic in what a socket can reach: clippy refuses these in the
+// crate's non-test code, and each exception is an `#[expect]` on the
+// site with the invariant that makes it infallible (DESIGN.md §7.1).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod access;
 mod couple;
 mod history;

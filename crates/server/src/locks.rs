@@ -152,9 +152,12 @@ impl LockTable {
     ///
     /// Panics when the reverse index diverges from the holder map.
     #[doc(hidden)]
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking test-support wrapper; production code calls check_invariants"
+    )]
     pub fn assert_index_consistent(&self) {
         if let Err(e) = self.check_invariants() {
-            // audit: infallible — documented panicking test-support wrapper; production code calls check_invariants
             panic!("{e}");
         }
     }

@@ -410,8 +410,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     #[inline]
     fn debug_check_invariants(&self) {
         #[cfg(debug_assertions)]
+        #[expect(
+            clippy::panic,
+            reason = "deliberate debug-build assert, compiled out of release binaries"
+        )]
         if let Err(e) = self.check_invariants() {
-            // audit: infallible — deliberate debug-build assert, compiled out of release binaries
             panic!("server invariant violated: {e}");
         }
     }
@@ -559,8 +562,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     fn handle_registered(&mut self, from: InstanceId, msg: Message) -> Outgoing<E> {
         let mut out = Outgoing::new();
         match msg {
+            #[expect(
+                clippy::unreachable,
+                reason = "handle() dispatches Register/Rejoin before reaching here"
+            )]
             Message::Register { .. } | Message::Rejoin { .. } => {
-                // audit: infallible — handle() dispatches Register/Rejoin before reaching here
                 unreachable!("handled in handle()")
             }
             Message::Ping { nonce } => {

@@ -101,7 +101,10 @@ impl<E> Outgoing<E> {
             match item {
                 Delivery::Unicast(e, m) => flat.push((e, m)),
                 Delivery::Shared(endpoints, frame) => {
-                    // audit: infallible — frames here are built by frame_message_shared from valid messages
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "frames here are built by frame_message_shared from valid messages"
+                    )]
                     let msg = frame.decode().expect("server-encoded frame decodes");
                     let mut endpoints = endpoints.into_iter();
                     if let Some(last) = endpoints.next_back() {

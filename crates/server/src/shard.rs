@@ -222,22 +222,31 @@ impl<E: Copy + Eq + Hash> ShardRouter<E> {
     }
 
     /// Read access to one shard core (tests, invariant checks).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indexing accessor; callers pass index < shard_count() by contract"
+    )]
     pub fn shard(&self, index: usize) -> &ServerCore<E> {
-        // audit: infallible — indexing accessor; callers pass index < shard_count() by contract
         &self.shards[index]
     }
 
     /// The shard core at a routed index. Indexes stored in the routing
     /// maps are always in range: they are only ever written from live
     /// shard positions and the shard vector never shrinks.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "routing maps only hold indexes < shards.len() and shards never shrinks"
+    )]
     fn core(&self, index: usize) -> &ServerCore<E> {
-        // audit: infallible — routing maps only hold indexes < shards.len() and shards never shrinks
         &self.shards[index]
     }
 
     /// Mutable twin of [`ShardRouter::core`], same invariant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "routing maps only hold indexes < shards.len() and shards never shrinks"
+    )]
     fn core_mut(&mut self, index: usize) -> &mut ServerCore<E> {
-        // audit: infallible — routing maps only hold indexes < shards.len() and shards never shrinks
         &mut self.shards[index]
     }
 

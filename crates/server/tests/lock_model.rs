@@ -1,5 +1,5 @@
 //! Bounded-exhaustive schedule exploration of the floor-control lock
-//! algorithm (paper §4), driven by the `cosoft-audit` explorer.
+//! algorithm (paper §4), driven by the explorer in `support/explore.rs`.
 //!
 //! The model wraps the real [`ServerCore`] — the same state machine the
 //! simulation and the TCP transport run — with N simulated clients
@@ -16,9 +16,12 @@
 //! A violation reproduces deterministically: the explorer reports the
 //! exact action schedule that led to it.
 
-use cosoft_audit::{explore, ExploreLimits, Model};
+#[path = "support/explore.rs"]
+mod explore;
+
 use cosoft_server::{LivenessConfig, ServerCore, ShardRouter};
 use cosoft_wire::{EventKind, GlobalObjectId, InstanceId, Message, ObjectPath, UiEvent, UserId};
+use explore::{explore, ExploreLimits, Model};
 
 type Endpoint = u32;
 

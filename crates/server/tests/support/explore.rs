@@ -15,10 +15,10 @@
 //! search is deterministic (no randomness, no time), so a reported
 //! counterexample trace replays exactly.
 //!
-//! The model is generic: `crates/server/tests/lock_model.rs` wraps the
-//! real `ServerCore` (which is `Clone` for this purpose), but anything
-//! cloneable with enumerable actions fits — the engine itself knows
-//! nothing about COSOFT.
+//! The model is generic: `lock_model.rs`, whose support module this is,
+//! wraps the real `ServerCore` (which is `Clone` for this purpose), but
+//! anything cloneable with enumerable actions fits — the engine itself
+//! knows nothing about COSOFT.
 
 use std::fmt;
 

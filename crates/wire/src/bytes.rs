@@ -67,7 +67,10 @@ impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         match &self.data {
-            // audit: infallible — start <= end <= data.len(), see the fields
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "start <= end <= data.len(), see the fields"
+            )]
             Some(data) => &data[self.start..self.end],
             None => &[],
         }

@@ -1083,7 +1083,10 @@ impl SharedFrame {
 /// and freezes it into a [`SharedFrame`].
 fn seal_frame(mut buf: BytesMut) -> SharedFrame {
     let len = (buf.len() - 4) as u32;
-    // audit: infallible — callers seed the buffer with a 4-byte length placeholder
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers seed the buffer with a 4-byte length placeholder"
+    )]
     buf[..4].copy_from_slice(&len.to_le_bytes());
     SharedFrame { bytes: buf.freeze() }
 }

@@ -303,10 +303,6 @@ fn golden_vectors_decode_back() {
     }
 }
 
-/// For every protocol kind, the shared (encode-once) framing is
-/// byte-identical to the owned framing: a peer cannot tell whether the
-/// server unicast-encoded its frame or fanned one shared encode out to
-/// the whole group.
 /// A frame cut short is an error, never a panic: the buffer answers a
 /// read past its end with `None`, the codec with `UnexpectedEof`. Every
 /// cut of every vector, then one spelled out per read primitive of
@@ -335,6 +331,47 @@ fn golden_vectors_cut_anywhere_are_refused() {
     assert_eq!(codec::get_value(&mut short), Err(eof("f64")));
 }
 
+/// The other half of "no byte sequence from a socket takes a thread
+/// down": every vector with every byte set to every value decodes or is
+/// refused, never panics, and whatever the decoder accepts re-encodes
+/// to a fixed point (the bytes a mutant decodes from may be
+/// non-canonical; the bytes it encodes to decode to themselves). The
+/// vectors come from [`golden_table`], so a new kind is covered by the
+/// row [`golden_table_is_complete`] demands of it.
+#[test]
+fn golden_vectors_with_any_byte_changed_decode_or_are_refused() {
+    let (mut accepted, mut refused) = (0u32, 0u32);
+    for (msg, bytes) in golden_table() {
+        let mut mutant = bytes.clone();
+        for at in 0..bytes.len() {
+            for value in 0..=u8::MAX {
+                mutant[at] = value;
+                let Ok(decoded) = codec::decode_message(&mutant) else {
+                    refused += 1;
+                    continue;
+                };
+                accepted += 1;
+                let canonical = codec::encode_message(&decoded);
+                let again = codec::decode_message(&canonical).map(|m| codec::encode_message(&m));
+                assert_eq!(
+                    again.as_ref(),
+                    Ok(&canonical),
+                    "{} with byte {at} set to {value:#04x} is accepted as {decoded:?}, \
+                     which does not survive its own encoding",
+                    msg.kind_name()
+                );
+            }
+            mutant[at] = bytes[at];
+        }
+    }
+    // Both outcomes occur, or the loop above tested nothing.
+    assert!(accepted > 1_000 && refused > 1_000, "{accepted} accepted, {refused} refused");
+}
+
+/// For every protocol kind, the shared (encode-once) framing is
+/// byte-identical to the owned framing: a peer cannot tell whether the
+/// server unicast-encoded its frame or fanned one shared encode out to
+/// the whole group.
 #[test]
 fn golden_shared_frames_are_byte_identical() {
     for (m, bytes) in golden_table() {
