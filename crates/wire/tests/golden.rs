@@ -259,6 +259,354 @@ fn golden_table() -> Vec<(Message, Vec<u8>)> {
     ]
 }
 
+// ---- the rows beneath the messages ---------------------------------------
+//
+// A message vector pins the tag of its kind and of whatever values it
+// happens to carry. These pin every row of every tagged union and name
+// table a message is made of, one literal vector (or canonical string)
+// per row: the bytes are the value's own, with nothing around them.
+
+/// `snap()` on the wire (the same 20 bytes every state-carrying message
+/// vector above embeds).
+const SNAP: [u8; 20] = [
+    0x05, 0x6c, 0x61, 0x62, 0x65, 0x6c, 0x01, 0x6c, 0x01, 0x04, 0x74, 0x65, 0x78, 0x74, 0x03, 0x02,
+    0x68, 0x69, 0x00, 0x00,
+];
+
+fn with_snap(before: &[u8]) -> Vec<u8> {
+    [before, &SNAP].concat()
+}
+
+fn value_rows() -> Vec<(Value, Vec<u8>)> {
+    vec![
+        (Value::Bool(true), vec![0, 1]),
+        (Value::Int(-3), vec![1, 5]), // zigzag(-3) = 5
+        (Value::Float(1.0), vec![2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f]),
+        (Value::Text("hi".into()), vec![3, 2, b'h', b'i']),
+        (Value::TextList(vec!["a".into(), String::new()]), vec![4, 2, 1, b'a', 0]),
+        // zigzag(-1) = 1; zigzag(300) = 600 = LEB128 0xD8 0x04.
+        (Value::IntList(vec![-1, 300]), vec![5, 2, 1, 0xd8, 0x04]),
+        (Value::Point(3, -4), vec![6, 6, 7]),
+        (Value::Color(255, 0, 16), vec![7, 0xff, 0x00, 0x10]),
+        (Value::Bytes(vec![0xde, 0xad]), vec![8, 2, 0xde, 0xad]),
+        (Value::Stroke(vec![(1, -1), (0, 2)]), vec![9, 2, 2, 1, 0, 4]),
+        (Value::StrokeList(vec![vec![(1, -1)], vec![]]), vec![10, 2, 1, 2, 1, 0]),
+    ]
+}
+
+fn event_kind_rows() -> Vec<(EventKind, Vec<u8>)> {
+    vec![
+        (EventKind::Activate, vec![0]),
+        (EventKind::ValueChanged, vec![1]),
+        (EventKind::TextCommitted, vec![2]),
+        (EventKind::TextEdited, vec![3]),
+        (EventKind::SelectionChanged, vec![4]),
+        (EventKind::Toggled, vec![5]),
+        (EventKind::StrokeAdded, vec![6]),
+        (EventKind::CanvasCleared, vec![7]),
+        (EventKind::RowActivated, vec![8]),
+        (EventKind::Custom("zap".into()), vec![255, 3, b'z', b'a', b'p']),
+    ]
+}
+
+fn edit_op_rows() -> Vec<(EditOp, Vec<u8>)> {
+    vec![
+        (
+            EditOp::Patch(NodePatch {
+                kind: Some(WidgetKind::Slider),
+                upserts: Default::default(),
+                removals: vec![AttrName::Text],
+                semantic: Some(vec![7]),
+            }),
+            // tag ‖ some kind "slider" ‖ 0 upserts ‖ 1 removal "text" ‖
+            // some semantic, 1 byte.
+            vec![
+                0, 1, 6, b's', b'l', b'i', b'd', b'e', b'r', 0, 1, 4, b't', b'e', b'x', b't', 1, 1,
+                7,
+            ],
+        ),
+        (EditOp::Replace(snap()), with_snap(&[1])),
+        (
+            EditOp::Restructure { order: vec!["a".into(), "b".into()], inserts: vec![snap()] },
+            with_snap(&[2, 2, 1, b'a', 1, b'b', 1]),
+        ),
+    ]
+}
+
+fn copy_mode_rows() -> Vec<(CopyMode, Vec<u8>)> {
+    vec![
+        (CopyMode::Strict, vec![0]),
+        (CopyMode::DestructiveMerge, vec![1]),
+        (CopyMode::FlexibleMatch, vec![2]),
+    ]
+}
+
+fn access_right_rows() -> Vec<(AccessRight, Vec<u8>)> {
+    vec![
+        (AccessRight::Denied, vec![0]),
+        (AccessRight::Read, vec![1]),
+        (AccessRight::Write, vec![2]),
+    ]
+}
+
+fn target_rows() -> Vec<(Target, Vec<u8>)> {
+    vec![
+        (Target::Instance(InstanceId(5)), vec![0, 5]),
+        (Target::Broadcast, vec![1]),
+        (Target::Group(gid(3, "q")), vec![2, 3, 1, 1, b'q']),
+    ]
+}
+
+fn overwritten_rows() -> Vec<(Option<Overwritten>, Vec<u8>)> {
+    vec![
+        (None, vec![0]),
+        (Some(snap().into()), with_snap(&[1])),
+        (Some(Overwritten::Base), vec![2]),
+    ]
+}
+
+/// The canonical string of every builtin attribute name: what travels in
+/// a state, and what the UI-spec language spells.
+fn attr_name_rows() -> Vec<(AttrName, &'static str)> {
+    vec![
+        (AttrName::Title, "title"),
+        (AttrName::Text, "text"),
+        (AttrName::ValueNum, "value"),
+        (AttrName::Items, "items"),
+        (AttrName::Selected, "selected"),
+        (AttrName::Enabled, "enabled"),
+        (AttrName::Visible, "visible"),
+        (AttrName::X, "x"),
+        (AttrName::Y, "y"),
+        (AttrName::Width, "width"),
+        (AttrName::Height, "height"),
+        (AttrName::Foreground, "foreground"),
+        (AttrName::Background, "background"),
+        (AttrName::Font, "font"),
+        (AttrName::Checked, "checked"),
+        (AttrName::Min, "min"),
+        (AttrName::Max, "max"),
+        (AttrName::Strokes, "strokes"),
+    ]
+}
+
+/// The canonical string of every builtin widget kind.
+fn widget_kind_rows() -> Vec<(WidgetKind, &'static str)> {
+    vec![
+        (WidgetKind::Form, "form"),
+        (WidgetKind::Panel, "panel"),
+        (WidgetKind::Button, "button"),
+        (WidgetKind::ToggleButton, "toggle"),
+        (WidgetKind::Menu, "menu"),
+        (WidgetKind::TextField, "textfield"),
+        (WidgetKind::TextArea, "textarea"),
+        (WidgetKind::Label, "label"),
+        (WidgetKind::List, "list"),
+        (WidgetKind::Slider, "slider"),
+        (WidgetKind::Canvas, "canvas"),
+        (WidgetKind::Table, "table"),
+    ]
+}
+
+/// Checks one typed table both ways: `put` writes exactly the pinned
+/// bytes of each row, and `get` reads them back to the row's value with
+/// nothing left over.
+fn check_rows<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    rows: Vec<(T, Vec<u8>)>,
+    put: impl Fn(&T) -> Vec<u8>,
+    get: impl Fn(&[u8]) -> Result<T, WireError>,
+) {
+    for (value, bytes) in rows {
+        assert_eq!(put(&value), bytes, "wire encoding of {what} {value:?} changed");
+        assert_eq!(get(&bytes), Ok(value), "golden bytes of a {what} read back differently");
+    }
+}
+
+/// Cuts `prefix` and `suffix` off a message body whose middle is the
+/// value under test.
+fn middle(body: Vec<u8>, prefix: &[u8], suffix: &[u8]) -> Vec<u8> {
+    assert!(body.starts_with(prefix) && body.ends_with(suffix), "{body:02x?}");
+    body[prefix.len()..body.len() - suffix.len()].to_vec()
+}
+
+fn around(prefix: &[u8], bytes: &[u8], suffix: &[u8]) -> Vec<u8> {
+    [prefix, bytes, suffix].concat()
+}
+
+#[test]
+fn golden_value_rows() {
+    assert_eq!(value_rows().len(), 11, "a new variant needs a row, then this count");
+    check_rows(
+        "Value",
+        value_rows(),
+        |v| {
+            let mut buf = cosoft_wire::BytesMut::new();
+            codec::put_value(&mut buf, v);
+            buf.to_vec()
+        },
+        |bytes| {
+            let mut buf = cosoft_wire::Bytes::from(bytes.to_vec());
+            let v = codec::get_value(&mut buf)?;
+            assert!(buf.is_empty());
+            Ok(v)
+        },
+    );
+}
+
+#[test]
+fn golden_event_kind_rows() {
+    assert_eq!(event_kind_rows().len(), 10, "a new variant needs a row, then this count");
+    // ExecuteEvent 7 onto "g" of an event on "f" ‖ kind ‖ no parameters.
+    let (prefix, suffix) = ([0x0f, 0x07, 0x01, 0x01, 0x67, 0x01, 0x01, 0x66], [0x00]);
+    check_rows(
+        "EventKind",
+        event_kind_rows(),
+        |kind| {
+            let m = Message::ExecuteEvent {
+                exec_id: 7,
+                target: path("g"),
+                event: UiEvent::simple(path("f"), kind.clone()),
+            };
+            middle(codec::encode_message(&m), &prefix, &suffix)
+        },
+        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
+            Message::ExecuteEvent { event, .. } => Ok(event.kind),
+            other => panic!("expected ExecuteEvent, got {other:?}"),
+        },
+    );
+}
+
+#[test]
+fn golden_edit_op_rows() {
+    assert_eq!(edit_op_rows().len(), 3, "a new variant needs a row, then this count");
+    // One edit at the root ‖ op.
+    let prefix = [0x01, 0x00];
+    check_rows(
+        "EditOp",
+        edit_op_rows(),
+        |op| {
+            let delta = StateDelta { edits: vec![NodeEdit { path: vec![], op: op.clone() }] };
+            middle(codec::encode_delta_shared(&delta).to_vec(), &prefix, &[])
+        },
+        |bytes| {
+            let mut buf = cosoft_wire::Bytes::from(around(&prefix, bytes, &[]));
+            let mut delta = codec::get_delta(&mut buf)?;
+            assert!(buf.is_empty());
+            Ok(delta.edits.remove(0).op)
+        },
+    );
+}
+
+#[test]
+fn golden_copy_mode_rows() {
+    assert_eq!(copy_mode_rows().len(), 3, "a new variant needs a row, then this count");
+    // CopyFrom 1:"a" → 2:"b" ‖ mode ‖ req_id 1.
+    let (prefix, suffix) = ([0x12, 0x01, 0x01, 0x01, 0x61, 0x02, 0x01, 0x01, 0x62], [0x01]);
+    check_rows(
+        "CopyMode",
+        copy_mode_rows(),
+        |mode| {
+            let m =
+                Message::CopyFrom { src: gid(1, "a"), dst: gid(2, "b"), mode: *mode, req_id: 1 };
+            middle(codec::encode_message(&m), &prefix, &suffix)
+        },
+        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
+            Message::CopyFrom { mode, .. } => Ok(mode),
+            other => panic!("expected CopyFrom, got {other:?}"),
+        },
+    );
+}
+
+#[test]
+fn golden_access_right_rows() {
+    assert_eq!(access_right_rows().len(), 3, "a new variant needs a row, then this count");
+    // SetPermission for user 2 on 1:"f" ‖ right.
+    let prefix = [0x1b, 0x02, 0x01, 0x01, 0x01, 0x66];
+    check_rows(
+        "AccessRight",
+        access_right_rows(),
+        |right| {
+            let m = Message::SetPermission { user: UserId(2), object: gid(1, "f"), right: *right };
+            middle(codec::encode_message(&m), &prefix, &[])
+        },
+        |bytes| match codec::decode_message(&around(&prefix, bytes, &[]))? {
+            Message::SetPermission { right, .. } => Ok(right),
+            other => panic!("expected SetPermission, got {other:?}"),
+        },
+    );
+}
+
+#[test]
+fn golden_target_rows() {
+    assert_eq!(target_rows().len(), 3, "a new variant needs a row, then this count");
+    // CoSendCommand ‖ target ‖ command "" ‖ empty payload.
+    let (prefix, suffix) = ([0x1d], [0x00, 0x00]);
+    check_rows(
+        "Target",
+        target_rows(),
+        |to| {
+            let m =
+                Message::CoSendCommand { to: to.clone(), command: String::new(), payload: vec![] };
+            middle(codec::encode_message(&m), &prefix, &suffix)
+        },
+        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
+            Message::CoSendCommand { to, .. } => Ok(to),
+            other => panic!("expected CoSendCommand, got {other:?}"),
+        },
+    );
+}
+
+#[test]
+fn golden_overwritten_rows() {
+    assert_eq!(overwritten_rows().len(), 3, "a new variant needs a row, then this count");
+    // StateApplied 3 ‖ overwritten ‖ no error.
+    let (prefix, suffix) = ([0x18, 0x03], [0x00]);
+    check_rows(
+        "Option<Overwritten>",
+        overwritten_rows(),
+        |overwritten| {
+            let m =
+                Message::StateApplied { req_id: 3, overwritten: overwritten.clone(), error: None };
+            middle(codec::encode_message(&m), &prefix, &suffix)
+        },
+        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
+            Message::StateApplied { overwritten, .. } => Ok(overwritten),
+            other => panic!("expected StateApplied, got {other:?}"),
+        },
+    );
+}
+
+/// A name travels as its canonical string, length first; the string
+/// parses back to the builtin, and a state that names it carries exactly
+/// those bytes.
+#[test]
+fn golden_name_rows() {
+    assert_eq!(attr_name_rows().len(), 18, "a new builtin needs a row, then this count");
+    assert_eq!(widget_kind_rows().len(), 12, "a new builtin needs a row, then this count");
+    let on_the_wire = |text: &str| around(&[text.len() as u8], text.as_bytes(), &[]);
+    for (name, text) in attr_name_rows() {
+        assert_eq!(name.as_str(), text);
+        assert_eq!(name.to_string(), text);
+        assert_eq!(AttrName::from_str_lossy(text), name);
+        // A form "n" with this one attribute set to Bool false.
+        let state = StateNode::new(WidgetKind::Form, "n").with_attr(name, Value::Bool(false));
+        let bytes = around(&[4, b'f', b'o', b'r', b'm', 1, b'n', 1], &on_the_wire(text), &[0; 4]);
+        assert_eq!(codec::encode_state_shared(&state).to_vec(), bytes);
+        assert_eq!(codec::get_state(&mut cosoft_wire::Bytes::from(bytes)), Ok(state));
+    }
+    for (kind, text) in widget_kind_rows() {
+        assert_eq!(kind.as_str(), text);
+        assert_eq!(kind.to_string(), text);
+        assert_eq!(WidgetKind::from_str_lossy(text), kind);
+        // A bare node "n" of this kind.
+        let state = StateNode::new(kind, "n");
+        let bytes = around(&[], &on_the_wire(text), &[1, b'n', 0, 0, 0]);
+        assert_eq!(codec::encode_state_shared(&state).to_vec(), bytes);
+        assert_eq!(codec::get_state(&mut cosoft_wire::Bytes::from(bytes)), Ok(state));
+    }
+}
+
 /// The completeness contract: the golden table covers exactly the
 /// protocol's variant list, with no kind missing, duplicated, or stale.
 #[test]
