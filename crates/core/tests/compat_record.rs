@@ -2,7 +2,8 @@
 //! (`Applied::overwritten`), over seeded random destination trees and
 //! snapshots: what must hold of it, checked against the record of before
 //! it was built — the full `snapshot(dst, false)` taken ahead of the
-//! apply.
+//! apply. 2 000 seeded cases per copy mode: the record undoes like the
+//! full snapshot did.
 
 use cosoft_core::{apply_destructive, apply_recorded, CorrespondenceTable};
 use cosoft_rng::Rng;

@@ -1,5 +1,16 @@
 //! End-to-end tests of the coupling runtime over the simulated network:
 //! every §3 mechanism exercised through the real protocol.
+//!
+//! The delta wire-size gate of `cosoft-server`'s `server_core.rs` is held
+//! here over real sessions: the undo leg and the copy after it stay
+//! deltas, the first `StateApplied` reply is no larger than its `CopyTo`,
+//! the steady-state ones ≤ 12 B; from the second copy on the request is a
+//! `copy-delta`, and request, leg and acknowledgement together ≤ 200 B at
+//! depth 6. A merge that destroys a coupled child decouples it. Sync
+//! bases and acknowledgement by reference are checked against a plain
+//! model of boards, bases and history stacks over 240 seeded scripts
+//! (pushes both ways, pulls, viewer-side edits, undo / redo, a presenter
+//! that re-registers, a push shed as `Busy`).
 
 use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};

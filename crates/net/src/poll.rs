@@ -215,19 +215,12 @@ impl FrameReader {
         let [b0, b1, b2, b3, ..] = rest else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes([*b0, *b1, *b2, *b3]) as u64;
-        if len > codec::MAX_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds MAX_LEN"),
-            ));
-        }
-        let len = len as usize;
+        let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+        let len = codec::frame_body_len([*b0, *b1, *b2, *b3]).map_err(invalid)?;
         let Some(body) = rest.get(4..4 + len) else {
             return Ok(None);
         };
-        let msg = codec::decode_message(body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let msg = codec::decode_message(body).map_err(invalid)?;
         self.pos += 4 + len;
         Ok(Some(msg))
     }

@@ -31,6 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cosoft_rng::Rng;
 use cosoft_wire::{codec, Bytes, Message, SharedFrame};
 
 use crate::lock::{ConnMapLock, LeafLock, OutboxLock};
@@ -470,7 +471,7 @@ impl TcpHost {
     /// connection's backlog stayed over budget past the enqueue timeout
     /// (the connection is then evicted as a slow consumer).
     pub fn send(&self, conn: ConnId, msg: &Message) -> io::Result<()> {
-        self.send_frame(conn, &codec::frame_message_shared(msg))
+        self.send_frame(conn, &SharedFrame::from_message(msg))
     }
 
     /// Sends one pre-encoded frame to one connection. The frame buffer
@@ -744,27 +745,17 @@ impl ReconnectPolicy {
         if self.jitter <= 0.0 {
             return backoff;
         }
-        let unit = match self.jitter_seed {
-            // SplitMix64 over (seed, attempt): deterministic, and
-            // distinct seeds decorrelate a fleet of seeded clients.
-            Some(seed) => {
-                let mut z =
-                    seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) % 1024
-            }
-            // A throwaway `RandomState` is a seeded-by-the-OS hash —
-            // enough entropy to de-synchronize redials without pulling
-            // in an RNG.
-            None => {
-                use std::hash::{BuildHasher, Hasher};
-                let mut h = std::collections::hash_map::RandomState::new().build_hasher();
-                h.write_u32(attempt);
-                h.finish() % 1024
-            }
-        } as f64
-            / 1024.0;
+        let seed = self.jitter_seed.unwrap_or_else(|| {
+            // A throwaway `RandomState` is a seeded-by-the-OS hash:
+            // enough entropy to de-synchronize a fleet's redials.
+            use std::hash::{BuildHasher, Hasher};
+            std::collections::hash_map::RandomState::new().build_hasher().finish()
+        });
+        // Drawn from the workspace's one seeded stream: a pure function
+        // of `(seed, attempt)`. The seed is scrambled before the attempt
+        // is mixed in, so neighbouring seeds do not share delays.
+        let scrambled = Rng::new(seed).next_u64();
+        let unit = Rng::new(scrambled ^ u64::from(attempt)).f64();
         backoff.mul_f64(1.0 + self.jitter.clamp(0.0, 1.0) * unit)
     }
 }
@@ -1100,7 +1091,7 @@ impl TcpClient {
         if self.broken.load(Ordering::SeqCst) {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection failed"));
         }
-        let frame = codec::frame_message_shared(msg).into_bytes();
+        let frame = SharedFrame::from_message(msg).into_bytes();
         self.pending_writes.fetch_add(1, Ordering::AcqRel);
         let undo_pending = |e: io::Error| {
             self.pending_writes.fetch_sub(1, Ordering::AcqRel);
@@ -1286,6 +1277,95 @@ mod tests {
         assert_eq!(host.stats().active_connections, 1);
     }
 
+    /// Waits for the peer to close `client`'s socket: a refused dial is
+    /// shut down at accept, so its reader sees end-of-stream.
+    fn closed_by_peer(client: &TcpClient) -> bool {
+        matches!(client.recv_within(TIMEOUT), Err(RecvError::Disconnected))
+    }
+
+    fn connected(host: &TcpHost) -> ConnId {
+        match host.events().recv_timeout(TIMEOUT).unwrap() {
+            NetEvent::Connected(c) => c,
+            other => panic!("expected Connected, got {other:?}"),
+        }
+    }
+
+    /// Socket-level admission (DESIGN.md §10.2), the connection cap: with
+    /// two connections held, a third dial is shut down at accept, counted,
+    /// and never reaches the poll pool — no `Connected` event, no slot.
+    #[test]
+    fn a_dial_past_max_connections_is_refused_at_accept() {
+        let config = TcpHostConfig { max_connections: 2, ..TcpHostConfig::default() };
+        let host = TcpHost::bind_with_config("127.0.0.1:0", config).unwrap();
+        let _first = TcpClient::connect(host.local_addr()).unwrap();
+        let _second = TcpClient::connect(host.local_addr()).unwrap();
+        let (a, b) = (connected(&host), connected(&host));
+        assert_ne!(a, b);
+
+        let third = TcpClient::connect(host.local_addr()).unwrap();
+        assert!(closed_by_peer(&third), "the third socket is shut down");
+        assert_eq!(host.stats().connections_refused, 1);
+        assert_eq!(host.stats().active_connections, 2);
+        assert!(
+            host.events().recv_timeout(Duration::from_millis(50)).is_err(),
+            "a refused dial surfaces no event"
+        );
+    }
+
+    /// The accept-rate bucket: a burst of one and no refill admits the
+    /// first dial and refuses the one right behind it.
+    #[test]
+    fn a_dial_past_the_accept_burst_is_refused() {
+        let config =
+            TcpHostConfig { accept_burst: 1, accept_refill_per_sec: 0, ..TcpHostConfig::default() };
+        let host = TcpHost::bind_with_config("127.0.0.1:0", config).unwrap();
+        let _first = TcpClient::connect(host.local_addr()).unwrap();
+        connected(&host);
+
+        let second = TcpClient::connect(host.local_addr()).unwrap();
+        assert!(closed_by_peer(&second), "the second socket is shut down");
+        assert_eq!(host.stats().connections_refused, 1);
+        assert_eq!(host.stats().active_connections, 1);
+        assert!(host.events().recv_timeout(Duration::from_millis(50)).is_err());
+    }
+
+    /// The redial delay is a function of `(seed, attempt)` alone, lies in
+    /// `[backoff, backoff · (1 + jitter)]` with the backoff capped by
+    /// `max_delay`, and no attempt count overflows the doubling.
+    #[test]
+    fn redial_delay_is_seeded_bounded_and_capped() {
+        let policy = ReconnectPolicy {
+            max_attempts: u32::MAX,
+            base_delay: Duration::from_millis(50),
+            max_delay: Duration::from_secs(2),
+            jitter: 0.2,
+            jitter_seed: Some(7),
+        };
+        let mut delays = Vec::new();
+        for attempt in [1, 2, 3, 6, 7, 32, 33, 34, 1_000, u32::MAX] {
+            let backoff = Duration::from_millis(50)
+                .saturating_mul(1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX))
+                .min(Duration::from_secs(2));
+            let delay = policy.delay_before(attempt);
+            assert_eq!(delay, policy.delay_before(attempt), "attempt {attempt} replays");
+            assert!(backoff <= delay && delay <= backoff.mul_f64(1.2), "{attempt}: {delay:?}");
+            delays.push(delay);
+        }
+        assert!(delays[0] < Duration::from_millis(61), "attempt 1 starts at base_delay");
+        assert!(delays[4] >= Duration::from_secs(2), "attempt 7 (3.2 s) is capped at max_delay");
+
+        let other = ReconnectPolicy { jitter_seed: Some(8), ..policy };
+        assert!(
+            (1..=8).any(|a| other.delay_before(a) != policy.delay_before(a)),
+            "another seed, another schedule"
+        );
+        let unseeded = ReconnectPolicy { jitter_seed: None, ..policy };
+        let delay = unseeded.delay_before(3);
+        assert!(Duration::from_millis(200) <= delay && delay <= Duration::from_millis(240));
+        let plain = ReconnectPolicy { jitter: 0.0, ..policy };
+        assert_eq!(plain.delay_before(3), Duration::from_millis(200));
+    }
+
     #[test]
     fn round_trip_over_real_sockets() {
         let host = TcpHost::bind("127.0.0.1:0").unwrap();
@@ -1380,7 +1460,7 @@ mod tests {
         };
         let outgoing: Vec<(ConnId, SharedFrame)> = (1..=5)
             .map(|i| {
-                (conn, codec::frame_message_shared(&Message::Welcome { instance: InstanceId(i) }))
+                (conn, SharedFrame::from_message(&Message::Welcome { instance: InstanceId(i) }))
             })
             .collect();
         let failed = host.send_batch(&outgoing);
@@ -1662,7 +1742,7 @@ mod tests {
         let failed = host.send_batch(&[
             (
                 conn,
-                codec::frame_message_shared(&Message::CommandDelivery {
+                SharedFrame::from_message(&Message::CommandDelivery {
                     from: InstanceId(1),
                     command: "x".into(),
                     payload: Vec::new(),
@@ -1670,7 +1750,7 @@ mod tests {
             ),
             (
                 conn,
-                codec::frame_message_shared(&Message::CoSendCommand {
+                SharedFrame::from_message(&Message::CoSendCommand {
                     to: Target::Broadcast,
                     command: "y".into(),
                     payload: Vec::new(),

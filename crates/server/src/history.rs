@@ -424,7 +424,7 @@ mod tests {
         // slice of a decoded `StateApplied` frame — pop as the tree the
         // same bytes decode to. The second frame is not canonical:
         // attribute names out of order, one of them twice (the later
-        // value wins), so it is stored as bytes `put_state` never writes.
+        // value wins), so it is stored as bytes `StateNode::put` never writes.
         let odd: &[u8] =
             b"\x05label\x01l\x03\x05width\x01\x02\x04text\x03\x02v1\x05width\x01\x06\x00\x00";
         let odd_tree = StateNode::new(WidgetKind::Label, "l")

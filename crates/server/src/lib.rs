@@ -37,10 +37,11 @@ mod server;
 mod shard;
 
 pub use access::AccessTable;
+pub use cosoft_wire::MessageClass;
 pub use couple::CoupleDirectory;
 pub use history::{HistoryStack, HistoryStore};
 pub use locks::{ExecId, LockTable};
-pub use overload::{approx_cost, classify, MessageClass, OverloadConfig, Verdict};
+pub use overload::{approx_cost, OverloadConfig, Verdict};
 pub use registry::Registry;
 pub use server::{
     ComponentSlice, Delivery, LivenessConfig, Outgoing, RouteEvent, ServerCore, ServerStats,

@@ -5,7 +5,8 @@
 //! ROADMAP's heavy-traffic regime that is too blunt — a client that
 //! briefly bursts past its fair share should be slowed down, not thrown
 //! out. This module adds the graceful layer in front of eviction:
-//! per-endpoint token-bucket budgets with priority classes, a global
+//! per-endpoint token-bucket budgets with priority classes (a column of
+//! the protocol table: `MessageKind::class`), a global
 //! inbound byte budget, and a [`Verdict`] that degrades in stages —
 //! admit → shed with a [`Message::Busy`] reply → §3.2 eviction only
 //! after sustained abuse.
@@ -17,80 +18,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use cosoft_wire::{Message, Overwritten};
-
-/// Priority class of an inbound message, deciding what is shed first
-/// when budgets run out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessageClass {
-    /// Liveness probes and teardown: always admitted. Shedding a `Ping`
-    /// would make an overloaded server look dead (triggering reconnect
-    /// storms — the opposite of load shedding), and shedding teardown
-    /// (`Deregister`, `Rejoin`) would keep dead state alive.
-    Liveness,
-    /// Ordinary control-plane traffic (coupling, events, permissions,
-    /// commands) plus the completion messages of in-flight transfers
-    /// (`StateReply`, `StateApplied`, `ExecuteDone`) — completions
-    /// *free* server state, so shedding them would wedge live transfer
-    /// groups and make overload worse.
-    Control,
-    /// Bulk state-synchronization *initiators* (`CopyFrom`, `CopyTo`,
-    /// `CopyDelta`, `RemoteCopy`, undo/redo): the most expensive work a
-    /// client can request, shed first.
-    Bulk,
-}
-
-/// Classifies a message for admission. Exhaustive over [`Message`] so
-/// adding a protocol kind without deciding its overload priority is a
-/// compile error.
-#[deny(clippy::wildcard_enum_match_arm)]
-pub fn classify(msg: &Message) -> MessageClass {
-    match msg {
-        Message::Ping { .. }
-        | Message::Pong { .. }
-        | Message::Deregister
-        | Message::Rejoin { .. } => MessageClass::Liveness,
-        Message::CopyFrom { .. }
-        | Message::CopyTo { .. }
-        | Message::CopyDelta { .. }
-        | Message::RemoteCopy { .. }
-        | Message::UndoState { .. }
-        | Message::RedoState { .. } => MessageClass::Bulk,
-        Message::Register { .. }
-        | Message::QueryInstances
-        | Message::Couple { .. }
-        | Message::Decouple { .. }
-        | Message::RemoteCouple { .. }
-        | Message::RemoteDecouple { .. }
-        | Message::ListCoupled { .. }
-        | Message::ObjectDestroyed { .. }
-        | Message::Event { .. }
-        | Message::ExecuteDone { .. }
-        | Message::StateReply { .. }
-        | Message::StateApplied { .. }
-        | Message::SetPermission { .. }
-        | Message::CoSendCommand { .. }
-        // Server-to-client kinds arriving inbound are protocol misuse;
-        // they are classified (and budgeted) as control traffic and
-        // then answered by the dispatch's counted `unexpected` arm.
-        | Message::Welcome { .. }
-        | Message::InstanceList { .. }
-        | Message::SessionToken { .. }
-        | Message::CoupleUpdate { .. }
-        | Message::CoupledSet { .. }
-        | Message::EventGranted { .. }
-        | Message::EventRejected { .. }
-        | Message::ExecuteEvent { .. }
-        | Message::GroupUnlocked { .. }
-        | Message::StateRequest { .. }
-        | Message::ApplyState { .. }
-        | Message::ApplyDelta { .. }
-        | Message::PermissionDenied { .. }
-        | Message::CommandDelivery { .. }
-        | Message::ErrorReply { .. }
-        | Message::Busy { .. } => MessageClass::Control,
-    }
-}
+use cosoft_wire::{Message, MessageClass, Overwritten};
 
 /// Flat estimate for messages whose encoded size is dominated by fixed
 /// headers and a few varints.
@@ -257,7 +185,7 @@ impl<E: Copy + Eq + Hash> Admission<E> {
         if !self.config.enabled() {
             return Verdict::Admit;
         }
-        let class = classify(msg);
+        let class = msg.kind().class();
         if class == MessageClass::Liveness {
             return Verdict::Admit;
         }
@@ -342,7 +270,7 @@ impl<E: Copy + Eq + Hash> Admission<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosoft_wire::{GlobalObjectId, InstanceId, ObjectPath, StateNode, WidgetKind};
+    use cosoft_wire::{GlobalObjectId, InstanceId, MessageKind, ObjectPath, StateNode, WidgetKind};
 
     fn oid(i: u64) -> GlobalObjectId {
         GlobalObjectId { instance: InstanceId(i), path: ObjectPath::parse("o").expect("valid") }
@@ -552,16 +480,6 @@ mod tests {
                 req_id: 1,
             }) >= BASE_COST
         );
-    }
-
-    #[test]
-    fn classify_matches_priority_table() {
-        assert_eq!(classify(&Message::Ping { nonce: 0 }), MessageClass::Liveness);
-        assert_eq!(classify(&Message::Deregister), MessageClass::Liveness);
-        assert_eq!(classify(&control_msg()), MessageClass::Control);
-        assert_eq!(classify(&Message::ExecuteDone { exec_id: 1 }), MessageClass::Control);
-        assert_eq!(classify(&bulk_msg()), MessageClass::Bulk);
-        assert_eq!(classify(&Message::UndoState { object: oid(1) }), MessageClass::Bulk);
         let push = Message::CopyDelta {
             src: oid(1),
             dst: oid(2),
@@ -571,7 +489,30 @@ mod tests {
             mode: cosoft_wire::CopyMode::Strict,
             req_id: 1,
         };
-        assert_eq!(classify(&push), MessageClass::Bulk);
         assert_eq!(approx_cost(&push), BASE_COST, "priced by its edits, and it has none");
+    }
+
+    /// The priority table, by kind name: who is never shed, who is shed
+    /// first, and everybody else. The classes are a column of the
+    /// protocol table in `cosoft-wire`; a class edited there shows up
+    /// here as a kind in the wrong set.
+    #[test]
+    fn classify_matches_priority_table() {
+        const LIVENESS: [&str; 4] = ["ping", "pong", "deregister", "rejoin"];
+        const BULK: [&str; 6] =
+            ["copy-from", "copy-to", "copy-delta", "remote-copy", "undo-state", "redo-state"];
+        for kind in MessageKind::ALL {
+            let expected = if LIVENESS.contains(&kind.name()) {
+                MessageClass::Liveness
+            } else if BULK.contains(&kind.name()) {
+                MessageClass::Bulk
+            } else {
+                MessageClass::Control
+            };
+            assert_eq!(kind.class(), expected, "{}", kind.name());
+        }
+        let named =
+            |set: &[&str]| set.iter().all(|n| MessageKind::ALL.iter().any(|k| k.name() == *n));
+        assert!(named(&LIVENESS) && named(&BULK), "a set names a kind the protocol does not have");
     }
 }

@@ -30,7 +30,10 @@ mod transfer;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
-use cosoft_wire::{codec, delta, AccessRight, GlobalObjectId, InstanceId, Message, Target, UserId};
+use cosoft_wire::{
+    delta, AccessRight, GlobalObjectId, InstanceId, Message, MessageClass, SharedFrame, Target,
+    UserId,
+};
 
 pub use liveness::LivenessConfig;
 pub use migrate::ComponentSlice;
@@ -41,7 +44,7 @@ use crate::access::AccessTable;
 use crate::couple::CoupleDirectory;
 use crate::history::HistoryStore;
 use crate::locks::LockTable;
-use crate::overload::{Admission, MessageClass, OverloadConfig, Verdict};
+use crate::overload::{Admission, OverloadConfig, Verdict};
 use crate::registry::Registry;
 use floor::ExecState;
 use transfer::{Leg, SyncBase, TransferGroup, TransferKind};
@@ -465,7 +468,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let mut endpoints: Vec<E> =
             instances.iter().filter_map(|id| self.registry.endpoint_of(*id)).collect();
         if endpoints.len() > 1 {
-            out.push_shared(endpoints, codec::frame_message_shared(&msg));
+            out.push_shared(endpoints, SharedFrame::from_message(&msg));
         } else if let Some(endpoint) = endpoints.pop() {
             out.push_unicast(endpoint, msg);
         }

@@ -1,7 +1,7 @@
 //! What one call into the core produces: [`Outgoing`], a batch of
 //! [`Delivery`] items for the transport.
 
-use cosoft_wire::{codec, Message, SharedFrame};
+use cosoft_wire::{Message, SharedFrame};
 
 #[cfg(doc)]
 use super::ServerCore;
@@ -103,7 +103,7 @@ impl<E> Outgoing<E> {
                 Delivery::Shared(endpoints, frame) => {
                     #[expect(
                         clippy::expect_used,
-                        reason = "frames here are built by frame_message_shared from valid messages"
+                        reason = "frames here are built by SharedFrame::from_message from valid messages"
                     )]
                     let msg = frame.decode().expect("server-encoded frame decodes");
                     let mut endpoints = endpoints.into_iter();
@@ -127,7 +127,7 @@ impl<E> Outgoing<E> {
         let mut flat = Vec::with_capacity(self.items.len());
         for item in self.items {
             match item {
-                Delivery::Unicast(e, m) => flat.push((e, codec::frame_message_shared(&m))),
+                Delivery::Unicast(e, m) => flat.push((e, SharedFrame::from_message(&m))),
                 Delivery::Shared(endpoints, frame) => {
                     for e in endpoints {
                         flat.push((e, frame.clone()));

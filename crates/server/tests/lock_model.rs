@@ -15,6 +15,10 @@
 //!
 //! A violation reproduces deterministically: the explorer reports the
 //! exact action schedule that led to it.
+//!
+//! Since the shard refactor the same explorer also drives merge / split /
+//! disconnect schedules across two shards behind a `ShardRouter`, with
+//! the invariants checked at every step.
 
 #[path = "support/explore.rs"]
 mod explore;

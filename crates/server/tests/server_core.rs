@@ -1,6 +1,20 @@
 //! State-machine tests of `ServerCore` driven directly (no transport):
 //! each test feeds messages in and asserts on the outgoing message sets,
 //! exercising the protocol flows of §3.1–§3.4.
+//!
+//! Three gates live here, asserted on `Outgoing` and `ServerStats` with
+//! no wall clock. *The delta wire-size gate:* at depth 6 a
+//! single-attribute delta, the undo of it and the copy after the undo are
+//! each ≤ 25 % of the snapshot frame, the first a smaller share than at
+//! depth 2; each is acknowledged by reference in ≤ 12 B at either depth,
+//! and four viewers' by-reference history entries are one buffer. *Its
+//! push half:* at depth 6 the second push of an object is a `CopyDelta`
+//! ≤ 25 % of the `CopyTo` frame, a smaller share than at depth 2, and
+//! delivers what the `CopyTo` would have; one the server cannot rebuild
+//! costs its sender a `StateRequest` and nothing else. *The replies that
+//! must change nothing:* a failed apply's, a reference to no base, and
+//! anybody's but the instance that was asked. `churn_leaves_nothing_behind`
+//! (320 seeded scripts on a 2-shard router) is the teardown gate.
 
 use cosoft_rng::Rng;
 use cosoft_server::{LivenessConfig, Outgoing, ServerCore, ShardRouter};
@@ -467,7 +481,7 @@ fn undo_restores_and_redo_reapplies() {
 
 /// The viewer's `StateApplied` goes through the real codec: the server
 /// files the `overwritten` bytes of the decoded frame as they came — here
-/// in an encoding `put_state` never produces, attribute names out of
+/// in an encoding `StateNode::put` never produces, attribute names out of
 /// order and one of them twice — and the undo's delta rebuilds exactly
 /// the tree those bytes decode to.
 #[test]

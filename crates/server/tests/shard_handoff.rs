@@ -5,7 +5,10 @@
 //! the message-driven path runs back to back — so every test holds the
 //! freeze open while something inconvenient happens. Two tests at the
 //! end pin what a client may not be able to tell from its deliveries:
-//! how many shards there are, and how hard a stranger is flooding.
+//! how many shards there are (the same deliveries on 1, 2 and 4 shards),
+//! and how hard a stranger is flooding (a polite group's deliveries
+//! unchanged by a 1×/4×/16× flooder that is shed, told `Busy`, then
+//! evicted).
 
 use cosoft_server::{LivenessConfig, OverloadConfig, ShardRouter};
 use cosoft_wire::{

@@ -2,6 +2,8 @@
 //! reference models: the lock table never double-grants; the history
 //! store behaves like a pair of stacks; the couple directory's closure
 //! matches a brute-force reachability computation.
+//! `no_leaks_after_all_instances_deregister` is the no-leak gate: once
+//! every instance is gone, every table of the server database is empty.
 
 use std::collections::{HashMap, HashSet};
 

@@ -4,20 +4,24 @@
 //!
 //! * unsigned integers are LEB128 varints; signed integers are zigzag-coded
 //!   varints; `f64` travels as its 8 little-endian IEEE-754 bytes,
-//! * strings and byte blobs are varint-length-prefixed,
+//! * strings and byte blobs are varint-length-prefixed, and so is every
+//!   list and map: a count, then the items,
 //! * tagged unions use a single tag byte,
 //! * a complete message on a stream transport is framed as
-//!   `u32-le length ‖ body` (see [`write_frame`] / [`read_frame`]).
+//!   `u32-le length ‖ body` (see [`frame_message`] / [`read_frame`]).
 //!
-//! Every decoder enforces [`MAX_LEN`] on declared lengths so a corrupt or
-//! hostile frame cannot trigger huge allocations.
+//! [`Wire`] is the one codec entry per type. This file implements it for
+//! the leaves above and the containers built from them; the unions and
+//! records of the vocabulary derive it from their row tables (`table.rs`),
+//! so nothing here names a tag. Every decoder enforces [`MAX_LEN`] on
+//! declared lengths so a corrupt or hostile frame cannot trigger huge
+//! allocations.
 
-use crate::delta::{EditOp, NodeEdit, NodePatch};
-use crate::message::{InstanceInfo, MessageKind, Overwritten};
+use std::collections::BTreeMap;
+
 use crate::{
-    AccessRight, AttrName, Bytes, BytesMut, CopyMode, EventKind, GlobalObjectId, InstanceId,
-    Message, ObjectPath, StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
-    WireError,
+    Bytes, BytesMut, CopyMode, InstanceId, Message, MessageKind, ObjectPath, StateDelta, StateNode,
+    UiEvent, UserId, WidgetKind, WireError,
 };
 
 /// Maximum accepted declared length for any collection, string or frame.
@@ -25,304 +29,379 @@ pub const MAX_LEN: u64 = 64 * 1024 * 1024;
 
 type Result<T> = std::result::Result<T, WireError>;
 
-// --------------------------------------------------------------------------
-// primitive writers
-// --------------------------------------------------------------------------
+/// A type with a wire form: how it is written, read, and checked without
+/// being read.
+pub trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, buf: &mut BytesMut);
 
-/// Appends an unsigned LEB128 varint.
-pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
+    /// Decodes one value off the front of `buf`.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] on malformed input: truncation, a tag outside the
+    /// type's table, invalid UTF-8, a declared length over [`MAX_LEN`].
+    fn get(buf: &mut Bytes) -> Result<Self>;
+
+    /// Steps over one value: accepts exactly what [`Wire::get`] accepts,
+    /// fails with the same error on the rest, consumes the same bytes —
+    /// and builds nothing. The default decodes and drops; only what
+    /// allocates (strings, blobs) and what contains it says otherwise.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::get`].
+    fn skip(buf: &mut Bytes) -> Result<()> {
+        Self::get(buf).map(drop)
+    }
+
+    /// Appends a list of these: the count, then the items.
+    fn put_list(items: &[Self], buf: &mut BytesMut) {
+        (items.len() as u64).put(buf);
+        for item in items {
+            item.put(buf);
         }
-        buf.put_u8(byte | 0x80);
+    }
+
+    /// Decodes a list. `u8` overrides the three `*_list` methods to move
+    /// a blob whole instead of byte by byte; the bytes on the wire are the
+    /// same.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::get`].
+    fn get_list(buf: &mut Bytes) -> Result<Vec<Self>> {
+        let n = get_len(buf)?;
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(Self::get(buf)?);
+        }
+        Ok(items)
+    }
+
+    /// Steps over a list.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::get`].
+    fn skip_list(buf: &mut Bytes) -> Result<()> {
+        (0..get_len(buf)?).try_for_each(|_| Self::skip(buf))
     }
 }
 
-/// Appends a zigzag-coded signed varint.
-pub fn put_ivarint(buf: &mut BytesMut, v: i64) {
-    put_uvarint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    put_uvarint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    put_uvarint(buf, b.len() as u64);
-    buf.put_slice(b);
-}
-
-fn put_bool(buf: &mut BytesMut, b: bool) {
-    buf.put_u8(u8::from(b));
-}
-
 // --------------------------------------------------------------------------
-// primitive readers
+// leaves
 // --------------------------------------------------------------------------
+//
+// Each is `#[inline]`: the tables that call them expand in other modules,
+// and a plain function is not inlined across codegen units without it
+// (state encode read 2× slower before).
 
-/// Reads an unsigned LEB128 varint.
-pub fn get_uvarint(buf: &mut Bytes) -> Result<u64> {
-    let mut shift = 0u32;
-    let mut out = 0u64;
-    loop {
-        let byte = get_u8(buf, "varint")?;
-        if shift >= 64 {
-            return Err(WireError::VarintOverflow);
-        }
-        out |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(out);
-        }
-        shift += 7;
-    }
+#[inline]
+pub(crate) fn get_u8(buf: &mut Bytes, what: &'static str) -> Result<u8> {
+    buf.get_u8().ok_or(WireError::UnexpectedEof { expected: what })
 }
 
-/// Reads a zigzag-coded signed varint.
-pub fn get_ivarint(buf: &mut Bytes) -> Result<i64> {
-    let u = get_uvarint(buf)?;
-    Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
-}
-
+#[inline]
 fn get_len(buf: &mut Bytes) -> Result<usize> {
-    let n = get_uvarint(buf)?;
+    let n = u64::get(buf)?;
     if n > MAX_LEN {
         return Err(WireError::LengthOverflow { declared: n, max: MAX_LEN });
     }
     Ok(n as usize)
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    let n = get_len(buf)?;
-    let raw = buf.split_to(n).ok_or(WireError::UnexpectedEof { expected: "string body" })?;
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
+#[inline]
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+    u8::put_list(s.as_bytes(), buf);
 }
 
-fn get_blob(buf: &mut Bytes) -> Result<Vec<u8>> {
-    let n = get_len(buf)?;
-    let raw = buf.split_to(n).ok_or(WireError::UnexpectedEof { expected: "byte blob" })?;
-    Ok(raw.to_vec())
+/// An unsigned LEB128 varint.
+impl Wire for u64 {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        let mut v = *self;
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                buf.put_u8(byte);
+                return;
+            }
+            buf.put_u8(byte | 0x80);
+        }
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let mut shift = 0u32;
+        let mut out = 0u64;
+        loop {
+            let byte = get_u8(buf, "varint")?;
+            if shift >= 64 {
+                return Err(WireError::VarintOverflow);
+            }
+            out |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(out);
+            }
+            shift += 7;
+        }
+    }
 }
 
-fn get_bool(buf: &mut Bytes) -> Result<bool> {
-    Ok(get_u8(buf, "bool")? != 0)
+/// A zigzag-coded signed varint.
+impl Wire for i64 {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        (((self << 1) ^ (self >> 63)) as u64).put(buf);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let u = u64::get(buf)?;
+        Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
+    }
 }
 
-fn get_u8(buf: &mut Bytes, what: &'static str) -> Result<u8> {
-    buf.get_u8().ok_or(WireError::UnexpectedEof { expected: what })
+/// A coordinate: an `i64` on the wire, refused outside `i32`.
+impl Wire for i32 {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        i64::from(*self).put(buf);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let v = i64::get(buf)?;
+        i32::try_from(v).map_err(|_| WireError::LengthOverflow {
+            declared: v.unsigned_abs(),
+            max: i32::MAX as u64,
+        })
+    }
 }
 
-fn get_f64(buf: &mut Bytes) -> Result<f64> {
-    let bits = buf.get_u64_le().ok_or(WireError::UnexpectedEof { expected: "f64" })?;
-    Ok(f64::from_bits(bits))
+impl Wire for bool {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        Ok(get_u8(buf, "bool")? != 0)
+    }
+}
+
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(self.to_bits());
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let bits = buf.get_u64_le().ok_or(WireError::UnexpectedEof { expected: "f64" })?;
+        Ok(f64::from_bits(bits))
+    }
+}
+
+/// One byte; a list of them is a blob, copied in bulk.
+impl Wire for u8 {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_u8(buf, "byte")
+    }
+
+    #[inline]
+    fn put_list(items: &[Self], buf: &mut BytesMut) {
+        (items.len() as u64).put(buf);
+        buf.put_slice(items);
+    }
+
+    #[inline]
+    fn get_list(buf: &mut Bytes) -> Result<Vec<Self>> {
+        let n = get_len(buf)?;
+        let raw = buf.split_to(n).ok_or(WireError::UnexpectedEof { expected: "byte blob" })?;
+        Ok(raw.to_vec())
+    }
+
+    #[inline]
+    fn skip_list(buf: &mut Bytes) -> Result<()> {
+        let n = get_len(buf)?;
+        buf.advance(n).ok_or(WireError::UnexpectedEof { expected: "byte blob" })
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let n = get_len(buf)?;
+        let raw = buf.split_to(n).ok_or(WireError::UnexpectedEof { expected: "string body" })?;
+        String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
+    }
+
+    #[inline]
+    fn skip(buf: &mut Bytes) -> Result<()> {
+        const EOF: WireError = WireError::UnexpectedEof { expected: "string body" };
+        let n = get_len(buf)?;
+        std::str::from_utf8(buf.get(..n).ok_or(EOF)?).map_err(|_| WireError::InvalidUtf8)?;
+        buf.advance(n).ok_or(EOF)
+    }
+}
+
+impl Wire for UserId {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        u64::get(buf).map(UserId)
+    }
+}
+
+impl Wire for InstanceId {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        u64::get(buf).map(InstanceId)
+    }
+}
+
+/// The segments, as a list of strings; a segment no path may have is
+/// refused.
+impl Wire for ObjectPath {
+    #[inline]
+    fn put(&self, buf: &mut BytesMut) {
+        String::put_list(self.segments(), buf);
+    }
+
+    #[inline]
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        ObjectPath::from_segments(String::get_list(buf)?)
+    }
 }
 
 // --------------------------------------------------------------------------
-// Value
+// containers
 // --------------------------------------------------------------------------
 
-/// Encodes one attribute [`Value`].
-pub fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Bool(b) => {
-            buf.put_u8(0);
-            put_bool(buf, *b);
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        T::put_list(self, buf);
+    }
+
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        T::get_list(buf)
+    }
+
+    fn skip(buf: &mut Bytes) -> Result<()> {
+        T::skip_list(buf)
+    }
+}
+
+/// A pair (a point of a stroke), one after the other.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+
+    fn skip(buf: &mut Bytes) -> Result<()> {
+        A::skip(buf)?;
+        B::skip(buf)
+    }
+}
+
+/// A map (an object's attributes): the count, then key and value of each
+/// entry in the sender's order. A key sent twice keeps its later value.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u64).put(buf);
+        for (key, value) in self {
+            key.put(buf);
+            value.put(buf);
         }
-        Value::Int(i) => {
-            buf.put_u8(1);
-            put_ivarint(buf, *i);
+    }
+
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        let mut map = BTreeMap::new();
+        for _ in 0..get_len(buf)? {
+            map.insert(K::get(buf)?, V::get(buf)?);
         }
-        Value::Float(x) => {
-            buf.put_u8(2);
-            buf.put_u64_le(x.to_bits());
-        }
-        Value::Text(s) => {
-            buf.put_u8(3);
-            put_str(buf, s);
-        }
-        Value::TextList(v) => {
-            buf.put_u8(4);
-            put_uvarint(buf, v.len() as u64);
-            for s in v {
-                put_str(buf, s);
-            }
-        }
-        Value::IntList(v) => {
-            buf.put_u8(5);
-            put_uvarint(buf, v.len() as u64);
-            for i in v {
-                put_ivarint(buf, *i);
-            }
-        }
-        Value::Point(x, y) => {
-            buf.put_u8(6);
-            put_ivarint(buf, i64::from(*x));
-            put_ivarint(buf, i64::from(*y));
-        }
-        Value::Color(r, g, b) => {
-            buf.put_u8(7);
-            buf.put_u8(*r);
-            buf.put_u8(*g);
-            buf.put_u8(*b);
-        }
-        Value::Bytes(b) => {
-            buf.put_u8(8);
-            put_bytes(buf, b);
-        }
-        Value::Stroke(pts) => {
-            buf.put_u8(9);
-            put_uvarint(buf, pts.len() as u64);
-            for (x, y) in pts {
-                put_ivarint(buf, i64::from(*x));
-                put_ivarint(buf, i64::from(*y));
-            }
-        }
-        Value::StrokeList(strokes) => {
-            buf.put_u8(10);
-            put_uvarint(buf, strokes.len() as u64);
-            for pts in strokes {
-                put_uvarint(buf, pts.len() as u64);
-                for (x, y) in pts {
-                    put_ivarint(buf, i64::from(*x));
-                    put_ivarint(buf, i64::from(*y));
+        Ok(map)
+    }
+
+    fn skip(buf: &mut Bytes) -> Result<()> {
+        <(K, V)>::skip_list(buf)
+    }
+}
+
+/// `Option<T>` for each `T` that occurs optionally: one byte, 0 for none
+/// or 1 for some, then the value. The name beside the type is what a byte
+/// that is neither is refused under.
+macro_rules! optional {
+    ($($ty:ty: $kind:literal),+ $(,)?) => {$(
+        impl Wire for Option<$ty> {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_u8(u8::from(self.is_some()));
+                if let Some(some) = self {
+                    some.put(buf);
                 }
             }
-        }
-    }
-}
 
-/// Decodes one attribute [`Value`].
-pub fn get_value(buf: &mut Bytes) -> Result<Value> {
-    let tag = get_u8(buf, "value tag")?;
-    Ok(match tag {
-        0 => Value::Bool(get_bool(buf)?),
-        1 => Value::Int(get_ivarint(buf)?),
-        2 => Value::Float(get_f64(buf)?),
-        3 => Value::Text(get_str(buf)?),
-        4 => {
-            let n = get_len(buf)?;
-            let mut v = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                v.push(get_str(buf)?);
+            fn get(buf: &mut Bytes) -> Result<Self> {
+                some_follows(buf, $kind)?.then(|| <$ty>::get(buf)).transpose()
             }
-            Value::TextList(v)
-        }
-        5 => {
-            let n = get_len(buf)?;
-            let mut v = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                v.push(get_ivarint(buf)?);
-            }
-            Value::IntList(v)
-        }
-        6 => Value::Point(get_i32(buf)?, get_i32(buf)?),
-        7 => {
-            Value::Color(get_u8(buf, "color r")?, get_u8(buf, "color g")?, get_u8(buf, "color b")?)
-        }
-        8 => Value::Bytes(get_blob(buf)?),
-        9 => {
-            let n = get_len(buf)?;
-            let mut v = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                v.push((get_i32(buf)?, get_i32(buf)?));
-            }
-            Value::Stroke(v)
-        }
-        10 => {
-            let n = get_len(buf)?;
-            let mut strokes = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let m = get_len(buf)?;
-                let mut v = Vec::with_capacity(m.min(4096));
-                for _ in 0..m {
-                    v.push((get_i32(buf)?, get_i32(buf)?));
+
+            fn skip(buf: &mut Bytes) -> Result<()> {
+                if some_follows(buf, $kind)? {
+                    <$ty>::skip(buf)?;
                 }
-                strokes.push(v);
+                Ok(())
             }
-            Value::StrokeList(strokes)
         }
-        other => return Err(WireError::InvalidTag { kind: "Value", tag: other }),
-    })
+    )+};
 }
 
-fn get_i32(buf: &mut Bytes) -> Result<i32> {
-    let v = get_ivarint(buf)?;
-    i32::try_from(v)
-        .map_err(|_| WireError::LengthOverflow { declared: v.unsigned_abs(), max: i32::MAX as u64 })
+optional! {
+    StateNode: "Option",
+    String: "Option",
+    WidgetKind: "Option<WidgetKind>",
+    Vec<u8>: "Option<Vec<u8>>",
 }
 
-// --------------------------------------------------------------------------
-// names, paths, ids
-// --------------------------------------------------------------------------
-
-fn put_attr_name(buf: &mut BytesMut, n: &AttrName) {
-    put_str(buf, n.as_str());
-}
-
-fn get_attr_name(buf: &mut Bytes) -> Result<AttrName> {
-    Ok(AttrName::from_str_lossy(&get_str(buf)?))
-}
-
-fn put_kind(buf: &mut BytesMut, k: &WidgetKind) {
-    put_str(buf, k.as_str());
-}
-
-fn get_kind(buf: &mut Bytes) -> Result<WidgetKind> {
-    Ok(WidgetKind::from_str_lossy(&get_str(buf)?))
-}
-
-/// Encodes an [`ObjectPath`].
-pub fn put_path(buf: &mut BytesMut, p: &ObjectPath) {
-    put_uvarint(buf, p.segments().len() as u64);
-    for s in p.segments() {
-        put_str(buf, s);
+fn some_follows(buf: &mut Bytes, kind: &'static str) -> Result<bool> {
+    match get_u8(buf, "option tag")? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(WireError::InvalidTag { kind, tag }),
     }
-}
-
-/// Decodes an [`ObjectPath`].
-pub fn get_path(buf: &mut Bytes) -> Result<ObjectPath> {
-    let n = get_len(buf)?;
-    let mut segs = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        segs.push(get_str(buf)?);
-    }
-    ObjectPath::from_segments(segs)
-}
-
-fn put_gid(buf: &mut BytesMut, g: &GlobalObjectId) {
-    put_uvarint(buf, g.instance.0);
-    put_path(buf, &g.path);
-}
-
-fn get_gid(buf: &mut Bytes) -> Result<GlobalObjectId> {
-    let inst = InstanceId(get_uvarint(buf)?);
-    let path = get_path(buf)?;
-    Ok(GlobalObjectId::new(inst, path))
 }
 
 // --------------------------------------------------------------------------
 // state snapshots
 // --------------------------------------------------------------------------
-
-/// Encodes a [`StateNode`] snapshot tree.
-pub fn put_state(buf: &mut BytesMut, s: &StateNode) {
-    put_kind(buf, &s.kind);
-    put_str(buf, &s.name);
-    put_uvarint(buf, s.attrs.len() as u64);
-    for (k, v) in &s.attrs {
-        put_attr_name(buf, k);
-        put_value(buf, v);
-    }
-    put_bytes(buf, &s.semantic);
-    put_uvarint(buf, s.children.len() as u64);
-    for c in &s.children {
-        put_state(buf, c);
-    }
-}
 
 /// Deepest [`StateNode`] nesting [`get_state`] accepts (a lone node is
 /// depth 1). The decoder recurses once per level, so without the bound a
@@ -330,35 +409,64 @@ pub fn put_state(buf: &mut BytesMut, s: &StateNode) {
 /// stack.
 pub const MAX_STATE_DEPTH: usize = 128;
 
-/// Decodes a [`StateNode`] snapshot tree.
+/// Decodes a [`StateNode`] snapshot tree: its [`Wire::get`], as a function.
 ///
 /// # Errors
 ///
 /// Besides malformed input, a tree nested deeper than [`MAX_STATE_DEPTH`]
 /// is rejected with [`WireError::DepthExceeded`].
 pub fn get_state(buf: &mut Bytes) -> Result<StateNode> {
-    get_state_within(buf, MAX_STATE_DEPTH)
+    StateNode::get(buf)
+}
+
+/// Kind, name, attributes, semantic payload, children. Written by hand
+/// because the two reading walks count levels on the way down, which a
+/// `record!` has nowhere to carry; each field still goes through its own
+/// type's `Wire`.
+impl Wire for StateNode {
+    fn put(&self, buf: &mut BytesMut) {
+        self.kind.put(buf);
+        self.name.put(buf);
+        self.attrs.put(buf);
+        self.semantic.put(buf);
+        self.children.put(buf);
+    }
+
+    fn get(buf: &mut Bytes) -> Result<Self> {
+        get_state_within(buf, MAX_STATE_DEPTH)
+    }
+
+    fn skip(buf: &mut Bytes) -> Result<()> {
+        skip_state_within(buf, MAX_STATE_DEPTH)
+    }
+}
+
+fn levels_below(levels: usize) -> Result<usize> {
+    levels.checked_sub(1).ok_or(WireError::DepthExceeded { max: MAX_STATE_DEPTH })
 }
 
 fn get_state_within(buf: &mut Bytes, levels: usize) -> Result<StateNode> {
-    let Some(levels_below) = levels.checked_sub(1) else {
-        return Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH });
+    let below = levels_below(levels)?;
+    let mut node = StateNode {
+        kind: Wire::get(buf)?,
+        name: Wire::get(buf)?,
+        attrs: Wire::get(buf)?,
+        semantic: Wire::get(buf)?,
+        children: Vec::new(),
     };
-    let kind = get_kind(buf)?;
-    let name = get_str(buf)?;
-    let n_attrs = get_len(buf)?;
-    let mut node = StateNode::new(kind, &name);
-    for _ in 0..n_attrs {
-        let k = get_attr_name(buf)?;
-        let v = get_value(buf)?;
-        node.attrs.insert(k, v);
-    }
-    node.semantic = get_blob(buf)?;
-    let n_children = get_len(buf)?;
-    for _ in 0..n_children {
-        node.children.push(get_state_within(buf, levels_below)?);
+    for _ in 0..get_len(buf)? {
+        node.children.push(get_state_within(buf, below)?);
     }
     Ok(node)
+}
+
+fn skip_state_within(buf: &mut Bytes, levels: usize) -> Result<()> {
+    let below = levels_below(levels)?;
+    WidgetKind::skip(buf)?;
+    String::skip(buf)?;
+    crate::AttrMap::skip(buf)?;
+    Vec::<u8>::skip(buf)?;
+    (0..get_len(buf)?).try_for_each(|_| skip_state_within(buf, below))
 }
 
 // --------------------------------------------------------------------------
@@ -372,16 +480,16 @@ fn get_state_within(buf: &mut Bytes, levels: usize) -> Result<StateNode> {
 /// files as a historical UI state (§2.2) and reads again only at undo —
 /// travels as this type, so nobody builds the tree in between.
 ///
-/// A value decoded from a frame ([`get_encoded_state`]) holds bytes that
+/// A value decoded from a frame ([`Wire::get`]) holds bytes that
 /// [`get_state`] accepts: same grammar, same limits ([`MAX_LEN`], UTF-8,
-/// value tags, `i32` coordinates, [`MAX_STATE_DEPTH`]), checked by a walk
-/// that allocates nothing, and the value is a refcounted slice of the
-/// frame itself. The encoding need not be canonical (attribute order and
-/// duplicates are the sender's), so equality is equality of bytes, which
-/// is finer than equality of the decoded trees. [`EncodedState::of`]
-/// encodes whatever tree it is given; one nested past [`MAX_STATE_DEPTH`]
-/// can only be built in-process and is the one case where
-/// [`EncodedState::decode`] fails.
+/// value tags, `i32` coordinates, [`MAX_STATE_DEPTH`]), checked by
+/// [`Wire::skip`], which allocates nothing, and the value is a refcounted
+/// slice of the frame itself. The encoding need not be canonical
+/// (attribute order and duplicates are the sender's), so equality is
+/// equality of bytes, which is finer than equality of the decoded trees.
+/// [`EncodedState::of`] encodes whatever tree it is given; one nested past
+/// [`MAX_STATE_DEPTH`] can only be built in-process and is the one case
+/// where [`EncodedState::decode`] fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedState(Bytes);
 
@@ -402,7 +510,7 @@ impl EncodedState {
         get_state(&mut self.0.clone())
     }
 
-    /// The encoding: exactly the bytes [`put_state`] writes for a
+    /// The encoding: exactly the bytes a [`StateNode`] writes for a
     /// canonical value, exactly the bytes the frame carried otherwise.
     pub fn as_slice(&self) -> &[u8] {
         &self.0
@@ -415,532 +523,22 @@ impl From<StateNode> for EncodedState {
     }
 }
 
-/// Splits one encoded [`StateNode`] off the front of `buf` without
-/// decoding it. Accepts exactly the inputs [`get_state`] accepts, fails
-/// with the same error on the others, and on success leaves `buf` where
-/// [`get_state`] would (`crates/wire/tests/encoded_state.rs` holds the
-/// two walks together).
-///
-/// # Errors
-///
-/// As [`get_state`].
-pub fn get_encoded_state(buf: &mut Bytes) -> Result<EncodedState> {
-    let mut rest = buf.clone();
-    skip_state(&mut rest, MAX_STATE_DEPTH)?;
-    // `rest` is a suffix of `buf`, so the split is always in range.
-    let walked = buf.len() - rest.len();
-    buf.split_to(walked).map(EncodedState).ok_or(WireError::UnexpectedEof { expected: "state" })
-}
-
-// The skip_* functions mirror get_str, get_blob, get_value and
-// get_state_within check for check and in the same order, so both report
-// the same first error; they build nothing.
-
-fn skip_str(buf: &mut Bytes) -> Result<()> {
-    const EOF: WireError = WireError::UnexpectedEof { expected: "string body" };
-    let n = get_len(buf)?;
-    std::str::from_utf8(buf.get(..n).ok_or(EOF)?).map_err(|_| WireError::InvalidUtf8)?;
-    buf.advance(n).ok_or(EOF)
-}
-
-fn skip_blob(buf: &mut Bytes) -> Result<()> {
-    let n = get_len(buf)?;
-    buf.advance(n).ok_or(WireError::UnexpectedEof { expected: "byte blob" })
-}
-
-fn skip_points(buf: &mut Bytes) -> Result<()> {
-    for _ in 0..get_len(buf)? {
-        get_i32(buf)?;
-        get_i32(buf)?;
-    }
-    Ok(())
-}
-
-fn skip_value(buf: &mut Bytes) -> Result<()> {
-    match get_u8(buf, "value tag")? {
-        0 => get_bool(buf).map(drop)?,
-        1 => get_ivarint(buf).map(drop)?,
-        2 => get_f64(buf).map(drop)?,
-        3 => skip_str(buf)?,
-        4 => {
-            for _ in 0..get_len(buf)? {
-                skip_str(buf)?;
-            }
-        }
-        5 => {
-            for _ in 0..get_len(buf)? {
-                get_ivarint(buf)?;
-            }
-        }
-        6 => {
-            get_i32(buf)?;
-            get_i32(buf)?;
-        }
-        7 => {
-            get_u8(buf, "color r")?;
-            get_u8(buf, "color g")?;
-            get_u8(buf, "color b")?;
-        }
-        8 => skip_blob(buf)?,
-        9 => skip_points(buf)?,
-        10 => {
-            for _ in 0..get_len(buf)? {
-                skip_points(buf)?;
-            }
-        }
-        other => return Err(WireError::InvalidTag { kind: "Value", tag: other }),
-    }
-    Ok(())
-}
-
-fn skip_state(buf: &mut Bytes, levels: usize) -> Result<()> {
-    let Some(levels_below) = levels.checked_sub(1) else {
-        return Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH });
-    };
-    skip_str(buf)?; // kind
-    skip_str(buf)?; // name
-    for _ in 0..get_len(buf)? {
-        skip_str(buf)?; // attribute name
-        skip_value(buf)?;
-    }
-    skip_blob(buf)?; // semantic payload
-    for _ in 0..get_len(buf)? {
-        skip_state(buf, levels_below)?;
-    }
-    Ok(())
-}
-
-// --------------------------------------------------------------------------
-// state deltas
-// --------------------------------------------------------------------------
-
-/// Encodes a [`StateDelta`].
-pub fn put_delta(buf: &mut BytesMut, d: &StateDelta) {
-    put_uvarint(buf, d.edits.len() as u64);
-    for e in &d.edits {
-        put_uvarint(buf, e.path.len() as u64);
-        for seg in &e.path {
-            put_str(buf, seg);
-        }
-        match &e.op {
-            EditOp::Patch(p) => {
-                buf.put_u8(0);
-                match &p.kind {
-                    None => buf.put_u8(0),
-                    Some(k) => {
-                        buf.put_u8(1);
-                        put_kind(buf, k);
-                    }
-                }
-                put_uvarint(buf, p.upserts.len() as u64);
-                for (k, v) in &p.upserts {
-                    put_attr_name(buf, k);
-                    put_value(buf, v);
-                }
-                put_uvarint(buf, p.removals.len() as u64);
-                for k in &p.removals {
-                    put_attr_name(buf, k);
-                }
-                match &p.semantic {
-                    None => buf.put_u8(0),
-                    Some(b) => {
-                        buf.put_u8(1);
-                        put_bytes(buf, b);
-                    }
-                }
-            }
-            EditOp::Replace(s) => {
-                buf.put_u8(1);
-                put_state(buf, s);
-            }
-            EditOp::Restructure { order, inserts } => {
-                buf.put_u8(2);
-                put_uvarint(buf, order.len() as u64);
-                for n in order {
-                    put_str(buf, n);
-                }
-                put_uvarint(buf, inserts.len() as u64);
-                for s in inserts {
-                    put_state(buf, s);
-                }
-            }
-        }
-    }
-}
-
-/// Decodes a [`StateDelta`].
-pub fn get_delta(buf: &mut Bytes) -> Result<StateDelta> {
-    let n_edits = get_len(buf)?;
-    let mut edits = Vec::with_capacity(n_edits.min(1024));
-    for _ in 0..n_edits {
-        let n_segs = get_len(buf)?;
-        let mut path = Vec::with_capacity(n_segs.min(64));
-        for _ in 0..n_segs {
-            path.push(get_str(buf)?);
-        }
-        let op = match get_u8(buf, "edit op tag")? {
-            0 => {
-                let mut patch = NodePatch::default();
-                match get_u8(buf, "option tag")? {
-                    0 => {}
-                    1 => patch.kind = Some(get_kind(buf)?),
-                    other => {
-                        return Err(WireError::InvalidTag {
-                            kind: "Option<WidgetKind>",
-                            tag: other,
-                        })
-                    }
-                }
-                let n_ups = get_len(buf)?;
-                for _ in 0..n_ups {
-                    let k = get_attr_name(buf)?;
-                    let v = get_value(buf)?;
-                    patch.upserts.insert(k, v);
-                }
-                let n_rm = get_len(buf)?;
-                for _ in 0..n_rm {
-                    patch.removals.push(get_attr_name(buf)?);
-                }
-                match get_u8(buf, "option tag")? {
-                    0 => {}
-                    1 => patch.semantic = Some(get_blob(buf)?),
-                    other => {
-                        return Err(WireError::InvalidTag { kind: "Option<Vec<u8>>", tag: other })
-                    }
-                }
-                EditOp::Patch(patch)
-            }
-            1 => EditOp::Replace(get_state(buf)?),
-            2 => {
-                let n_order = get_len(buf)?;
-                let mut order = Vec::with_capacity(n_order.min(1024));
-                for _ in 0..n_order {
-                    order.push(get_str(buf)?);
-                }
-                let n_ins = get_len(buf)?;
-                let mut inserts = Vec::with_capacity(n_ins.min(1024));
-                for _ in 0..n_ins {
-                    inserts.push(get_state(buf)?);
-                }
-                EditOp::Restructure { order, inserts }
-            }
-            other => return Err(WireError::InvalidTag { kind: "EditOp", tag: other }),
-        };
-        edits.push(NodeEdit { path, op });
-    }
-    Ok(StateDelta { edits })
-}
-
-// --------------------------------------------------------------------------
-// events
-// --------------------------------------------------------------------------
-
-fn put_event_kind(buf: &mut BytesMut, k: &EventKind) {
-    let (tag, custom): (u8, Option<&str>) = match k {
-        EventKind::Activate => (0, None),
-        EventKind::ValueChanged => (1, None),
-        EventKind::TextCommitted => (2, None),
-        EventKind::TextEdited => (3, None),
-        EventKind::SelectionChanged => (4, None),
-        EventKind::Toggled => (5, None),
-        EventKind::StrokeAdded => (6, None),
-        EventKind::CanvasCleared => (7, None),
-        EventKind::RowActivated => (8, None),
-        EventKind::Custom(s) => (255, Some(s)),
-    };
-    buf.put_u8(tag);
-    if let Some(s) = custom {
-        put_str(buf, s);
-    }
-}
-
-fn get_event_kind(buf: &mut Bytes) -> Result<EventKind> {
-    let tag = get_u8(buf, "event kind tag")?;
-    Ok(match tag {
-        0 => EventKind::Activate,
-        1 => EventKind::ValueChanged,
-        2 => EventKind::TextCommitted,
-        3 => EventKind::TextEdited,
-        4 => EventKind::SelectionChanged,
-        5 => EventKind::Toggled,
-        6 => EventKind::StrokeAdded,
-        7 => EventKind::CanvasCleared,
-        8 => EventKind::RowActivated,
-        255 => EventKind::Custom(get_str(buf)?),
-        other => return Err(WireError::InvalidTag { kind: "EventKind", tag: other }),
-    })
-}
-
-/// Encodes a [`UiEvent`].
-pub fn put_event(buf: &mut BytesMut, e: &UiEvent) {
-    put_path(buf, &e.path);
-    put_event_kind(buf, &e.kind);
-    put_uvarint(buf, e.params.len() as u64);
-    for p in &e.params {
-        put_value(buf, p);
-    }
-}
-
-/// Decodes a [`UiEvent`].
-pub fn get_event(buf: &mut Bytes) -> Result<UiEvent> {
-    let path = get_path(buf)?;
-    let kind = get_event_kind(buf)?;
-    let n = get_len(buf)?;
-    let mut params = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        params.push(get_value(buf)?);
-    }
-    Ok(UiEvent::new(path, kind, params))
-}
-
-// --------------------------------------------------------------------------
-// message fields
-// --------------------------------------------------------------------------
-
-/// A type that can be a field of a [`Message`]: the protocol table in
-/// `message.rs` encodes and decodes every field through this trait.
-pub(crate) trait Wire: Sized {
-    /// Appends the value.
-    fn put(&self, buf: &mut BytesMut);
-    /// Decodes one value.
-    fn get(buf: &mut Bytes) -> Result<Self>;
-}
-
-impl Wire for u64 {
-    fn put(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, *self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_uvarint(buf)
-    }
-}
-
-impl Wire for UserId {
-    fn put(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.0);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        Ok(UserId(get_uvarint(buf)?))
-    }
-}
-
-impl Wire for InstanceId {
-    fn put(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.0);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        Ok(InstanceId(get_uvarint(buf)?))
-    }
-}
-
-impl Wire for String {
-    fn put(&self, buf: &mut BytesMut) {
-        put_str(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_str(buf)
-    }
-}
-
-/// The byte blob, copied in bulk (not element by element like other
-/// lists).
-impl Wire for Vec<u8> {
-    fn put(&self, buf: &mut BytesMut) {
-        put_bytes(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_blob(buf)
-    }
-}
-
-impl Wire for ObjectPath {
-    fn put(&self, buf: &mut BytesMut) {
-        put_path(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_path(buf)
-    }
-}
-
-impl Wire for GlobalObjectId {
-    fn put(&self, buf: &mut BytesMut) {
-        put_gid(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_gid(buf)
-    }
-}
-
-impl Wire for UiEvent {
-    fn put(&self, buf: &mut BytesMut) {
-        put_event(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_event(buf)
-    }
-}
-
-impl Wire for StateNode {
-    fn put(&self, buf: &mut BytesMut) {
-        put_state(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_state(buf)
-    }
-}
-
+/// Reading one splits an encoded [`StateNode`] off the front of the
+/// buffer without decoding it: [`Wire::skip`] of a `StateNode` finds
+/// where it ends, having checked it on the way
+/// (`crates/wire/tests/encoded_state.rs` is the proof that it accepts,
+/// refuses and consumes as [`get_state`] does).
 impl Wire for EncodedState {
     fn put(&self, buf: &mut BytesMut) {
         buf.put_slice(&self.0);
     }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        get_encoded_state(buf)
-    }
-}
 
-impl Wire for StateDelta {
-    fn put(&self, buf: &mut BytesMut) {
-        put_delta(buf, self);
-    }
     fn get(buf: &mut Bytes) -> Result<Self> {
-        get_delta(buf)
-    }
-}
-
-impl Wire for CopyMode {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
-            CopyMode::Strict => 0,
-            CopyMode::DestructiveMerge => 1,
-            CopyMode::FlexibleMatch => 2,
-        });
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        match get_u8(buf, "copy mode")? {
-            0 => Ok(CopyMode::Strict),
-            1 => Ok(CopyMode::DestructiveMerge),
-            2 => Ok(CopyMode::FlexibleMatch),
-            other => Err(WireError::InvalidTag { kind: "CopyMode", tag: other }),
-        }
-    }
-}
-
-impl Wire for AccessRight {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(match self {
-            AccessRight::Denied => 0,
-            AccessRight::Read => 1,
-            AccessRight::Write => 2,
-        });
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        match get_u8(buf, "access right")? {
-            0 => Ok(AccessRight::Denied),
-            1 => Ok(AccessRight::Read),
-            2 => Ok(AccessRight::Write),
-            other => Err(WireError::InvalidTag { kind: "AccessRight", tag: other }),
-        }
-    }
-}
-
-impl Wire for Target {
-    fn put(&self, buf: &mut BytesMut) {
-        match self {
-            Target::Instance(i) => {
-                buf.put_u8(0);
-                i.put(buf);
-            }
-            Target::Broadcast => buf.put_u8(1),
-            Target::Group(g) => {
-                buf.put_u8(2);
-                g.put(buf);
-            }
-        }
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        match get_u8(buf, "target tag")? {
-            0 => Ok(Target::Instance(Wire::get(buf)?)),
-            1 => Ok(Target::Broadcast),
-            2 => Ok(Target::Group(Wire::get(buf)?)),
-            other => Err(WireError::InvalidTag { kind: "Target", tag: other }),
-        }
-    }
-}
-
-impl Wire for InstanceInfo {
-    fn put(&self, buf: &mut BytesMut) {
-        self.instance.put(buf);
-        self.user.put(buf);
-        self.host.put(buf);
-        self.app_name.put(buf);
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        Ok(InstanceInfo {
-            instance: Wire::get(buf)?,
-            user: Wire::get(buf)?,
-            host: Wire::get(buf)?,
-            app_name: Wire::get(buf)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, buf: &mut BytesMut) {
-        put_uvarint(buf, self.len() as u64);
-        for item in self {
-            item.put(buf);
-        }
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        let n = get_len(buf)?;
-        let mut items = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            items.push(T::get(buf)?);
-        }
-        Ok(items)
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, buf: &mut BytesMut) {
-        match self {
-            None => buf.put_u8(0),
-            Some(v) => {
-                buf.put_u8(1);
-                v.put(buf);
-            }
-        }
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        match get_u8(buf, "option tag")? {
-            0 => Ok(None),
-            1 => Ok(Some(T::get(buf)?)),
-            other => Err(WireError::InvalidTag { kind: "Option", tag: other }),
-        }
-    }
-}
-
-/// `StateApplied.overwritten`: none and the state keep the tags and
-/// bytes of the `Option<EncodedState>` the field was; the reference to the
-/// base is a third tag with no payload.
-impl Wire for Option<Overwritten> {
-    fn put(&self, buf: &mut BytesMut) {
-        match self {
-            None => buf.put_u8(0),
-            Some(Overwritten::State(state)) => {
-                buf.put_u8(1);
-                state.put(buf);
-            }
-            Some(Overwritten::Base) => buf.put_u8(2),
-        }
-    }
-    fn get(buf: &mut Bytes) -> Result<Self> {
-        match get_u8(buf, "option tag")? {
-            0 => Ok(None),
-            1 => Ok(Some(Overwritten::State(Wire::get(buf)?))),
-            2 => Ok(Some(Overwritten::Base)),
-            other => Err(WireError::InvalidTag { kind: "Option<Overwritten>", tag: other }),
-        }
+        let mut rest = buf.clone();
+        StateNode::skip(&mut rest)?;
+        // `rest` is a suffix of `buf`, so the split is always in range.
+        let walked = buf.len() - rest.len();
+        buf.split_to(walked).map(EncodedState).ok_or(WireError::UnexpectedEof { expected: "state" })
     }
 }
 
@@ -957,7 +555,7 @@ pub fn encode_message(m: &Message) -> Vec<u8> {
 
 /// Appends a [`Message`] body to `buf`: the kind's tag byte, then its
 /// fields in the order the protocol table declares them.
-pub fn put_message(buf: &mut BytesMut, m: &Message) {
+fn put_message(buf: &mut BytesMut, m: &Message) {
     buf.put_u8(m.kind() as u8);
     m.put_fields(buf);
 }
@@ -970,18 +568,13 @@ pub fn put_message(buf: &mut BytesMut, m: &Message) {
 /// invalid UTF-8, over-long declared lengths, trailing bytes).
 pub fn decode_message(bytes: &[u8]) -> Result<Message> {
     let mut buf = Bytes::from(bytes.to_vec());
-    let m = get_message(&mut buf)?;
+    let tag = get_u8(&mut buf, "message tag")?;
+    let kind = MessageKind::from_tag(tag).ok_or(WireError::InvalidTag { kind: "Message", tag })?;
+    let m = Message::get_fields(kind, &mut buf)?;
     if !buf.is_empty() {
         return Err(WireError::TrailingBytes { remaining: buf.len() });
     }
     Ok(m)
-}
-
-/// Decodes one [`Message`] from `buf`, leaving any following bytes.
-pub fn get_message(buf: &mut Bytes) -> Result<Message> {
-    let tag = get_u8(buf, "message tag")?;
-    let kind = MessageKind::from_tag(tag).ok_or(WireError::InvalidTag { kind: "Message", tag })?;
-    Message::get_fields(kind, buf)
 }
 
 // --------------------------------------------------------------------------
@@ -995,6 +588,20 @@ pub fn frame_message(m: &Message) -> Vec<u8> {
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     out
+}
+
+/// The body length a frame header declares.
+///
+/// # Errors
+///
+/// [`WireError::LengthOverflow`] for a length over [`MAX_LEN`]: the one
+/// check every reader of the stream makes before it buffers a body.
+pub fn frame_body_len(header: [u8; 4]) -> Result<usize> {
+    let len = u64::from(u32::from_le_bytes(header));
+    if len > MAX_LEN {
+        return Err(WireError::LengthOverflow { declared: len, max: MAX_LEN });
+    }
+    Ok(len as usize)
 }
 
 // --------------------------------------------------------------------------
@@ -1091,17 +698,11 @@ fn seal_frame(mut buf: BytesMut) -> SharedFrame {
     SharedFrame { bytes: buf.freeze() }
 }
 
-/// Frames a message into a cheaply-clonable [`SharedFrame`]; the bytes
-/// are identical to [`frame_message`].
-pub fn frame_message_shared(m: &Message) -> SharedFrame {
-    SharedFrame::from_message(m)
-}
-
 /// Encodes a [`UiEvent`] once into a shared payload that
 /// [`frame_execute_event`] can splice into many per-target frames.
 pub fn encode_event_shared(e: &UiEvent) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
-    put_event(&mut buf, e);
+    e.put(&mut buf);
     buf.freeze()
 }
 
@@ -1114,8 +715,8 @@ pub fn frame_execute_event(exec_id: u64, target: &ObjectPath, event: &Bytes) -> 
     let mut buf = BytesMut::with_capacity(event.len() + 32);
     buf.put_u32_le(0);
     buf.put_u8(MessageKind::ExecuteEvent as u8);
-    put_uvarint(&mut buf, exec_id);
-    put_path(&mut buf, target);
+    exec_id.put(&mut buf);
+    target.put(&mut buf);
     buf.put_slice(event);
     seal_frame(buf)
 }
@@ -1124,7 +725,7 @@ pub fn frame_execute_event(exec_id: u64, target: &ObjectPath, event: &Bytes) -> 
 /// [`frame_apply_state`] can splice into many per-leg frames.
 pub fn encode_state_shared(s: &StateNode) -> Bytes {
     let mut buf = BytesMut::with_capacity(256);
-    put_state(&mut buf, s);
+    s.put(&mut buf);
     buf.freeze()
 }
 
@@ -1142,8 +743,8 @@ pub fn frame_apply_state(
     let mut buf = BytesMut::with_capacity(snapshot.len() + 32);
     buf.put_u32_le(0);
     buf.put_u8(MessageKind::ApplyState as u8);
-    put_uvarint(&mut buf, req_id);
-    put_path(&mut buf, path);
+    req_id.put(&mut buf);
+    path.put(&mut buf);
     buf.put_slice(snapshot);
     mode.put(&mut buf);
     seal_frame(buf)
@@ -1153,7 +754,7 @@ pub fn frame_apply_state(
 /// [`frame_apply_delta`] can splice into many per-leg frames.
 pub fn encode_delta_shared(d: &StateDelta) -> Bytes {
     let mut buf = BytesMut::with_capacity(128);
-    put_delta(&mut buf, d);
+    d.put(&mut buf);
     buf.freeze()
 }
 
@@ -1173,22 +774,13 @@ pub fn frame_apply_delta(
     let mut buf = BytesMut::with_capacity(delta.len() + 48);
     buf.put_u32_le(0);
     buf.put_u8(MessageKind::ApplyDelta as u8);
-    put_uvarint(&mut buf, req_id);
-    put_path(&mut buf, path);
-    put_uvarint(&mut buf, base_version);
-    put_uvarint(&mut buf, new_version);
+    req_id.put(&mut buf);
+    path.put(&mut buf);
+    base_version.put(&mut buf);
+    new_version.put(&mut buf);
     buf.put_slice(delta);
     mode.put(&mut buf);
     seal_frame(buf)
-}
-
-/// Writes a framed message to a `Write` stream.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the underlying writer.
-pub fn write_frame<W: std::io::Write>(w: &mut W, m: &Message) -> std::io::Result<()> {
-    w.write_all(&frame_message(m))
 }
 
 /// Reads one framed message from a `Read` stream.
@@ -1206,24 +798,19 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Message
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len_buf) as u64;
-    if len > MAX_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::LengthOverflow { declared: len, max: MAX_LEN },
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let mut body = vec![0u8; frame_body_len(len_buf).map_err(invalid)?];
     r.read_exact(&mut body)?;
-    decode_message(&body)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    decode_message(&body).map(Some).map_err(invalid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::InstanceInfo;
+    use crate::{
+        AccessRight, AttrName, EditOp, EventKind, GlobalObjectId, Overwritten, Target, Value,
+    };
 
     fn path(s: &str) -> ObjectPath {
         ObjectPath::parse(s).unwrap()
@@ -1412,7 +999,7 @@ mod tests {
         let msgs = sample_messages();
         let mut stream = Vec::new();
         for m in &msgs {
-            write_frame(&mut stream, m).unwrap();
+            stream.extend(frame_message(m));
         }
         let mut cursor = std::io::Cursor::new(stream);
         for m in &msgs {
@@ -1439,27 +1026,56 @@ mod tests {
         assert!(matches!(decode_message(&bytes), Err(WireError::TrailingBytes { remaining: 1 })));
     }
 
+    /// Every tagged table refuses the tag one past its last row and tag
+    /// 254 (255 is `EventKind::Custom`), under the table's own name — and
+    /// so does the protocol table.
     #[test]
     fn bad_tags_rejected() {
-        assert!(matches!(
-            decode_message(&[250]),
-            Err(WireError::InvalidTag { kind: "Message", .. })
-        ));
+        fn refuses<T: Wire + std::fmt::Debug>(kind: &'static str, all: &[(&str, u8)]) {
+            let past = all.iter().map(|(_, tag)| *tag).filter(|tag| *tag < 254).max().unwrap() + 1;
+            assert!(all.iter().all(|(_, tag)| *tag != past));
+            for tag in [past, 254] {
+                let refused = Err(WireError::InvalidTag { kind, tag });
+                assert_eq!(T::get(&mut Bytes::from(vec![tag, 0, 0])).map(drop), refused);
+                assert_eq!(T::skip(&mut Bytes::from(vec![tag, 0, 0])), refused);
+            }
+        }
+        refuses::<Value>("Value", Value::ALL);
+        refuses::<EventKind>("EventKind", EventKind::ALL);
+        refuses::<CopyMode>("CopyMode", CopyMode::ALL);
+        refuses::<AccessRight>("AccessRight", AccessRight::ALL);
+        refuses::<Target>("Target", Target::ALL);
+        refuses::<EditOp>("EditOp", EditOp::ALL);
+        refuses::<Option<Overwritten>>("Option<Overwritten>", Overwritten::ALL);
+        for tag in [MessageKind::ALL.iter().map(|k| *k as u8).max().unwrap() + 1, 254] {
+            assert_eq!(decode_message(&[tag]), Err(WireError::InvalidTag { kind: "Message", tag }));
+        }
+        fn refuses_option<T: Wire>(kind: &'static str)
+        where
+            Option<T>: Wire,
+        {
+            let got = Option::<T>::get(&mut Bytes::from(vec![2])).map(drop);
+            assert_eq!(got, Err(WireError::InvalidTag { kind, tag: 2 }));
+        }
+        refuses_option::<WidgetKind>("Option<WidgetKind>");
+        refuses_option::<Vec<u8>>("Option<Vec<u8>>");
+        refuses_option::<String>("Option");
+        refuses_option::<StateNode>("Option");
     }
 
     #[test]
     fn varint_boundaries() {
         for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut b = BytesMut::new();
-            put_uvarint(&mut b, v);
+            v.put(&mut b);
             let mut r = b.freeze();
-            assert_eq!(get_uvarint(&mut r).unwrap(), v);
+            assert_eq!(u64::get(&mut r).unwrap(), v);
         }
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, -300, 300] {
             let mut b = BytesMut::new();
-            put_ivarint(&mut b, v);
+            v.put(&mut b);
             let mut r = b.freeze();
-            assert_eq!(get_ivarint(&mut r).unwrap(), v);
+            assert_eq!(i64::get(&mut r).unwrap(), v);
         }
     }
 
@@ -1467,16 +1083,16 @@ mod tests {
     fn varint_overflow_rejected() {
         // 10 continuation bytes with high bits set → more than 64 bits.
         let mut b = Bytes::from(vec![0xffu8; 11]);
-        assert!(matches!(get_uvarint(&mut b), Err(WireError::VarintOverflow)));
+        assert!(matches!(u64::get(&mut b), Err(WireError::VarintOverflow)));
     }
 
     #[test]
     fn nan_floats_round_trip_bitwise() {
         let weird = f64::from_bits(0x7ff8_dead_beef_0001);
         let mut b = BytesMut::new();
-        put_value(&mut b, &Value::Float(weird));
+        Value::Float(weird).put(&mut b);
         let mut r = b.freeze();
-        match get_value(&mut r).unwrap() {
+        match Value::get(&mut r).unwrap() {
             Value::Float(x) => assert_eq!(x.to_bits(), weird.to_bits()),
             other => panic!("expected float, got {other:?}"),
         }
@@ -1487,9 +1103,9 @@ mod tests {
         // Value::Bytes with a declared length beyond MAX_LEN.
         let mut b = BytesMut::new();
         b.put_u8(8); // Bytes tag
-        put_uvarint(&mut b, MAX_LEN + 1);
+        (MAX_LEN + 1).put(&mut b);
         let mut r = b.freeze();
-        assert!(matches!(get_value(&mut r), Err(WireError::LengthOverflow { .. })));
+        assert!(matches!(Value::get(&mut r), Err(WireError::LengthOverflow { .. })));
     }
 
     #[test]
@@ -1499,7 +1115,7 @@ mod tests {
             node = StateNode::new(WidgetKind::Panel, &format!("p{i}")).with_child(node);
         }
         let mut b = BytesMut::new();
-        put_state(&mut b, &node);
+        node.put(&mut b);
         let mut r = b.freeze();
         assert_eq!(get_state(&mut r).unwrap(), node);
     }
@@ -1507,7 +1123,7 @@ mod tests {
     #[test]
     fn shared_frames_are_byte_identical_to_owned_frames() {
         for m in sample_messages() {
-            let shared = frame_message_shared(&m);
+            let shared = SharedFrame::from_message(&m);
             let owned = frame_message(&m);
             assert_eq!(shared.as_slice(), &owned[..], "frame mismatch for {}", m.kind_name());
             assert_eq!(shared.decode().unwrap(), m);
@@ -1582,9 +1198,9 @@ mod tests {
     fn delta_codec_round_trips() {
         let delta = sample_delta();
         let mut b = BytesMut::new();
-        put_delta(&mut b, &delta);
+        delta.put(&mut b);
         let mut r = b.freeze();
-        assert_eq!(get_delta(&mut r).unwrap(), delta);
+        assert_eq!(StateDelta::get(&mut r).unwrap(), delta);
         assert!(r.is_empty());
     }
 
@@ -1599,7 +1215,7 @@ mod tests {
             assert_eq!(kind.name(), *name);
         }
         for m in sample_messages() {
-            let shared = frame_message_shared(&m);
+            let shared = SharedFrame::from_message(&m);
             assert_eq!(shared.tag(), Some(m.kind() as u8));
             assert_eq!(shared.kind_name(), Some(m.kind_name()));
         }
@@ -1624,9 +1240,9 @@ mod tests {
         for level in 0..depth {
             put_str(&mut b, "p"); // kind
             put_str(&mut b, "n"); // name
-            put_uvarint(&mut b, 0); // attrs
-            put_uvarint(&mut b, 0); // semantic
-            put_uvarint(&mut b, u64::from(level + 1 < depth)); // children
+            0u64.put(&mut b); // attrs
+            0u64.put(&mut b); // semantic
+            u64::from(level + 1 < depth).put(&mut b); // children
         }
         b.freeze()
     }
@@ -1636,7 +1252,7 @@ mod tests {
         let at_limit = nested_state_bytes(MAX_STATE_DEPTH);
         let node = get_state(&mut at_limit.clone()).expect("depth = limit decodes");
         let mut again = BytesMut::new();
-        put_state(&mut again, &node);
+        node.put(&mut again);
         assert_eq!(again.freeze(), at_limit, "depth = limit round-trips");
 
         let mut over = nested_state_bytes(MAX_STATE_DEPTH + 1);
@@ -1655,41 +1271,41 @@ mod tests {
 
         let mut apply = BytesMut::new();
         apply.put_u8(MessageKind::ApplyState as u8);
-        put_uvarint(&mut apply, 1);
-        put_path(&mut apply, &path("a"));
+        1u64.put(&mut apply);
+        path("a").put(&mut apply);
         apply.put_slice(&nested);
         assert_eq!(decode_message(&apply), too_deep);
 
         let mut reply = BytesMut::new();
         reply.put_u8(MessageKind::StateReply as u8);
-        put_uvarint(&mut reply, 1);
+        1u64.put(&mut reply);
         reply.put_u8(1); // Some
         reply.put_slice(&nested);
         assert_eq!(decode_message(&reply), too_deep);
 
         let mut applied = BytesMut::new();
         applied.put_u8(MessageKind::StateApplied as u8);
-        put_uvarint(&mut applied, 1);
+        1u64.put(&mut applied);
         applied.put_u8(1); // Some: the non-building walk recurses too
         applied.put_slice(&nested);
         assert_eq!(decode_message(&applied), too_deep);
 
         let mut delta = BytesMut::new();
-        put_uvarint(&mut delta, 1); // edits
-        put_uvarint(&mut delta, 0); // path segments
+        1u64.put(&mut delta); // edits
+        0u64.put(&mut delta); // path segments
         delta.put_u8(1); // EditOp::Replace
         delta.put_slice(&nested);
         assert_eq!(
-            get_delta(&mut delta.clone().freeze()).map(|_| ()),
+            StateDelta::get(&mut delta.clone().freeze()).map(|_| ()),
             Err(WireError::DepthExceeded { max: MAX_STATE_DEPTH })
         );
 
         let mut push = BytesMut::new();
         push.put_u8(MessageKind::CopyDelta as u8);
-        put_gid(&mut push, &gid(1, "a"));
-        put_gid(&mut push, &gid(2, "b"));
-        put_uvarint(&mut push, 1); // base version
-        put_uvarint(&mut push, 2); // new version
+        gid(1, "a").put(&mut push);
+        gid(2, "b").put(&mut push);
+        1u64.put(&mut push); // base version
+        2u64.put(&mut push); // new version
         push.put_slice(&delta);
         assert_eq!(decode_message(&push), too_deep);
     }

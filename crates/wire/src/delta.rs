@@ -17,13 +17,15 @@ use crate::{AttrMap, AttrName, StateNode, WidgetKind};
 use std::collections::HashSet;
 use std::fmt;
 
-/// A deterministic, attribute-level difference between two [`StateNode`]
-/// trees. Applying the edits in order to the base tree yields the target
-/// tree exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StateDelta {
-    /// Node edits in pre-order of the base tree.
-    pub edits: Vec<NodeEdit>,
+record! {
+    /// A deterministic, attribute-level difference between two [`StateNode`]
+    /// trees. Applying the edits in order to the base tree yields the target
+    /// tree exactly.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct StateDelta {
+        /// Node edits in pre-order of the base tree.
+        pub edits: Vec<NodeEdit>,
+    }
 }
 
 impl StateDelta {
@@ -57,52 +59,58 @@ impl StateDelta {
     }
 }
 
-/// One edit addressed at a single node of the base tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeEdit {
-    /// Path from the root to the edited node, as child-name segments
-    /// (empty = the root itself). Kept children keep their names, so the
-    /// same path resolves in both the base and the target tree.
-    pub path: Vec<String>,
-    /// The operation to perform at that node.
-    pub op: EditOp,
+record! {
+    /// One edit addressed at a single node of the base tree.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct NodeEdit {
+        /// Path from the root to the edited node, as child-name segments
+        /// (empty = the root itself). Kept children keep their names, so the
+        /// same path resolves in both the base and the target tree.
+        pub path: Vec<String>,
+        /// The operation to perform at that node.
+        pub op: EditOp,
+    }
 }
 
-/// The operation of a [`NodeEdit`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EditOp {
-    /// In-place update of the node's own fields (kind, attributes,
-    /// semantic payload); children are untouched.
-    Patch(NodePatch),
-    /// Wholesale replacement of the node's subtree. Emitted when
-    /// name-keyed child matching is ill-posed (duplicate child names) or
-    /// when the root itself was renamed.
-    Replace(StateNode),
-    /// Rebuild the node's child list: `order` names the new child
-    /// sequence; names already present among the current children keep
-    /// their (recursively patched) subtrees, names that are not are taken
-    /// from `inserts`. Children absent from `order` are dropped.
-    Restructure {
-        /// Final child order, by name.
-        order: Vec<String>,
-        /// Full subtrees for the names in `order` that are not existing
-        /// children of the base node.
-        inserts: Vec<StateNode>,
-    },
+tagged! {
+    /// The operation of a [`NodeEdit`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum EditOp: "EditOp" {
+        /// In-place update of the node's own fields (kind, attributes,
+        /// semantic payload); children are untouched.
+        Patch = 0 (patch: NodePatch),
+        /// Wholesale replacement of the node's subtree. Emitted when
+        /// name-keyed child matching is ill-posed (duplicate child names) or
+        /// when the root itself was renamed.
+        Replace = 1 (subtree: StateNode),
+        /// Rebuild the node's child list: `order` names the new child
+        /// sequence; names already present among the current children keep
+        /// their (recursively patched) subtrees, names that are not are taken
+        /// from `inserts`. Children absent from `order` are dropped.
+        Restructure = 2 {
+            /// Final child order, by name.
+            order: Vec<String>,
+            /// Full subtrees for the names in `order` that are not existing
+            /// children of the base node.
+            inserts: Vec<StateNode>,
+        },
+    }
 }
 
-/// Attribute/semantic/kind changes applied to a single node.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NodePatch {
-    /// Replacement widget kind, when it changed.
-    pub kind: Option<WidgetKind>,
-    /// Attributes to insert or overwrite. A `BTreeMap` keeps the wire
-    /// encoding deterministic.
-    pub upserts: AttrMap,
-    /// Attribute names to remove, in the base map's sorted order.
-    pub removals: Vec<AttrName>,
-    /// Replacement semantic payload, when it changed.
-    pub semantic: Option<Vec<u8>>,
+record! {
+    /// Attribute/semantic/kind changes applied to a single node.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct NodePatch {
+        /// Replacement widget kind, when it changed.
+        pub kind: Option<WidgetKind>,
+        /// Attributes to insert or overwrite. A `BTreeMap` keeps the wire
+        /// encoding deterministic.
+        pub upserts: AttrMap,
+        /// Attribute names to remove, in the base map's sorted order.
+        pub removals: Vec<AttrName>,
+        /// Replacement semantic payload, when it changed.
+        pub semantic: Option<Vec<u8>>,
+    }
 }
 
 impl NodePatch {

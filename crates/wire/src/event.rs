@@ -2,77 +2,57 @@ use std::fmt;
 
 use crate::{ObjectPath, Value};
 
-/// Kind of a high-level callback event.
-///
-/// The paper's synchronization unit is the *high-level callback event* of a
-/// UI object ("pressing of push button object, entering and deleting of
-/// characters", §3.4) — not raw X events. Each kind corresponds to one
-/// callback slot of the toolkit.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// A button was activated (pressed and released).
-    Activate,
-    /// A ranged widget's numeric value changed; param 0 is the new value.
-    ValueChanged,
-    /// A text widget's content was committed (focus-out / Enter);
-    /// param 0 is the full new text.
-    TextCommitted,
-    /// A single edit inside a text widget (fine-grained mode); params are
-    /// the caret position and the inserted text (empty = deletion of one
-    /// character at the position).
-    TextEdited,
-    /// A list/menu selection changed; param 0 is the new selected index.
-    SelectionChanged,
-    /// A toggle button flipped; param 0 is the new boolean state.
-    Toggled,
-    /// A stroke was added to a canvas; param 0 is the stroke.
-    StrokeAdded,
-    /// A canvas was cleared.
-    CanvasCleared,
-    /// A table row was activated; param 0 is the row index.
-    RowActivated,
-    /// Application-defined callback.
-    Custom(String),
-}
-
-impl EventKind {
-    /// Canonical textual form (used in logs and the UI-spec language).
-    pub fn as_str(&self) -> &str {
-        match self {
-            EventKind::Activate => "activate",
-            EventKind::ValueChanged => "value-changed",
-            EventKind::TextCommitted => "text-committed",
-            EventKind::TextEdited => "text-edited",
-            EventKind::SelectionChanged => "selection-changed",
-            EventKind::Toggled => "toggled",
-            EventKind::StrokeAdded => "stroke-added",
-            EventKind::CanvasCleared => "canvas-cleared",
-            EventKind::RowActivated => "row-activated",
-            EventKind::Custom(s) => s,
-        }
+named! {
+    /// Kind of a high-level callback event.
+    ///
+    /// The paper's synchronization unit is the *high-level callback event* of a
+    /// UI object ("pressing of push button object, entering and deleting of
+    /// characters", §3.4) — not raw X events. Each kind corresponds to one
+    /// callback slot of the toolkit.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub enum EventKind: "EventKind" {
+        /// A button was activated (pressed and released).
+        Activate = 0, "activate",
+        /// A ranged widget's numeric value changed; param 0 is the new value.
+        ValueChanged = 1, "value-changed",
+        /// A text widget's content was committed (focus-out / Enter);
+        /// param 0 is the full new text.
+        TextCommitted = 2, "text-committed",
+        /// A single edit inside a text widget (fine-grained mode); params are
+        /// the caret position and the inserted text (empty = deletion of one
+        /// character at the position).
+        TextEdited = 3, "text-edited",
+        /// A list/menu selection changed; param 0 is the new selected index.
+        SelectionChanged = 4, "selection-changed",
+        /// A toggle button flipped; param 0 is the new boolean state.
+        Toggled = 5, "toggled",
+        /// A stroke was added to a canvas; param 0 is the stroke.
+        StrokeAdded = 6, "stroke-added",
+        /// A canvas was cleared.
+        CanvasCleared = 7, "canvas-cleared",
+        /// A table row was activated; param 0 is the row index.
+        RowActivated = 8, "row-activated";
+        /// Application-defined callback.
+        Custom(String) = 255,
     }
 }
 
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+record! {
+    /// A high-level callback event on one UI object.
+    ///
+    /// "Whenever an event occurs on one of the coupled objects, this event
+    /// packed with some parameters is sent to the server. Then the server
+    /// broadcasts this message to the application instances where it is
+    /// unpacked and re-executed." (§3.2)
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct UiEvent {
+        /// Path of the object the event occurred on, within its instance.
+        pub path: ObjectPath,
+        /// The callback kind.
+        pub kind: EventKind,
+        /// Packed event parameters (new value, stroke, index, ...).
+        pub params: Vec<Value>,
     }
-}
-
-/// A high-level callback event on one UI object.
-///
-/// "Whenever an event occurs on one of the coupled objects, this event
-/// packed with some parameters is sent to the server. Then the server
-/// broadcasts this message to the application instances where it is
-/// unpacked and re-executed." (§3.2)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UiEvent {
-    /// Path of the object the event occurred on, within its instance.
-    pub path: ObjectPath,
-    /// The callback kind.
-    pub kind: EventKind,
-    /// Packed event parameters (new value, stroke, index, ...).
-    pub params: Vec<Value>,
 }
 
 impl UiEvent {

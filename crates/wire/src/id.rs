@@ -167,13 +167,15 @@ impl fmt::Display for ObjectPath {
     }
 }
 
-/// Global name of a UI object: the pair `<instance-id, pathname>` of §3.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GlobalObjectId {
-    /// The owning application instance.
-    pub instance: InstanceId,
-    /// The object's pathname within that instance.
-    pub path: ObjectPath,
+record! {
+    /// Global name of a UI object: the pair `<instance-id, pathname>` of §3.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct GlobalObjectId {
+        /// The owning application instance.
+        pub instance: InstanceId,
+        /// The object's pathname within that instance.
+        pub path: ObjectPath,
+    }
 }
 
 impl GlobalObjectId {

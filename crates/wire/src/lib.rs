@@ -11,13 +11,18 @@
 //! * high-level callback events ([`UiEvent`]) used by
 //!   synchronization-by-action (multiple execution),
 //! * the client↔server [`Message`] set, and
-//! * a hand-rolled, deterministic binary codec ([`codec`]).
+//! * a deterministic binary codec ([`codec`]) with one entry per type,
+//!   [`Wire`].
 //!
-//! The codec is written by hand (length-prefixed frames, varints, tagged
-//! unions) rather than derived, mirroring the era of the paper and keeping
-//! the protocol inspectable; each message kind is declared once, as a row
-//! of the protocol table in `message.rs`, from which [`Message`],
-//! [`MessageKind`] and the per-kind codec arms are generated.
+//! The leaves of the codec (varints, strings, blobs, lists, frames) are
+//! written by hand, mirroring the era of the paper and keeping the
+//! protocol inspectable. Everything above them is declared once, as a
+//! table with a row per variant — tag byte and/or canonical name, typed
+//! fields in wire order — from which the type itself, its encoder,
+//! decoder and checking walk, its name functions and an `ALL` list are
+//! derived (`table.rs`); a message kind is a row of the protocol table in
+//! `message.rs` in the same way. No tag or name is written twice, the
+//! golden vectors (`tests/golden.rs`) pin every row, and
 //! `encode ∘ decode = id` is enforced by property tests.
 //!
 //! # Example
@@ -54,6 +59,9 @@
     )
 )]
 
+#[macro_use]
+mod table;
+
 mod bytes;
 pub mod codec;
 pub mod delta;
@@ -65,11 +73,13 @@ mod state;
 mod value;
 
 pub use bytes::{Bytes, BytesMut};
-pub use codec::{EncodedState, SharedFrame};
+pub use codec::{EncodedState, SharedFrame, Wire};
 pub use delta::{DeltaError, EditOp, NodeEdit, NodePatch, StateDelta};
 pub use error::WireError;
 pub use event::{EventKind, UiEvent};
 pub use id::{GlobalObjectId, InstanceId, ObjectPath, UserId};
-pub use message::{AccessRight, CopyMode, InstanceInfo, Message, MessageKind, Overwritten, Target};
+pub use message::{
+    AccessRight, CopyMode, InstanceInfo, Message, MessageClass, MessageKind, Overwritten, Target,
+};
 pub use state::{AttrMap, StateNode};
 pub use value::{AttrName, Value, WidgetKind};

@@ -1,22 +1,22 @@
-use std::fmt;
-
 use crate::codec::{EncodedState, Wire};
 use crate::{
     Bytes, BytesMut, GlobalObjectId, InstanceId, ObjectPath, StateDelta, StateNode, UiEvent,
     UserId, WireError,
 };
 
-/// Access-right category of the server's three-valued permission tuples
-/// `(user, UI-state identifier, access right)` (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AccessRight {
-    /// No access: the user may neither read (copy) nor couple the state.
-    Denied,
-    /// Read access: the user's instances may copy the UI state.
-    Read,
-    /// Write access: the user's instances may couple with and modify the
-    /// state. Implies `Read`.
-    Write,
+named! {
+    /// Access-right category of the server's three-valued permission tuples
+    /// `(user, UI-state identifier, access right)` (§2.2).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum AccessRight: "AccessRight" {
+        /// No access: the user may neither read (copy) nor couple the state.
+        Denied = 0, "denied",
+        /// Read access: the user's instances may copy the UI state.
+        Read = 1, "read",
+        /// Write access: the user's instances may couple with and modify the
+        /// state. Implies `Read`.
+        Write = 2, "write",
+    }
 }
 
 impl AccessRight {
@@ -31,65 +31,54 @@ impl AccessRight {
     }
 }
 
-impl fmt::Display for AccessRight {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AccessRight::Denied => "denied",
-            AccessRight::Read => "read",
-            AccessRight::Write => "write",
-        })
+named! {
+    /// How a UI-state snapshot is applied to a destination object (§3.3).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum CopyMode: "CopyMode" {
+        /// Require structural compatibility; fail otherwise.
+        Strict = 0, "strict",
+        /// Destructive merging: copy attribute values *and structure*,
+        /// destroying conflicting children of the destination and creating
+        /// missing ones.
+        DestructiveMerge = 1, "destructive-merge",
+        /// Flexible matching: synchronize the identical substructure and
+        /// conserve differing substructures.
+        FlexibleMatch = 2, "flexible-match",
     }
 }
 
-/// How a UI-state snapshot is applied to a destination object (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CopyMode {
-    /// Require structural compatibility; fail otherwise.
-    Strict,
-    /// Destructive merging: copy attribute values *and structure*,
-    /// destroying conflicting children of the destination and creating
-    /// missing ones.
-    DestructiveMerge,
-    /// Flexible matching: synchronize the identical substructure and
-    /// conserve differing substructures.
-    FlexibleMatch,
-}
-
-impl fmt::Display for CopyMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CopyMode::Strict => "strict",
-            CopyMode::DestructiveMerge => "destructive-merge",
-            CopyMode::FlexibleMatch => "flexible-match",
-        })
+tagged! {
+    /// Routing target of a `CoSendCommand` application command (§3.4).
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub enum Target: "Target" {
+        /// Deliver to one instance.
+        Instance = 0 (instance: InstanceId),
+        /// Deliver to every registered instance except the sender.
+        Broadcast = 1,
+        /// Deliver to every instance owning an object coupled with the given
+        /// object (the coupling group of §3).
+        Group = 2 (object: GlobalObjectId),
     }
 }
 
-/// Routing target of a `CoSendCommand` application command (§3.4).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Target {
-    /// Deliver to one instance.
-    Instance(InstanceId),
-    /// Deliver to every registered instance except the sender.
-    Broadcast,
-    /// Deliver to every instance owning an object coupled with the given
-    /// object (the coupling group of §3).
-    Group(GlobalObjectId),
-}
-
-/// What a destination reports its apply overwrote, in
-/// [`Message::StateApplied`]: the record, or a reference to a state the
-/// server already holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Overwritten {
-    /// The record itself, in its wire encoding.
-    State(EncodedState),
-    /// The record is, byte for byte, the sync base the
-    /// [`Message::ApplyDelta`] being answered was diffed against
-    /// (its fingerprint equals the leg's `base_version`), so the server
-    /// files the copy of that base it kept. Answers an `ApplyDelta` only;
-    /// in answer to any other leg it fails the leg.
-    Base,
+tagged! {
+    /// What a destination reports its apply overwrote, in
+    /// [`Message::StateApplied`]: the record, or a reference to a state the
+    /// server already holds. The field is optional, and its three values
+    /// share one tag byte: none and the state keep the tags and bytes of
+    /// the `Option<EncodedState>` the field once was; the reference to the
+    /// base is a third tag with no payload.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Overwritten: "Option<Overwritten>", none = 0 {
+        /// The record itself, in its wire encoding.
+        State = 1 (state: EncodedState),
+        /// The record is, byte for byte, the sync base the
+        /// [`Message::ApplyDelta`] being answered was diffed against
+        /// (its fingerprint equals the leg's `base_version`), so the server
+        /// files the copy of that base it kept. Answers an `ApplyDelta` only;
+        /// in answer to any other leg it fails the leg.
+        Base = 2,
+    }
 }
 
 impl From<StateNode> for Overwritten {
@@ -98,33 +87,60 @@ impl From<StateNode> for Overwritten {
     }
 }
 
-/// Registration record of one application instance (§2.2: "application
-/// instance identifier, host name, and user name, etc.").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstanceInfo {
-    /// Server-assigned instance id.
-    pub instance: InstanceId,
-    /// Owning user.
-    pub user: UserId,
-    /// Host the instance runs on.
-    pub host: String,
-    /// Application name ("the trainer's application may differ
-    /// significantly from the students' version").
-    pub app_name: String,
+record! {
+    /// Registration record of one application instance (§2.2: "application
+    /// instance identifier, host name, and user name, etc.").
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct InstanceInfo {
+        /// Server-assigned instance id.
+        pub instance: InstanceId,
+        /// Owning user.
+        pub user: UserId,
+        /// Host the instance runs on.
+        pub host: String,
+        /// Application name ("the trainer's application may differ
+        /// significantly from the students' version").
+        pub app_name: String,
+    }
+}
+
+/// Priority class of a message kind, deciding what admission control
+/// sheds first when budgets run out (`cosoft-server`'s overload module);
+/// a column of the protocol table, read with [`MessageKind::class`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MessageClass {
+    /// Liveness probes and teardown: always admitted. Shedding a `Ping`
+    /// would make an overloaded server look dead (triggering reconnect
+    /// storms — the opposite of load shedding), and shedding teardown
+    /// (`Deregister`, `Rejoin`) would keep dead state alive.
+    Liveness,
+    /// Ordinary control-plane traffic (coupling, events, permissions,
+    /// commands) plus the completion messages of in-flight transfers
+    /// (`StateReply`, `StateApplied`, `ExecuteDone`) — completions
+    /// *free* server state, so shedding them would wedge live transfer
+    /// groups and make overload worse. Server-to-client kinds arriving
+    /// inbound are protocol misuse; they are budgeted as control traffic
+    /// and then answered by the dispatch's counted `unexpected` arm.
+    Control,
+    /// Bulk state-synchronization *initiators* (`CopyFrom`, `CopyTo`,
+    /// `CopyDelta`, `RemoteCopy`, undo/redo): the most expensive work a
+    /// client can request, shed first.
+    Bulk,
 }
 
 /// Expands the protocol table — one row per wire kind: the variant with
-/// its doc comment, its tag byte, its kind name, and its typed fields in
-/// wire order — into [`Message`], [`MessageKind`] and the per-kind codec
-/// arms behind [`crate::codec::put_message`] / [`crate::codec::get_message`].
-/// A field type is anything implementing [`Wire`].
+/// its doc comment, its tag byte, its kind name, its [`MessageClass`] and
+/// its typed fields in wire order — into [`Message`], [`MessageKind`] and
+/// the per-kind codec arms behind [`crate::codec::encode_message`] /
+/// [`crate::codec::decode_message`]. A field type is anything implementing
+/// [`Wire`].
 ///
 /// A tag used twice does not compile: the `MessageKind` discriminants
 /// collide and the second `from_tag` arm is unreachable.
 macro_rules! protocol {
     ($(
         $(#[$vmeta:meta])*
-        $variant:ident = $tag:literal, $kind:literal $({
+        $variant:ident = $tag:literal, $kind:literal, $class:ident $({
             $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
         })? ,
     )*) => {
@@ -164,6 +180,15 @@ macro_rules! protocol {
             pub fn name(self) -> &'static str {
                 match self {
                     $( MessageKind::$variant => $kind, )*
+                }
+            }
+
+            /// The kind's overload priority class. A row cannot leave
+            /// the column out, so a new kind does not compile until its
+            /// class is decided.
+            pub fn class(self) -> MessageClass {
+                match self {
+                    $( MessageKind::$variant => MessageClass::$class, )*
                 }
             }
         }
@@ -214,7 +239,7 @@ protocol! {
     // ---- session management (client → server) -------------------------
     /// Register a new application instance; the server assigns an
     /// [`InstanceId`] and answers with [`Message::Welcome`].
-    Register = 0, "register" {
+    Register = 0, "register", Control {
         /// The registering user.
         user: UserId,
         /// Host name of the workstation.
@@ -223,40 +248,40 @@ protocol! {
         app_name: String,
     },
     /// Graceful instance termination; triggers automatic decoupling.
-    Deregister = 1, "deregister",
+    Deregister = 1, "deregister", Liveness,
     /// Reclaim a quarantined instance after a connection drop. Carries the
     /// opaque token issued in [`Message::SessionToken`]; on success the
     /// server re-binds the old [`InstanceId`] — with its couples and access
     /// rights intact — to the new connection and answers with
     /// [`Message::Welcome`] followed by a fresh [`Message::SessionToken`].
-    Rejoin = 33, "rejoin" {
+    Rejoin = 33, "rejoin", Liveness {
         /// Token proving ownership of the quarantined instance.
         resume_token: u64,
     },
     /// Liveness probe. Either side may send it; the peer answers with
     /// [`Message::Pong`] echoing the nonce. Any traffic counts as liveness,
     /// so pings are only needed on otherwise-idle connections.
-    Ping = 34, "ping" {
+    Ping = 34, "ping", Liveness {
         /// Opaque nonce echoed in the reply.
         nonce: u64,
     },
     /// Reply to [`Message::Ping`].
-    Pong = 35, "pong" {
+    Pong = 35, "pong", Liveness {
         /// Echo of the probe nonce.
         nonce: u64,
     },
     /// Ask for the registration records of all instances (used by the
     /// classroom join UI to show the "stylized classroom situation").
-    QueryInstances = 2, "query-instances",
+    QueryInstances = 2, "query-instances", Control,
 
     // ---- session management (server → client) -------------------------
     /// Registration accepted.
-    Welcome = 3, "welcome" {
+    Welcome = 3, "welcome", Control {
         /// The id assigned to the newly registered instance.
         instance: InstanceId,
     },
     /// Reply to [`Message::QueryInstances`].
-    InstanceList = 4, "instance-list" {
+    InstanceList = 4, "instance-list", Control {
         /// One record per live instance.
         entries: Vec<InstanceInfo>,
     },
@@ -264,21 +289,21 @@ protocol! {
     /// sent right after [`Message::Welcome`] (and re-issued, rotated, after
     /// every successful [`Message::Rejoin`]). Presenting it within the
     /// server's grace period reclaims the instance.
-    SessionToken = 36, "session-token" {
+    SessionToken = 36, "session-token", Control {
         /// The (rotating) resume token.
         resume_token: u64,
     },
 
     // ---- coupling management -------------------------------------------
     /// Create a couple link from `src` to `dst` (client → server).
-    Couple = 5, "couple" {
+    Couple = 5, "couple", Control {
         /// Source object of the directed couple link.
         src: GlobalObjectId,
         /// Destination object.
         dst: GlobalObjectId,
     },
     /// Remove the couple link between `src` and `dst` (client → server).
-    Decouple = 6, "decouple" {
+    Decouple = 6, "decouple", Control {
         /// Source object of the link to remove.
         src: GlobalObjectId,
         /// Destination object of the link to remove.
@@ -286,14 +311,14 @@ protocol! {
     },
     /// Third-party coupling: couple objects in two *remote* instances
     /// (§3.3 `RemoteCouple`), e.g. initiated from the teacher's control UI.
-    RemoteCouple = 7, "remote-couple" {
+    RemoteCouple = 7, "remote-couple", Control {
         /// First object.
         a: GlobalObjectId,
         /// Second object.
         b: GlobalObjectId,
     },
     /// Third-party decoupling (§3.3 `RemoteDecouple`).
-    RemoteDecouple = 8, "remote-decouple" {
+    RemoteDecouple = 8, "remote-decouple", Control {
         /// First object.
         a: GlobalObjectId,
         /// Second object.
@@ -302,25 +327,25 @@ protocol! {
     /// Server → all group members: the membership of a coupling group
     /// changed; "the coupling information is replicated for each object
     /// (to be completely available locally)" (§3.2).
-    CoupleUpdate = 9, "couple-update" {
+    CoupleUpdate = 9, "couple-update", Control {
         /// Complete transitive closure of the group, including local
         /// members of the receiving instance.
         group: Vec<GlobalObjectId>,
     },
     /// Ask the server for the coupled set `CO(o)` of an object.
-    ListCoupled = 10, "list-coupled" {
+    ListCoupled = 10, "list-coupled", Control {
         /// The object whose group is queried.
         object: GlobalObjectId,
     },
     /// Client → server: a UI object was destroyed; the server applies the
     /// decoupling algorithm automatically (§3.2: "when a UI object is
     /// destroyed or an application instance terminates").
-    ObjectDestroyed = 32, "object-destroyed" {
+    ObjectDestroyed = 32, "object-destroyed", Control {
         /// The destroyed object.
         object: GlobalObjectId,
     },
     /// Reply to [`Message::ListCoupled`].
-    CoupledSet = 11, "coupled-set" {
+    CoupledSet = 11, "coupled-set", Control {
         /// The queried object.
         object: GlobalObjectId,
         /// All objects transitively coupled with it (excluding itself).
@@ -329,7 +354,7 @@ protocol! {
 
     // ---- synchronization by multiple execution (§3.2) -------------------
     /// Client → server: a callback event occurred on a coupled object.
-    Event = 12, "event" {
+    Event = 12, "event", Control {
         /// The object the event occurred on.
         origin: GlobalObjectId,
         /// The event, packed with parameters.
@@ -339,7 +364,7 @@ protocol! {
     },
     /// Server → origin: floor control granted; proceed with local callback
     /// execution and reply [`Message::ExecuteDone`] when finished.
-    EventGranted = 13, "event-granted" {
+    EventGranted = 13, "event-granted", Control {
         /// Echo of the client sequence number.
         seq: u64,
         /// Server-assigned execution id shared by the whole group.
@@ -347,13 +372,13 @@ protocol! {
     },
     /// Server → origin: a member of the group was already locked; "undo
     /// syntactic built-in feedback of the event".
-    EventRejected = 14, "event-rejected" {
+    EventRejected = 14, "event-rejected", Control {
         /// Echo of the client sequence number.
         seq: u64,
     },
     /// Server → other group members: disable the target object, simulate
     /// the feedback of the event and execute its callbacks.
-    ExecuteEvent = 15, "execute-event" {
+    ExecuteEvent = 15, "execute-event", Control {
         /// Server-assigned execution id.
         exec_id: u64,
         /// Local object the event is re-executed on.
@@ -363,13 +388,13 @@ protocol! {
         event: UiEvent,
     },
     /// Client → server: re-execution of `exec_id` finished locally.
-    ExecuteDone = 16, "execute-done" {
+    ExecuteDone = 16, "execute-done", Control {
         /// The finished execution.
         exec_id: u64,
     },
     /// Server → all group members: all re-executions finished; unlock and
     /// re-enable the listed local objects.
-    GroupUnlocked = 17, "group-unlocked" {
+    GroupUnlocked = 17, "group-unlocked", Control {
         /// The finished execution.
         exec_id: u64,
         /// Local objects to re-enable.
@@ -380,7 +405,7 @@ protocol! {
     /// Active synchronization: the requesting instance pulls the state of
     /// `src` into its own object `dst` ("monitoring another person's
     /// activities").
-    CopyFrom = 18, "copy-from" {
+    CopyFrom = 18, "copy-from", Bulk {
         /// Remote source object.
         src: GlobalObjectId,
         /// Local destination object of the requester.
@@ -393,7 +418,7 @@ protocol! {
     /// Passive synchronization: the sending instance pushes a snapshot of
     /// its object `src` to remote object `dst` ("one person lets another
     /// person see his or her work").
-    CopyTo = 19, "copy-to" {
+    CopyTo = 19, "copy-to", Bulk {
         /// Local source object of the sender.
         src: GlobalObjectId,
         /// Remote destination object.
@@ -414,7 +439,7 @@ protocol! {
     /// the result does not hash to `new_version`, it asks for the state
     /// in full ([`Message::StateRequest`]) instead; only the owner of
     /// `src` may send one.
-    CopyDelta = 39, "copy-delta" {
+    CopyDelta = 39, "copy-delta", Bulk {
         /// Local source object of the sender.
         src: GlobalObjectId,
         /// Remote destination object.
@@ -432,7 +457,7 @@ protocol! {
     },
     /// Third-party copy (§3.1 `RemoteCopy`): copy `src` (in one remote
     /// instance) to `dst` (in another) on behalf of the sender.
-    RemoteCopy = 20, "remote-copy" {
+    RemoteCopy = 20, "remote-copy", Bulk {
         /// Remote source object.
         src: GlobalObjectId,
         /// Remote destination object.
@@ -444,14 +469,14 @@ protocol! {
     },
     /// Server → source instance: produce a snapshot of the object at
     /// `path` (relevant attributes + semantic `store` payloads).
-    StateRequest = 21, "state-request" {
+    StateRequest = 21, "state-request", Control {
         /// Server-side transfer id.
         req_id: u64,
         /// Local object to snapshot.
         path: ObjectPath,
     },
     /// Source instance → server: the requested snapshot.
-    StateReply = 22, "state-reply" {
+    StateReply = 22, "state-reply", Control {
         /// Echo of the transfer id.
         req_id: u64,
         /// The snapshot, or `None` if the object does not exist.
@@ -459,7 +484,7 @@ protocol! {
     },
     /// Server → destination instance: apply `snapshot` to the object at
     /// `path` using `mode`; reply with [`Message::StateApplied`].
-    ApplyState = 23, "apply-state" {
+    ApplyState = 23, "apply-state", Control {
         /// Server-side transfer id.
         req_id: u64,
         /// Local destination object.
@@ -475,7 +500,7 @@ protocol! {
     /// [`Message::StateApplied`]. On a version mismatch the receiver
     /// replies with an error and the server falls back to a full
     /// [`Message::ApplyState`] snapshot.
-    ApplyDelta = 38, "apply-delta" {
+    ApplyDelta = 38, "apply-delta", Control {
         /// Server-side transfer id.
         req_id: u64,
         /// Local destination object.
@@ -499,7 +524,7 @@ protocol! {
     /// are the very base an [`Message::ApplyDelta`] leg was diffed
     /// against; the destination then answers [`Overwritten::Base`] — one
     /// byte — and the server files the encoding of that base it kept.
-    StateApplied = 24, "state-applied" {
+    StateApplied = 24, "state-applied", Control {
         /// Echo of the transfer id.
         req_id: u64,
         /// What the apply overwrote on the destination object, if it
@@ -512,19 +537,19 @@ protocol! {
     },
     /// Ask the server to restore the most recent overwritten state of an
     /// object (undo of synchronization-by-state).
-    UndoState = 25, "undo-state" {
+    UndoState = 25, "undo-state", Bulk {
         /// The object to restore.
         object: GlobalObjectId,
     },
     /// Ask the server to re-apply an undone state (redo).
-    RedoState = 26, "redo-state" {
+    RedoState = 26, "redo-state", Bulk {
         /// The object to restore.
         object: GlobalObjectId,
     },
 
     // ---- access control ---------------------------------------------------
     /// Declare an access-permission tuple (owner of the state → server).
-    SetPermission = 27, "set-permission" {
+    SetPermission = 27, "set-permission", Control {
         /// The user the right is granted to.
         user: UserId,
         /// The UI state (object) the right applies to.
@@ -533,7 +558,7 @@ protocol! {
         right: AccessRight,
     },
     /// Server → client: an operation was refused by access control.
-    PermissionDenied = 28, "permission-denied" {
+    PermissionDenied = 28, "permission-denied", Control {
         /// Human-readable description of the refused operation.
         what: String,
     },
@@ -541,7 +566,7 @@ protocol! {
     // ---- protocol extension (§3.4) -----------------------------------------
     /// Application-defined command: "a symbolic name of a function together
     /// with a packed message"; routed by the server without interpretation.
-    CoSendCommand = 29, "co-send-command" {
+    CoSendCommand = 29, "co-send-command", Control {
         /// Routing target.
         to: Target,
         /// Symbolic command name; the receiver looks up the corresponding
@@ -551,7 +576,7 @@ protocol! {
         payload: Vec<u8>,
     },
     /// Server → receiver: delivery of a `CoSendCommand`.
-    CommandDelivery = 30, "command-delivery" {
+    CommandDelivery = 30, "command-delivery", Control {
         /// Originating instance.
         from: InstanceId,
         /// Symbolic command name.
@@ -562,7 +587,7 @@ protocol! {
 
     // ---- errors -------------------------------------------------------------
     /// Server → client: an operation failed.
-    ErrorReply = 31, "error-reply" {
+    ErrorReply = 31, "error-reply", Control {
         /// What the client asked for.
         context: String,
         /// Why it failed.
@@ -576,7 +601,7 @@ protocol! {
     /// least `retry_after_ms` before retrying. Unlike a disconnect this
     /// keeps the session alive — only sustained abuse escalates to the
     /// §3.2 auto-decoupling path.
-    Busy = 37, "busy" {
+    Busy = 37, "busy", Control {
         /// Advisory back-off in milliseconds before retrying.
         retry_after_ms: u64,
     },

@@ -1,35 +1,37 @@
 use std::fmt;
 
-/// Typed value of a UI-object attribute.
-///
-/// Every attribute in the toolkit carries one of these variants; the wire
-/// codec encodes them as a tagged union. `Float` values compare by IEEE-754
-/// bit pattern so that `Value` can implement `Eq`/`Hash` (NaN payloads are
-/// preserved end-to-end by the codec).
-#[derive(Debug, Clone)]
-pub enum Value {
-    /// Boolean attribute (e.g. `enabled`, `checked`).
-    Bool(bool),
-    /// Integer attribute (e.g. geometry, selection index).
-    Int(i64),
-    /// Floating-point attribute (e.g. a slider position).
-    Float(f64),
-    /// Text attribute (e.g. a text field's content).
-    Text(String),
-    /// List of strings (e.g. menu items).
-    TextList(Vec<String>),
-    /// List of integers (e.g. multi-selection indices).
-    IntList(Vec<i64>),
-    /// A 2-D point, used by canvas strokes and geometry.
-    Point(i32, i32),
-    /// An RGB colour.
-    Color(u8, u8, u8),
-    /// Opaque bytes (semantic payloads travelling with UI state).
-    Bytes(Vec<u8>),
-    /// A polyline stroke on a canvas: flattened `(x, y)` pairs.
-    Stroke(Vec<(i32, i32)>),
-    /// The full stroke set of a canvas widget.
-    StrokeList(Vec<Vec<(i32, i32)>>),
+tagged! {
+    /// Typed value of a UI-object attribute.
+    ///
+    /// Every attribute in the toolkit carries one of these variants; the wire
+    /// codec encodes them as a tagged union. `Float` values compare by IEEE-754
+    /// bit pattern so that `Value` can implement `Eq`/`Hash` (NaN payloads are
+    /// preserved end-to-end by the codec).
+    #[derive(Debug, Clone)]
+    pub enum Value: "Value" {
+        /// Boolean attribute (e.g. `enabled`, `checked`).
+        Bool = 0 (b: bool),
+        /// Integer attribute (e.g. geometry, selection index).
+        Int = 1 (i: i64),
+        /// Floating-point attribute (e.g. a slider position).
+        Float = 2 (x: f64),
+        /// Text attribute (e.g. a text field's content).
+        Text = 3 (s: String),
+        /// List of strings (e.g. menu items).
+        TextList = 4 (items: Vec<String>),
+        /// List of integers (e.g. multi-selection indices).
+        IntList = 5 (items: Vec<i64>),
+        /// A 2-D point, used by canvas strokes and geometry.
+        Point = 6 (x: i32, y: i32),
+        /// An RGB colour.
+        Color = 7 (r: u8, g: u8, b: u8),
+        /// Opaque bytes (semantic payloads travelling with UI state).
+        Bytes = 8 (blob: Vec<u8>),
+        /// A polyline stroke on a canvas: flattened `(x, y)` pairs.
+        Stroke = 9 (points: Vec<(i32, i32)>),
+        /// The full stroke set of a canvas widget.
+        StrokeList = 10 (strokes: Vec<Vec<(i32, i32)>>),
+    }
 }
 
 impl Value {
@@ -211,58 +213,60 @@ impl From<Vec<String>> for Value {
     }
 }
 
-/// Name of a UI-object attribute.
-///
-/// The common toolkit attributes are first-class variants (compact on the
-/// wire and cheap to compare); application-specific attributes use
-/// [`AttrName::Custom`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AttrName {
-    /// Window/form title or widget caption.
-    Title,
-    /// Textual content (text fields, labels).
-    Text,
-    /// Generic numeric value (sliders, spinners).
-    ValueNum,
-    /// Items of a list or menu.
-    Items,
-    /// Index of the selected item (-1 for none).
-    Selected,
-    /// Whether the widget accepts input.
-    Enabled,
-    /// Whether the widget is drawn.
-    Visible,
-    /// X position within the parent.
-    X,
-    /// Y position within the parent.
-    Y,
-    /// Widget width.
-    Width,
-    /// Widget height.
-    Height,
-    /// Foreground colour.
-    Foreground,
-    /// Background colour.
-    Background,
-    /// Font name.
-    Font,
-    /// Toggle state of check/toggle buttons.
-    Checked,
-    /// Minimum of a ranged widget.
-    Min,
-    /// Maximum of a ranged widget.
-    Max,
-    /// Strokes of a canvas (count stored as Int; stroke data in per-stroke
-    /// attributes is modelled as `Value::Stroke` entries of `Items`-like
-    /// custom attributes by the toolkit).
-    Strokes,
-    /// Application-specific attribute.
+named! {
+    /// Name of a UI-object attribute.
     ///
-    /// The wire form of an attribute name is its canonical string, so a
-    /// `Custom` name equal to a builtin's canonical form (e.g. `"text"`)
-    /// decodes as the builtin variant. Construct through
-    /// [`AttrName::custom`] / [`AttrName::from_str_lossy`] to normalize.
-    Custom(String),
+    /// The common toolkit attributes are first-class variants (cheap to
+    /// compare); application-specific attributes use [`AttrName::Custom`].
+    /// On the wire a name is its canonical string.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum AttrName {
+        /// Window/form title or widget caption.
+        Title = "title",
+        /// Textual content (text fields, labels).
+        Text = "text",
+        /// Generic numeric value (sliders, spinners).
+        ValueNum = "value",
+        /// Items of a list or menu.
+        Items = "items",
+        /// Index of the selected item (-1 for none).
+        Selected = "selected",
+        /// Whether the widget accepts input.
+        Enabled = "enabled",
+        /// Whether the widget is drawn.
+        Visible = "visible",
+        /// X position within the parent.
+        X = "x",
+        /// Y position within the parent.
+        Y = "y",
+        /// Widget width.
+        Width = "width",
+        /// Widget height.
+        Height = "height",
+        /// Foreground colour.
+        Foreground = "foreground",
+        /// Background colour.
+        Background = "background",
+        /// Font name.
+        Font = "font",
+        /// Toggle state of check/toggle buttons.
+        Checked = "checked",
+        /// Minimum of a ranged widget.
+        Min = "min",
+        /// Maximum of a ranged widget.
+        Max = "max",
+        /// Strokes of a canvas (count stored as Int; stroke data in per-stroke
+        /// attributes is modelled as `Value::Stroke` entries of `Items`-like
+        /// custom attributes by the toolkit).
+        Strokes = "strokes";
+        /// Application-specific attribute.
+        ///
+        /// The wire form of an attribute name is its canonical string, so a
+        /// `Custom` name equal to a builtin's canonical form (e.g. `"text"`)
+        /// decodes as the builtin variant. Construct through
+        /// [`AttrName::custom`] / [`AttrName::from_str_lossy`] to normalize.
+        Custom(String),
+    }
 }
 
 impl AttrName {
@@ -271,149 +275,51 @@ impl AttrName {
     pub fn custom(name: &str) -> Self {
         AttrName::from_str_lossy(name)
     }
-
-    /// Canonical textual form used by the UI-spec parser and `Display`.
-    pub fn as_str(&self) -> &str {
-        match self {
-            AttrName::Title => "title",
-            AttrName::Text => "text",
-            AttrName::ValueNum => "value",
-            AttrName::Items => "items",
-            AttrName::Selected => "selected",
-            AttrName::Enabled => "enabled",
-            AttrName::Visible => "visible",
-            AttrName::X => "x",
-            AttrName::Y => "y",
-            AttrName::Width => "width",
-            AttrName::Height => "height",
-            AttrName::Foreground => "foreground",
-            AttrName::Background => "background",
-            AttrName::Font => "font",
-            AttrName::Checked => "checked",
-            AttrName::Min => "min",
-            AttrName::Max => "max",
-            AttrName::Strokes => "strokes",
-            AttrName::Custom(s) => s,
-        }
-    }
-
-    /// Parses a canonical attribute name; unknown names become `Custom`.
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "title" => AttrName::Title,
-            "text" => AttrName::Text,
-            "value" => AttrName::ValueNum,
-            "items" => AttrName::Items,
-            "selected" => AttrName::Selected,
-            "enabled" => AttrName::Enabled,
-            "visible" => AttrName::Visible,
-            "x" => AttrName::X,
-            "y" => AttrName::Y,
-            "width" => AttrName::Width,
-            "height" => AttrName::Height,
-            "foreground" => AttrName::Foreground,
-            "background" => AttrName::Background,
-            "font" => AttrName::Font,
-            "checked" => AttrName::Checked,
-            "min" => AttrName::Min,
-            "max" => AttrName::Max,
-            "strokes" => AttrName::Strokes,
-            other => AttrName::Custom(other.to_owned()),
-        }
-    }
 }
 
-impl fmt::Display for AttrName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+named! {
+    /// Type of a primitive UI object (§3: "form, button, menu, etc.").
+    ///
+    /// The set mirrors the CENTER/Motif widget classes the paper names plus the
+    /// widgets its applications need (canvas for GroupDesign-style sketches,
+    /// table for TORI result forms). `Custom` covers application-defined
+    /// widget classes. On the wire a kind is its canonical string.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum WidgetKind {
+        /// Container form; the usual complex-object root.
+        #[default]
+        Form = "form",
+        /// Horizontal/vertical grouping container.
+        Panel = "panel",
+        /// Momentary push button.
+        Button = "button",
+        /// Two-state toggle button.
+        ToggleButton = "toggle",
+        /// Option menu (drop-down of items).
+        Menu = "menu",
+        /// Single-line text input field.
+        TextField = "textfield",
+        /// Multi-line text area.
+        TextArea = "textarea",
+        /// Static text label.
+        Label = "label",
+        /// Scrollable list of items.
+        List = "list",
+        /// Ranged slider / scale.
+        Slider = "slider",
+        /// Free-form drawing canvas.
+        Canvas = "canvas",
+        /// Row/column table of textual cells.
+        Table = "table";
+        /// Application-defined widget class.
+        Custom(String),
     }
-}
-
-/// Type of a primitive UI object (§3: "form, button, menu, etc.").
-///
-/// The set mirrors the CENTER/Motif widget classes the paper names plus the
-/// widgets its applications need (canvas for GroupDesign-style sketches,
-/// table for TORI result forms). `Custom` covers application-defined
-/// widget classes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WidgetKind {
-    /// Container form; the usual complex-object root.
-    #[default]
-    Form,
-    /// Horizontal/vertical grouping container.
-    Panel,
-    /// Momentary push button.
-    Button,
-    /// Two-state toggle button.
-    ToggleButton,
-    /// Option menu (drop-down of items).
-    Menu,
-    /// Single-line text input field.
-    TextField,
-    /// Multi-line text area.
-    TextArea,
-    /// Static text label.
-    Label,
-    /// Scrollable list of items.
-    List,
-    /// Ranged slider / scale.
-    Slider,
-    /// Free-form drawing canvas.
-    Canvas,
-    /// Row/column table of textual cells.
-    Table,
-    /// Application-defined widget class.
-    Custom(String),
 }
 
 impl WidgetKind {
-    /// Canonical textual form used by the UI-spec parser and `Display`.
-    pub fn as_str(&self) -> &str {
-        match self {
-            WidgetKind::Form => "form",
-            WidgetKind::Panel => "panel",
-            WidgetKind::Button => "button",
-            WidgetKind::ToggleButton => "toggle",
-            WidgetKind::Menu => "menu",
-            WidgetKind::TextField => "textfield",
-            WidgetKind::TextArea => "textarea",
-            WidgetKind::Label => "label",
-            WidgetKind::List => "list",
-            WidgetKind::Slider => "slider",
-            WidgetKind::Canvas => "canvas",
-            WidgetKind::Table => "table",
-            WidgetKind::Custom(s) => s,
-        }
-    }
-
-    /// Parses a canonical kind name; unknown names become `Custom`.
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "form" => WidgetKind::Form,
-            "panel" => WidgetKind::Panel,
-            "button" => WidgetKind::Button,
-            "toggle" => WidgetKind::ToggleButton,
-            "menu" => WidgetKind::Menu,
-            "textfield" => WidgetKind::TextField,
-            "textarea" => WidgetKind::TextArea,
-            "label" => WidgetKind::Label,
-            "list" => WidgetKind::List,
-            "slider" => WidgetKind::Slider,
-            "canvas" => WidgetKind::Canvas,
-            "table" => WidgetKind::Table,
-            other => WidgetKind::Custom(other.to_owned()),
-        }
-    }
-
     /// Returns `true` if widgets of this kind may have children.
     pub fn is_container(&self) -> bool {
         matches!(self, WidgetKind::Form | WidgetKind::Panel | WidgetKind::Custom(_))
-    }
-}
-
-impl fmt::Display for WidgetKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -448,51 +354,15 @@ mod tests {
 
     #[test]
     fn attr_name_round_trips_via_str() {
-        let names = [
-            AttrName::Title,
-            AttrName::Text,
-            AttrName::ValueNum,
-            AttrName::Items,
-            AttrName::Selected,
-            AttrName::Enabled,
-            AttrName::Visible,
-            AttrName::X,
-            AttrName::Y,
-            AttrName::Width,
-            AttrName::Height,
-            AttrName::Foreground,
-            AttrName::Background,
-            AttrName::Font,
-            AttrName::Checked,
-            AttrName::Min,
-            AttrName::Max,
-            AttrName::Strokes,
-            AttrName::custom("sim_speed"),
-        ];
-        for n in names {
-            assert_eq!(AttrName::from_str_lossy(n.as_str()), n);
+        for n in AttrName::ALL.iter().chain([&AttrName::custom("sim_speed")]) {
+            assert_eq!(&AttrName::from_str_lossy(n.as_str()), n);
         }
     }
 
     #[test]
     fn widget_kind_round_trips_via_str() {
-        let kinds = [
-            WidgetKind::Form,
-            WidgetKind::Panel,
-            WidgetKind::Button,
-            WidgetKind::ToggleButton,
-            WidgetKind::Menu,
-            WidgetKind::TextField,
-            WidgetKind::TextArea,
-            WidgetKind::Label,
-            WidgetKind::List,
-            WidgetKind::Slider,
-            WidgetKind::Canvas,
-            WidgetKind::Table,
-            WidgetKind::Custom("simview".into()),
-        ];
-        for k in kinds {
-            assert_eq!(WidgetKind::from_str_lossy(k.as_str()), k);
+        for k in WidgetKind::ALL.iter().chain([&WidgetKind::Custom("simview".into())]) {
+            assert_eq!(&WidgetKind::from_str_lossy(k.as_str()), k);
         }
     }
 

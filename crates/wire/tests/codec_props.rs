@@ -5,7 +5,8 @@ use cosoft_rng::{forall, Rng};
 use cosoft_wire::{codec, delta};
 use cosoft_wire::{
     AccessRight, AttrName, BytesMut, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
-    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    ObjectPath, Overwritten, SharedFrame, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    Wire,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -222,14 +223,14 @@ fn message_comes_back(sent: &Message, back: &Message) {
 
 fn state_comes_back(sent: &StateNode, back: &StateNode) {
     let mut buf = BytesMut::new();
-    codec::put_state(&mut buf, sent);
+    sent.put(&mut buf);
     assert_eq!(&codec::get_state(&mut buf.freeze()).unwrap(), back);
 }
 
 fn frames_come_back(sent: &[Message], back: &[Message]) {
     let mut stream = Vec::new();
     for m in sent {
-        codec::write_frame(&mut stream, m).unwrap();
+        stream.extend(codec::frame_message(m));
     }
     let mut cursor = std::io::Cursor::new(stream);
     for m in back {
@@ -247,9 +248,9 @@ fn message_round_trip() {
 fn value_round_trip() {
     forall(0..512, arb_value, |v| {
         let mut buf = BytesMut::new();
-        codec::put_value(&mut buf, &v);
+        v.put(&mut buf);
         let mut r = buf.freeze();
-        assert_eq!(codec::get_value(&mut r).unwrap(), v);
+        assert_eq!(Value::get(&mut r).unwrap(), v);
         assert!(r.is_empty(), "no trailing bytes");
     });
 }
@@ -262,7 +263,7 @@ fn state_round_trip() {
 #[test]
 fn shared_frame_matches_owned_framing() {
     forall(0..512, arb_message, |m| {
-        let frame = codec::frame_message_shared(&m);
+        let frame = SharedFrame::from_message(&m);
         assert_eq!(frame.as_slice(), codec::frame_message(&m).as_slice());
         assert_eq!(frame.decode().unwrap(), m);
     });

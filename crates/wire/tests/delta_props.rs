@@ -7,7 +7,8 @@
 use cosoft_rng::{forall, Rng};
 use cosoft_wire::delta::{apply, diff, state_version, version_of_encoded};
 use cosoft_wire::{
-    codec, AttrName, BytesMut, CopyMode, Message, ObjectPath, StateNode, Value, WidgetKind,
+    codec, AttrName, BytesMut, CopyMode, Message, ObjectPath, StateDelta, StateNode, Value,
+    WidgetKind, Wire,
 };
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
@@ -165,9 +166,9 @@ fn delta_codec_round_trips() {
     forall(0..256, arb_pair, |(a, b)| {
         let d = diff(&a, &b);
         let mut buf = BytesMut::new();
-        codec::put_delta(&mut buf, &d);
+        d.put(&mut buf);
         let mut r = buf.freeze();
-        assert_eq!(codec::get_delta(&mut r).expect("delta decodes"), d);
+        assert_eq!(StateDelta::get(&mut r).expect("delta decodes"), d);
         assert_eq!(r.len(), 0);
     });
 }

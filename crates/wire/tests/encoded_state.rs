@@ -1,16 +1,22 @@
-//! Holds the two walks of the state grammar together.
+//! The proof that folding the state grammar into one table changed
+//! nothing.
 //!
-//! [`codec::get_state`] builds a [`StateNode`];
-//! [`codec::get_encoded_state`] checks the same bytes without building
-//! anything and slices them off the frame as an [`EncodedState`]. They
-//! are separate code, so this suite is what makes them one grammar: on
-//! every input below the two accept together, fail with the same error,
-//! and on success consume the same bytes and describe the same tree.
+//! [`codec::get_state`] builds a [`StateNode`]; reading an
+//! [`EncodedState`] checks the same bytes without building anything
+//! ([`Wire::skip`]) and slices them off the frame. Both walks are derived
+//! row by row from the same tables (`Value`'s, the name tables', the
+//! leaves' own `get` and `skip`); this corpus was written when they were
+//! two hand-written functions and nothing else held them together, and
+//! it still demands what it demanded then: on every input the two accept
+//! together, fail with the same error, and on success consume the same
+//! bytes and describe the same tree. It runs with the rest of the
+//! workspace's tests, and again under the scheduled `miri` job.
 
 use cosoft_rng::Rng;
 use cosoft_wire::codec::{self, MAX_LEN, MAX_STATE_DEPTH};
 use cosoft_wire::{
-    AttrName, Bytes, EncodedState, Message, Overwritten, StateNode, Value, WidgetKind, WireError,
+    AttrName, Bytes, EncodedState, Message, Overwritten, StateNode, Value, WidgetKind, Wire,
+    WireError,
 };
 
 /// The state of every state-carrying golden vector (`golden.rs`, `snap()`)
@@ -97,7 +103,7 @@ fn uvarint(mut v: u64) -> Vec<u8> {
 
 /// Attribute names out of order and one name twice: legal on the wire
 /// (the decoder's map sorts and the later value wins), never produced by
-/// `put_state`.
+/// `StateNode::put`.
 fn non_canonical() -> Vec<u8> {
     let (one, two, three) = ([1, 2], [1, 4], [1, 6]); // Int 1, 2, 3
     node(&text("label"), &[("width", &one), ("text", &two), ("width", &three)], &[])
@@ -121,7 +127,7 @@ fn agree(input: &[u8]) -> Result<StateNode, WireError> {
     let mut built_from = Bytes::from(input.to_vec());
     let mut sliced_from = built_from.clone();
     let built = codec::get_state(&mut built_from);
-    let sliced = codec::get_encoded_state(&mut sliced_from);
+    let sliced = EncodedState::get(&mut sliced_from);
     match (&built, &sliced) {
         (Ok(tree), Ok(encoded)) => {
             assert_eq!(sliced_from.len(), built_from.len(), "bytes consumed, {input:02x?}");

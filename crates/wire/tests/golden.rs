@@ -1,4 +1,5 @@
-//! Golden test vectors: exact wire bytes for every message kind.
+//! Golden test vectors: exact wire bytes for every message kind, and for
+//! every row of every table a message is made of.
 //! These pin the protocol encoding — any codec change that breaks
 //! cross-version compatibility fails here, loudly and on purpose.
 //!
@@ -6,14 +7,19 @@
 //! variant; [`golden_table_is_complete`] asserts it against
 //! [`Message::ALL_KINDS`], which is generated from the same protocol
 //! table as the enum and the codec. The two can therefore never drift: a
-//! new variant without a golden vector fails this suite.
+//! new variant without a golden vector fails this suite. Beneath it, the
+//! `*_rows()` lists carry one entry per row of `Value`, `EventKind`,
+//! `EditOp`, `CopyMode`, `AccessRight`, `Target`, `Option<Overwritten>`,
+//! `AttrName` and `WidgetKind`, each held to its table's generated `ALL`
+//! in the same way. A round-trip test cannot see a tag swapped on both
+//! sides of the codec; a literal byte can.
 
 use std::collections::BTreeSet;
 
 use cosoft_wire::{
-    codec, AccessRight, AttrName, CopyMode, EditOp, EventKind, GlobalObjectId, InstanceId,
-    InstanceInfo, Message, NodeEdit, NodePatch, ObjectPath, Overwritten, StateDelta, StateNode,
-    Target, UiEvent, UserId, Value, WidgetKind, WireError,
+    codec, AccessRight, AttrName, Bytes, BytesMut, CopyMode, EditOp, EventKind, GlobalObjectId,
+    InstanceId, InstanceInfo, Message, NodeEdit, NodePatch, ObjectPath, Overwritten, SharedFrame,
+    StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind, Wire, WireError,
 };
 
 fn gid(i: u64, p: &str) -> GlobalObjectId {
@@ -408,173 +414,74 @@ fn widget_kind_rows() -> Vec<(WidgetKind, &'static str)> {
     ]
 }
 
-/// Checks one typed table both ways: `put` writes exactly the pinned
-/// bytes of each row, and `get` reads them back to the row's value with
-/// nothing left over.
-fn check_rows<T: PartialEq + std::fmt::Debug>(
+/// Checks one tagged table against its vectors: the vectors cover exactly
+/// the table's rows (`all`, generated from the same table as the codec,
+/// so a new row without a vector fails here), `put` writes exactly the
+/// pinned bytes of each row, `get` reads them back to the row's value with
+/// nothing left over, and `skip` steps over the same bytes.
+fn check_rows<T: Wire + PartialEq + std::fmt::Debug>(
     what: &str,
+    all: &[(&str, u8)],
     rows: Vec<(T, Vec<u8>)>,
-    put: impl Fn(&T) -> Vec<u8>,
-    get: impl Fn(&[u8]) -> Result<T, WireError>,
 ) {
+    let pinned: BTreeSet<u8> = rows.iter().map(|(_, bytes)| bytes[0]).collect();
+    let declared: BTreeSet<u8> = all.iter().map(|(_, tag)| *tag).collect();
+    assert_eq!(declared.len(), all.len(), "{what}: a tag is declared twice");
+    assert_eq!(pinned.len(), rows.len(), "{what}: a tag has two vectors");
+    assert_eq!(pinned, declared, "{what}: the vectors drifted from the table {all:?}");
     for (value, bytes) in rows {
-        assert_eq!(put(&value), bytes, "wire encoding of {what} {value:?} changed");
-        assert_eq!(get(&bytes), Ok(value), "golden bytes of a {what} read back differently");
+        let mut buf = BytesMut::new();
+        value.put(&mut buf);
+        assert_eq!(buf.to_vec(), bytes, "wire encoding of {what} {value:?} changed");
+        let mut read = Bytes::from(bytes.clone());
+        assert_eq!(T::get(&mut read), Ok(value), "golden bytes of a {what} read back differently");
+        assert!(read.is_empty());
+        let mut skipped = Bytes::from(bytes);
+        assert_eq!(T::skip(&mut skipped), Ok(()));
+        assert!(skipped.is_empty());
     }
-}
-
-/// Cuts `prefix` and `suffix` off a message body whose middle is the
-/// value under test.
-fn middle(body: Vec<u8>, prefix: &[u8], suffix: &[u8]) -> Vec<u8> {
-    assert!(body.starts_with(prefix) && body.ends_with(suffix), "{body:02x?}");
-    body[prefix.len()..body.len() - suffix.len()].to_vec()
-}
-
-fn around(prefix: &[u8], bytes: &[u8], suffix: &[u8]) -> Vec<u8> {
-    [prefix, bytes, suffix].concat()
 }
 
 #[test]
 fn golden_value_rows() {
-    assert_eq!(value_rows().len(), 11, "a new variant needs a row, then this count");
-    check_rows(
-        "Value",
-        value_rows(),
-        |v| {
-            let mut buf = cosoft_wire::BytesMut::new();
-            codec::put_value(&mut buf, v);
-            buf.to_vec()
-        },
-        |bytes| {
-            let mut buf = cosoft_wire::Bytes::from(bytes.to_vec());
-            let v = codec::get_value(&mut buf)?;
-            assert!(buf.is_empty());
-            Ok(v)
-        },
-    );
+    check_rows("Value", Value::ALL, value_rows());
 }
 
 #[test]
 fn golden_event_kind_rows() {
-    assert_eq!(event_kind_rows().len(), 10, "a new variant needs a row, then this count");
-    // ExecuteEvent 7 onto "g" of an event on "f" ‖ kind ‖ no parameters.
-    let (prefix, suffix) = ([0x0f, 0x07, 0x01, 0x01, 0x67, 0x01, 0x01, 0x66], [0x00]);
-    check_rows(
-        "EventKind",
-        event_kind_rows(),
-        |kind| {
-            let m = Message::ExecuteEvent {
-                exec_id: 7,
-                target: path("g"),
-                event: UiEvent::simple(path("f"), kind.clone()),
-            };
-            middle(codec::encode_message(&m), &prefix, &suffix)
-        },
-        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
-            Message::ExecuteEvent { event, .. } => Ok(event.kind),
-            other => panic!("expected ExecuteEvent, got {other:?}"),
-        },
-    );
+    check_rows("EventKind", EventKind::ALL, event_kind_rows());
 }
 
 #[test]
 fn golden_edit_op_rows() {
-    assert_eq!(edit_op_rows().len(), 3, "a new variant needs a row, then this count");
-    // One edit at the root ‖ op.
-    let prefix = [0x01, 0x00];
-    check_rows(
-        "EditOp",
-        edit_op_rows(),
-        |op| {
-            let delta = StateDelta { edits: vec![NodeEdit { path: vec![], op: op.clone() }] };
-            middle(codec::encode_delta_shared(&delta).to_vec(), &prefix, &[])
-        },
-        |bytes| {
-            let mut buf = cosoft_wire::Bytes::from(around(&prefix, bytes, &[]));
-            let mut delta = codec::get_delta(&mut buf)?;
-            assert!(buf.is_empty());
-            Ok(delta.edits.remove(0).op)
-        },
-    );
+    check_rows("EditOp", EditOp::ALL, edit_op_rows());
 }
 
 #[test]
 fn golden_copy_mode_rows() {
-    assert_eq!(copy_mode_rows().len(), 3, "a new variant needs a row, then this count");
-    // CopyFrom 1:"a" → 2:"b" ‖ mode ‖ req_id 1.
-    let (prefix, suffix) = ([0x12, 0x01, 0x01, 0x01, 0x61, 0x02, 0x01, 0x01, 0x62], [0x01]);
-    check_rows(
-        "CopyMode",
-        copy_mode_rows(),
-        |mode| {
-            let m =
-                Message::CopyFrom { src: gid(1, "a"), dst: gid(2, "b"), mode: *mode, req_id: 1 };
-            middle(codec::encode_message(&m), &prefix, &suffix)
-        },
-        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
-            Message::CopyFrom { mode, .. } => Ok(mode),
-            other => panic!("expected CopyFrom, got {other:?}"),
-        },
-    );
+    check_rows("CopyMode", CopyMode::ALL, copy_mode_rows());
 }
 
 #[test]
 fn golden_access_right_rows() {
-    assert_eq!(access_right_rows().len(), 3, "a new variant needs a row, then this count");
-    // SetPermission for user 2 on 1:"f" ‖ right.
-    let prefix = [0x1b, 0x02, 0x01, 0x01, 0x01, 0x66];
-    check_rows(
-        "AccessRight",
-        access_right_rows(),
-        |right| {
-            let m = Message::SetPermission { user: UserId(2), object: gid(1, "f"), right: *right };
-            middle(codec::encode_message(&m), &prefix, &[])
-        },
-        |bytes| match codec::decode_message(&around(&prefix, bytes, &[]))? {
-            Message::SetPermission { right, .. } => Ok(right),
-            other => panic!("expected SetPermission, got {other:?}"),
-        },
-    );
+    check_rows("AccessRight", AccessRight::ALL, access_right_rows());
 }
 
 #[test]
 fn golden_target_rows() {
-    assert_eq!(target_rows().len(), 3, "a new variant needs a row, then this count");
-    // CoSendCommand ‖ target ‖ command "" ‖ empty payload.
-    let (prefix, suffix) = ([0x1d], [0x00, 0x00]);
-    check_rows(
-        "Target",
-        target_rows(),
-        |to| {
-            let m =
-                Message::CoSendCommand { to: to.clone(), command: String::new(), payload: vec![] };
-            middle(codec::encode_message(&m), &prefix, &suffix)
-        },
-        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
-            Message::CoSendCommand { to, .. } => Ok(to),
-            other => panic!("expected CoSendCommand, got {other:?}"),
-        },
-    );
+    check_rows("Target", Target::ALL, target_rows());
 }
 
+/// `StateApplied.overwritten` is optional, and none shares the tag byte
+/// with the table's two rows.
 #[test]
 fn golden_overwritten_rows() {
-    assert_eq!(overwritten_rows().len(), 3, "a new variant needs a row, then this count");
-    // StateApplied 3 ‖ overwritten ‖ no error.
-    let (prefix, suffix) = ([0x18, 0x03], [0x00]);
-    check_rows(
-        "Option<Overwritten>",
-        overwritten_rows(),
-        |overwritten| {
-            let m =
-                Message::StateApplied { req_id: 3, overwritten: overwritten.clone(), error: None };
-            middle(codec::encode_message(&m), &prefix, &suffix)
-        },
-        |bytes| match codec::decode_message(&around(&prefix, bytes, &suffix))? {
-            Message::StateApplied { overwritten, .. } => Ok(overwritten),
-            other => panic!("expected StateApplied, got {other:?}"),
-        },
-    );
+    let all = [&[("None", 0)], Overwritten::ALL].concat();
+    check_rows("Option<Overwritten>", &all, overwritten_rows());
+}
+
+fn around(prefix: &[u8], bytes: &[u8], suffix: &[u8]) -> Vec<u8> {
+    [prefix, bytes, suffix].concat()
 }
 
 /// A name travels as its canonical string, length first; the string
@@ -582,10 +489,11 @@ fn golden_overwritten_rows() {
 /// those bytes.
 #[test]
 fn golden_name_rows() {
-    assert_eq!(attr_name_rows().len(), 18, "a new builtin needs a row, then this count");
-    assert_eq!(widget_kind_rows().len(), 12, "a new builtin needs a row, then this count");
+    let (attrs, kinds) = (attr_name_rows(), widget_kind_rows());
+    assert!(attrs.iter().map(|(name, _)| name).eq(AttrName::ALL), "a builtin needs a row");
+    assert!(kinds.iter().map(|(kind, _)| kind).eq(WidgetKind::ALL), "a builtin needs a row");
     let on_the_wire = |text: &str| around(&[text.len() as u8], text.as_bytes(), &[]);
-    for (name, text) in attr_name_rows() {
+    for (name, text) in attrs {
         assert_eq!(name.as_str(), text);
         assert_eq!(name.to_string(), text);
         assert_eq!(AttrName::from_str_lossy(text), name);
@@ -593,9 +501,9 @@ fn golden_name_rows() {
         let state = StateNode::new(WidgetKind::Form, "n").with_attr(name, Value::Bool(false));
         let bytes = around(&[4, b'f', b'o', b'r', b'm', 1, b'n', 1], &on_the_wire(text), &[0; 4]);
         assert_eq!(codec::encode_state_shared(&state).to_vec(), bytes);
-        assert_eq!(codec::get_state(&mut cosoft_wire::Bytes::from(bytes)), Ok(state));
+        assert_eq!(codec::get_state(&mut Bytes::from(bytes)), Ok(state));
     }
-    for (kind, text) in widget_kind_rows() {
+    for (kind, text) in kinds {
         assert_eq!(kind.as_str(), text);
         assert_eq!(kind.to_string(), text);
         assert_eq!(WidgetKind::from_str_lossy(text), kind);
@@ -603,7 +511,7 @@ fn golden_name_rows() {
         let state = StateNode::new(kind, "n");
         let bytes = around(&[], &on_the_wire(text), &[1, b'n', 0, 0, 0]);
         assert_eq!(codec::encode_state_shared(&state).to_vec(), bytes);
-        assert_eq!(codec::get_state(&mut cosoft_wire::Bytes::from(bytes)), Ok(state));
+        assert_eq!(codec::get_state(&mut Bytes::from(bytes)), Ok(state));
     }
 }
 
@@ -675,8 +583,8 @@ fn golden_vectors_cut_anywhere_are_refused() {
     // split_to: Register inside the host string "ws1".
     assert_eq!(codec::decode_message(&[0x00, 0x07, 0x03, 0x77, 0x73]), Err(eof("string body")));
     // get_u64_le: the float of `golden_float_bits`, one byte short.
-    let mut short = cosoft_wire::Bytes::from(vec![2, 0, 0, 0, 0, 0, 0, 0xf0]);
-    assert_eq!(codec::get_value(&mut short), Err(eof("f64")));
+    let mut short = Bytes::from(vec![2, 0, 0, 0, 0, 0, 0, 0xf0]);
+    assert_eq!(Value::get(&mut short), Err(eof("f64")));
 }
 
 /// The other half of "no byte sequence from a socket takes a thread
@@ -723,7 +631,7 @@ fn golden_vectors_with_any_byte_changed_decode_or_are_refused() {
 #[test]
 fn golden_shared_frames_are_byte_identical() {
     for (m, bytes) in golden_table() {
-        let frame = codec::frame_message_shared(&m);
+        let frame = SharedFrame::from_message(&m);
         assert_eq!(
             frame.as_slice(),
             codec::frame_message(&m).as_slice(),
@@ -746,7 +654,7 @@ fn golden_shared_frames_are_byte_identical() {
 #[test]
 fn golden_shared_frame_kind_names_match() {
     for (m, _) in golden_table() {
-        let frame = codec::frame_message_shared(&m);
+        let frame = SharedFrame::from_message(&m);
         assert_eq!(frame.kind_name(), Some(m.kind_name()));
     }
 }
@@ -809,16 +717,16 @@ fn golden_frame_layout() {
 
 #[test]
 fn golden_float_bits() {
-    let mut buf = cosoft_wire::BytesMut::new();
-    codec::put_value(&mut buf, &Value::Float(1.0));
+    let mut buf = BytesMut::new();
+    Value::Float(1.0).put(&mut buf);
     // Tag 2 + IEEE-754 little-endian bits of 1.0.
     assert_eq!(buf.to_vec(), vec![2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f]);
 }
 
 #[test]
 fn golden_stroke_list() {
-    let mut buf = cosoft_wire::BytesMut::new();
-    codec::put_value(&mut buf, &Value::StrokeList(vec![vec![(1, -1)], vec![]]));
+    let mut buf = BytesMut::new();
+    Value::StrokeList(vec![vec![(1, -1)], vec![]]).put(&mut buf);
     assert_eq!(
         buf.to_vec(),
         vec![

@@ -9,6 +9,9 @@
 //! `ServerCore`). The fd budget is ~2 per connection; the test checks
 //! `ulimit -n` up front and fails with a pointer at the limit rather
 //! than drowning in `EMFILE`.
+//!
+//! Tier-1 runs this in a debug build with the rest; `scripts/check.sh`
+//! runs it again with `--release`, the build the gate is about.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
