@@ -182,7 +182,7 @@ const TABLE1_SEEDS: u64 = 64;
 /// Table 1 rows: the same mixed workload over every architecture, plus the
 /// paper's qualitative flexibility dimensions. The UI and byte columns
 /// are seed 7's. The mean semantic latency is averaged over
-/// [`TABLE1_SEEDS`] seeds, and the last column counts the seeds on which
+/// `TABLE1_SEEDS` seeds, and the last column counts the seeds on which
 /// it was at least the fully replicated model's: that ordering depends on
 /// the draw (`cosoft-baselines`, `table1_ordering_holds_on_mixed_workload`).
 pub fn table1_rows() -> Vec<Vec<String>> {

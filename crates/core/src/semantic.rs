@@ -69,16 +69,10 @@ impl SemanticHooks {
         base: &ObjectPath,
         snapshot: &mut StateNode,
     ) {
-        self.fill_rec(tree, base.clone(), snapshot);
-    }
-
-    fn fill_rec(&mut self, tree: &WidgetTree, path: ObjectPath, node: &mut StateNode) {
-        if let Some((store, _)) = self.hooks.get_mut(&path) {
-            node.semantic = store(tree);
-        }
-        for child in &mut node.children {
-            if let Ok(child_path) = path.child(&child.name) {
-                self.fill_rec(tree, child_path, child);
+        for (path, at) in self.placements(base, snapshot) {
+            let node = at.iter().try_fold(&mut *snapshot, |n, &i| n.children.get_mut(i));
+            if let (Some(node), Some((store, _))) = (node, self.hooks.get_mut(&path)) {
+                node.semantic = store(tree);
             }
         }
     }
@@ -92,23 +86,54 @@ impl SemanticHooks {
         base: &ObjectPath,
         snapshot: &StateNode,
     ) -> usize {
-        self.deliver_rec(tree, base.clone(), snapshot)
-    }
-
-    fn deliver_rec(&mut self, tree: &mut WidgetTree, path: ObjectPath, node: &StateNode) -> usize {
         let mut delivered = 0;
-        if !node.semantic.is_empty() {
+        for (path, at) in self.placements(base, snapshot) {
+            let node = at.iter().try_fold(snapshot, |n, &i| n.children.get(i));
+            let Some(node) = node.filter(|n| !n.semantic.is_empty()) else { continue };
             if let Some((_, load)) = self.hooks.get_mut(&path) {
                 load(tree, &node.semantic);
                 delivered += 1;
             }
         }
-        for child in &node.children {
-            if let Ok(child_path) = path.child(&child.name) {
-                delivered += self.deliver_rec(tree, child_path, child);
+        delivered
+    }
+
+    /// Where the hooks registered at or below `base` sit in `snapshot`, a
+    /// state of the object at `base`: each hook's path with the child
+    /// indices that lead to its node, in pre-order. Only the nodes on the
+    /// way to a hook are visited, none when no hook lies below `base`;
+    /// a name two siblings share leads to both.
+    fn placements(&self, base: &ObjectPath, snapshot: &StateNode) -> Vec<(ObjectPath, Vec<usize>)> {
+        fn place(
+            targets: &[&ObjectPath],
+            depth: usize,
+            node: &StateNode,
+            at: &mut Vec<usize>,
+            out: &mut Vec<(ObjectPath, Vec<usize>)>,
+        ) {
+            if let Some(here) = targets.iter().find(|t| t.depth() == depth) {
+                out.push(((*here).clone(), at.clone()));
+            }
+            for (i, child) in node.children.iter().enumerate() {
+                let below: Vec<&ObjectPath> = targets
+                    .iter()
+                    .copied()
+                    .filter(|t| t.segments().get(depth) == Some(&child.name))
+                    .collect();
+                if !below.is_empty() {
+                    at.push(i);
+                    place(&below, depth + 1, child, at, out);
+                    at.pop();
+                }
             }
         }
-        delivered
+        let targets: Vec<&ObjectPath> =
+            self.hooks.keys().filter(|p| base.is_prefix_of(p)).collect();
+        let mut out = Vec::new();
+        if !targets.is_empty() {
+            place(&targets, base.depth(), snapshot, &mut Vec::new(), &mut out);
+        }
+        out
     }
 }
 
@@ -256,6 +281,54 @@ mod tests {
         assert!(hooks.unregister(&p));
         assert!(!hooks.unregister(&p));
         assert!(hooks.is_empty());
+    }
+
+    /// The walk keeps the order and the namesake behaviour of a visit of
+    /// every node: hooks run in pre-order, a hook's path reaches every
+    /// sibling of that name, and a hook outside the object never runs.
+    #[test]
+    fn hooks_run_in_pre_order_on_every_namesake() {
+        use std::sync::Mutex;
+        let snapshot = || {
+            StateNode::new(WidgetKind::Form, "f")
+                .with_child(
+                    StateNode::new(WidgetKind::Panel, "x")
+                        .with_child(StateNode::new(WidgetKind::Label, "y")),
+                )
+                .with_child(StateNode::new(WidgetKind::Label, "x"))
+                .with_child(StateNode::new(WidgetKind::Label, "z"))
+        };
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let mut hooks = SemanticHooks::new();
+        for at in ["f", "f.x", "f.x.y", "g", "g.x"] {
+            let (stored, loaded) = (ran.clone(), ran.clone());
+            hooks.register(
+                ObjectPath::parse(at).unwrap(),
+                move |_| {
+                    stored.lock().unwrap().push(at);
+                    at.as_bytes().to_vec()
+                },
+                move |_, _| loaded.lock().unwrap().push(at),
+            );
+        }
+        let base = ObjectPath::parse("f").unwrap();
+        let mut tree = build_tree("form f").unwrap();
+        let mut snap = snapshot();
+        hooks.fill_snapshot(&tree, &base, &mut snap);
+        let payloads: Vec<&[u8]> = [&snap, &snap.children[0], &snap.children[0].children[0]]
+            .into_iter()
+            .chain(&snap.children[1..])
+            .map(|n| n.semantic.as_slice())
+            .collect();
+        assert_eq!(payloads, [&b"f"[..], b"f.x", b"f.x.y", b"f.x", b""]);
+        let visits = ["f", "f.x", "f.x.y", "f.x"];
+        assert_eq!(std::mem::take(&mut *ran.lock().unwrap()), visits);
+        assert_eq!(hooks.deliver_snapshot(&mut tree, &base, &snap), 4);
+        assert_eq!(*ran.lock().unwrap(), visits);
+        // No hook at or below the object: nothing is visited.
+        let mut other = snapshot();
+        hooks.fill_snapshot(&tree, &ObjectPath::parse("h").unwrap(), &mut other);
+        assert_eq!(other, snapshot());
     }
 
     #[test]

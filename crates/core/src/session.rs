@@ -15,10 +15,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cosoft_uikit::{FeedbackUndo, Toolkit, UiError};
+use cosoft_uikit::{FeedbackUndo, Toolkit, TreeStamp, UiError, WidgetId};
 use cosoft_wire::{
-    delta, AccessRight, CopyMode, EncodedState, GlobalObjectId, InstanceId, InstanceInfo, Message,
-    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId,
+    delta, AccessRight, AttrName, CopyMode, EditOp, EncodedState, GlobalObjectId, InstanceId,
+    InstanceInfo, Message, NodePatch, ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId,
+    Value,
 };
 
 use crate::compat::{apply_recorded, CompatError, CorrespondenceTable};
@@ -87,6 +88,27 @@ pub enum SessionEvent {
 /// instances, a function (corresponding to the command) is defined to
 /// unpack and interpret the message".
 pub type CommandHandler = Box<dyn FnMut(&mut Toolkit, InstanceId, &[u8]) + Send>;
+
+/// An object's sync base: the last state of it that crossed the
+/// connection (see [`Session`]'s `sync_bases`).
+#[derive(Debug)]
+struct SyncBase {
+    /// Content version of `state` ([`delta::state_version`]).
+    version: u64,
+    state: StateNode,
+    /// The *mirror*: the tree's stamp at which the object's widgets last
+    /// held exactly `state` — its shape, kinds and names, and every
+    /// attribute it carries, with no semantic payload anywhere. Only an
+    /// apply that answered [`Overwritten::Base`] records one; every other
+    /// install of a base leaves it `None`.
+    mirror: Option<TreeStamp>,
+}
+
+impl SyncBase {
+    fn new(state: StateNode) -> SyncBase {
+        SyncBase { version: delta::state_version(&state), state, mirror: None }
+    }
+}
 
 #[derive(Debug)]
 struct PendingEvent {
@@ -171,7 +193,7 @@ pub struct Session {
     /// missing the base of a push asks for the state (`StateRequest`).
     /// Kept across rejoins so resync transfers can still ride the delta
     /// path.
-    sync_bases: HashMap<ObjectPath, (u64, StateNode)>,
+    sync_bases: HashMap<ObjectPath, SyncBase>,
     next_seq: u64,
     next_req: u64,
     outbox: Vec<Message>,
@@ -243,6 +265,13 @@ impl Session {
     /// Mutable access to the semantic store/load hook registry.
     pub fn hooks_mut(&mut self) -> &mut SemanticHooks {
         &mut self.hooks
+    }
+
+    /// The sync base of a local object, as (version, state): the last
+    /// state of it that crossed the connection, which the next transfer
+    /// either way is a delta against.
+    pub fn sync_base(&self, path: &ObjectPath) -> Option<(u64, &StateNode)> {
+        self.sync_bases.get(path).map(|base| (base.version, &base.state))
     }
 
     /// The instance id assigned at registration, if received.
@@ -494,20 +523,22 @@ impl Session {
         self.hooks.fill_snapshot(self.toolkit.tree(), src, &mut snapshot);
         let req_id = self.next_req;
         self.next_req += 1;
-        let new_version = delta::state_version(&snapshot);
+        let pushed = SyncBase::new(snapshot);
         let push = match self.sync_bases.get(src) {
-            Some((base_version, base)) => Message::CopyDelta {
+            Some(base) => Message::CopyDelta {
                 src: src_gid,
                 dst,
-                base_version: *base_version,
-                new_version,
-                delta: delta::diff(base, &snapshot),
+                base_version: base.version,
+                new_version: pushed.version,
+                delta: delta::diff(&base.state, &pushed.state),
                 mode,
                 req_id,
             },
-            None => Message::CopyTo { src: src_gid, dst, snapshot: snapshot.clone(), mode, req_id },
+            None => {
+                Message::CopyTo { src: src_gid, dst, snapshot: pushed.state.clone(), mode, req_id }
+            }
         };
-        self.sync_bases.insert(src.clone(), (new_version, snapshot));
+        self.sync_bases.insert(src.clone(), pushed);
         self.outbox.push(push);
         Ok(req_id)
     }
@@ -670,7 +701,7 @@ impl Session {
                 // object's sync base at both ends — also after the server
                 // lost its copy and asked because of that.
                 if let Some(snap) = &snapshot {
-                    self.sync_bases.insert(path, (delta::state_version(snap), snap.clone()));
+                    self.sync_bases.insert(path, SyncBase::new(snap.clone()));
                 }
                 self.outbox.push(Message::StateReply { req_id, snapshot });
             }
@@ -685,8 +716,7 @@ impl Session {
                     // base: the server diffs against what it sent, so
                     // both sides must agree on the base bytes even
                     // when flexible reconciliation dropped attributes.
-                    let version = delta::state_version(&snapshot);
-                    self.sync_bases.insert(path, (version, snapshot));
+                    self.sync_bases.insert(path, SyncBase::new(snapshot));
                 }
                 self.reply_state_applied(req_id, reply);
             }
@@ -886,6 +916,12 @@ impl Session {
     /// attributes and values, so the same bytes and the same fingerprint
     /// — and the server, which diffed against it, holds it: the reply
     /// then names it ([`Overwritten::Base`]) instead of carrying it.
+    ///
+    /// A leg onto widgets that still mirror the base ([`SyncBase::mirror`])
+    /// whose edits only rewrite attributes the base carries is that case
+    /// known in advance: the full apply would rewrite every attribute to
+    /// the value it holds but the edited ones, and overwrite the base. So
+    /// only the edited attributes are written, and the reply is `Base`.
     fn apply_delta(
         &mut self,
         path: &ObjectPath,
@@ -894,26 +930,88 @@ impl Session {
         d: &delta::StateDelta,
         mode: CopyMode,
     ) -> Result<Overwritten, String> {
-        let mut next = match self.sync_bases.remove(path) {
-            Some((have, base)) if have == base_version => base,
-            Some((have, _)) => {
+        let (mut next, mirror) = match self.sync_bases.remove(path) {
+            Some(base) if base.version == base_version => (base.state, base.mirror),
+            Some(base) => {
                 return Err(format!(
-                    "delta base version mismatch: have {have}, server assumed {base_version}"
+                    "delta base version mismatch: have {}, server assumed {base_version}",
+                    base.version
                 ));
             }
             None => return Err("delta base version mismatch: no base cached".to_owned()),
         };
+        // Read off the base before the edits replay on it.
+        let writes = mirror.and_then(|since| self.mirror_writes(path, &next, d, since));
         delta::apply_in_place(&mut next, d).map_err(|e| format!("delta base diverged: {e}"))?;
         if delta::state_version(&next) != new_version {
             return Err("delta base diverged: reconstructed state version mismatch".to_owned());
         }
-        let prev = self.apply_state(path, &next, mode).map_err(|e| e.to_string())?;
-        self.sync_bases.insert(path.clone(), (new_version, next));
-        let prev = EncodedState::of(&prev);
-        Ok(if delta::version_of_encoded(prev.as_slice()) == base_version {
-            Overwritten::Base
-        } else {
-            Overwritten::State(prev)
-        })
+        let (reply, mirrored) = match writes {
+            Some(writes) => {
+                let tree = self.toolkit.tree_mut();
+                for (id, attr, value) in writes {
+                    tree.set_attr_unchecked(id, attr, value).map_err(|e| e.to_string())?;
+                }
+                self.hooks.deliver_snapshot(self.toolkit.tree_mut(), path, &next);
+                (Overwritten::Base, true)
+            }
+            None => {
+                let prev = self.apply_state(path, &next, mode).map_err(|e| e.to_string())?;
+                let prev = EncodedState::of(&prev);
+                if delta::version_of_encoded(prev.as_slice()) == base_version {
+                    (Overwritten::Base, d.edits.iter().all(|e| simple_patch(&e.op).is_some()))
+                } else {
+                    (Overwritten::State(prev), false)
+                }
+            }
+        };
+        let mirror = mirrored.then(|| self.toolkit.tree().stamp());
+        self.sync_bases
+            .insert(path.clone(), SyncBase { version: new_version, state: next, mirror });
+        Ok(reply)
+    }
+
+    /// The attribute writes a leg of `d` comes to when the object's
+    /// widgets have not changed since they mirrored `base` (`since`) and
+    /// every edit is a [`simple_patch`] of attributes `base` already
+    /// carries. `None` sends the leg down the full apply.
+    fn mirror_writes(
+        &self,
+        path: &ObjectPath,
+        base: &StateNode,
+        d: &delta::StateDelta,
+        since: TreeStamp,
+    ) -> Option<Vec<(WidgetId, AttrName, Value)>> {
+        let tree = self.toolkit.tree();
+        let root = tree.resolve(path)?;
+        if !tree.unchanged_since(root, since) {
+            return None;
+        }
+        let mut writes = Vec::new();
+        for edit in &d.edits {
+            let patch = simple_patch(&edit.op)?;
+            let node = edit.path.iter().try_fold(base, |n, seg| n.child(seg))?;
+            let id = edit.path.iter().try_fold(root, |id, seg| {
+                let children = tree.widget(id).ok()?.children();
+                children.iter().copied().find(|&c| tree.widget(c).is_ok_and(|w| w.name() == seg))
+            })?;
+            for (attr, value) in &patch.upserts {
+                node.attrs.contains_key(attr).then_some(())?;
+                writes.push((id, attr.clone(), value.clone()));
+            }
+        }
+        Some(writes)
+    }
+}
+
+/// The patch of an edit that only upserts attributes: no kind change, no
+/// removal, no semantic payload — an edit that leaves a mirrored object's
+/// shape, kinds and names, and its lack of payloads, as they were.
+fn simple_patch(op: &EditOp) -> Option<&NodePatch> {
+    match op {
+        EditOp::Patch(p) if p.kind.is_none() && p.removals.is_empty() && p.semantic.is_none() => {
+            Some(p)
+        }
+        EditOp::Patch(_) | EditOp::Replace(_) | EditOp::Restructure { .. } => None,
     }
 }

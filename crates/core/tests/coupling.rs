@@ -329,6 +329,78 @@ fn copy_from_pulls_remote_state_with_semantics() {
     assert_eq!(completed.len(), 1);
 }
 
+/// Semantic payloads ride delta pushes and delta legs. The presenter
+/// stores a payload behind its form and one behind the field in it. A
+/// push whose only change is the form's payload is a `CopyDelta` of one
+/// semantic patch, each viewer's leg is the same patch, and every leg —
+/// the first-contact `ApplyState` and each delta after it — reaches both
+/// of each viewer's load hooks, with the payloads the presenter stored.
+#[test]
+fn semantic_payloads_ride_delta_pushes_and_legs() {
+    use std::sync::{Arc, Mutex};
+    let mut h = SimHarness::new(1);
+    let presenter = h.add_session(session(FIELD_FORM, 1));
+    let viewers: Vec<NodeId> = (2..=4).map(|u| h.add_session(session(FIELD_FORM, u))).collect();
+    h.settle();
+    let board = h.session(viewers[0]).gid(&path("f")).unwrap();
+    for &v in &viewers[1..] {
+        h.session_mut(v).couple(&path("f"), board.clone()).unwrap();
+    }
+    h.settle();
+
+    let stored = Arc::new(Mutex::new(Vec::new()));
+    let store = stored.clone();
+    let hooks = h.session_mut(presenter).hooks_mut();
+    hooks.register(path("f"), move |_| store.lock().unwrap().clone(), |_, _| {});
+    hooks.register(path("f.t"), |_| b"field".to_vec(), |_, _| {});
+    type Loads = Vec<(NodeId, String, Vec<u8>)>;
+    let loaded: Arc<Mutex<Loads>> = Arc::default();
+    for &v in &viewers {
+        for at in ["f", "f.t"] {
+            let log = loaded.clone();
+            let load = move |_: &mut _, bytes: &[u8]| {
+                log.lock().unwrap().push((v, at.to_owned(), bytes.to_vec()));
+            };
+            h.session_mut(v).hooks_mut().register(path(at), |_| Vec::new(), load);
+        }
+    }
+
+    for (round, payload) in [&b"one"[..], b"two", b"three"].into_iter().enumerate() {
+        *stored.lock().unwrap() = payload.to_vec();
+        h.session_mut(presenter).copy_to(&path("f"), board.clone(), CopyMode::Strict).unwrap();
+        let log = settle_logged(&mut h, &[&[presenter][..], &viewers].concat());
+        let semantic_patch = |d: &cosoft_wire::StateDelta| {
+            matches!(&d.edits[..], [edit] if edit.path.is_empty() && matches!(&edit.op,
+                cosoft_wire::EditOp::Patch(p) if p.semantic.as_deref() == Some(payload)
+                    && p.upserts.is_empty() && p.removals.is_empty() && p.kind.is_none()))
+        };
+        let kinds: Vec<&str> = log.iter().map(|(_, m)| m.kind_name()).collect();
+        for (from, m) in &log {
+            match m {
+                Message::CopyTo { .. } => assert_eq!(round, 0, "{kinds:?}"),
+                Message::CopyDelta { delta, .. } => assert!(semantic_patch(delta), "{delta:?}"),
+                Message::ApplyState { .. } => assert_eq!(round, 0, "{kinds:?}"),
+                Message::ApplyDelta { delta, .. } => assert!(semantic_patch(delta), "{delta:?}"),
+                Message::StateApplied { error, .. } => assert_eq!(*error, None, "from {from:?}"),
+                _ => {}
+            }
+        }
+        let legs = kinds.iter().filter(|k| k.starts_with("apply-")).count();
+        assert_eq!(legs, viewers.len(), "{kinds:?}");
+        let mut expected: Loads = viewers
+            .iter()
+            .flat_map(|&v| {
+                [(v, "f".into(), payload.to_vec()), (v, "f.t".into(), b"field".to_vec())]
+            })
+            .collect();
+        let mut got = std::mem::take(&mut *loaded.lock().unwrap());
+        expected.sort();
+        got.sort();
+        assert_eq!(got, expected, "round {round}");
+    }
+    h.server.check_invariants().unwrap();
+}
+
 #[test]
 fn remote_copy_three_party_flow() {
     let mut h = SimHarness::new(1);

@@ -7,7 +7,7 @@
 //!
 //! # Host I/O model
 //!
-//! The host is readiness-driven (see [`crate::poll`]): a fixed pool of
+//! The host is readiness-driven (see the `poll` module): a fixed pool of
 //! poll threads ([`TcpHostConfig::io_threads`]) owns every accepted
 //! socket in nonblocking mode, so connection count adds *state*, not
 //! threads. Each connection has a ring-buffer outbox flushed on

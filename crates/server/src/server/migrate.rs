@@ -19,8 +19,8 @@ use crate::registry::Record;
 /// (executions with their locks, transfer groups with their legs) that
 /// lives entirely inside the component.
 ///
-/// Produced by [`ServerCore::extract_component`] and consumed by
-/// [`ServerCore::absorb_component`]; opaque to everything in between.
+/// Produced by `ServerCore::extract_component` and consumed by
+/// `ServerCore::absorb_component`; opaque to everything in between.
 #[derive(Debug, Clone)]
 pub struct ComponentSlice<E> {
     records: Vec<Record<E>>,

@@ -47,7 +47,7 @@ use crate::locks::LockTable;
 use crate::overload::{Admission, OverloadConfig, Verdict};
 use crate::registry::Registry;
 use floor::ExecState;
-use transfer::{Leg, SyncBase, TransferGroup, TransferKind};
+use transfer::{Carried, Leg, SyncBase, TransferGroup, TransferKind};
 
 /// A routing-relevant lifecycle change, recorded by the core for its
 /// router (when enabled via [`ServerCore::enable_route_log`]) so the
@@ -55,8 +55,8 @@ use transfer::{Leg, SyncBase, TransferGroup, TransferKind};
 /// sync with the registries without the router sniffing outgoing
 /// traffic.
 ///
-/// Shard migrations ([`ServerCore::extract_component`] /
-/// [`ServerCore::absorb_component`]) deliberately record nothing: the
+/// Shard migrations (`ServerCore::extract_component` /
+/// `ServerCore::absorb_component`) deliberately record nothing: the
 /// router rebinds routes itself from the migrated slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteEvent<E> {
@@ -272,7 +272,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
 
     /// Turns on the route log: lifecycle changes ([`RouteEvent`]) are
     /// recorded for the owning router to drain via
-    /// [`ServerCore::take_route_events`].
+    /// `ServerCore::take_route_events`.
     pub fn enable_route_log(&mut self) {
         self.route_log_enabled = true;
     }
@@ -609,7 +609,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 out.extend(self.do_copy(from, src, dst, mode, req_id, None));
             }
             Message::CopyTo { src, dst, snapshot, mode, req_id } => {
-                let pushed = SyncBase::of(snapshot);
+                let pushed = Carried::whole(SyncBase::of(snapshot));
                 out.extend(self.do_copy(from, src, dst, mode, req_id, Some(pushed)));
             }
             Message::CopyDelta { src, dst, base_version, new_version, delta, mode, req_id } => {
@@ -630,6 +630,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                         Some(_) => self.stats.pushes_by_delta += 1,
                         None => self.stats.push_fallbacks += 1,
                     }
+                    let pushed =
+                        pushed.map(|state| Carried { state, edits: Some((base_version, &delta)) });
                     out.extend(self.do_copy(from, src, dst, mode, req_id, pushed));
                 }
             }

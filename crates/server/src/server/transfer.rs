@@ -55,6 +55,22 @@ impl SyncBase {
     }
 }
 
+/// A state a fan-out installs and, when a `CopyDelta` brought it, that
+/// push's base version and edits: the edits that turn the state of that
+/// version into this one.
+#[derive(Debug)]
+pub(super) struct Carried<'a> {
+    pub(super) state: SyncBase,
+    pub(super) edits: Option<(u64, &'a StateDelta)>,
+}
+
+impl Carried<'_> {
+    /// A state that came whole.
+    pub(super) fn whole(state: SyncBase) -> Self {
+        Carried { state, edits: None }
+    }
+}
+
 /// Bookkeeping for the snapshot an apply leg carries.
 #[derive(Debug, Clone)]
 pub(super) struct AppliedSync {
@@ -263,7 +279,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         dst: GlobalObjectId,
         mode: CopyMode,
         client_req: u64,
-        pushed: Option<SyncBase>,
+        pushed: Option<Carried<'_>>,
     ) -> Outgoing<E> {
         let mut out = Outgoing::new();
         // What a session pushes of its own object is that object's sync
@@ -271,7 +287,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // or not the copy below is allowed: a refused copy must not leave
         // the two ends a version apart.
         if let Some(pushed) = pushed.as_ref().filter(|_| src.instance == from) {
-            self.sync_bases.insert(src.clone(), pushed.clone());
+            self.sync_bases.insert(src.clone(), pushed.state.clone());
         }
         if let Err(reason) = self.check_objects_exist(&[&src, &dst]) {
             self.to_instance(
@@ -349,11 +365,15 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// state copy onto a coupled object must keep its whole group
     /// consistent. Each leg gets its own transfer id so the overwritten
     /// states land in the right history stacks.
+    ///
+    /// A member holding the base of the `CopyDelta` being fanned out is
+    /// sent that push's edits instead of a diff: equal versions are equal
+    /// trees, and `diff` of equal trees is the same edits.
     fn fan_out_apply(
         &mut self,
         group_id: u64,
         dst: &GlobalObjectId,
-        carried: SyncBase,
+        carried: Carried<'_>,
         mode: CopyMode,
         kind: TransferKind,
         out: &mut Outgoing<E>,
@@ -380,6 +400,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // snapshot; deltas are cached per base version, so one encoded
         // delta serves every group member that last acknowledged the
         // same state.
+        let Carried { state: carried, edits: known_edits } = carried;
         self.stats.payload_encodes += 1;
         let mut snapshot_spliced = false;
         let mut delta_cache: HashMap<u64, Bytes> = HashMap::new();
@@ -394,10 +415,15 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
                             self.stats.payload_encodes += 1;
-                            e.insert(codec::encode_delta_shared(&delta::diff(
-                                &base.state,
-                                &carried.state,
-                            )))
+                            e.insert(match known_edits {
+                                Some((from, edits)) if from == base.version => {
+                                    codec::encode_delta_shared(edits)
+                                }
+                                _ => codec::encode_delta_shared(&delta::diff(
+                                    &base.state,
+                                    &carried.state,
+                                )),
+                            })
                         }
                     };
                     let frame = codec::frame_apply_delta(
@@ -456,6 +482,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 // source's sync base, at the session since it answered.
                 let pulled = SyncBase::of(snapshot);
                 self.sync_bases.insert(src, pulled.clone());
+                let pulled = Carried::whole(pulled);
                 self.fan_out_apply(group_id, &dst, pulled, mode, TransferKind::Copy, &mut out);
             }
             None => self.fail_group(group_id, "source object does not exist"),
@@ -595,7 +622,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let group_id = self.start_group(from, 0);
         // Undo/redo also fans out to the object's coupling group so the
         // group stays consistent.
-        let restored = SyncBase::of(snapshot);
+        let restored = Carried::whole(SyncBase::of(snapshot));
         self.fan_out_apply(group_id, &object, restored, CopyMode::DestructiveMerge, kind, &mut out);
         self.maybe_finish_group(group_id, &mut out);
         out

@@ -19,8 +19,9 @@
 use cosoft_rng::Rng;
 use cosoft_server::{LivenessConfig, Outgoing, ServerCore, ShardRouter};
 use cosoft_wire::{
-    codec, delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
-    ObjectPath, Overwritten, StateDelta, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    codec, delta, AccessRight, AttrName, CopyMode, EditOp, EventKind, GlobalObjectId, InstanceId,
+    Message, NodeEdit, NodePatch, ObjectPath, Overwritten, StateDelta, StateNode, Target, UiEvent,
+    UserId, Value, WidgetKind,
 };
 
 type Endpoint = u64;
@@ -2145,6 +2146,55 @@ fn second_push_of_an_object_is_a_delta() {
     let (shallow, deep) = (share_at(2), share_at(6));
     assert!(deep <= 0.25, "depth-6 single-attribute CopyDelta is {deep:.2} of its CopyTo");
     assert!(deep < shallow, "deeper trees must widen the gap: {deep:.2} vs {shallow:.2}");
+}
+
+/// A member that holds the base a `CopyDelta` was made against is sent
+/// that push's edits, not a diff of its own: the frame is the one a fresh
+/// diff makes, and a member on another base still gets its own diff.
+/// Edits that only a diff would not make (a rewrite of a value to
+/// itself) show which one a leg carries.
+#[test]
+fn fan_out_reuses_the_pushed_edits() {
+    let (v0, v1, v2) = (deep_tree(3, "v0"), deep_tree(3, "v1"), deep_tree(3, "v2"));
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let c = register(&mut s, 3, 3);
+    // c acknowledges v0 and b v1; then the two are coupled.
+    let out = push_to(&mut s, gid(c, "f"), gid(a, "f"), v0.clone(), 1);
+    acknowledge(&mut s, &out, 3);
+    let out = s.handle(1, copy_delta(gid(a, "f"), gid(b, "f"), &v0, &v1, 2)).into_messages();
+    acknowledge(&mut s, &out, 2);
+    s.handle(2, Message::Couple { src: gid(b, "f"), dst: gid(c, "f") }).into_messages();
+
+    let push = copy_delta(gid(a, "f"), gid(b, "f"), &v1, &v2, 3);
+    let in_full = Message::CopyTo {
+        src: gid(a, "f"),
+        dst: gid(b, "f"),
+        snapshot: v2.clone(),
+        mode: CopyMode::Strict,
+        req_id: 3,
+    };
+    let fresh = s.clone().handle(1, in_full).into_frames();
+    let frames = s.clone().handle(1, push.clone()).into_frames();
+    assert_eq!(frames, fresh, "the pushed edits are the frame a fresh diff makes");
+
+    let mut padded = push;
+    let Message::CopyDelta { delta: edits, .. } = &mut padded else { unreachable!() };
+    let mut patch = NodePatch::default();
+    patch.upserts.insert(AttrName::Title, Value::Text("panel 0".into()));
+    edits.edits.insert(0, NodeEdit { path: Vec::new(), op: EditOp::Patch(patch) });
+    let sent = edits.clone();
+    let out = s.handle(1, padded).into_messages();
+    let leg_to = |endpoint: Endpoint| match find(&out, endpoint, "apply-delta") {
+        Message::ApplyDelta { base_version, delta: d, .. } => (*base_version, d.clone()),
+        _ => unreachable!(),
+    };
+    assert_eq!(leg_to(2), (delta::state_version(&v1), sent), "b holds the pushed base");
+    assert_eq!(leg_to(3), (delta::state_version(&v0), delta::diff(&v0, &v2)), "c its own");
+    let stats = s.stats();
+    assert_eq!((stats.pushes_by_delta, stats.delta_legs_sent), (2, 2));
+    s.check_invariants().unwrap();
 }
 
 /// Only the owner of an object may push edits of it: the base the edits

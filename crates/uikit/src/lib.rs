@@ -53,4 +53,4 @@ pub use error::UiError;
 pub use feedback::FeedbackUndo;
 pub use schema::{builtin_schema, AttrSpec, SchemaRegistry, WidgetSchema};
 pub use toolkit::{Callback, Toolkit};
-pub use tree::{Widget, WidgetId, WidgetTree};
+pub use tree::{TreeStamp, Widget, WidgetId, WidgetTree};

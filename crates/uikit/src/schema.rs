@@ -7,6 +7,7 @@
 //! register their own schemas in a [`SchemaRegistry`].
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use cosoft_wire::{AttrName, EventKind, Value, WidgetKind};
 
@@ -100,10 +101,17 @@ fn with_geometry(mut extra: Vec<AttrSpec>) -> Vec<AttrSpec> {
     v
 }
 
-/// Builds the builtin schema for `kind`, or `None` for custom kinds.
-pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
-    let schema = match kind {
-        WidgetKind::Form => WidgetSchema {
+/// The builtin schema for `kind`, or `None` for custom kinds. The table
+/// is built once, on first use.
+pub fn builtin_schema(kind: &WidgetKind) -> Option<&'static WidgetSchema> {
+    static TABLE: OnceLock<Vec<WidgetSchema>> = OnceLock::new();
+    TABLE.get_or_init(builtin_table).iter().find(|s| &s.kind == kind)
+}
+
+/// Every builtin kind's schema.
+fn builtin_table() -> Vec<WidgetSchema> {
+    vec![
+        WidgetSchema {
             kind: WidgetKind::Form,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Title,
@@ -113,7 +121,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![],
             container: true,
         },
-        WidgetKind::Panel => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Panel,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Title,
@@ -123,7 +131,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![],
             container: true,
         },
-        WidgetKind::Button => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Button,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Title,
@@ -133,7 +141,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::Activate],
             container: false,
         },
-        WidgetKind::ToggleButton => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::ToggleButton,
             attrs: with_geometry(vec![
                 AttrSpec::new(AttrName::Title, Value::Text(String::new()), false),
@@ -142,7 +150,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::Toggled],
             container: false,
         },
-        WidgetKind::Menu => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Menu,
             attrs: with_geometry(vec![
                 AttrSpec::new(AttrName::Items, Value::TextList(Vec::new()), true),
@@ -151,7 +159,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::SelectionChanged],
             container: false,
         },
-        WidgetKind::TextField => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::TextField,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Text,
@@ -161,7 +169,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::TextCommitted, EventKind::TextEdited],
             container: false,
         },
-        WidgetKind::TextArea => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::TextArea,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Text,
@@ -171,7 +179,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::TextCommitted, EventKind::TextEdited],
             container: false,
         },
-        WidgetKind::Label => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Label,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Text,
@@ -181,7 +189,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![],
             container: false,
         },
-        WidgetKind::List => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::List,
             attrs: with_geometry(vec![
                 AttrSpec::new(AttrName::Items, Value::TextList(Vec::new()), true),
@@ -190,7 +198,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::SelectionChanged, EventKind::RowActivated],
             container: false,
         },
-        WidgetKind::Slider => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Slider,
             attrs: with_geometry(vec![
                 AttrSpec::new(AttrName::ValueNum, Value::Float(0.0), true),
@@ -200,7 +208,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::ValueChanged],
             container: false,
         },
-        WidgetKind::Canvas => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Canvas,
             attrs: with_geometry(vec![AttrSpec::new(
                 AttrName::Strokes,
@@ -210,7 +218,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::StrokeAdded, EventKind::CanvasCleared],
             container: false,
         },
-        WidgetKind::Table => WidgetSchema {
+        WidgetSchema {
             kind: WidgetKind::Table,
             attrs: with_geometry(vec![
                 AttrSpec::new(AttrName::custom("columns"), Value::TextList(Vec::new()), true),
@@ -220,9 +228,7 @@ pub fn builtin_schema(kind: &WidgetKind) -> Option<WidgetSchema> {
             events: vec![EventKind::RowActivated, EventKind::SelectionChanged],
             container: false,
         },
-        WidgetKind::Custom(_) => return None,
-    };
-    Some(schema)
+    ]
 }
 
 /// Registry resolving widget kinds to schemas, with support for
@@ -245,11 +251,11 @@ impl SchemaRegistry {
         }
     }
 
-    /// Resolves the schema for `kind`.
-    ///
-    /// Unregistered custom kinds get a permissive fallback: container,
-    /// no declared attributes (every set is accepted as-is and treated as
-    /// relevant), custom events only.
+    /// The registered schema of a custom kind; `None` for a builtin kind
+    /// (see [`SchemaRegistry::resolve`]) and for an unregistered custom
+    /// one, which the widget tree then treats permissively: any attribute
+    /// is accepted and relevant, and its containment is
+    /// [`WidgetKind::is_container`]'s.
     pub fn schema(&self, kind: &WidgetKind) -> Option<&WidgetSchema> {
         match kind {
             WidgetKind::Custom(name) => self.custom.get(name),
@@ -258,11 +264,8 @@ impl SchemaRegistry {
     }
 
     /// Resolves a schema, falling back to the builtin table.
-    pub fn resolve(&self, kind: &WidgetKind) -> Option<WidgetSchema> {
-        if let Some(s) = self.schema(kind) {
-            return Some(s.clone());
-        }
-        builtin_schema(kind)
+    pub fn resolve(&self, kind: &WidgetKind) -> Option<&WidgetSchema> {
+        self.schema(kind).or_else(|| builtin_schema(kind))
     }
 }
 

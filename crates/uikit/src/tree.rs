@@ -1,6 +1,8 @@
 //! The widget tree: an arena of UI objects organized along the
 //! parent/child relationship, addressed by hierarchical pathnames (§3).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use cosoft_wire::{AttrMap, AttrName, ObjectPath, StateNode, Value, WidgetKind};
 
 use crate::schema::{SchemaRegistry, WidgetSchema};
@@ -23,6 +25,10 @@ pub struct Widget {
     children: Vec<WidgetId>,
     lock_disabled: bool,
     alive: bool,
+    /// The tree's mutation count at this widget's last change: an
+    /// attribute written, or a child created or destroyed (its own
+    /// creation included).
+    stamp: u64,
 }
 
 impl Widget {
@@ -65,12 +71,54 @@ impl Widget {
     }
 }
 
+/// A point in one tree's history of mutations, taken by
+/// [`WidgetTree::stamp`] and compared by [`WidgetTree::unchanged_since`].
+/// It names the tree value it was taken of: a stamp of one tree, or of a
+/// clone, says nothing about another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeStamp {
+    lineage: u64,
+    count: u64,
+}
+
+/// Hands out a lineage per tree value, so that a [`TreeStamp`] never
+/// compares across trees.
+fn fresh_lineage() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Arena of widgets forming one application instance's UI-object tree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct WidgetTree {
     nodes: Vec<Widget>,
     root: Option<WidgetId>,
     registry: SchemaRegistry,
+    /// Mutations so far; every widget is stamped with the count of its
+    /// last change.
+    mutations: u64,
+    /// Which tree value the counts belong to: fresh for a new tree and
+    /// for every clone.
+    lineage: u64,
+}
+
+impl Default for WidgetTree {
+    fn default() -> Self {
+        WidgetTree::with_registry(SchemaRegistry::default())
+    }
+}
+
+/// A clone is another tree: equal content, its own [`TreeStamp`]s.
+impl Clone for WidgetTree {
+    fn clone(&self) -> Self {
+        WidgetTree {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            registry: self.registry.clone(),
+            mutations: self.mutations,
+            lineage: fresh_lineage(),
+        }
+    }
 }
 
 impl WidgetTree {
@@ -81,7 +129,41 @@ impl WidgetTree {
 
     /// Creates an empty tree with a custom schema registry.
     pub fn with_registry(registry: SchemaRegistry) -> Self {
-        WidgetTree { nodes: Vec::new(), root: None, registry }
+        WidgetTree {
+            nodes: Vec::new(),
+            root: None,
+            registry,
+            mutations: 0,
+            lineage: fresh_lineage(),
+        }
+    }
+
+    /// How many mutations the tree has seen: attributes written, widgets
+    /// created and destroyed, one each.
+    pub fn mutations(&self) -> u64 {
+        self.mutations
+    }
+
+    /// The tree's present point in its history of mutations.
+    pub fn stamp(&self) -> TreeStamp {
+        TreeStamp { lineage: self.lineage, count: self.mutations }
+    }
+
+    /// Whether no widget of the live subtree under `id` has changed since
+    /// `since` was taken of this tree. `false` for a dead id and for a
+    /// stamp of another tree.
+    pub fn unchanged_since(&self, id: WidgetId, since: TreeStamp) -> bool {
+        fn rec(tree: &WidgetTree, id: WidgetId, count: u64) -> bool {
+            let w = &tree.nodes[id.0];
+            w.stamp <= count && w.children.iter().all(|&c| rec(tree, c, count))
+        }
+        since.lineage == self.lineage && self.widget(id).is_ok() && rec(self, id, since.count)
+    }
+
+    /// Counts one mutation and stamps `id` with it.
+    fn touch(&mut self, id: WidgetId) {
+        self.mutations += 1;
+        self.nodes[id.0].stamp = self.mutations;
     }
 
     /// Mutable access to the schema registry, for registering custom
@@ -91,7 +173,7 @@ impl WidgetTree {
     }
 
     /// Resolves the schema for a kind through the tree's registry.
-    pub fn schema_of(&self, kind: &WidgetKind) -> Option<WidgetSchema> {
+    pub fn schema_of(&self, kind: &WidgetKind) -> Option<&WidgetSchema> {
         self.registry.resolve(kind)
     }
 
@@ -138,7 +220,9 @@ impl WidgetTree {
             children: Vec::new(),
             lock_disabled: false,
             alive: true,
+            stamp: 0,
         });
+        self.touch(id);
         self.root = Some(id);
         Ok(id)
     }
@@ -186,8 +270,11 @@ impl WidgetTree {
             children: Vec::new(),
             lock_disabled: false,
             alive: true,
+            stamp: 0,
         });
         self.nodes[parent.0].children.push(id);
+        self.touch(id);
+        self.nodes[parent.0].stamp = self.mutations;
         Ok(id)
     }
 
@@ -204,8 +291,10 @@ impl WidgetTree {
         let mut destroyed = Vec::new();
         self.collect_paths(id, &mut destroyed);
         self.kill(id);
+        self.mutations += 1;
         if let Some(parent) = self.nodes[id.0].parent {
             self.nodes[parent.0].children.retain(|&c| c != id);
+            self.nodes[parent.0].stamp = self.mutations;
         }
         if self.root == Some(id) {
             self.root = None;
@@ -319,10 +408,10 @@ impl WidgetTree {
         name: AttrName,
         value: Value,
     ) -> Result<Option<Value>, UiError> {
-        let kind = self.widget(id)?.kind.clone();
-        if let Some(schema) = self.registry.resolve(&kind) {
+        if let Some(schema) = self.registry.resolve(&self.widget(id)?.kind) {
             schema.validate(&name, &value)?;
         }
+        self.touch(id);
         Ok(self.nodes[id.0].attrs.insert(name, value))
     }
 
@@ -341,6 +430,7 @@ impl WidgetTree {
         value: Value,
     ) -> Result<Option<Value>, UiError> {
         self.widget(id)?;
+        self.touch(id);
         Ok(self.nodes[id.0].attrs.insert(name, value))
     }
 
@@ -373,7 +463,7 @@ impl WidgetTree {
         let schema = self.registry.resolve(&w.kind);
         for (k, v) in &w.attrs {
             let include = if relevant_only {
-                match &schema {
+                match schema {
                     Some(s) => s.attr(k).map(|a| a.relevant).unwrap_or(false),
                     // Unregistered custom kinds: everything is relevant.
                     None => true,

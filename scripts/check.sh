@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 # dispatch on Message and the [workspace.lints] headers all fail here
 # (DESIGN.md §7.1 is the table of what each holds).
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
+# The API docs: a broken intra-doc link, or a public doc that links a
+# private item, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --workspace
 # Tier-1. The root's default-members is the whole workspace, so this one
 # unfiltered run is every suite of every crate, doctests included; what
 # each gate among them holds is written at the head of its test file.
