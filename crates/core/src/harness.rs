@@ -2,6 +2,12 @@
 //! [`ShardRouter`] onto the deterministic simulated network and pumps
 //! messages until quiescence.
 //!
+//! [`SimHarness::step`] is the one way a message moves: a delivery to the
+//! server is a turn, a delivery to a session is its `on_message` and the
+//! flush of its outbox. [`SimHarness::pump`] flushes every outbox and
+//! steps until the network is idle; a test that must stop mid-round
+//! steps by hand.
+//!
 //! The server side runs what a deployed server runs: every input — a
 //! delivered message, a disconnect, a clock advance — is one
 //! [`ShardRouter::turn`] at the virtual time it happens. The router has
@@ -9,9 +15,9 @@
 //! the fully replicated (COSOFT) architecture run on this harness; the
 //! virtual clock makes latency measurements reproducible.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use cosoft_net::sim::{Latency, NodeId, SimNet};
+use cosoft_net::sim::{self, NodeId, SimNet};
 use cosoft_net::NetEvent;
 use cosoft_server::{Delivery, Outgoing, ShardRouter};
 use cosoft_wire::InstanceId;
@@ -32,9 +38,6 @@ pub struct SimHarness {
     /// Sessions keyed by node id; a `BTreeMap` keeps outbox flushing (and
     /// therefore the whole simulation) deterministic.
     sessions: BTreeMap<NodeId, Session>,
-    /// Nodes whose connection is currently severed: traffic in either
-    /// direction is silently lost until [`SimHarness::reconnect`].
-    offline: BTreeSet<NodeId>,
     next_node: u64,
 }
 
@@ -45,15 +48,15 @@ impl SimHarness {
             net: SimNet::new(seed),
             server: ShardRouter::new(1),
             sessions: BTreeMap::new(),
-            offline: BTreeSet::new(),
             next_node: 1,
         }
     }
 
-    /// Creates a harness with a fixed one-way latency in microseconds.
+    /// Creates a harness with a one-way latency in microseconds and no
+    /// jitter.
     pub fn with_latency(seed: u64, one_way_us: u64) -> Self {
         let mut h = Self::new(seed);
-        h.net.set_latency(Latency::Fixed(one_way_us));
+        h.net.set_latency(one_way_us, 0);
         h
     }
 
@@ -88,7 +91,6 @@ impl SimHarness {
     /// observes the disconnect on the next pump.
     pub fn crash(&mut self, node: NodeId) {
         if self.sessions.remove(&node).is_some() {
-            self.offline.remove(&node);
             self.server_turn(Some(NetEvent::Disconnected(node)));
         }
     }
@@ -116,14 +118,14 @@ impl SimHarness {
         }
     }
 
-    /// Severs a session's connection without destroying the session (a
-    /// silently dropped link): the server observes the disconnect — and
-    /// quarantines the instance when a liveness grace period is
-    /// configured — while the client keeps its state and may later
-    /// [`SimHarness::reconnect`]. Traffic to and from the node is lost in
-    /// the meantime.
+    /// Resets a session's connection without destroying the session: the
+    /// server observes the disconnect — and quarantines the instance when
+    /// a liveness grace period is configured — while the client keeps its
+    /// state and may later [`SimHarness::reconnect`]. The link is
+    /// [`SimNet::sever`]ed: what is in flight to or from the node is lost,
+    /// and so is what it sends in the meantime.
     pub fn disconnect(&mut self, node: NodeId) {
-        if self.sessions.contains_key(&node) && self.offline.insert(node) {
+        if self.sessions.contains_key(&node) && self.net.sever(node) {
             self.server_turn(Some(NetEvent::Disconnected(node)));
         }
     }
@@ -131,7 +133,7 @@ impl SimHarness {
     /// Restores a severed connection and starts the session's rejoin; the
     /// queued `Rejoin` (or fallback `Register`) goes out on the next pump.
     pub fn reconnect(&mut self, node: NodeId) {
-        if self.offline.remove(&node) {
+        if self.net.restore(node) {
             if let Some(session) = self.sessions.get_mut(&node) {
                 session.begin_rejoin();
             }
@@ -158,50 +160,47 @@ impl SimHarness {
         self.sessions.get(&node).and_then(Session::instance)
     }
 
-    fn flush_outboxes(&mut self) {
+    /// Puts every session's outbox on the network.
+    pub fn flush(&mut self) {
         for (&node, session) in self.sessions.iter_mut() {
-            // A severed connection loses outgoing messages; the session
-            // regenerates what matters during its rejoin resync.
-            let msgs = session.drain_outbox();
-            if self.offline.contains(&node) {
-                continue;
-            }
-            for msg in msgs {
+            for msg in session.drain_outbox() {
                 self.net.send(node, SERVER_NODE, msg);
             }
         }
     }
 
-    /// Pumps the network until quiescence: flushes session outboxes,
-    /// delivers messages (server ↔ sessions), and repeats until no
-    /// messages remain. Returns the number of deliveries processed.
+    /// Delivers the next message on the network and returns it: a server
+    /// turn, or a session's `on_message` followed by the flush of its
+    /// outbox. A message to a crashed session is dropped. Returns `None`
+    /// when the network is idle.
+    pub fn step(&mut self) -> Option<sim::Delivery> {
+        let delivery = self.net.step()?;
+        let (src, dst, msg) = (delivery.src, delivery.dst, delivery.msg.clone());
+        if dst == SERVER_NODE {
+            self.server_turn(Some(NetEvent::Message(src, msg)));
+        } else if let Some(session) = self.sessions.get_mut(&dst) {
+            session.on_message(msg);
+            for msg in session.drain_outbox() {
+                self.net.send(dst, SERVER_NODE, msg);
+            }
+        }
+        Some(delivery)
+    }
+
+    /// Pumps the network until quiescence: flushes session outboxes, then
+    /// steps until no message remains. Returns the number of deliveries.
     ///
     /// # Panics
     ///
     /// Panics if the message count exceeds `max_steps` (runaway guard).
     pub fn pump(&mut self, max_steps: u64) -> u64 {
+        self.flush();
         let mut steps = 0;
-        loop {
-            self.flush_outboxes();
-            if self.net.is_idle() {
-                return steps;
-            }
-            while let Some(delivery) = self.net.step() {
-                steps += 1;
-                assert!(steps <= max_steps, "simulation exceeded {max_steps} deliveries");
-                if delivery.dst == SERVER_NODE {
-                    self.server_turn(Some(NetEvent::Message(delivery.src, delivery.msg)));
-                } else if self.offline.contains(&delivery.dst) {
-                    // In-flight messages to a severed connection are lost.
-                } else if let Some(session) = self.sessions.get_mut(&delivery.dst) {
-                    session.on_message(delivery.msg);
-                    for msg in session.drain_outbox() {
-                        self.net.send(delivery.dst, SERVER_NODE, msg);
-                    }
-                }
-                // Messages to crashed sessions are dropped silently.
-            }
+        while self.step().is_some() {
+            steps += 1;
+            assert!(steps <= max_steps, "simulation exceeded {max_steps} deliveries");
         }
+        steps
     }
 
     /// Convenience: pump with a generous default cap.

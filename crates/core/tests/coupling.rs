@@ -12,10 +12,12 @@
 //! (pushes both ways, pulls, viewer-side edits, undo / redo, a presenter
 //! that re-registers, a push shed as `Busy`).
 
+use std::cell::Cell;
+
 use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::NodeId;
-use cosoft_rng::Rng;
+use cosoft_rng::{forall, Rng};
 use cosoft_server::OverloadConfig;
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
@@ -120,39 +122,57 @@ fn decoupled_objects_do_not_cease_to_exist() {
     assert_eq!(text_of(&h, b, "f.t"), "b-alone");
 }
 
+/// The race the locking algorithm exists for (§3.2): both users type
+/// before either event reaches the server. Links race under jitter, so
+/// which event arrives first varies with the seed: the server grants one,
+/// rejects the other, and the loser's echo is rolled back and overwritten
+/// by the winner's re-execution. Across the sweep each user wins some
+/// race.
 #[test]
 fn floor_control_rejects_concurrent_events_and_rolls_back_feedback() {
-    let mut h = SimHarness::with_latency(7, 1_000);
-    let a = h.add_session(session(FIELD_FORM, 1));
-    let b = h.add_session(session(FIELD_FORM, 2));
-    h.settle();
-    let gb = h.session(b).gid(&path("f.t")).unwrap();
-    h.session_mut(a).couple(&path("f.t"), gb).unwrap();
-    h.settle();
+    let wins = [Cell::new(0u32), Cell::new(0u32)];
+    forall(
+        0..64,
+        |r| r.next_u64(),
+        |seed| {
+            let mut h = SimHarness::new(seed);
+            h.net.set_latency(1_000, 800);
+            let a = h.add_session(session(FIELD_FORM, 1));
+            let b = h.add_session(session(FIELD_FORM, 2));
+            h.settle();
+            let gb = h.session(b).gid(&path("f.t")).unwrap();
+            h.session_mut(a).couple(&path("f.t"), gb).unwrap();
+            h.settle();
 
-    // Both users type *before* any message is pumped: a's event reaches
-    // the server first (FIFO on equal latency), locks the group, and b's
-    // event is rejected.
-    type_text(&mut h, a, "f.t", "from-a");
-    type_text(&mut h, b, "f.t", "from-b");
-    // Local echoes are visible immediately (syntactic feedback).
-    assert_eq!(text_of(&h, a, "f.t"), "from-a");
-    assert_eq!(text_of(&h, b, "f.t"), "from-b");
-    h.settle();
+            type_text(&mut h, a, "f.t", "from-a");
+            type_text(&mut h, b, "f.t", "from-b");
+            // Local echoes are visible immediately (syntactic feedback).
+            assert_eq!(text_of(&h, a, "f.t"), "from-a");
+            assert_eq!(text_of(&h, b, "f.t"), "from-b");
+            h.settle();
 
-    // a's event won; b's echo was rolled back and overwritten by the
-    // re-execution of a's event.
-    assert_eq!(text_of(&h, a, "f.t"), "from-a");
-    assert_eq!(text_of(&h, b, "f.t"), "from-a");
-    assert_eq!(h.server.stats().events_rejected, 1);
-    let rejected: Vec<_> = h
-        .session_mut(b)
-        .take_events()
-        .into_iter()
-        .filter(|e| matches!(e, SessionEvent::EventRejected { .. }))
-        .collect();
-    assert_eq!(rejected.len(), 1);
-    assert_eq!(h.server.stats().held_locks, 0);
+            let winner = text_of(&h, a, "f.t");
+            let loser = match winner.as_str() {
+                "from-a" => b,
+                "from-b" => a,
+                other => panic!("neither event won: {other:?}"),
+            };
+            let won = &wins[usize::from(loser == a)];
+            won.set(won.get() + 1);
+            assert_eq!(text_of(&h, b, "f.t"), winner, "the loser's echo is rolled back");
+            assert_eq!(h.server.stats().events_rejected, 1);
+            let rejected = h
+                .session_mut(loser)
+                .take_events()
+                .into_iter()
+                .filter(|e| matches!(e, SessionEvent::EventRejected { .. }))
+                .count();
+            assert_eq!(rejected, 1);
+            assert_eq!(h.server.stats().held_locks, 0);
+        },
+    );
+    let [a, b] = wins.map(Cell::into_inner);
+    assert!(a > 0 && b > 0, "a won {a} races and b {b}: the links never raced");
 }
 
 #[test]
@@ -166,32 +186,17 @@ fn objects_are_disabled_while_group_is_locked() {
     h.settle();
 
     type_text(&mut h, a, "f.t", "locking");
-    // Drive the simulation only partially: deliver the Event to the
-    // server and the resulting grant/execute, but stop before the dones.
-    for session in [a, b] {
-        let msgs = h.session_mut(session).drain_outbox();
-        for m in msgs {
-            h.net.send(session, cosoft_core::SERVER_NODE, m);
-        }
-    }
-    // Event reaches server; grant+execute go out.
-    while let Some(d) = h.net.step() {
-        if d.dst == cosoft_core::SERVER_NODE {
-            let out = h.server.handle(d.src, d.msg).into_messages();
-            for (dst, msg) in out {
-                h.net.send(cosoft_core::SERVER_NODE, dst, msg);
-            }
-        } else {
-            let dst = d.dst;
-            h.session_mut(dst).on_message(d.msg);
-            // Do NOT drain outboxes: ExecuteDone stays queued.
-        }
-    }
-    // Mid-execution: both local objects are disabled.
-    for node in [a, b] {
+    // Drive the simulation only partially: the Event reaches the server,
+    // the grant and the execute go out, and the round stops as soon as
+    // both sessions hold the group locked, before the unlock.
+    let interactable = |h: &SimHarness, node| {
         let tree = h.session(node).toolkit().tree();
         let id = tree.resolve(&path("f.t")).unwrap();
-        assert!(!tree.widget(id).unwrap().is_interactable(), "locked during execution");
+        tree.widget(id).unwrap().is_interactable()
+    };
+    h.flush();
+    while interactable(&h, a) || interactable(&h, b) {
+        h.step().expect("the round locks both sides before it ends");
     }
     // User input on a locked object fails loudly.
     let err = h
@@ -206,11 +211,7 @@ fn objects_are_disabled_while_group_is_locked() {
 
     // Finish the round: dones flow, unlock re-enables everything.
     h.settle();
-    for node in [a, b] {
-        let tree = h.session(node).toolkit().tree();
-        let id = tree.resolve(&path("f.t")).unwrap();
-        assert!(tree.widget(id).unwrap().is_interactable());
-    }
+    assert!(interactable(&h, a) && interactable(&h, b));
 }
 
 #[test]
@@ -368,7 +369,7 @@ fn semantic_payloads_ride_delta_pushes_and_legs() {
     for (round, payload) in [&b"one"[..], b"two", b"three"].into_iter().enumerate() {
         *stored.lock().unwrap() = payload.to_vec();
         h.session_mut(presenter).copy_to(&path("f"), board.clone(), CopyMode::Strict).unwrap();
-        let log = settle_logged(&mut h, &[&[presenter][..], &viewers].concat());
+        let log = settle_logged(&mut h);
         let semantic_patch = |d: &cosoft_wire::StateDelta| {
             matches!(&d.edits[..], [edit] if edit.path.is_empty() && matches!(&edit.op,
                 cosoft_wire::EditOp::Patch(p) if p.semantic.as_deref() == Some(payload)
@@ -520,25 +521,13 @@ fn deep_form(depth: usize) -> String {
     spec
 }
 
-/// Runs sessions and server to quiescence by hand and returns every
-/// message exchanged, with the session that sent it (none: the server).
-fn settle_logged(h: &mut SimHarness, nodes: &[NodeId]) -> Vec<(Option<NodeId>, Message)> {
-    let mut log = Vec::new();
-    loop {
-        let before = log.len();
-        for &node in nodes {
-            for msg in h.session_mut(node).drain_outbox() {
-                log.push((Some(node), msg.clone()));
-                for (dst, reply) in h.server.handle(node, msg).into_messages() {
-                    log.push((None, reply.clone()));
-                    h.session_mut(dst).on_message(reply);
-                }
-            }
-        }
-        if log.len() == before {
-            return log;
-        }
-    }
+/// Runs sessions and server to quiescence and returns every message
+/// delivered, with the session that sent it (none: the server).
+fn settle_logged(h: &mut SimHarness) -> Vec<(Option<NodeId>, Message)> {
+    h.flush();
+    std::iter::from_fn(|| h.step())
+        .map(|d| ((d.src != cosoft_core::SERVER_NODE).then_some(d.src), d.msg))
+        .collect()
 }
 
 /// The wire-size gate of `server_core.rs`
@@ -575,7 +564,7 @@ fn overwritten_state_keeps_replies_and_undo_legs_small() {
                 }
                 None => h.session_mut(a).undo(board.clone()),
             }
-            let log = settle_logged(h, &[a, b]);
+            let log = settle_logged(h);
             assert_eq!(text_of(h, b, &leaf), text.unwrap_or("v1"));
             let size = |from: Option<NodeId>, kind: &str| {
                 log.iter()
@@ -635,7 +624,7 @@ fn push_onto_own_group_echoes_an_empty_delta() {
     tree.set_attr(leaf, AttrName::Text, Value::Text("v1".into())).unwrap();
 
     h.session_mut(a).copy_to(&path("lvl0"), board, CopyMode::Strict).unwrap();
-    let log = settle_logged(&mut h, &[a, b]);
+    let log = settle_logged(&mut h);
     // (frame bytes, whether an empty delta) of the two legs, smaller first.
     let mut legs: Vec<(usize, bool)> = log
         .iter()
@@ -867,10 +856,6 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
             h.session_mut(viewers[pair.0].node).couple(&path("board"), dst).unwrap();
             h.settle();
         }
-        let nodes: Vec<NodeId> = [presenter.node, bystander.node]
-            .into_iter()
-            .chain(viewers.iter().map(|v| v.node))
-            .collect();
         let set_text = |h: &mut SimHarness, node, field: usize, text: &str| {
             let tree = h.session_mut(node).toolkit_mut().tree_mut();
             let id = tree.resolve(&path(&format!("board.f{field}"))).unwrap();
@@ -992,7 +977,7 @@ fn acknowledgement_by_reference_matches_plain_history_stacks() {
             }
 
             // The same step, for real.
-            let log = settle_logged(&mut h, &nodes);
+            let log = settle_logged(&mut h);
             h.server.set_overload(OverloadConfig::default());
             for board in viewers.iter().chain([&presenter, &bystander]) {
                 let tree = h.session(board.node).toolkit().tree();

@@ -1,11 +1,13 @@
 //! Disconnect/reconnect/resume end to end on the deterministic
 //! simulation: liveness grace periods, resume tokens, couple survival,
 //! and the §3.1 `CopyFrom` resync — driven both by explicit harness
-//! disconnects and by scheduled `FaultPlan` outages.
+//! disconnects and by scheduled `FaultPlan` outages. A disconnect is a
+//! reset: what was in flight on the old connection is lost.
 
 use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::{DownWindow, FaultPlan, NodeId};
+use cosoft_rng::forall;
 use cosoft_server::LivenessConfig;
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{AttrName, EventKind, ObjectPath, UiEvent, UserId, Value};
@@ -41,7 +43,24 @@ const FIELD_FORM: &str = r#"form f { textfield t text="" }"#;
 /// instance id and couples, and converges on the state it missed.
 #[test]
 fn reconnect_within_grace_resumes_and_resyncs() {
-    let mut h = SimHarness::new(7);
+    within_grace(SimHarness::new(7));
+}
+
+/// The same script with the links racing.
+#[test]
+fn reconnect_within_grace_under_jitter() {
+    forall(
+        0..64,
+        |r| r.next_u64(),
+        |seed| {
+            let mut h = SimHarness::new(seed);
+            h.net.set_latency(1_000, 800);
+            within_grace(h);
+        },
+    );
+}
+
+fn within_grace(mut h: SimHarness) {
     h.server.set_liveness(LivenessConfig {
         grace_us: 1_000_000,
         idle_timeout_us: 0,
@@ -87,6 +106,61 @@ fn reconnect_within_grace_resumes_and_resyncs() {
     h.settle();
     assert_eq!(text_of(&h, a, "f.t"), "after");
     assert_eq!(text_of(&h, b, "f.t"), "after");
+}
+
+/// A reset loses what was in flight on the old connection, in both
+/// directions: b's `Event` never reaches the server after `Disconnected`
+/// (it would be refused as "endpoint is not registered"), and the
+/// `Execute` of a's event never reaches the rejoined session ahead of its
+/// `Welcome`. The resync then converges both replicas.
+#[test]
+fn reset_loses_the_old_connections_in_flight_messages() {
+    let mut h = SimHarness::with_latency(7, 1_000);
+    h.server.set_liveness(LivenessConfig {
+        grace_us: 1_000_000,
+        idle_timeout_us: 0,
+        max_quarantined: 0,
+    });
+    let a = h.add_session(session(FIELD_FORM, 1));
+    let b = h.add_session(session(FIELD_FORM, 2));
+    h.settle();
+    let gb = h.session(b).gid(&path("f.t")).unwrap();
+    h.session_mut(a).couple(&path("f.t"), gb).unwrap();
+    h.settle();
+    h.session_mut(b).take_events();
+
+    // a's event reaches the server, whose Execute to b is then in flight;
+    // b types, and its Event is in flight too.
+    type_text(&mut h, a, "f.t", "from-a");
+    h.flush();
+    let first = h.step().expect("a's event");
+    assert_eq!(first.dst, cosoft_core::SERVER_NODE);
+    type_text(&mut h, b, "f.t", "from-b");
+    h.flush();
+    let dropped = h.net.stats().link_down_dropped;
+
+    h.disconnect(b);
+    h.reconnect(b);
+    h.flush();
+    let (mut from_b, mut to_b) = (Vec::new(), Vec::new());
+    while let Some(d) = h.step() {
+        if d.src == b {
+            from_b.push(d.msg.kind_name());
+        } else if d.dst == b {
+            to_b.push(d.msg.kind_name());
+        }
+    }
+    assert_eq!(from_b.first(), Some(&"rejoin"), "the server saw b's old connection: {from_b:?}");
+    assert_eq!(to_b.first(), Some(&"welcome"), "the old connection reached b: {to_b:?}");
+    assert!(h.net.stats().link_down_dropped >= dropped + 2, "both in-flight messages lost");
+    let events = h.session_mut(b).take_events();
+    assert!(
+        !events.iter().any(|e| matches!(e, SessionEvent::Error { .. })),
+        "an old-connection message was answered: {events:?}"
+    );
+    assert!(events.iter().any(|e| matches!(e, SessionEvent::Resumed(_))), "{events:?}");
+    assert_eq!(text_of(&h, a, "f.t"), text_of(&h, b, "f.t"), "resync converges");
+    assert_eq!(h.server.stats().held_locks, 0);
 }
 
 /// When the grace period lapses, the quarantine expires into the normal
@@ -154,10 +228,7 @@ fn fault_schedule_outage_triggers_idle_quarantine_then_resume() {
     let b_instance = h.instance_of(b).unwrap();
 
     // b's link goes dark from t=100µs to t=10ms.
-    h.net.set_faults(FaultPlan {
-        down: vec![DownWindow { node: b, from_us: 100, to_us: 10_000 }],
-        ..FaultPlan::default()
-    });
+    h.net.set_faults(FaultPlan { down: vec![DownWindow { node: b, from_us: 100, to_us: 10_000 }] });
 
     // Both clients probe at t=500: a's ping lands, b's is swallowed by
     // the outage.

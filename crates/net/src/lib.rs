@@ -3,9 +3,10 @@
 //! Two carriers for the same [`cosoft_wire::Message`] protocol:
 //!
 //! * [`sim`] — a deterministic discrete-event simulated network with a
-//!   virtual microsecond clock, seeded latency models and fault injection.
-//!   All benchmarks and most tests run here, replacing the paper's 1994
-//!   LAN with a reproducible substrate.
+//!   virtual microsecond clock that delivers what a TCP connection does:
+//!   FIFO links with seeded jitter, outages and connection resets. The
+//!   figures and most tests run here, replacing the paper's 1994 LAN
+//!   with a reproducible substrate.
 //! * [`tcp`] — real sockets (`std::net`, the crate's own [`queue`]) so the same
 //!   server and client logic also runs end-to-end over TCP. The host is
 //!   readiness-driven: a fixed pool of poll threads owns every accepted
@@ -51,7 +52,7 @@ pub mod tcp;
 
 #[cfg(feature = "fault-injection")]
 pub use fault::{FaultInjector, ReadFault, WriteFault};
-pub use sim::{Delivery, FaultPlan, Latency, NetStats, NodeId, SimNet};
+pub use sim::{Delivery, FaultPlan, NetStats, NodeId, SimNet};
 pub use tcp::{
     ConnId, NetEvent, RecvError, TcpClient, TcpHost, TcpHostConfig, TcpStats, TcpStatsHandle,
 };

@@ -1,13 +1,33 @@
 //! Deterministic discrete-event network simulation.
 //!
 //! All multi-instance experiments in the reproduction run on [`SimNet`]: a
-//! single-threaded event queue with a virtual microsecond clock, seeded
-//! randomness, configurable per-message latency and optional fault
-//! injection (drop / duplicate). This replaces the paper's 1994 LAN with a
-//! substrate whose timing is reproducible down to the microsecond.
+//! single-threaded event queue with a virtual microsecond clock and seeded
+//! randomness. This replaces the paper's 1994 LAN with a substrate whose
+//! timing is reproducible down to the microsecond.
+//!
+//! It delivers what the deployed system's TCP connections deliver, and
+//! nothing else:
+//!
+//! - **Latency** is a one-way time plus a jitter drawn from `[0, jitter]`.
+//!   Each directed link `(src, dst)` is FIFO: a message arrives at
+//!   `max(now + one_way + jitter, the link's previous arrival)`, ties in
+//!   send order. Links race each other; no link reorders itself. With
+//!   jitter 0 nothing is drawn from the seed.
+//! - **Outages**: a node's link is down inside a scheduled [`DownWindow`]
+//!   and between [`SimNet::sever`] and [`SimNet::restore`]. A message is
+//!   lost if either endpoint's link is down at any time from its send to
+//!   its arrival, or if that endpoint's connection was severed in between.
+//!   So a reset delivers a prefix of each direction's in-flight messages,
+//!   and nothing sent on the old connection reaches the new one.
+//!
+//! Nothing is dropped at random, duplicated, or reordered within a link.
+//! The faults the TCP transport's `FaultInjector` puts on real sockets
+//! map onto this model: `Truncate`, `Short` and `WouldBlock` delay bytes
+//! but never lose or reorder them, which is jitter; `Error` tears the
+//! connection down, which is `sever` then `restore`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use cosoft_rng::Rng;
 use cosoft_wire::{codec, Message};
@@ -22,39 +42,10 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Latency model applied to each transmitted message.
-#[derive(Debug, Clone)]
-pub enum Latency {
-    /// Instant delivery (still ordered by send sequence).
-    Zero,
-    /// Fixed one-way latency in microseconds.
-    Fixed(u64),
-    /// Uniformly distributed latency in `[min_us, max_us]` (can reorder
-    /// messages between different sends).
-    Uniform(u64, u64),
-}
-
-impl Latency {
-    fn sample(&self, rng: &mut Rng) -> u64 {
-        match self {
-            Latency::Zero => 0,
-            Latency::Fixed(us) => *us,
-            Latency::Uniform(min, max) => {
-                if min >= max {
-                    *min
-                } else {
-                    rng.range(*min..=*max)
-                }
-            }
-        }
-    }
-}
-
-/// A scheduled link outage: every message to or from `node` sent while
-/// the virtual clock is inside `[from_us, to_us)` is silently dropped.
-/// This models a silently dead connection (the failure mode a liveness
-/// grace period exists for), as opposed to the memoryless loss of
-/// [`FaultPlan::drop_prob`].
+/// A scheduled link outage: every message to or from `node` that is in
+/// flight at some virtual time inside `[from_us, to_us)` is silently
+/// lost. This models a silently dead connection (the failure mode a
+/// liveness grace period exists for): neither end is told.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DownWindow {
     /// The endpoint whose link is down.
@@ -65,29 +56,11 @@ pub struct DownWindow {
     pub to_us: u64,
 }
 
-impl DownWindow {
-    /// Whether this window covers `node` at virtual time `at_us`.
-    pub fn covers(&self, node: NodeId, at_us: u64) -> bool {
-        self.node == node && self.from_us <= at_us && at_us < self.to_us
-    }
-}
-
 /// Fault-injection plan.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Probability in `[0, 1]` that a message is silently dropped.
-    pub drop_prob: f64,
-    /// Probability in `[0, 1]` that a message is delivered twice.
-    pub dup_prob: f64,
     /// Scheduled per-node outages (disconnect/reconnect schedules).
     pub down: Vec<DownWindow>,
-}
-
-impl FaultPlan {
-    /// Whether `node`'s link is scheduled down at virtual time `at_us`.
-    pub fn is_down(&self, node: NodeId, at_us: u64) -> bool {
-        self.down.iter().any(|w| w.covers(node, at_us))
-    }
 }
 
 /// A message delivered by the simulator.
@@ -107,8 +80,11 @@ pub struct Delivery {
 struct Queued {
     at_us: u64,
     seq: u64,
+    sent_us: u64,
     src: NodeId,
     dst: NodeId,
+    /// The connections of `src` and `dst` the message was sent on.
+    conns: (u64, u64),
     msg: Message,
 }
 
@@ -132,21 +108,16 @@ impl Ord for Queued {
 /// Aggregate traffic statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Messages handed to [`SimNet::send`] (before fault injection).
+    /// Messages handed to [`SimNet::send`].
     pub messages_sent: u64,
-    /// Messages actually delivered (after drops/duplicates).
+    /// Messages actually delivered.
     pub messages_delivered: u64,
     /// Encoded payload bytes sent (body only, excluding framing).
     pub bytes_sent: u64,
-    /// Messages dropped by fault injection.
-    pub dropped: u64,
-    /// Messages dropped because a scheduled [`DownWindow`] covered the
-    /// sender or receiver (counted separately from `dropped`).
+    /// Messages lost because a link was down (a [`DownWindow`] or
+    /// [`SimNet::sever`]) or a connection was severed while they were in
+    /// flight.
     pub link_down_dropped: u64,
-    /// Extra deliveries produced by duplication.
-    pub duplicated: u64,
-    /// Per message-kind send counts.
-    pub per_kind: HashMap<&'static str, u64>,
 }
 
 /// Deterministic discrete-event network with a virtual clock.
@@ -154,11 +125,11 @@ pub struct NetStats {
 /// # Example
 ///
 /// ```
-/// use cosoft_net::sim::{Latency, NodeId, SimNet};
+/// use cosoft_net::sim::{NodeId, SimNet};
 /// use cosoft_wire::Message;
 ///
 /// let mut net = SimNet::new(42);
-/// net.set_latency(Latency::Fixed(2_000)); // 2 ms one way
+/// net.set_latency(2_000, 0); // 2 ms one way, no jitter
 /// net.send(NodeId(1), NodeId(2), Message::QueryInstances);
 /// let d = net.step().expect("one delivery pending");
 /// assert_eq!(d.at_us, 2_000);
@@ -169,8 +140,15 @@ pub struct SimNet {
     now_us: u64,
     seq: u64,
     heap: BinaryHeap<Reverse<Queued>>,
-    latency: Latency,
+    one_way_us: u64,
+    jitter_us: u64,
     faults: FaultPlan,
+    /// Nodes whose link is down until [`SimNet::restore`].
+    severed: BTreeSet<NodeId>,
+    /// Per node, how many times its connection has been severed.
+    resets: HashMap<NodeId, u64>,
+    /// Per directed link, the arrival time of its latest message.
+    last_arrival: HashMap<(NodeId, NodeId), u64>,
     rng: Rng,
     stats: NetStats,
 }
@@ -183,19 +161,25 @@ impl SimNet {
             now_us: 0,
             seq: 0,
             heap: BinaryHeap::new(),
-            latency: Latency::Zero,
+            one_way_us: 0,
+            jitter_us: 0,
             faults: FaultPlan::default(),
+            severed: BTreeSet::new(),
+            resets: HashMap::new(),
+            last_arrival: HashMap::new(),
             rng: Rng::new(seed),
             stats: NetStats::default(),
         }
     }
 
-    /// Sets the latency model for subsequent sends.
-    pub fn set_latency(&mut self, latency: Latency) {
-        self.latency = latency;
+    /// Sets the one-way latency and the jitter, both in microseconds, for
+    /// subsequent sends.
+    pub fn set_latency(&mut self, one_way_us: u64, jitter_us: u64) {
+        self.one_way_us = one_way_us;
+        self.jitter_us = jitter_us;
     }
 
-    /// Sets the fault-injection plan for subsequent sends.
+    /// Sets the fault-injection plan.
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.faults = faults;
     }
@@ -221,105 +205,95 @@ impl SimNet {
         self.stats = NetStats::default();
     }
 
-    /// Number of queued (undelivered) messages.
+    /// Number of queued (undelivered) messages, lost ones included.
     pub fn pending(&self) -> usize {
         self.heap.len()
     }
 
-    /// Whether no deliveries are pending.
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
+    /// Severs `node`'s connection and holds its link down until
+    /// [`SimNet::restore`]: whatever is in flight to or from it is lost.
+    /// Returns `false` if the link was already down.
+    pub fn sever(&mut self, node: NodeId) -> bool {
+        if !self.severed.insert(node) {
+            return false;
+        }
+        *self.resets.entry(node).or_default() += 1;
+        self.last_arrival.retain(|&(src, dst), _| src != node && dst != node);
+        true
     }
 
-    /// Sends `msg` from `src` to `dst` with sampled latency, applying the
-    /// fault plan. Accounts encoded size in the statistics.
+    /// Brings a severed link back up as a new connection. Returns `false`
+    /// if it was not down.
+    pub fn restore(&mut self, node: NodeId) -> bool {
+        self.severed.remove(&node)
+    }
+
+    fn conn(&self, node: NodeId) -> u64 {
+        self.resets.get(&node).copied().unwrap_or(0)
+    }
+
+    /// Whether `node`'s link loses a message sent on its connection `conn`
+    /// at `sent_us` and due at `due_us`.
+    fn cut(&self, node: NodeId, conn: u64, sent_us: u64, due_us: u64) -> bool {
+        self.severed.contains(&node)
+            || self.conn(node) != conn
+            || self
+                .faults
+                .down
+                .iter()
+                .any(|w| w.node == node && w.from_us <= due_us && sent_us < w.to_us)
+    }
+
+    /// Sends `msg` from `src` to `dst`. Accounts encoded size in the
+    /// statistics.
     pub fn send(&mut self, src: NodeId, dst: NodeId, msg: Message) {
         let body_len = codec::encode_message(&msg).len();
         self.send_encoded(src, dst, msg, body_len);
     }
 
     /// Like [`SimNet::send`] for a message that is already encoded
-    /// elsewhere: `msg` is the decoded view used for delivery and
-    /// per-kind accounting, `body_len` the encoded body length (e.g. a
-    /// pre-encoded shared frame's payload), charged to `bytes_sent`
-    /// without re-encoding here.
+    /// elsewhere: `msg` is the decoded view used for delivery, `body_len`
+    /// the encoded body length (e.g. a pre-encoded shared frame's
+    /// payload), charged to `bytes_sent` without re-encoding here.
     pub fn send_encoded(&mut self, src: NodeId, dst: NodeId, msg: Message, body_len: usize) {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += body_len as u64;
-        *self.stats.per_kind.entry(msg.kind_name()).or_insert(0) += 1;
-
-        if self.faults.is_down(src, self.now_us) || self.faults.is_down(dst, self.now_us) {
+        let (now, conns) = (self.now_us, (self.conn(src), self.conn(dst)));
+        if self.cut(src, conns.0, now, now) || self.cut(dst, conns.1, now, now) {
             self.stats.link_down_dropped += 1;
             return;
         }
-        if self.faults.drop_prob > 0.0 && self.rng.bool(self.faults.drop_prob.clamp(0.0, 1.0)) {
-            self.stats.dropped += 1;
-            return;
-        }
-        let latency = self.latency.sample(&mut self.rng);
-        self.push(src, dst, msg.clone(), latency);
-        if self.faults.dup_prob > 0.0 && self.rng.bool(self.faults.dup_prob.clamp(0.0, 1.0)) {
-            let latency = self.latency.sample(&mut self.rng);
-            self.push(src, dst, msg, latency);
-            self.stats.duplicated += 1;
-        }
-    }
-
-    /// Schedules a message to arrive at `dst` after an explicit delay —
-    /// used to model timers and processing delays (e.g. a semantic action
-    /// that takes 50 ms completes by sending a self-addressed message).
-    pub fn schedule(&mut self, dst: NodeId, delay_us: u64, msg: Message) {
-        self.push(dst, dst, msg, delay_us);
-    }
-
-    /// Sends with an extra delay on top of the sampled latency — models a
-    /// sender that holds the message (queueing, service time) before
-    /// putting it on the wire. Counted in the statistics like
-    /// [`SimNet::send`]; fault injection is not applied.
-    pub fn send_after(&mut self, src: NodeId, dst: NodeId, extra_delay_us: u64, msg: Message) {
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += codec::encode_message(&msg).len() as u64;
-        *self.stats.per_kind.entry(msg.kind_name()).or_insert(0) += 1;
-        let latency = self.latency.sample(&mut self.rng);
-        self.push(src, dst, msg, extra_delay_us + latency);
-    }
-
-    fn push(&mut self, src: NodeId, dst: NodeId, msg: Message, delay_us: u64) {
-        let q = Queued { at_us: self.now_us + delay_us, seq: self.seq, src, dst, msg };
+        let jitter = if self.jitter_us == 0 { 0 } else { self.rng.range(0..=self.jitter_us) };
+        let fifo = self.last_arrival.entry((src, dst)).or_default();
+        let at_us = (now + self.one_way_us + jitter).max(*fifo);
+        *fifo = at_us;
+        self.heap.push(Reverse(Queued {
+            at_us,
+            seq: self.seq,
+            sent_us: now,
+            src,
+            dst,
+            conns,
+            msg,
+        }));
         self.seq += 1;
-        self.heap.push(Reverse(q));
     }
 
-    /// Delivers the next pending message, advancing the virtual clock to
-    /// its delivery time. Returns `None` when idle.
+    /// Delivers the next message that is not lost, advancing the virtual
+    /// clock to its delivery time. Returns `None` when idle.
     pub fn step(&mut self) -> Option<Delivery> {
-        let Reverse(q) = self.heap.pop()?;
-        self.now_us = self.now_us.max(q.at_us);
-        self.stats.messages_delivered += 1;
-        Some(Delivery { at_us: q.at_us, src: q.src, dst: q.dst, msg: q.msg })
-    }
-
-    /// Runs the simulation to quiescence, calling `handler` for every
-    /// delivery; the handler sends follow-up messages through the `SimNet`
-    /// it is handed.
-    ///
-    /// Returns the number of deliveries processed. Stops after
-    /// `max_steps` deliveries as a runaway guard.
-    pub fn run<F>(&mut self, max_steps: u64, mut handler: F) -> u64
-    where
-        F: FnMut(&mut SimNet, Delivery),
-    {
-        let mut steps = 0;
-        while steps < max_steps {
-            match self.step() {
-                Some(d) => {
-                    handler(self, d);
-                    steps += 1;
-                }
-                None => break,
+        while let Some(Reverse(q)) = self.heap.pop() {
+            self.now_us = self.now_us.max(q.at_us);
+            if self.cut(q.src, q.conns.0, q.sent_us, q.at_us)
+                || self.cut(q.dst, q.conns.1, q.sent_us, q.at_us)
+            {
+                self.stats.link_down_dropped += 1;
+                continue;
             }
+            self.stats.messages_delivered += 1;
+            return Some(Delivery { at_us: q.at_us, src: q.src, dst: q.dst, msg: q.msg });
         }
-        steps
+        None
     }
 }
 
@@ -334,7 +308,7 @@ mod tests {
     #[test]
     fn fixed_latency_preserves_order() {
         let mut net = SimNet::new(1);
-        net.set_latency(Latency::Fixed(100));
+        net.set_latency(100, 0);
         net.send(NodeId(1), NodeId(2), Message::Deregister);
         net.send(NodeId(1), NodeId(2), msg());
         let d1 = net.step().unwrap();
@@ -343,15 +317,15 @@ mod tests {
         assert_eq!(d2.msg, msg());
         assert_eq!(d1.at_us, 100);
         assert_eq!(net.now_us(), 100);
-        assert!(net.is_idle());
+        assert_eq!(net.pending(), 0);
     }
 
     #[test]
     fn clock_advances_monotonically() {
         let mut net = SimNet::new(7);
-        net.set_latency(Latency::Uniform(10, 1000));
-        for _ in 0..50 {
-            net.send(NodeId(1), NodeId(2), msg());
+        net.set_latency(10, 990);
+        for i in 0..50 {
+            net.send(NodeId(i % 3), NodeId(2), msg());
         }
         let mut last = 0;
         while let Some(d) = net.step() {
@@ -364,7 +338,7 @@ mod tests {
     fn same_seed_same_schedule() {
         let run = |seed| {
             let mut net = SimNet::new(seed);
-            net.set_latency(Latency::Uniform(0, 500));
+            net.set_latency(0, 500);
             for i in 0..20 {
                 net.send(NodeId(i % 3), NodeId((i + 1) % 3), msg());
             }
@@ -379,31 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_acts_as_timer() {
-        let mut net = SimNet::new(1);
-        net.schedule(NodeId(5), 50_000, msg());
-        let d = net.step().unwrap();
-        assert_eq!(d.at_us, 50_000);
-        assert_eq!(d.dst, NodeId(5));
-        assert_eq!(d.src, NodeId(5));
-    }
-
-    #[test]
-    fn drop_faults_drop_messages() {
-        let mut net = SimNet::new(3);
-        net.set_faults(FaultPlan { drop_prob: 1.0, ..FaultPlan::default() });
-        net.send(NodeId(1), NodeId(2), msg());
-        assert!(net.is_idle());
-        assert_eq!(net.stats().dropped, 1);
-        assert_eq!(net.stats().messages_sent, 1);
-    }
-
-    #[test]
     fn down_windows_drop_messages_in_both_directions() {
         let mut net = SimNet::new(3);
         net.set_faults(FaultPlan {
             down: vec![DownWindow { node: NodeId(2), from_us: 100, to_us: 200 }],
-            ..FaultPlan::default()
         });
         net.send(NodeId(1), NodeId(2), msg()); // t=0: delivered
         net.advance_to(100);
@@ -413,57 +366,55 @@ mod tests {
         net.send(NodeId(1), NodeId(2), msg()); // window over: delivered
         assert_eq!(net.pending(), 2);
         assert_eq!(net.stats().link_down_dropped, 2);
-        assert_eq!(net.stats().dropped, 0);
         assert_eq!(net.stats().messages_sent, 4);
     }
 
     #[test]
-    fn dup_faults_duplicate_messages() {
+    fn a_window_opening_mid_flight_loses_the_message() {
         let mut net = SimNet::new(3);
-        net.set_faults(FaultPlan { dup_prob: 1.0, ..FaultPlan::default() });
-        net.send(NodeId(1), NodeId(2), msg());
-        assert_eq!(net.pending(), 2);
-        assert_eq!(net.stats().duplicated, 1);
+        net.set_latency(150, 0);
+        net.set_faults(FaultPlan {
+            down: vec![DownWindow { node: NodeId(2), from_us: 100, to_us: 200 }],
+        });
+        net.send(NodeId(1), NodeId(2), msg()); // in flight over [0, 150]
+        assert_eq!(net.step(), None);
+        assert_eq!(net.stats().link_down_dropped, 1);
     }
 
     #[test]
-    fn stats_track_bytes_and_kinds() {
+    fn sever_loses_the_old_connections_tail() {
+        let mut net = SimNet::new(5);
+        net.set_latency(1_000, 0);
+        net.send(NodeId(1), NodeId(0), msg());
+        net.send(NodeId(0), NodeId(1), msg());
+        net.send(NodeId(2), NodeId(0), Message::Deregister);
+        assert!(net.sever(NodeId(1)));
+        assert!(!net.sever(NodeId(1)), "already down");
+        net.send(NodeId(0), NodeId(1), msg()); // while down: lost
+        assert!(net.restore(NodeId(1)));
+        assert!(!net.restore(NodeId(1)), "already up");
+        // The zero-latency reset left the clock where it was: only the
+        // connection count tells the old link's messages from the new.
+        net.send(NodeId(1), NodeId(0), Message::Deregister);
+        let delivered: Vec<_> = std::iter::from_fn(|| net.step()).map(|d| (d.src, d.msg)).collect();
+        assert_eq!(
+            delivered,
+            [(NodeId(2), Message::Deregister), (NodeId(1), Message::Deregister)],
+            "only the bystander's message and the new connection's arrive"
+        );
+        assert_eq!(net.stats().link_down_dropped, 3);
+        assert_eq!(net.stats().messages_delivered, 2);
+    }
+
+    #[test]
+    fn stats_track_sends_and_bytes() {
         let mut net = SimNet::new(1);
         net.send(NodeId(1), NodeId(2), msg());
         net.send(NodeId(1), NodeId(2), Message::Deregister);
         net.send(NodeId(1), NodeId(2), Message::Deregister);
         assert_eq!(net.stats().messages_sent, 3);
         assert!(net.stats().bytes_sent >= 3);
-        assert_eq!(net.stats().per_kind.get("deregister"), Some(&2));
-        assert_eq!(net.stats().per_kind.get("query-instances"), Some(&1));
-    }
-
-    #[test]
-    fn run_drives_handler_chains() {
-        // A ping-pong chain: node 2 replies once to the initial message.
-        let mut net = SimNet::new(1);
-        net.set_latency(Latency::Fixed(10));
-        net.send(NodeId(1), NodeId(2), msg());
-        let mut pongs = 0;
-        let steps = net.run(100, |net, d| {
-            if d.dst == NodeId(2) {
-                net.send(NodeId(2), NodeId(1), Message::Deregister);
-            } else {
-                pongs += 1;
-            }
-        });
-        assert_eq!(steps, 2);
-        assert_eq!(pongs, 1);
-    }
-
-    #[test]
-    fn run_respects_step_cap() {
-        // Two nodes bouncing forever; the cap must stop it.
-        let mut net = SimNet::new(1);
-        net.send(NodeId(1), NodeId(2), msg());
-        let steps = net.run(25, |net, d| {
-            net.send(d.dst, d.src, msg());
-        });
-        assert_eq!(steps, 25);
+        while net.step().is_some() {}
+        assert_eq!(net.stats().messages_delivered, 3);
     }
 }

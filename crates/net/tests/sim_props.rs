@@ -1,8 +1,11 @@
-//! Properties of the simulated network: exactly-once delivery
-//! without faults, a monotone clock, FIFO per link under fixed latency,
-//! and accurate statistics.
+//! Properties of the simulated network: exactly-once delivery without
+//! outages, a monotone clock, FIFO per link under jitter while links race
+//! each other, global send order (whatever the seed) without jitter, and
+//! seeded determinism.
 
-use cosoft_net::sim::{FaultPlan, Latency, NodeId, SimNet};
+use std::cell::Cell;
+
+use cosoft_net::sim::{DownWindow, FaultPlan, NodeId, SimNet};
 use cosoft_rng::{forall, Rng};
 use cosoft_wire::{InstanceId, Message};
 
@@ -10,34 +13,48 @@ fn msg(tag: u64) -> Message {
     Message::Welcome { instance: InstanceId(tag) }
 }
 
-/// Without faults every sent message is delivered exactly once, in
+fn tag(d: &cosoft_net::Delivery) -> u64 {
+    match d.msg {
+        Message::Welcome { instance } => instance.0,
+        ref other => panic!("unexpected message {other:?}"),
+    }
+}
+
+/// Sends message `i` over `sends[i]`.
+fn send_all(net: &mut SimNet, sends: &[(u64, u64)]) {
+    for (i, &(src, dst)) in sends.iter().enumerate() {
+        net.send(NodeId(src), NodeId(dst), msg(i as u64));
+    }
+}
+
+/// Every delivery until idle, as `(at_us, src, dst, i)`.
+fn drain(net: &mut SimNet) -> Vec<(u64, NodeId, NodeId, u64)> {
+    std::iter::from_fn(|| net.step()).map(|d| (d.at_us, d.src, d.dst, tag(&d))).collect()
+}
+
+fn run(net: &mut SimNet, sends: &[(u64, u64)]) -> Vec<(u64, NodeId, NodeId, u64)> {
+    send_all(net, sends);
+    drain(net)
+}
+
+/// Without outages every sent message is delivered exactly once, in
 /// nondecreasing virtual time.
 #[test]
 fn exactly_once_and_monotone() {
     let gen = |r: &mut Rng| {
         let sends = r.vec(1..50, |r| (r.range(0..5), r.range(0..5)));
-        let latency = match r.range(0..3) {
-            0 => Latency::Zero,
-            1 => Latency::Fixed(r.range(0..10_000)),
-            _ => Latency::Uniform(r.range(0..5_000), r.range(5_000..10_000)),
-        };
-        (r.next_u64(), sends, latency)
+        (r.next_u64(), sends, r.range(0..10_000), r.range(0..5_000))
     };
-    forall(0..128, gen, |(seed, sends, latency): (u64, Vec<(u64, u64)>, Latency)| {
+    forall(0..128, gen, |(seed, sends, one_way, jitter): (u64, Vec<(u64, u64)>, u64, u64)| {
         let mut net = SimNet::new(seed);
-        net.set_latency(latency);
-        for (i, (src, dst)) in sends.iter().enumerate() {
-            net.send(NodeId(*src), NodeId(*dst), msg(i as u64));
-        }
+        net.set_latency(one_way, jitter);
+        let trace = run(&mut net, &sends);
         let mut seen = vec![0u32; sends.len()];
         let mut last = 0;
-        while let Some(d) = net.step() {
-            assert!(d.at_us >= last, "clock went backwards");
-            last = d.at_us;
-            match d.msg {
-                Message::Welcome { instance } => seen[instance.0 as usize] += 1,
-                other => panic!("unexpected message {other:?}"),
-            }
+        for (at_us, _, _, i) in trace {
+            assert!(at_us >= last, "clock went backwards");
+            last = at_us;
+            seen[i as usize] += 1;
         }
         assert!(seen.iter().all(|&c| c == 1), "not exactly-once: {seen:?}");
         assert_eq!(net.stats().messages_sent, sends.len() as u64);
@@ -45,81 +62,77 @@ fn exactly_once_and_monotone() {
     });
 }
 
-/// Fixed latency preserves global send order (FIFO).
+/// Under jitter each directed link delivers in send order, while
+/// different links race: across the sweep some message overtakes one
+/// sent before it on another link.
+#[test]
+fn links_are_fifo_under_jitter() {
+    let overtakes = Cell::new(0u32);
+    let gen = |r: &mut Rng| {
+        let sends = r.vec(2..60, |r| (r.range(0..3), r.range(0..3)));
+        (r.next_u64(), sends, r.range(0..2_000), r.range(1..2_000))
+    };
+    forall(0..128, gen, |(seed, sends, one_way, jitter): (u64, Vec<(u64, u64)>, u64, u64)| {
+        let mut net = SimNet::new(seed);
+        net.set_latency(one_way, jitter);
+        let trace = run(&mut net, &sends);
+        for (at, src, dst, i) in &trace {
+            let link = |&(_, s, d, _): &(u64, NodeId, NodeId, u64)| (s, d) == (*src, *dst);
+            let earlier = trace.iter().take_while(|t| t.3 != *i);
+            assert!(
+                earlier.filter(|t| link(t)).all(|t| t.3 < *i),
+                "link {src}->{dst} reordered message {i} (at {at} µs)"
+            );
+        }
+        if trace.windows(2).any(|w| w[0].3 > w[1].3) {
+            overtakes.set(overtakes.get() + 1);
+        }
+    });
+    assert!(overtakes.get() > 0, "no link ever overtook another");
+}
+
+/// Without jitter delivery is global send order, and the seed draws
+/// nothing: any two seeds give the same schedule.
 #[test]
 fn fixed_latency_is_fifo() {
-    let gen = |r: &mut Rng| (r.next_u64(), r.range(1..40), r.range(0..10_000));
-    forall(0..128, gen, |(seed, n, latency_us): (u64, usize, u64)| {
-        let mut net = SimNet::new(seed);
-        net.set_latency(Latency::Fixed(latency_us));
-        for i in 0..n {
-            net.send(NodeId(1), NodeId(2), msg(i as u64));
-        }
-        let mut expected = 0u64;
-        while let Some(d) = net.step() {
-            match d.msg {
-                Message::Welcome { instance } => {
-                    assert_eq!(instance.0, expected, "reordered under fixed latency");
-                    expected += 1;
-                }
-                other => panic!("unexpected message {other:?}"),
-            }
-        }
-        assert_eq!(expected, n as u64);
+    let gen = |r: &mut Rng| {
+        (r.next_u64(), r.vec(1..40, |r| (r.range(0..4), r.range(0..4))), r.range(0..10_000))
+    };
+    forall(0..128, gen, |(seed, sends, one_way): (u64, Vec<(u64, u64)>, u64)| {
+        let schedule = |seed| {
+            let mut net = SimNet::new(seed);
+            net.set_latency(one_way, 0);
+            run(&mut net, &sends)
+        };
+        let trace = schedule(seed);
+        let order: Vec<u64> = trace.iter().map(|t| t.3).collect();
+        assert_eq!(order, (0..sends.len() as u64).collect::<Vec<_>>(), "reordered");
+        assert_eq!(trace, schedule(seed ^ 1), "a seed moved a jitter-free schedule");
     });
 }
 
-/// With 100% drop probability nothing is delivered and the drop
-/// counter matches; with duplication every message arrives at least
-/// once and the totals add up.
-#[test]
-fn fault_accounting() {
-    forall(
-        0..128,
-        |r| (r.next_u64(), r.range(1..30)),
-        |(seed, n): (u64, usize)| {
-            let mut net = SimNet::new(seed);
-            net.set_faults(FaultPlan { drop_prob: 1.0, ..FaultPlan::default() });
-            for i in 0..n {
-                net.send(NodeId(1), NodeId(2), msg(i as u64));
-            }
-            assert!(net.is_idle());
-            assert_eq!(net.stats().dropped, n as u64);
-
-            let mut net = SimNet::new(seed);
-            net.set_faults(FaultPlan { dup_prob: 1.0, ..FaultPlan::default() });
-            for i in 0..n {
-                net.send(NodeId(1), NodeId(2), msg(i as u64));
-            }
-            let mut count = 0u64;
-            while net.step().is_some() {
-                count += 1;
-            }
-            assert_eq!(count, 2 * n as u64);
-            assert_eq!(net.stats().duplicated, n as u64);
-        },
-    );
-}
-
-/// Identical seeds replay identical delivery schedules; byte counts
-/// are identical too.
+/// Identical seeds replay identical delivery schedules, outages and
+/// resets included; byte counts are identical too.
 #[test]
 fn seeded_determinism() {
-    let gen = |r: &mut Rng| (r.next_u64(), r.vec(1..30, |r| (r.range(0..4), r.range(0..4))));
-    forall(0..128, gen, |(seed, sends): (u64, Vec<(u64, u64)>)| {
-        let run = |seed: u64| {
+    let gen = |r: &mut Rng| {
+        let sends = r.vec(1..30, |r| (r.range(0..4), r.range(0..4)));
+        (r.next_u64(), sends, r.range(0..30))
+    };
+    forall(0..128, gen, |(seed, sends, reset_at): (u64, Vec<(u64, u64)>, usize)| {
+        let replay = |seed: u64| {
             let mut net = SimNet::new(seed);
-            net.set_latency(Latency::Uniform(10, 5_000));
-            net.set_faults(FaultPlan { drop_prob: 0.2, dup_prob: 0.2, ..FaultPlan::default() });
-            for (i, (src, dst)) in sends.iter().enumerate() {
-                net.send(NodeId(*src), NodeId(*dst), msg(i as u64));
-            }
-            let mut trace = Vec::new();
-            while let Some(d) = net.step() {
-                trace.push((d.at_us, d.src, d.dst));
-            }
-            (trace, net.stats().bytes_sent)
+            net.set_latency(10, 5_000);
+            net.set_faults(FaultPlan {
+                down: vec![DownWindow { node: NodeId(3), from_us: 1_000, to_us: 2_000 }],
+            });
+            // Node 2's connection resets midway with messages in flight.
+            let (before, after) = sends.split_at(reset_at.min(sends.len()));
+            send_all(&mut net, before);
+            net.sever(NodeId(2));
+            net.restore(NodeId(2));
+            (run(&mut net, after), net.stats().clone())
         };
-        assert_eq!(run(seed), run(seed));
+        assert_eq!(replay(seed), replay(seed));
     });
 }

@@ -2,7 +2,8 @@
 //! operation — couples, decouples, events, state copies in all three
 //! modes, undo/redo, permissions, commands, widget destruction and
 //! instance crashes — must never panic, never wedge a lock, and keep the
-//! surviving sessions' replicated coupling info symmetric.
+//! surviving sessions' replicated coupling info symmetric, over links
+//! that race each other.
 
 use cosoft::core::harness::SimHarness;
 use cosoft::core::session::Session;
@@ -46,7 +47,9 @@ fn random_event(rng: &mut Rng, p: &str) -> UiEvent {
 #[test]
 fn thousand_step_soak_survives_everything() {
     let mut rng = Rng::new(0xC050F7);
-    let mut h = SimHarness::with_latency(99, 1_000);
+    let mut h = SimHarness::new(99);
+    // Links race: 1 ms one way plus up to 0.9 ms of jitter.
+    h.net.set_latency(1_000, 900);
     let mut alive: Vec<NodeId> = (0..6)
         .map(|u| {
             h.add_session(Session::new(

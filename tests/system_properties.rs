@@ -3,7 +3,8 @@
 //! invariants — coupled relevant state converges, locks drain, the couple
 //! relation stays symmetric, decoupled objects survive — and every
 //! schedule runs twice, on one shard and on three, which no client may
-//! be able to tell apart.
+//! be able to tell apart. Links race under seeded jitter, so which
+//! request reaches the server first varies with the seed.
 
 use cosoft::core::harness::SimHarness;
 use cosoft::core::session::Session;
@@ -58,11 +59,21 @@ fn arb_step(r: &mut Rng) -> Step {
     }
 }
 
+/// One-way latency and jitter, in µs, of links that race.
+const RACING: (u64, u64) = (1_000, 800);
+
 /// Runs `steps` among four users, settling after each, on a router of
-/// `shards` shards. Round-robin placement mints instance ids 1..=4 in
-/// registration order at any shard count, so runs pair up by node.
-fn run_schedule(seed: u64, shards: usize, steps: &[Step]) -> (SimHarness, Vec<NodeId>) {
+/// `shards` shards, over links of the given one-way latency and jitter.
+/// Round-robin placement mints instance ids in registration order at any
+/// shard count, and the seed fixes that order, so runs pair up by node.
+fn run_schedule(
+    seed: u64,
+    shards: usize,
+    (one_way_us, jitter_us): (u64, u64),
+    steps: &[Step],
+) -> (SimHarness, Vec<NodeId>) {
     let mut h = SimHarness::new(seed);
+    h.net.set_latency(one_way_us, jitter_us);
     h.server = ShardRouter::new(shards);
     let nodes: Vec<NodeId> = (0..4).map(|u| h.add_session(session(u as u64 + 1))).collect();
     h.settle();
@@ -125,8 +136,10 @@ fn assert_converged(h: &SimHarness, nodes: &[NodeId]) {
         if let Some(group) = h.session(node).group_of(&path()) {
             let text = text_of(h, node);
             for member in group {
-                let peer_idx = (member.instance.0 - 1) as usize;
-                assert!(peer_idx < nodes.len());
+                let peer_idx = nodes
+                    .iter()
+                    .position(|&n| h.instance_of(n) == Some(member.instance))
+                    .expect("every group member is a registered client");
                 if peer_idx == i {
                     continue;
                 }
@@ -156,8 +169,8 @@ fn assert_converged(h: &SimHarness, nodes: &[NodeId]) {
 fn random_schedules_preserve_invariants() {
     let gen = |r: &mut Rng| (r.range(0..1_000), r.vec(1..25, arb_step));
     forall(0..256, gen, |(seed, steps): (u64, Vec<Step>)| {
-        let (one, nodes) = run_schedule(seed, 1, &steps);
-        let (three, _) = run_schedule(seed, 3, &steps);
+        let (one, nodes) = run_schedule(seed, 1, RACING, &steps);
+        let (three, _) = run_schedule(seed, 3, RACING, &steps);
         assert_converged(&one, &nodes);
         assert_converged(&three, &nodes);
         assert_eq!(client_view(&one, &nodes), client_view(&three, &nodes), "1 vs 3 shards");
@@ -187,8 +200,8 @@ fn lazy_rebalance_waits_for_work_in_flight() {
         Decouple(2, 2),
         CopyTo(0, 1),
     ];
-    let (one, nodes) = run_schedule(28, 1, &steps);
-    let (three, _) = run_schedule(28, 3, &steps);
+    let (one, nodes) = run_schedule(28, 1, (0, 0), &steps);
+    let (three, _) = run_schedule(28, 3, (0, 0), &steps);
     assert_eq!(text_of(&three, nodes[1]), "wb");
     assert_eq!(three.server.stats().transfers_failed, 0);
     assert_eq!(client_view(&one, &nodes), client_view(&three, &nodes));
@@ -213,13 +226,14 @@ fn recorded_storms_converge() {
 }
 
 /// Couples four users in a chain on `shards` shards, lets everyone type
-/// at once, and returns the converged client view.
+/// at once over links that race, and returns the converged client view.
 fn storm(
     seed: u64,
     shards: usize,
     texts: &[(String, usize)],
 ) -> Vec<(String, Option<Vec<GlobalObjectId>>)> {
-    let mut h = SimHarness::with_latency(seed, 700);
+    let mut h = SimHarness::new(seed);
+    h.net.set_latency(700, 600);
     h.server = ShardRouter::new(shards);
     let nodes: Vec<NodeId> = (0..4).map(|u| h.add_session(session(u as u64 + 1))).collect();
     h.settle();

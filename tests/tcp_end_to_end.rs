@@ -5,11 +5,11 @@
 
 use std::time::{Duration, Instant};
 
-use cosoft::core::harness::{SimHarness, SERVER_NODE};
+use cosoft::core::harness::SimHarness;
 use cosoft::core::session::Session;
 use cosoft::net::sim::NodeId;
 use cosoft::net::tcp::TcpHostConfig;
-use cosoft::net::{NetEvent, TcpClient};
+use cosoft::net::TcpClient;
 use cosoft::runtime::{TcpServer, TcpSession};
 use cosoft::server::{LivenessConfig, OverloadConfig, ShardRouter};
 use cosoft::uikit::{spec, Toolkit};
@@ -206,20 +206,15 @@ fn script_in_sim(shards: usize) -> (Vec<Vec<Message>>, Vec<Vec<usize>>) {
     let mut h = SimHarness::new(1);
     h.server = ShardRouter::new(shards);
     let mut nodes: Vec<NodeId> = Vec::new();
-    let mut live: Vec<bool> = Vec::new();
     let mut log: Vec<Vec<Message>> = Vec::new();
     let mut counts = Vec::new();
     for act in SCRIPT {
         match (act, parties(act)) {
             (Act::Join, _) => {
                 nodes.push(h.add_session(make_session(nodes.len() as u64 + 1)));
-                live.push(true);
                 log.push(Vec::new());
             }
-            (Act::Drop(c), _) => {
-                h.disconnect(nodes[c]);
-                live[c] = false;
-            }
+            (Act::Drop(c), _) => h.disconnect(nodes[c]),
             (_, Some((a, b))) => {
                 let target = b.map(|b| h.session(nodes[b]).gid(&line()).expect("registered"));
                 perform(act, h.session_mut(nodes[a]), target);
@@ -227,22 +222,10 @@ fn script_in_sim(shards: usize) -> (Vec<Vec<Message>>, Vec<Vec<usize>>) {
             (_, None) => {}
         }
         // `SimHarness::settle`, logging what each client receives.
-        loop {
-            for (&node, _) in nodes.iter().zip(&live).filter(|(_, live)| **live) {
-                for msg in h.session_mut(node).drain_outbox() {
-                    h.net.send(node, SERVER_NODE, msg);
-                }
-            }
-            let Some(d) = h.net.step() else { break };
-            if d.dst == SERVER_NODE {
-                let now = h.net.now_us();
-                let out = h.server.turn([NetEvent::Message(d.src, d.msg)], now);
-                for (dst, msg) in out.into_messages() {
-                    h.net.send(SERVER_NODE, dst, msg);
-                }
-            } else if let Some(i) = nodes.iter().position(|&n| n == d.dst).filter(|&i| live[i]) {
-                log[i].push(d.msg.clone());
-                h.session_mut(d.dst).on_message(d.msg);
+        h.flush();
+        while let Some(d) = h.step() {
+            if let Some(i) = nodes.iter().position(|&n| n == d.dst) {
+                log[i].push(d.msg);
             }
         }
         counts.push(log.iter().map(Vec::len).collect());
