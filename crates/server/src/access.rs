@@ -99,11 +99,22 @@ impl AccessTable {
             .collect()
     }
 
+    /// Drops every tuple granting a right on an object of `instance`
+    /// (its deregistration: the objects are gone for good).
+    pub fn forget_instance(&mut self, instance: cosoft_wire::InstanceId) {
+        self.tuples.retain(|(_, o), _| o.instance != instance);
+    }
+
     /// Re-installs tuples extracted from another shard's table.
     pub fn adopt(&mut self, tuples: Vec<(UserId, GlobalObjectId, AccessRight)>) {
         for (user, object, right) in tuples {
             self.tuples.insert((user, object), right);
         }
+    }
+
+    /// Every explicit tuple, in no particular order.
+    pub fn rows(&self) -> impl Iterator<Item = (UserId, GlobalObjectId, AccessRight)> + '_ {
+        self.tuples.iter().map(|((user, object), right)| (*user, object.clone(), *right))
     }
 
     /// Number of explicit tuples.

@@ -240,6 +240,16 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         &self.history
     }
 
+    /// The access rows: every explicit right, as (user, object, right).
+    pub fn access_rows(&self) -> impl Iterator<Item = (UserId, GlobalObjectId, AccessRight)> + '_ {
+        self.access.rows()
+    }
+
+    /// Number of sync bases held, over all objects.
+    pub fn sync_base_count(&self) -> usize {
+        self.sync_bases.len()
+    }
+
     /// Snapshot of the server's observability counters: the counters
     /// as bumped, plus the gauges read off the tables.
     pub fn stats(&self) -> ServerStats {

@@ -100,10 +100,12 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
         self.sever_instance_io(id, &mut out);
         // The departed instance's objects are gone for good: their
-        // history stacks and delta sync bases must go with them, or the
-        // stores grow monotonically under register/leave churn.
+        // history stacks, delta sync bases and access rows must go with
+        // them, or the stores grow monotonically under register/leave
+        // churn.
         self.stats.history_purges += self.history.purge_instance(id) as u64;
         self.sync_bases.retain(|o, _| o.instance != id);
+        self.access.forget_instance(id);
         // The record takes its binding, its traffic timestamp or grace
         // deadline, and its resume token with it.
         let record = self.registry.deregister(id);

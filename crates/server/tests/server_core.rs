@@ -2442,6 +2442,7 @@ struct ChurnClient {
     /// `None` while its connection is dropped.
     endpoint: Option<Endpoint>,
     instance: InstanceId,
+    user: UserId,
     token: u64,
     owed: Vec<Owed>,
 }
@@ -2497,9 +2498,11 @@ impl Churn {
     fn connect(&mut self, rejoin: Option<u64>) -> bool {
         let endpoint = self.next_endpoint;
         self.next_endpoint += 1;
+        // Each registration is a user of its own, so a right can refuse.
+        let user = UserId(endpoint);
         let hello = match rejoin {
             Some(resume_token) => Message::Rejoin { resume_token },
-            None => Message::Register { user: UserId(1), host: "ws".into(), app_name: "c".into() },
+            None => Message::Register { user, host: "ws".into(), app_name: "c".into() },
         };
         let out = self.router.handle(endpoint, hello);
         let welcome = out.clone().into_messages().into_iter().find_map(|(_, m)| match m {
@@ -2515,6 +2518,7 @@ impl Churn {
             None => self.clients.push(ChurnClient {
                 endpoint: Some(endpoint),
                 instance,
+                user,
                 token: 0,
                 owed: Vec::new(),
             }),
@@ -2557,7 +2561,7 @@ impl Churn {
     /// One step: a connected client acts on its own object and that of
     /// some client, connected or not — or a new client registers.
     fn step(&mut self) -> &'static str {
-        let roll = self.rng.range(0..100);
+        let roll = self.rng.range(0..110);
         let connected: Vec<usize> =
             (0..self.clients.len()).filter(|i| self.clients[*i].endpoint.is_some()).collect();
         if roll < 10 || connected.is_empty() {
@@ -2627,12 +2631,27 @@ impl Churn {
                 self.clients.remove(actor);
                 "deregister"
             }
-            _ => {
+            94..=99 => {
                 let past_grace = self.rng.range(0..100) < 30;
                 self.now_us += if past_grace { CHURN_GRACE_US + 1 } else { CHURN_GRACE_US / 20 };
                 let out = self.router.tick(self.now_us);
                 self.deliver(out);
                 "tick"
+            }
+            100..=104 => {
+                let user = self.clients[self.rng.range(0..self.clients.len())].user;
+                let right = [AccessRight::Read, AccessRight::Denied, AccessRight::Write]
+                    [self.rng.range(0..3)];
+                self.send(endpoint, Message::SetPermission { user, object: own, right });
+                "set-permission"
+            }
+            105..=106 => {
+                self.send(endpoint, Message::ObjectDestroyed { object: own });
+                "destroy"
+            }
+            _ => {
+                self.send(endpoint, Message::RedoState { object: other });
+                "redo"
             }
         }
     }
@@ -2640,11 +2659,13 @@ impl Churn {
 
 /// Whatever order registrations, couples across the two shards, events,
 /// pushes, pulls whose reply is withheld, acknowledgements right and
-/// wrong, delta fallbacks, disconnects, rejoins and grace expiries come
-/// in — components migrating mid-transfer and mid-quarantine — every
+/// wrong, delta fallbacks, undos and redos, rights granted and refused
+/// between distinct users, destroyed objects, disconnects, rejoins and
+/// grace expiries come in — components migrating mid-transfer and mid-quarantine — every
 /// table agrees with every index after every step, and once everyone has
 /// left and the grace has run out nothing is left: no gauge above zero,
-/// no history, no sync base, no token that still resumes anything.
+/// no access row, no history, no sync base, no token that still resumes
+/// anything.
 #[test]
 fn churn_leaves_nothing_behind() {
     let liveness = LivenessConfig {
@@ -2699,6 +2720,8 @@ fn churn_leaves_nothing_behind() {
         for shard in 0..churn.router.shard_count() {
             let core = churn.router.shard(shard);
             assert!(core.history().is_empty() && core.couples().is_empty());
+            assert_eq!(core.access_rows().count(), 0, "access rows left behind");
+            assert_eq!(core.sync_base_count(), 0);
             assert_eq!(core.token_count(), 0);
         }
         for token in std::mem::take(&mut churn.tokens) {

@@ -12,8 +12,8 @@
 
 use cosoft_server::{LivenessConfig, OverloadConfig, ShardRouter};
 use cosoft_wire::{
-    delta, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message, ObjectPath,
-    Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
+    delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
+    ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId, Value, WidgetKind,
 };
 
 type Endpoint = u32;
@@ -442,6 +442,80 @@ fn delta_push_merges_shards_and_its_base_survives_migration() {
     let stats = router.stats();
     assert_eq!((stats.pushes_by_delta, stats.push_fallbacks, stats.transfers_failed), (1, 0, 0));
     assert_eq!(stats.transfers_completed, 2);
+}
+
+/// A right travels with the object it protects. The owner denies a
+/// user its board, a cross-shard `Couple` moves the owner's component,
+/// and that user's `CopyFrom` of the board is still refused on the new
+/// shard — while the owner is quarantined there, and after it rejoins.
+#[test]
+fn rights_survive_migration_quarantine_and_rejoin() {
+    let liveness = LivenessConfig { grace_us: 1_000_000, idle_timeout_us: 0, max_quarantined: 0 };
+    let mut router: ShardRouter<Endpoint> = ShardRouter::with_liveness(2, liveness);
+    // Endpoint `e` registers as user `e + 1`; even endpoints land on
+    // shard 0, odd on shard 1. Returns its instance and resume token.
+    let register = |router: &mut ShardRouter<Endpoint>, e: Endpoint| {
+        let user = UserId(u64::from(e) + 1);
+        let out = router
+            .handle(e, Message::Register { user, host: format!("ws{e}"), app_name: "r".into() })
+            .into_messages();
+        let instance = out.iter().find_map(|(_, m)| match m {
+            Message::Welcome { instance } => Some(*instance),
+            _ => None,
+        });
+        let token = out.iter().find_map(|(_, m)| match m {
+            Message::SessionToken { resume_token } => Some(*resume_token),
+            _ => None,
+        });
+        (instance.expect("welcome"), token.expect("token"))
+    };
+    let (owner, token) = register(&mut router, 0);
+    let [pair, reader, pair2] = [1, 2, 3].map(|e| register(&mut router, e).0);
+    let reader_user = UserId(3);
+    let board = gid(owner, "f");
+    let read = |router: &mut ShardRouter<Endpoint>| {
+        let msg = Message::CopyFrom {
+            src: board.clone(),
+            dst: gid(reader, "f"),
+            mode: CopyMode::Strict,
+            req_id: 7,
+        };
+        let out = router.handle(2, msg).into_messages();
+        router.check_invariants().unwrap();
+        out
+    };
+    let refused =
+        |out: &[(Endpoint, Message)]| matches!(out, [(2, Message::PermissionDenied { .. })]);
+
+    let right = Message::SetPermission {
+        user: reader_user,
+        object: board.clone(),
+        right: AccessRight::Denied,
+    };
+    assert!(router.handle(0, right).into_messages().is_empty());
+    // The pair couples on shard 1 first, so the owner's singleton is the
+    // smaller side of the cross-shard couple and moves.
+    let home = router.shard_of_instance(owner).unwrap();
+    router.handle(1, Message::Couple { src: gid(pair, "f"), dst: gid(pair2, "f") });
+    router.handle(0, Message::Couple { src: board.clone(), dst: gid(pair, "f") });
+    assert_eq!(router.shard_of_instance(owner), Some(1 - home), "the owner migrated");
+    router.check_invariants().unwrap();
+    let out = read(&mut router);
+    assert!(refused(&out), "{out:?}");
+
+    // Quarantine keeps the record, and the right with it.
+    router.disconnect(0);
+    assert!(!router.shard(1 - home).registry().is_bound(owner));
+    let out = read(&mut router);
+    assert!(refused(&out), "{out:?}");
+    let out = router.handle(10, Message::Rejoin { resume_token: token }).into_messages();
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Message::Welcome { instance } if *instance == owner)));
+    let out = read(&mut router);
+    assert!(refused(&out), "{out:?}");
+    let stats = router.stats();
+    assert_eq!((stats.permission_denials, stats.transfers_started), (3, 0));
 }
 
 /// Couples `members` (consecutive endpoints from `first`) on object
