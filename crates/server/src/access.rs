@@ -1,193 +1,98 @@
 //! Access permissions (§2.2): "three-valued tuples with user ID, UI state
-//! identifier, and access right category".
+//! identifier, and access right category". The tuples of an object are
+//! rows of its instance's registry record, keyed by user and object path:
+//! a right lives with the object it protects, and goes where it goes.
 
-use std::collections::HashMap;
+use cosoft_wire::{AccessRight, ObjectPath, UserId};
 
-use cosoft_wire::{AccessRight, GlobalObjectId, UserId};
+use crate::registry::Record;
 
-/// The server's access-permission table.
-///
-/// Rights resolve most-specific-first:
-///
-/// 1. an explicit `(user, object)` tuple,
-/// 2. an explicit `(user, ancestor-of-object)` tuple (a right on a complex
-///    object covers its components),
-/// 3. the table's default right (configurable; permissive `Write` out of
-///    the box, matching the open classroom setting).
-///
-/// The owner of an object (the user of the instance the object lives in)
-/// always has `Write` on it; ownership is checked by the caller, which
-/// knows the registry.
-#[derive(Debug, Clone)]
-pub struct AccessTable {
-    tuples: HashMap<(UserId, GlobalObjectId), AccessRight>,
-    default: AccessRight,
-}
+/// The right no row grants or withholds until the server is told
+/// otherwise: permissive `Write`, matching the open classroom setting.
+pub(crate) const DEFAULT_RIGHT: AccessRight = AccessRight::Write;
 
-impl Default for AccessTable {
-    fn default() -> Self {
-        AccessTable { tuples: HashMap::new(), default: AccessRight::Write }
-    }
-}
-
-impl AccessTable {
-    /// Creates a table with the permissive default (`Write`).
-    pub fn new() -> Self {
-        AccessTable::default()
-    }
-
-    /// The default right applied when no tuple matches.
-    pub fn default_right(&self) -> AccessRight {
-        self.default
-    }
-
-    /// Replaces the default right; explicit tuples stay.
-    pub fn set_default(&mut self, default: AccessRight) {
-        self.default = default;
-    }
-
-    /// Inserts (or replaces) a permission tuple, returning the previous
-    /// right for that exact tuple.
-    pub fn set(
-        &mut self,
-        user: UserId,
-        object: GlobalObjectId,
-        right: AccessRight,
-    ) -> Option<AccessRight> {
-        self.tuples.insert((user, object), right)
-    }
-
-    /// Resolves the effective right of `user` on `object`.
-    pub fn right_of(&self, user: UserId, object: &GlobalObjectId) -> AccessRight {
-        if let Some(r) = self.tuples.get(&(user, object.clone())) {
-            return *r;
-        }
-        // Walk ancestors: a right on a complex object covers components.
-        let mut path = object.path.clone();
-        while let Some(parent) = path.parent() {
-            let key = (user, GlobalObjectId::new(object.instance, parent.clone()));
-            if let Some(r) = self.tuples.get(&key) {
-                return *r;
-            }
-            path = parent;
-        }
-        self.default
-    }
-
-    /// Whether `user` may read (copy) the state of `object`.
-    pub fn may_read(&self, user: UserId, object: &GlobalObjectId) -> bool {
-        self.right_of(user, object).allows_read()
-    }
-
-    /// Whether `user` may write (couple with / modify) `object`.
-    pub fn may_write(&self, user: UserId, object: &GlobalObjectId) -> bool {
-        self.right_of(user, object).allows_write()
-    }
-
-    /// Removes and returns every tuple granting a right on an object
-    /// owned by an instance in `members`, for migration to another shard.
-    /// Rights live with the object they protect: operations on an object
-    /// are always evaluated on the shard hosting its component.
-    pub fn extract_instances(
-        &mut self,
-        members: &std::collections::HashSet<cosoft_wire::InstanceId>,
-    ) -> Vec<(UserId, GlobalObjectId, AccessRight)> {
-        let keys: Vec<(UserId, GlobalObjectId)> =
-            self.tuples.keys().filter(|(_, o)| members.contains(&o.instance)).cloned().collect();
-        keys.into_iter()
-            .filter_map(|k| self.tuples.remove(&k).map(|right| (k.0, k.1, right)))
-            .collect()
-    }
-
-    /// Drops every tuple granting a right on an object of `instance`
-    /// (its deregistration: the objects are gone for good).
-    pub fn forget_instance(&mut self, instance: cosoft_wire::InstanceId) {
-        self.tuples.retain(|(_, o), _| o.instance != instance);
-    }
-
-    /// Re-installs tuples extracted from another shard's table.
-    pub fn adopt(&mut self, tuples: Vec<(UserId, GlobalObjectId, AccessRight)>) {
-        for (user, object, right) in tuples {
-            self.tuples.insert((user, object), right);
-        }
-    }
-
-    /// Every explicit tuple, in no particular order.
-    pub fn rows(&self) -> impl Iterator<Item = (UserId, GlobalObjectId, AccessRight)> + '_ {
-        self.tuples.iter().map(|((user, object), right)| (*user, object.clone(), *right))
-    }
-
-    /// Number of explicit tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// Whether the table has no explicit tuples.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+impl<E> Record<E> {
+    /// The right `user` holds on this instance's object at `path`, most
+    /// specific first: the owner (the user the instance registered as)
+    /// always writes; then a row for `path`; then a row for its nearest
+    /// ancestor (a right on a complex object covers its components).
+    /// `None` when no row speaks for it, and the server's default decides.
+    pub(crate) fn right_of(&self, user: UserId, path: &ObjectPath) -> Option<AccessRight> {
+        (self.info.user == user).then_some(AccessRight::Write).or_else(|| {
+            std::iter::successors(Some(path.clone()), ObjectPath::parent)
+                .find_map(|at| self.access.get(&(user, at)).copied())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosoft_wire::{InstanceId, ObjectPath};
+    use crate::registry::Registry;
+    use cosoft_wire::AccessRight::{Denied, Read, Write};
 
-    fn gid(i: u64, p: &str) -> GlobalObjectId {
-        GlobalObjectId::new(InstanceId(i), ObjectPath::parse(p).unwrap())
+    /// The record of an instance registered by user 9.
+    fn record() -> Record<u64> {
+        let mut registry = Registry::new();
+        let id = registry.register(1, UserId(9), "h", "app", 0);
+        registry.deregister(id).unwrap()
+    }
+
+    fn path(p: &str) -> ObjectPath {
+        ObjectPath::parse(p).unwrap()
+    }
+
+    fn set(r: &mut Record<u64>, user: u64, p: &str, right: AccessRight) {
+        r.access.insert((UserId(user), path(p)), right);
     }
 
     #[test]
     fn default_is_permissive() {
-        let t = AccessTable::new();
-        assert!(t.may_read(UserId(1), &gid(2, "a.b")));
-        assert!(t.may_write(UserId(1), &gid(2, "a.b")));
+        assert_eq!(record().right_of(UserId(1), &path("a.b")), None);
+        assert!(DEFAULT_RIGHT.allows_read() && DEFAULT_RIGHT.allows_write());
     }
 
     #[test]
     fn explicit_tuple_overrides_default() {
-        let mut t = AccessTable::new();
-        t.set(UserId(1), gid(2, "a.b"), AccessRight::Denied);
-        assert!(!t.may_read(UserId(1), &gid(2, "a.b")));
-        assert!(t.may_read(UserId(3), &gid(2, "a.b")), "other users unaffected");
+        let mut r = record();
+        set(&mut r, 1, "a.b", Denied);
+        assert_eq!(r.right_of(UserId(1), &path("a.b")), Some(Denied));
+        assert_eq!(r.right_of(UserId(3), &path("a.b")), None, "other users unaffected");
     }
 
     #[test]
     fn read_only_permits_copy_not_couple() {
-        let mut t = AccessTable::new();
-        t.set_default(AccessRight::Denied);
-        t.set(UserId(1), gid(2, "form"), AccessRight::Read);
-        assert!(t.may_read(UserId(1), &gid(2, "form")));
-        assert!(!t.may_write(UserId(1), &gid(2, "form")));
+        let mut r = record();
+        set(&mut r, 1, "form", Read);
+        let right = r.right_of(UserId(1), &path("form")).unwrap();
+        assert!(right.allows_read() && !right.allows_write());
     }
 
     #[test]
     fn rights_inherit_down_the_object_tree() {
-        let mut t = AccessTable::new();
-        t.set_default(AccessRight::Denied);
-        t.set(UserId(1), gid(2, "form"), AccessRight::Write);
-        assert!(t.may_write(UserId(1), &gid(2, "form.field")));
-        assert!(t.may_write(UserId(1), &gid(2, "form.panel.deep")));
-        assert!(!t.may_write(UserId(1), &gid(2, "other")));
-        // Closer tuples win over ancestors.
-        t.set(UserId(1), gid(2, "form.field"), AccessRight::Denied);
-        assert!(!t.may_read(UserId(1), &gid(2, "form.field")));
-        assert!(t.may_write(UserId(1), &gid(2, "form.other")));
+        let mut r = record();
+        set(&mut r, 1, "form", Write);
+        let right = |r: &Record<u64>, p| r.right_of(UserId(1), &path(p));
+        assert_eq!(right(&r, "form.field"), Some(Write));
+        assert_eq!(right(&r, "form.panel.deep"), Some(Write));
+        assert_eq!(right(&r, "other"), None);
+        // Closer rows win over ancestors.
+        set(&mut r, 1, "form.field", Denied);
+        assert_eq!(right(&r, "form.field"), Some(Denied));
+        assert_eq!(right(&r, "form.other"), Some(Write));
     }
 
     #[test]
     fn restrictive_default() {
-        let mut t = AccessTable::new();
-        t.set_default(AccessRight::Denied);
-        assert!(!t.may_read(UserId(1), &gid(2, "x")));
-        assert_eq!(t.default_right(), AccessRight::Denied);
+        // Where no row speaks, the core applies its default as is.
+        let r = record();
+        assert_eq!(r.right_of(UserId(1), &path("x")).unwrap_or(Denied), Denied);
     }
 
     #[test]
-    fn set_returns_previous() {
-        let mut t = AccessTable::new();
-        assert_eq!(t.set(UserId(1), gid(1, "a"), AccessRight::Read), None);
-        assert_eq!(t.set(UserId(1), gid(1, "a"), AccessRight::Write), Some(AccessRight::Read));
-        assert_eq!(t.len(), 1);
+    fn the_owner_always_writes() {
+        let mut r = record();
+        set(&mut r, 9, "form", Denied);
+        assert_eq!(r.right_of(UserId(9), &path("form.field")), Some(Write));
     }
 }

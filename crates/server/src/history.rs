@@ -13,35 +13,29 @@
 //! as is and decoded back into a [`StateNode`] only when an undo or redo
 //! pops it. A stack is a deque of those buffers: depth-cap eviction drops
 //! the front, and a ~60-node form costs about 2 KB per entry where the
-//! tree itself costs tens of KB (DESIGN.md §11.3). Cloning a store (the
+//! tree itself costs tens of KB (DESIGN.md §11.3). Each instance's
+//! registry record holds the store of its objects. Cloning a store (the
 //! model checker forks [`crate::ServerCore`] at every branching point)
 //! only bumps reference counts — the buffers themselves are shared
 //! between the forks.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use cosoft_wire::{EncodedState, GlobalObjectId, InstanceId, StateNode};
+use cosoft_wire::{EncodedState, GlobalObjectId, StateNode};
 
 /// States kept per object and stack; recording one more drops the oldest.
 const MAX_DEPTH: usize = 64;
 
 /// One object's undo (or redo) stack: encoded states, oldest first
-/// (depth-cap eviction pops the *front* in O(1)). Opaque outside the
-/// store; it only exists as a named type so extracted stacks can travel
-/// in a shard-migration slice ([`HistoryStore::extract_instances`] /
-/// [`HistoryStore::adopt`]).
+/// (depth-cap eviction pops the *front* in O(1)).
 #[derive(Debug, Clone, Default)]
-pub struct HistoryStack {
+struct HistoryStack {
     entries: VecDeque<EncodedState>,
 }
 
 impl HistoryStack {
     fn depth(&self) -> usize {
         self.entries.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     fn push(&mut self, state: EncodedState) {
@@ -145,34 +139,17 @@ impl HistoryStore {
         self.undo.is_empty() && self.redo.is_empty()
     }
 
+    /// Number of objects with a stack, drained or not.
+    pub fn len(&self) -> usize {
+        self.undo.len() + self.redo.keys().filter(|o| !self.undo.contains_key(*o)).count()
+    }
+
     /// Drops all history of `object` (e.g. when it is destroyed). Returns
     /// whether any entries were actually held.
     pub fn forget(&mut self, object: &GlobalObjectId) -> bool {
         let had_undo = self.undo.remove(object).is_some();
         let had_redo = self.redo.remove(object).is_some();
         had_undo || had_redo
-    }
-
-    /// Drops the history of every object owned by `instance` (the single
-    /// teardown path: deregistration after quarantine expiry, eviction,
-    /// or a graceful leave). Returns how many objects had entries purged.
-    pub fn purge_instance(&mut self, instance: InstanceId) -> usize {
-        let mut purged: HashSet<GlobalObjectId> = HashSet::new();
-        self.undo.retain(|o, _| {
-            let keep = o.instance != instance;
-            if !keep {
-                purged.insert(o.clone());
-            }
-            keep
-        });
-        self.redo.retain(|o, _| {
-            let keep = o.instance != instance;
-            if !keep {
-                purged.insert(o.clone());
-            }
-            keep
-        });
-        purged.len()
     }
 
     /// Whether `other` (typically a fork of the owning
@@ -189,43 +166,6 @@ impl HistoryStore {
                 && a.iter().all(|(o, s)| b.get(o).is_some_and(|t| s.shares_storage_with(t)))
         }
         maps_share(&self.undo, &other.undo) && maps_share(&self.redo, &other.redo)
-    }
-
-    /// Removes and returns the undo/redo stacks of every object owned by
-    /// an instance in `members`, for migration to another shard.
-    pub fn extract_instances(
-        &mut self,
-        members: &HashSet<InstanceId>,
-    ) -> Vec<(GlobalObjectId, HistoryStack, HistoryStack)> {
-        let mut objects: Vec<GlobalObjectId> = self
-            .undo
-            .keys()
-            .chain(self.redo.keys())
-            .filter(|o| members.contains(&o.instance))
-            .cloned()
-            .collect();
-        objects.sort();
-        objects.dedup();
-        objects
-            .into_iter()
-            .map(|o| {
-                let undo = self.undo.remove(&o).unwrap_or_default();
-                let redo = self.redo.remove(&o).unwrap_or_default();
-                (o, undo, redo)
-            })
-            .collect()
-    }
-
-    /// Re-installs stacks extracted from another shard's store.
-    pub fn adopt(&mut self, entries: Vec<(GlobalObjectId, HistoryStack, HistoryStack)>) {
-        for (object, undo, redo) in entries {
-            if !undo.is_empty() {
-                self.undo.insert(object.clone(), undo);
-            }
-            if !redo.is_empty() {
-                self.redo.insert(object, redo);
-            }
-        }
     }
 }
 
@@ -324,29 +264,13 @@ mod tests {
         let o = gid("a");
         h.record_overwrite(o.clone(), state("x"));
         h.record_undone(o.clone(), state("y"));
+        h.record_undone(gid("b"), state("z"));
+        assert_eq!(h.len(), 2, "an object with both stacks counts once");
         assert!(h.forget(&o));
+        assert_eq!(h.len(), 1);
         assert!(!h.forget(&o));
         assert_eq!(h.undo_depth(&o), 0);
         assert_eq!(h.redo_depth(&o), 0);
-    }
-
-    #[test]
-    fn purge_instance_drops_all_objects_of_that_instance() {
-        let mut h = HistoryStore::new();
-        let mine_a = gid("a");
-        let mine_b = gid("b");
-        let foreign = GlobalObjectId::new(InstanceId(2), ObjectPath::parse("a").unwrap());
-        h.record_overwrite(mine_a.clone(), state("x"));
-        h.record_undone(mine_a.clone(), state("y"));
-        h.record_overwrite(mine_b.clone(), state("x"));
-        h.record_overwrite(foreign.clone(), state("x"));
-        // Two distinct objects purged (a counted once despite both stacks).
-        assert_eq!(h.purge_instance(InstanceId(1)), 2);
-        assert_eq!(h.undo_depth(&mine_a), 0);
-        assert_eq!(h.redo_depth(&mine_a), 0);
-        assert_eq!(h.undo_depth(&mine_b), 0);
-        assert_eq!(h.undo_depth(&foreign), 1);
-        assert_eq!(h.purge_instance(InstanceId(1)), 0);
     }
 
     #[test]
@@ -476,22 +400,5 @@ mod tests {
         let mut fork2 = h.clone();
         fork2.record_overwrite(o.clone(), state("new"));
         assert!(!fork2.storage_is_shared_with(&h));
-    }
-
-    #[test]
-    fn extract_and_adopt_preserve_chains() {
-        let mut h = HistoryStore::new();
-        let o = gid("a");
-        for i in 0..10 {
-            h.record_overwrite(o.clone(), deep_tree(4, &format!("v{i}")));
-        }
-        let members: HashSet<InstanceId> = [InstanceId(1)].into_iter().collect();
-        let extracted = h.extract_instances(&members);
-        assert_eq!(h.undo_depth(&o), 0);
-        let mut other = HistoryStore::new();
-        other.adopt(extracted);
-        for i in (0..10).rev() {
-            assert_eq!(other.pop_undo(&o).unwrap(), deep_tree(4, &format!("v{i}")));
-        }
     }
 }

@@ -36,10 +36,9 @@ mod registry;
 mod server;
 mod shard;
 
-pub use access::AccessTable;
 pub use cosoft_wire::MessageClass;
 pub use couple::CoupleDirectory;
-pub use history::{HistoryStack, HistoryStore};
+pub use history::HistoryStore;
 pub use locks::{ExecId, LockTable};
 pub use overload::{approx_cost, OverloadConfig, Verdict};
 pub use registry::Registry;

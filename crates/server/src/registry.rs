@@ -1,11 +1,15 @@
 //! Registration records (§2.2): "application instance as well as
 //! participant information such as application instance identifier, host
-//! name, and user name" — and, per instance, where its connection stands
-//! and the credential that resumes it.
+//! name, and user name" — and, per instance, where its connection stands,
+//! the credential that resumes it, and what the server keeps of its
+//! objects: their sync bases, their history and their access rows.
 
 use std::collections::HashMap;
 
-use cosoft_wire::{InstanceId, InstanceInfo, UserId};
+use cosoft_wire::{delta, AccessRight, InstanceId, InstanceInfo, ObjectPath, UserId};
+
+use crate::history::HistoryStore;
+use crate::server::SyncBase;
 
 /// Where a registered instance's connection stands. One or the other:
 /// a record cannot be quarantined and bound, or carry a traffic
@@ -29,8 +33,10 @@ enum Binding<E> {
 }
 
 /// Everything the server records per instance: what it registered as,
-/// where its connection stands, and its resume token (none while the
-/// liveness policy issues none).
+/// where its connection stands, its resume token (none while the
+/// liveness policy issues none), and the per-object state of its objects.
+/// Every object belongs to exactly one instance, so dropping the record
+/// drops that state and migrating it moves that state.
 #[derive(Debug, Clone)]
 pub(crate) struct Record<E> {
     /// The registration record proper.
@@ -39,6 +45,16 @@ pub(crate) struct Record<E> {
     binding: Binding<E>,
     /// The credential a `Rejoin` must present to reclaim the instance.
     pub(crate) token: Option<u64>,
+    /// Per object: the last state that crossed its connection, in either
+    /// direction — acknowledged as applied there, pushed from there, or
+    /// given in answer to a `StateRequest` — which its session holds too.
+    /// `ApplyDelta` legs to the object are diffed against it and
+    /// `CopyDelta` pushes of the object replayed on it.
+    pub(crate) sync_bases: HashMap<ObjectPath, SyncBase>,
+    /// The states of its objects that syncs, undos and redos overwrote.
+    pub(crate) history: HistoryStore,
+    /// The explicit rights users hold on its objects (`crate::access`).
+    pub(crate) access: HashMap<(UserId, ObjectPath), AccessRight>,
 }
 
 impl<E: Copy> Record<E> {
@@ -109,13 +125,24 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
             app_name: app_name.to_owned(),
         };
         let binding = Binding::Bound { endpoint, last_seen_us: now_us };
-        self.by_instance.insert(id, Record { info, binding, token: None });
+        self.by_instance.insert(
+            id,
+            Record {
+                info,
+                binding,
+                token: None,
+                sync_bases: HashMap::new(),
+                history: HistoryStore::new(),
+                access: HashMap::new(),
+            },
+        );
         self.by_endpoint.insert(endpoint, id);
         id
     }
 
     /// Removes an instance, returning its whole record — to be dropped
-    /// (deregistration) or handed to another shard's [`Registry::adopt`].
+    /// (deregistration) or handed to another shard's [`Registry::adopt`]
+    /// (migration), with its objects' state either way.
     pub(crate) fn deregister(&mut self, id: InstanceId) -> Option<Record<E>> {
         let record = self.by_instance.remove(&id)?;
         if let Some(endpoint) = record.endpoint() {
@@ -225,6 +252,21 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
         self.by_instance.get(&id).map(|r| &r.info)
     }
 
+    /// The whole record of an instance.
+    pub(crate) fn record(&self, id: InstanceId) -> Option<&Record<E>> {
+        self.by_instance.get(&id)
+    }
+
+    /// The whole record of an instance, to write its objects' state.
+    pub(crate) fn record_mut(&mut self, id: InstanceId) -> Option<&mut Record<E>> {
+        self.by_instance.get_mut(&id)
+    }
+
+    /// Every record, in no particular order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &Record<E>> {
+        self.by_instance.values()
+    }
+
     /// The user who registered an instance.
     pub fn user_of(&self, id: InstanceId) -> Option<UserId> {
         self.info(id).map(|i| i.user)
@@ -296,8 +338,11 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
     }
 
     /// Checks that the endpoint and token indexes describe exactly the
-    /// bindings and credentials the records carry, and that the id
-    /// counter is ahead of every issued id (ids are never reused).
+    /// bindings and credentials the records carry, that the id counter is
+    /// ahead of every issued id (ids are never reused), and that each
+    /// sync base hashes to its version: what a by-reference
+    /// acknowledgement files must be the state the destination compared
+    /// its own against.
     ///
     /// # Errors
     ///
@@ -339,6 +384,11 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
             }
             if id.0 >= self.next {
                 return Err(format!("issued id {id} not below the id counter {}", self.next));
+            }
+            for (path, base) in &record.sync_bases {
+                if delta::version_of_encoded(base.encoded.as_slice()) != base.version {
+                    return Err(format!("sync base of {id}'s {path} does not hash to its version"));
+                }
             }
         }
         Ok(())

@@ -4,20 +4,21 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
-use cosoft_wire::{AccessRight, GlobalObjectId, InstanceId, Message, UserId};
+use cosoft_wire::{GlobalObjectId, InstanceId, Message};
 
 use super::floor::ExecState;
-use super::transfer::{Leg, SyncBase, TransferGroup};
+use super::transfer::{Leg, TransferGroup};
 use super::{Outgoing, ServerCore};
-use crate::history::HistoryStack;
 use crate::registry::Record;
 
 /// Everything one couple-component owns inside a [`ServerCore`],
-/// extracted for migration to another shard: registration records (each
-/// with its binding or grace deadline and its resume token), couple
-/// links, history stacks, access tuples, and the protocol state
-/// (executions with their locks, transfer groups with their legs) that
-/// lives entirely inside the component.
+/// extracted for migration to another shard, in four parts: registration
+/// records (each with its binding or grace deadline, its resume token,
+/// and its objects' sync bases, history stacks and access rows), couple
+/// links, and the protocol state that lives entirely inside the
+/// component (executions with their locks, transfer groups with their
+/// legs). Delta legs, delta pushes and by-reference acknowledgements keep
+/// working across a migration because the bases travel in the records.
 ///
 /// Produced by `ServerCore::extract_component` and consumed by
 /// `ServerCore::absorb_component`; opaque to everything in between.
@@ -25,13 +26,6 @@ use crate::registry::Record;
 pub struct ComponentSlice<E> {
     records: Vec<Record<E>>,
     links: Vec<(GlobalObjectId, GlobalObjectId)>,
-    history: Vec<(GlobalObjectId, HistoryStack, HistoryStack)>,
-    /// Sync bases (version, tree and encoding of the last state that
-    /// crossed each object's connection): delta legs, delta pushes and
-    /// by-reference acknowledgements keep working across a shard
-    /// migration because all three travel in the slice.
-    sync_bases: Vec<(GlobalObjectId, SyncBase)>,
-    access: Vec<(UserId, GlobalObjectId, AccessRight)>,
     execs: Vec<(u64, ExecState, Vec<GlobalObjectId>)>,
     transfer_groups: Vec<(u64, TransferGroup)>,
 }
@@ -66,8 +60,8 @@ impl<E: Copy> ComponentSlice<E> {
 }
 
 impl<E: Copy + Eq + Hash> ServerCore<E> {
-    /// Extracts the couple-component of `seed` — registration records,
-    /// couple links, history, access tuples, and all protocol state
+    /// Extracts the couple-component of `seed` — registration records
+    /// with their objects' state, couple links, and all protocol state
     /// living entirely inside the component — for absorption by another
     /// shard ([`ServerCore::absorb_component`]).
     ///
@@ -177,17 +171,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // Lift the component's state out of every store.
         let records = members_vec.iter().filter_map(|id| self.registry.deregister(*id)).collect();
         let links = self.couples.extract_instance_links(&members);
-        let history = self.history.extract_instances(&members);
-        let mut sync_bases: Vec<(GlobalObjectId, SyncBase)> = Vec::new();
-        self.sync_bases.retain(|o, base| {
-            let inside = members.contains(&o.instance);
-            if inside {
-                sync_bases.push((o.clone(), base.clone()));
-            }
-            !inside
-        });
-        sync_bases.sort_by(|a, b| a.0.cmp(&b.0));
-        let access = self.access.extract_instances(&members);
         let execs = inside_execs
             .into_iter()
             .filter_map(|eid| {
@@ -203,8 +186,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             .filter_map(|gid| self.drop_group(gid).map(|g| (gid, g)))
             .collect();
         self.note_outgoing(&out);
-        let slice =
-            ComponentSlice { records, links, history, sync_bases, access, execs, transfer_groups };
+        let slice = ComponentSlice { records, links, execs, transfer_groups };
         self.debug_check_invariants();
         (slice, out)
     }
@@ -214,15 +196,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// registry bumps its counter past adopted ids), so adoption is a
     /// plain insertion into every store.
     pub(crate) fn absorb_component(&mut self, slice: ComponentSlice<E>) {
-        let ComponentSlice { records, links, history, sync_bases, access, execs, transfer_groups } =
-            slice;
+        let ComponentSlice { records, links, execs, transfer_groups } = slice;
         for record in records {
             self.registry.adopt(record);
         }
         self.couples.adopt_links(links);
-        self.history.adopt(history);
-        self.sync_bases.extend(sync_bases);
-        self.access.adopt(access);
         for (exec_id, exec, objects) in execs {
             // Cannot conflict: the objects arrive with the component that
             // locked them, and no other component can reference them.

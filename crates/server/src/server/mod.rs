@@ -6,11 +6,14 @@
 //! same core therefore drives both the deterministic simulation and the
 //! real TCP transport.
 //!
-//! The server owns the centralized database of §2.2: registration records
-//! ([`crate::Registry`]), access permissions ([`crate::AccessTable`]),
-//! historical UI states ([`crate::HistoryStore`]) and the lock table
-//! ([`crate::LockTable`]), plus the couple directory implementing the
-//! couple relation and its transitive closure.
+//! The server owns the centralized database of §2.2. Three of its four
+//! tables hold facts about one object each, and every object belongs to
+//! one instance, so they live in that instance's registration record
+//! ([`crate::Registry`]): its objects' access rows, their historical UI
+//! states ([`crate::HistoryStore`]) and their sync bases. The lock table
+//! ([`crate::LockTable`]) and the couple directory, which implements the
+//! couple relation and its transitive closure, relate objects of
+//! different instances and stand beside the registry.
 //!
 //! There is one struct, [`ServerCore`], declared here with the message
 //! dispatch and the invariant pack. Each protocol is a module of `impl`
@@ -31,23 +34,23 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use cosoft_wire::{
-    delta, AccessRight, GlobalObjectId, InstanceId, Message, MessageClass, SharedFrame, Target,
-    UserId,
+    AccessRight, GlobalObjectId, InstanceId, Message, MessageClass, SharedFrame, Target, UserId,
 };
 
 pub use liveness::LivenessConfig;
 pub use migrate::ComponentSlice;
 pub use outgoing::{Delivery, Outgoing};
 pub use stats::ServerStats;
+pub(crate) use transfer::SyncBase;
 
-use crate::access::AccessTable;
+use crate::access::DEFAULT_RIGHT;
 use crate::couple::CoupleDirectory;
 use crate::history::HistoryStore;
 use crate::locks::LockTable;
 use crate::overload::{Admission, OverloadConfig, Verdict};
 use crate::registry::Registry;
 use floor::ExecState;
-use transfer::{Carried, Leg, SyncBase, TransferGroup, TransferKind};
+use transfer::{Carried, Leg, TransferGroup, TransferKind};
 
 /// A routing-relevant lifecycle change, recorded by the core for its
 /// router (when enabled via [`ServerCore::enable_route_log`]) so the
@@ -102,17 +105,13 @@ pub enum RouteEvent<E> {
 /// forks the server state at every branching point of its search.
 #[derive(Debug, Clone)]
 pub struct ServerCore<E> {
+    /// The registration records, each with its objects' sync bases,
+    /// history and access rows.
     registry: Registry<E>,
-    access: AccessTable,
+    /// The right a user holds on an object no access row speaks for.
+    default_right: AccessRight,
     locks: LockTable,
     couples: CoupleDirectory,
-    history: HistoryStore,
-    /// Per object: the last state that crossed its connection, in either
-    /// direction — acknowledged as applied there, pushed from there, or
-    /// given in answer to a `StateRequest` — which its session holds too.
-    /// `ApplyDelta` legs to the object are diffed against it and
-    /// `CopyDelta` pushes of the object replayed on it.
-    sync_bases: HashMap<GlobalObjectId, SyncBase>,
     next_exec: u64,
     next_transfer: u64,
     execs: HashMap<u64, ExecState>,
@@ -156,11 +155,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     pub fn new() -> Self {
         ServerCore {
             registry: Registry::new(),
-            access: AccessTable::new(),
+            default_right: DEFAULT_RIGHT,
             locks: LockTable::new(),
             couples: CoupleDirectory::new(),
-            history: HistoryStore::new(),
-            sync_bases: HashMap::new(),
             next_exec: 1,
             next_transfer: 1,
             execs: HashMap::new(),
@@ -197,16 +194,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         s
     }
 
-    /// Replaces the default access right; explicit tuples stay.
+    /// Replaces the default access right; explicit rows stay.
     pub fn set_default_right(&mut self, right: AccessRight) {
-        self.access.set_default(right);
-    }
-
-    /// Creates a server with an explicit liveness policy.
-    pub fn with_liveness(liveness: LivenessConfig) -> Self {
-        let mut s = Self::new();
-        s.liveness = liveness;
-        s
+        self.default_right = right;
     }
 
     /// Replaces the liveness policy.
@@ -235,19 +225,19 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         &self.locks
     }
 
-    /// The historical-UI-state store.
-    pub fn history(&self) -> &HistoryStore {
-        &self.history
+    /// The historical UI states of `instance`'s objects (`None` when it
+    /// is not registered here).
+    pub fn history(&self, instance: InstanceId) -> Option<&HistoryStore> {
+        self.registry.record(instance).map(|r| &r.history)
     }
 
     /// The access rows: every explicit right, as (user, object, right).
     pub fn access_rows(&self) -> impl Iterator<Item = (UserId, GlobalObjectId, AccessRight)> + '_ {
-        self.access.rows()
-    }
-
-    /// Number of sync bases held, over all objects.
-    pub fn sync_base_count(&self) -> usize {
-        self.sync_bases.len()
+        self.registry.records().flat_map(|r| {
+            r.access.iter().map(|((user, path), right)| {
+                (*user, GlobalObjectId::new(r.info.instance, path.clone()), *right)
+            })
+        })
     }
 
     /// Snapshot of the server's observability counters: the counters
@@ -326,10 +316,12 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// Checked invariants:
     ///
     /// * registry endpoint and token indexes ↔ instance records agree,
-    ///   ids never reused ([`Registry::check_invariants`]). That a
-    ///   quarantined instance is registered and unbound, and that traffic
-    ///   timestamps and tokens belong to registered instances, needs no
-    ///   check: the record is the only place any of them is written;
+    ///   ids never reused, sync bases hash to their version
+    ///   ([`Registry::check_invariants`]). That a quarantined instance is
+    ///   registered and unbound, and that traffic timestamps, tokens, sync
+    ///   bases, history entries and access rows belong to registered
+    ///   instances, needs no check: the record is the only place any of
+    ///   them is written;
     /// * lock-table holder map ↔ reverse index agree
     ///   ([`LockTable::check_invariants`]);
     /// * couple links ↔ adjacency agree
@@ -346,9 +338,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// * transfer accounting: the `req_id` index and the legs the live
     ///   groups own are the same set (a leg indexed after its group was
     ///   dropped would let a late reply resurrect state for a dead
-    ///   requester), and every group's requester is registered;
-    /// * sync bases belong to registered instances and hash to their
-    ///   version.
+    ///   requester), and every group's requester is registered.
     ///
     /// # Errors
     ///
@@ -378,20 +368,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 }
             }
         }
-        self.check_transfers()?;
-        // Delta sync bases must be purged with their instance, or the
-        // cache grows without bound under register/leave churn.
-        for (object, base) in &self.sync_bases {
-            if !self.registry.contains(object.instance) {
-                return Err(format!("sync base retained for unregistered object {object}"));
-            }
-            // What a by-reference acknowledgement files must be the state
-            // the destination compared its record against.
-            if delta::version_of_encoded(base.encoded.as_slice()) != base.version {
-                return Err(format!("sync base of {object} does not hash to its version"));
-            }
-        }
-        Ok(())
+        self.check_transfers()
     }
 
     /// Runs [`ServerCore::check_invariants`] in debug builds, panicking on
@@ -430,13 +407,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         }
     }
 
-    /// Effective right of `user` on `object`: the object's owner always
-    /// has write access; otherwise the permission table decides.
+    /// Effective right of `user` on `object`: what the record of the
+    /// object's instance says, else the default right.
     fn right_of(&self, user: UserId, object: &GlobalObjectId) -> AccessRight {
-        if self.registry.user_of(object.instance) == Some(user) {
-            return AccessRight::Write;
-        }
-        self.access.right_of(user, object)
+        let record = self.registry.record(object.instance);
+        record.and_then(|r| r.right_of(user, &object.path)).unwrap_or(self.default_right)
     }
 
     fn to_instance(&self, id: InstanceId, msg: Message, out: &mut Outgoing<E>) {
@@ -582,28 +557,31 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 self.to_instance(from, Message::CoupledSet { object, coupled }, &mut out);
             }
             Message::ObjectDestroyed { object } => {
-                if object.instance != from {
-                    self.to_instance(
-                        from,
-                        Message::PermissionDenied {
-                            what: format!("destroy notification for foreign object {object}"),
-                        },
-                        &mut out,
-                    );
-                } else {
-                    let survivors = self.couples.remove_object(&object);
-                    if self.history.forget(&object) {
-                        self.stats.history_purges += 1;
+                match self.registry.record_mut(object.instance) {
+                    Some(record) if object.instance == from => {
+                        // Its rights stay: they inherit down paths, and a
+                        // later object at the path is protected alike.
+                        if record.history.forget(&object) {
+                            self.stats.history_purges += 1;
+                        }
+                        record.sync_bases.remove(&object.path);
+                        // Each survivor (and the destroyer) learns the new
+                        // grouping of the remaining objects.
+                        for o in &self.couples.remove_object(&object) {
+                            let group = self.couples.group_of(o);
+                            let members = self.couples.instances_in_group(o);
+                            self.to_group(&members, Message::CoupleUpdate { group }, &mut out);
+                        }
+                        self.to_instance(
+                            from,
+                            Message::CoupleUpdate { group: vec![object] },
+                            &mut out,
+                        );
                     }
-                    self.sync_bases.remove(&object);
-                    // Each survivor (and the destroyer) learns the new
-                    // grouping of the remaining objects.
-                    for o in &survivors {
-                        let group = self.couples.group_of(o);
-                        let members = self.couples.instances_in_group(o);
-                        self.to_group(&members, Message::CoupleUpdate { group }, &mut out);
+                    _ => {
+                        let what = format!("destroy notification for foreign object {object}");
+                        self.to_instance(from, Message::PermissionDenied { what }, &mut out);
                     }
-                    self.to_instance(from, Message::CoupleUpdate { group: vec![object] }, &mut out);
                 }
             }
             Message::Event { origin, event, seq } => {
@@ -658,16 +636,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 out.extend(self.do_undo(from, object, TransferKind::Redo));
             }
             Message::SetPermission { user, object, right } => {
-                if object.instance == from {
-                    self.access.set(user, object, right);
-                } else {
-                    self.to_instance(
-                        from,
-                        Message::PermissionDenied {
-                            what: format!("set-permission on {object} (not the owner)"),
-                        },
-                        &mut out,
-                    );
+                match self.registry.record_mut(object.instance) {
+                    Some(record) if object.instance == from => {
+                        record.access.insert((user, object.path), right);
+                    }
+                    _ => {
+                        let what = format!("set-permission on {object} (not the owner)");
+                        self.to_instance(from, Message::PermissionDenied { what }, &mut out);
+                    }
                 }
             }
             Message::CoSendCommand { to, command, payload } => {

@@ -99,16 +99,11 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             self.to_group(&instances, Message::CoupleUpdate { group: survivors }, &mut out);
         }
         self.sever_instance_io(id, &mut out);
-        // The departed instance's objects are gone for good: their
-        // history stacks, delta sync bases and access rows must go with
-        // them, or the stores grow monotonically under register/leave
-        // churn.
-        self.stats.history_purges += self.history.purge_instance(id) as u64;
-        self.sync_bases.retain(|o, _| o.instance != id);
-        self.access.forget_instance(id);
         // The record takes its binding, its traffic timestamp or grace
-        // deadline, and its resume token with it.
+        // deadline, its resume token, and its objects' history stacks,
+        // sync bases and access rows with it.
         let record = self.registry.deregister(id);
+        self.stats.history_purges += record.as_ref().map_or(0, |r| r.history.len()) as u64;
         if let Some(token) = record.as_ref().and_then(|r| r.token) {
             self.route_event(RouteEvent::TokenRetired { token });
         }

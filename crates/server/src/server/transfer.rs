@@ -29,18 +29,19 @@ pub(super) enum TransferKind {
 /// in the three forms the server uses it in. All three are shared: across
 /// the legs of one fan-out, with the sync bases they become — the
 /// pushing source's and each acknowledging destination's — and, the
-/// encoding, with the history entries filed from it.
+/// encoding, with the history entries filed from it. An object's sync
+/// base is kept in its instance's registry record.
 #[derive(Debug, Clone)]
-pub(super) struct SyncBase {
+pub(crate) struct SyncBase {
     /// Content version of the state ([`delta::state_version`]).
-    pub(super) version: u64,
+    pub(crate) version: u64,
     /// The tree, which the next transfer is diffed against and the next
     /// `CopyDelta` edits a clone of.
     state: Arc<StateNode>,
     /// The canonical encoding `version` is the fingerprint of: what a
     /// full `ApplyState` leg splices in, and what the history files when
     /// a destination acknowledges by reference that it overwrote this.
-    pub(super) encoded: EncodedState,
+    pub(crate) encoded: EncodedState,
 }
 
 impl SyncBase {
@@ -287,7 +288,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // or not the copy below is allowed: a refused copy must not leave
         // the two ends a version apart.
         if let Some(pushed) = pushed.as_ref().filter(|_| src.instance == from) {
-            self.sync_bases.insert(src.clone(), pushed.state.clone());
+            self.set_base(&src, pushed.state.clone());
         }
         if let Err(reason) = self.check_objects_exist(&[&src, &dst]) {
             self.to_instance(
@@ -344,6 +345,19 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         out
     }
 
+    /// Makes `base` the sync base of `object`, in its instance's record:
+    /// an instance that is not registered has nowhere to keep one.
+    fn set_base(&mut self, object: &GlobalObjectId, base: SyncBase) {
+        if let Some(record) = self.registry.record_mut(object.instance) {
+            record.sync_bases.insert(object.path.clone(), base);
+        }
+    }
+
+    /// Takes `object`'s sync base out of its instance's record.
+    fn take_base(&mut self, object: &GlobalObjectId) -> Option<SyncBase> {
+        self.registry.record_mut(object.instance)?.sync_bases.remove(&object.path)
+    }
+
     /// The state a `CopyDelta` stands for: `delta` replayed on a clone of
     /// `src`'s sync base, encoded once — the encoding the fan-out sends
     /// and files. `None`, and no base left, when the base is missing or
@@ -356,7 +370,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         new_version: u64,
         delta: &StateDelta,
     ) -> Option<SyncBase> {
-        let base = self.sync_bases.remove(src).filter(|base| base.version == base_version)?;
+        let base = self.take_base(src).filter(|base| base.version == base_version)?;
         let pushed = SyncBase::of(delta::apply(&base.state, delta).ok()?);
         (pushed.version == new_version).then_some(pushed)
     }
@@ -406,7 +420,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let mut delta_cache: HashMap<u64, Bytes> = HashMap::new();
         for (target, endpoint) in targets {
             let req_id = self.next_leg_id();
-            let (frame, diffed_against) = match self.sync_bases.get(&target) {
+            let base =
+                self.registry.record(target.instance).and_then(|r| r.sync_bases.get(&target.path));
+            let (frame, diffed_against) = match base {
                 Some(base) => {
                     let payload = match delta_cache.entry(base.version) {
                         std::collections::hash_map::Entry::Occupied(e) => {
@@ -481,7 +497,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 // The state crossed the source's connection: it is the
                 // source's sync base, at the session since it answered.
                 let pulled = SyncBase::of(snapshot);
-                self.sync_bases.insert(src, pulled.clone());
+                self.set_base(&src, pulled.clone());
                 let pulled = Carried::whole(pulled);
                 self.fan_out_apply(group_id, &dst, pulled, mode, TransferKind::Copy, &mut out);
             }
@@ -520,7 +536,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // encoding (no failure is recorded, the other legs are
         // unaffected). The receiver just spoke, so it has an endpoint.
         if error.is_some() && sync.diffed_against.is_some() {
-            self.sync_bases.remove(&dst);
+            self.take_base(&dst);
             if let Some(endpoint) = self.registry.endpoint_of(dst.instance) {
                 sync.diffed_against = None;
                 self.stats.delta_fallbacks += 1;
@@ -560,12 +576,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             // a historical UI state. A failed one leaves both as they
             // were.
             None => {
-                self.sync_bases.insert(dst.clone(), sync.carried);
-                if let Some(prev) = prev {
-                    match kind {
-                        TransferKind::Copy => self.history.record_overwrite(dst, prev),
-                        TransferKind::Undo => self.history.record_undone(dst, prev),
-                        TransferKind::Redo => self.history.record_redone(dst, prev),
+                if let Some(record) = self.registry.record_mut(dst.instance) {
+                    record.sync_bases.insert(dst.path.clone(), sync.carried);
+                    let history = &mut record.history;
+                    match (kind, prev) {
+                        (TransferKind::Copy, Some(prev)) => history.record_overwrite(dst, prev),
+                        (TransferKind::Undo, Some(prev)) => history.record_undone(dst, prev),
+                        (TransferKind::Redo, Some(prev)) => history.record_redone(dst, prev),
+                        (_, None) => {}
                     }
                 }
             }
@@ -598,9 +616,10 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // would be lost for good.
         let reachable =
             self.couples.group_of(&object).iter().any(|t| self.registry.is_bound(t.instance));
-        let popped = match kind {
-            TransferKind::Undo if reachable => self.history.pop_undo(&object),
-            TransferKind::Redo if reachable => self.history.pop_redo(&object),
+        let history = self.registry.record_mut(object.instance).map(|r| &mut r.history);
+        let popped = match (kind, history) {
+            (TransferKind::Undo, Some(history)) if reachable => history.pop_undo(&object),
+            (TransferKind::Redo, Some(history)) if reachable => history.pop_redo(&object),
             _ => None,
         };
         let Some(snapshot) = popped else {

@@ -272,7 +272,7 @@ fn copy_from_pulls_state_and_records_history() {
         Message::StateApplied { req_id, .. } => assert_eq!(*req_id, 77),
         _ => unreachable!(),
     }
-    assert_eq!(s.history().undo_depth(&gid(a, "q")), 1);
+    assert_eq!(s.history(a).unwrap().undo_depth(&gid(a, "q")), 1);
 }
 
 #[test]
@@ -331,7 +331,7 @@ fn state_applied_from_a_bystander_is_refused() {
         error: None,
     };
     let out = s.handle(3, forged).into_messages();
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0, "a bystander's state was filed");
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0, "a bystander's state was filed");
     assert!(matches!(find(&out, 3, "permission-denied"), Message::PermissionDenied { .. }));
     assert_eq!(out.len(), 1, "the requester was told: {out:?}");
     assert_eq!(s.stats().live_transfer_legs, 1, "b's leg is still b's to answer");
@@ -346,7 +346,7 @@ fn state_applied_from_a_bystander_is_refused() {
             Message::StateApplied { req_id, error: None, .. } => assert_eq!(*req_id, client_req),
             other => panic!("expected the copy to complete, got {other:?}"),
         }
-        let filed = s.history().newest_undo(&gid(b, "f")).expect("filed");
+        let filed = s.history(b).unwrap().newest_undo(&gid(b, "f")).expect("filed");
         assert_eq!(filed.decode().unwrap(), label(held));
     }
     assert_eq!(s.stats().live_transfer_legs, 0);
@@ -446,7 +446,7 @@ fn undo_restores_and_redo_reapplies() {
         Message::StateApplied { req_id, overwritten: Some(v1.clone().into()), error: None },
     )
     .into_messages();
-    assert_eq!(s.history().undo_depth(&gid(b, "l")), 1);
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "l")), 1);
 
     // Undo: the server pushes v1 back to b. The first transfer cached a
     // v2 sync base for b, so the undo travels as a delta against it.
@@ -466,7 +466,7 @@ fn undo_restores_and_redo_reapplies() {
         Message::StateApplied { req_id, overwritten: Some(v2.clone().into()), error: None },
     )
     .into_messages();
-    assert_eq!(s.history().redo_depth(&gid(b, "l")), 1);
+    assert_eq!(s.history(b).unwrap().redo_depth(&gid(b, "l")), 1);
 
     // Redo: the server pushes v2 again, as a delta against v1.
     let out = s.handle(2, Message::RedoState { object: gid(b, "l") }).into_messages();
@@ -529,7 +529,7 @@ fn undo_restores_the_state_the_reply_frame_carried() {
         other => panic!("expected StateApplied, got {other:?}"),
     }
     s.handle(2, reply).into_messages();
-    assert_eq!(s.history().undo_depth(&gid(b, "l")), 1);
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "l")), 1);
 
     let out = s.handle(2, Message::UndoState { object: gid(b, "l") });
     let frames = out.into_frames();
@@ -958,7 +958,8 @@ fn ping_is_answered_with_pong() {
 
 #[test]
 fn disconnect_with_grace_quarantines_and_rejoin_resumes() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 1_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1001,7 +1002,8 @@ fn disconnect_with_grace_quarantines_and_rejoin_resumes() {
 
 #[test]
 fn grace_expiry_deregisters_and_decouples() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 1_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1034,7 +1036,8 @@ fn grace_expiry_deregisters_and_decouples() {
 
 #[test]
 fn copies_touching_a_quarantined_instance_fail_fast() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 60_000_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1083,7 +1086,8 @@ fn copies_touching_a_quarantined_instance_fail_fast() {
 /// and the request works once a member is back.
 #[test]
 fn undo_on_unreachable_group_keeps_the_entry() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 60_000_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1126,7 +1130,10 @@ fn undo_on_unreachable_group_keeps_the_entry() {
         Message::StateApplied { req_id, overwritten: Some(label("v3").into()), error: None },
     )
     .into_messages();
-    assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (1, 1));
+    assert_eq!(
+        (s.history(b).unwrap().undo_depth(&o), s.history(b).unwrap().redo_depth(&o)),
+        (1, 1)
+    );
 
     // b's whole couple group (just b) is quarantined: both requests are
     // refused and neither stack loses its entry.
@@ -1136,7 +1143,10 @@ fn undo_on_unreachable_group_keeps_the_entry() {
     {
         let out = s.handle(1, request).into_messages();
         assert!(matches!(find(&out, 1, "error-reply"), Message::ErrorReply { .. }));
-        assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (1, 1));
+        assert_eq!(
+            (s.history(b).unwrap().undo_depth(&o), s.history(b).unwrap().redo_depth(&o)),
+            (1, 1)
+        );
     }
     let stats = s.stats();
     assert_eq!(stats.live_transfer_groups, 0);
@@ -1157,12 +1167,16 @@ fn undo_on_unreachable_group_keeps_the_entry() {
         Message::StateApplied { req_id, overwritten: Some(label("v2").into()), error: None },
     )
     .into_messages();
-    assert_eq!((s.history().undo_depth(&o), s.history().redo_depth(&o)), (0, 2));
+    assert_eq!(
+        (s.history(b).unwrap().undo_depth(&o), s.history(b).unwrap().redo_depth(&o)),
+        (0, 2)
+    );
 }
 
 #[test]
 fn events_skip_quarantined_group_members() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 60_000_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1192,7 +1206,8 @@ fn events_skip_quarantined_group_members() {
 
 #[test]
 fn idle_timeout_quarantines_silent_instances() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 10_000,
         idle_timeout_us: 1_000,
         max_quarantined: 0,
@@ -1357,7 +1372,8 @@ fn event_fan_out_encodes_payload_once() {
 /// periods measured against the pre-rewind clock.
 #[test]
 fn backwards_tick_is_clamped_and_counted() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 1_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1400,7 +1416,8 @@ fn overloaded(
     bulk_budget: u32,
     strikes: u32,
 ) -> ServerCore<Endpoint> {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1607,7 +1624,8 @@ fn busy_inbound_is_server_to_client_only() {
 
 #[test]
 fn quarantine_store_cap_evicts_oldest_deadline_first() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 1_000_000,
         idle_timeout_us: 0,
         max_quarantined: 2,
@@ -1639,7 +1657,8 @@ fn quarantine_store_cap_evicts_oldest_deadline_first() {
 
 #[test]
 fn quarantine_cap_zero_is_unbounded() {
-    let mut s: ServerCore<Endpoint> = ServerCore::with_liveness(cosoft_server::LivenessConfig {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    s.set_liveness(cosoft_server::LivenessConfig {
         grace_us: 1_000_000,
         idle_timeout_us: 0,
         max_quarantined: 0,
@@ -1764,7 +1783,7 @@ fn delta_shares_of_snapshot(depth: usize) -> DeltaShares {
     let first_reply = Message::StateApplied { req_id, overwritten: Some(v0.into()), error: None };
     assert!(codec::frame_message(&first_reply).len() <= copy_to_bytes);
     s.handle(2, first_reply).into_messages();
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 1);
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 1);
 
     // A leg that must be the delta `base` → `target`: its share of the
     // snapshot frame and its request id.
@@ -1799,14 +1818,14 @@ fn delta_shares_of_snapshot(depth: usize) -> DeltaShares {
         Message::StateApplied { req_id, .. } => assert_eq!(*req_id, 2),
         _ => unreachable!(),
     }
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 2);
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 2);
 
     // Undo: the entry filed by reference is v1, and goes out as a delta
     // against the v2 base.
     let out = s.handle(1, Message::UndoState { object: gid(b, "f") }).into_messages();
     let (undo, req_id) = delta_leg(&out, &v2, &v1);
     ack_by_reference(&mut s, req_id);
-    assert_eq!(s.history().redo_depth(&gid(b, "f")), 1);
+    assert_eq!(s.history(b).unwrap().redo_depth(&gid(b, "f")), 1);
 
     // And the copy after it as one against the v1 the undo left.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v3.clone(), 3);
@@ -1869,7 +1888,7 @@ fn viewers_acknowledging_by_reference_share_one_history_buffer() {
 
     let newest: Vec<_> = viewers
         .iter()
-        .map(|(_, v)| s.history().newest_undo(&gid(*v, "f")).expect("filed").clone())
+        .map(|(_, v)| s.history(*v).unwrap().newest_undo(&gid(*v, "f")).expect("filed").clone())
         .collect();
     for entry in &newest {
         assert_eq!(entry.decode().unwrap(), v1);
@@ -1907,7 +1926,7 @@ fn failed_apply_files_no_overwritten_state() {
         Message::ErrorReply { reason, .. } => assert_eq!(reason, "half applied"),
         _ => unreachable!(),
     }
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0, "nothing recorded");
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0, "nothing recorded");
     let out = s.handle(1, Message::UndoState { object: gid(b, "f") }).into_messages();
     assert_eq!(count_kind(&out, "apply-state") + count_kind(&out, "apply-delta"), 0);
     assert!(matches!(find(&out, 1, "error-reply"), Message::ErrorReply { .. }));
@@ -1949,7 +1968,7 @@ fn stray_acknowledgement_by_reference_fails_the_leg() {
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
     let req_id = leg(&out, "apply-state");
     refused(&s.handle(2, by_reference(req_id, None)).into_messages());
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0);
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0);
     // No base was installed: the next push is a full snapshot again.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 2);
     let req_id = leg(&out, "apply-state");
@@ -1966,7 +1985,7 @@ fn stray_acknowledgement_by_reference_fails_the_leg() {
 
     // To that fallback leg: it carried the snapshot, not a base.
     refused(&s.handle(2, by_reference(fallback, None)).into_messages());
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0);
+    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0);
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v3, 4);
     leg(&out, "apply-state");
 
@@ -2364,13 +2383,64 @@ fn teardown_purges_history_and_sync_bases() {
         )
         .into_messages();
     }
-    assert!(s.history().undo_depth(&gid(b, "f")) >= 2);
+    assert!(s.history(b).unwrap().undo_depth(&gid(b, "f")) >= 2);
     assert_eq!(s.stats().history_purges, 0);
 
     s.handle(2, Message::Deregister).into_messages();
     let stats = s.stats();
     assert_eq!(stats.history_purges, 1, "one object's chains purged with its instance");
-    assert_eq!(s.history().undo_depth(&gid(b, "f")), 0);
+    assert!(s.history(b).is_none());
+}
+
+/// `ObjectDestroyed` drops exactly that object's sync base and history
+/// from its instance's record, and keeps the rights on it: they inherit
+/// down paths, so an object later made at the path is protected alike.
+#[test]
+fn object_destroyed_drops_its_base_and_history_and_keeps_its_rights() {
+    let mut s: ServerCore<Endpoint> = ServerCore::new();
+    let a = register(&mut s, 1, 1);
+    let b = register(&mut s, 2, 2);
+    let _c = register(&mut s, 3, 3);
+    // One full leg to each of b's two objects, acknowledged with what it
+    // overwrote: a sync base and a history entry each.
+    let copy = |s: &mut ServerCore<Endpoint>, path: &str, req: u64| {
+        let out = push_to(s, gid(b, path), gid(a, path), deep_tree(2, "v"), req);
+        let [(2, leg)] = &out[..] else { panic!("one leg to b, got {out:?}") };
+        let (Message::ApplyState { req_id, .. } | Message::ApplyDelta { req_id, .. }) = leg else {
+            panic!("expected an apply leg, got {leg:?}");
+        };
+        let ack = Message::StateApplied {
+            req_id: *req_id,
+            overwritten: Some(deep_tree(2, "own").into()),
+            error: None,
+        };
+        s.handle(2, ack).into_messages();
+        leg.kind_name()
+    };
+    assert_eq!([copy(&mut s, "f", 1), copy(&mut s, "g", 2)], ["apply-state"; 2]);
+    let right = AccessRight::Denied;
+    s.handle(2, Message::SetPermission { user: UserId(3), object: gid(b, "f"), right });
+
+    s.handle(2, Message::ObjectDestroyed { object: gid(b, "f") }).into_messages();
+    let history = s.history(b).unwrap();
+    assert_eq!((history.undo_depth(&gid(b, "f")), history.undo_depth(&gid(b, "g"))), (0, 1));
+    assert_eq!(s.stats().history_purges, 1);
+    // The destroyed object's base went, so the next copy to it is whole;
+    // the other object's base stayed.
+    assert_eq!([copy(&mut s, "f", 3), copy(&mut s, "g", 4)], ["apply-state", "apply-delta"]);
+    assert_eq!(s.access_rows().collect::<Vec<_>>(), [(UserId(3), gid(b, "f"), right)]);
+    let out = s
+        .handle(
+            3,
+            Message::CopyFrom {
+                src: gid(b, "f.x"),
+                dst: gid(a, "f"),
+                mode: CopyMode::Strict,
+                req_id: 5,
+            },
+        )
+        .into_messages();
+    assert!(matches!(find(&out, 3, "permission-denied"), Message::PermissionDenied { .. }));
 }
 
 /// Satellite for the explorer/model-checker: forking the server with
@@ -2405,11 +2475,13 @@ fn forked_core_shares_history_storage() {
         )
         .into_messages();
     }
-    assert!(s.history().undo_depth(&gid(b, "f")) >= 16);
+    assert!(s.history(b).unwrap().undo_depth(&gid(b, "f")) >= 16);
 
     let fork = s.clone();
     assert!(
-        fork.history().storage_is_shared_with(s.history()),
+        [a, b]
+            .iter()
+            .all(|i| { fork.history(*i).unwrap().storage_is_shared_with(s.history(*i).unwrap()) }),
         "cloned history must share its chain storage entry-for-entry"
     );
 }
@@ -2719,9 +2791,9 @@ fn churn_leaves_nothing_behind() {
         );
         for shard in 0..churn.router.shard_count() {
             let core = churn.router.shard(shard);
-            assert!(core.history().is_empty() && core.couples().is_empty());
+            // No record, and so no record's sync bases or history.
+            assert!(core.registry().is_empty() && core.couples().is_empty());
             assert_eq!(core.access_rows().count(), 0, "access rows left behind");
-            assert_eq!(core.sync_base_count(), 0);
             assert_eq!(core.token_count(), 0);
         }
         for token in std::mem::take(&mut churn.tokens) {

@@ -348,7 +348,7 @@ fn sync_base_survives_migration_and_is_filed_by_reference() {
     }
     assert_eq!(out.len(), 3);
     assert_eq!(router.stats().acks_by_reference, 1);
-    let history = router.shard(1 - home).history();
+    let history = router.shard(1 - home).history(lone).unwrap();
     assert_eq!(history.undo_depth(&board), 2);
     assert_eq!(history.newest_undo(&board).unwrap().decode().unwrap(), v1);
 

@@ -37,3 +37,6 @@ cargo test --offline --locked -q --features fault-injection --doc -p cosoft
 # tests (a smoke window per workload, BENCHMARK.json byte-equality);
 # idle_herd wants the nofile limit raised above.
 CARGO_NET_OFFLINE=true bash benchmark/run.sh test
+# The size ROADMAP and CHANGES.md quote (non-test lines per crate and in
+# total), last, so the log carries it. Prints; gates nothing.
+bash scripts/size.sh
