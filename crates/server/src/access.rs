@@ -19,8 +19,9 @@ impl<E> Record<E> {
     /// `None` when no row speaks for it, and the server's default decides.
     pub(crate) fn right_of(&self, user: UserId, path: &ObjectPath) -> Option<AccessRight> {
         (self.info.user == user).then_some(AccessRight::Write).or_else(|| {
+            let access = &self.objects.as_ref()?.access;
             std::iter::successors(Some(path.clone()), ObjectPath::parent)
-                .find_map(|at| self.access.get(&(user, at)).copied())
+                .find_map(|at| access.get(&(user, at)).copied())
         })
     }
 }
@@ -43,7 +44,7 @@ mod tests {
     }
 
     fn set(r: &mut Record<u64>, user: u64, p: &str, right: AccessRight) {
-        r.access.insert((UserId(user), path(p)), right);
+        r.objects.get_or_insert_with(Box::default).access.insert((UserId(user), path(p)), right);
     }
 
     #[test]

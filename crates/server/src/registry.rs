@@ -34,9 +34,7 @@ enum Binding<E> {
 
 /// Everything the server records per instance: what it registered as,
 /// where its connection stands, its resume token (none while the
-/// liveness policy issues none), and the per-object state of its objects.
-/// Every object belongs to exactly one instance, so dropping the record
-/// drops that state and migrating it moves that state.
+/// liveness policy issues none), and what it keeps of its objects.
 #[derive(Debug, Clone)]
 pub(crate) struct Record<E> {
     /// The registration record proper.
@@ -45,6 +43,17 @@ pub(crate) struct Record<E> {
     binding: Binding<E>,
     /// The credential a `Rejoin` must present to reclaim the instance.
     pub(crate) token: Option<u64>,
+    /// Made at the first write ([`Registry::objects_mut`]): until then a
+    /// record costs one pointer for it, and most registered instances of
+    /// a large, quiet classroom never sync or grant anything.
+    pub(crate) objects: Option<Box<Objects>>,
+}
+
+/// What the server keeps of one instance's objects. Every object belongs
+/// to exactly one instance, so dropping its record drops this, and
+/// migrating the record moves it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Objects {
     /// Per object: the last state that crossed its connection, in either
     /// direction — acknowledged as applied there, pushed from there, or
     /// given in answer to a `StateRequest` — which its session holds too.
@@ -125,17 +134,7 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
             app_name: app_name.to_owned(),
         };
         let binding = Binding::Bound { endpoint, last_seen_us: now_us };
-        self.by_instance.insert(
-            id,
-            Record {
-                info,
-                binding,
-                token: None,
-                sync_bases: HashMap::new(),
-                history: HistoryStore::new(),
-                access: HashMap::new(),
-            },
-        );
+        self.by_instance.insert(id, Record { info, binding, token: None, objects: None });
         self.by_endpoint.insert(endpoint, id);
         id
     }
@@ -257,9 +256,17 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
         self.by_instance.get(&id)
     }
 
-    /// The whole record of an instance, to write its objects' state.
-    pub(crate) fn record_mut(&mut self, id: InstanceId) -> Option<&mut Record<E>> {
-        self.by_instance.get_mut(&id)
+    /// What is kept of an instance's objects (`None` when it is not
+    /// registered, or nothing has been kept yet).
+    pub(crate) fn objects(&self, id: InstanceId) -> Option<&Objects> {
+        self.by_instance.get(&id)?.objects.as_deref()
+    }
+
+    /// What is kept of an instance's objects, to write; made here at the
+    /// first write. `None` when the instance is not registered: it has
+    /// no record to keep anything in.
+    pub(crate) fn objects_mut(&mut self, id: InstanceId) -> Option<&mut Objects> {
+        Some(self.by_instance.get_mut(&id)?.objects.get_or_insert_with(Box::default))
     }
 
     /// Every record, in no particular order.
@@ -385,7 +392,7 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
             if id.0 >= self.next {
                 return Err(format!("issued id {id} not below the id counter {}", self.next));
             }
-            for (path, base) in &record.sync_bases {
+            for (path, base) in record.objects.iter().flat_map(|o| &o.sync_bases) {
                 if delta::version_of_encoded(base.encoded.as_slice()) != base.version {
                     return Err(format!("sync base of {id}'s {path} does not hash to its version"));
                 }

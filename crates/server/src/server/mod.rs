@@ -228,13 +228,13 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// The historical UI states of `instance`'s objects (`None` when it
     /// is not registered here).
     pub fn history(&self, instance: InstanceId) -> Option<&HistoryStore> {
-        self.registry.record(instance).map(|r| &r.history)
+        self.registry.objects(instance).map(|o| &o.history)
     }
 
     /// The access rows: every explicit right, as (user, object, right).
     pub fn access_rows(&self) -> impl Iterator<Item = (UserId, GlobalObjectId, AccessRight)> + '_ {
         self.registry.records().flat_map(|r| {
-            r.access.iter().map(|((user, path), right)| {
+            r.objects.iter().flat_map(|o| &o.access).map(|((user, path), right)| {
                 (*user, GlobalObjectId::new(r.info.instance, path.clone()), *right)
             })
         })
@@ -557,14 +557,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 self.to_instance(from, Message::CoupledSet { object, coupled }, &mut out);
             }
             Message::ObjectDestroyed { object } => {
-                match self.registry.record_mut(object.instance) {
-                    Some(record) if object.instance == from => {
+                match self.registry.objects_mut(from) {
+                    Some(objects) if object.instance == from => {
                         // Its rights stay: they inherit down paths, and a
                         // later object at the path is protected alike.
-                        if record.history.forget(&object) {
+                        if objects.history.forget(&object) {
                             self.stats.history_purges += 1;
                         }
-                        record.sync_bases.remove(&object.path);
+                        objects.sync_bases.remove(&object.path);
                         // Each survivor (and the destroyer) learns the new
                         // grouping of the remaining objects.
                         for o in &self.couples.remove_object(&object) {
@@ -636,9 +636,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 out.extend(self.do_undo(from, object, TransferKind::Redo));
             }
             Message::SetPermission { user, object, right } => {
-                match self.registry.record_mut(object.instance) {
-                    Some(record) if object.instance == from => {
-                        record.access.insert((user, object.path), right);
+                match self.registry.objects_mut(from) {
+                    Some(objects) if object.instance == from => {
+                        objects.access.insert((user, object.path), right);
                     }
                     _ => {
                         let what = format!("set-permission on {object} (not the owner)");

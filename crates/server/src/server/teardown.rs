@@ -103,7 +103,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // deadline, its resume token, and its objects' history stacks,
         // sync bases and access rows with it.
         let record = self.registry.deregister(id);
-        self.stats.history_purges += record.as_ref().map_or(0, |r| r.history.len()) as u64;
+        let objects = record.as_ref().and_then(|r| r.objects.as_ref());
+        self.stats.history_purges += objects.map_or(0, |o| o.history.len()) as u64;
         if let Some(token) = record.as_ref().and_then(|r| r.token) {
             self.route_event(RouteEvent::TokenRetired { token });
         }

@@ -348,14 +348,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// Makes `base` the sync base of `object`, in its instance's record:
     /// an instance that is not registered has nowhere to keep one.
     fn set_base(&mut self, object: &GlobalObjectId, base: SyncBase) {
-        if let Some(record) = self.registry.record_mut(object.instance) {
-            record.sync_bases.insert(object.path.clone(), base);
+        if let Some(objects) = self.registry.objects_mut(object.instance) {
+            objects.sync_bases.insert(object.path.clone(), base);
         }
     }
 
     /// Takes `object`'s sync base out of its instance's record.
     fn take_base(&mut self, object: &GlobalObjectId) -> Option<SyncBase> {
-        self.registry.record_mut(object.instance)?.sync_bases.remove(&object.path)
+        self.registry.objects_mut(object.instance)?.sync_bases.remove(&object.path)
     }
 
     /// The state a `CopyDelta` stands for: `delta` replayed on a clone of
@@ -421,7 +421,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         for (target, endpoint) in targets {
             let req_id = self.next_leg_id();
             let base =
-                self.registry.record(target.instance).and_then(|r| r.sync_bases.get(&target.path));
+                self.registry.objects(target.instance).and_then(|o| o.sync_bases.get(&target.path));
             let (frame, diffed_against) = match base {
                 Some(base) => {
                     let payload = match delta_cache.entry(base.version) {
@@ -576,9 +576,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             // a historical UI state. A failed one leaves both as they
             // were.
             None => {
-                if let Some(record) = self.registry.record_mut(dst.instance) {
-                    record.sync_bases.insert(dst.path.clone(), sync.carried);
-                    let history = &mut record.history;
+                if let Some(objects) = self.registry.objects_mut(dst.instance) {
+                    objects.sync_bases.insert(dst.path.clone(), sync.carried);
+                    let history = &mut objects.history;
                     match (kind, prev) {
                         (TransferKind::Copy, Some(prev)) => history.record_overwrite(dst, prev),
                         (TransferKind::Undo, Some(prev)) => history.record_undone(dst, prev),
@@ -616,7 +616,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // would be lost for good.
         let reachable =
             self.couples.group_of(&object).iter().any(|t| self.registry.is_bound(t.instance));
-        let history = self.registry.record_mut(object.instance).map(|r| &mut r.history);
+        let history = self.registry.objects_mut(object.instance).map(|o| &mut o.history);
         let popped = match (kind, history) {
             (TransferKind::Undo, Some(history)) if reachable => history.pop_undo(&object),
             (TransferKind::Redo, Some(history)) if reachable => history.pop_redo(&object),

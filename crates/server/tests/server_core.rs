@@ -331,7 +331,11 @@ fn state_applied_from_a_bystander_is_refused() {
         error: None,
     };
     let out = s.handle(3, forged).into_messages();
-    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0, "a bystander's state was filed");
+    assert_eq!(
+        s.history(b).map_or(0, |h| h.undo_depth(&gid(b, "f"))),
+        0,
+        "a bystander's state was filed"
+    );
     assert!(matches!(find(&out, 3, "permission-denied"), Message::PermissionDenied { .. }));
     assert_eq!(out.len(), 1, "the requester was told: {out:?}");
     assert_eq!(s.stats().live_transfer_legs, 1, "b's leg is still b's to answer");
@@ -1926,7 +1930,7 @@ fn failed_apply_files_no_overwritten_state() {
         Message::ErrorReply { reason, .. } => assert_eq!(reason, "half applied"),
         _ => unreachable!(),
     }
-    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0, "nothing recorded");
+    assert_eq!(s.history(b).map_or(0, |h| h.undo_depth(&gid(b, "f"))), 0, "nothing recorded");
     let out = s.handle(1, Message::UndoState { object: gid(b, "f") }).into_messages();
     assert_eq!(count_kind(&out, "apply-state") + count_kind(&out, "apply-delta"), 0);
     assert!(matches!(find(&out, 1, "error-reply"), Message::ErrorReply { .. }));
@@ -1968,7 +1972,7 @@ fn stray_acknowledgement_by_reference_fails_the_leg() {
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 1);
     let req_id = leg(&out, "apply-state");
     refused(&s.handle(2, by_reference(req_id, None)).into_messages());
-    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0);
+    assert_eq!(s.history(b).map_or(0, |h| h.undo_depth(&gid(b, "f"))), 0);
     // No base was installed: the next push is a full snapshot again.
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v1.clone(), 2);
     let req_id = leg(&out, "apply-state");
@@ -1985,7 +1989,7 @@ fn stray_acknowledgement_by_reference_fails_the_leg() {
 
     // To that fallback leg: it carried the snapshot, not a base.
     refused(&s.handle(2, by_reference(fallback, None)).into_messages());
-    assert_eq!(s.history(b).unwrap().undo_depth(&gid(b, "f")), 0);
+    assert_eq!(s.history(b).map_or(0, |h| h.undo_depth(&gid(b, "f"))), 0);
     let out = push_to(&mut s, gid(b, "f"), gid(a, "f"), v3, 4);
     leg(&out, "apply-state");
 
