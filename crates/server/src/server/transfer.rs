@@ -288,7 +288,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // or not the copy below is allowed: a refused copy must not leave
         // the two ends a version apart.
         if let Some(pushed) = pushed.as_ref().filter(|_| src.instance == from) {
-            self.set_base(&src, pushed.state.clone());
+            if let Some(objects) = self.registry.objects_mut(from) {
+                objects.sync_bases.insert(src.path.clone(), pushed.state.clone());
+            }
         }
         if let Err(reason) = self.check_objects_exist(&[&src, &dst]) {
             self.to_instance(
@@ -345,19 +347,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         out
     }
 
-    /// Makes `base` the sync base of `object`, in its instance's record:
-    /// an instance that is not registered has nowhere to keep one.
-    fn set_base(&mut self, object: &GlobalObjectId, base: SyncBase) {
-        if let Some(objects) = self.registry.objects_mut(object.instance) {
-            objects.sync_bases.insert(object.path.clone(), base);
-        }
-    }
-
-    /// Takes `object`'s sync base out of its instance's record.
-    fn take_base(&mut self, object: &GlobalObjectId) -> Option<SyncBase> {
-        self.registry.objects_mut(object.instance)?.sync_bases.remove(&object.path)
-    }
-
     /// The state a `CopyDelta` stands for: `delta` replayed on a clone of
     /// `src`'s sync base, encoded once — the encoding the fan-out sends
     /// and files. `None`, and no base left, when the base is missing or
@@ -370,7 +359,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         new_version: u64,
         delta: &StateDelta,
     ) -> Option<SyncBase> {
-        let base = self.take_base(src).filter(|base| base.version == base_version)?;
+        let bases = &mut self.registry.objects_mut(src.instance)?.sync_bases;
+        let base = bases.remove(&src.path).filter(|base| base.version == base_version)?;
         let pushed = SyncBase::of(delta::apply(&base.state, delta).ok()?);
         (pushed.version == new_version).then_some(pushed)
     }
@@ -497,7 +487,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 // The state crossed the source's connection: it is the
                 // source's sync base, at the session since it answered.
                 let pulled = SyncBase::of(snapshot);
-                self.set_base(&src, pulled.clone());
+                if let Some(objects) = self.registry.objects_mut(from) {
+                    objects.sync_bases.insert(src.path, pulled.clone());
+                }
                 let pulled = Carried::whole(pulled);
                 self.fan_out_apply(group_id, &dst, pulled, mode, TransferKind::Copy, &mut out);
             }
@@ -536,7 +528,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         // encoding (no failure is recorded, the other legs are
         // unaffected). The receiver just spoke, so it has an endpoint.
         if error.is_some() && sync.diffed_against.is_some() {
-            self.take_base(&dst);
+            if let Some(objects) = self.registry.objects_mut(dst.instance) {
+                objects.sync_bases.remove(&dst.path);
+            }
             if let Some(endpoint) = self.registry.endpoint_of(dst.instance) {
                 sync.diffed_against = None;
                 self.stats.delta_fallbacks += 1;
