@@ -7,8 +7,8 @@ use cosoft_wire::{AccessRight, ObjectPath, UserId};
 
 use crate::registry::Record;
 
-/// The right no row grants or withholds until the server is told
-/// otherwise: permissive `Write`, matching the open classroom setting.
+/// The right where no row speaks, until `set_default_right` replaces it:
+/// permissive `Write`, matching the open classroom setting.
 pub(crate) const DEFAULT_RIGHT: AccessRight = AccessRight::Write;
 
 impl<E> Record<E> {

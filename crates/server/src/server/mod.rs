@@ -226,7 +226,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     }
 
     /// The historical UI states of `instance`'s objects (`None` when it
-    /// is not registered here).
+    /// is not registered here, or nothing has been kept of its objects).
     pub fn history(&self, instance: InstanceId) -> Option<&HistoryStore> {
         self.registry.objects(instance).map(|o| &o.history)
     }
