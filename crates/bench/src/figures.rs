@@ -804,11 +804,11 @@ pub fn transport_stats_rows() -> Vec<Vec<String>> {
         bytes_out,
         frames_in,
         bytes_in,
+        read_probes,
         coalesced_writes,
         enqueue_full_waits,
         slow_consumer_evictions,
         frames_dropped,
-        stale_sweeps,
         sockopt_failures,
         connections_refused,
         handshake_timeouts,

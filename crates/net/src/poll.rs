@@ -18,6 +18,14 @@
 //! the sweep for a real `Poll::poll` is a local change to [`PollThread`];
 //! nothing above this module would notice.
 //!
+//! A sweep visits only *hot* connections. One with nothing queued,
+//! probes backed off to the cap and no byte either way for `COLD_AFTER`
+//! goes *cold*: out of the sweep, read-probed on its own deadline every
+//! `COLD_PROBE`, hot again once a probe reads bytes. The worst-case added
+//! read latency stays `MAX_SKIP × MAX_PARK` plus sweep time. An enqueue
+//! puts its connection on the thread's *dirty list*, beside the wake
+//! latch, and dirty cold connections rejoin the sweep before it runs.
+//!
 //! The thread count is fixed at bind time by the host config's
 //! `io_threads` — connection count no longer adds threads.
 
@@ -52,6 +60,18 @@ const MAX_PARK: Duration = Duration::from_millis(2);
 /// probes. Worst-case added read latency is `MAX_SKIP × MAX_PARK` plus
 /// sweep time; any traffic in either direction resets the backoff.
 const MAX_SKIP: u32 = 4;
+
+/// Quiet time before a connection leaves the sweep: over ten times the
+/// slowest benchmark round. Not configuration: only the latency bound is.
+const COLD_AFTER: Duration = Duration::from_millis(100);
+
+/// Interval between a cold connection's read probes: the slowest a quiet
+/// hot one is probed, so cooling keeps `MAX_SKIP`'s latency bound.
+const COLD_PROBE: Duration = MAX_PARK.saturating_mul(MAX_SKIP);
+
+/// Cold deadlines fall on a grid of slots this wide, so cold probes wake a
+/// thread at most once a slot (1 000 cold connections: ~60 at a time).
+const COLD_SLOT: Duration = Duration::from_micros(500);
 
 // --------------------------------------------------------------------------
 // wakeup primitives
@@ -99,6 +119,8 @@ impl Gate {
 pub(crate) struct PollWaker {
     woken: LeafLock<bool>,
     cv: Condvar,
+    /// Connections whose outbox was filled since the thread last looked.
+    dirty: LeafLock<Vec<ConnId>>,
 }
 
 impl PollWaker {
@@ -107,6 +129,18 @@ impl PollWaker {
     pub(crate) fn wake(&self) {
         *self.woken.held() = true;
         self.cv.notify_one();
+    }
+
+    /// Wakes the thread for a frame queued on `id`, marking `id` dirty.
+    pub(crate) fn wake_dirty(&self, id: ConnId) {
+        self.dirty.held().push(id);
+        self.wake();
+    }
+
+    /// Empties `spare` and trades it for the dirty list: no allocation.
+    fn swap_dirty(&self, spare: &mut Vec<ConnId>) {
+        spare.clear();
+        std::mem::swap(&mut *self.dirty.held(), spare);
     }
 
     /// Parks until woken or `timeout`; consumes the latch.
@@ -226,6 +260,66 @@ impl FrameReader {
     }
 }
 
+/// One poll thread's connections. `hot` is the sweep, in `HashMap` order
+/// (registration order cost `classroom_fanout` a fifth). `due` queues
+/// `cold`'s probe times in order; an entry that no longer matches its
+/// connection's time (it went hot, or is gone) is dropped, never probed.
+struct Conns<C> {
+    hot: HashMap<ConnId, C>,
+    cold: HashMap<ConnId, (Instant, C)>,
+    due: VecDeque<(Instant, ConnId)>,
+    epoch: Instant,
+}
+
+impl<C> Conns<C> {
+    fn new(epoch: Instant) -> Self {
+        Conns { hot: HashMap::new(), cold: HashMap::new(), due: VecDeque::new(), epoch }
+    }
+
+    /// `t` rounded down to a slot boundary.
+    fn align(&self, t: Instant) -> Instant {
+        let since = t.saturating_duration_since(self.epoch).as_nanos();
+        self.epoch + Duration::from_nanos((since - since % COLD_SLOT.as_nanos()) as u64)
+    }
+
+    fn remove(&mut self, id: ConnId) -> Option<C> {
+        self.hot.remove(&id).or_else(|| self.cold.remove(&id).map(|(_, c)| c))
+    }
+
+    /// Takes a hot connection out of the sweep, first probe one interval on.
+    fn cool(&mut self, id: ConnId, now: Instant) {
+        if let Some(c) = self.hot.remove(&id) {
+            let due = self.align(now + COLD_PROBE);
+            self.cold.insert(id, (due, c));
+            self.due.push_back((due, id));
+        }
+    }
+
+    /// Puts a cold connection back in the sweep (a no-op on any other).
+    fn heat(&mut self, id: ConnId) {
+        if let Some((_, c)) = self.cold.remove(&id) {
+            self.hot.insert(id, c);
+        }
+    }
+
+    /// The next cold connection due at `now`, its next probe one interval
+    /// on in the same slot (or the next slot, if a whole interval late).
+    /// Call before `cool` in a pass: what each pushes then stays in order.
+    fn next_due(&mut self, now: Instant) -> Option<(ConnId, &mut C)> {
+        let (id, next) = loop {
+            let &(at, id) = self.due.front().filter(|&&(at, _)| at <= now)?;
+            self.due.pop_front();
+            if self.cold.get(&id).is_some_and(|&(due, _)| due == at) {
+                break (id, (at + COLD_PROBE).max(self.align(now) + COLD_SLOT));
+            }
+        };
+        let (due, c) = self.cold.get_mut(&id)?;
+        *due = next;
+        self.due.push_back((next, id));
+        Some((id, c))
+    }
+}
+
 // --------------------------------------------------------------------------
 // poll thread
 // --------------------------------------------------------------------------
@@ -258,6 +352,19 @@ struct PollConn {
     /// deadline). Expiry tears the connection down, so a dialer that
     /// never speaks the protocol cannot hold a socket open forever.
     handshake_deadline: Option<Instant>,
+    /// Start of the last sweep that moved bytes (or registration).
+    last_traffic: Instant,
+}
+
+impl PollConn {
+    /// `TimedOut` once the handshake deadline has passed without a frame.
+    fn check_handshake(&self, counters: &Counters) -> io::Result<()> {
+        if self.handshake_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            counters.handshake_timeouts.fetch_add(1, Ordering::Relaxed);
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        Ok(())
+    }
 }
 
 /// One thread of the readiness pool: owns its connections' sockets,
@@ -276,7 +383,7 @@ pub(crate) struct PollThread {
     /// without the `fault-injection` feature) means every I/O operation
     /// passes straight through to the kernel.
     faults: Option<Arc<FaultInjector>>,
-    conns: HashMap<ConnId, PollConn>,
+    conns: Conns<PollConn>,
 }
 
 impl PollThread {
@@ -297,7 +404,7 @@ impl PollThread {
             counters,
             handshake_timeout,
             faults,
-            conns: HashMap::new(),
+            conns: Conns::new(Instant::now()),
         }
     }
 
@@ -305,12 +412,14 @@ impl PollThread {
     /// command sender.
     pub(crate) fn run(mut self) {
         let mut scratch = vec![0u8; 64 * 1024];
+        let mut dirty = Vec::new();
         let mut park = MIN_PARK;
         loop {
             loop {
                 match self.cmds.try_recv() {
                     Ok(Cmd::Register(id, stream, outbox, queued_bytes, gate)) => {
-                        self.conns.insert(
+                        let now = Instant::now();
+                        self.conns.hot.insert(
                             id,
                             PollConn {
                                 stream,
@@ -320,15 +429,15 @@ impl PollThread {
                                 frames: FrameReader::default(),
                                 skip: 0,
                                 skip_limit: 0,
-                                handshake_deadline: self
-                                    .handshake_timeout
-                                    .map(|t| Instant::now() + t),
+                                handshake_deadline: self.handshake_timeout.map(|t| now + t),
+                                last_traffic: now,
                             },
                         );
                     }
                     Ok(Cmd::Close(id)) => self.teardown(id),
                     Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => {
-                        let ids: Vec<ConnId> = self.conns.keys().copied().collect();
+                        let Conns { hot, cold, .. } = &self.conns;
+                        let ids: Vec<ConnId> = hot.keys().chain(cold.keys()).copied().collect();
                         for id in ids {
                             self.teardown(id);
                         }
@@ -338,10 +447,32 @@ impl PollThread {
                 }
             }
 
+            let now = Instant::now();
+            self.waker.swap_dirty(&mut dirty);
+            for &id in &dirty {
+                self.conns.heat(id);
+            }
             let mut progressed = false;
-            let ids: Vec<ConnId> = self.conns.keys().copied().collect();
+            // A cold probe is the handshake deadline and one read (an enqueue heats).
+            while let Some((id, conn)) = self.conns.next_due(now) {
+                let probe = conn.check_handshake(&self.counters).and_then(|()| {
+                    let faults = self.faults.as_deref();
+                    Self::read_ready(conn, id, &self.counters, &self.events, &mut scratch, faults)
+                });
+                match probe {
+                    Ok(false) => continue,
+                    Ok(true) => {
+                        (conn.skip, conn.skip_limit, conn.last_traffic) = (0, 0, now);
+                        self.conns.heat(id);
+                    }
+                    Err(_) => self.teardown(id),
+                }
+                progressed = true;
+            }
+            // Ids taken after the command drain stay live: a sweep drops only its own.
+            let ids: Vec<ConnId> = self.conns.hot.keys().copied().collect();
             for id in ids {
-                match self.sweep_one(id, &mut scratch) {
+                match self.sweep_one(id, now, &mut scratch) {
                     Ok(p) => progressed |= p,
                     Err(_) => {
                         self.teardown(id);
@@ -354,30 +485,19 @@ impl PollThread {
                 park = MIN_PARK;
                 continue;
             }
-            self.waker.park(park);
+            // No park outlasts the next cold probe: each has its deadline.
+            let next = self.conns.due.front().map(|&(at, _)| at.saturating_duration_since(now));
+            self.waker.park(next.map_or(park, |d| d.min(park)));
             park = (park * 2).min(MAX_PARK);
         }
     }
 
-    /// Write phase then (backoff-gated) read phase for one connection.
-    /// An `Err` means the connection is dead and must be torn down. A
-    /// connection missing from the live map (torn down earlier in the
-    /// same sweep pass) is counted in `stale_sweeps` and skipped rather
-    /// than treated as a poll-thread invariant.
-    fn sweep_one(&mut self, id: ConnId, scratch: &mut [u8]) -> io::Result<bool> {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            self.counters.stale_sweeps.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
-        };
-        if let Some(deadline) = conn.handshake_deadline {
-            if Instant::now() >= deadline {
-                self.counters.handshake_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "no complete frame within the handshake deadline",
-                ));
-            }
-        }
+    /// Write phase then (backoff-gated) read phase for one hot
+    /// connection, in the sweep that started at `now`; cools it if quiet.
+    /// An `Err` means the connection is dead and must be torn down.
+    fn sweep_one(&mut self, id: ConnId, now: Instant, scratch: &mut [u8]) -> io::Result<bool> {
+        let Some(conn) = self.conns.hot.get_mut(&id) else { return Ok(false) };
+        conn.check_handshake(&self.counters)?;
         let faults = self.faults.as_deref();
         let mut progressed = false;
         let wrote = Self::flush(conn, id, &self.counters, faults)?;
@@ -403,6 +523,14 @@ impl PollThread {
                 conn.skip_limit = (conn.skip_limit * 2 + 1).min(MAX_SKIP);
             }
             conn.skip = conn.skip_limit;
+        }
+        if progressed {
+            conn.last_traffic = now;
+        } else if conn.skip_limit == MAX_SKIP
+            && conn.queued_bytes.load(Ordering::Acquire) == 0
+            && now.saturating_duration_since(conn.last_traffic) >= COLD_AFTER
+        {
+            self.conns.cool(id, now);
         }
         Ok(progressed)
     }
@@ -546,10 +674,9 @@ impl PollThread {
             };
             let buf = scratch.get_mut(..cap).unwrap_or(&mut []);
             let cap = buf.len();
+            counters.read_probes.fetch_add(1, Ordering::Relaxed);
             let n = match conn.stream.read(buf) {
-                Ok(0) => {
-                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed"));
-                }
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
                 Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(read_any),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -582,27 +709,159 @@ impl PollThread {
     /// wakes blocked enqueuers, and surfaces `Disconnected` exactly
     /// once (commands for already-gone connections are ignored).
     fn teardown(&mut self, id: ConnId) {
-        let Some(conn) = self.conns.remove(&id) else { return };
+        let Some(conn) = self.conns.remove(id) else { return };
         self.conns_shared.held().remove(&id);
         let (dropped_frames, dropped_bytes) = {
             let mut ob = conn.outbox.held();
-            ob.closed = true;
             let frames: u64 = ob.batches.iter().map(|b| b.frames).sum();
-            let bytes: usize =
-                ob.batches.iter().map(|b| b.bytes).sum::<usize>() - ob.front_written();
-            ob.batches.clear();
-            ob.head_seg = 0;
-            ob.head_off = 0;
+            let bytes = ob.batches.iter().map(|b| b.bytes).sum::<usize>() - ob.front_written();
+            *ob = Outbox { closed: true, ..Outbox::default() };
             (frames, bytes)
         };
-        if dropped_frames > 0 {
-            self.counters.frames_dropped.fetch_add(dropped_frames, Ordering::Relaxed);
-        }
-        if dropped_bytes > 0 {
-            conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
-        }
+        self.counters.frames_dropped.fetch_add(dropped_frames, Ordering::Relaxed);
+        conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
         conn.gate.notify();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         let _ = self.events.send(NetEvent::Disconnected(id));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const A: ConnId = ConnId(1);
+    const B: ConnId = ConnId(2);
+    const C: ConnId = ConnId(3);
+
+    fn ms(k: u64) -> Duration {
+        Duration::from_millis(k)
+    }
+
+    /// Every probe due at `now`, in order.
+    fn due_at(conns: &mut Conns<()>, now: Instant) -> Vec<ConnId> {
+        std::iter::from_fn(|| conns.next_due(now).map(|(id, _)| id)).collect()
+    }
+
+    /// When the poll thread wakes for its next cold probe.
+    fn next_probe(conns: &Conns<()>) -> Option<Instant> {
+        conns.due.front().map(|&(at, _)| at)
+    }
+
+    fn with_hot(epoch: Instant, ids: &[ConnId]) -> Conns<()> {
+        let mut conns = Conns::new(epoch);
+        for &id in ids {
+            conns.hot.insert(id, ());
+        }
+        conns
+    }
+
+    #[test]
+    fn cold_probes_come_due_in_order_each_in_its_own_slot() {
+        let t = Instant::now();
+        let mut conns = with_hot(t, &[A, B, C]);
+        conns.cool(B, t);
+        conns.cool(A, t + ms(1));
+        conns.cool(C, t + ms(2));
+        assert!(conns.hot.is_empty());
+        assert_eq!(next_probe(&conns), Some(t + COLD_PROBE));
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE - ms(1)), []);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE), [B]);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE + ms(2)), [A, C]);
+        // A was probed a millisecond late and keeps its own slot: due
+        // again with B's next probe, a millisecond before C's.
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE * 2 + ms(1)), [B, A]);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE * 2 + ms(2)), [C]);
+    }
+
+    #[test]
+    fn a_probe_a_whole_interval_late_moves_to_the_next_slot_once() {
+        let t = Instant::now();
+        let mut conns = with_hot(t, &[A]);
+        conns.cool(A, t);
+        let late = t + COLD_PROBE * 4;
+        assert_eq!(due_at(&mut conns, late), [A]);
+        assert_eq!(next_probe(&conns), Some(late + COLD_SLOT));
+        assert_eq!(due_at(&mut conns, late + COLD_SLOT), [A]);
+        assert_eq!(next_probe(&conns), Some(late + COLD_SLOT + COLD_PROBE));
+    }
+
+    #[test]
+    fn a_connection_cooled_twice_is_probed_once_per_interval() {
+        let t = Instant::now();
+        let mut conns = with_hot(t, &[A]);
+        conns.cool(A, t);
+        conns.heat(A);
+        assert!(conns.hot.contains_key(&A) && conns.cold.is_empty());
+        conns.cool(A, t + ms(3));
+        // The first cooling's entry is still queued and no longer A's.
+        assert_eq!(conns.due.len(), 2);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE), []);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE + ms(3)), [A]);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE * 2 + ms(2)), []);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE * 2 + ms(3)), [A]);
+        assert_eq!(conns.due.len(), 1);
+
+        // Heated and cooled again in one slot: two entries for that
+        // slot, one probe.
+        let u = t + COLD_PROBE * 3;
+        conns.heat(A);
+        conns.cool(A, u);
+        conns.heat(A);
+        conns.cool(A, u);
+        assert_eq!(due_at(&mut conns, u + COLD_PROBE), [A]);
+        assert_eq!(conns.due.len(), 1);
+    }
+
+    #[test]
+    fn a_torn_down_connection_leaves_no_probe() {
+        let t = Instant::now();
+        let mut conns = with_hot(t, &[A, B]);
+        conns.cool(A, t);
+        conns.cool(B, t);
+        assert_eq!(conns.remove(A), Some(()));
+        assert_eq!(conns.remove(A), None);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE), [B]);
+        assert_eq!(conns.remove(B), Some(()));
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE * 2), []);
+        assert!(conns.due.is_empty() && conns.cold.is_empty());
+        assert_eq!(next_probe(&conns), None);
+    }
+
+    #[test]
+    fn a_dirty_mark_on_a_hot_or_unknown_connection_is_a_no_op() {
+        let t = Instant::now();
+        let mut conns = with_hot(t, &[A, B]);
+        conns.cool(B, t);
+        conns.heat(A);
+        conns.heat(C);
+        assert!(conns.hot.contains_key(&A) && !conns.hot.contains_key(&C));
+        assert_eq!(conns.hot.len(), 1);
+        assert_eq!(conns.cold.len(), 1);
+        assert_eq!(conns.due.len(), 1);
+        // And a dirty cold one is swept again, its probe forgotten.
+        conns.heat(B);
+        assert_eq!(conns.hot.len(), 2);
+        assert_eq!(due_at(&mut conns, t + COLD_PROBE), []);
+        assert!(conns.due.is_empty());
+    }
+
+    #[test]
+    fn the_dirty_list_trades_buffers_and_keeps_marks_until_drained() {
+        let waker = PollWaker::default();
+        let mut spare = Vec::with_capacity(4);
+        waker.wake_dirty(A);
+        waker.wake_dirty(B);
+        waker.wake_dirty(A);
+        waker.swap_dirty(&mut spare);
+        assert_eq!(spare, [A, B, A]);
+        waker.swap_dirty(&mut spare);
+        assert!(spare.is_empty());
+        // The list got the first buffer back, capacity and all.
+        assert!(waker.dirty.held().capacity() >= 3);
+        // And the wake latched: this park returns at once.
+        let start = Instant::now();
+        waker.park(Duration::from_secs(5));
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

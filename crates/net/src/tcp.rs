@@ -125,6 +125,9 @@ pub struct TcpStats {
     pub frames_in: u64,
     /// Bytes read from sockets (including framing).
     pub bytes_in: u64,
+    /// Socket read attempts, the ones that found nothing (`WouldBlock`)
+    /// included: what the poll threads' read probes cost.
+    pub read_probes: u64,
     /// Socket writes that carried more than one queued batch.
     pub coalesced_writes: u64,
     /// Enqueues that found the connection's queue full and had to wait.
@@ -133,11 +136,6 @@ pub struct TcpStats {
     pub slow_consumer_evictions: u64,
     /// Frames dropped because their connection was already gone.
     pub frames_dropped: u64,
-    /// Sweep passes that found their connection already torn down. A
-    /// connection can be removed between the sweep-list snapshot and its
-    /// own sweep; those are counted here and skipped, never treated as a
-    /// poll-thread invariant violation.
-    pub stale_sweeps: u64,
     /// Socket-option calls (`set_nodelay`, `set_nonblocking`) that
     /// failed. Nodelay failures are tolerated (the connection is merely
     /// slower); nonblocking failures close the connection, since the
@@ -165,11 +163,11 @@ pub(crate) struct Counters {
     pub(crate) bytes_out: AtomicU64,
     pub(crate) frames_in: AtomicU64,
     pub(crate) bytes_in: AtomicU64,
+    pub(crate) read_probes: AtomicU64,
     pub(crate) coalesced_writes: AtomicU64,
     pub(crate) enqueue_full_waits: AtomicU64,
     pub(crate) slow_consumer_evictions: AtomicU64,
     pub(crate) frames_dropped: AtomicU64,
-    pub(crate) stale_sweeps: AtomicU64,
     pub(crate) sockopt_failures: AtomicU64,
     pub(crate) connections_refused: AtomicU64,
     pub(crate) handshake_timeouts: AtomicU64,
@@ -204,11 +202,11 @@ impl TcpStatsHandle {
             bytes_out: self.counters.bytes_out.load(Ordering::Relaxed),
             frames_in: self.counters.frames_in.load(Ordering::Relaxed),
             bytes_in: self.counters.bytes_in.load(Ordering::Relaxed),
+            read_probes: self.counters.read_probes.load(Ordering::Relaxed),
             coalesced_writes: self.counters.coalesced_writes.load(Ordering::Relaxed),
             enqueue_full_waits: self.counters.enqueue_full_waits.load(Ordering::Relaxed),
             slow_consumer_evictions: self.counters.slow_consumer_evictions.load(Ordering::Relaxed),
             frames_dropped: self.counters.frames_dropped.load(Ordering::Relaxed),
-            stale_sweeps: self.counters.stale_sweeps.load(Ordering::Relaxed),
             sockopt_failures: self.counters.sockopt_failures.load(Ordering::Relaxed),
             connections_refused: self.counters.connections_refused.load(Ordering::Relaxed),
             handshake_timeouts: self.counters.handshake_timeouts.load(Ordering::Relaxed),
@@ -567,7 +565,7 @@ impl TcpHost {
                     ob.batches.push_back(admitted);
                     drop(ob);
                     if let Some(t) = self.pool.get(thread) {
-                        t.waker.wake();
+                        t.waker.wake_dirty(conn);
                     }
                     return Ok(());
                 }
