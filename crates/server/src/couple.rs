@@ -14,11 +14,12 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use cosoft_wire::{GlobalObjectId, InstanceId};
 
 /// The server-side couple relation.
+///
+/// A link is kept once, as an undirected edge: nothing reads which end
+/// a link was created from, and decoupling accepts either order.
 #[derive(Debug, Clone, Default)]
 pub struct CoupleDirectory {
-    /// Directed links as created (kept for faithful decoupling semantics).
-    links: HashSet<(GlobalObjectId, GlobalObjectId)>,
-    /// Undirected adjacency for closure traversal.
+    /// Every object with a link, and the objects it is linked to.
     adj: HashMap<GlobalObjectId, BTreeSet<GlobalObjectId>>,
 }
 
@@ -34,16 +35,9 @@ impl CoupleDirectory {
     /// Self-links are ignored (an object is trivially coupled with
     /// itself).
     pub fn couple(&mut self, src: GlobalObjectId, dst: GlobalObjectId) -> bool {
-        if src == dst {
+        if src == dst || !self.adj.entry(src.clone()).or_default().insert(dst.clone()) {
             return false;
         }
-        if self.links.contains(&(src.clone(), dst.clone()))
-            || self.links.contains(&(dst.clone(), src.clone()))
-        {
-            return false;
-        }
-        self.links.insert((src.clone(), dst.clone()));
-        self.adj.entry(src.clone()).or_default().insert(dst.clone());
         self.adj.entry(dst).or_default().insert(src);
         true
     }
@@ -51,27 +45,17 @@ impl CoupleDirectory {
     /// Removes the couple link between `src` and `dst` (either direction).
     /// Returns `false` if no such link existed.
     pub fn decouple(&mut self, src: &GlobalObjectId, dst: &GlobalObjectId) -> bool {
-        let removed = self.links.remove(&(src.clone(), dst.clone()))
-            || self.links.remove(&(dst.clone(), src.clone()));
-        if removed {
-            self.remove_adj(src, dst);
-        }
-        removed
+        self.remove_half(src, dst) && self.remove_half(dst, src)
     }
 
-    fn remove_adj(&mut self, a: &GlobalObjectId, b: &GlobalObjectId) {
-        if let Some(s) = self.adj.get_mut(a) {
-            s.remove(b);
-            if s.is_empty() {
-                self.adj.remove(a);
-            }
+    /// Removes `b` from `a`'s neighbours, and `a`'s entry once empty.
+    fn remove_half(&mut self, a: &GlobalObjectId, b: &GlobalObjectId) -> bool {
+        let Some(neighbors) = self.adj.get_mut(a) else { return false };
+        let removed = neighbors.remove(b);
+        if neighbors.is_empty() {
+            self.adj.remove(a);
         }
-        if let Some(s) = self.adj.get_mut(b) {
-            s.remove(a);
-            if s.is_empty() {
-                self.adj.remove(b);
-            }
-        }
+        removed
     }
 
     /// Computes `CO(o)`: every object transitively coupled with `o`,
@@ -135,9 +119,7 @@ impl CoupleDirectory {
         let neighbors: Vec<GlobalObjectId> =
             self.adj.get(object).map(|s| s.iter().cloned().collect()).unwrap_or_default();
         for n in neighbors {
-            self.links.remove(&(object.clone(), n.clone()));
-            self.links.remove(&(n.clone(), object.clone()));
-            self.remove_adj(object, &n);
+            self.decouple(object, &n);
         }
         rest
     }
@@ -180,11 +162,6 @@ impl CoupleDirectory {
         v
     }
 
-    /// Number of directed links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// The couple-component of `instance` at instance granularity: every
     /// instance reachable from it through couple links between any of
     /// their objects, including `instance` itself, sorted. An instance
@@ -223,24 +200,28 @@ impl CoupleDirectory {
         v
     }
 
-    /// Removes and returns every directed link whose endpoints both
-    /// belong to instances in `members`, for migration to another shard.
+    /// Removes and returns every link whose endpoints both belong to
+    /// instances in `members`, each once, for migration to another shard.
     /// Callers pass a closed couple-component, so no link can straddle
     /// the boundary; a straddling link would indicate the set was not a
     /// component and is left in place.
     pub fn extract_instance_links(
         &mut self,
-        members: &std::collections::HashSet<InstanceId>,
+        members: &HashSet<InstanceId>,
     ) -> Vec<(GlobalObjectId, GlobalObjectId)> {
         let doomed: Vec<(GlobalObjectId, GlobalObjectId)> = self
-            .links
+            .adj
             .iter()
-            .filter(|(s, d)| members.contains(&s.instance) && members.contains(&d.instance))
-            .cloned()
+            .filter(|(a, _)| members.contains(&a.instance))
+            .flat_map(|(a, neighbors)| {
+                neighbors
+                    .iter()
+                    .filter(|b| *a < **b && members.contains(&b.instance))
+                    .map(|b| (a.clone(), b.clone()))
+            })
             .collect();
-        for (s, d) in &doomed {
-            self.links.remove(&(s.clone(), d.clone()));
-            self.remove_adj(s, d);
+        for (a, b) in &doomed {
+            self.decouple(a, b);
         }
         doomed
     }
@@ -252,34 +233,24 @@ impl CoupleDirectory {
         }
     }
 
-    /// Checks that the directed link set and the undirected adjacency are
-    /// two views of the same relation: every link appears as adjacency in
-    /// both directions, every adjacency edge is backed by a link, no
-    /// self-loops, no empty adjacency sets.
+    /// Checks that the adjacency is a simple undirected graph: no
+    /// self-loops, no empty neighbour sets, and every edge stored at both
+    /// of its ends.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (src, dst) in &self.links {
-            if src == dst {
-                return Err(format!("self-link on {src}"));
-            }
-            let fwd = self.adj.get(src).is_some_and(|s| s.contains(dst));
-            let back = self.adj.get(dst).is_some_and(|s| s.contains(src));
-            if !fwd || !back {
-                return Err(format!("link {src} → {dst} missing from the adjacency"));
-            }
-        }
         for (o, neighbors) in &self.adj {
             if neighbors.is_empty() {
                 return Err(format!("empty adjacency set retained for {o}"));
             }
             for n in neighbors {
-                let linked = self.links.contains(&(o.clone(), n.clone()))
-                    || self.links.contains(&(n.clone(), o.clone()));
-                if !linked {
-                    return Err(format!("adjacency edge {o} ~ {n} not backed by any link"));
+                if n == o {
+                    return Err(format!("self-link on {o}"));
+                }
+                if !self.adj.get(n).is_some_and(|back| back.contains(o)) {
+                    return Err(format!("edge {o} ~ {n} is missing at {n}"));
                 }
             }
         }
@@ -288,7 +259,7 @@ impl CoupleDirectory {
 
     /// Whether the directory has no links.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.adj.is_empty()
     }
 }
 
@@ -327,7 +298,8 @@ mod tests {
         assert!(!d.couple(gid(1, "a"), gid(2, "b")));
         assert!(!d.couple(gid(2, "b"), gid(1, "a")), "reverse duplicate rejected");
         assert!(!d.couple(gid(1, "a"), gid(1, "a")), "self link rejected");
-        assert_eq!(d.link_count(), 1);
+        assert_eq!(d.coupled_with(&gid(1, "a")), vec![gid(2, "b")]);
+        assert_eq!(d.coupled_with(&gid(2, "b")), vec![gid(1, "a")]);
     }
 
     #[test]

@@ -42,7 +42,5 @@ pub use history::HistoryStore;
 pub use locks::{ExecId, LockTable};
 pub use overload::{approx_cost, OverloadConfig, Verdict};
 pub use registry::Registry;
-pub use server::{
-    ComponentSlice, Delivery, LivenessConfig, Outgoing, RouteEvent, ServerCore, ServerStats,
-};
+pub use server::{ComponentSlice, Delivery, LivenessConfig, Outgoing, ServerCore, ServerStats};
 pub use shard::{RouterStats, ShardRouter};

@@ -5,7 +5,7 @@ use std::hash::Hash;
 
 use cosoft_wire::{InstanceId, Message, UserId};
 
-use super::{Outgoing, RouteEvent, ServerCore};
+use super::{Outgoing, ServerCore};
 
 /// Client-liveness policy: how long a silently dropped connection keeps
 /// its instance resumable, and when a silent-but-connected instance is
@@ -46,11 +46,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// credential.
     pub fn owns_resume_token(&self, token: u64) -> bool {
         self.registry.instance_for_token(token).is_some()
-    }
-
-    /// Number of live resume tokens (router invariant checks).
-    pub fn token_count(&self) -> usize {
-        self.registry.token_count()
     }
 
     /// Advances the server's virtual clock, expiring quarantines whose
@@ -108,10 +103,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 break z;
             }
         };
-        if let Some(old) = self.registry.set_token(id, token) {
-            self.route_event(RouteEvent::TokenRetired { token: old });
-        }
-        self.route_event(RouteEvent::TokenIssued { token, instance: id });
+        self.registry.set_token(id, token);
         token
     }
 
@@ -139,7 +131,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             return out;
         }
         let id = self.registry.register(endpoint, user, host, app_name, self.now_us);
-        self.route_event(RouteEvent::Bound { instance: id, endpoint });
         out.push_unicast(endpoint, Message::Welcome { instance: id });
         if self.liveness.grace_us > 0 {
             let token = self.mint_token(id);
@@ -170,7 +161,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             return out;
         };
         self.registry.rebind(id, endpoint, self.now_us);
-        self.route_event(RouteEvent::Bound { instance: id, endpoint });
         self.stats.resumes += 1;
         // Rotate the token: a resume credential is single-use.
         let fresh = self.mint_token(id);
@@ -199,7 +189,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         self.sever_instance_io(id, &mut out);
         let deadline_us = self.now_us.saturating_add(self.liveness.grace_us);
         if let Some(endpoint) = self.registry.quarantine(id, deadline_us) {
-            self.route_event(RouteEvent::Unbound { instance: id, endpoint });
             self.admission.forget(&endpoint);
         }
         self.stats.quarantines += 1;

@@ -30,24 +30,7 @@ pub struct ComponentSlice<E> {
     transfer_groups: Vec<(u64, TransferGroup)>,
 }
 
-impl<E: Copy> ComponentSlice<E> {
-    /// The migrated instances, in extraction order.
-    pub fn instances(&self) -> Vec<InstanceId> {
-        self.records.iter().map(|r| r.info.instance).collect()
-    }
-
-    /// The migrated instances that are bound to an endpoint, with their
-    /// endpoints (quarantined members migrate without one).
-    pub fn bound_endpoints(&self) -> Vec<(InstanceId, E)> {
-        self.records.iter().filter_map(|r| r.endpoint().map(|e| (r.info.instance, e))).collect()
-    }
-
-    /// The resume tokens travelling with the slice (quarantined members
-    /// keep their credential across the migration).
-    pub fn resume_tokens(&self) -> Vec<u64> {
-        self.records.iter().filter_map(|r| r.token).collect()
-    }
-
+impl<E> ComponentSlice<E> {
     /// Whether the slice carries no instances at all.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
@@ -77,8 +60,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     ///
     /// The returned [`Outgoing`] carries those settlement messages
     /// (`GroupUnlocked`, `ErrorReply`); deliver it like any handle
-    /// output. Extraction records no [`RouteEvent`]s — the router
-    /// rebinds routes itself from the returned slice.
+    /// output.
     ///
     /// An unregistered `seed` yields an empty slice.
     pub(crate) fn extract_component(

@@ -52,52 +52,6 @@ use crate::registry::Registry;
 use floor::ExecState;
 use transfer::{Carried, Leg, TransferGroup, TransferKind};
 
-/// A routing-relevant lifecycle change, recorded by the core for its
-/// router (when enabled via [`ServerCore::enable_route_log`]) so the
-/// instance→shard, endpoint→shard, and token→shard maps stay exactly in
-/// sync with the registries without the router sniffing outgoing
-/// traffic.
-///
-/// Shard migrations (`ServerCore::extract_component` /
-/// `ServerCore::absorb_component`) deliberately record nothing: the
-/// router rebinds routes itself from the migrated slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteEvent<E> {
-    /// An instance became bound to an endpoint (register or rejoin).
-    Bound {
-        /// The instance that gained an endpoint.
-        instance: InstanceId,
-        /// Its endpoint.
-        endpoint: E,
-    },
-    /// An instance lost its endpoint but kept its record (quarantine).
-    Unbound {
-        /// The instance that lost its endpoint.
-        instance: InstanceId,
-        /// The endpoint it was bound to.
-        endpoint: E,
-    },
-    /// An instance left the registry entirely.
-    Deregistered {
-        /// The departed instance.
-        instance: InstanceId,
-        /// The endpoint it was bound to, if it was not quarantined.
-        endpoint: Option<E>,
-    },
-    /// A resume token was issued (registration or rotation on rejoin).
-    TokenIssued {
-        /// The token value.
-        token: u64,
-        /// The instance it resumes.
-        instance: InstanceId,
-    },
-    /// A resume token stopped being honored (rotation or deregistration).
-    TokenRetired {
-        /// The retired token value.
-        token: u64,
-    },
-}
-
 /// The sans-I/O COSOFT server state machine.
 ///
 /// `Clone` produces an independent snapshot of the entire database —
@@ -136,12 +90,6 @@ pub struct ServerCore<E> {
     /// group, token seq). Shard `i` of `n` starts its counters at `i + 1`
     /// with stride `n`, so ids minted by different shards never collide.
     id_stride: u64,
-    /// Routing-relevant lifecycle changes since the last
-    /// [`ServerCore::take_route_events`], recorded only when enabled.
-    route_log: Vec<RouteEvent<E>>,
-    /// Whether lifecycle changes are recorded (routers only; leaving it
-    /// off keeps standalone cores from accumulating an undrained log).
-    route_log_enabled: bool,
 }
 
 impl<E: Copy + Eq + Hash> Default for ServerCore<E> {
@@ -170,8 +118,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             next_token_seq: 1,
             admission: Admission::new(OverloadConfig::default()),
             id_stride: 1,
-            route_log: Vec::new(),
-            route_log_enabled: false,
         }
     }
 
@@ -268,25 +214,6 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// Whether an execution round or a state transfer is in flight.
     pub(crate) fn has_work_in_flight(&self) -> bool {
         !self.execs.is_empty() || !self.transfer_groups.is_empty()
-    }
-
-    /// Turns on the route log: lifecycle changes ([`RouteEvent`]) are
-    /// recorded for the owning router to drain via
-    /// `ServerCore::take_route_events`.
-    pub fn enable_route_log(&mut self) {
-        self.route_log_enabled = true;
-    }
-
-    /// Drains the recorded routing-relevant lifecycle changes, in order.
-    pub(crate) fn take_route_events(&mut self) -> Vec<RouteEvent<E>> {
-        std::mem::take(&mut self.route_log)
-    }
-
-    #[inline]
-    fn route_event(&mut self, event: RouteEvent<E>) {
-        if self.route_log_enabled {
-            self.route_log.push(event);
-        }
     }
 
     /// The couple-component of `id` at instance granularity — the shard
@@ -694,7 +621,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         command: String,
         payload: Vec<u8>,
     ) -> Outgoing<E> {
-        match self.command_out(from, to, &command, &payload) {
+        match self.command_out(from, &to, &command, &payload) {
             Ok(out) => out,
             Err(reason) => {
                 let mut out = Outgoing::new();
@@ -723,7 +650,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     pub(crate) fn deliver_command(
         &mut self,
         from: InstanceId,
-        to: Target,
+        to: &Target,
         command: &str,
         payload: &[u8],
     ) -> Result<Outgoing<E>, String> {
@@ -738,7 +665,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     fn command_out(
         &mut self,
         from: InstanceId,
-        to: Target,
+        to: &Target,
         command: &str,
         payload: &[u8],
     ) -> Result<Outgoing<E>, String> {
@@ -749,7 +676,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             payload: payload.to_vec(),
         };
         match to {
-            Target::Instance(i) => {
+            &Target::Instance(i) => {
                 if self.registry.is_bound(i) {
                     self.to_instance(i, delivery(command, payload), &mut out);
                 } else {
@@ -766,7 +693,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             Target::Group(object) => {
                 let members: Vec<InstanceId> = self
                     .couples
-                    .instances_in_group(&object)
+                    .instances_in_group(object)
                     .into_iter()
                     .filter(|i| *i != from)
                     .collect();

@@ -6,7 +6,7 @@ use std::hash::Hash;
 
 use cosoft_wire::{GlobalObjectId, InstanceId, Message};
 
-use super::{Outgoing, RouteEvent, ServerCore};
+use super::{Outgoing, ServerCore};
 
 impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// Handles a transport-level disconnect of `endpoint`.
@@ -105,14 +105,9 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let record = self.registry.deregister(id);
         let objects = record.as_ref().and_then(|r| r.objects.as_ref());
         self.stats.history_purges += objects.map_or(0, |o| o.history.len()) as u64;
-        if let Some(token) = record.as_ref().and_then(|r| r.token) {
-            self.route_event(RouteEvent::TokenRetired { token });
-        }
-        let endpoint = record.and_then(|r| r.endpoint());
-        if let Some(e) = endpoint {
+        if let Some(e) = record.and_then(|r| r.endpoint()) {
             self.admission.forget(&e);
         }
-        self.route_event(RouteEvent::Deregistered { instance: id, endpoint });
         out
     }
 }

@@ -288,15 +288,14 @@ fn schedules_with_mid_protocol_disconnects() {
 // Cross-shard schedules: the same floor-control traffic, now with the
 // server brain split across two `ServerCore` shards behind the
 // `ShardRouter`, and the explorer additionally interleaving cross-shard
-// couples (merges), decouples (splits), explicit two-phase handoffs
-// (freeze … mutate … migrate … release), and disconnects.
+// couples (merges), decouples (splits), explicit migrations of a
+// component to the other shard, and disconnects.
 // ---------------------------------------------------------------------
 
 /// One schedulable step against the sharded server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShardAction {
-    /// Client submits its next pending event (may hit a frozen
-    /// endpoint and get buffered by the router).
+    /// Client submits its next pending event.
     Submit { client: usize },
     /// Client delivers its oldest owed `ExecuteDone`.
     Done { client: usize },
@@ -308,12 +307,9 @@ enum ShardAction {
     /// Client 0 dissolves the a-link again (component split; the
     /// router rebalances lazily, not in this model's step).
     SplitAb,
-    /// Phase one of an explicit handoff: freeze client 1's component
-    /// toward the opposite shard.
-    Begin,
-    /// Phase two: migrate whatever the component is *now* and replay
-    /// the traffic buffered during the freeze.
-    Complete,
+    /// Client 1's component moves to the opposite shard, whatever it
+    /// is at that point: mid-round, mid-copy, or already merged.
+    Migrate,
     /// Client's connection drops mid-protocol.
     Disconnect { client: usize },
 }
@@ -326,8 +322,7 @@ struct ShardModel {
     coupled_ab: bool,
     coupled_bc: bool,
     split_done: bool,
-    open_handoff: Option<u64>,
-    begins_left: u32,
+    migrations_left: u32,
     disconnects_left: u32,
     with_disconnects: bool,
 }
@@ -387,8 +382,7 @@ impl ShardModel {
             coupled_ab: false,
             coupled_bc: false,
             split_done: false,
-            open_handoff: None,
-            begins_left: 1,
+            migrations_left: 1,
             disconnects_left: 1,
             with_disconnects,
         }
@@ -453,15 +447,10 @@ impl Model for ShardModel {
         if self.coupled_ab && !self.split_done && self.clients[0].alive {
             actions.push(ShardAction::SplitAb);
         }
-        match self.open_handoff {
-            Some(_) => actions.push(ShardAction::Complete),
-            None => {
-                if self.begins_left > 0
-                    && self.router.shard_of_instance(self.clients[1].instance).is_some()
-                {
-                    actions.push(ShardAction::Begin);
-                }
-            }
+        if self.migrations_left > 0
+            && self.router.shard_of_instance(self.clients[1].instance).is_some()
+        {
+            actions.push(ShardAction::Migrate);
         }
         actions
     }
@@ -506,20 +495,11 @@ impl Model for ShardModel {
                 let out = self.router.handle(0, Message::Decouple { src, dst });
                 self.deliver(out.into_messages());
             }
-            ShardAction::Begin => {
-                self.begins_left -= 1;
+            ShardAction::Migrate => {
+                self.migrations_left -= 1;
                 let seed = self.clients[1].instance;
                 if let Some(here) = self.router.shard_of_instance(seed) {
-                    // Freeze toward the opposite shard; a component
-                    // already mid-handoff is impossible (one at a time).
-                    if let Ok(id) = self.router.begin_handoff(seed, 1 - here) {
-                        self.open_handoff = Some(id);
-                    }
-                }
-            }
-            ShardAction::Complete => {
-                if let Some(id) = self.open_handoff.take() {
-                    let out = self.router.complete_handoff(id);
+                    let out = self.router.migrate(seed, 1 - here);
                     self.deliver(out.into_messages());
                 }
             }
@@ -541,9 +521,7 @@ impl Model for ShardModel {
     }
 
     fn at_quiescence(&self) -> Result<(), String> {
-        // Quiescence implies no open handoff (Complete is always
-        // offered while one is), so every buffered message has been
-        // replayed and every lock must be drained on every shard.
+        // Every lock must be drained on every shard.
         for i in 0..self.router.shard_count() {
             if !self.router.shard(i).locks().is_empty() {
                 return Err(format!(
@@ -575,12 +553,12 @@ impl Model for ShardModel {
 }
 
 /// The sharded headline run: every interleaving of cross-shard merges
-/// (couples), splits (decouples), explicit freeze/migrate/release
-/// handoff phases, and the floor-control traffic itself, across two
-/// shards — at least 10 000 distinct schedules, with the router's
-/// cross-shard invariant pack (per-core invariants, disjoint
-/// registries, exact routing maps, components never spanning shards)
-/// checked after every step of each.
+/// (couples), splits (decouples), an explicit migration, and the
+/// floor-control traffic itself, across two shards — at least 10 000
+/// distinct schedules, with the router's cross-shard invariant pack
+/// (per-core invariants, disjoint registries, one shard per endpoint and
+/// per token, components never spanning shards) checked after every
+/// step of each.
 #[test]
 fn cross_shard_merge_split_schedules() {
     let model = ShardModel::new(false);
@@ -591,10 +569,10 @@ fn cross_shard_merge_split_schedules() {
 }
 
 /// Cross-shard schedules with mid-protocol disconnects: a client dying
-/// while its component is frozen mid-handoff, while it owes
-/// `ExecuteDone`s, or between the two phases of a merge must never
-/// strand a lock, split a component across shards, or corrupt a
-/// routing map.
+/// just before or after its component migrates, while it owes
+/// `ExecuteDone`s, or between a merge and the round it joins must never
+/// strand a lock, split a component across shards, or bind an endpoint
+/// on two.
 #[test]
 fn cross_shard_schedules_with_disconnects() {
     let model = ShardModel::new(true);

@@ -2798,7 +2798,7 @@ fn churn_leaves_nothing_behind() {
             // No record, and so no record's sync bases or history.
             assert!(core.registry().is_empty() && core.couples().is_empty());
             assert_eq!(core.access_rows().count(), 0, "access rows left behind");
-            assert_eq!(core.token_count(), 0);
+            assert_eq!(core.registry().token_count(), 0);
         }
         for token in std::mem::take(&mut churn.tokens) {
             assert!(!churn.connect(Some(token)), "token {token:#x} still resumes");

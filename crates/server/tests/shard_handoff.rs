@@ -1,15 +1,16 @@
-//! Failure modes of the two-phase cross-shard component handoff:
-//! the requester dying mid-merge, both components mutating during the
-//! freeze window, and idempotent re-merges. These drive the router's
-//! `begin_handoff`/`complete_handoff` phases separately — exactly what
-//! the message-driven path runs back to back — so every test holds the
-//! freeze open while something inconvenient happens. Two tests at the
-//! end pin what a client may not be able to tell from its deliveries:
-//! how many shards there are (the same deliveries on 1, 2 and 4 shards),
-//! and how hard a stranger is flooding (a polite group's deliveries
+//! Cross-shard component migration seen from the clients: a cross-shard
+//! `Couple` merging two components, what a migration carries (sync
+//! bases, rights, rounds it has to cut), and what a deployment can do in
+//! the turns around one — the requester disconnecting, an instance
+//! expiring before it is named. `ShardRouter::migrate` moves a component
+//! in one call, so nothing can reach it mid-move. Two tests at the end
+//! pin what a client may not be able to tell from its deliveries: how
+//! many shards there are (the same deliveries on 1, 2 and 4 shards), and
+//! how hard a stranger is flooding (a polite group's deliveries
 //! unchanged by a 1×/4×/16× flooder that is shed, told `Busy`, then
 //! evicted).
 
+use cosoft_net::NetEvent;
 use cosoft_server::{LivenessConfig, OverloadConfig, ShardRouter};
 use cosoft_wire::{
     delta, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
@@ -84,93 +85,86 @@ fn cross_shard_couple_merges_components() {
     router.check_invariants().unwrap();
 }
 
-/// The requester dies mid-merge: its component is frozen by phase one,
-/// the disconnect lands during the freeze (buffered), and phase two
-/// must first migrate the component and then replay the disconnect on
-/// the *new* home shard — quarantining the instance there, not losing
-/// the disconnect or stranding a half-moved component.
+/// The requester disconnects in the turn after its cross-shard `Couple`
+/// moved it: the disconnect finds it on the merged shard, where it is
+/// torn down, and its partners learn the group they are left with.
 #[test]
-fn requester_dies_mid_merge() {
-    // A grace window so the replayed disconnect quarantines instead of
-    // deregistering outright (default grace is 0).
-    let liveness = LivenessConfig { grace_us: 1_000_000, idle_timeout_us: 0, max_quarantined: 0 };
-    let (mut router, inst) = registered_on(ShardRouter::with_liveness(2, liveness), 2);
-    // Pre-couple on one shard so the component being frozen holds both
-    // the requester and its peer.
-    router
-        .handle(0, Message::Couple { src: gid(inst[0], "a"), dst: gid(inst[1], "a") })
-        .into_messages();
+fn requester_disconnects_the_turn_after_its_cross_shard_couple() {
+    let (mut router, inst) = registered(4);
+    // The partners couple on shard 1 first, so the requester's singleton
+    // is the smaller side and moves.
+    router.handle(1, Message::Couple { src: gid(inst[1], "a"), dst: gid(inst[3], "a") });
     let home = router.shard_of_instance(inst[0]).unwrap();
-    let away = 1 - home;
+    let merged = router.shard_of_instance(inst[1]).unwrap();
+    assert_ne!(home, merged);
 
-    let handoff = router.begin_handoff(inst[0], away).expect("freeze the merged component");
-    // The requester's connection drops while its component is frozen.
-    let out = router.disconnect(0).into_messages();
-    assert!(out.is_empty(), "frozen disconnect must be buffered, got {out:?}");
-    assert_eq!(router.router_stats().buffered_while_frozen, 1);
-    // The instance is still live on the source shard: the disconnect
-    // must not have leaked past the freeze.
-    assert_eq!(router.shard_of_instance(inst[0]), Some(home));
-    router.check_invariants().unwrap();
+    let couple = Message::Couple { src: gid(inst[0], "a"), dst: gid(inst[1], "a") };
+    router.turn([NetEvent::Message(0, couple)], 0);
+    assert_eq!(router.shard_of_instance(inst[0]), Some(merged), "the requester moved");
+    assert_eq!(router.router_stats().handoffs_completed, 1);
 
-    router.complete_handoff(handoff);
-    // Both members migrated, and the buffered disconnect ran on the new
-    // home: instance 0 is quarantined there (still registered, no
-    // endpoint binding), its peer still bound.
-    assert_eq!(router.shard_of_instance(inst[0]), Some(away));
-    assert_eq!(router.shard_of_instance(inst[1]), Some(away));
-    assert!(router.shard(away).registry().contains(inst[0]));
-    assert!(!router.shard(away).registry().is_bound(inst[0]));
-    assert!(router.shard(away).registry().is_bound(inst[1]));
+    let out = router.turn([NetEvent::Disconnected(0)], 1).into_messages();
+    assert_eq!(router.shard_of_instance(inst[0]), None, "torn down");
+    let left = vec![gid(inst[1], "a"), gid(inst[3], "a")];
+    let update = Message::CoupleUpdate { group: left };
+    assert_eq!(out, [(1, update.clone()), (3, update)]);
+    assert_eq!(router.shard(merged).registry().len(), 2);
     router.check_invariants().unwrap();
 }
 
-/// Both components mutate during the freeze: the frozen side's event
-/// submission is buffered and replayed after migration (the lock round
-/// completes on the new shard), while the target side's couple mutates
-/// its component freely. `complete_handoff` migrates the component *as
-/// it is at phase two*, not as it was at phase one.
+/// A `Couple` naming an instance that expired earlier in the same turn
+/// moves nothing. Instance 1 sits in quarantine on shard 1; in one turn
+/// instance 3 disconnects there too, and the one-entry quarantine store
+/// expires instance 1 early to make room, before instance 0 names it.
 #[test]
-fn both_components_mutate_during_freeze() {
-    let (mut router, inst) = registered(4);
-    // inst[1] and inst[3] share shard 1; inst[0] and inst[2] shard 0.
-    let source = router.shard_of_instance(inst[1]).unwrap();
-    let target = 1 - source;
+fn couple_naming_an_instance_expired_earlier_in_the_turn_migrates_nothing() {
+    let liveness = LivenessConfig { grace_us: 1_000_000, idle_timeout_us: 0, max_quarantined: 1 };
+    let (mut router, inst) = registered_on(ShardRouter::with_liveness(2, liveness), 4);
+    router.turn([NetEvent::Disconnected(1)], 0);
+    let quarantined = router.shard_of_instance(inst[1]).unwrap();
+    assert!(!router.shard(quarantined).registry().is_bound(inst[1]));
+    assert_ne!(router.shard_of_instance(inst[0]), Some(quarantined));
+    let before = router.router_stats();
 
-    let handoff = router.begin_handoff(inst[1], target).expect("freeze instance 1's component");
-
-    // Frozen-side mutation: instance 1 submits an event mid-freeze.
-    let origin = gid(inst[1], "a");
-    let event = UiEvent::simple(origin.path.clone(), EventKind::Activate);
-    let out = router.handle(1, Message::Event { origin, event, seq: 7 }).into_messages();
-    assert!(out.is_empty(), "frozen event must be buffered, got {out:?}");
-
-    // Target-side mutation: the two instances already there couple into
-    // one component while the handoff is open.
-    let out = router
-        .handle(0, Message::Couple { src: gid(inst[0], "x"), dst: gid(inst[2], "x") })
-        .into_messages();
-    assert!(out.iter().any(|(_, m)| matches!(m, Message::CoupleUpdate { .. })));
+    let couple = Message::Couple { src: gid(inst[0], "a"), dst: gid(inst[1], "a") };
+    let out = router.turn([NetEvent::Disconnected(3), NetEvent::Message(0, couple)], 1);
+    assert_eq!(router.shard_of_instance(inst[1]), None, "expired to make room");
+    assert_eq!(router.stats().quarantine_store_evictions, 1);
+    let after = router.router_stats();
+    assert_eq!(after.handoffs_completed, before.handoffs_completed, "nothing migrated");
+    assert_eq!(after.cross_shard_merges, before.cross_shard_merges);
+    assert!(out.into_messages().iter().all(|(e, _)| *e == 0), "only the requester hears back");
     router.check_invariants().unwrap();
+}
 
-    // Phase two: migration plus replay. The buffered event's grant
-    // comes back from the new home shard.
-    let out = router.complete_handoff(handoff).into_messages();
-    assert_eq!(router.shard_of_instance(inst[1]), Some(target));
-    let exec_id = out
-        .iter()
-        .find_map(|(e, m)| match m {
-            Message::EventGranted { exec_id, .. } if *e == 1 => Some(*exec_id),
-            _ => None,
-        })
-        .expect("buffered event must be granted after migration");
-    assert!(router.shard(target).locks().is_locked(&gid(inst[1], "a")));
-    router.check_invariants().unwrap();
-
-    // The replayed lock round resolves normally on the new shard.
-    router.handle(1, Message::ExecuteDone { exec_id }).into_messages();
-    assert!(router.shard(target).locks().is_empty());
-    router.check_invariants().unwrap();
+/// A `Rejoin` from an endpoint that is already bound is refused, as one
+/// core refuses it, even when the token belongs to a quarantined
+/// instance on another shard: the rejoin goes to the sender's own shard,
+/// so one endpoint is never bound on two.
+#[test]
+fn a_bound_endpoint_presenting_another_shards_token_is_refused() {
+    let liveness = LivenessConfig { grace_us: 1_000_000, idle_timeout_us: 0, max_quarantined: 0 };
+    let transcript = |shards: usize| {
+        let mut router: ShardRouter<Endpoint> = ShardRouter::with_liveness(shards, liveness);
+        let mut tokens = Vec::new();
+        for e in 0..2 {
+            let msg =
+                Message::Register { user: UserId(1), host: "ws".into(), app_name: "r".into() };
+            let out = router.handle(e, msg).into_messages();
+            tokens.extend(out.iter().filter_map(|(_, m)| match m {
+                Message::SessionToken { resume_token } => Some(*resume_token),
+                _ => None,
+            }));
+        }
+        router.disconnect(1);
+        let out = router.handle(0, Message::Rejoin { resume_token: tokens[1] }).into_messages();
+        router.check_invariants().unwrap();
+        assert_eq!(router.stats().quarantined_instances, 1, "instance 2 stays quarantined");
+        out
+    };
+    let one = transcript(1);
+    assert!(matches!(&one[..], [(0, Message::ErrorReply { .. })]), "{one:?}");
+    assert_eq!(transcript(2), one);
 }
 
 /// A round whose group is decoupled under it straddles two components.
@@ -190,8 +184,7 @@ fn straddling_round_sheds_the_far_sides_locks_with_its_replies() {
     assert!(router.shard(home).locks().is_locked(&b), "the round locked the whole group");
 
     // `b` moves away alone; the round stays with `a`, its submitter.
-    let handoff = router.begin_handoff(inst[1], 1 - home).unwrap();
-    router.complete_handoff(handoff);
+    router.migrate(inst[1], 1 - home);
     assert!(router.shard(home).locks().is_locked(&a));
     assert!(!router.shard(home).locks().is_locked(&b), "a lock on an object that left");
     router.check_invariants().unwrap();
@@ -208,9 +201,9 @@ fn straddling_round_sheds_the_far_sides_locks_with_its_replies() {
 }
 
 /// Re-merging an already-merged component is an idempotent no-op: the
-/// second `Couple` finds everything colocated (no second handoff), and
-/// explicitly freezing toward the component's own shard is rejected
-/// without touching any state.
+/// second `Couple` finds everything colocated (no second migration), and
+/// a migration toward the component's own shard, of an unknown instance
+/// or toward a shard that does not exist changes nothing.
 #[test]
 fn re_merge_is_idempotent() {
     let (mut router, inst) = registered(2);
@@ -225,52 +218,13 @@ fn re_merge_is_idempotent() {
     router
         .handle(0, Message::Couple { src: gid(inst[0], "a"), dst: gid(inst[1], "a") })
         .into_messages();
-    assert_eq!(router.router_stats().handoffs_started, merged_stats.handoffs_started);
-    assert_eq!(router.router_stats().handoffs_completed, merged_stats.handoffs_completed);
+    assert_eq!(router.router_stats(), merged_stats);
 
-    // An explicit handoff toward the current home is refused outright.
-    assert!(router.begin_handoff(inst[0], home).is_err());
-    // Completing a stale handoff id is a silent no-op.
-    let out = router.complete_handoff(9_999).into_messages();
-    assert!(out.is_empty());
+    for (seed, target) in [(inst[0], home), (InstanceId(9_999), 1 - home), (inst[0], 2)] {
+        assert!(router.migrate(seed, target).into_messages().is_empty());
+    }
+    assert_eq!(router.router_stats(), merged_stats);
     assert_eq!(router.shard_of_instance(inst[0]), Some(home));
-    router.check_invariants().unwrap();
-}
-
-/// The component's seed can vanish mid-freeze (quarantine expiry
-/// deregisters it between the phases): phase two must notice and skip
-/// the migration instead of extracting a ghost.
-#[test]
-fn seed_vanishing_mid_freeze_skips_migration() {
-    let liveness = LivenessConfig { grace_us: 1_000, idle_timeout_us: 0, max_quarantined: 0 };
-    let mut router: ShardRouter<Endpoint> = ShardRouter::with_liveness(2, liveness);
-    let out = router
-        .handle(
-            0,
-            Message::Register { user: UserId(1), host: "ws0".into(), app_name: "handoff".into() },
-        )
-        .into_messages();
-    let instance = out
-        .iter()
-        .find_map(|(_, m)| match m {
-            Message::Welcome { instance } => Some(*instance),
-            _ => None,
-        })
-        .unwrap();
-    let source = router.shard_of_instance(instance).unwrap();
-
-    // Quarantine first (unbinds the endpoint), then freeze: the handoff
-    // has no endpoint to buffer, only the registry slice to move.
-    router.disconnect(0).into_messages();
-    let handoff = router.begin_handoff(instance, 1 - source).expect("freeze quarantined seed");
-    // The grace period expires while the handoff is open.
-    router.tick(2_000).into_messages();
-    assert_eq!(router.shard_of_instance(instance), None, "quarantine expiry deregisters");
-
-    let before = router.router_stats().handoffs_completed;
-    let out = router.complete_handoff(handoff).into_messages();
-    assert!(out.is_empty());
-    assert_eq!(router.router_stats().handoffs_completed, before, "nothing left to migrate");
     router.check_invariants().unwrap();
 }
 
@@ -421,8 +375,7 @@ fn delta_push_merges_shards_and_its_base_survives_migration() {
 
     // The presenter's component — it alone, with the base it pushed —
     // moves back out.
-    let handoff = router.begin_handoff(presenter, 1 - viewers_shard).expect("freeze the presenter");
-    router.complete_handoff(handoff);
+    router.migrate(presenter, 1 - viewers_shard);
     router.check_invariants().unwrap();
     assert_eq!(router.shard_of_instance(presenter), Some(1 - viewers_shard));
 

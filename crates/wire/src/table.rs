@@ -10,10 +10,11 @@
 //! The table *is* the type's declaration — doc comments and derives pass
 //! through — and the macro derives from it everything that used to repeat
 //! the list: the [`Wire`](crate::Wire) encoder, decoder and checking walk,
-//! `as_str` / `from_str_lossy` / `Display` where rows carry a name, and an
-//! `ALL` list the golden suite checks its vectors against. A tag or a
-//! name is therefore written in exactly one place, and a tag used twice
-//! does not compile (the decoder's `match` denies unreachable patterns).
+//! `as_str` / `from_str_lossy` / `Display` where rows carry a name,
+//! `type_name` for a tagged union, and an `ALL` list the golden suite
+//! checks its vectors against. A tag or a name is therefore written in
+//! exactly one place, and a tag used twice does not compile (the
+//! decoder's `match` denies unreachable patterns).
 //!
 //! * `tagged!` — a union behind a tag byte (`Value`, `Target`, `EditOp`,
 //!   `Overwritten`);
@@ -26,19 +27,32 @@
 //! `protocol!` in `message.rs` is the same idea one level up: a row per
 //! message kind, with the kind's name and overload class as columns.
 
-/// Declares a tagged union: each row is `Variant = tag`, then the typed
-/// fields that follow the tag byte, tuple- or struct-style. `$kind` is the
-/// name a tag outside the table is refused under
-/// ([`WireError::InvalidTag`](crate::WireError::InvalidTag)).
+/// Declares a tagged union: each row is `Variant = tag`, optionally
+/// `, "name"`, then the typed fields that follow the tag byte, tuple- or
+/// struct-style. `$kind` is the name a tag outside the table is refused
+/// under ([`WireError::InvalidTag`](crate::WireError::InvalidTag)). The
+/// name never travels: it is what `type_name` answers for the row, and
+/// where a row gives none, `type_name` answers the variant's identifier,
+/// as `ALL` lists it.
 ///
 /// `none = tag` after the name puts `Option<Self>` on the wire as well:
 /// that tag for `None`, the rows' own tags for `Some`.
+///
+/// `Value`'s `PartialEq`, `Hash` and `Display` stay written by hand, each
+/// with a row per variant. Equality and hashing are the derived ones but
+/// for `Float`, which compares by bit pattern so that `Eq` is lawful and a
+/// NaN round-trips; a column cannot express that without a trait over the
+/// field types, with an impl for each of the eleven, which is more code
+/// than the two impls it would replace. `Display` is presentation (a
+/// colour as `#rrggbb`, a blob as its length), not grammar.
 macro_rules! tagged {
+    (@name $variant:ident $text:literal) => { $text };
+    (@name $variant:ident) => { stringify!($variant) };
     (
         $(#[$meta:meta])*
         $vis:vis enum $name:ident: $kind:literal $(, none = $none:literal)? {$(
             $(#[$vmeta:meta])*
-            $variant:ident = $tag:literal
+            $variant:ident = $tag:literal $(, $text:literal)?
                 $(( $($tfield:ident: $tty:ty),+ ))?
                 $({ $($(#[$fmeta:meta])* $sfield:ident: $sty:ty),+ $(,)? })?,
         )+}
@@ -52,6 +66,13 @@ macro_rules! tagged {
         impl $name {
             /// Every row of the table: the variant and its tag byte.
             pub const ALL: &'static [(&'static str, u8)] = &[$((stringify!($variant), $tag)),+];
+
+            /// The row's name, for diagnostics.
+            pub fn type_name(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { .. } => tagged!(@name $variant $($text)?),)+
+                }
+            }
         }
 
         impl $crate::Wire for $name {

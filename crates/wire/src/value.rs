@@ -10,27 +10,27 @@ tagged! {
     #[derive(Debug, Clone)]
     pub enum Value: "Value" {
         /// Boolean attribute (e.g. `enabled`, `checked`).
-        Bool = 0 (b: bool),
+        Bool = 0, "bool" (b: bool),
         /// Integer attribute (e.g. geometry, selection index).
-        Int = 1 (i: i64),
+        Int = 1, "int" (i: i64),
         /// Floating-point attribute (e.g. a slider position).
-        Float = 2 (x: f64),
+        Float = 2, "float" (x: f64),
         /// Text attribute (e.g. a text field's content).
-        Text = 3 (s: String),
+        Text = 3, "text" (s: String),
         /// List of strings (e.g. menu items).
-        TextList = 4 (items: Vec<String>),
+        TextList = 4, "text-list" (items: Vec<String>),
         /// List of integers (e.g. multi-selection indices).
-        IntList = 5 (items: Vec<i64>),
+        IntList = 5, "int-list" (items: Vec<i64>),
         /// A 2-D point, used by canvas strokes and geometry.
-        Point = 6 (x: i32, y: i32),
+        Point = 6, "point" (x: i32, y: i32),
         /// An RGB colour.
-        Color = 7 (r: u8, g: u8, b: u8),
+        Color = 7, "color" (r: u8, g: u8, b: u8),
         /// Opaque bytes (semantic payloads travelling with UI state).
-        Bytes = 8 (blob: Vec<u8>),
+        Bytes = 8, "bytes" (blob: Vec<u8>),
         /// A polyline stroke on a canvas: flattened `(x, y)` pairs.
-        Stroke = 9 (points: Vec<(i32, i32)>),
+        Stroke = 9, "stroke" (points: Vec<(i32, i32)>),
         /// The full stroke set of a canvas widget.
-        StrokeList = 10 (strokes: Vec<Vec<(i32, i32)>>),
+        StrokeList = 10, "stroke-list" (strokes: Vec<Vec<(i32, i32)>>),
     }
 }
 
@@ -91,26 +91,9 @@ impl Value {
         }
     }
 
-    /// A short name for the variant, used in type-mismatch diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Text(_) => "text",
-            Value::TextList(_) => "text-list",
-            Value::IntList(_) => "int-list",
-            Value::Point(_, _) => "point",
-            Value::Color(_, _, _) => "color",
-            Value::Bytes(_) => "bytes",
-            Value::Stroke(_) => "stroke",
-            Value::StrokeList(_) => "stroke-list",
-        }
-    }
-
     /// Returns `true` if `self` and `other` are the same variant.
     pub fn same_type(&self, other: &Value) -> bool {
-        self.type_name() == other.type_name()
+        std::mem::discriminant(self) == std::mem::discriminant(other)
     }
 }
 

@@ -85,8 +85,8 @@ impl TcpServer {
     /// `shards` [`cosoft_server::ServerCore`]s keyed by couple-component,
     /// behind a [`ShardRouter`], and with per-endpoint admission control.
     /// Disjoint components never contend on a shared lock table or
-    /// history store; a cross-shard `Couple` runs the router's two-phase
-    /// component handoff transparently; with `shards == 1` this is exactly
+    /// history store; a cross-shard `Couple` migrates the smaller
+    /// component transparently; with `shards == 1` this is exactly
     /// the classic single-core server. Each shard core enforces
     /// `overload`'s per-class message budgets and the global byte budget,
     /// answering excess traffic with `Busy { retry_after_ms }` and
