@@ -8,9 +8,10 @@
 //!   figures and most tests run here, replacing the paper's 1994 LAN
 //!   with a reproducible substrate.
 //! * [`tcp`] — real sockets (`std::net`, the crate's own [`queue`]) so the same
-//!   server and client logic also runs end-to-end over TCP. The host is
-//!   readiness-driven: a fixed pool of poll threads owns every accepted
-//!   socket (the internal `poll` module), so connection count adds
+//!   server and client logic also runs end-to-end over TCP. Both ends
+//!   are readiness-driven: a fixed pool of poll threads owns every
+//!   socket of a host, and one more thread every client socket of the
+//!   process (the internal `poll` module), so connection count adds
 //!   state, not threads.
 //!
 //! The server and client cores are written sans-I/O (they map an incoming

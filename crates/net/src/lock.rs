@@ -8,7 +8,7 @@
 //! |---|---|---|---|
 //! | 0 | [`ConnMapLock`] | the host-wide connection map | nothing |
 //! | 1 | [`OutboxLock`] | one connection's outbox | nothing, or the map |
-//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, client stream, fault scripts | nothing, or an outbox |
+//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's link state, the client pool, fault scripts | nothing, or an outbox |
 //!
 //! A thread climbs one rank at a time: the map orders before an outbox
 //! and nothing else (it is held to file, find or remove a connection,
@@ -47,7 +47,7 @@ pub(crate) type LeafLock<T> = Ranked<LEAF, T>;
 pub(crate) struct Ranked<const RANK: u8, T>(Mutex<T>);
 
 impl<const RANK: u8, T> Ranked<RANK, T> {
-    pub(crate) fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         Ranked(Mutex::new(value))
     }
 

@@ -1,7 +1,10 @@
-//! Readiness-driven I/O internals for the TCP host: a fixed pool of
+//! Readiness-driven I/O internals of the TCP transport: a fixed pool of
 //! poll threads owning nonblocking sockets, per-connection ring-buffer
 //! outboxes flushed on writability, incremental frame reassembly on
 //! readability, and condvar wakeup tokens replacing every sleep-poll.
+//! A host's accepted sockets and every client socket of the process run
+//! on this one code: each connection carries the sender its frames and
+//! its `Disconnected` go to.
 //!
 //! # Why this is a sweep loop and not epoll
 //!
@@ -26,21 +29,24 @@
 //! puts its connection on the thread's *dirty list*, beside the wake
 //! latch, and dirty cold connections rejoin the sweep before it runs.
 //!
-//! The thread count is fixed at bind time by the host config's
-//! `io_threads` — connection count no longer adds threads.
+//! A host's thread count is fixed at bind time by its config's
+//! `io_threads`; the process's clients share one more pool of one thread,
+//! started by the first connect. Connection count adds no threads, and a
+//! thread with no connection parks until a command wakes it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cosoft_wire::{codec, Bytes, Message};
 
 use crate::fault::{FaultInjector, ReadDecision, WriteDecision};
 use crate::lock::{self, ConnMapLock, LeafLock, OutboxLock};
-use crate::queue::{PollReceiver, Sender, TryRecvError};
+use crate::queue::{unbounded, PollReceiver, Sender, TryRecvError};
 use crate::tcp::{ConnId, Counters, NetEvent};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
@@ -79,9 +85,8 @@ const COLD_SLOT: Duration = Duration::from_micros(500);
 
 /// Generation-counted condvar: waiters capture the generation, check
 /// their condition, and sleep only if no notification happened in
-/// between — the classic lost-wakeup-free handshake. Replaces the 1 ms
-/// `thread::sleep` poll loops the thread-per-connection transport used
-/// for backpressure and flush waiting.
+/// between — the classic lost-wakeup-free handshake. Backpressure and
+/// flush waits park on it.
 #[derive(Debug, Default)]
 pub(crate) struct Gate {
     generation: LeafLock<u64>,
@@ -143,11 +148,15 @@ impl PollWaker {
         std::mem::swap(&mut *self.dirty.held(), spare);
     }
 
-    /// Parks until woken or `timeout`; consumes the latch.
-    pub(crate) fn park(&self, timeout: Duration) {
+    /// Parks until woken or `timeout` (`None`: until woken); consumes the
+    /// latch.
+    pub(crate) fn park(&self, timeout: Option<Duration>) {
         let mut guard = self.woken.held();
         if !*guard {
-            guard = guard.wait_timeout(&self.cv, timeout);
+            guard = match timeout {
+                Some(timeout) => guard.wait_timeout(&self.cv, timeout),
+                None => guard.wait(&self.cv),
+            };
         }
         *guard = false;
     }
@@ -196,8 +205,10 @@ impl Outbox {
     }
 }
 
-/// Handles shared between the host (enqueue/evict/stats) and the poll
-/// thread that owns the connection's socket.
+/// Handles shared between the connection's user (a host's
+/// enqueue/evict/stats, or a client) and the poll thread that owns its
+/// socket, which alone touches the socket.
+#[derive(Clone)]
 pub(crate) struct ConnShared {
     /// The outbound ring buffer.
     pub(crate) outbox: Arc<OutboxLock<Outbox>>,
@@ -208,14 +219,11 @@ pub(crate) struct ConnShared {
     /// Signaled whenever the poll thread drains bytes or tears the
     /// connection down, waking blocked enqueuers.
     pub(crate) gate: Arc<Gate>,
-    /// Duplicate handle used to shut the socket down from outside the
-    /// poll thread (eviction, explicit disconnect, host drop).
-    pub(crate) control: TcpStream,
-    /// Index of the owning poll thread in the host's pool.
+    /// Index of the owning poll thread in its pool.
     pub(crate) thread: usize,
 }
 
-/// Connection registry shared by the host handle and the poll pool.
+/// Connection registry shared by a pool's users and its threads.
 pub(crate) type ConnMap = Arc<ConnMapLock<HashMap<ConnId, ConnShared>>>;
 
 // --------------------------------------------------------------------------
@@ -324,12 +332,13 @@ impl<C> Conns<C> {
 // poll thread
 // --------------------------------------------------------------------------
 
-/// Control messages from the host to one poll thread.
+/// Control messages from a pool's users to one of its threads.
 pub(crate) enum Cmd {
-    /// Adopt a freshly accepted nonblocking socket.
-    Register(ConnId, TcpStream, Arc<OutboxLock<Outbox>>, Arc<AtomicUsize>, Arc<Gate>),
-    /// Tear one connection down (eviction or explicit disconnect) and
-    /// surface its `Disconnected` event.
+    /// Adopt a nonblocking socket; its frames and its `Disconnected` go to
+    /// the sender.
+    Register(ConnId, TcpStream, ConnShared, Sender<NetEvent>),
+    /// Tear one connection down (eviction, disconnect, a client's close
+    /// or sever) and surface its `Disconnected` event.
     Close(ConnId),
     /// Tear everything down and exit.
     Shutdown,
@@ -341,6 +350,9 @@ struct PollConn {
     outbox: Arc<OutboxLock<Outbox>>,
     queued_bytes: Arc<AtomicUsize>,
     gate: Arc<Gate>,
+    /// Where the connection's frames and its `Disconnected` go: the
+    /// host's event channel, or its client's own.
+    events: Sender<NetEvent>,
     frames: FrameReader,
     /// Sweeps left before the next read probe.
     skip: u32,
@@ -370,10 +382,9 @@ impl PollConn {
 /// One thread of the readiness pool: owns its connections' sockets,
 /// flushes outboxes on writability, reassembles inbound frames, and
 /// parks on its waker between unproductive sweeps.
-pub(crate) struct PollThread {
+struct PollThread {
     cmds: PollReceiver<Cmd>,
     waker: Arc<PollWaker>,
-    events: Sender<NetEvent>,
     conns_shared: ConnMap,
     counters: Arc<Counters>,
     /// Freshly registered connections must produce a first complete
@@ -387,38 +398,18 @@ pub(crate) struct PollThread {
 }
 
 impl PollThread {
-    pub(crate) fn new(
-        cmds: PollReceiver<Cmd>,
-        waker: Arc<PollWaker>,
-        events: Sender<NetEvent>,
-        conns_shared: ConnMap,
-        counters: Arc<Counters>,
-        handshake_timeout: Option<Duration>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> PollThread {
-        PollThread {
-            cmds,
-            waker,
-            events,
-            conns_shared,
-            counters,
-            handshake_timeout,
-            faults,
-            conns: Conns::new(Instant::now()),
-        }
-    }
-
-    /// The loop. Exits on `Cmd::Shutdown` or when the host drops its
+    /// The loop. Exits on `Cmd::Shutdown` or when its pool drops the
     /// command sender.
-    pub(crate) fn run(mut self) {
+    fn run(mut self) {
         let mut scratch = vec![0u8; 64 * 1024];
         let mut dirty = Vec::new();
         let mut park = MIN_PARK;
         loop {
             loop {
                 match self.cmds.try_recv() {
-                    Ok(Cmd::Register(id, stream, outbox, queued_bytes, gate)) => {
+                    Ok(Cmd::Register(id, stream, shared, events)) => {
                         let now = Instant::now();
+                        let ConnShared { outbox, queued_bytes, gate, .. } = shared;
                         self.conns.hot.insert(
                             id,
                             PollConn {
@@ -426,6 +417,7 @@ impl PollThread {
                                 outbox,
                                 queued_bytes,
                                 gate,
+                                events,
                                 frames: FrameReader::default(),
                                 skip: 0,
                                 skip_limit: 0,
@@ -457,7 +449,7 @@ impl PollThread {
             while let Some((id, conn)) = self.conns.next_due(now) {
                 let probe = conn.check_handshake(&self.counters).and_then(|()| {
                     let faults = self.faults.as_deref();
-                    Self::read_ready(conn, id, &self.counters, &self.events, &mut scratch, faults)
+                    Self::read_ready(conn, id, &self.counters, &mut scratch, faults)
                 });
                 match probe {
                     Ok(false) => continue,
@@ -486,8 +478,10 @@ impl PollThread {
                 continue;
             }
             // No park outlasts the next cold probe: each has its deadline.
+            // With no connection nothing is due: every command wakes.
             let next = self.conns.due.front().map(|&(at, _)| at.saturating_duration_since(now));
-            self.waker.park(next.map_or(park, |d| d.min(park)));
+            let idle = self.conns.hot.is_empty() && self.conns.cold.is_empty();
+            self.waker.park((!idle).then(|| next.map_or(park, |d| d.min(park))));
             park = (park * 2).min(MAX_PARK);
         }
     }
@@ -514,8 +508,7 @@ impl PollThread {
             true
         };
         if due {
-            let read_any =
-                Self::read_ready(conn, id, &self.counters, &self.events, scratch, faults)?;
+            let read_any = Self::read_ready(conn, id, &self.counters, scratch, faults)?;
             if read_any {
                 progressed = true;
                 conn.skip_limit = 0;
@@ -647,7 +640,7 @@ impl PollThread {
     }
 
     /// Reads until `WouldBlock` (bounded per sweep), pushing complete
-    /// messages into the event channel. Returns whether bytes arrived;
+    /// messages into the connection's sink. Returns whether bytes arrived;
     /// `Err` on EOF, transport error, or a malformed frame. With a
     /// fault injector attached, every read attempt first consults it:
     /// the read buffer may be shortened (forcing incremental frame
@@ -657,7 +650,6 @@ impl PollThread {
         conn: &mut PollConn,
         id: ConnId,
         counters: &Counters,
-        events: &Sender<NetEvent>,
         scratch: &mut [u8],
         faults: Option<&FaultInjector>,
     ) -> io::Result<bool> {
@@ -692,8 +684,8 @@ impl PollThread {
                 // First complete frame: the peer speaks the protocol,
                 // the handshake deadline (if any) is met.
                 conn.handshake_deadline = None;
-                // Host gone; the shutdown command will arrive shortly.
-                let _ = events.send(NetEvent::Message(id, msg));
+                // Receiver gone; the close or shutdown command follows.
+                let _ = conn.events.send(NetEvent::Message(id, msg));
             }
             budget = budget.saturating_sub(n);
             if budget == 0 || n < cap {
@@ -722,7 +714,217 @@ impl PollThread {
         conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
         conn.gate.notify();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        let _ = self.events.send(NetEvent::Disconnected(id));
+        let _ = conn.events.send(NetEvent::Disconnected(id));
+    }
+}
+
+// --------------------------------------------------------------------------
+// pool
+// --------------------------------------------------------------------------
+
+/// One connection's backlog limits: queued batches and bytes (a batch is
+/// still admitted into an empty backlog), and an enqueue's longest wait.
+#[derive(Clone, Copy)]
+pub(crate) struct Limits {
+    pub(crate) batches: usize,
+    pub(crate) bytes: usize,
+    pub(crate) wait: Duration,
+}
+
+/// A pool of poll threads as its users hold it: the connections it owns,
+/// its counters, and each thread's command queue and wake token. A host
+/// shares one with its accept thread; the process's clients share one of
+/// a single thread.
+pub(crate) struct Pool {
+    pub(crate) conns: ConnMap,
+    pub(crate) counters: Arc<Counters>,
+    threads: Vec<(Sender<Cmd>, Arc<PollWaker>)>,
+    next_id: AtomicU64,
+}
+
+impl Pool {
+    /// Starts `size` (at least one) poll threads, thread `i` named
+    /// `name(i)`. On a spawn failure the threads already started are
+    /// stopped.
+    pub(crate) fn spawn(
+        size: usize,
+        name: impl Fn(usize) -> String,
+        handshake_timeout: Option<Duration>,
+        faults: Option<Arc<FaultInjector>>,
+    ) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
+        let mut pool = Pool {
+            conns: Arc::new(ConnMapLock::new(HashMap::new())),
+            counters: Arc::default(),
+            threads: Vec::new(),
+            next_id: AtomicU64::new(1),
+        };
+        let mut handles = Vec::new();
+        for i in 0..size.max(1) {
+            let (cmd_tx, cmd_rx) = unbounded();
+            let waker = Arc::new(PollWaker::default());
+            let body = PollThread {
+                cmds: cmd_rx.poll_only(),
+                waker: waker.clone(),
+                conns_shared: pool.conns.clone(),
+                counters: pool.counters.clone(),
+                handshake_timeout,
+                faults: faults.clone(),
+                conns: Conns::new(Instant::now()),
+            };
+            match std::thread::Builder::new().name(name(i)).spawn(move || body.run()) {
+                Ok(handle) => {
+                    pool.threads.push((cmd_tx, waker));
+                    handles.push(handle);
+                }
+                Err(e) => {
+                    pool.stop(handles);
+                    return Err(e);
+                }
+            }
+        }
+        Ok((pool, handles))
+    }
+
+    /// Makes a connected socket nonblocking and hands it to a poll thread
+    /// (round-robin by id); its `Connected`, frames and `Disconnected` go
+    /// to `sink`. Socket-option failures count in `sockopt_failures`.
+    pub(crate) fn register(
+        &self,
+        stream: TcpStream,
+        sink: &Sender<NetEvent>,
+        sockopt_failures: &AtomicU64,
+    ) -> io::Result<ConnId> {
+        if stream.set_nodelay(true).is_err() {
+            // Tolerated: the connection works, just slower.
+            sockopt_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        // Not tolerated: the poll loop cannot own a blocking socket
+        // without stalling its peers.
+        if let Err(e) = stream.set_nonblocking(true) {
+            sockopt_failures.fetch_add(1, Ordering::Relaxed);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+            return Err(e);
+        }
+        let id = ConnId(self.next_id.fetch_add(1, Ordering::SeqCst));
+        let thread = (id.0 as usize) % self.threads.len().max(1);
+        let stopped = || io::Error::new(io::ErrorKind::NotConnected, "poll pool stopped");
+        let (cmds, waker) = self.threads.get(thread).ok_or_else(stopped)?;
+        let conn = ConnShared {
+            outbox: Arc::default(),
+            queued_bytes: Arc::default(),
+            gate: Arc::default(),
+            thread,
+        };
+        self.conns.held().insert(id, conn.clone());
+        if sink.send(NetEvent::Connected(id)).is_err()
+            || cmds.send(Cmd::Register(id, stream, conn, sink.clone())).is_err()
+        {
+            self.shut(id, Duration::ZERO);
+            return Err(stopped());
+        }
+        waker.wake();
+        Ok(id)
+    }
+
+    /// Queues `batch` on connection `id`'s outbox and marks it dirty on
+    /// its poll thread, waiting on the connection's gate while its backlog
+    /// is over `limits`. `NotConnected` once the connection is gone;
+    /// `TimedOut` when the backlog stayed over the limits for
+    /// `limits.wait`. Either way the batch's frames count as dropped, and
+    /// what becomes of the connection is the caller's call.
+    pub(crate) fn enqueue(&self, id: ConnId, limits: Limits, batch: OutBatch) -> io::Result<()> {
+        let gone = || io::Error::new(io::ErrorKind::NotConnected, "connection closed");
+        // Hold the map lock only to clone the connection's handles: the
+        // admission wait happens outside, so a full backlog on one
+        // connection never blocks sends to its peers.
+        let handles = self
+            .conns
+            .held()
+            .get(&id)
+            .map(|c| (c.outbox.clone(), c.queued_bytes.clone(), c.gate.clone(), c.thread));
+        let Some((outbox, queued_bytes, gate, thread)) = handles else {
+            self.counters.frames_dropped.fetch_add(batch.frames, Ordering::Relaxed);
+            return Err(gone());
+        };
+        let (frames, bytes) = (batch.frames, batch.bytes);
+        let deadline = Instant::now() + limits.wait;
+        let mut waited = false;
+        loop {
+            // Capture the gate generation *before* checking admission:
+            // a drain that lands in between bumps it, so the wait below
+            // returns immediately instead of losing the wakeup.
+            let seen = gate.generation();
+            {
+                let mut ob = outbox.held();
+                if ob.closed {
+                    self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
+                    return Err(gone());
+                }
+                let queued = queued_bytes.load(Ordering::Acquire);
+                let bytes_ok = ob.batches.is_empty() || queued + bytes <= limits.bytes;
+                if bytes_ok && ob.batches.len() < limits.batches {
+                    queued_bytes.fetch_add(bytes, Ordering::AcqRel);
+                    ob.batches.push_back(batch);
+                    drop(ob);
+                    if let Some((_, waker)) = self.threads.get(thread) {
+                        waker.wake_dirty(id);
+                    }
+                    return Ok(());
+                }
+            }
+            if !waited {
+                waited = true;
+                self.counters.enqueue_full_waits.fetch_add(1, Ordering::Relaxed);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "outbound backlog stayed over its limits past the enqueue timeout",
+                ));
+            }
+            gate.wait(seen, deadline - now);
+        }
+    }
+
+    /// Takes connection `id` out of the map, waits up to `flush` on its
+    /// gate for its backlog to reach the socket, then has its poll thread
+    /// tear it down (shutting the socket), which surfaces its
+    /// `Disconnected`. `false` (and a no-op) if it was not in the map.
+    pub(crate) fn shut(&self, id: ConnId, flush: Duration) -> bool {
+        // Not an `if let` scrutinee, whose guard would live through the
+        // block: the map lock is not held over a wait, a send or a wake.
+        let conn = self.conns.held().remove(&id);
+        let Some(conn) = conn else { return false };
+        let deadline = Instant::now() + flush;
+        loop {
+            // Generation before the check, so a drain landing right after
+            // the check still wakes the wait.
+            let seen = conn.gate.generation();
+            let now = Instant::now();
+            if conn.queued_bytes.load(Ordering::Acquire) == 0 || now >= deadline {
+                break;
+            }
+            conn.gate.wait(seen, deadline - now);
+        }
+        if let Some((cmds, waker)) = self.threads.get(conn.thread) {
+            let _ = cmds.send(Cmd::Close(id));
+            waker.wake();
+        }
+        true
+    }
+
+    /// Has every thread tear its connections down (counting unwritten
+    /// frames as dropped) and exit, then joins `threads`.
+    pub(crate) fn stop(&self, threads: Vec<JoinHandle<()>>) {
+        for (cmds, waker) in &self.threads {
+            let _ = cmds.send(Cmd::Shutdown);
+            waker.wake();
+        }
+        for thread in threads {
+            thread.join().ok();
+        }
     }
 }
 
@@ -861,7 +1063,7 @@ mod tests {
         assert!(waker.dirty.held().capacity() >= 3);
         // And the wake latched: this park returns at once.
         let start = Instant::now();
-        waker.park(Duration::from_secs(5));
+        waker.park(Some(Duration::from_secs(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

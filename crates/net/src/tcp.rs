@@ -1,44 +1,43 @@
 //! Real TCP transport: length-prefixed COSOFT frames over `std::net`
 //! sockets, delivered through the crate's own [`queue`](crate::queue).
+//! The server and client logic that runs over [`crate::sim`] runs here
+//! too; the integration tests, the examples and the benchmark use it.
 //!
-//! The simulated network ([`crate::sim`]) carries all benchmarks; this
-//! transport exists so the same server/client logic also runs over real
-//! sockets (integration tests and the runnable examples use it).
+//! # I/O model
 //!
-//! # Host I/O model
+//! Both ends run on poll pools (the `poll` module): a fixed set of
+//! threads owns every socket in nonblocking mode, so connection count
+//! adds *state*, not threads. A [`TcpHost`] has
+//! [`TcpHostConfig::io_threads`] of them plus an accept thread; every
+//! [`TcpClient`] of the process is a connection of one more pool, of one
+//! thread (`cosoft-client-poll`), started by the first connect.
 //!
-//! The host is readiness-driven (see the `poll` module): a fixed pool of
-//! poll threads ([`TcpHostConfig::io_threads`]) owns every accepted
-//! socket in nonblocking mode, so connection count adds *state*, not
-//! threads. Each connection has a ring-buffer outbox flushed on
-//! writability; [`TcpHost::send`] is a non-blocking enqueue plus a
-//! wakeup of the owning poll thread, and one stalled consumer cannot
-//! delay delivery to its peers. When a connection's backlog stays over
-//! budget past [`TcpHostConfig::enqueue_timeout`] the connection is
-//! declared a slow consumer and forcibly disconnected (surfacing the
-//! usual [`NetEvent::Disconnected`], which the server maps to the §3.2
-//! auto-decoupling path). Blocked enqueues park on a condvar signaled
-//! as the poll thread drains bytes — there is no sleep-polling anywhere
-//! on the path. [`TcpHost::send_batch`] coalesces all frames of one
-//! server turn that target the same connection into a single queued
-//! (vectored) write.
+//! A send is a non-blocking enqueue on the connection's ring outbox plus
+//! a wakeup of its poll thread, which flushes on writability: one
+//! stalled consumer cannot delay its peers. An enqueue over budget parks
+//! on a condvar the poll thread signals as it drains bytes; past
+//! [`TcpHostConfig::enqueue_timeout`] a host evicts the connection as a
+//! slow consumer (surfacing the usual [`NetEvent::Disconnected`], which
+//! the server maps to the §3.2 auto-decoupling path).
+//! [`TcpHost::send_batch`] coalesces a server turn's frames per
+//! connection into one vectored write. A client with a
+//! [`ReconnectPolicy`] redials on the thread that receives: a dial
+//! blocks, and a poll thread must not.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
+use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cosoft_rng::Rng;
-use cosoft_wire::{codec, Bytes, Message, SharedFrame};
+use cosoft_wire::{Message, SharedFrame};
 
-use crate::lock::{ConnMapLock, LeafLock, OutboxLock};
-use crate::poll::{Cmd, ConnMap, ConnShared, Gate, OutBatch, Outbox, PollThread, PollWaker};
-use crate::queue::{
-    bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
-};
+use crate::lock::LeafLock;
+use crate::poll::{ConnMap, Limits, OutBatch, Pool};
+use crate::queue::{unbounded, Receiver, Sender};
 
 /// Identifier of one accepted connection on a [`TcpHost`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -217,14 +216,6 @@ impl TcpStatsHandle {
     }
 }
 
-/// One poll thread of the host's fixed I/O pool, as seen from the host
-/// handle: a command channel, a wake token, and the join handle.
-struct PollHandle {
-    cmds: Sender<Cmd>,
-    waker: Arc<PollWaker>,
-    thread: Option<JoinHandle<()>>,
-}
-
 /// Accepting side of the TCP transport (used by the COSOFT server).
 ///
 /// One accept thread hands sockets to a fixed pool of poll threads that
@@ -233,10 +224,12 @@ pub struct TcpHost {
     local_addr: SocketAddr,
     config: TcpHostConfig,
     events: Receiver<NetEvent>,
+    /// The pool's connection map and counters, at hand.
     conns: ConnMap,
     counters: Arc<Counters>,
     shutdown: Arc<AtomicBool>,
-    pool: Vec<PollHandle>,
+    pool: Arc<Pool>,
+    threads: Vec<JoinHandle<()>>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -292,56 +285,25 @@ impl TcpHost {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let (tx, rx) = unbounded();
-        let conns: ConnMap = Arc::new(ConnMapLock::new(HashMap::new()));
-        let counters = Arc::new(Counters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let next_id = Arc::new(AtomicU64::new(1));
 
         // The fixed I/O pool, spawned up front: a pool-spawn failure is
         // a bind error, not a per-connection casualty.
-        let pool_size = config.io_threads.max(1);
         let handshake_timeout =
             if config.handshake_timeout.is_zero() { None } else { Some(config.handshake_timeout) };
-        let mut pool: Vec<PollHandle> = Vec::with_capacity(pool_size);
-        for i in 0..pool_size {
-            let (cmd_tx, cmd_rx) = unbounded();
-            let waker = Arc::new(PollWaker::default());
-            let thread_body = PollThread::new(
-                cmd_rx.poll_only(),
-                waker.clone(),
-                tx.clone(),
-                conns.clone(),
-                counters.clone(),
-                handshake_timeout,
-                faults.clone(),
-            );
-            let spawned = std::thread::Builder::new()
-                .name(format!("cosoft-poll-{i}"))
-                .spawn(move || thread_body.run());
-            match spawned {
-                Ok(handle) => {
-                    pool.push(PollHandle { cmds: cmd_tx, waker, thread: Some(handle) });
-                }
-                Err(e) => {
-                    for h in &mut pool {
-                        let _ = h.cmds.send(Cmd::Shutdown);
-                        h.waker.wake();
-                        if let Some(t) = h.thread.take() {
-                            t.join().ok();
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let (pool, threads) = Pool::spawn(
+            config.io_threads,
+            |i| format!("cosoft-poll-{i}"),
+            handshake_timeout,
+            faults,
+        )?;
+        let pool = Arc::new(pool);
 
-        let accept_conns = conns.clone();
-        let accept_counters = counters.clone();
+        let accept_pool = pool.clone();
         let accept_shutdown = shutdown.clone();
-        let accept_pool: Vec<(Sender<Cmd>, Arc<PollWaker>)> =
-            pool.iter().map(|h| (h.cmds.clone(), h.waker.clone())).collect();
         let accept_thread =
             std::thread::Builder::new().name("cosoft-accept".into()).spawn(move || {
+                let counters = &accept_pool.counters;
                 // Accept-rate token bucket: starts full, refills
                 // continuously. Fractional tokens carry across accepts
                 // so the long-run rate is exactly `accept_refill_per_sec`.
@@ -356,9 +318,9 @@ impl TcpHost {
                     // the poll pool: a refused dial costs one accept and
                     // one shutdown, never poll-pool state or events.
                     if config.max_connections > 0
-                        && accept_conns.held().len() >= config.max_connections
+                        && accept_pool.conns.held().len() >= config.max_connections
                     {
-                        accept_counters.connections_refused.fetch_add(1, Ordering::Relaxed);
+                        counters.connections_refused.fetch_add(1, Ordering::Relaxed);
                         let _ = stream.shutdown(std::net::Shutdown::Both);
                         continue;
                     }
@@ -369,62 +331,34 @@ impl TcpHost {
                         allowance = (allowance + refill).min(f64::from(config.accept_burst));
                         last_refill = now;
                         if allowance < 1.0 {
-                            accept_counters.connections_refused.fetch_add(1, Ordering::Relaxed);
+                            counters.connections_refused.fetch_add(1, Ordering::Relaxed);
                             let _ = stream.shutdown(std::net::Shutdown::Both);
                             continue;
                         }
                         allowance -= 1.0;
                     }
-                    let id = ConnId(next_id.fetch_add(1, Ordering::SeqCst));
-                    if stream.set_nodelay(true).is_err() {
-                        // Tolerated: the connection works, just slower.
-                        accept_counters.sockopt_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        // Not tolerated: the poll loop cannot own a
-                        // blocking socket without stalling its peers.
-                        accept_counters.sockopt_failures.fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        continue;
-                    }
-                    let Ok(control) = stream.try_clone() else {
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        continue;
-                    };
-                    let outbox = Arc::new(OutboxLock::new(Outbox::default()));
-                    let queued_bytes = Arc::new(AtomicUsize::new(0));
-                    let gate = Arc::new(Gate::default());
-                    let thread = (id.0 as usize) % accept_pool.len();
-                    accept_conns.held().insert(
-                        id,
-                        ConnShared {
-                            outbox: outbox.clone(),
-                            queued_bytes: queued_bytes.clone(),
-                            gate: gate.clone(),
-                            control,
-                            thread,
-                        },
-                    );
-                    if tx.send(NetEvent::Connected(id)).is_err() {
-                        break;
-                    }
-                    #[expect(clippy::indexing_slicing, reason = "thread is id % accept_pool.len()")]
-                    let (cmds, waker) = &accept_pool[thread];
-                    if cmds.send(Cmd::Register(id, stream, outbox, queued_bytes, gate)).is_err() {
-                        break;
-                    }
-                    waker.wake();
+                    // A socket the pool cannot take is shut; the next
+                    // dial gets its own chance.
+                    let _ = accept_pool.register(stream, &tx, &counters.sockopt_failures);
                 }
-            })?;
+            });
+        let accept_thread = match accept_thread {
+            Ok(thread) => thread,
+            Err(e) => {
+                pool.stop(threads);
+                return Err(e);
+            }
+        };
 
         Ok(TcpHost {
             local_addr,
             config,
             events: rx,
-            conns,
-            counters,
+            conns: pool.conns.clone(),
+            counters: pool.counters.clone(),
             shutdown,
             pool,
+            threads,
             accept_thread: Some(accept_thread),
         })
     }
@@ -521,105 +455,25 @@ impl TcpHost {
     }
 
     fn enqueue(&self, conn: ConnId, batch: OutBatch) -> io::Result<()> {
-        // Hold the map lock only to clone the connection's handles: the
-        // admission wait happens outside, so a full backlog on one
-        // connection never blocks sends to its peers.
-        let (outbox, queued_bytes, gate, thread) = match self.conns.held().get(&conn) {
-            Some(c) => (c.outbox.clone(), c.queued_bytes.clone(), c.gate.clone(), c.thread),
-            None => {
-                self.counters.frames_dropped.fetch_add(batch.frames, Ordering::Relaxed);
-                return Err(io::Error::new(io::ErrorKind::NotConnected, "connection closed"));
-            }
+        let limits = Limits {
+            batches: self.config.queue_capacity.max(1),
+            bytes: self.config.queue_max_bytes,
+            wait: self.config.enqueue_timeout,
         };
-        let frames = batch.frames;
-        let bytes = batch.bytes;
-        let deadline = Instant::now() + self.config.enqueue_timeout;
-        let mut waited = false;
-        let mut batch = Some(batch);
-        loop {
-            // Capture the gate generation *before* checking admission:
-            // a drain that lands in between bumps it, so the wait below
-            // returns immediately instead of losing the wakeup.
-            let seen = gate.generation();
-            {
-                let mut ob = outbox.held();
-                if ob.closed {
-                    self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
-                    return Err(io::Error::new(io::ErrorKind::NotConnected, "connection closed"));
-                }
-                let cur = queued_bytes.load(Ordering::Acquire);
-                let empty = ob.batches.is_empty();
-                let bytes_ok = empty || cur + bytes <= self.config.queue_max_bytes;
-                let cap_ok = ob.batches.len() < self.config.queue_capacity.max(1);
-                if bytes_ok && cap_ok {
-                    // Admission happens exactly once; a double-take is
-                    // reported to the caller instead of panicking with
-                    // the outbox lock held.
-                    let Some(admitted) = batch.take() else {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "batch admitted twice",
-                        ));
-                    };
-                    queued_bytes.fetch_add(bytes, Ordering::AcqRel);
-                    ob.batches.push_back(admitted);
-                    drop(ob);
-                    if let Some(t) = self.pool.get(thread) {
-                        t.waker.wake_dirty(conn);
-                    }
-                    return Ok(());
-                }
-            }
-            if !waited {
-                waited = true;
-                self.counters.enqueue_full_waits.fetch_add(1, Ordering::Relaxed);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
-                self.evict_slow_consumer(conn);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "slow consumer: outbound backlog stayed over budget past the enqueue timeout",
-                ));
-            }
-            gate.wait(seen, deadline - now);
-        }
-    }
-
-    /// Forcibly disconnects a consumer whose backlog stayed over budget.
-    /// The owning poll thread surfaces the [`NetEvent::Disconnected`].
-    fn evict_slow_consumer(&self, conn: ConnId) {
-        if let Some(c) = self.unmap(conn) {
+        let sent = self.pool.enqueue(conn, limits, batch);
+        // A backlog over budget past the timeout is a slow consumer: it is
+        // forcibly disconnected (its poll thread surfaces `Disconnected`).
+        let timed_out = sent.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::TimedOut);
+        if timed_out && self.pool.shut(conn, Duration::ZERO) {
             self.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
-            self.shut(conn, &c);
         }
+        sent
     }
 
     /// Closes one connection; the owning poll thread will surface a
     /// [`NetEvent::Disconnected`].
     pub fn disconnect(&self, conn: ConnId) {
-        if let Some(c) = self.unmap(conn) {
-            self.shut(conn, &c);
-        }
-    }
-
-    /// Takes `conn` out of the map. The guard dies with this call: in an
-    /// `if let` scrutinee it would live to the end of the block, and the
-    /// host-wide map lock is not held over a syscall, a channel send or
-    /// a wake.
-    fn unmap(&self, conn: ConnId) -> Option<ConnShared> {
-        self.conns.held().remove(&conn)
-    }
-
-    /// Shuts an unmapped connection's socket down and has its poll
-    /// thread tear it down.
-    fn shut(&self, conn: ConnId, c: &ConnShared) {
-        c.control.shutdown(std::net::Shutdown::Both).ok();
-        if let Some(t) = self.pool.get(c.thread) {
-            let _ = t.cmds.send(Cmd::Close(conn));
-            t.waker.wake();
-        }
+        self.pool.shut(conn, Duration::ZERO);
     }
 }
 
@@ -645,15 +499,7 @@ impl Drop for TcpHost {
         // With the accept thread joined, no further registrations can
         // race the pool shutdown; each poll thread tears its
         // connections down (counting unwritten frames as dropped).
-        for h in &mut self.pool {
-            let _ = h.cmds.send(Cmd::Shutdown);
-            h.waker.wake();
-        }
-        for h in &mut self.pool {
-            if let Some(t) = h.thread.take() {
-                t.join().ok();
-            }
-        }
+        self.pool.stop(std::mem::take(&mut self.threads));
     }
 }
 
@@ -661,7 +507,7 @@ impl Drop for TcpHost {
 /// [`ReconnectPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientEvent {
-    /// The connection dropped; the reconnect loop is running.
+    /// The connection dropped; the client redials as it receives.
     Disconnected,
     /// A fresh connection replaced the dropped one after `attempts`
     /// dial attempts. The application must resynchronize (the COSOFT
@@ -675,18 +521,14 @@ pub enum ClientEvent {
 }
 
 /// Why a [`TcpClient::recv_within`] call returned without a message.
-///
-/// The old `recv_timeout` collapsed both cases to `None`, which forced
-/// callers to guess "quiet or dead?" with heuristics; this distinction
-/// lets them stop guessing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
     /// No message arrived within the timeout; as far as the client
-    /// knows the connection is still alive (or being revived by the
-    /// reconnect loop).
+    /// knows the connection is still alive (or being revived by its
+    /// redials).
     Timeout,
     /// The connection is gone for good — closed, failed without a
-    /// reconnect policy, or the reconnect loop gave up. No message will
+    /// reconnect policy, or the redials gave up. No message will
     /// ever arrive again.
     Disconnected,
 }
@@ -734,7 +576,7 @@ impl Default for ReconnectPolicy {
 }
 
 impl ReconnectPolicy {
-    /// The sleep before dial attempt `attempt` (1-based): exponential
+    /// The wait before dial attempt `attempt` (1-based): exponential
     /// backoff capped at `max_delay`, plus up to `jitter` of random
     /// extra delay.
     fn delay_before(&self, attempt: u32) -> Duration {
@@ -760,45 +602,67 @@ impl ReconnectPolicy {
     }
 }
 
-/// Outbound frames a client may queue before [`TcpClient::send`] has to
-/// wait on the writer thread.
-const CLIENT_OUTBOX_CAPACITY: usize = 64;
-
 /// How long [`TcpClient::send`] may wait on a full outbox, and how long
 /// [`TcpClient::close`] waits for queued frames (e.g. a graceful
 /// `Deregister`) to flush before tearing the socket down.
 const CLIENT_FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// A client connection's backlog: 64 queued sends, no byte budget.
+const CLIENT_LIMITS: Limits = Limits { batches: 64, bytes: usize::MAX, wait: CLIENT_FLUSH_TIMEOUT };
+
+/// The poll pool every client of the process shares, started by the
+/// first connect.
+static CLIENT_POOL: LeafLock<Option<Arc<Pool>>> = LeafLock::new(None);
+
+fn client_pool() -> io::Result<Arc<Pool>> {
+    let mut pool = CLIENT_POOL.held();
+    if let Some(pool) = &*pool {
+        return Ok(pool.clone());
+    }
+    // The thread outlives every client: with no connection it parks
+    // until the next connect wakes it.
+    let (fresh, _thread) = Pool::spawn(1, |_| "cosoft-client-poll".into(), None, None)?;
+    Ok(pool.insert(Arc::new(fresh)).clone())
+}
+
+/// Where a client stands between its connections.
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    /// The current connection is up, as far as the client has heard.
+    Up,
+    /// The connection dropped; dial `attempt` of the outage is due at `at`.
+    Down { attempt: u32, at: Instant },
+    /// Closed, dropped with no policy, or given up: nothing more arrives.
+    Dead,
+}
+
 /// Connecting side of the TCP transport (used by application instances).
 ///
-/// Writes go through a bounded outbox drained by a dedicated writer
-/// thread, so [`TcpClient::send`] never blocks on the socket and — the
-/// important part — never holds the stream lock across a write: a
-/// wedged write used to pin that lock and block `send`/`close`/`sever`
-/// (and the reconnect swap) indefinitely.
+/// A connection of the process's client pool (see the module docs):
+/// [`TcpClient::send`] queues on the connection's outbox and never
+/// blocks on the socket, so a wedged write cannot block later sends,
+/// `close` or `sever`.
 pub struct TcpClient {
-    stream: Arc<LeafLock<TcpStream>>,
-    outbox: Sender<Bytes>,
-    /// Frames enqueued but not yet written (close drains these briefly).
-    pending_writes: Arc<AtomicUsize>,
-    /// Signaled by the writer thread as `pending_writes` drains, so
-    /// `close` can wait for the flush without sleep-polling.
-    flushed: Arc<Gate>,
-    /// Set by the writer on an unrecoverable write error (no reconnect
-    /// policy): later sends fail fast instead of queueing into a void.
-    broken: Arc<AtomicBool>,
-    incoming: Receiver<Message>,
+    addr: SocketAddr,
+    policy: Option<ReconnectPolicy>,
+    pool: Arc<Pool>,
+    /// The current connection; a redial swaps the fresh one in.
+    conn: AtomicU64,
+    link: LeafLock<Link>,
+    /// Where the pool delivers this client's frames, kept for redials.
+    sink: Sender<NetEvent>,
+    incoming: Receiver<NetEvent>,
+    /// Lifecycle transitions; their receiver is kept only with a policy.
+    lifecycle: Sender<ClientEvent>,
     events: Option<Receiver<ClientEvent>>,
-    closed: Arc<AtomicBool>,
-    reconnects: Arc<AtomicU64>,
-    reconnect_attempts: Arc<AtomicU64>,
-    sockopt_failures: Arc<AtomicU64>,
+    closed: AtomicBool,
+    reconnects: AtomicU64,
+    reconnect_attempts: AtomicU64,
+    sockopt_failures: AtomicU64,
     /// Latest `Busy { retry_after_ms }` seen from the server; the
-    /// reconnect loop treats it as a backoff floor and clears it once a
-    /// redial succeeds.
-    busy_advice_ms: Arc<AtomicU64>,
-    _reader: JoinHandle<()>,
-    _writer: JoinHandle<()>,
+    /// redial treats it as a backoff floor and clears it once a redial
+    /// succeeds.
+    busy_advice_ms: AtomicU64,
 }
 
 impl std::fmt::Debug for TcpClient {
@@ -808,19 +672,19 @@ impl std::fmt::Debug for TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a [`TcpHost`] and starts the reader thread. The
-    /// connection is not revived when it drops; use
+    /// Connects to a [`TcpHost`] and hands the socket to the client
+    /// pool. The connection is not revived when it drops; use
     /// [`TcpClient::connect_with_reconnect`] for that.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: SocketAddr) -> io::Result<TcpClient> {
-        Self::spawn(addr, None)
+        Self::open(addr, None)
     }
 
     /// Connects to a [`TcpHost`] and keeps the connection alive: when it
-    /// drops, a reader-side loop redials `addr` with exponential backoff
+    /// drops, the receiving calls redial `addr` with exponential backoff
     /// and jitter per `policy`, swapping the fresh socket in under the
     /// same client handle. Lifecycle transitions are surfaced through
     /// [`TcpClient::events`]; on [`ClientEvent::Reconnected`] the
@@ -834,288 +698,113 @@ impl TcpClient {
         addr: SocketAddr,
         policy: ReconnectPolicy,
     ) -> io::Result<TcpClient> {
-        Self::spawn(addr, Some(policy))
+        Self::open(addr, Some(policy))
     }
 
-    fn spawn(addr: SocketAddr, policy: Option<ReconnectPolicy>) -> io::Result<TcpClient> {
+    fn open(addr: SocketAddr, policy: Option<ReconnectPolicy>) -> io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
-        let sockopt_failures = Arc::new(AtomicU64::new(0));
-        if stream.set_nodelay(true).is_err() {
-            sockopt_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        let stream = Arc::new(LeafLock::new(stream));
-        let closed = Arc::new(AtomicBool::new(false));
-        let broken = Arc::new(AtomicBool::new(false));
-        let pending_writes = Arc::new(AtomicUsize::new(0));
-        let flushed = Arc::new(Gate::default());
-        let reconnects = Arc::new(AtomicU64::new(0));
-        let reconnect_attempts = Arc::new(AtomicU64::new(0));
-        let busy_advice_ms = Arc::new(AtomicU64::new(0));
-        let (tx, rx): (Sender<Message>, Receiver<Message>) = unbounded();
-        let (outbox_tx, outbox_rx): (Sender<Bytes>, Receiver<Bytes>) =
-            bounded(CLIENT_OUTBOX_CAPACITY);
-        let (event_tx, event_rx) = match policy {
-            Some(_) => {
-                let (t, r) = unbounded();
-                (Some(t), Some(r))
-            }
-            None => (None, None),
-        };
-        let reader = {
-            let stream = Arc::clone(&stream);
-            let closed = Arc::clone(&closed);
-            let reconnects = Arc::clone(&reconnects);
-            let reconnect_attempts = Arc::clone(&reconnect_attempts);
-            let sockopt_failures = Arc::clone(&sockopt_failures);
-            let busy_advice_ms = Arc::clone(&busy_advice_ms);
-            std::thread::Builder::new().name("cosoft-client-reader".into()).spawn(move || {
-                Self::reader_loop(
-                    addr,
-                    policy,
-                    &stream,
-                    &closed,
-                    &reconnects,
-                    &reconnect_attempts,
-                    &sockopt_failures,
-                    &busy_advice_ms,
-                    &tx,
-                    event_tx.as_ref(),
-                );
-            })
-        };
-        let reader = match reader {
-            Ok(handle) => handle,
-            Err(e) => {
-                // Surface thread exhaustion as a connect failure; close
-                // the socket so the peer sees the dead connection.
-                let _ = stream.held().shutdown(std::net::Shutdown::Both);
-                return Err(e);
-            }
-        };
-        let writer = {
-            let stream = Arc::clone(&stream);
-            let closed = Arc::clone(&closed);
-            let broken = Arc::clone(&broken);
-            let pending = Arc::clone(&pending_writes);
-            let flushed = Arc::clone(&flushed);
-            let has_reconnect = policy.is_some();
-            std::thread::Builder::new().name("cosoft-client-writer".into()).spawn(move || {
-                Self::writer_loop(
-                    outbox_rx,
-                    &stream,
-                    &closed,
-                    &broken,
-                    &pending,
-                    &flushed,
-                    has_reconnect,
-                )
-            })
-        };
-        let writer = match writer {
-            Ok(handle) => handle,
-            Err(e) => {
-                // The reader is already running: mark the client closed
-                // and shut the socket down so it exits instead of
-                // leaking, then report the failure to the caller.
-                closed.store(true, Ordering::SeqCst);
-                let _ = stream.held().shutdown(std::net::Shutdown::Both);
-                return Err(e);
-            }
-        };
+        let pool = client_pool()?;
+        let (sink, incoming) = unbounded();
+        let (lifecycle, events) = unbounded();
+        let sockopt_failures = AtomicU64::new(0);
+        let conn = pool.register(stream, &sink, &sockopt_failures)?;
         Ok(TcpClient {
-            stream,
-            outbox: outbox_tx,
-            pending_writes,
-            flushed,
-            broken,
-            incoming: rx,
-            events: event_rx,
-            closed,
-            reconnects,
-            reconnect_attempts,
+            addr,
+            policy,
+            pool,
+            conn: AtomicU64::new(conn.0),
+            link: LeafLock::new(Link::Up),
+            sink,
+            incoming,
+            lifecycle,
+            events: policy.map(|_| events),
+            closed: AtomicBool::new(false),
+            reconnects: AtomicU64::new(0),
+            reconnect_attempts: AtomicU64::new(0),
             sockopt_failures,
-            busy_advice_ms,
-            _reader: reader,
-            _writer: writer,
+            busy_advice_ms: AtomicU64::new(0),
         })
     }
 
-    fn writer_loop(
-        outbox: Receiver<Bytes>,
-        stream: &LeafLock<TcpStream>,
-        closed: &AtomicBool,
-        broken: &AtomicBool,
-        pending: &AtomicUsize,
-        flushed: &Gate,
-        has_reconnect: bool,
-    ) {
-        while let Ok(frame) = outbox.recv() {
-            // Clone the fd under the lock, write on the clone with the
-            // lock released: a wedged socket write must never pin the
-            // stream mutex (close/sever and the reconnect swap need it).
-            let cloned = stream.held().try_clone();
-            let result = match cloned {
-                Ok(mut s) => s.write_all(&frame),
-                Err(e) => Err(e),
-            };
-            pending.fetch_sub(1, Ordering::AcqRel);
-            flushed.notify();
-            if result.is_err() {
-                if closed.load(Ordering::SeqCst) {
-                    break;
-                }
-                if !has_reconnect {
-                    // No reconnect loop will revive the socket; fail
-                    // later sends fast instead of queueing into a void.
-                    broken.store(true, Ordering::SeqCst);
-                    break;
-                }
-                // With a reconnect policy the reader loop swaps a fresh
-                // stream in; this frame is lost (documented), later
-                // frames go to the new socket.
-            }
-        }
-        while outbox.try_recv().is_ok() {
-            pending.fetch_sub(1, Ordering::AcqRel);
-        }
-        flushed.notify();
+    fn current(&self) -> ConnId {
+        ConnId(self.conn.load(Ordering::SeqCst))
     }
 
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the reader thread's whole state, borrowed from the closure that owns it"
-    )]
-    fn reader_loop(
-        addr: SocketAddr,
-        policy: Option<ReconnectPolicy>,
-        stream: &LeafLock<TcpStream>,
-        closed: &AtomicBool,
-        reconnects: &AtomicU64,
-        reconnect_attempts: &AtomicU64,
-        sockopt_failures: &AtomicU64,
-        busy_advice_ms: &AtomicU64,
-        tx: &Sender<Message>,
-        event_tx: Option<&Sender<ClientEvent>>,
-    ) {
-        loop {
-            let Ok(reader_stream) = stream.held().try_clone() else {
-                return;
-            };
-            let mut reader = BufReader::new(reader_stream);
-            while let Ok(Some(msg)) = codec::read_frame(&mut reader) {
-                // An overloaded server's `Busy` carries backoff advice;
-                // remember the latest so a redial after an eviction does
-                // not dial straight back into the shed window. The
-                // message still reaches the application unchanged.
-                if let Message::Busy { retry_after_ms } = &msg {
-                    busy_advice_ms.store(*retry_after_ms, Ordering::Relaxed);
-                }
-                if tx.send(msg).is_err() {
-                    return;
-                }
+    /// Schedules dial `attempt` of the outage. The client is dead instead
+    /// once closed, without a policy, or out of attempts (`GaveUp`).
+    fn schedule(&self, attempt: u32) {
+        let link = match self.policy.filter(|_| !self.closed.load(Ordering::SeqCst)) {
+            Some(policy) if attempt <= policy.max_attempts => {
+                // The server's retry advice is a floor under the policy's
+                // own backoff, never a shortcut below it.
+                let advice = Duration::from_millis(self.busy_advice_ms.load(Ordering::Relaxed));
+                let at = Instant::now() + policy.delay_before(attempt).max(advice);
+                Link::Down { attempt, at }
             }
-            // Read side ended: clean close, error, or eviction.
-            let Some(policy) = policy else {
-                return;
-            };
-            if closed.load(Ordering::SeqCst) {
-                return;
+            Some(_) => {
+                let _ = self.lifecycle.send(ClientEvent::GaveUp);
+                Link::Dead
             }
-            if let Some(events) = event_tx {
-                events.send(ClientEvent::Disconnected).ok();
-            }
-            let mut attempts = 0u32;
-            loop {
-                if attempts >= policy.max_attempts {
-                    if let Some(events) = event_tx {
-                        events.send(ClientEvent::GaveUp).ok();
-                    }
-                    return;
-                }
-                attempts += 1;
-                reconnect_attempts.fetch_add(1, Ordering::Relaxed);
-                // The server's retry advice is a floor under the
-                // policy's own backoff, never a shortcut below it.
-                let advice = Duration::from_millis(busy_advice_ms.load(Ordering::Relaxed));
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the client supervisor's reconnect back-off: this thread owns no socket but the one it is redialing"
-                )]
-                std::thread::sleep(policy.delay_before(attempts).max(advice));
-                if closed.load(Ordering::SeqCst) {
-                    return;
-                }
-                match TcpStream::connect(addr) {
-                    Ok(fresh) => {
-                        if fresh.set_nodelay(true).is_err() {
-                            sockopt_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        *stream.held() = fresh;
-                        // close() may have raced the swap: shut the fresh
-                        // socket down too rather than resurrecting a
-                        // client the application already closed.
-                        if closed.load(Ordering::SeqCst) {
-                            stream.held().shutdown(std::net::Shutdown::Both).ok();
-                            return;
-                        }
-                        reconnects.fetch_add(1, Ordering::Relaxed);
-                        // Advice consumed: the next outage starts from
-                        // the policy's own backoff again.
-                        busy_advice_ms.store(0, Ordering::Relaxed);
-                        if let Some(events) = event_tx {
-                            events.send(ClientEvent::Reconnected { attempts }).ok();
-                        }
-                        break;
-                    }
-                    Err(_) => continue,
-                }
-            }
-        }
+            None => Link::Dead,
+        };
+        *self.link.held() = link;
     }
 
-    /// Sends a message to the server by enqueueing it on the client's
-    /// writer thread; does not block on the socket (a wedged write no
-    /// longer blocks further sends, pings, or `close`).
+    /// Dial `attempt` of the outage: a fresh socket replaces the
+    /// connection, or the next dial is scheduled.
+    fn redial(&self, attempt: u32) {
+        if self.closed.load(Ordering::SeqCst) {
+            return self.schedule(attempt);
+        }
+        self.reconnect_attempts.fetch_add(1, Ordering::Relaxed);
+        let dialed = TcpStream::connect(self.addr)
+            .and_then(|fresh| self.pool.register(fresh, &self.sink, &self.sockopt_failures));
+        let Ok(fresh) = dialed else {
+            return self.schedule(attempt + 1);
+        };
+        self.conn.store(fresh.0, Ordering::SeqCst);
+        // close() may have raced the dial: shut the fresh socket too
+        // rather than resurrecting a client the application closed.
+        if self.closed.load(Ordering::SeqCst) {
+            self.pool.shut(fresh, Duration::ZERO);
+            return self.schedule(attempt);
+        }
+        self.reconnects.fetch_add(1, Ordering::Relaxed);
+        // Advice consumed: the next outage starts from the policy's own
+        // backoff again.
+        self.busy_advice_ms.store(0, Ordering::Relaxed);
+        *self.link.held() = Link::Up;
+        let _ = self.lifecycle.send(ClientEvent::Reconnected { attempts: attempt });
+    }
+
+    /// Sends a message to the server by queueing it on the connection's
+    /// outbox; does not block on the socket (a wedged write does not
+    /// block further sends, pings, or `close`).
     ///
     /// # Errors
     ///
-    /// `NotConnected` once the client is closed, `BrokenPipe` after an
-    /// unrecoverable write error (no reconnect policy), `TimedOut` if
-    /// the outbox stayed full past the flush timeout. Write errors on a
-    /// reconnect-enabled client are not surfaced here: the frame is
-    /// lost and the reconnect loop revives the connection.
+    /// `NotConnected` once the client is closed, `BrokenPipe` once the
+    /// connection failed (no reconnect policy), `TimedOut` if the
+    /// outbox stayed full past the flush timeout. A failed connection
+    /// of a reconnect-enabled client is not surfaced here: the frame is
+    /// lost and the redial revives the connection.
     pub fn send(&self, msg: &Message) -> io::Result<()> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(io::Error::new(io::ErrorKind::NotConnected, "client closed"));
         }
-        if self.broken.load(Ordering::SeqCst) {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection failed"));
-        }
-        let frame = SharedFrame::from_message(msg).into_bytes();
-        self.pending_writes.fetch_add(1, Ordering::AcqRel);
-        let undo_pending = |e: io::Error| {
-            self.pending_writes.fetch_sub(1, Ordering::AcqRel);
+        let bytes = SharedFrame::from_message(msg).into_bytes();
+        let batch = OutBatch { bytes: bytes.len(), segments: vec![bytes], frames: 1 };
+        match self.pool.enqueue(self.current(), CLIENT_LIMITS, batch) {
             Err(e)
-        };
-        let frame = match self.outbox.try_send(frame) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(_)) => {
-                return undo_pending(io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    "client writer stopped",
-                ));
+                if e.kind() == io::ErrorKind::NotConnected
+                    && !self.closed.load(Ordering::SeqCst) =>
+            {
+                match self.policy {
+                    Some(_) => Ok(()),
+                    None => Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection failed")),
+                }
             }
-            Err(TrySendError::Full(f)) => f,
-        };
-        match self.outbox.send_timeout(frame, CLIENT_FLUSH_TIMEOUT) {
-            Ok(()) => Ok(()),
-            Err(SendTimeoutError::Disconnected(_)) => {
-                undo_pending(io::Error::new(io::ErrorKind::NotConnected, "client writer stopped"))
-            }
-            Err(SendTimeoutError::Timeout(_)) => undo_pending(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "outbox stayed full past the flush timeout",
-            )),
+            sent => sent,
         }
     }
 
@@ -1131,26 +820,55 @@ impl TcpClient {
     /// [`TcpClient::recv_timeout`] — says *why* there was no message:
     /// [`RecvError::Timeout`] means "quiet but alive", while
     /// [`RecvError::Disconnected`] means the connection is gone for good
-    /// and waiting longer is pointless.
+    /// and waiting longer is pointless. A reconnect-enabled client
+    /// redials in here (and in [`TcpClient::recv_timeout`] and
+    /// [`TcpClient::try_recv`]) once each backoff has passed.
     ///
     /// # Errors
     ///
     /// [`RecvError`] when no message arrived.
     pub fn recv_within(&self, timeout: Duration) -> Result<Message, RecvError> {
-        self.incoming.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
+        let deadline = Instant::now() + timeout;
+        loop {
+            let now = Instant::now();
+            let link = *self.link.held();
+            let until = match link {
+                Link::Dead => return Err(RecvError::Disconnected),
+                Link::Down { attempt, at } if at <= now => {
+                    self.redial(attempt);
+                    continue;
+                }
+                Link::Down { at, .. } => at.min(deadline),
+                Link::Up => deadline,
+            };
+            match self.incoming.recv_timeout(until.saturating_duration_since(now)) {
+                Ok(NetEvent::Message(_, msg)) => {
+                    // An overloaded server's `Busy` carries backoff
+                    // advice; remember the latest so a redial after an
+                    // eviction does not dial straight back into the shed
+                    // window. The message still reaches the caller.
+                    if let Message::Busy { retry_after_ms } = &msg {
+                        self.busy_advice_ms.store(*retry_after_ms, Ordering::Relaxed);
+                    }
+                    return Ok(msg);
+                }
+                Ok(NetEvent::Disconnected(_)) => {
+                    if !self.closed.load(Ordering::SeqCst) {
+                        let _ = self.lifecycle.send(ClientEvent::Disconnected);
+                    }
+                    self.schedule(1);
+                }
+                Ok(NetEvent::Connected(_)) => {}
+                Err(_) if Instant::now() >= deadline => return Err(RecvError::Timeout),
+                // A dial came due.
+                Err(_) => {}
+            }
+        }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        self.incoming.try_recv().ok()
-    }
-
-    /// Receiver handle for select-style integration.
-    pub fn incoming(&self) -> &Receiver<Message> {
-        &self.incoming
+        self.recv_within(Duration::ZERO).ok()
     }
 
     /// Lifecycle events, present when the client was created with
@@ -1159,78 +877,51 @@ impl TcpClient {
         self.events.as_ref()
     }
 
-    /// Successful reconnections performed by the reconnect loop.
+    /// Successful reconnections.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.load(Ordering::Relaxed)
     }
 
-    /// Dial attempts made by the reconnect loop (successful or not).
+    /// Redial attempts (successful or not).
     pub fn reconnect_attempts(&self) -> u64 {
         self.reconnect_attempts.load(Ordering::Relaxed)
     }
 
-    /// Socket-option calls (`set_nodelay`) that failed on this client's
-    /// connections, including reconnect swaps. Nonzero means the
-    /// platform is misbehaving (latency will suffer), not that the
-    /// connection is broken.
+    /// Socket-option calls (`set_nodelay`, `set_nonblocking`) that failed
+    /// on this client's connections, including redials. Nonzero means
+    /// the platform is misbehaving, not that the connection is broken.
     pub fn sockopt_failures(&self) -> u64 {
         self.sockopt_failures.load(Ordering::Relaxed)
     }
 
     /// The latest `Busy { retry_after_ms }` advice seen from the server,
-    /// in milliseconds; `0` when none is pending. The reconnect loop
-    /// sleeps at least this long before each redial and resets the
-    /// advice once a redial succeeds.
+    /// in milliseconds; `0` when none is pending. A redial waits at
+    /// least this long and resets the advice once it succeeds.
     pub fn busy_advice_ms(&self) -> u64 {
         self.busy_advice_ms.load(Ordering::Relaxed)
     }
 
-    /// Shuts the connection down; the server sees a disconnect and the
-    /// reconnect loop (if any) stops instead of redialing. Waits up to
-    /// the flush timeout for already-queued frames (e.g. a graceful
-    /// `Deregister`) to reach the socket — but no longer: a wedged
-    /// socket cannot hold `close` hostage.
+    /// Shuts the connection down; the server sees a disconnect and no
+    /// redial follows. Waits up to the flush timeout for already-queued
+    /// frames (e.g. a graceful `Deregister`) to reach the socket — but
+    /// no longer: a wedged socket cannot hold `close` hostage.
     pub fn close(&self) {
-        self.flush_and_shutdown();
-    }
-
-    fn flush_and_shutdown(&self) {
-        // Only the first closer drains; a repeated close (or the Drop
-        // that follows an explicit close) goes straight to shutdown.
-        if !self.closed.swap(true, Ordering::SeqCst) {
-            let deadline = Instant::now() + CLIENT_FLUSH_TIMEOUT;
-            loop {
-                // Generation before the check, so a drain landing right
-                // after the check still wakes the wait (no lost signal,
-                // no sleep-poll).
-                let seen = self.flushed.generation();
-                if self.pending_writes.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                self.flushed.wait(seen, deadline - now);
-            }
-        }
-        self.stream.held().shutdown(std::net::Shutdown::Both).ok();
+        self.closed.store(true, Ordering::SeqCst);
+        // A repeated close (or the Drop after one) finds nothing to shut.
+        self.pool.shut(self.current(), CLIENT_FLUSH_TIMEOUT);
     }
 
     /// Kills the current connection *without* marking the client closed —
     /// indistinguishable from a network failure, so a reconnect-enabled
     /// client redials. Intended for fault-injection tests.
     pub fn sever(&self) {
-        self.stream.held().shutdown(std::net::Shutdown::Both).ok();
+        self.pool.shut(self.current(), Duration::ZERO);
     }
 }
 
 impl Drop for TcpClient {
     fn drop(&mut self) {
-        // The reader thread holds a cloned file descriptor; an explicit
-        // shutdown is required so dropping the client actually closes the
-        // connection (and unblocks the reader).
-        self.flush_and_shutdown();
+        self.close();
     }
 }
 

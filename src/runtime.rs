@@ -349,8 +349,8 @@ impl TcpSession {
                     self.flush_for_pump()?;
                 }
                 Err(RecvError::Disconnected) => {
-                    // Gone for good (closed, or the reconnect loop gave
-                    // up): nothing will ever arrive again. Drain the
+                    // Gone for good (closed, or the redials gave up):
+                    // nothing will ever arrive again. Drain the
                     // last lifecycle events and sit out the remainder of
                     // the window instead of hot-spinning on the dead
                     // receiver, which is what the collapsed recv_timeout
@@ -393,7 +393,7 @@ impl TcpSession {
     ///
     /// Deterministic handshake, no timing guesswork: `flush` enqueues
     /// the session's goodbye (`Deregister`), and [`TcpClient::close`]
-    /// waits — on the writer thread's flush signal, not a sleep — until
+    /// waits — on the connection's drain signal, not a sleep — until
     /// those frames reached the socket before shutting it down.
     pub fn close(mut self) {
         self.session.leave();

@@ -11,6 +11,10 @@
 //!   within a probe, and a frame sent to cold connections goes out at
 //!   the next wake, not at their next probe.
 //!
+//! And what an idle transport costs: a poll thread with no connection
+//! parks until a command wakes it, and connected clients add no thread
+//! per connection. Both read `/proc/self/task` (Linux).
+//!
 //! `stalled_peer_hits_the_handshake_deadline` in `tcp_chaos.rs` (a
 //! 250 ms deadline, past `COLD_AFTER`) guards the deadline check on the
 //! cold path. The tests take one lock, so no two hosts share the CPU.
@@ -20,7 +24,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cosoft::net::tcp::{ConnId, NetEvent, TcpHost};
+use cosoft::net::tcp::{ConnId, NetEvent, TcpClient, TcpHost};
 use cosoft::wire::{codec, Message, SharedFrame};
 
 /// `poll.rs`'s quiet time before a connection goes cold.
@@ -215,4 +219,92 @@ fn a_frame_to_cold_connections_goes_out_at_the_next_wake() {
         best.is_some_and(|extra| extra <= COLD_PROBE / 4),
         "mean arrival per batch, (cold, then hot): {tries:?}"
     );
+}
+
+/// This process's threads: `(tid, comm)`.
+fn threads() -> Vec<(String, String)> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+    tasks
+        .filter_map(|task| {
+            let tid = task.ok()?.file_name().into_string().ok()?;
+            let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+            Some((tid, comm.trim_end().to_owned()))
+        })
+        .collect()
+}
+
+/// The id of the thread named `name`, once it has named itself.
+fn thread_named(name: &str) -> String {
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        if let Some((tid, _)) = threads().into_iter().find(|(_, comm)| comm == name) {
+            return tid;
+        }
+        assert!(Instant::now() < deadline, "no thread named {name}");
+        std::thread::yield_now();
+    }
+}
+
+/// How many times thread `tid` has run: the third field of its
+/// `schedstat`.
+fn run_count(tid: &str) -> u64 {
+    let stat =
+        std::fs::read_to_string(format!("/proc/self/task/{tid}/schedstat")).expect("schedstat");
+    stat.split_whitespace().nth(2).and_then(|n| n.parse().ok()).expect("run count")
+}
+
+/// A poll thread with no connection has nothing due, so it parks until
+/// a command wakes it: over 500 ms it runs at most 5 times, where one
+/// that woke every `MAX_PARK` ran about 250. The dial that follows is
+/// still heard, since registering it wakes the thread.
+#[test]
+fn a_poll_thread_with_no_connection_parks_until_woken() {
+    let _serial = serial();
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let tid = thread_named("cosoft-poll-0");
+    // Past the thread's start and its first empty pass.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = run_count(&tid);
+    std::thread::sleep(Duration::from_millis(500));
+    let ran = run_count(&tid) - before;
+    assert!(ran <= 5, "an idle poll thread ran {ran} times in 500 ms");
+
+    let (mut stream, id) = connect(&host);
+    stream.write_all(&codec::frame_message(&Message::Ping { nonce: 1 })).expect("ping");
+    match host.events().recv_timeout(TIMEOUT).expect("ping event") {
+        NetEvent::Message(c, Message::Ping { nonce: 1 }) if c == id => {}
+        other => panic!("expected the ping, got {other:?}"),
+    }
+}
+
+/// 32 connected clients add at most one thread, the client pool's (none
+/// if an earlier client of this process started it); a reader and a
+/// writer per client added 64. Counted among the transport's threads
+/// (named `cosoft-…`), as the test harness starts and ends its own.
+#[test]
+fn connected_clients_add_at_most_one_thread() {
+    let _serial = serial();
+    let transport = || threads().iter().filter(|(_, comm)| comm.starts_with("cosoft-")).count();
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    thread_named("cosoft-poll-0");
+    thread_named("cosoft-accept");
+    let before = transport();
+    let clients: Vec<TcpClient> =
+        (0..32).map(|_| TcpClient::connect(host.local_addr()).expect("connect")).collect();
+    let mut conns = Vec::new();
+    for _ in &clients {
+        match host.events().recv_timeout(TIMEOUT).expect("accept") {
+            NetEvent::Connected(id) => conns.push(id),
+            other => panic!("expected Connected, got {other:?}"),
+        }
+    }
+    let added = transport() - before;
+    assert!(added <= 1, "32 clients added {added} threads");
+    // And each is served: a frame to every connection reaches its client.
+    let frame = SharedFrame::from_message(&Message::Pong { nonce: 9 });
+    let batch: Vec<(ConnId, SharedFrame)> = conns.iter().map(|&id| (id, frame.clone())).collect();
+    assert!(host.send_batch(&batch).is_empty());
+    for client in &clients {
+        assert!(matches!(client.recv_timeout(TIMEOUT), Some(Message::Pong { nonce: 9 })));
+    }
 }

@@ -3,10 +3,11 @@
 //! round, teardown — served by a fixed 2-thread poll pool.
 //!
 //! Clients are raw `std::net::TcpStream`s speaking the wire protocol
-//! directly (no `TcpClient`, which would add 2 OS threads per client and
-//! turn the test into a thread-scale test of the *clients*). The host
-//! side is the full runtime stack (`TcpServer` → `ShardRouter` →
-//! `ServerCore`). The fd budget is ~2 per connection; the test checks
+//! directly, read on this thread: a `TcpClient` adds no thread, but the
+//! clients of a process share one poll thread of their own, and 1 024 of
+//! them would time that thread beside the host's pool. The host side is
+//! the full runtime stack (`TcpServer` → `ShardRouter` → `ServerCore`).
+//! The fd budget is ~2 per connection (its two ends); the test checks
 //! `ulimit -n` up front and fails with a pointer at the limit rather
 //! than drowning in `EMFILE`.
 //!

@@ -1,15 +1,20 @@
 //! Real-socket reconnect/resume tests: a client whose connection dies
 //! mid-session redials with backoff, rejoins under its resume token, and
 //! reconverges via the §3.1 `CopyFrom` resync — the TCP twin of the
-//! deterministic `reconnect_sim` tests.
+//! deterministic `reconnect_sim` tests — and the redial state of a bare
+//! `TcpClient`: it gives up after its attempts, and a server's `Busy`
+//! advice holds a redial back.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cosoft::core::session::Session;
-use cosoft::net::tcp::{ReconnectPolicy, TcpHostConfig};
+use cosoft::net::tcp::{
+    ClientEvent, NetEvent, ReconnectPolicy, RecvError, TcpClient, TcpHost, TcpHostConfig,
+};
 use cosoft::runtime::{TcpServer, TcpSession};
 use cosoft::server::LivenessConfig;
 use cosoft::uikit::{spec, Toolkit};
+use cosoft::wire::Message;
 use cosoft::wire::{AttrName, EventKind, ObjectPath, UiEvent, UserId, Value};
 
 const FORM: &str = r#"form pad { textfield line text="" }"#;
@@ -133,4 +138,79 @@ fn close_stops_the_reconnect_loop() {
     std::thread::sleep(Duration::from_millis(300));
     let stats = server.server_stats();
     assert_eq!(stats.resumes, 0, "no rejoin after a deliberate close");
+}
+
+/// Receives on `client` in 10 ms slices until `done` holds of the
+/// lifecycle events seen so far: `(event, when the receive that emitted
+/// it started)` each.
+fn drive(
+    client: &TcpClient,
+    done: impl Fn(&[(ClientEvent, Instant)]) -> bool,
+) -> Vec<(ClientEvent, Instant)> {
+    let deadline = Instant::now() + TIMEOUT;
+    let mut seen = Vec::new();
+    while !done(&seen) {
+        assert!(Instant::now() < deadline, "lifecycle stalled at {seen:?}");
+        let started = Instant::now();
+        let _ = client.recv_within(Duration::from_millis(10));
+        let events = client.events().expect("a reconnect client");
+        seen.extend(std::iter::from_fn(|| events.try_recv().ok()).map(|e| (e, started)));
+    }
+    seen
+}
+
+fn connected(host: &TcpHost) -> cosoft::net::ConnId {
+    match host.events().recv_timeout(TIMEOUT).expect("accept") {
+        NetEvent::Connected(id) => id,
+        other => panic!("expected Connected, got {other:?}"),
+    }
+}
+
+/// With its host gone, a client spends its three redials and gives up;
+/// from then on a receive says `Disconnected` at once.
+#[test]
+fn a_client_whose_host_is_gone_gives_up_after_its_attempts() {
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let policy = ReconnectPolicy { max_attempts: 3, ..fast_policy() };
+    let client = TcpClient::connect_with_reconnect(host.local_addr(), policy).expect("connect");
+    connected(&host);
+    drop(host);
+
+    let seen = drive(&client, |seen| seen.iter().any(|(e, _)| *e == ClientEvent::GaveUp));
+    let events: Vec<ClientEvent> = seen.iter().map(|(e, _)| *e).collect();
+    assert_eq!(events, [ClientEvent::Disconnected, ClientEvent::GaveUp]);
+    assert_eq!(client.reconnect_attempts(), 3);
+    let started = Instant::now();
+    assert_eq!(client.recv_within(TIMEOUT), Err(RecvError::Disconnected));
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+}
+
+/// A `Busy` the client received is a floor under its redial backoff:
+/// with a 10 ms base delay, the redial after the host hangs up still
+/// waits the advised 300 ms, and the redial that succeeds clears the
+/// advice.
+#[test]
+fn a_busy_advice_holds_the_redial_back_until_a_redial_clears_it() {
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let policy = ReconnectPolicy { base_delay: Duration::from_millis(10), ..fast_policy() };
+    let client = TcpClient::connect_with_reconnect(host.local_addr(), policy).expect("connect");
+    let conn = connected(&host);
+    host.send(conn, &Message::Busy { retry_after_ms: 300 }).expect("busy");
+    assert_eq!(client.recv_within(TIMEOUT), Ok(Message::Busy { retry_after_ms: 300 }));
+    assert_eq!(client.busy_advice_ms(), 300);
+    host.disconnect(conn);
+
+    let seen = drive(&client, |seen| {
+        seen.iter().any(|(e, _)| matches!(e, ClientEvent::Reconnected { .. }))
+    });
+    let back = Instant::now();
+    let events: Vec<ClientEvent> = seen.iter().map(|(e, _)| *e).collect();
+    assert_eq!(events, [ClientEvent::Disconnected, ClientEvent::Reconnected { attempts: 1 }]);
+    let waited = back - seen[0].1;
+    assert!(waited >= Duration::from_millis(300), "redialed {waited:?} after the disconnect");
+    assert_eq!(client.busy_advice_ms(), 0);
+    assert!(
+        matches!(host.events().recv_timeout(TIMEOUT), Ok(NetEvent::Disconnected(c)) if c == conn)
+    );
+    connected(&host);
 }
