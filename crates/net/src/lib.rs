@@ -8,11 +8,11 @@
 //!   figures and most tests run here, replacing the paper's 1994 LAN
 //!   with a reproducible substrate.
 //! * [`tcp`] — real sockets (`std::net`, the crate's own [`queue`]) so the same
-//!   server and client logic also runs end-to-end over TCP. Both ends
-//!   are readiness-driven: a fixed pool of poll threads owns every
-//!   socket of a host, and one more thread every client socket of the
-//!   process (the internal `poll` module), so connection count adds
-//!   state, not threads.
+//!   server and client logic also runs end-to-end over TCP. A fixed pool
+//!   of poll threads owns every socket of a host, and one more thread
+//!   writes every client socket of the process (the internal `poll`
+//!   module), so connection count adds state, not threads; a client's
+//!   receives read its socket on the calling thread.
 //!
 //! The server and client cores are written sans-I/O (they map an incoming
 //! message to outgoing messages) so both carriers drive identical logic.

@@ -8,7 +8,7 @@
 //! |---|---|---|---|
 //! | 0 | [`ConnMapLock`] | the host-wide connection map | nothing |
 //! | 1 | [`OutboxLock`] | one connection's outbox | nothing, or the map |
-//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's link state, the client pool, fault scripts | nothing, or an outbox |
+//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's receive state, the client pool, fault scripts | nothing, or an outbox |
 //!
 //! A thread climbs one rank at a time: the map orders before an outbox
 //! and nothing else (it is held to file, find or remove a connection,

@@ -2,9 +2,9 @@
 //! poll threads owning nonblocking sockets, per-connection ring-buffer
 //! outboxes flushed on writability, incremental frame reassembly on
 //! readability, and condvar wakeup tokens replacing every sleep-poll.
-//! A host's accepted sockets and every client socket of the process run
-//! on this one code: each connection carries the sender its frames and
-//! its `Disconnected` go to.
+//! A host's pool reads and writes its sockets and sends their events to
+//! the host; the process's client pool only writes, since a client's
+//! receiving thread reads its own socket (see [`nonblocking`]).
 //!
 //! # Why this is a sweep loop and not epoll
 //!
@@ -32,7 +32,7 @@
 //! A host's thread count is fixed at bind time by its config's
 //! `io_threads`; the process's clients share one more pool of one thread,
 //! started by the first connect. Connection count adds no threads, and a
-//! thread with no connection parks until a command wakes it.
+//! thread with nothing to sweep or probe parks until a command wakes it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -230,16 +230,16 @@ pub(crate) type ConnMap = Arc<ConnMapLock<HashMap<ConnId, ConnShared>>>;
 // frame reassembly
 // --------------------------------------------------------------------------
 
-/// Incremental `u32-le length ‖ body` reassembler for nonblocking
-/// reads: bytes go in as they arrive, complete messages come out.
+/// Incremental `u32-le length ‖ body` reassembler: bytes go in as they
+/// arrive, complete messages come out.
 #[derive(Debug, Default)]
-struct FrameReader {
+pub(crate) struct FrameReader {
     buf: Vec<u8>,
     pos: usize,
 }
 
 impl FrameReader {
-    fn push(&mut self, data: &[u8]) {
+    pub(crate) fn push(&mut self, data: &[u8]) {
         if self.pos == self.buf.len() {
             self.buf.clear();
             self.pos = 0;
@@ -252,7 +252,7 @@ impl FrameReader {
 
     /// Next complete message, `Ok(None)` if more bytes are needed, an
     /// error on an oversized or malformed frame (the connection dies).
-    fn next(&mut self) -> io::Result<Option<Message>> {
+    pub(crate) fn next(&mut self) -> io::Result<Option<Message>> {
         let rest = self.buf.get(self.pos..).unwrap_or(&[]);
         let [b0, b1, b2, b3, ..] = rest else {
             return Ok(None);
@@ -303,6 +303,14 @@ impl<C> Conns<C> {
         }
     }
 
+    /// Takes a hot connection out of the sweep with no probe due: only a
+    /// dirty mark brings it back.
+    fn shelve(&mut self, id: ConnId) {
+        if let Some(c) = self.hot.remove(&id) {
+            self.cold.insert(id, (self.epoch, c));
+        }
+    }
+
     /// Puts a cold connection back in the sweep (a no-op on any other).
     fn heat(&mut self, id: ConnId) {
         if let Some((_, c)) = self.cold.remove(&id) {
@@ -334,9 +342,8 @@ impl<C> Conns<C> {
 
 /// Control messages from a pool's users to one of its threads.
 pub(crate) enum Cmd {
-    /// Adopt a nonblocking socket; its frames and its `Disconnected` go to
-    /// the sender.
-    Register(ConnId, TcpStream, ConnShared, Sender<NetEvent>),
+    /// Adopt a connected socket.
+    Register(ConnId, TcpStream, ConnShared),
     /// Tear one connection down (eviction, disconnect, a client's close
     /// or sever) and surface its `Disconnected` event.
     Close(ConnId),
@@ -350,9 +357,6 @@ struct PollConn {
     outbox: Arc<OutboxLock<Outbox>>,
     queued_bytes: Arc<AtomicUsize>,
     gate: Arc<Gate>,
-    /// Where the connection's frames and its `Disconnected` go: the
-    /// host's event channel, or its client's own.
-    events: Sender<NetEvent>,
     frames: FrameReader,
     /// Sweeps left before the next read probe.
     skip: u32,
@@ -385,6 +389,9 @@ impl PollConn {
 struct PollThread {
     cmds: PollReceiver<Cmd>,
     waker: Arc<PollWaker>,
+    /// Where a host pool sends its connections' frames and `Disconnected`;
+    /// `None` in the client pool, which only writes.
+    events: Option<Sender<NetEvent>>,
     conns_shared: ConnMap,
     counters: Arc<Counters>,
     /// Freshly registered connections must produce a first complete
@@ -407,7 +414,7 @@ impl PollThread {
         loop {
             loop {
                 match self.cmds.try_recv() {
-                    Ok(Cmd::Register(id, stream, shared, events)) => {
+                    Ok(Cmd::Register(id, stream, shared)) => {
                         let now = Instant::now();
                         let ConnShared { outbox, queued_bytes, gate, .. } = shared;
                         self.conns.hot.insert(
@@ -417,7 +424,6 @@ impl PollThread {
                                 outbox,
                                 queued_bytes,
                                 gate,
-                                events,
                                 frames: FrameReader::default(),
                                 skip: 0,
                                 skip_limit: 0,
@@ -448,8 +454,9 @@ impl PollThread {
             // A cold probe is the handshake deadline and one read (an enqueue heats).
             while let Some((id, conn)) = self.conns.next_due(now) {
                 let probe = conn.check_handshake(&self.counters).and_then(|()| {
+                    let Some(events) = &self.events else { return Ok(false) };
                     let faults = self.faults.as_deref();
-                    Self::read_ready(conn, id, &self.counters, &mut scratch, faults)
+                    Self::read_ready(conn, id, &self.counters, &mut scratch, faults, events)
                 });
                 match probe {
                     Ok(false) => continue,
@@ -478,9 +485,10 @@ impl PollThread {
                 continue;
             }
             // No park outlasts the next cold probe: each has its deadline.
-            // With no connection nothing is due: every command wakes.
+            // With none due and none hot, only a command can bring work,
+            // and every command wakes.
             let next = self.conns.due.front().map(|&(at, _)| at.saturating_duration_since(now));
-            let idle = self.conns.hot.is_empty() && self.conns.cold.is_empty();
+            let idle = self.conns.hot.is_empty() && next.is_none();
             self.waker.park((!idle).then(|| next.map_or(park, |d| d.min(park))));
             park = (park * 2).min(MAX_PARK);
         }
@@ -494,7 +502,15 @@ impl PollThread {
         conn.check_handshake(&self.counters)?;
         let faults = self.faults.as_deref();
         let mut progressed = false;
-        let wrote = Self::flush(conn, id, &self.counters, faults)?;
+        let wrote = Self::flush(conn, id, &self.counters, faults, self.events.is_none())?;
+        let Some(events) = &self.events else {
+            // A client's connection: its receiver reads it, so once its
+            // outbox is empty nothing is left to do until the next send.
+            if conn.queued_bytes.load(Ordering::Acquire) == 0 {
+                self.conns.shelve(id);
+            }
+            return Ok(wrote);
+        };
         if wrote {
             progressed = true;
             // A write usually provokes a reply; probe eagerly again.
@@ -508,7 +524,7 @@ impl PollThread {
             true
         };
         if due {
-            let read_any = Self::read_ready(conn, id, &self.counters, scratch, faults)?;
+            let read_any = Self::read_ready(conn, id, &self.counters, scratch, faults, events)?;
             if read_any {
                 progressed = true;
                 conn.skip_limit = 0;
@@ -533,12 +549,14 @@ impl PollThread {
     /// Returns whether any bytes moved. With a fault injector attached,
     /// every write attempt first consults it: the gather may be cut
     /// short (partial write), skipped for a sweep (`WouldBlock`), or
-    /// turned into a connection-fatal error.
+    /// turned into a connection-fatal error. A `blocking` (client) socket
+    /// is written through [`nonblocking`].
     fn flush(
         conn: &mut PollConn,
         id: ConnId,
         counters: &Counters,
         faults: Option<&FaultInjector>,
+        blocking: bool,
     ) -> io::Result<bool> {
         let mut wrote_any = false;
         loop {
@@ -576,7 +594,12 @@ impl PollThread {
                 // That outbox lock and no other: a host-wide lock held
                 // here would stall every sender behind one socket.
                 lock::assert_holds_only(lock::OUTBOX);
-                match conn.stream.write_vectored(&slices) {
+                let written = if blocking {
+                    nonblocking(&conn.stream, |mut s| s.write_vectored(&slices))
+                } else {
+                    conn.stream.write_vectored(&slices)
+                };
+                match written {
                     Ok(0) => {
                         return Err(io::Error::new(
                             io::ErrorKind::WriteZero,
@@ -639,8 +662,8 @@ impl PollThread {
         }
     }
 
-    /// Reads until `WouldBlock` (bounded per sweep), pushing complete
-    /// messages into the connection's sink. Returns whether bytes arrived;
+    /// Reads until `WouldBlock` (bounded per sweep), sending complete
+    /// messages to `events`. Returns whether bytes arrived;
     /// `Err` on EOF, transport error, or a malformed frame. With a
     /// fault injector attached, every read attempt first consults it:
     /// the read buffer may be shortened (forcing incremental frame
@@ -652,6 +675,7 @@ impl PollThread {
         counters: &Counters,
         scratch: &mut [u8],
         faults: Option<&FaultInjector>,
+        events: &Sender<NetEvent>,
     ) -> io::Result<bool> {
         let mut read_any = false;
         let mut budget = MAX_READ_PER_SWEEP;
@@ -685,7 +709,7 @@ impl PollThread {
                 // the handshake deadline (if any) is met.
                 conn.handshake_deadline = None;
                 // Receiver gone; the close or shutdown command follows.
-                let _ = conn.events.send(NetEvent::Message(id, msg));
+                let _ = events.send(NetEvent::Message(id, msg));
             }
             budget = budget.saturating_sub(n);
             if budget == 0 || n < cap {
@@ -714,8 +738,25 @@ impl PollThread {
         conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
         conn.gate.notify();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        let _ = conn.events.send(NetEvent::Disconnected(id));
+        if let Some(events) = &self.events {
+            let _ = events.send(NetEvent::Disconnected(id));
+        }
     }
+}
+
+/// Runs `io` on `stream` switched to nonblocking. A client's socket stays
+/// blocking, so that its receiving thread sleeps in `read` until bytes
+/// come; the client pool's writes and a zero-wait receive go through here
+/// under the connection's outbox lock, and a blocking read that starts
+/// inside the switch returns `WouldBlock` early.
+pub(crate) fn nonblocking<T>(
+    stream: &TcpStream,
+    io: impl FnOnce(&TcpStream) -> io::Result<T>,
+) -> io::Result<T> {
+    stream.set_nonblocking(true)?;
+    let done = io(stream);
+    stream.set_nonblocking(false)?;
+    done
 }
 
 // --------------------------------------------------------------------------
@@ -732,29 +773,33 @@ pub(crate) struct Limits {
 }
 
 /// A pool of poll threads as its users hold it: the connections it owns,
-/// its counters, and each thread's command queue and wake token. A host
-/// shares one with its accept thread; the process's clients share one of
-/// a single thread.
+/// its counters, where their events go, and each thread's command queue
+/// and wake token. A host shares one with its accept thread; the
+/// process's clients share one of a single thread, with no events.
 pub(crate) struct Pool {
     pub(crate) conns: ConnMap,
     pub(crate) counters: Arc<Counters>,
+    events: Option<Sender<NetEvent>>,
     threads: Vec<(Sender<Cmd>, Arc<PollWaker>)>,
     next_id: AtomicU64,
 }
 
 impl Pool {
     /// Starts `size` (at least one) poll threads, thread `i` named
-    /// `name(i)`. On a spawn failure the threads already started are
-    /// stopped.
+    /// `name(i)`. With `events`, the pool reads its connections and sends
+    /// their events there; without, it only writes them. On a spawn
+    /// failure the threads already started are stopped.
     pub(crate) fn spawn(
         size: usize,
         name: impl Fn(usize) -> String,
         handshake_timeout: Option<Duration>,
         faults: Option<Arc<FaultInjector>>,
+        events: Option<Sender<NetEvent>>,
     ) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
         let mut pool = Pool {
             conns: Arc::new(ConnMapLock::new(HashMap::new())),
             counters: Arc::default(),
+            events,
             threads: Vec::new(),
             next_id: AtomicU64::new(1),
         };
@@ -765,6 +810,7 @@ impl Pool {
             let body = PollThread {
                 cmds: cmd_rx.poll_only(),
                 waker: waker.clone(),
+                events: pool.events.clone(),
                 conns_shared: pool.conns.clone(),
                 counters: pool.counters.clone(),
                 handshake_timeout,
@@ -785,22 +831,23 @@ impl Pool {
         Ok((pool, handles))
     }
 
-    /// Makes a connected socket nonblocking and hands it to a poll thread
-    /// (round-robin by id); its `Connected`, frames and `Disconnected` go
-    /// to `sink`. Socket-option failures count in `sockopt_failures`.
+    /// Hands a connected socket to a poll thread (round-robin by id) and
+    /// sends its `Connected`. A host pool's sockets are made nonblocking;
+    /// the client pool's stay blocking for their receivers (see
+    /// [`nonblocking`]). Returns the id and the connection's outbox.
+    /// Socket-option failures count in `sockopt_failures`.
     pub(crate) fn register(
         &self,
         stream: TcpStream,
-        sink: &Sender<NetEvent>,
         sockopt_failures: &AtomicU64,
-    ) -> io::Result<ConnId> {
+    ) -> io::Result<(ConnId, Arc<OutboxLock<Outbox>>)> {
         if stream.set_nodelay(true).is_err() {
             // Tolerated: the connection works, just slower.
             sockopt_failures.fetch_add(1, Ordering::Relaxed);
         }
-        // Not tolerated: the poll loop cannot own a blocking socket
+        // Not tolerated: a reading poll loop cannot own a blocking socket
         // without stalling its peers.
-        if let Err(e) = stream.set_nonblocking(true) {
+        if let Err(e) = stream.set_nonblocking(self.events.is_some()) {
             sockopt_failures.fetch_add(1, Ordering::Relaxed);
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return Err(e);
@@ -815,15 +862,16 @@ impl Pool {
             gate: Arc::default(),
             thread,
         };
+        let outbox = conn.outbox.clone();
         self.conns.held().insert(id, conn.clone());
-        if sink.send(NetEvent::Connected(id)).is_err()
-            || cmds.send(Cmd::Register(id, stream, conn, sink.clone())).is_err()
+        if self.events.as_ref().is_some_and(|events| events.send(NetEvent::Connected(id)).is_err())
+            || cmds.send(Cmd::Register(id, stream, conn)).is_err()
         {
             self.shut(id, Duration::ZERO);
             return Err(stopped());
         }
         waker.wake();
-        Ok(id)
+        Ok((id, outbox))
     }
 
     /// Queues `batch` on connection `id`'s outbox and marks it dirty on

@@ -5,12 +5,15 @@
 //!
 //! # I/O model
 //!
-//! Both ends run on poll pools (the `poll` module): a fixed set of
-//! threads owns every socket in nonblocking mode, so connection count
-//! adds *state*, not threads. A [`TcpHost`] has
-//! [`TcpHostConfig::io_threads`] of them plus an accept thread; every
-//! [`TcpClient`] of the process is a connection of one more pool, of one
-//! thread (`cosoft-client-poll`), started by the first connect.
+//! Socket writes run on poll pools (the `poll` module): a fixed set of
+//! threads owns every socket's writes, so connection count adds *state*,
+//! not threads. A [`TcpHost`] has [`TcpHostConfig::io_threads`] of them
+//! plus an accept thread, and they read its sockets too. Every
+//! [`TcpClient`] of the process writes through one more pool, of one
+//! thread (`cosoft-client-poll`), started by the first connect; a
+//! client's receives read its socket on the calling thread, sleeping in
+//! `read` until bytes come, so an idle client wakes no thread and hears
+//! a push at once.
 //!
 //! A send is a non-blocking enqueue on the connection's ring outbox plus
 //! a wakeup of its poll thread, which flushes on writability: one
@@ -21,11 +24,11 @@
 //! the server maps to the §3.2 auto-decoupling path).
 //! [`TcpHost::send_batch`] coalesces a server turn's frames per
 //! connection into one vectored write. A client with a
-//! [`ReconnectPolicy`] redials on the thread that receives: a dial
-//! blocks, and a poll thread must not.
+//! [`ReconnectPolicy`] redials on the thread that receives, within the
+//! receive's timeout: a dial blocks, and a poll thread must not.
 
-use std::collections::HashMap;
-use std::io;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,8 +38,8 @@ use std::time::{Duration, Instant};
 use cosoft_rng::Rng;
 use cosoft_wire::{Message, SharedFrame};
 
-use crate::lock::LeafLock;
-use crate::poll::{ConnMap, Limits, OutBatch, Pool};
+use crate::lock::{LeafLock, OutboxLock};
+use crate::poll::{self, ConnMap, FrameReader, Gate, Limits, OutBatch, Outbox, Pool};
 use crate::queue::{unbounded, Receiver, Sender};
 
 /// Identifier of one accepted connection on a [`TcpHost`].
@@ -296,6 +299,7 @@ impl TcpHost {
             |i| format!("cosoft-poll-{i}"),
             handshake_timeout,
             faults,
+            Some(tx),
         )?;
         let pool = Arc::new(pool);
 
@@ -339,7 +343,7 @@ impl TcpHost {
                     }
                     // A socket the pool cannot take is shut; the next
                     // dial gets its own chance.
-                    let _ = accept_pool.register(stream, &tx, &counters.sockopt_failures);
+                    let _ = accept_pool.register(stream, &counters.sockopt_failures);
                 }
             });
         let accept_thread = match accept_thread {
@@ -611,7 +615,7 @@ const CLIENT_FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
 const CLIENT_LIMITS: Limits = Limits { batches: 64, bytes: usize::MAX, wait: CLIENT_FLUSH_TIMEOUT };
 
 /// The poll pool every client of the process shares, started by the
-/// first connect.
+/// first connect. It only writes: a client's receives read its socket.
 static CLIENT_POOL: LeafLock<Option<Arc<Pool>>> = LeafLock::new(None);
 
 fn client_pool() -> io::Result<Arc<Pool>> {
@@ -619,39 +623,60 @@ fn client_pool() -> io::Result<Arc<Pool>> {
     if let Some(pool) = &*pool {
         return Ok(pool.clone());
     }
-    // The thread outlives every client: with no connection it parks
-    // until the next connect wakes it.
-    let (fresh, _thread) = Pool::spawn(1, |_| "cosoft-client-poll".into(), None, None)?;
+    // The thread outlives every client: with nothing to write it parks
+    // until the next send wakes it.
+    let (fresh, _thread) = Pool::spawn(1, |_| "cosoft-client-poll".into(), None, None, None)?;
     Ok(pool.insert(Arc::new(fresh)).clone())
 }
 
-/// Where a client stands between its connections.
-#[derive(Debug, Clone, Copy)]
+/// A dialed socket's read side, after its write side joined `pool`.
+type Adopted = (TcpStream, ConnId, Arc<OutboxLock<Outbox>>);
+
+fn adopt(pool: &Pool, dialed: io::Result<TcpStream>, failures: &AtomicU64) -> io::Result<Adopted> {
+    let stream = dialed?;
+    let read = stream.try_clone()?;
+    let (id, outbox) = pool.register(stream, failures)?;
+    Ok((read, id, outbox))
+}
+
+/// Where a client stands with its connection.
+#[derive(Debug)]
 enum Link {
-    /// The current connection is up, as far as the client has heard.
-    Up,
+    /// Connected: the socket's read side, and the outbox whose lock a
+    /// zero-wait read takes to switch the socket (`poll::nonblocking`).
+    Up(TcpStream, Arc<OutboxLock<Outbox>>),
+    /// A receive is reading or dialing; the others wait their turn.
+    Busy,
     /// The connection dropped; dial `attempt` of the outage is due at `at`.
     Down { attempt: u32, at: Instant },
     /// Closed, dropped with no policy, or given up: nothing more arrives.
     Dead,
 }
 
+/// What a client's receives share: the link, and what was read of it.
+#[derive(Debug)]
+struct Inbound {
+    link: Link,
+    frames: FrameReader,
+    ready: VecDeque<Message>,
+}
+
 /// Connecting side of the TCP transport (used by application instances).
 ///
-/// A connection of the process's client pool (see the module docs):
-/// [`TcpClient::send`] queues on the connection's outbox and never
-/// blocks on the socket, so a wedged write cannot block later sends,
-/// `close` or `sever`.
+/// Its writes are a connection of the process's client pool (see the
+/// module docs): [`TcpClient::send`] queues on the connection's outbox
+/// and never blocks on the socket, so a wedged write cannot block later
+/// sends, `close` or `sever`. Its receives read the socket themselves,
+/// one at a time.
 pub struct TcpClient {
     addr: SocketAddr,
     policy: Option<ReconnectPolicy>,
     pool: Arc<Pool>,
     /// The current connection; a redial swaps the fresh one in.
     conn: AtomicU64,
-    link: LeafLock<Link>,
-    /// Where the pool delivers this client's frames, kept for redials.
-    sink: Sender<NetEvent>,
-    incoming: Receiver<NetEvent>,
+    inbound: LeafLock<Inbound>,
+    /// Notified as a receive hands the link back.
+    turn: Gate,
     /// Lifecycle transitions; their receiver is kept only with a policy.
     lifecycle: Sender<ClientEvent>,
     events: Option<Receiver<ClientEvent>>,
@@ -672,8 +697,8 @@ impl std::fmt::Debug for TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a [`TcpHost`] and hands the socket to the client
-    /// pool. The connection is not revived when it drops; use
+    /// Connects to a [`TcpHost`] and hands the socket's writes to the
+    /// client pool. The connection is not revived when it drops; use
     /// [`TcpClient::connect_with_reconnect`] for that.
     ///
     /// # Errors
@@ -702,20 +727,22 @@ impl TcpClient {
     }
 
     fn open(addr: SocketAddr, policy: Option<ReconnectPolicy>) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
         let pool = client_pool()?;
-        let (sink, incoming) = unbounded();
-        let (lifecycle, events) = unbounded();
         let sockopt_failures = AtomicU64::new(0);
-        let conn = pool.register(stream, &sink, &sockopt_failures)?;
+        let (stream, conn, outbox) = adopt(&pool, TcpStream::connect(addr), &sockopt_failures)?;
+        let (lifecycle, events) = unbounded();
+        let link = Link::Up(stream, outbox);
         Ok(TcpClient {
             addr,
             policy,
             pool,
             conn: AtomicU64::new(conn.0),
-            link: LeafLock::new(Link::Up),
-            sink,
-            incoming,
+            inbound: LeafLock::new(Inbound {
+                link,
+                frames: FrameReader::default(),
+                ready: VecDeque::new(),
+            }),
+            turn: Gate::default(),
             lifecycle,
             events: policy.map(|_| events),
             closed: AtomicBool::new(false),
@@ -747,19 +774,61 @@ impl TcpClient {
             }
             None => Link::Dead,
         };
-        *self.link.held() = link;
+        self.inbound.held().link = link;
     }
 
-    /// Dial `attempt` of the outage: a fresh socket replaces the
-    /// connection, or the next dial is scheduled.
-    fn redial(&self, attempt: u32) {
+    /// One read of the socket, waiting at most until `deadline` (past it,
+    /// not at all). Hands the link back, or starts an outage.
+    fn read(&self, stream: TcpStream, outbox: Arc<OutboxLock<Outbox>>, deadline: Instant) {
+        let mut buf = [0u8; 16 * 1024];
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let read = if wait.is_zero() {
+            let _switching = outbox.held();
+            poll::nonblocking(&stream, |mut s| s.read(&mut buf))
+        } else {
+            stream.set_read_timeout(Some(wait)).and_then(|()| (&stream).read(&mut buf))
+        };
+        let mut inbound = self.inbound.held();
+        let alive = match read {
+            Ok(0) => false,
+            Ok(n) => {
+                inbound.frames.push(buf.get(..n).unwrap_or(&[]));
+                loop {
+                    match inbound.frames.next() {
+                        Ok(Some(msg)) => inbound.ready.push_back(msg),
+                        Ok(None) => break true,
+                        Err(_) => break false,
+                    }
+                }
+            }
+            // Out of time, or inside a switch to nonblocking.
+            Err(e) => matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ),
+        };
+        if alive {
+            inbound.link = Link::Up(stream, outbox);
+            return;
+        }
+        inbound.frames = FrameReader::default();
+        drop(inbound);
+        self.pool.shut(self.current(), Duration::ZERO);
+        if !self.closed.load(Ordering::SeqCst) {
+            let _ = self.lifecycle.send(ClientEvent::Disconnected);
+        }
+        self.schedule(1);
+    }
+
+    /// Dial `attempt` of the outage, given `wait` at most: a fresh socket
+    /// replaces the connection, or the next dial is scheduled.
+    fn redial(&self, attempt: u32, wait: Duration) {
         if self.closed.load(Ordering::SeqCst) {
             return self.schedule(attempt);
         }
         self.reconnect_attempts.fetch_add(1, Ordering::Relaxed);
-        let dialed = TcpStream::connect(self.addr)
-            .and_then(|fresh| self.pool.register(fresh, &self.sink, &self.sockopt_failures));
-        let Ok(fresh) = dialed else {
+        let dialed = TcpStream::connect_timeout(&self.addr, wait);
+        let Ok((stream, fresh, outbox)) = adopt(&self.pool, dialed, &self.sockopt_failures) else {
             return self.schedule(attempt + 1);
         };
         self.conn.store(fresh.0, Ordering::SeqCst);
@@ -773,7 +842,7 @@ impl TcpClient {
         // Advice consumed: the next outage starts from the policy's own
         // backoff again.
         self.busy_advice_ms.store(0, Ordering::Relaxed);
-        *self.link.held() = Link::Up;
+        self.inbound.held().link = Link::Up(stream, outbox);
         let _ = self.lifecycle.send(ClientEvent::Reconnected { attempts: attempt });
     }
 
@@ -820,53 +889,66 @@ impl TcpClient {
     /// [`TcpClient::recv_timeout`] — says *why* there was no message:
     /// [`RecvError::Timeout`] means "quiet but alive", while
     /// [`RecvError::Disconnected`] means the connection is gone for good
-    /// and waiting longer is pointless. A reconnect-enabled client
-    /// redials in here (and in [`TcpClient::recv_timeout`] and
-    /// [`TcpClient::try_recv`]) once each backoff has passed.
+    /// and waiting longer is pointless.
+    ///
+    /// The receive reads the socket on the calling thread; receives on
+    /// several threads take turns. A reconnect-enabled client redials in
+    /// here (and in [`TcpClient::recv_timeout`]) once each backoff has
+    /// passed, and a dial gets no more than the receive's remaining time:
+    /// one that takes longer counts as a failed attempt, and
+    /// [`TcpClient::try_recv`] never dials.
     ///
     /// # Errors
     ///
     /// [`RecvError`] when no message arrived.
     pub fn recv_within(&self, timeout: Duration) -> Result<Message, RecvError> {
         let deadline = Instant::now() + timeout;
+        // Even a zero-wait receive reads the socket once.
+        let mut once = true;
         loop {
+            let seen = self.turn.generation();
             let now = Instant::now();
-            let link = *self.link.held();
-            let until = match link {
-                Link::Dead => return Err(RecvError::Disconnected),
-                Link::Down { attempt, at } if at <= now => {
-                    self.redial(attempt);
-                    continue;
+            let mut inbound = self.inbound.held();
+            if let Some(msg) = inbound.ready.pop_front() {
+                drop(inbound);
+                // An overloaded server's `Busy` carries backoff advice;
+                // remember the latest so a redial after an eviction does
+                // not dial straight back into the shed window. The
+                // message still reaches the caller.
+                if let Message::Busy { retry_after_ms } = &msg {
+                    self.busy_advice_ms.store(*retry_after_ms, Ordering::Relaxed);
                 }
-                Link::Down { at, .. } => at.min(deadline),
-                Link::Up => deadline,
-            };
-            match self.incoming.recv_timeout(until.saturating_duration_since(now)) {
-                Ok(NetEvent::Message(_, msg)) => {
-                    // An overloaded server's `Busy` carries backoff
-                    // advice; remember the latest so a redial after an
-                    // eviction does not dial straight back into the shed
-                    // window. The message still reaches the caller.
-                    if let Message::Busy { retry_after_ms } = &msg {
-                        self.busy_advice_ms.store(*retry_after_ms, Ordering::Relaxed);
-                    }
-                    return Ok(msg);
-                }
-                Ok(NetEvent::Disconnected(_)) => {
-                    if !self.closed.load(Ordering::SeqCst) {
-                        let _ = self.lifecycle.send(ClientEvent::Disconnected);
-                    }
-                    self.schedule(1);
-                }
-                Ok(NetEvent::Connected(_)) => {}
-                Err(_) if Instant::now() >= deadline => return Err(RecvError::Timeout),
-                // A dial came due.
-                Err(_) => {}
+                return Ok(msg);
             }
+            let until = match inbound.link {
+                Link::Dead => return Err(RecvError::Disconnected),
+                Link::Up(..) if once || now < deadline => None,
+                Link::Down { at, .. } if at <= now && now < deadline => None,
+                Link::Down { at, .. } => Some(at.min(deadline)),
+                Link::Up(..) | Link::Busy => Some(deadline),
+            };
+            if let Some(until) = until {
+                drop(inbound);
+                if now >= deadline {
+                    return Err(RecvError::Timeout);
+                }
+                // Until the link is handed back or a dial comes due.
+                self.turn.wait(seen, until - now);
+                continue;
+            }
+            once = false;
+            let link = std::mem::replace(&mut inbound.link, Link::Busy);
+            drop(inbound);
+            match link {
+                Link::Up(stream, outbox) => self.read(stream, outbox, deadline),
+                Link::Down { attempt, .. } => self.redial(attempt, deadline - now),
+                other => self.inbound.held().link = other,
+            }
+            self.turn.notify();
         }
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive: one nonblocking read, and no dial.
     pub fn try_recv(&self) -> Option<Message> {
         self.recv_within(Duration::ZERO).ok()
     }
@@ -909,6 +991,14 @@ impl TcpClient {
         self.closed.store(true, Ordering::SeqCst);
         // A repeated close (or the Drop after one) finds nothing to shut.
         self.pool.shut(self.current(), CLIENT_FLUSH_TIMEOUT);
+        // A receive holding the link finds the socket shut, or the client
+        // closed after its dial.
+        let mut inbound = self.inbound.held();
+        if !matches!(inbound.link, Link::Busy) {
+            inbound.link = Link::Dead;
+        }
+        drop(inbound);
+        self.turn.notify();
     }
 
     /// Kills the current connection *without* marking the client closed —

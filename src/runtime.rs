@@ -328,13 +328,43 @@ impl TcpSession {
     ///
     /// Propagates socket write errors.
     pub fn pump_for(&mut self, window: Duration) -> io::Result<()> {
+        self.pump(window, |_| false).map(|_| ())
+    }
+
+    /// Pumps until `predicate` holds on the session or `timeout` elapses.
+    /// Returns whether the predicate held.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket write errors.
+    pub fn pump_until<F>(&mut self, timeout: Duration, predicate: F) -> io::Result<bool>
+    where
+        F: FnMut(&Session) -> bool,
+    {
+        self.pump(timeout, predicate)
+    }
+
+    /// Pumps until `done` holds (checked first and before each receive)
+    /// or `window` elapses. Each receive gets the rest of the window, and
+    /// so does a redial made inside it.
+    fn pump(
+        &mut self,
+        window: Duration,
+        mut done: impl FnMut(&Session) -> bool,
+    ) -> io::Result<bool> {
+        if done(&self.session) {
+            return Ok(true);
+        }
         self.drain_client_events();
         self.flush_for_pump()?;
         let deadline = Instant::now() + window;
         loop {
+            if done(&self.session) {
+                return Ok(true);
+            }
             let now = Instant::now();
             if now >= deadline {
-                return Ok(());
+                return Ok(false);
             }
             match self.client.recv_within(deadline - now) {
                 Ok(msg) => {
@@ -361,31 +391,9 @@ impl TcpSession {
                     if now < deadline {
                         std::thread::sleep(deadline - now);
                     }
-                    return Ok(());
+                    return Ok(done(&self.session));
                 }
             }
-        }
-    }
-
-    /// Pumps until `predicate` holds on the session or `timeout` elapses.
-    /// Returns whether the predicate held.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn pump_until<F>(&mut self, timeout: Duration, mut predicate: F) -> io::Result<bool>
-    where
-        F: FnMut(&Session) -> bool,
-    {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if predicate(&self.session) {
-                return Ok(true);
-            }
-            if Instant::now() >= deadline {
-                return Ok(false);
-            }
-            self.pump_for(Duration::from_millis(10))?;
         }
     }
 

@@ -233,8 +233,10 @@ fn threads() -> Vec<(String, String)> {
         .collect()
 }
 
-/// The id of the thread named `name`, once it has named itself.
+/// The id of the thread named `name`, once it has named itself. The
+/// kernel keeps the first 15 bytes of a name.
 fn thread_named(name: &str) -> String {
+    let name = name.get(..15).unwrap_or(name);
     let deadline = Instant::now() + TIMEOUT;
     loop {
         if let Some((tid, _)) = threads().into_iter().find(|(_, comm)| comm == name) {
@@ -307,4 +309,74 @@ fn connected_clients_add_at_most_one_thread() {
     for client in &clients {
         assert!(matches!(client.recv_timeout(TIMEOUT), Some(Message::Pong { nonce: 9 })));
     }
+}
+
+/// The id of the host connection `client` just opened.
+fn accepted(host: &TcpHost) -> ConnId {
+    match host.events().recv_timeout(TIMEOUT).expect("accept") {
+        NetEvent::Connected(id) => id,
+        other => panic!("expected Connected, got {other:?}"),
+    }
+}
+
+/// A client silent past `COLD_AFTER` hears a push at once: its receive
+/// sleeps in the socket's read, and nothing probes the socket on a
+/// schedule. Of five pushes, each after `COOL_DOWN` of silence, the
+/// median arrives within 1 ms; a client probed every `COLD_PROBE` waits
+/// 4 ms on average.
+#[test]
+fn an_idle_client_hears_a_push_at_once() {
+    let _serial = serial();
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let client = TcpClient::connect(host.local_addr()).expect("connect");
+    let id = accepted(&host);
+    let mut delays: Vec<Duration> = (0..5)
+        .map(|nonce| {
+            std::thread::scope(|s| {
+                let heard = s.spawn(|| (client.recv_within(TIMEOUT), Instant::now()));
+                std::thread::sleep(COOL_DOWN);
+                let sent = Instant::now();
+                host.send(id, &Message::Pong { nonce }).expect("pong");
+                let (msg, at) = heard.join().expect("receiver");
+                assert_eq!(msg, Ok(Message::Pong { nonce }));
+                at.saturating_duration_since(sent)
+            })
+        })
+        .collect();
+    delays.sort();
+    assert!(delays[2] <= Duration::from_millis(1), "push to an idle client took {delays:?}");
+}
+
+/// An idle connected client, its receive waiting, wakes no thread: over
+/// 500 ms the client pool's thread and the receiving thread each run at
+/// most 5 times (a client pool probing its connection every `COLD_PROBE`
+/// ran about 60). A send afterwards still goes out, since it wakes the
+/// pool.
+#[test]
+fn an_idle_client_wakes_no_thread() {
+    let _serial = serial();
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let client = TcpClient::connect(host.local_addr()).expect("connect");
+    let id = accepted(&host);
+    let pool = thread_named("cosoft-client-poll");
+    std::thread::scope(|s| {
+        let receiver = std::thread::Builder::new()
+            .name("idle-receiver".into())
+            .spawn_scoped(s, || client.recv_within(TIMEOUT))
+            .expect("spawn");
+        let receiving = thread_named("idle-receiver");
+        std::thread::sleep(COOL_DOWN);
+        let before = (run_count(&pool), run_count(&receiving));
+        std::thread::sleep(Duration::from_millis(500));
+        let ran = (run_count(&pool) - before.0, run_count(&receiving) - before.1);
+        assert!(ran.0 <= 5 && ran.1 <= 5, "(pool, receiver) ran {ran:?} times in 500 ms");
+
+        client.send(&Message::Ping { nonce: 2 }).expect("ping");
+        match host.events().recv_timeout(TIMEOUT).expect("ping event") {
+            NetEvent::Message(c, Message::Ping { nonce: 2 }) if c == id => {}
+            other => panic!("expected the ping, got {other:?}"),
+        }
+        host.send(id, &Message::Pong { nonce: 2 }).expect("pong");
+        assert_eq!(receiver.join().expect("receiver"), Ok(Message::Pong { nonce: 2 }));
+    });
 }

@@ -214,3 +214,82 @@ fn a_busy_advice_holds_the_redial_back_until_a_redial_clears_it() {
     );
     connected(&host);
 }
+
+/// A dial gets no more than what is left of its receive. Against an
+/// address that never answers (a listener whose accept queue is full
+/// drops every SYN), `try_recv` returns at once without dialing, and
+/// each `recv_within(50 ms)` returns within its timeout, its dial
+/// counted as a failed attempt. A dial that blocked for the kernel's
+/// SYN retries would hold the receive for minutes.
+#[test]
+fn a_dial_that_hangs_keeps_to_the_receive_timeout() {
+    const SLICE: Duration = Duration::from_millis(50);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let policy = ReconnectPolicy {
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(1),
+        jitter: 0.0,
+        ..fast_policy()
+    };
+    let client = TcpClient::connect_with_reconnect(addr, policy).expect("connect");
+    // Nobody accepts: fill the queue until a dial times out.
+    let mut queued = Vec::new();
+    while let Ok(stream) = std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(100)) {
+        queued.push(stream);
+        assert!(queued.len() < 4096, "the accept queue never filled");
+    }
+
+    client.sever();
+    for _ in 0..2 {
+        let started = Instant::now();
+        assert_eq!(client.try_recv(), None);
+        assert!(started.elapsed() < SLICE, "try_recv took {:?}", started.elapsed());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(client.reconnect_attempts(), 0, "try_recv dialed");
+    for attempt in 1..=3 {
+        let started = Instant::now();
+        assert_eq!(client.recv_within(SLICE), Err(RecvError::Timeout));
+        let took = started.elapsed();
+        assert!(took < SLICE + Duration::from_millis(150), "recv_within(50 ms) took {took:?}");
+        assert_eq!(client.reconnect_attempts(), attempt);
+    }
+    assert_eq!(client.reconnects(), 0);
+    let events = client.events().expect("a reconnect client");
+    assert_eq!(events.try_recv().ok(), Some(ClientEvent::Disconnected));
+    assert!(events.try_recv().is_err());
+}
+
+/// Receives on four threads while a dial is due take turns: one of them
+/// dials, and the host sees exactly one fresh connection.
+#[test]
+fn receives_on_several_threads_dial_once() {
+    let host = TcpHost::bind("127.0.0.1:0").expect("bind");
+    let client =
+        TcpClient::connect_with_reconnect(host.local_addr(), fast_policy()).expect("connect");
+    let conn = connected(&host);
+    client.sever();
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let deadline = Instant::now() + TIMEOUT;
+                while client.reconnects() == 0 && Instant::now() < deadline {
+                    let _ = client.recv_within(Duration::from_millis(10));
+                }
+                // Past the backoff a second dial would have waited.
+                let _ = client.recv_within(Duration::from_millis(200));
+            });
+        }
+    });
+    assert_eq!((client.reconnects(), client.reconnect_attempts()), (1, 1));
+    assert!(
+        matches!(host.events().recv_timeout(TIMEOUT), Ok(NetEvent::Disconnected(c)) if c == conn)
+    );
+    let fresh = connected(&host);
+    assert!(
+        host.events().recv_timeout(Duration::from_millis(200)).is_err(),
+        "a second dial reached the host"
+    );
+    assert_ne!(fresh, conn);
+}
