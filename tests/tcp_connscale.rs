@@ -3,10 +3,10 @@
 //! round, teardown — served by a fixed 2-thread poll pool.
 //!
 //! Clients are raw `std::net::TcpStream`s speaking the wire protocol
-//! directly, read on this thread: a `TcpClient` adds no thread, but the
-//! clients of a process share one poll thread of their own, and 1 024 of
-//! them would time that thread beside the host's pool. The host side is
-//! the full runtime stack (`TcpServer` → `ShardRouter` → `ServerCore`).
+//! directly, read on this thread, so what the gate times is the host: a
+//! `TcpClient` adds no thread, but 1 024 of them would add the client
+//! pool's writes beside the host's pool. The host side is the full
+//! runtime stack (`TcpServer` → `ShardRouter` → `ServerCore`).
 //! The fd budget is ~2 per connection (its two ends); the test checks
 //! `ulimit -n` up front and fails with a pointer at the limit rather
 //! than drowning in `EMFILE`.
