@@ -16,6 +16,10 @@
 //!
 //! The server and client cores are written sans-I/O (they map an incoming
 //! message to outgoing messages) so both carriers drive identical logic.
+//! The TCP byte path is too, at its two ends: a connection's outbox
+//! writes into any `io::Write` and its frame reader takes bytes in any
+//! chunks, so the `poll` module's unit tests cut writes, refuse them
+//! with `WouldBlock` and split reads at every offset with no socket.
 
 // No panic in what a socket can reach: clippy refuses these in the
 // crate's non-test code, and each exception is an `#[expect]` on the
@@ -34,25 +38,12 @@
     )
 )]
 
-/// Deterministic fault injection for the TCP transport (scripted and
-/// seeded-random partial writes, short reads, `WouldBlock` storms,
-/// injected socket errors). The module is always compiled so the poll
-/// pool needs no `cfg` plumbing, but its constructors — and
-/// [`tcp::TcpHost::bind_with_faults`] — only exist behind the
-/// non-default `fault-injection` cargo feature: a release build has no
-/// way to instrument a host.
-#[cfg(feature = "fault-injection")]
-pub mod fault;
-#[cfg(not(feature = "fault-injection"))]
-pub(crate) mod fault;
 pub(crate) mod lock;
 pub(crate) mod poll;
 pub mod queue;
 pub mod sim;
 pub mod tcp;
 
-#[cfg(feature = "fault-injection")]
-pub use fault::{FaultInjector, ReadFault, WriteFault};
 pub use sim::{Delivery, FaultPlan, NetStats, NodeId, SimNet};
 pub use tcp::{
     ConnId, NetEvent, RecvError, TcpClient, TcpHost, TcpHostConfig, TcpStats, TcpStatsHandle,

@@ -8,7 +8,7 @@
 //! |---|---|---|---|
 //! | 0 | [`ConnMapLock`] | the host-wide connection map | nothing |
 //! | 1 | [`OutboxLock`] | one connection's outbox | nothing, or the map |
-//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's receive state, the client pool, fault scripts | nothing, or an outbox |
+//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's receive state, the client pool | nothing, or an outbox |
 //!
 //! A thread climbs one rank at a time: the map orders before an outbox
 //! and nothing else (it is held to file, find or remove a connection,
@@ -67,8 +67,8 @@ impl<const RANK: u8, T> Ranked<RANK, T> {
 /// The guard a `lock()` or a condition-variable wait returns, poisoning
 /// ignored. A transport thread that panicked under a lock must not take
 /// the other connections' threads with it, and every structure these
-/// mutexes guard (connection map, outbox ring, queue, fault scripts,
-/// wake flags) is valid between any two of its updates.
+/// mutexes guard (connection map, outbox ring, queue, wake flags) is
+/// valid between any two of its updates.
 fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }

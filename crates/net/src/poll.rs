@@ -44,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use cosoft_wire::{codec, Bytes, Message};
 
-use crate::fault::{FaultInjector, ReadDecision, WriteDecision};
 use crate::lock::{self, ConnMapLock, LeafLock, OutboxLock};
 use crate::queue::{unbounded, PollReceiver, Sender, TryRecvError};
 use crate::tcp::{ConnId, Counters, NetEvent};
@@ -203,6 +202,80 @@ impl Outbox {
         let Some(front) = self.batches.front() else { return 0 };
         front.segments.iter().take(self.head_seg).map(|b| b.len()).sum::<usize>() + self.head_off
     }
+
+    /// Offers the unwritten bytes (at most `MAX_IOV` segments) to `out` in
+    /// one vectored write and advances the head past what it took. An
+    /// error of `out`, `WouldBlock` included, leaves the outbox as it was;
+    /// a write of zero bytes is `WriteZero`.
+    pub(crate) fn write_to(&mut self, mut out: impl Write) -> io::Result<Written> {
+        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
+        'gather: for (bi, batch) in self.batches.iter().enumerate() {
+            let first_seg = if bi == 0 { self.head_seg } else { 0 };
+            for (si, seg) in batch.segments.iter().enumerate().skip(first_seg) {
+                let off = if bi == 0 && si == self.head_seg { self.head_off } else { 0 };
+                slices.push(IoSlice::new(seg.get(off..).unwrap_or(&[])));
+                if slices.len() >= MAX_IOV {
+                    break 'gather;
+                }
+            }
+        }
+        let n = match out.write_vectored(&slices)? {
+            0 => {
+                return Err(io::Error::new(io::ErrorKind::WriteZero, "socket write returned zero"))
+            }
+            n => n,
+        };
+        // Advance the head past the written bytes; count batches as they
+        // complete.
+        let mut written = Written { bytes: n, frames: 0, batches: 1 };
+        let mut remaining = n;
+        while remaining > 0 {
+            // The writer cannot have taken more bytes than were queued;
+            // if the accounting ever disagrees, drop the connection
+            // instead of the whole poll thread.
+            let Some(batch) = self.batches.front() else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "outbox accounting underflow: wrote past queued batches",
+                ));
+            };
+            let Some(seg) = batch.segments.get(self.head_seg) else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "outbox accounting underflow: head segment out of range",
+                ));
+            };
+            let (seg_len, seg_count, batch_frames) =
+                (seg.len(), batch.segments.len(), batch.frames);
+            let take = remaining.min(seg_len - self.head_off);
+            self.head_off += take;
+            remaining -= take;
+            if self.head_off == seg_len {
+                self.head_seg += 1;
+                self.head_off = 0;
+                if self.head_seg == seg_count {
+                    written.frames += batch_frames;
+                    self.batches.pop_front();
+                    self.head_seg = 0;
+                    if remaining > 0 {
+                        written.batches += 1;
+                    }
+                }
+            }
+        }
+        Ok(written)
+    }
+}
+
+/// What one [`Outbox::write_to`] moved.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Written {
+    /// Bytes the writer took.
+    pub(crate) bytes: usize,
+    /// Frames of the batches those bytes completed.
+    pub(crate) frames: u64,
+    /// Batches those bytes touched; above 1 the write coalesced batches.
+    pub(crate) batches: u64,
 }
 
 /// Handles shared between the connection's user (a host's
@@ -354,9 +427,7 @@ pub(crate) enum Cmd {
 /// Per-connection state owned by its poll thread.
 struct PollConn {
     stream: TcpStream,
-    outbox: Arc<OutboxLock<Outbox>>,
-    queued_bytes: Arc<AtomicUsize>,
-    gate: Arc<Gate>,
+    shared: ConnShared,
     frames: FrameReader,
     /// Sweeps left before the next read probe.
     skip: u32,
@@ -397,10 +468,6 @@ struct PollThread {
     /// Freshly registered connections must produce a first complete
     /// frame within this long; `None` disables the deadline.
     handshake_timeout: Option<Duration>,
-    /// Fault injector for chaos tests; `None` (the only possibility
-    /// without the `fault-injection` feature) means every I/O operation
-    /// passes straight through to the kernel.
-    faults: Option<Arc<FaultInjector>>,
     conns: Conns<PollConn>,
 }
 
@@ -416,14 +483,11 @@ impl PollThread {
                 match self.cmds.try_recv() {
                     Ok(Cmd::Register(id, stream, shared)) => {
                         let now = Instant::now();
-                        let ConnShared { outbox, queued_bytes, gate, .. } = shared;
                         self.conns.hot.insert(
                             id,
                             PollConn {
                                 stream,
-                                outbox,
-                                queued_bytes,
-                                gate,
+                                shared,
                                 frames: FrameReader::default(),
                                 skip: 0,
                                 skip_limit: 0,
@@ -455,8 +519,7 @@ impl PollThread {
             while let Some((id, conn)) = self.conns.next_due(now) {
                 let probe = conn.check_handshake(&self.counters).and_then(|()| {
                     let Some(events) = &self.events else { return Ok(false) };
-                    let faults = self.faults.as_deref();
-                    Self::read_ready(conn, id, &self.counters, &mut scratch, faults, events)
+                    Self::read_ready(conn, id, &self.counters, &mut scratch, events)
                 });
                 match probe {
                     Ok(false) => continue,
@@ -500,13 +563,20 @@ impl PollThread {
     fn sweep_one(&mut self, id: ConnId, now: Instant, scratch: &mut [u8]) -> io::Result<bool> {
         let Some(conn) = self.conns.hot.get_mut(&id) else { return Ok(false) };
         conn.check_handshake(&self.counters)?;
-        let faults = self.faults.as_deref();
         let mut progressed = false;
-        let wrote = Self::flush(conn, id, &self.counters, faults, self.events.is_none())?;
+        // A client's socket (no events: its receiver reads it) is blocking.
+        let (stream, blocking) = (&conn.stream, self.events.is_none());
+        let wrote = flush(&conn.shared, &self.counters, |ob| {
+            if blocking {
+                nonblocking(stream, |s| ob.write_to(s))
+            } else {
+                ob.write_to(stream)
+            }
+        })?;
         let Some(events) = &self.events else {
             // A client's connection: its receiver reads it, so once its
             // outbox is empty nothing is left to do until the next send.
-            if conn.queued_bytes.load(Ordering::Acquire) == 0 {
+            if conn.shared.queued_bytes.load(Ordering::Acquire) == 0 {
                 self.conns.shelve(id);
             }
             return Ok(wrote);
@@ -524,7 +594,7 @@ impl PollThread {
             true
         };
         if due {
-            let read_any = Self::read_ready(conn, id, &self.counters, scratch, faults, events)?;
+            let read_any = Self::read_ready(conn, id, &self.counters, scratch, events)?;
             if read_any {
                 progressed = true;
                 conn.skip_limit = 0;
@@ -536,7 +606,7 @@ impl PollThread {
         if progressed {
             conn.last_traffic = now;
         } else if conn.skip_limit == MAX_SKIP
-            && conn.queued_bytes.load(Ordering::Acquire) == 0
+            && conn.shared.queued_bytes.load(Ordering::Acquire) == 0
             && now.saturating_duration_since(conn.last_traffic) >= COLD_AFTER
         {
             self.conns.cool(id, now);
@@ -544,154 +614,21 @@ impl PollThread {
         Ok(progressed)
     }
 
-    /// Flushes as much of the outbox as the socket accepts with vectored
-    /// writes, releasing backpressure bytes and signaling the gate.
-    /// Returns whether any bytes moved. With a fault injector attached,
-    /// every write attempt first consults it: the gather may be cut
-    /// short (partial write), skipped for a sweep (`WouldBlock`), or
-    /// turned into a connection-fatal error. A `blocking` (client) socket
-    /// is written through [`nonblocking`].
-    fn flush(
-        conn: &mut PollConn,
-        id: ConnId,
-        counters: &Counters,
-        faults: Option<&FaultInjector>,
-        blocking: bool,
-    ) -> io::Result<bool> {
-        let mut wrote_any = false;
-        loop {
-            // The per-connection outbox lock is held over the nonblocking
-            // write so head accounting stays atomic with the bytes the
-            // socket took; only enqueuers contend.
-            let mut ob = conn.outbox.held();
-            if ob.batches.is_empty() {
-                return Ok(wrote_any);
-            }
-            let limit = match faults.map_or(WriteDecision::Pass, |f| f.on_write(id)) {
-                WriteDecision::Pass => usize::MAX,
-                WriteDecision::Truncate(n) => n,
-                WriteDecision::Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Ok(wrote_any);
-                }
-                WriteDecision::Err(e) => return Err(e),
-            };
-            let n = {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
-                let mut gathered = 0usize;
-                'gather: for (bi, batch) in ob.batches.iter().enumerate() {
-                    let first_seg = if bi == 0 { ob.head_seg } else { 0 };
-                    for (si, seg) in batch.segments.iter().enumerate().skip(first_seg) {
-                        let off = if bi == 0 && si == ob.head_seg { ob.head_off } else { 0 };
-                        let avail = seg.get(off..).unwrap_or(&[]);
-                        let take = avail.len().min(limit - gathered);
-                        slices.push(IoSlice::new(avail.get(..take).unwrap_or(avail)));
-                        gathered += take;
-                        if gathered >= limit || slices.len() >= MAX_IOV {
-                            break 'gather;
-                        }
-                    }
-                }
-                // That outbox lock and no other: a host-wide lock held
-                // here would stall every sender behind one socket.
-                lock::assert_holds_only(lock::OUTBOX);
-                let written = if blocking {
-                    nonblocking(&conn.stream, |mut s| s.write_vectored(&slices))
-                } else {
-                    conn.stream.write_vectored(&slices)
-                };
-                match written {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "socket write returned zero",
-                        ));
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(wrote_any),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            };
-            wrote_any = true;
-            // Advance the head past the written bytes; count batches as
-            // they complete.
-            let mut remaining = n;
-            let mut batches_touched = 1u64;
-            while remaining > 0 {
-                let (seg_len, seg_count, batch_frames) = {
-                    // The socket cannot have taken more bytes than were
-                    // queued; if the accounting ever disagrees, drop the
-                    // connection instead of the whole poll thread.
-                    let Some(batch) = ob.batches.front() else {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "outbox accounting underflow: wrote past queued batches",
-                        ));
-                    };
-                    let Some(seg) = batch.segments.get(ob.head_seg) else {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "outbox accounting underflow: head segment out of range",
-                        ));
-                    };
-                    (seg.len(), batch.segments.len(), batch.frames)
-                };
-                let take = remaining.min(seg_len - ob.head_off);
-                ob.head_off += take;
-                remaining -= take;
-                if ob.head_off == seg_len {
-                    ob.head_seg += 1;
-                    ob.head_off = 0;
-                    if ob.head_seg == seg_count {
-                        counters.frames_out.fetch_add(batch_frames, Ordering::Relaxed);
-                        ob.batches.pop_front();
-                        ob.head_seg = 0;
-                        if remaining > 0 {
-                            batches_touched += 1;
-                        }
-                    }
-                }
-            }
-            drop(ob);
-            counters.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-            if batches_touched > 1 {
-                counters.coalesced_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            conn.queued_bytes.fetch_sub(n, Ordering::AcqRel);
-            conn.gate.notify();
-        }
-    }
-
     /// Reads until `WouldBlock` (bounded per sweep), sending complete
     /// messages to `events`. Returns whether bytes arrived;
-    /// `Err` on EOF, transport error, or a malformed frame. With a
-    /// fault injector attached, every read attempt first consults it:
-    /// the read buffer may be shortened (forcing incremental frame
-    /// reassembly), the probe skipped (`WouldBlock`), or the read turned
-    /// into a connection-fatal error.
+    /// `Err` on EOF, transport error, or a malformed frame.
     fn read_ready(
         conn: &mut PollConn,
         id: ConnId,
         counters: &Counters,
         scratch: &mut [u8],
-        faults: Option<&FaultInjector>,
         events: &Sender<NetEvent>,
     ) -> io::Result<bool> {
         let mut read_any = false;
         let mut budget = MAX_READ_PER_SWEEP;
         loop {
-            let cap = match faults.map_or(ReadDecision::Pass, |f| f.on_read(id)) {
-                ReadDecision::Pass => scratch.len(),
-                ReadDecision::Short(n) => n.min(scratch.len()),
-                ReadDecision::Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Ok(read_any);
-                }
-                ReadDecision::Err(e) => return Err(e),
-            };
-            let buf = scratch.get_mut(..cap).unwrap_or(&mut []);
-            let cap = buf.len();
             counters.read_probes.fetch_add(1, Ordering::Relaxed);
-            let n = match conn.stream.read(buf) {
+            let n = match conn.stream.read(scratch) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
                 Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(read_any),
@@ -712,7 +649,7 @@ impl PollThread {
                 let _ = events.send(NetEvent::Message(id, msg));
             }
             budget = budget.saturating_sub(n);
-            if budget == 0 || n < cap {
+            if budget == 0 || n < scratch.len() {
                 // Short read: the socket is (almost certainly) drained;
                 // anything left is picked up next sweep.
                 return Ok(read_any);
@@ -725,7 +662,7 @@ impl PollThread {
     /// wakes blocked enqueuers, and surfaces `Disconnected` exactly
     /// once (commands for already-gone connections are ignored).
     fn teardown(&mut self, id: ConnId) {
-        let Some(conn) = self.conns.remove(id) else { return };
+        let Some(PollConn { stream, shared: conn, .. }) = self.conns.remove(id) else { return };
         self.conns_shared.held().remove(&id);
         let (dropped_frames, dropped_bytes) = {
             let mut ob = conn.outbox.held();
@@ -737,10 +674,50 @@ impl PollThread {
         self.counters.frames_dropped.fetch_add(dropped_frames, Ordering::Relaxed);
         conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
         conn.gate.notify();
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
         if let Some(events) = &self.events {
             let _ = events.send(NetEvent::Disconnected(id));
         }
+    }
+}
+
+/// Flushes as much of `conn`'s outbox as `write` takes, one write of its
+/// head at a time (the poll thread's is [`Outbox::write_to`] the socket),
+/// releasing backpressure bytes and signaling the gate after each.
+/// Returns whether any bytes moved; `WouldBlock` ends the flush, any
+/// other error is the connection's.
+fn flush(
+    conn: &ConnShared,
+    counters: &Counters,
+    mut write: impl FnMut(&mut Outbox) -> io::Result<Written>,
+) -> io::Result<bool> {
+    let mut wrote_any = false;
+    loop {
+        // The per-connection outbox lock is held over the nonblocking
+        // write so head accounting stays atomic with the bytes the
+        // socket took; only enqueuers contend.
+        let mut ob = conn.outbox.held();
+        if ob.batches.is_empty() {
+            return Ok(wrote_any);
+        }
+        // That outbox lock and no other: a host-wide lock held here would
+        // stall every sender behind one socket.
+        lock::assert_holds_only(lock::OUTBOX);
+        let written = match write(&mut ob) {
+            Ok(written) => written,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(wrote_any),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        drop(ob);
+        wrote_any = true;
+        counters.frames_out.fetch_add(written.frames, Ordering::Relaxed);
+        counters.bytes_out.fetch_add(written.bytes as u64, Ordering::Relaxed);
+        if written.batches > 1 {
+            counters.coalesced_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        conn.queued_bytes.fetch_sub(written.bytes, Ordering::AcqRel);
+        conn.gate.notify();
     }
 }
 
@@ -793,7 +770,6 @@ impl Pool {
         size: usize,
         name: impl Fn(usize) -> String,
         handshake_timeout: Option<Duration>,
-        faults: Option<Arc<FaultInjector>>,
         events: Option<Sender<NetEvent>>,
     ) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
         let mut pool = Pool {
@@ -814,7 +790,6 @@ impl Pool {
                 conns_shared: pool.conns.clone(),
                 counters: pool.counters.clone(),
                 handshake_timeout,
-                faults: faults.clone(),
                 conns: Conns::new(Instant::now()),
             };
             match std::thread::Builder::new().name(name(i)).spawn(move || body.run()) {
@@ -979,6 +954,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosoft_rng::{forall, Rng};
 
     const A: ConnId = ConnId(1);
     const B: ConnId = ConnId(2);
@@ -1113,5 +1089,298 @@ mod tests {
         let start = Instant::now();
         waker.park(Some(Duration::from_secs(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    // ----------------------------------------------------------------------
+    // the byte path: an outbox written through a scripted writer, the
+    // bytes read back through a `FrameReader`
+    // ----------------------------------------------------------------------
+
+    /// What a test writer does on one call.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Takes at most this many of the bytes offered.
+        Take(usize),
+        /// Takes nothing: `WouldBlock`.
+        Block,
+        /// Fails with this error.
+        Fail(io::ErrorKind),
+    }
+
+    /// Takes every byte offered.
+    const ALL: Step = Step::Take(usize::MAX);
+
+    /// A socket as the outbox sees it: each call plays the next step of
+    /// `next` and keeps what it took, in order.
+    struct Sink<F> {
+        next: F,
+        took: Vec<u8>,
+        calls: usize,
+    }
+
+    impl<F: FnMut() -> Step> Write for Sink<F> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut left = match (self.next)() {
+                Step::Take(n) => n,
+                Step::Block => return Err(io::ErrorKind::WouldBlock.into()),
+                Step::Fail(kind) => return Err(kind.into()),
+            };
+            let start = self.took.len();
+            for buf in bufs {
+                let take = buf.len().min(left);
+                self.took.extend_from_slice(&buf[..take]);
+                left -= take;
+            }
+            Ok(self.took.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A writer playing `script`, then taking everything.
+    fn scripted(script: impl IntoIterator<Item = Step>) -> Sink<impl FnMut() -> Step> {
+        let mut steps = script.into_iter();
+        Sink { next: move || steps.next().unwrap_or(ALL), took: Vec::new(), calls: 0 }
+    }
+
+    /// A message whose frame carries `payload` bytes besides its header.
+    fn blob(i: usize, payload: usize) -> Message {
+        Message::CommandDelivery {
+            from: cosoft_wire::InstanceId(i as u64),
+            command: format!("blob-{i}"),
+            payload: (0..payload).map(|b| (b % 251) as u8).collect(),
+        }
+    }
+
+    /// One batch of `msgs`' frames, a segment each.
+    fn batch(msgs: &[Message]) -> OutBatch {
+        let segments: Vec<Bytes> =
+            msgs.iter().map(|m| Bytes::from(codec::frame_message(m))).collect();
+        OutBatch {
+            bytes: segments.iter().map(|s| s.len()).sum(),
+            frames: msgs.len() as u64,
+            segments,
+        }
+    }
+
+    /// What an enqueue does: the batch and its backpressure bytes.
+    fn queue(conn: &ConnShared, batch: OutBatch) {
+        conn.queued_bytes.fetch_add(batch.bytes, Ordering::AcqRel);
+        conn.outbox.held().batches.push_back(batch);
+    }
+
+    fn conn() -> ConnShared {
+        ConnShared {
+            outbox: Arc::default(),
+            queued_bytes: Arc::default(),
+            gate: Arc::default(),
+            thread: 0,
+        }
+    }
+
+    /// The head as a write leaves it: batches left and bytes of the
+    /// front one written.
+    fn head(ob: &Outbox) -> (usize, usize) {
+        (ob.batches.len(), ob.front_written())
+    }
+
+    /// The messages in `bytes`, pushed into a `FrameReader` in chunks of
+    /// the sizes `chunk` returns.
+    fn reassemble(bytes: &[u8], mut chunk: impl FnMut() -> usize) -> Vec<Message> {
+        let (mut reader, mut got, mut at) = (FrameReader::default(), Vec::new(), 0);
+        while at < bytes.len() {
+            let end = at.saturating_add(chunk().max(1)).min(bytes.len());
+            reader.push(&bytes[at..end]);
+            at = end;
+            while let Some(msg) = reader.next().expect("a well-formed frame") {
+                got.push(msg);
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn partial_writes_reassemble_into_the_frames_sent() {
+        let sent: Vec<Message> = (0..6).map(|i| blob(i, 512 + i * 137)).collect();
+        let mut sink = scripted([
+            Step::Take(1),
+            Step::Take(2),
+            Step::Block,
+            Step::Take(3),
+            Step::Take(64),
+            Step::Block,
+            Step::Take(700),
+            ALL,
+            Step::Take(5),
+        ]);
+        let mut ob = Outbox::default();
+        // Frames arrive before calls 1–5 and 9, as if queued while the
+        // socket drains: every cut lands on queued bytes.
+        let mut arrivals = sent.iter();
+        for call in 1.. {
+            if call <= 5 || call == 9 {
+                if let Some(msg) = arrivals.next() {
+                    ob.batches.push_back(batch(std::slice::from_ref(msg)));
+                }
+            }
+            if ob.batches.is_empty() {
+                break;
+            }
+            match ob.write_to(&mut sink) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("write {call}: {e}"),
+            }
+        }
+        // The whole script ran, then one more call took the rest.
+        assert_eq!(sink.calls, 10);
+        assert_eq!(head(&ob), (0, 0));
+        assert_eq!(reassemble(&sink.took, || usize::MAX), sent);
+    }
+
+    #[test]
+    fn a_wouldblock_storm_leaves_the_outbox_as_it_was() {
+        let sent: Vec<Message> = (0..3).map(|i| blob(i, 2048)).collect();
+        let mut ob = Outbox::default();
+        ob.batches.push_back(batch(&sent[..2]));
+        ob.batches.push_back(batch(&sent[2..]));
+        let mut sink = scripted(std::iter::once(Step::Take(10)).chain([Step::Block; 100]));
+        assert_eq!(ob.write_to(&mut sink).unwrap(), Written { bytes: 10, frames: 0, batches: 1 });
+        let before = head(&ob);
+        for _ in 0..100 {
+            let e = ob.write_to(&mut sink).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+            assert_eq!(head(&ob), before);
+        }
+        let rest = ob.write_to(&mut sink).unwrap();
+        assert_eq!((rest.frames, rest.batches), (3, 2));
+        assert_eq!(reassemble(&sink.took, || usize::MAX), sent);
+    }
+
+    #[test]
+    fn a_writer_error_is_returned_and_the_outbox_kept() {
+        let mut ob = Outbox::default();
+        ob.batches.push_back(batch(&[blob(0, 100), blob(1, 100)]));
+        let mut sink = scripted([Step::Take(7), Step::Fail(io::ErrorKind::ConnectionReset)]);
+        ob.write_to(&mut sink).unwrap();
+        let before = head(&ob);
+        let e = ob.write_to(&mut sink).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
+        assert_eq!(head(&ob), before);
+        assert_eq!(sink.took.len(), 7);
+    }
+
+    #[test]
+    fn one_write_across_three_batches_counts_their_frames_and_each_batch() {
+        let sent: Vec<Message> = (0..6).map(|i| blob(i, 40 + i)).collect();
+        let mut ob = Outbox::default();
+        for range in [0..2, 2..3, 3..6] {
+            ob.batches.push_back(batch(&sent[range]));
+        }
+        let total: usize = ob.batches.iter().map(|b| b.bytes).sum();
+        let mut sink = scripted([Step::Take(3), Step::Take(total - 3 - 10)]);
+        assert_eq!(ob.write_to(&mut sink).unwrap(), Written { bytes: 3, frames: 0, batches: 1 });
+        // From inside the first batch to inside the third: the first two
+        // complete (2 + 1 frames) and all three are touched.
+        let spanning = ob.write_to(&mut sink).unwrap();
+        assert_eq!(spanning, Written { bytes: total - 13, frames: 3, batches: 3 });
+        assert_eq!(ob.write_to(&mut sink).unwrap(), Written { bytes: 10, frames: 3, batches: 1 });
+        assert!(ob.batches.is_empty());
+        assert_eq!(reassemble(&sink.took, || usize::MAX), sent);
+    }
+
+    #[test]
+    fn flush_stops_at_wouldblock_retries_an_interrupt_and_returns_an_error() {
+        let (conn, counters) = (conn(), Counters::default());
+        let sent: Vec<Message> = (0..3).map(|i| blob(i, 300)).collect();
+        queue(&conn, batch(&sent[..1]));
+        queue(&conn, batch(&sent[1..]));
+        let total = conn.queued_bytes.load(Ordering::Acquire);
+        let mut sink = scripted([
+            Step::Take(5),
+            Step::Fail(io::ErrorKind::Interrupted),
+            Step::Take(6),
+            Step::Block,
+            Step::Fail(io::ErrorKind::ConnectionReset),
+        ]);
+        assert!(flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
+        assert_eq!(conn.queued_bytes.load(Ordering::Acquire), total - 11);
+        assert_eq!(counters.bytes_out.load(Ordering::Relaxed), 11);
+        let held = head(&conn.outbox.held());
+        // A socket error is the connection's: returned, nothing counted.
+        let e = flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
+        assert_eq!(head(&conn.outbox.held()), held);
+        assert_eq!(conn.queued_bytes.load(Ordering::Acquire), total - 11);
+        assert_eq!(counters.bytes_out.load(Ordering::Relaxed), 11);
+        // The rest goes in one write across both batches.
+        assert!(flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
+        assert_eq!(conn.queued_bytes.load(Ordering::Acquire), 0);
+        assert_eq!(counters.bytes_out.load(Ordering::Relaxed), total as u64);
+        assert_eq!(counters.frames_out.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.coalesced_writes.load(Ordering::Relaxed), 1);
+        assert!(!flush(&conn, &counters, |_| panic!("an empty outbox is not written")).unwrap());
+        assert_eq!(reassemble(&sink.took, || usize::MAX), sent);
+    }
+
+    #[test]
+    fn frames_fed_one_to_seven_bytes_at_a_time_come_out_whole() {
+        let sent: Vec<Message> = (0..4).map(|i| blob(i, 64 + i * 41)).collect();
+        let bytes: Vec<u8> = sent.iter().flat_map(codec::frame_message).collect();
+        let mut i = 0;
+        let got = reassemble(&bytes, || {
+            i += 1;
+            1 + i % 7
+        });
+        assert_eq!(got, sent);
+    }
+
+    /// Random frames in random batches, queued while a writer that cuts,
+    /// would-blocks and interrupts at random drains them through `flush`,
+    /// read back in random chunks: each frame arrives once, in order and
+    /// whole, and every counter adds up.
+    #[test]
+    fn any_cuts_and_chunks_deliver_every_frame_once_in_order() {
+        let gen = |r: &mut Rng| {
+            let batches = r.vec(1..12, |r| r.vec(1..5, |r| r.range(0..=3000usize)));
+            (batches, r.next_u64())
+        };
+        forall(0..64, gen, |(batches, io_seed): (Vec<Vec<usize>>, u64)| {
+            let (conn, counters) = (conn(), Counters::default());
+            let mut io = Rng::new(io_seed);
+            let mut sink = Sink {
+                next: || match io.range(0..8) {
+                    0 => Step::Block,
+                    1 => Step::Fail(io::ErrorKind::Interrupted),
+                    2..=4 => Step::Take(io.range(1..=64)),
+                    5 | 6 => Step::Take(io.range(1..=4096)),
+                    _ => ALL,
+                },
+                took: Vec::new(),
+                calls: 0,
+            };
+            let mut sent = Vec::new();
+            for sizes in &batches {
+                let msgs: Vec<Message> = sizes.iter().map(|&n| blob(sent.len(), n)).collect();
+                sent.extend(msgs.iter().cloned());
+                queue(&conn, batch(&msgs));
+                flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
+            }
+            while conn.queued_bytes.load(Ordering::Acquire) > 0 {
+                flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
+            }
+            assert_eq!(head(&conn.outbox.held()), (0, 0));
+            assert_eq!(counters.frames_out.load(Ordering::Relaxed), sent.len() as u64);
+            assert_eq!(counters.bytes_out.load(Ordering::Relaxed), sink.took.len() as u64);
+            let mut chunks = Rng::new(!io_seed);
+            assert_eq!(reassemble(&sink.took, || chunks.range(1..=2048)), sent);
+        });
     }
 }

@@ -21,10 +21,11 @@
 //!   and nothing sent on the old connection reaches the new one.
 //!
 //! Nothing is dropped at random, duplicated, or reordered within a link.
-//! The faults the TCP transport's `FaultInjector` puts on real sockets
-//! map onto this model: `Truncate`, `Short` and `WouldBlock` delay bytes
-//! but never lose or reorder them, which is jitter; `Error` tears the
-//! connection down, which is `sever` then `restore`.
+//! The byte faults of a real socket map onto this model, as the TCP
+//! transport's unit tests drive them through a scripted writer: a write
+//! cut short, a read ending mid-frame and a `WouldBlock` delay bytes but
+//! never lose or reorder them, which is jitter; an error is a reset,
+//! which is `sever` then `restore`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -56,7 +57,7 @@ pub struct DownWindow {
     pub to_us: u64,
 }
 
-/// Fault-injection plan.
+/// The simulated network's fault schedule.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Scheduled per-node outages (disconnect/reconnect schedules).
@@ -179,7 +180,7 @@ impl SimNet {
         self.jitter_us = jitter_us;
     }
 
-    /// Sets the fault-injection plan.
+    /// Sets the fault schedule.
     pub fn set_faults(&mut self, faults: FaultPlan) {
         self.faults = faults;
     }

@@ -260,31 +260,6 @@ impl TcpHost {
     /// Propagates bind failures, including failure to spawn the accept
     /// thread or the poll pool.
     pub fn bind_with_config(addr: &str, config: TcpHostConfig) -> io::Result<TcpHost> {
-        TcpHost::bind_inner(addr, config, None)
-    }
-
-    /// Binds a host whose every socket read and write first consults a
-    /// [`crate::fault::FaultInjector`] — the entry point for the chaos
-    /// tests. Only exists behind the non-default `fault-injection`
-    /// feature; release builds have no way to instrument a host.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TcpHost::bind_with_config`].
-    #[cfg(feature = "fault-injection")]
-    pub fn bind_with_faults(
-        addr: &str,
-        config: TcpHostConfig,
-        faults: Arc<crate::fault::FaultInjector>,
-    ) -> io::Result<TcpHost> {
-        TcpHost::bind_inner(addr, config, Some(faults))
-    }
-
-    fn bind_inner(
-        addr: &str,
-        config: TcpHostConfig,
-        faults: Option<Arc<crate::fault::FaultInjector>>,
-    ) -> io::Result<TcpHost> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let (tx, rx) = unbounded();
@@ -298,7 +273,6 @@ impl TcpHost {
             config.io_threads,
             |i| format!("cosoft-poll-{i}"),
             handshake_timeout,
-            faults,
             Some(tx),
         )?;
         let pool = Arc::new(pool);
@@ -625,7 +599,7 @@ fn client_pool() -> io::Result<Arc<Pool>> {
     }
     // The thread outlives every client: with nothing to write it parks
     // until the next send wakes it.
-    let (fresh, _thread) = Pool::spawn(1, |_| "cosoft-client-poll".into(), None, None, None)?;
+    let (fresh, _thread) = Pool::spawn(1, |_| "cosoft-client-poll".into(), None, None)?;
     Ok(pool.insert(Arc::new(fresh)).clone())
 }
 
@@ -1003,7 +977,7 @@ impl TcpClient {
 
     /// Kills the current connection *without* marking the client closed —
     /// indistinguishable from a network failure, so a reconnect-enabled
-    /// client redials. Intended for fault-injection tests.
+    /// client redials; tests and demos of reconnection use it.
     pub fn sever(&self) {
         self.pool.shut(self.current(), Duration::ZERO);
     }

@@ -3,9 +3,8 @@
 //!
 //! [`Rng`] is SplitMix64. Everything seeded in the workspace draws from
 //! it — the simulated network's latencies and faults, the baseline
-//! workloads, the chaos injector, every randomized test — so a seed named
-//! anywhere (a test name, CHANGES.md, `COSOFT_CHAOS_SEED`) means one
-//! stream.
+//! workloads, every randomized test — so a seed named anywhere (a test
+//! name, a failing property's report, CHANGES.md) means one stream.
 //!
 //! [`forall`] runs a property over a range of seeds. A generator is a
 //! plain `fn(&mut Rng) -> T`; a property is a closure that panics

@@ -26,12 +26,6 @@ cargo test --offline --locked -q
 # connection, so raise the soft nofile limit if we can.
 ulimit -n 16384 2>/dev/null || true
 cargo test --offline --locked -q --release --test tcp_connscale
-# The half of the chaos suite tier-1 cannot build: injected partial
-# writes / short reads / WouldBlock storms and the seeded soak
-# (tests/tcp_chaos.rs), and the facade's doctest that the feature
-# reaches cosoft-net when asked for (tier-1 saw it fail to build without).
-cargo test --offline --locked -q --features fault-injection --test tcp_chaos
-cargo test --offline --locked -q --features fault-injection --doc -p cosoft
 # Benchmark of record: `benchmark/` is a package of its own, so nothing
 # above compiles it. Builds it against this checkout and runs its own
 # tests (a smoke window per workload, BENCHMARK.json byte-equality);

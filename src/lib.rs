@@ -2,22 +2,6 @@
 //!
 //! Facade crate re-exporting the whole workspace. See the README for the
 //! architecture overview and `examples/` for runnable scenarios.
-//!
-//! # Fault injection stays out of a build that did not ask for it
-//!
-//! The chaos tests instrument a host's sockets through
-//! `cosoft::net::FaultInjector`, which exists only under the
-//! `fault-injection` feature. This names it, and builds exactly when the
-//! feature was asked for on the command line — so `cargo test` fails if
-//! a default feature of this crate or of `cosoft-net`, or a dependency
-//! declaration anywhere in the build, turns the feature on by itself,
-//! and `cargo test --features fault-injection` fails if the feature no
-//! longer reaches `cosoft-net`:
-//!
-#![cfg_attr(feature = "fault-injection", doc = "```")]
-#![cfg_attr(not(feature = "fault-injection"), doc = "```compile_fail")]
-//! use cosoft::net::FaultInjector;
-//! ```
 
 // No panic in what a socket can reach: clippy refuses these in the
 // crate's non-test code, and each exception is an `#[expect]` on the
