@@ -9,10 +9,10 @@
 //!   with a reproducible substrate.
 //! * [`tcp`] — real sockets (`std::net`, the crate's own [`queue`]) so the same
 //!   server and client logic also runs end-to-end over TCP. A fixed pool
-//!   of poll threads owns every socket of a host, and one more thread
-//!   writes every client socket of the process (the internal `poll`
-//!   module), so connection count adds state, not threads; a client's
-//!   receives read its socket on the calling thread.
+//!   of poll threads owns every socket of a host (the internal `poll`
+//!   module), so connection count adds state, not threads; a client
+//!   starts no thread, and each of its calls does its I/O on the
+//!   calling thread.
 //!
 //! The server and client cores are written sans-I/O (they map an incoming
 //! message to outgoing messages) so both carriers drive identical logic.

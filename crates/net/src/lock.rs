@@ -7,8 +7,8 @@
 //! | rank | alias | guards | may be taken while holding |
 //! |---|---|---|---|
 //! | 0 | [`ConnMapLock`] | the host-wide connection map | nothing |
-//! | 1 | [`OutboxLock`] | one connection's outbox | nothing, or the map |
-//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's receive state, the client pool | nothing, or an outbox |
+//! | 1 | [`OutboxLock`] | one connection's outbox (a client's with its socket's write half) | nothing, or the map |
+//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's receive state | nothing, or an outbox |
 //!
 //! A thread climbs one rank at a time: the map orders before an outbox
 //! and nothing else (it is held to file, find or remove a connection,
@@ -19,8 +19,8 @@
 //!
 //! Debug builds keep a thread-local record of the ranks a thread holds
 //! and assert the rule at every acquisition, so each test run checks the
-//! orders that actually occur; [`assert_holds_only`] lets the poll
-//! thread's socket write assert what it runs under. Release builds
+//! orders that actually occur; [`assert_holds_only`] lets a socket
+//! write, a poll thread's or a client's, assert what it runs under. Release builds
 //! compile none of it: a [`Held`] is then a `MutexGuard` and nothing
 //! else.
 

@@ -2,9 +2,10 @@
 //! poll threads owning nonblocking sockets, per-connection ring-buffer
 //! outboxes flushed on writability, incremental frame reassembly on
 //! readability, and condvar wakeup tokens replacing every sleep-poll.
-//! A host's pool reads and writes its sockets and sends their events to
-//! the host; the process's client pool only writes, since a client's
-//! receiving thread reads its own socket (see [`nonblocking`]).
+//! A pool is a host's: it reads and writes the host's sockets and sends
+//! their events to the host. A client has no pool; it writes through the
+//! same [`Outbox`] and [`flush`] on its caller's thread (see
+//! [`nonblocking`]).
 //!
 //! # Why this is a sweep loop and not epoll
 //!
@@ -30,10 +31,10 @@
 //! latch, and dirty cold connections rejoin the sweep before it runs.
 //!
 //! A host's thread count is fixed at bind time by its config's
-//! `io_threads`; the process's clients share one more pool of one thread,
-//! started by the first connect. Connection count adds no threads, and a
-//! thread with nothing to sweep or probe parks until a command wakes it.
+//! `io_threads`. Connection count adds no threads, and a thread with
+//! nothing to sweep or probe parks until a command wakes it.
 
+use std::borrow::BorrowMut;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -46,7 +47,7 @@ use cosoft_wire::{codec, Bytes, Message};
 
 use crate::lock::{self, ConnMapLock, LeafLock, OutboxLock};
 use crate::queue::{unbounded, PollReceiver, Sender, TryRecvError};
-use crate::tcp::{ConnId, Counters, NetEvent};
+use crate::tcp::{ConnId, Counters, NetEvent, TcpHostConfig};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
 const MAX_IOV: usize = 256;
@@ -58,8 +59,8 @@ const MAX_READ_PER_SWEEP: usize = 256 * 1024;
 /// Shortest park when a sweep made progress recently.
 const MIN_PARK: Duration = Duration::from_micros(200);
 
-/// Longest park between sweeps on a fully idle poll thread.
-const MAX_PARK: Duration = Duration::from_millis(2);
+/// Longest park between an idle poll thread's sweeps, or a client's tries.
+pub(crate) const MAX_PARK: Duration = Duration::from_millis(2);
 
 /// Most consecutive sweeps a quiet connection skips between read
 /// probes. Worst-case added read latency is `MAX_SKIP × MAX_PARK` plus
@@ -278,9 +279,8 @@ pub(crate) struct Written {
     pub(crate) batches: u64,
 }
 
-/// Handles shared between the connection's user (a host's
-/// enqueue/evict/stats, or a client) and the poll thread that owns its
-/// socket, which alone touches the socket.
+/// Handles shared between a host's enqueue/evict/stats and the poll
+/// thread that owns the connection's socket, which alone touches it.
 #[derive(Clone)]
 pub(crate) struct ConnShared {
     /// The outbound ring buffer.
@@ -294,6 +294,20 @@ pub(crate) struct ConnShared {
     pub(crate) gate: Arc<Gate>,
     /// Index of the owning poll thread in its pool.
     pub(crate) thread: usize,
+}
+
+impl ConnShared {
+    /// Releases what one write moved: counts it, frees its backpressure
+    /// bytes and wakes blocked enqueuers.
+    fn drained(&self, written: Written, counters: &Counters) {
+        counters.frames_out.fetch_add(written.frames, Ordering::Relaxed);
+        counters.bytes_out.fetch_add(written.bytes as u64, Ordering::Relaxed);
+        if written.batches > 1 {
+            counters.coalesced_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.queued_bytes.fetch_sub(written.bytes, Ordering::AcqRel);
+        self.gate.notify();
+    }
 }
 
 /// Connection registry shared by a pool's users and its threads.
@@ -376,14 +390,6 @@ impl<C> Conns<C> {
         }
     }
 
-    /// Takes a hot connection out of the sweep with no probe due: only a
-    /// dirty mark brings it back.
-    fn shelve(&mut self, id: ConnId) {
-        if let Some(c) = self.hot.remove(&id) {
-            self.cold.insert(id, (self.epoch, c));
-        }
-    }
-
     /// Puts a cold connection back in the sweep (a no-op on any other).
     fn heat(&mut self, id: ConnId) {
         if let Some((_, c)) = self.cold.remove(&id) {
@@ -413,12 +419,12 @@ impl<C> Conns<C> {
 // poll thread
 // --------------------------------------------------------------------------
 
-/// Control messages from a pool's users to one of its threads.
+/// Control messages from a host to one of its pool's threads.
 pub(crate) enum Cmd {
     /// Adopt a connected socket.
     Register(ConnId, TcpStream, ConnShared),
-    /// Tear one connection down (eviction, disconnect, a client's close
-    /// or sever) and surface its `Disconnected` event.
+    /// Tear one connection down (eviction or disconnect) and surface its
+    /// `Disconnected` event.
     Close(ConnId),
     /// Tear everything down and exit.
     Shutdown,
@@ -460,9 +466,8 @@ impl PollConn {
 struct PollThread {
     cmds: PollReceiver<Cmd>,
     waker: Arc<PollWaker>,
-    /// Where a host pool sends its connections' frames and `Disconnected`;
-    /// `None` in the client pool, which only writes.
-    events: Option<Sender<NetEvent>>,
+    /// Where the host hears its connections' frames and `Disconnected`.
+    events: Sender<NetEvent>,
     conns_shared: ConnMap,
     counters: Arc<Counters>,
     /// Freshly registered connections must produce a first complete
@@ -518,8 +523,7 @@ impl PollThread {
             // A cold probe is the handshake deadline and one read (an enqueue heats).
             while let Some((id, conn)) = self.conns.next_due(now) {
                 let probe = conn.check_handshake(&self.counters).and_then(|()| {
-                    let Some(events) = &self.events else { return Ok(false) };
-                    Self::read_ready(conn, id, &self.counters, &mut scratch, events)
+                    Self::read_ready(conn, id, &self.counters, &mut scratch, &self.events)
                 });
                 match probe {
                     Ok(false) => continue,
@@ -564,23 +568,9 @@ impl PollThread {
         let Some(conn) = self.conns.hot.get_mut(&id) else { return Ok(false) };
         conn.check_handshake(&self.counters)?;
         let mut progressed = false;
-        // A client's socket (no events: its receiver reads it) is blocking.
-        let (stream, blocking) = (&conn.stream, self.events.is_none());
-        let wrote = flush(&conn.shared, &self.counters, |ob| {
-            if blocking {
-                nonblocking(stream, |s| ob.write_to(s))
-            } else {
-                ob.write_to(stream)
-            }
-        })?;
-        let Some(events) = &self.events else {
-            // A client's connection: its receiver reads it, so once its
-            // outbox is empty nothing is left to do until the next send.
-            if conn.shared.queued_bytes.load(Ordering::Acquire) == 0 {
-                self.conns.shelve(id);
-            }
-            return Ok(wrote);
-        };
+        let (stream, shared, counters) = (&conn.stream, &conn.shared, &self.counters);
+        let wrote =
+            flush(&shared.outbox, |ob| ob.write_to(stream), |w| shared.drained(w, counters))?;
         if wrote {
             progressed = true;
             // A write usually provokes a reply; probe eagerly again.
@@ -594,7 +584,7 @@ impl PollThread {
             true
         };
         if due {
-            let read_any = Self::read_ready(conn, id, &self.counters, scratch, events)?;
+            let read_any = Self::read_ready(conn, id, &self.counters, scratch, &self.events)?;
             if read_any {
                 progressed = true;
                 conn.skip_limit = 0;
@@ -675,29 +665,28 @@ impl PollThread {
         conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
         conn.gate.notify();
         let _ = stream.shutdown(std::net::Shutdown::Both);
-        if let Some(events) = &self.events {
-            let _ = events.send(NetEvent::Disconnected(id));
-        }
+        let _ = self.events.send(NetEvent::Disconnected(id));
     }
 }
 
-/// Flushes as much of `conn`'s outbox as `write` takes, one write of its
-/// head at a time (the poll thread's is [`Outbox::write_to`] the socket),
-/// releasing backpressure bytes and signaling the gate after each.
+/// Flushes as much of the outbox under `outbox` as `write` takes, one
+/// write of its head at a time (a poll thread's is [`Outbox::write_to`]
+/// the socket; a client's, the same through [`nonblocking`]), handing
+/// what each write moved to `drained` once the lock is released.
 /// Returns whether any bytes moved; `WouldBlock` ends the flush, any
 /// other error is the connection's.
-fn flush(
-    conn: &ConnShared,
-    counters: &Counters,
-    mut write: impl FnMut(&mut Outbox) -> io::Result<Written>,
+pub(crate) fn flush<T: BorrowMut<Outbox>>(
+    outbox: &OutboxLock<T>,
+    mut write: impl FnMut(&mut T) -> io::Result<Written>,
+    mut drained: impl FnMut(Written),
 ) -> io::Result<bool> {
     let mut wrote_any = false;
     loop {
         // The per-connection outbox lock is held over the nonblocking
         // write so head accounting stays atomic with the bytes the
         // socket took; only enqueuers contend.
-        let mut ob = conn.outbox.held();
-        if ob.batches.is_empty() {
+        let mut ob = outbox.held();
+        if ob.borrow().batches.is_empty() {
             return Ok(wrote_any);
         }
         // That outbox lock and no other: a host-wide lock held here would
@@ -711,21 +700,15 @@ fn flush(
         };
         drop(ob);
         wrote_any = true;
-        counters.frames_out.fetch_add(written.frames, Ordering::Relaxed);
-        counters.bytes_out.fetch_add(written.bytes as u64, Ordering::Relaxed);
-        if written.batches > 1 {
-            counters.coalesced_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        conn.queued_bytes.fetch_sub(written.bytes, Ordering::AcqRel);
-        conn.gate.notify();
+        drained(written);
     }
 }
 
 /// Runs `io` on `stream` switched to nonblocking. A client's socket stays
 /// blocking, so that its receiving thread sleeps in `read` until bytes
-/// come; the client pool's writes and a zero-wait receive go through here
-/// under the connection's outbox lock, and a blocking read that starts
-/// inside the switch returns `WouldBlock` early.
+/// come; the client's writes and a zero-wait receive go through here
+/// under the client's outbox lock, so two switches never overlap, and a
+/// blocking read that starts inside one returns `WouldBlock` early.
 pub(crate) fn nonblocking<T>(
     stream: &TcpStream,
     io: impl FnOnce(&TcpStream) -> io::Result<T>,
@@ -740,39 +723,32 @@ pub(crate) fn nonblocking<T>(
 // pool
 // --------------------------------------------------------------------------
 
-/// One connection's backlog limits: queued batches and bytes (a batch is
-/// still admitted into an empty backlog), and an enqueue's longest wait.
-#[derive(Clone, Copy)]
-pub(crate) struct Limits {
-    pub(crate) batches: usize,
-    pub(crate) bytes: usize,
-    pub(crate) wait: Duration,
-}
-
-/// A pool of poll threads as its users hold it: the connections it owns,
-/// its counters, where their events go, and each thread's command queue
-/// and wake token. A host shares one with its accept thread; the
-/// process's clients share one of a single thread, with no events.
+/// A host's pool of poll threads as the host holds it: the host's
+/// config, the connections it owns, its counters, where their events go,
+/// and each thread's command queue and wake token. The host shares it
+/// with its accept thread.
 pub(crate) struct Pool {
+    pub(crate) config: TcpHostConfig,
     pub(crate) conns: ConnMap,
     pub(crate) counters: Arc<Counters>,
-    events: Option<Sender<NetEvent>>,
+    events: Sender<NetEvent>,
     threads: Vec<(Sender<Cmd>, Arc<PollWaker>)>,
     next_id: AtomicU64,
 }
 
 impl Pool {
-    /// Starts `size` (at least one) poll threads, thread `i` named
-    /// `name(i)`. With `events`, the pool reads its connections and sends
-    /// their events there; without, it only writes them. On a spawn
-    /// failure the threads already started are stopped.
+    /// Starts `config.io_threads` (at least one) poll threads, thread `i`
+    /// named `cosoft-poll-{i}`, which send their connections' events to
+    /// `events`. On a spawn failure the threads already started are
+    /// stopped.
     pub(crate) fn spawn(
-        size: usize,
-        name: impl Fn(usize) -> String,
-        handshake_timeout: Option<Duration>,
-        events: Option<Sender<NetEvent>>,
+        config: TcpHostConfig,
+        events: Sender<NetEvent>,
     ) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
+        let handshake_timeout =
+            (!config.handshake_timeout.is_zero()).then_some(config.handshake_timeout);
         let mut pool = Pool {
+            config,
             conns: Arc::new(ConnMapLock::new(HashMap::new())),
             counters: Arc::default(),
             events,
@@ -780,7 +756,7 @@ impl Pool {
             next_id: AtomicU64::new(1),
         };
         let mut handles = Vec::new();
-        for i in 0..size.max(1) {
+        for i in 0..config.io_threads.max(1) {
             let (cmd_tx, cmd_rx) = unbounded();
             let waker = Arc::new(PollWaker::default());
             let body = PollThread {
@@ -792,7 +768,8 @@ impl Pool {
                 handshake_timeout,
                 conns: Conns::new(Instant::now()),
             };
-            match std::thread::Builder::new().name(name(i)).spawn(move || body.run()) {
+            let name = format!("cosoft-poll-{i}");
+            match std::thread::Builder::new().name(name).spawn(move || body.run()) {
                 Ok(handle) => {
                     pool.threads.push((cmd_tx, waker));
                     handles.push(handle);
@@ -806,24 +783,18 @@ impl Pool {
         Ok((pool, handles))
     }
 
-    /// Hands a connected socket to a poll thread (round-robin by id) and
-    /// sends its `Connected`. A host pool's sockets are made nonblocking;
-    /// the client pool's stay blocking for their receivers (see
-    /// [`nonblocking`]). Returns the id and the connection's outbox.
-    /// Socket-option failures count in `sockopt_failures`.
-    pub(crate) fn register(
-        &self,
-        stream: TcpStream,
-        sockopt_failures: &AtomicU64,
-    ) -> io::Result<(ConnId, Arc<OutboxLock<Outbox>>)> {
+    /// Makes a connected socket nonblocking, hands it to a poll thread
+    /// (round-robin by id) and sends its `Connected`. Socket-option
+    /// failures are counted.
+    pub(crate) fn register(&self, stream: TcpStream) -> io::Result<ConnId> {
         if stream.set_nodelay(true).is_err() {
             // Tolerated: the connection works, just slower.
-            sockopt_failures.fetch_add(1, Ordering::Relaxed);
+            self.counters.sockopt_failures.fetch_add(1, Ordering::Relaxed);
         }
         // Not tolerated: a reading poll loop cannot own a blocking socket
         // without stalling its peers.
-        if let Err(e) = stream.set_nonblocking(self.events.is_some()) {
-            sockopt_failures.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = stream.set_nonblocking(true) {
+            self.counters.sockopt_failures.fetch_add(1, Ordering::Relaxed);
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return Err(e);
         }
@@ -837,25 +808,26 @@ impl Pool {
             gate: Arc::default(),
             thread,
         };
-        let outbox = conn.outbox.clone();
         self.conns.held().insert(id, conn.clone());
-        if self.events.as_ref().is_some_and(|events| events.send(NetEvent::Connected(id)).is_err())
+        if self.events.send(NetEvent::Connected(id)).is_err()
             || cmds.send(Cmd::Register(id, stream, conn)).is_err()
         {
-            self.shut(id, Duration::ZERO);
+            self.shut(id);
             return Err(stopped());
         }
         waker.wake();
-        Ok((id, outbox))
+        Ok(id)
     }
 
     /// Queues `batch` on connection `id`'s outbox and marks it dirty on
     /// its poll thread, waiting on the connection's gate while its backlog
-    /// is over `limits`. `NotConnected` once the connection is gone;
-    /// `TimedOut` when the backlog stayed over the limits for
-    /// `limits.wait`. Either way the batch's frames count as dropped, and
-    /// what becomes of the connection is the caller's call.
-    pub(crate) fn enqueue(&self, id: ConnId, limits: Limits, batch: OutBatch) -> io::Result<()> {
+    /// is over the config's `queue_capacity` or `queue_max_bytes` (a batch
+    /// is still admitted into an empty backlog). `NotConnected` once the
+    /// connection is gone; `TimedOut` when the backlog stayed over them
+    /// for `enqueue_timeout`. Either way the batch's frames count as
+    /// dropped, and what becomes of the connection is the caller's call.
+    pub(crate) fn enqueue(&self, id: ConnId, batch: OutBatch) -> io::Result<()> {
+        let TcpHostConfig { queue_capacity, queue_max_bytes, enqueue_timeout, .. } = self.config;
         let gone = || io::Error::new(io::ErrorKind::NotConnected, "connection closed");
         // Hold the map lock only to clone the connection's handles: the
         // admission wait happens outside, so a full backlog on one
@@ -870,7 +842,7 @@ impl Pool {
             return Err(gone());
         };
         let (frames, bytes) = (batch.frames, batch.bytes);
-        let deadline = Instant::now() + limits.wait;
+        let deadline = Instant::now() + enqueue_timeout;
         let mut waited = false;
         loop {
             // Capture the gate generation *before* checking admission:
@@ -884,8 +856,8 @@ impl Pool {
                     return Err(gone());
                 }
                 let queued = queued_bytes.load(Ordering::Acquire);
-                let bytes_ok = ob.batches.is_empty() || queued + bytes <= limits.bytes;
-                if bytes_ok && ob.batches.len() < limits.batches {
+                let bytes_ok = ob.batches.is_empty() || queued + bytes <= queue_max_bytes;
+                if bytes_ok && ob.batches.len() < queue_capacity.max(1) {
                     queued_bytes.fetch_add(bytes, Ordering::AcqRel);
                     ob.batches.push_back(batch);
                     drop(ob);
@@ -911,26 +883,14 @@ impl Pool {
         }
     }
 
-    /// Takes connection `id` out of the map, waits up to `flush` on its
-    /// gate for its backlog to reach the socket, then has its poll thread
-    /// tear it down (shutting the socket), which surfaces its
-    /// `Disconnected`. `false` (and a no-op) if it was not in the map.
-    pub(crate) fn shut(&self, id: ConnId, flush: Duration) -> bool {
+    /// Takes connection `id` out of the map and has its poll thread tear
+    /// it down (shutting the socket), which surfaces its `Disconnected`.
+    /// `false` (and a no-op) if it was not in the map.
+    pub(crate) fn shut(&self, id: ConnId) -> bool {
         // Not an `if let` scrutinee, whose guard would live through the
-        // block: the map lock is not held over a wait, a send or a wake.
+        // block: the map lock is not held over a send or a wake.
         let conn = self.conns.held().remove(&id);
         let Some(conn) = conn else { return false };
-        let deadline = Instant::now() + flush;
-        loop {
-            // Generation before the check, so a drain landing right after
-            // the check still wakes the wait.
-            let seen = conn.gate.generation();
-            let now = Instant::now();
-            if conn.queued_bytes.load(Ordering::Acquire) == 0 || now >= deadline {
-                break;
-            }
-            conn.gate.wait(seen, deadline - now);
-        }
         if let Some((cmds, waker)) = self.threads.get(conn.thread) {
             let _ = cmds.send(Cmd::Close(id));
             waker.wake();
@@ -1185,6 +1145,15 @@ mod tests {
         }
     }
 
+    /// A poll thread's flush of `conn`: each write counted and released.
+    fn drain(
+        conn: &ConnShared,
+        counters: &Counters,
+        write: impl FnMut(&mut Outbox) -> io::Result<Written>,
+    ) -> io::Result<bool> {
+        flush(&conn.outbox, write, |w| conn.drained(w, counters))
+    }
+
     /// The head as a write leaves it: batches left and bytes of the
     /// front one written.
     fn head(ob: &Outbox) -> (usize, usize) {
@@ -1310,23 +1279,23 @@ mod tests {
             Step::Block,
             Step::Fail(io::ErrorKind::ConnectionReset),
         ]);
-        assert!(flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
+        assert!(drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
         assert_eq!(conn.queued_bytes.load(Ordering::Acquire), total - 11);
         assert_eq!(counters.bytes_out.load(Ordering::Relaxed), 11);
         let held = head(&conn.outbox.held());
         // A socket error is the connection's: returned, nothing counted.
-        let e = flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap_err();
+        let e = drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
         assert_eq!(head(&conn.outbox.held()), held);
         assert_eq!(conn.queued_bytes.load(Ordering::Acquire), total - 11);
         assert_eq!(counters.bytes_out.load(Ordering::Relaxed), 11);
         // The rest goes in one write across both batches.
-        assert!(flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
+        assert!(drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
         assert_eq!(conn.queued_bytes.load(Ordering::Acquire), 0);
         assert_eq!(counters.bytes_out.load(Ordering::Relaxed), total as u64);
         assert_eq!(counters.frames_out.load(Ordering::Relaxed), 3);
         assert_eq!(counters.coalesced_writes.load(Ordering::Relaxed), 1);
-        assert!(!flush(&conn, &counters, |_| panic!("an empty outbox is not written")).unwrap());
+        assert!(!drain(&conn, &counters, |_| panic!("an empty outbox is not written")).unwrap());
         assert_eq!(reassemble(&sink.took, || usize::MAX), sent);
     }
 
@@ -1371,10 +1340,10 @@ mod tests {
                 let msgs: Vec<Message> = sizes.iter().map(|&n| blob(sent.len(), n)).collect();
                 sent.extend(msgs.iter().cloned());
                 queue(&conn, batch(&msgs));
-                flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
+                drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
             }
             while conn.queued_bytes.load(Ordering::Acquire) > 0 {
-                flush(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
+                drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
             }
             assert_eq!(head(&conn.outbox.held()), (0, 0));
             assert_eq!(counters.frames_out.load(Ordering::Relaxed), sent.len() as u64);

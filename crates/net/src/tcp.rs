@@ -5,28 +5,29 @@
 //!
 //! # I/O model
 //!
-//! Socket writes run on poll pools (the `poll` module): a fixed set of
-//! threads owns every socket's writes, so connection count adds *state*,
-//! not threads. A [`TcpHost`] has [`TcpHostConfig::io_threads`] of them
-//! plus an accept thread, and they read its sockets too. Every
-//! [`TcpClient`] of the process writes through one more pool, of one
-//! thread (`cosoft-client-poll`), started by the first connect; a
-//! client's receives read its socket on the calling thread, sleeping in
-//! `read` until bytes come, so an idle client wakes no thread and hears
-//! a push at once.
+//! A [`TcpHost`]'s sockets belong to a poll pool (the `poll` module): a
+//! fixed set of [`TcpHostConfig::io_threads`] threads, plus an accept
+//! thread, reads and writes every accepted socket, so connection count
+//! adds *state*, not threads. A [`TcpClient`] starts no thread: each of
+//! its calls does its I/O on the calling thread. A receive reads the
+//! socket, sleeping in `read` until bytes come, so an idle client wakes
+//! no thread and hears a push at once. A send writes what the socket
+//! takes at once, and the client's next send, receive or `close` writes
+//! what a full socket left.
 //!
-//! A send is a non-blocking enqueue on the connection's ring outbox plus
-//! a wakeup of its poll thread, which flushes on writability: one
-//! stalled consumer cannot delay its peers. An enqueue over budget parks
-//! on a condvar the poll thread signals as it drains bytes; past
-//! [`TcpHostConfig::enqueue_timeout`] a host evicts the connection as a
+//! A host's send is a non-blocking enqueue on the connection's ring
+//! outbox plus a wakeup of its poll thread, which flushes on writability:
+//! one stalled consumer cannot delay its peers. An enqueue over budget
+//! parks on a condvar the poll thread signals as it drains bytes; past
+//! [`TcpHostConfig::enqueue_timeout`] the host evicts the connection as a
 //! slow consumer (surfacing the usual [`NetEvent::Disconnected`], which
 //! the server maps to the §3.2 auto-decoupling path).
 //! [`TcpHost::send_batch`] coalesces a server turn's frames per
 //! connection into one vectored write. A client with a
 //! [`ReconnectPolicy`] redials on the thread that receives, within the
-//! receive's timeout: a dial blocks, and a poll thread must not.
+//! receive's timeout.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -39,7 +40,7 @@ use cosoft_rng::Rng;
 use cosoft_wire::{Message, SharedFrame};
 
 use crate::lock::{LeafLock, OutboxLock};
-use crate::poll::{self, ConnMap, FrameReader, Gate, Limits, OutBatch, Outbox, Pool};
+use crate::poll::{self, ConnMap, FrameReader, Gate, OutBatch, Outbox, Pool, MAX_PARK};
 use crate::queue::{unbounded, Receiver, Sender};
 
 /// Identifier of one accepted connection on a [`TcpHost`].
@@ -225,11 +226,7 @@ impl TcpStatsHandle {
 /// own all per-connection I/O; see the module docs for the model.
 pub struct TcpHost {
     local_addr: SocketAddr,
-    config: TcpHostConfig,
     events: Receiver<NetEvent>,
-    /// The pool's connection map and counters, at hand.
-    conns: ConnMap,
-    counters: Arc<Counters>,
     shutdown: Arc<AtomicBool>,
     pool: Arc<Pool>,
     threads: Vec<JoinHandle<()>>,
@@ -267,14 +264,7 @@ impl TcpHost {
 
         // The fixed I/O pool, spawned up front: a pool-spawn failure is
         // a bind error, not a per-connection casualty.
-        let handshake_timeout =
-            if config.handshake_timeout.is_zero() { None } else { Some(config.handshake_timeout) };
-        let (pool, threads) = Pool::spawn(
-            config.io_threads,
-            |i| format!("cosoft-poll-{i}"),
-            handshake_timeout,
-            Some(tx),
-        )?;
+        let (pool, threads) = Pool::spawn(config, tx)?;
         let pool = Arc::new(pool);
 
         let accept_pool = pool.clone();
@@ -317,7 +307,7 @@ impl TcpHost {
                     }
                     // A socket the pool cannot take is shut; the next
                     // dial gets its own chance.
-                    let _ = accept_pool.register(stream, &counters.sockopt_failures);
+                    let _ = accept_pool.register(stream);
                 }
             });
         let accept_thread = match accept_thread {
@@ -330,10 +320,7 @@ impl TcpHost {
 
         Ok(TcpHost {
             local_addr,
-            config,
             events: rx,
-            conns: pool.conns.clone(),
-            counters: pool.counters.clone(),
             shutdown,
             pool,
             threads,
@@ -348,7 +335,7 @@ impl TcpHost {
 
     /// The active queue/slow-consumer configuration.
     pub fn config(&self) -> TcpHostConfig {
-        self.config
+        self.pool.config
     }
 
     /// Receiver of connection events.
@@ -364,13 +351,13 @@ impl TcpHost {
     /// A cloneable handle that can snapshot [`TcpStats`] after the host
     /// moved into a server thread.
     pub fn stats_handle(&self) -> TcpStatsHandle {
-        TcpStatsHandle { counters: self.counters.clone(), conns: self.conns.clone() }
+        TcpStatsHandle { counters: self.pool.counters.clone(), conns: self.pool.conns.clone() }
     }
 
     /// Queued (not yet fully written) outbound batches for one
     /// connection.
     pub fn queue_depth(&self, conn: ConnId) -> Option<usize> {
-        self.conns.held().get(&conn).map(|c| c.outbox.held().batches.len())
+        self.pool.conns.held().get(&conn).map(|c| c.outbox.held().batches.len())
     }
 
     /// Sends a message to one connection by enqueueing it on the
@@ -433,17 +420,12 @@ impl TcpHost {
     }
 
     fn enqueue(&self, conn: ConnId, batch: OutBatch) -> io::Result<()> {
-        let limits = Limits {
-            batches: self.config.queue_capacity.max(1),
-            bytes: self.config.queue_max_bytes,
-            wait: self.config.enqueue_timeout,
-        };
-        let sent = self.pool.enqueue(conn, limits, batch);
+        let sent = self.pool.enqueue(conn, batch);
         // A backlog over budget past the timeout is a slow consumer: it is
         // forcibly disconnected (its poll thread surfaces `Disconnected`).
         let timed_out = sent.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::TimedOut);
-        if timed_out && self.pool.shut(conn, Duration::ZERO) {
-            self.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
+        if timed_out && self.pool.shut(conn) {
+            self.pool.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
         }
         sent
     }
@@ -451,7 +433,7 @@ impl TcpHost {
     /// Closes one connection; the owning poll thread will surface a
     /// [`NetEvent::Disconnected`].
     pub fn disconnect(&self, conn: ConnId) {
-        self.pool.shut(conn, Duration::ZERO);
+        self.pool.shut(conn);
     }
 }
 
@@ -580,45 +562,48 @@ impl ReconnectPolicy {
     }
 }
 
-/// How long [`TcpClient::send`] may wait on a full outbox, and how long
-/// [`TcpClient::close`] waits for queued frames (e.g. a graceful
-/// `Deregister`) to flush before tearing the socket down.
+/// How long a send at the limit, or a `close`, keeps writing queued
+/// frames (e.g. a graceful `Deregister`) to a full socket.
 const CLIENT_FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// A client connection's backlog: 64 queued sends, no byte budget.
-const CLIENT_LIMITS: Limits = Limits { batches: 64, bytes: usize::MAX, wait: CLIENT_FLUSH_TIMEOUT };
+/// Most sends a client's outbox holds; there is no byte budget.
+const CLIENT_QUEUE: usize = 64;
 
-/// The poll pool every client of the process shares, started by the
-/// first connect. It only writes: a client's receives read its socket.
-static CLIENT_POOL: LeafLock<Option<Arc<Pool>>> = LeafLock::new(None);
-
-fn client_pool() -> io::Result<Arc<Pool>> {
-    let mut pool = CLIENT_POOL.held();
-    if let Some(pool) = &*pool {
-        return Ok(pool.clone());
-    }
-    // The thread outlives every client: with nothing to write it parks
-    // until the next send wakes it.
-    let (fresh, _thread) = Pool::spawn(1, |_| "cosoft-client-poll".into(), None, None)?;
-    Ok(pool.insert(Arc::new(fresh)).clone())
+/// A client connection's write side: the socket's write half (`None`
+/// once the connection is shut) and the frames queued on it.
+#[derive(Default)]
+struct Sending {
+    stream: Option<TcpStream>,
+    outbox: Outbox,
 }
 
-/// A dialed socket's read side, after its write side joined `pool`.
-type Adopted = (TcpStream, ConnId, Arc<OutboxLock<Outbox>>);
+impl Borrow<Outbox> for Sending {
+    fn borrow(&self) -> &Outbox {
+        &self.outbox
+    }
+}
 
-fn adopt(pool: &Pool, dialed: io::Result<TcpStream>, failures: &AtomicU64) -> io::Result<Adopted> {
+impl BorrowMut<Outbox> for Sending {
+    fn borrow_mut(&mut self) -> &mut Outbox {
+        &mut self.outbox
+    }
+}
+
+/// A dialed socket as a client holds it: its read half, and its write
+/// half with nothing queued. A `set_nodelay` failure counts in `failures`.
+fn split(dialed: io::Result<TcpStream>, failures: &AtomicU64) -> io::Result<(TcpStream, Sending)> {
     let stream = dialed?;
-    let read = stream.try_clone()?;
-    let (id, outbox) = pool.register(stream, failures)?;
-    Ok((read, id, outbox))
+    if stream.set_nodelay(true).is_err() {
+        // Tolerated: the connection works, just slower.
+        failures.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok((stream.try_clone()?, Sending { stream: Some(stream), outbox: Outbox::default() }))
 }
 
 /// Where a client stands with its connection.
-#[derive(Debug)]
 enum Link {
-    /// Connected: the socket's read side, and the outbox whose lock a
-    /// zero-wait read takes to switch the socket (`poll::nonblocking`).
-    Up(TcpStream, Arc<OutboxLock<Outbox>>),
+    /// Connected: the socket's read half.
+    Up(TcpStream),
     /// A receive is reading or dialing; the others wait their turn.
     Busy,
     /// The connection dropped; dial `attempt` of the outage is due at `at`.
@@ -628,7 +613,6 @@ enum Link {
 }
 
 /// What a client's receives share: the link, and what was read of it.
-#[derive(Debug)]
 struct Inbound {
     link: Link,
     frames: FrameReader,
@@ -637,17 +621,17 @@ struct Inbound {
 
 /// Connecting side of the TCP transport (used by application instances).
 ///
-/// Its writes are a connection of the process's client pool (see the
-/// module docs): [`TcpClient::send`] queues on the connection's outbox
-/// and never blocks on the socket, so a wedged write cannot block later
-/// sends, `close` or `sever`. Its receives read the socket themselves,
-/// one at a time.
+/// A client starts no thread: each call does its socket I/O on the
+/// calling thread (see the module docs), and its receives take turns.
+/// A tail that a full socket leaves is written by the client's next
+/// send, receive or `close`, so a wedged write blocks none of them.
 pub struct TcpClient {
     addr: SocketAddr,
     policy: Option<ReconnectPolicy>,
-    pool: Arc<Pool>,
-    /// The current connection; a redial swaps the fresh one in.
-    conn: AtomicU64,
+    /// The connection's write side; a redial swaps the fresh one in.
+    sending: OutboxLock<Sending>,
+    /// Notified as a write drains bytes; a send or `close` waits on it.
+    drained: Gate,
     inbound: LeafLock<Inbound>,
     /// Notified as a receive hands the link back.
     turn: Gate,
@@ -671,9 +655,8 @@ impl std::fmt::Debug for TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a [`TcpHost`] and hands the socket's writes to the
-    /// client pool. The connection is not revived when it drops; use
-    /// [`TcpClient::connect_with_reconnect`] for that.
+    /// Connects to a [`TcpHost`]. The connection is not revived when it
+    /// drops; use [`TcpClient::connect_with_reconnect`] for that.
     ///
     /// # Errors
     ///
@@ -701,18 +684,16 @@ impl TcpClient {
     }
 
     fn open(addr: SocketAddr, policy: Option<ReconnectPolicy>) -> io::Result<TcpClient> {
-        let pool = client_pool()?;
         let sockopt_failures = AtomicU64::new(0);
-        let (stream, conn, outbox) = adopt(&pool, TcpStream::connect(addr), &sockopt_failures)?;
+        let (stream, sending) = split(TcpStream::connect(addr), &sockopt_failures)?;
         let (lifecycle, events) = unbounded();
-        let link = Link::Up(stream, outbox);
         Ok(TcpClient {
             addr,
             policy,
-            pool,
-            conn: AtomicU64::new(conn.0),
+            sending: OutboxLock::new(sending),
+            drained: Gate::default(),
             inbound: LeafLock::new(Inbound {
-                link,
+                link: Link::Up(stream),
                 frames: FrameReader::default(),
                 ready: VecDeque::new(),
             }),
@@ -727,8 +708,48 @@ impl TcpClient {
         })
     }
 
-    fn current(&self) -> ConnId {
-        ConnId(self.conn.load(Ordering::SeqCst))
+    /// Writes what the socket takes of the queued frames now, switched to
+    /// nonblocking under the outbox lock. Returns whether a tail stays
+    /// queued; an error is the connection's, and a receive reads it too.
+    fn write_tail(&self) -> io::Result<bool> {
+        poll::flush(
+            &self.sending,
+            |Sending { stream, outbox }| {
+                let stream = stream.as_ref().ok_or(io::ErrorKind::NotConnected)?;
+                poll::nonblocking(stream, |s| outbox.write_to(s))
+            },
+            |_| self.drained.notify(),
+        )?;
+        Ok(!self.sending.held().outbox.batches.is_empty())
+    }
+
+    /// Writes the queued frames until `ready` holds of the outbox, trying
+    /// a full socket again at least every `MAX_PARK`: `NotConnected` with
+    /// no connection, `TimedOut` at `deadline`, a write error as it comes.
+    /// `ready` runs under the outbox lock, which no wait holds.
+    fn write_until(
+        &self,
+        deadline: Instant,
+        mut ready: impl FnMut(&mut Outbox) -> bool,
+    ) -> io::Result<()> {
+        loop {
+            let seen = self.drained.generation();
+            let mut sending = self.sending.held();
+            if sending.stream.is_none() {
+                return Err(io::ErrorKind::NotConnected.into());
+            }
+            if ready(&mut sending.outbox) {
+                return Ok(());
+            }
+            drop(sending);
+            if Instant::now() >= deadline {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.write_tail()?;
+            // A write that moved bytes has notified: no wait, `ready` again.
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.drained.wait(seen, MAX_PARK.min(left));
+        }
     }
 
     /// Schedules dial `attempt` of the outage. The client is dead instead
@@ -753,11 +774,15 @@ impl TcpClient {
 
     /// One read of the socket, waiting at most until `deadline` (past it,
     /// not at all). Hands the link back, or starts an outage.
-    fn read(&self, stream: TcpStream, outbox: Arc<OutboxLock<Outbox>>, deadline: Instant) {
+    fn read(&self, stream: TcpStream, deadline: Instant) {
         let mut buf = [0u8; 16 * 1024];
-        let wait = deadline.saturating_duration_since(Instant::now());
+        // A tail a full socket left goes out first, and while one stays
+        // queued the read waits at most `MAX_PARK` before the next try.
+        // A failed write is left to the read, which fails too.
+        let most = if self.write_tail().unwrap_or(false) { MAX_PARK } else { Duration::MAX };
+        let wait = deadline.saturating_duration_since(Instant::now()).min(most);
         let read = if wait.is_zero() {
-            let _switching = outbox.held();
+            let _switching = self.sending.held();
             poll::nonblocking(&stream, |mut s| s.read(&mut buf))
         } else {
             stream.set_read_timeout(Some(wait)).and_then(|()| (&stream).read(&mut buf))
@@ -782,12 +807,12 @@ impl TcpClient {
             ),
         };
         if alive {
-            inbound.link = Link::Up(stream, outbox);
+            inbound.link = Link::Up(stream);
             return;
         }
         inbound.frames = FrameReader::default();
         drop(inbound);
-        self.pool.shut(self.current(), Duration::ZERO);
+        self.sever();
         if !self.closed.load(Ordering::SeqCst) {
             let _ = self.lifecycle.send(ClientEvent::Disconnected);
         }
@@ -802,27 +827,28 @@ impl TcpClient {
         }
         self.reconnect_attempts.fetch_add(1, Ordering::Relaxed);
         let dialed = TcpStream::connect_timeout(&self.addr, wait);
-        let Ok((stream, fresh, outbox)) = adopt(&self.pool, dialed, &self.sockopt_failures) else {
+        let Ok((stream, sending)) = split(dialed, &self.sockopt_failures) else {
             return self.schedule(attempt + 1);
         };
-        self.conn.store(fresh.0, Ordering::SeqCst);
+        *self.sending.held() = sending;
         // close() may have raced the dial: shut the fresh socket too
         // rather than resurrecting a client the application closed.
         if self.closed.load(Ordering::SeqCst) {
-            self.pool.shut(fresh, Duration::ZERO);
+            self.sever();
             return self.schedule(attempt);
         }
         self.reconnects.fetch_add(1, Ordering::Relaxed);
         // Advice consumed: the next outage starts from the policy's own
         // backoff again.
         self.busy_advice_ms.store(0, Ordering::Relaxed);
-        self.inbound.held().link = Link::Up(stream, outbox);
+        self.inbound.held().link = Link::Up(stream);
         let _ = self.lifecycle.send(ClientEvent::Reconnected { attempts: attempt });
     }
 
-    /// Sends a message to the server by queueing it on the connection's
-    /// outbox; does not block on the socket (a wedged write does not
-    /// block further sends, pings, or `close`).
+    /// Sends a message to the server: queues it and writes what the
+    /// socket takes now, without blocking on it. A tail stays queued for
+    /// the client's next send, receive or `close`; with 64 sends queued,
+    /// the send itself keeps writing for up to the flush timeout.
     ///
     /// # Errors
     ///
@@ -832,22 +858,26 @@ impl TcpClient {
     /// of a reconnect-enabled client is not surfaced here: the frame is
     /// lost and the redial revives the connection.
     pub fn send(&self, msg: &Message) -> io::Result<()> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(io::Error::new(io::ErrorKind::NotConnected, "client closed"));
-        }
         let bytes = SharedFrame::from_message(msg).into_bytes();
-        let batch = OutBatch { bytes: bytes.len(), segments: vec![bytes], frames: 1 };
-        match self.pool.enqueue(self.current(), CLIENT_LIMITS, batch) {
-            Err(e)
-                if e.kind() == io::ErrorKind::NotConnected
-                    && !self.closed.load(Ordering::SeqCst) =>
-            {
-                match self.policy {
-                    Some(_) => Ok(()),
-                    None => Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection failed")),
+        let mut batch = Some(OutBatch { bytes: bytes.len(), segments: vec![bytes], frames: 1 });
+        let sent = self
+            .write_until(Instant::now() + CLIENT_FLUSH_TIMEOUT, |outbox| {
+                let room = outbox.batches.len() < CLIENT_QUEUE;
+                if let Some(batch) = batch.take_if(|_| room) {
+                    outbox.batches.push_back(batch);
                 }
+                room
+            })
+            .and_then(|()| self.write_tail());
+        // A closed client's connection is shut, so its sends fail here.
+        match sent {
+            Ok(_) => Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => Err(e),
+            Err(_) if self.closed.load(Ordering::SeqCst) => {
+                Err(io::Error::new(io::ErrorKind::NotConnected, "client closed"))
             }
-            sent => sent,
+            Err(_) if self.policy.is_some() => Ok(()),
+            Err(_) => Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection failed")),
         }
     }
 
@@ -865,7 +895,8 @@ impl TcpClient {
     /// [`RecvError::Disconnected`] means the connection is gone for good
     /// and waiting longer is pointless.
     ///
-    /// The receive reads the socket on the calling thread; receives on
+    /// The receive reads the socket on the calling thread, and first
+    /// writes what a full socket left of earlier sends; receives on
     /// several threads take turns. A reconnect-enabled client redials in
     /// here (and in [`TcpClient::recv_timeout`]) once each backoff has
     /// passed, and a dial gets no more than the receive's remaining time:
@@ -914,7 +945,7 @@ impl TcpClient {
             let link = std::mem::replace(&mut inbound.link, Link::Busy);
             drop(inbound);
             match link {
-                Link::Up(stream, outbox) => self.read(stream, outbox, deadline),
+                Link::Up(stream) => self.read(stream, deadline),
                 Link::Down { attempt, .. } => self.redial(attempt, deadline - now),
                 other => self.inbound.held().link = other,
             }
@@ -943,9 +974,9 @@ impl TcpClient {
         self.reconnect_attempts.load(Ordering::Relaxed)
     }
 
-    /// Socket-option calls (`set_nodelay`, `set_nonblocking`) that failed
-    /// on this client's connections, including redials. Nonzero means
-    /// the platform is misbehaving, not that the connection is broken.
+    /// `set_nodelay` calls that failed on this client's connections,
+    /// including redials. Nonzero means the platform is misbehaving, not
+    /// that the connection is broken.
     pub fn sockopt_failures(&self) -> u64 {
         self.sockopt_failures.load(Ordering::Relaxed)
     }
@@ -958,13 +989,16 @@ impl TcpClient {
     }
 
     /// Shuts the connection down; the server sees a disconnect and no
-    /// redial follows. Waits up to the flush timeout for already-queued
-    /// frames (e.g. a graceful `Deregister`) to reach the socket — but
+    /// redial follows. First writes already-queued frames (e.g. a
+    /// graceful `Deregister`) for up to the flush timeout (500 ms) — but
     /// no longer: a wedged socket cannot hold `close` hostage.
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        // A repeated close (or the Drop after one) finds nothing to shut.
-        self.pool.shut(self.current(), CLIENT_FLUSH_TIMEOUT);
+        // A repeated close (or the Drop after one) finds nothing to write
+        // and nothing to shut.
+        let _ = self
+            .write_until(Instant::now() + CLIENT_FLUSH_TIMEOUT, |outbox| outbox.batches.is_empty());
+        self.sever();
         // A receive holding the link finds the socket shut, or the client
         // closed after its dial.
         let mut inbound = self.inbound.held();
@@ -977,9 +1011,14 @@ impl TcpClient {
 
     /// Kills the current connection *without* marking the client closed —
     /// indistinguishable from a network failure, so a reconnect-enabled
-    /// client redials; tests and demos of reconnection use it.
+    /// client redials; tests and demos of reconnection use it. It shuts
+    /// the socket and drops what was queued on it, and a receive then
+    /// reads the end of the stream.
     pub fn sever(&self) {
-        self.pool.shut(self.current(), Duration::ZERO);
+        let Sending { stream, .. } = std::mem::take(&mut *self.sending.held());
+        if let Some(stream) = stream {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
     }
 }
 
@@ -992,7 +1031,8 @@ impl Drop for TcpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosoft_wire::{InstanceId, Target, UserId};
+    use cosoft_wire::{codec, InstanceId, Target, UserId};
+    use std::io::Write;
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
@@ -1016,7 +1056,7 @@ mod tests {
             NetEvent::Connected(c) => c,
             other => panic!("expected Connected, got {other:?}"),
         };
-        let outbox = host.conns.held().get(&conn).expect("registered").outbox.clone();
+        let outbox = host.pool.conns.held().get(&conn).expect("registered").outbox.clone();
         let doomed = outbox.clone();
         let died = std::thread::spawn(move || {
             let _guard = doomed.held();
@@ -1354,7 +1394,7 @@ mod tests {
         // Late-starting consumer: the backlog fills first (kernel buffer
         // + byte budget << ROUNDS × 256 KiB) and an enqueue has to wait,
         // then it drains steadily.
-        let counters = host.counters.clone();
+        let counters = host.pool.counters.clone();
         let drainer = std::thread::spawn(move || {
             use std::io::Read;
             let t0 = Instant::now();
@@ -1440,9 +1480,9 @@ mod tests {
         let client = TcpClient::connect(addr).unwrap();
         let (peer, _) = listener.accept().unwrap();
 
-        // Overrun the kernel socket buffers so the writer thread wedges
-        // inside `write_all`, while staying below the outbox capacity so
-        // `send` itself keeps succeeding (frames queue behind the wedge).
+        // Overrun the kernel socket buffers so the socket takes no more,
+        // while staying below the outbox capacity so `send` itself keeps
+        // succeeding (frames queue behind the wedge).
         let blob = big_payload_msg(256);
         for _ in 0..48 {
             client.send(&blob).unwrap();
@@ -1465,6 +1505,135 @@ mod tests {
             "close took {close_elapsed:?}"
         );
         drop(peer);
+    }
+
+    /// A client dialed to a raw peer, and the peer's socket (reads time
+    /// out after `TIMEOUT`).
+    fn client_and_peer() -> (TcpClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(TIMEOUT)).unwrap();
+        (client, peer)
+    }
+
+    /// Frames queued on the client's outbox, behind what the socket took.
+    fn queued(client: &TcpClient) -> usize {
+        client.sending.held().outbox.batches.len()
+    }
+
+    /// Sends ~256 KiB frames, each its own, to a peer that reads none of
+    /// them until the client's outbox keeps a tail; returns them.
+    fn fill_until_a_tail(client: &TcpClient) -> Vec<Message> {
+        let mut sent = Vec::new();
+        while queued(client) == 0 {
+            assert!(sent.len() < 4 * CLIENT_QUEUE, "{} sends left no tail", sent.len());
+            let msg = Message::CommandDelivery {
+                from: InstanceId(sent.len() as u64),
+                command: "blob".into(),
+                payload: vec![sent.len() as u8; 256 * 1024],
+            };
+            client.send(&msg).unwrap();
+            sent.push(msg);
+        }
+        sent
+    }
+
+    /// What a full socket left is written by the client's next receive:
+    /// once the peer starts reading, it gets every frame intact with no
+    /// further send, and the receive then hears the peer's answer.
+    #[test]
+    fn the_next_receive_writes_the_tail_a_full_socket_left() {
+        let (client, peer) = client_and_peer();
+        let sent = fill_until_a_tail(&client);
+        std::thread::scope(|s| {
+            let receive = s.spawn(|| client.recv_within(TIMEOUT));
+            let mut reader = io::BufReader::new(&peer);
+            for (i, msg) in sent.iter().enumerate() {
+                let got =
+                    codec::read_frame(&mut reader).unwrap_or_else(|e| panic!("frame {i}: {e}"));
+                assert_eq!(got.as_ref(), Some(msg), "frame {i} of {}", sent.len());
+            }
+            (&peer).write_all(&codec::frame_message(&Message::Pong { nonce: 1 })).unwrap();
+            assert_eq!(receive.join().unwrap(), Ok(Message::Pong { nonce: 1 }));
+        });
+    }
+
+    /// At 64 queued sends the sender keeps writing for the flush timeout,
+    /// then gets `TimedOut`; a `close` behind that wedge is bounded too.
+    #[test]
+    fn a_send_past_64_queued_times_out_after_the_flush_timeout() {
+        let (client, peer) = client_and_peer();
+        let blob = big_payload_msg(256);
+        // A send at the limit succeeds while the kernel still takes bytes;
+        // the first that times out found 64 queued and a socket that took
+        // nothing more.
+        let mut timed_out = None;
+        for _ in 0..4 * CLIENT_QUEUE {
+            let full = queued(&client) == CLIENT_QUEUE;
+            let t0 = Instant::now();
+            if let Err(e) = client.send(&blob) {
+                assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+                assert!(full, "a send with room timed out");
+                timed_out = Some(t0.elapsed());
+                break;
+            }
+        }
+        let took = timed_out.expect("no send timed out");
+        assert!(
+            CLIENT_FLUSH_TIMEOUT <= took && took < CLIENT_FLUSH_TIMEOUT + Duration::from_secs(1),
+            "the send at the limit returned after {took:?}"
+        );
+        assert_eq!(queued(&client), CLIENT_QUEUE, "the timed-out frame was not queued");
+
+        let t1 = Instant::now();
+        client.close();
+        let took = t1.elapsed();
+        assert!(took < CLIENT_FLUSH_TIMEOUT + Duration::from_secs(2), "close took {took:?}");
+        drop(peer);
+    }
+
+    /// A frame queued behind a wedge that clears while `close` writes
+    /// reaches the peer intact, after everything queued before it.
+    #[test]
+    fn close_writes_a_tail_the_peer_drains_in_time() {
+        let (client, peer) = client_and_peer();
+        let mut sent = fill_until_a_tail(&client);
+        sent.push(Message::Deregister);
+        client.send(&Message::Deregister).unwrap();
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                // The wedge clears once close has begun.
+                while !client.closed.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let mut reader = io::BufReader::new(&peer);
+                std::iter::from_fn(|| codec::read_frame(&mut reader).unwrap()).collect::<Vec<_>>()
+            });
+            client.close();
+            assert!(reader.join().unwrap() == sent, "the peer did not get the frames sent");
+        });
+    }
+
+    /// A send on a connection that is gone fails at once, as documented:
+    /// a client without a policy gets `BrokenPipe`, a reconnect client
+    /// loses the frame and gets `Ok`, and a closed one `NotConnected`.
+    #[test]
+    fn a_send_on_a_gone_connection_returns_at_once() {
+        let host = TcpHost::bind("127.0.0.1:0").unwrap();
+        let plain = TcpClient::connect(host.local_addr()).unwrap();
+        let policy = ReconnectPolicy { base_delay: TIMEOUT, ..ReconnectPolicy::default() };
+        let revived = TcpClient::connect_with_reconnect(host.local_addr(), policy).unwrap();
+        let t0 = Instant::now();
+        plain.sever();
+        revived.sever();
+        let err = plain.send(&Message::Ping { nonce: 1 }).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
+        revived.send(&Message::Ping { nonce: 2 }).unwrap();
+        plain.close();
+        let err = plain.send(&Message::Ping { nonce: 3 }).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotConnected, "{err}");
+        assert!(t0.elapsed() < CLIENT_FLUSH_TIMEOUT, "the sends took {:?}", t0.elapsed());
     }
 
     /// Shutdown regression: a host bound to the wildcard address must

@@ -399,10 +399,10 @@ impl TcpSession {
 
     /// Gracefully leaves the session and closes the socket.
     ///
-    /// Deterministic handshake, no timing guesswork: `flush` enqueues
-    /// the session's goodbye (`Deregister`), and [`TcpClient::close`]
-    /// waits — on the connection's drain signal, not a sleep — until
-    /// those frames reached the socket before shutting it down.
+    /// Deterministic handshake, no timing guesswork: `flush` sends the
+    /// session's goodbye (`Deregister`), and [`TcpClient::close`] writes
+    /// whatever of it a full socket left — for at most its flush
+    /// timeout — before shutting the socket down.
     pub fn close(mut self) {
         self.session.leave();
         let _ = self.flush();

@@ -12,8 +12,9 @@
 //!   the next wake, not at their next probe.
 //!
 //! And what an idle transport costs: a poll thread with no connection
-//! parks until a command wakes it, and connected clients add no thread
-//! per connection. Both read `/proc/self/task` (Linux).
+//! parks until a command wakes it, connected clients add no thread, and
+//! an idle client's receive wakes none. All three read
+//! `/proc/self/task` (Linux).
 //!
 //! `stalled_peer_hits_the_handshake_deadline` in `tcp_chaos.rs` (a
 //! 250 ms deadline, past `COLD_AFTER`) guards the deadline check on the
@@ -279,12 +280,13 @@ fn a_poll_thread_with_no_connection_parks_until_woken() {
     }
 }
 
-/// 32 connected clients add at most one thread, the client pool's (none
-/// if an earlier client of this process started it); a reader and a
-/// writer per client added 64. Counted among the transport's threads
-/// (named `cosoft-…`), as the test harness starts and ends its own.
+/// 32 connected clients add no thread: a client does its I/O on the
+/// threads that call it. A reader and a writer per client added 64, and
+/// a process-wide writing pool one. Counted among the transport's
+/// threads (named `cosoft-…`), as the test harness starts and ends its
+/// own.
 #[test]
-fn connected_clients_add_at_most_one_thread() {
+fn connected_clients_add_no_thread() {
     let _serial = serial();
     let transport = || threads().iter().filter(|(_, comm)| comm.starts_with("cosoft-")).count();
     let host = TcpHost::bind("127.0.0.1:0").expect("bind");
@@ -301,7 +303,7 @@ fn connected_clients_add_at_most_one_thread() {
         }
     }
     let added = transport() - before;
-    assert!(added <= 1, "32 clients added {added} threads");
+    assert_eq!(added, 0, "32 clients added {added} threads");
     // And each is served: a frame to every connection reaches its client.
     let frame = SharedFrame::from_message(&Message::Pong { nonce: 9 });
     let batch: Vec<(ConnId, SharedFrame)> = conns.iter().map(|&id| (id, frame.clone())).collect();
@@ -348,17 +350,16 @@ fn an_idle_client_hears_a_push_at_once() {
 }
 
 /// An idle connected client, its receive waiting, wakes no thread: over
-/// 500 ms the client pool's thread and the receiving thread each run at
-/// most 5 times (a client pool probing its connection every `COLD_PROBE`
-/// ran about 60). A send afterwards still goes out, since it wakes the
-/// pool.
+/// 500 ms the receiving thread runs at most 5 times (one that probed the
+/// socket every `COLD_PROBE` ran about 60), and the client has no thread
+/// of its own (`connected_clients_add_no_thread`). A send afterwards
+/// still goes out, written by the sending thread.
 #[test]
 fn an_idle_client_wakes_no_thread() {
     let _serial = serial();
     let host = TcpHost::bind("127.0.0.1:0").expect("bind");
     let client = TcpClient::connect(host.local_addr()).expect("connect");
     let id = accepted(&host);
-    let pool = thread_named("cosoft-client-poll");
     std::thread::scope(|s| {
         let receiver = std::thread::Builder::new()
             .name("idle-receiver".into())
@@ -366,10 +367,10 @@ fn an_idle_client_wakes_no_thread() {
             .expect("spawn");
         let receiving = thread_named("idle-receiver");
         std::thread::sleep(COOL_DOWN);
-        let before = (run_count(&pool), run_count(&receiving));
+        let before = run_count(&receiving);
         std::thread::sleep(Duration::from_millis(500));
-        let ran = (run_count(&pool) - before.0, run_count(&receiving) - before.1);
-        assert!(ran.0 <= 5 && ran.1 <= 5, "(pool, receiver) ran {ran:?} times in 500 ms");
+        let ran = run_count(&receiving) - before;
+        assert!(ran <= 5, "the receiver ran {ran} times in 500 ms");
 
         client.send(&Message::Ping { nonce: 2 }).expect("ping");
         match host.events().recv_timeout(TIMEOUT).expect("ping event") {

@@ -4,9 +4,9 @@
 //!
 //! Clients are raw `std::net::TcpStream`s speaking the wire protocol
 //! directly, read on this thread, so what the gate times is the host: a
-//! `TcpClient` adds no thread, but 1 024 of them would add the client
-//! pool's writes beside the host's pool. The host side is the full
-//! runtime stack (`TcpServer` → `ShardRouter` → `ServerCore`).
+//! `TcpClient` adds no thread, but 1 024 of them would add their
+//! callers' reads and writes beside the host's pool. The host side is
+//! the full runtime stack (`TcpServer` → `ShardRouter` → `ServerCore`).
 //! The fd budget is ~2 per connection (its two ends); the test checks
 //! `ulimit -n` up front and fails with a pointer at the limit rather
 //! than drowning in `EMFILE`.
