@@ -8,11 +8,11 @@
 //! |---|---|---|---|
 //! | 0 | [`ConnMapLock`] | the host-wide connection map | nothing |
 //! | 1 | [`OutboxLock`] | one connection's outbox (a client's with its socket's write half) | nothing, or the map |
-//! | 2 | [`LeafLock`] | queue state, waker flag, gate generation, a client's receive state | nothing, or an outbox |
+//! | 2 | [`LeafLock`] | queue state, a poll thread's inbox, gate generation, a client's receive state | nothing, or an outbox |
 //!
 //! A thread climbs one rank at a time: the map orders before an outbox
 //! and nothing else (it is held to file, find or remove a connection,
-//! never over a channel send or a wake), an outbox before a leaf, and
+//! never over a channel send or a post), an outbox before a leaf, and
 //! nothing is taken under a leaf. Two locks of one rank are never held
 //! together, which also refuses taking the same lock twice — a deadlock
 //! on a `std` mutex — before it blocks.
@@ -67,7 +67,7 @@ impl<const RANK: u8, T> Ranked<RANK, T> {
 /// The guard a `lock()` or a condition-variable wait returns, poisoning
 /// ignored. A transport thread that panicked under a lock must not take
 /// the other connections' threads with it, and every structure these
-/// mutexes guard (connection map, outbox ring, queue, wake flags) is
+/// mutexes guard (connection map, outbox ring, queue, inbox, gate) is
 /// valid between any two of its updates.
 fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
@@ -203,13 +203,13 @@ mod tests {
     }
 
     /// The shape `TcpHost::disconnect` had: the map lock still held over
-    /// a command send and a wake.
+    /// a post to a poll thread's inbox.
     #[test]
     #[should_panic(expected = "lock of rank 2 taken while holding ranks [0]")]
     fn a_leaf_under_the_connection_map_is_refused() {
-        let (map, waker_flag) = (ConnMapLock::new(()), LeafLock::new(false));
+        let (map, inbox) = (ConnMapLock::new(()), LeafLock::new(Vec::new()));
         let _m = map.held();
-        *waker_flag.held() = true;
+        inbox.held().push(1u8);
     }
 
     #[test]

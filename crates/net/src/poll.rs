@@ -1,7 +1,7 @@
 //! Readiness-driven I/O internals of the TCP transport: a fixed pool of
 //! poll threads owning nonblocking sockets, per-connection ring-buffer
 //! outboxes flushed on writability, incremental frame reassembly on
-//! readability, and condvar wakeup tokens replacing every sleep-poll.
+//! readability, and generation-counted gates replacing every sleep-poll.
 //! A pool is a host's: it reads and writes the host's sockets and sends
 //! their events to the host. A client has no pool; it writes through the
 //! same [`Outbox`] and [`flush`] on its caller's thread (see
@@ -14,11 +14,11 @@
 //! environment carries no FFI crates, so raw `epoll`/`kqueue` is out of
 //! reach. The layer therefore has the *shape* of a mio-style poller —
 //! one thread owns N sockets, writes are
-//! buffered in ring outboxes and flushed on writability, a wake token
-//! lets other threads signal the loop — but readiness is discovered by
+//! buffered in ring outboxes and flushed on writability, an inbox lets
+//! other threads signal the loop — but readiness is discovered by
 //! adaptive nonblocking sweeps: each connection is read-probed on a
-//! per-connection backoff schedule, and the loop parks on its waker with
-//! an escalating timeout whenever a sweep makes no progress. Swapping
+//! per-connection backoff schedule, and the loop parks on its inbox's gate
+//! with an escalating timeout whenever a sweep makes no progress. Swapping
 //! the sweep for a real `Poll::poll` is a local change to [`PollThread`];
 //! nothing above this module would notice.
 //!
@@ -26,19 +26,23 @@
 //! probes backed off to the cap and no byte either way for `COLD_AFTER`
 //! goes *cold*: out of the sweep, read-probed on its own deadline every
 //! `COLD_PROBE`, hot again once a probe reads bytes. The worst-case added
-//! read latency stays `MAX_SKIP × MAX_PARK` plus sweep time. An enqueue
-//! puts its connection on the thread's *dirty list*, beside the wake
-//! latch, and dirty cold connections rejoin the sweep before it runs.
+//! read latency stays `MAX_SKIP × MAX_PARK` plus sweep time. All a poll
+//! thread is told is mail in its one [`Inbox`], whose every post notifies
+//! the gate the thread parks on: a socket to adopt, a connection to close,
+//! `Cmd::Dirty` for an enqueue (a cold connection rejoins the sweep before
+//! it runs) and `Cmd::Shutdown`, the thread's one exit. Every path that
+//! drops a pool stops it first (a thread that fails to spawn, an accept
+//! thread that fails to start, `TcpHost`'s drop).
 //!
 //! A host's thread count is fixed at bind time by its config's
 //! `io_threads`. Connection count adds no threads, and a thread with
-//! nothing to sweep or probe parks until a command wakes it.
+//! nothing to sweep or probe parks until mail wakes it.
 
 use std::borrow::BorrowMut;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,8 +50,8 @@ use std::time::{Duration, Instant};
 use cosoft_wire::{codec, Bytes, Message};
 
 use crate::lock::{self, ConnMapLock, LeafLock, OutboxLock};
-use crate::queue::{unbounded, PollReceiver, Sender, TryRecvError};
-use crate::tcp::{ConnId, Counters, NetEvent, TcpHostConfig};
+use crate::queue::Sender;
+use crate::tcp::{deadline, ConnId, Counters, NetEvent, TcpHostConfig};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
 const MAX_IOV: usize = 256;
@@ -85,8 +89,8 @@ const COLD_SLOT: Duration = Duration::from_micros(500);
 
 /// Generation-counted condvar: waiters capture the generation, check
 /// their condition, and sleep only if no notification happened in
-/// between — the classic lost-wakeup-free handshake. Backpressure and
-/// flush waits park on it.
+/// between — the classic lost-wakeup-free handshake. Backpressure, flush
+/// and receive waits park on one, and so does an idle poll thread.
 #[derive(Debug, Default)]
 pub(crate) struct Gate {
     generation: LeafLock<u64>,
@@ -106,59 +110,39 @@ impl Gate {
         self.cv.notify_all();
     }
 
-    /// Sleeps until notified past `seen` or `timeout` elapses. Returns
-    /// immediately if a notification already happened after `seen` was
-    /// captured.
-    pub(crate) fn wait(&self, seen: u64, timeout: Duration) {
+    /// Sleeps until notified past `seen` or `timeout` elapses (`None`:
+    /// until notified). Returns immediately if a notification already
+    /// happened after `seen` was captured.
+    pub(crate) fn wait(&self, seen: u64, timeout: Option<Duration>) {
         let guard = self.generation.held();
-        if *guard != seen {
-            return;
-        }
-        drop(guard.wait_timeout(&self.cv, timeout));
-    }
-}
-
-/// Wake token for one poll thread: `wake` is cheap, latches, and never
-/// blocks; `park` sleeps until woken or the timeout elapses.
-#[derive(Debug, Default)]
-pub(crate) struct PollWaker {
-    woken: LeafLock<bool>,
-    cv: Condvar,
-    /// Connections whose outbox was filled since the thread last looked.
-    dirty: LeafLock<Vec<ConnId>>,
-}
-
-impl PollWaker {
-    /// Signals the poll thread; latched, so a wake during a sweep makes
-    /// the following park return immediately.
-    pub(crate) fn wake(&self) {
-        *self.woken.held() = true;
-        self.cv.notify_one();
-    }
-
-    /// Wakes the thread for a frame queued on `id`, marking `id` dirty.
-    pub(crate) fn wake_dirty(&self, id: ConnId) {
-        self.dirty.held().push(id);
-        self.wake();
-    }
-
-    /// Empties `spare` and trades it for the dirty list: no allocation.
-    fn swap_dirty(&self, spare: &mut Vec<ConnId>) {
-        spare.clear();
-        std::mem::swap(&mut *self.dirty.held(), spare);
-    }
-
-    /// Parks until woken or `timeout` (`None`: until woken); consumes the
-    /// latch.
-    pub(crate) fn park(&self, timeout: Option<Duration>) {
-        let mut guard = self.woken.held();
-        if !*guard {
-            guard = match timeout {
+        if *guard == seen {
+            drop(match timeout {
                 Some(timeout) => guard.wait_timeout(&self.cv, timeout),
                 None => guard.wait(&self.cv),
-            };
+            });
         }
-        *guard = false;
+    }
+}
+
+/// One poll thread's mail, in the order it was posted, and the gate the
+/// thread parks on. Its lock is a leaf, taken under no other lock.
+#[derive(Default)]
+pub(crate) struct Inbox {
+    mail: LeafLock<Vec<Cmd>>,
+    gate: Gate,
+}
+
+impl Inbox {
+    /// Queues `cmd` for the thread and wakes it.
+    fn post(&self, cmd: Cmd) {
+        self.mail.held().push(cmd);
+        self.gate.notify();
+    }
+
+    /// Empties `spare` and trades it for the mail: no allocation.
+    fn take(&self, spare: &mut Vec<Cmd>) {
+        spare.clear();
+        std::mem::swap(&mut *self.mail.held(), spare);
     }
 }
 
@@ -183,25 +167,51 @@ pub(crate) struct OutBatch {
 /// Per-connection ring buffer of pending writes. The router thread
 /// appends under the lock; the owning poll thread flushes from the head
 /// on writability, tracking partial progress so a short `writev` never
-/// re-sends bytes.
+/// re-sends bytes. It counts its own backlog: [`Outbox::push`] adds a
+/// batch's bytes, a write subtracts what the writer took.
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     /// Queued batches, oldest first.
-    pub(crate) batches: VecDeque<OutBatch>,
+    batches: VecDeque<OutBatch>,
     /// Index of the first unwritten segment of the front batch.
     head_seg: usize,
     /// Bytes of that segment already written.
     head_off: usize,
+    /// Unwritten bytes across `batches`.
+    queued: usize,
     /// Set at teardown; enqueues observing it fail with `NotConnected`
     /// instead of waiting out their timeout.
     pub(crate) closed: bool,
 }
 
 impl Outbox {
-    /// Bytes of the front batch already on the wire.
-    fn front_written(&self) -> usize {
-        let Some(front) = self.batches.front() else { return 0 };
-        front.segments.iter().take(self.head_seg).map(|b| b.len()).sum::<usize>() + self.head_off
+    /// Queues `batch` behind what is queued, counting its bytes.
+    pub(crate) fn push(&mut self, batch: OutBatch) {
+        self.queued += batch.bytes;
+        self.batches.push_back(batch);
+    }
+
+    /// Batches queued, the one being written included.
+    pub(crate) fn len(&self) -> usize {
+        self.batches.len()
+    }
+
+    /// Whether nothing is left to write.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.batches.is_empty()
+    }
+
+    /// Bytes queued and not yet written.
+    pub(crate) fn queued(&self) -> usize {
+        self.queued
+    }
+
+    /// Drops what is queued and marks the outbox closed; returns the
+    /// frames dropped.
+    fn close(&mut self) -> u64 {
+        let dropped = self.batches.iter().map(|b| b.frames).sum();
+        *self = Outbox { closed: true, ..Outbox::default() };
+        dropped
     }
 
     /// Offers the unwritten bytes (at most `MAX_IOV` segments) to `out` in
@@ -226,6 +236,7 @@ impl Outbox {
             }
             n => n,
         };
+        self.queued = self.queued.saturating_sub(n);
         // Advance the head past the written bytes; count batches as they
         // complete.
         let mut written = Written { bytes: n, frames: 0, batches: 1 };
@@ -279,39 +290,32 @@ pub(crate) struct Written {
     pub(crate) batches: u64,
 }
 
-/// Handles shared between a host's enqueue/evict/stats and the poll
-/// thread that owns the connection's socket, which alone touches it.
-#[derive(Clone)]
+/// A host connection as its map entry and its poll thread share it: the
+/// poll thread alone touches the socket.
 pub(crate) struct ConnShared {
     /// The outbound ring buffer.
-    pub(crate) outbox: Arc<OutboxLock<Outbox>>,
-    /// Unwritten outbound bytes; the backpressure budget is accounted
-    /// against this (reserved at enqueue, released as bytes hit the
-    /// socket).
-    pub(crate) queued_bytes: Arc<AtomicUsize>,
+    pub(crate) outbox: OutboxLock<Outbox>,
     /// Signaled whenever the poll thread drains bytes or tears the
     /// connection down, waking blocked enqueuers.
-    pub(crate) gate: Arc<Gate>,
-    /// Index of the owning poll thread in its pool.
-    pub(crate) thread: usize,
+    gate: Gate,
+    /// The owning poll thread's inbox.
+    inbox: Arc<Inbox>,
 }
 
 impl ConnShared {
-    /// Releases what one write moved: counts it, frees its backpressure
-    /// bytes and wakes blocked enqueuers.
+    /// Counts what one write moved and wakes blocked enqueuers.
     fn drained(&self, written: Written, counters: &Counters) {
         counters.frames_out.fetch_add(written.frames, Ordering::Relaxed);
         counters.bytes_out.fetch_add(written.bytes as u64, Ordering::Relaxed);
         if written.batches > 1 {
             counters.coalesced_writes.fetch_add(1, Ordering::Relaxed);
         }
-        self.queued_bytes.fetch_sub(written.bytes, Ordering::AcqRel);
         self.gate.notify();
     }
 }
 
 /// Connection registry shared by a pool's users and its threads.
-pub(crate) type ConnMap = Arc<ConnMapLock<HashMap<ConnId, ConnShared>>>;
+pub(crate) type ConnMap = Arc<ConnMapLock<HashMap<ConnId, Arc<ConnShared>>>>;
 
 // --------------------------------------------------------------------------
 // frame reassembly
@@ -419,10 +423,12 @@ impl<C> Conns<C> {
 // poll thread
 // --------------------------------------------------------------------------
 
-/// Control messages from a host to one of its pool's threads.
+/// Mail from a host to one of its pool's threads.
 pub(crate) enum Cmd {
     /// Adopt a connected socket.
-    Register(ConnId, TcpStream, ConnShared),
+    Register(ConnId, TcpStream, Arc<ConnShared>),
+    /// A batch was queued on the connection: put it back in the sweep.
+    Dirty(ConnId),
     /// Tear one connection down (eviction or disconnect) and surface its
     /// `Disconnected` event.
     Close(ConnId),
@@ -433,7 +439,7 @@ pub(crate) enum Cmd {
 /// Per-connection state owned by its poll thread.
 struct PollConn {
     stream: TcpStream,
-    shared: ConnShared,
+    shared: Arc<ConnShared>,
     frames: FrameReader,
     /// Sweeps left before the next read probe.
     skip: u32,
@@ -462,31 +468,32 @@ impl PollConn {
 
 /// One thread of the readiness pool: owns its connections' sockets,
 /// flushes outboxes on writability, reassembles inbound frames, and
-/// parks on its waker between unproductive sweeps.
+/// parks on its inbox's gate (its one wait) between unproductive sweeps.
 struct PollThread {
-    cmds: PollReceiver<Cmd>,
-    waker: Arc<PollWaker>,
+    inbox: Arc<Inbox>,
     /// Where the host hears its connections' frames and `Disconnected`.
     events: Sender<NetEvent>,
     conns_shared: ConnMap,
     counters: Arc<Counters>,
     /// Freshly registered connections must produce a first complete
-    /// frame within this long; `None` disables the deadline.
-    handshake_timeout: Option<Duration>,
+    /// frame within this long; zero disables the deadline.
+    handshake_timeout: Duration,
     conns: Conns<PollConn>,
 }
 
 impl PollThread {
-    /// The loop. Exits on `Cmd::Shutdown` or when its pool drops the
-    /// command sender.
+    /// The loop. Exits on `Cmd::Shutdown`.
     fn run(mut self) {
         let mut scratch = vec![0u8; 64 * 1024];
-        let mut dirty = Vec::new();
+        let mut mail = Vec::new();
         let mut park = MIN_PARK;
         loop {
-            loop {
-                match self.cmds.try_recv() {
-                    Ok(Cmd::Register(id, stream, shared)) => {
+            // Mail posted from here on ends the park below at once.
+            let seen = self.inbox.gate.generation();
+            self.inbox.take(&mut mail);
+            for cmd in mail.drain(..) {
+                match cmd {
+                    Cmd::Register(id, stream, shared) => {
                         let now = Instant::now();
                         self.conns.hot.insert(
                             id,
@@ -496,13 +503,15 @@ impl PollThread {
                                 frames: FrameReader::default(),
                                 skip: 0,
                                 skip_limit: 0,
-                                handshake_deadline: self.handshake_timeout.map(|t| now + t),
+                                handshake_deadline: (!self.handshake_timeout.is_zero())
+                                    .then(|| deadline(now, self.handshake_timeout)),
                                 last_traffic: now,
                             },
                         );
                     }
-                    Ok(Cmd::Close(id)) => self.teardown(id),
-                    Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    Cmd::Dirty(id) => self.conns.heat(id),
+                    Cmd::Close(id) => self.teardown(id),
+                    Cmd::Shutdown => {
                         let Conns { hot, cold, .. } = &self.conns;
                         let ids: Vec<ConnId> = hot.keys().chain(cold.keys()).copied().collect();
                         for id in ids {
@@ -510,15 +519,10 @@ impl PollThread {
                         }
                         return;
                     }
-                    Err(TryRecvError::Empty) => break,
                 }
             }
 
             let now = Instant::now();
-            self.waker.swap_dirty(&mut dirty);
-            for &id in &dirty {
-                self.conns.heat(id);
-            }
             let mut progressed = false;
             // A cold probe is the handshake deadline and one read (an enqueue heats).
             while let Some((id, conn)) = self.conns.next_due(now) {
@@ -535,7 +539,7 @@ impl PollThread {
                 }
                 progressed = true;
             }
-            // Ids taken after the command drain stay live: a sweep drops only its own.
+            // Ids taken after the mail stay live: a sweep drops only its own.
             let ids: Vec<ConnId> = self.conns.hot.keys().copied().collect();
             for id in ids {
                 match self.sweep_one(id, now, &mut scratch) {
@@ -552,11 +556,11 @@ impl PollThread {
                 continue;
             }
             // No park outlasts the next cold probe: each has its deadline.
-            // With none due and none hot, only a command can bring work,
-            // and every command wakes.
+            // With none due and none hot, only mail can bring work, and
+            // every post notifies.
             let next = self.conns.due.front().map(|&(at, _)| at.saturating_duration_since(now));
             let idle = self.conns.hot.is_empty() && next.is_none();
-            self.waker.park((!idle).then(|| next.map_or(park, |d| d.min(park))));
+            self.inbox.gate.wait(seen, (!idle).then(|| next.map_or(park, |d| d.min(park))));
             park = (park * 2).min(MAX_PARK);
         }
     }
@@ -596,8 +600,8 @@ impl PollThread {
         if progressed {
             conn.last_traffic = now;
         } else if conn.skip_limit == MAX_SKIP
-            && conn.shared.queued_bytes.load(Ordering::Acquire) == 0
             && now.saturating_duration_since(conn.last_traffic) >= COLD_AFTER
+            && conn.shared.outbox.held().is_empty()
         {
             self.conns.cool(id, now);
         }
@@ -648,21 +652,14 @@ impl PollThread {
     }
 
     /// Single teardown path: deregisters the connection everywhere,
-    /// counts abandoned frames, releases their backpressure bytes,
-    /// wakes blocked enqueuers, and surfaces `Disconnected` exactly
-    /// once (commands for already-gone connections are ignored).
+    /// counts abandoned frames, wakes blocked enqueuers, and surfaces
+    /// `Disconnected` exactly once (mail for already-gone connections is
+    /// ignored).
     fn teardown(&mut self, id: ConnId) {
         let Some(PollConn { stream, shared: conn, .. }) = self.conns.remove(id) else { return };
         self.conns_shared.held().remove(&id);
-        let (dropped_frames, dropped_bytes) = {
-            let mut ob = conn.outbox.held();
-            let frames: u64 = ob.batches.iter().map(|b| b.frames).sum();
-            let bytes = ob.batches.iter().map(|b| b.bytes).sum::<usize>() - ob.front_written();
-            *ob = Outbox { closed: true, ..Outbox::default() };
-            (frames, bytes)
-        };
-        self.counters.frames_dropped.fetch_add(dropped_frames, Ordering::Relaxed);
-        conn.queued_bytes.fetch_sub(dropped_bytes, Ordering::AcqRel);
+        let dropped = conn.outbox.held().close();
+        self.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
         conn.gate.notify();
         let _ = stream.shutdown(std::net::Shutdown::Both);
         let _ = self.events.send(NetEvent::Disconnected(id));
@@ -686,7 +683,7 @@ pub(crate) fn flush<T: BorrowMut<Outbox>>(
         // write so head accounting stays atomic with the bytes the
         // socket took; only enqueuers contend.
         let mut ob = outbox.held();
-        if ob.borrow().batches.is_empty() {
+        if ob.borrow().is_empty() {
             return Ok(wrote_any);
         }
         // That outbox lock and no other: a host-wide lock held here would
@@ -725,14 +722,14 @@ pub(crate) fn nonblocking<T>(
 
 /// A host's pool of poll threads as the host holds it: the host's
 /// config, the connections it owns, its counters, where their events go,
-/// and each thread's command queue and wake token. The host shares it
-/// with its accept thread.
+/// and each thread's inbox. The host shares it with its accept thread,
+/// and stops it before dropping it.
 pub(crate) struct Pool {
     pub(crate) config: TcpHostConfig,
     pub(crate) conns: ConnMap,
     pub(crate) counters: Arc<Counters>,
     events: Sender<NetEvent>,
-    threads: Vec<(Sender<Cmd>, Arc<PollWaker>)>,
+    inboxes: Vec<Arc<Inbox>>,
     next_id: AtomicU64,
 }
 
@@ -745,33 +742,29 @@ impl Pool {
         config: TcpHostConfig,
         events: Sender<NetEvent>,
     ) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
-        let handshake_timeout =
-            (!config.handshake_timeout.is_zero()).then_some(config.handshake_timeout);
         let mut pool = Pool {
             config,
             conns: Arc::new(ConnMapLock::new(HashMap::new())),
             counters: Arc::default(),
             events,
-            threads: Vec::new(),
+            inboxes: Vec::new(),
             next_id: AtomicU64::new(1),
         };
         let mut handles = Vec::new();
         for i in 0..config.io_threads.max(1) {
-            let (cmd_tx, cmd_rx) = unbounded();
-            let waker = Arc::new(PollWaker::default());
+            let inbox = Arc::new(Inbox::default());
             let body = PollThread {
-                cmds: cmd_rx.poll_only(),
-                waker: waker.clone(),
+                inbox: inbox.clone(),
                 events: pool.events.clone(),
                 conns_shared: pool.conns.clone(),
                 counters: pool.counters.clone(),
-                handshake_timeout,
+                handshake_timeout: config.handshake_timeout,
                 conns: Conns::new(Instant::now()),
             };
             let name = format!("cosoft-poll-{i}");
             match std::thread::Builder::new().name(name).spawn(move || body.run()) {
                 Ok(handle) => {
-                    pool.threads.push((cmd_tx, waker));
+                    pool.inboxes.push(inbox);
                     handles.push(handle);
                 }
                 Err(e) => {
@@ -799,27 +792,21 @@ impl Pool {
             return Err(e);
         }
         let id = ConnId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        let thread = (id.0 as usize) % self.threads.len().max(1);
         let stopped = || io::Error::new(io::ErrorKind::NotConnected, "poll pool stopped");
-        let (cmds, waker) = self.threads.get(thread).ok_or_else(stopped)?;
-        let conn = ConnShared {
-            outbox: Arc::default(),
-            queued_bytes: Arc::default(),
-            gate: Arc::default(),
-            thread,
-        };
+        let inbox = self.inboxes.get((id.0 as usize) % self.inboxes.len().max(1));
+        let inbox = inbox.ok_or_else(stopped)?.clone();
+        let conn =
+            Arc::new(ConnShared { outbox: OutboxLock::default(), gate: Gate::default(), inbox });
         self.conns.held().insert(id, conn.clone());
-        if self.events.send(NetEvent::Connected(id)).is_err()
-            || cmds.send(Cmd::Register(id, stream, conn)).is_err()
-        {
+        if self.events.send(NetEvent::Connected(id)).is_err() {
             self.shut(id);
             return Err(stopped());
         }
-        waker.wake();
+        conn.inbox.post(Cmd::Register(id, stream, conn.clone()));
         Ok(id)
     }
 
-    /// Queues `batch` on connection `id`'s outbox and marks it dirty on
+    /// Queues `batch` on connection `id`'s outbox and posts it dirty to
     /// its poll thread, waiting on the connection's gate while its backlog
     /// is over the config's `queue_capacity` or `queue_max_bytes` (a batch
     /// is still admitted into an empty backlog). `NotConnected` once the
@@ -829,41 +816,33 @@ impl Pool {
     pub(crate) fn enqueue(&self, id: ConnId, batch: OutBatch) -> io::Result<()> {
         let TcpHostConfig { queue_capacity, queue_max_bytes, enqueue_timeout, .. } = self.config;
         let gone = || io::Error::new(io::ErrorKind::NotConnected, "connection closed");
-        // Hold the map lock only to clone the connection's handles: the
+        // Hold the map lock only to clone the connection's handle: the
         // admission wait happens outside, so a full backlog on one
         // connection never blocks sends to its peers.
-        let handles = self
-            .conns
-            .held()
-            .get(&id)
-            .map(|c| (c.outbox.clone(), c.queued_bytes.clone(), c.gate.clone(), c.thread));
-        let Some((outbox, queued_bytes, gate, thread)) = handles else {
+        let conn = self.conns.held().get(&id).cloned();
+        let Some(conn) = conn else {
             self.counters.frames_dropped.fetch_add(batch.frames, Ordering::Relaxed);
             return Err(gone());
         };
         let (frames, bytes) = (batch.frames, batch.bytes);
-        let deadline = Instant::now() + enqueue_timeout;
+        let deadline = deadline(Instant::now(), enqueue_timeout);
         let mut waited = false;
         loop {
             // Capture the gate generation *before* checking admission:
             // a drain that lands in between bumps it, so the wait below
             // returns immediately instead of losing the wakeup.
-            let seen = gate.generation();
+            let seen = conn.gate.generation();
             {
-                let mut ob = outbox.held();
+                let mut ob = conn.outbox.held();
                 if ob.closed {
                     self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
                     return Err(gone());
                 }
-                let queued = queued_bytes.load(Ordering::Acquire);
-                let bytes_ok = ob.batches.is_empty() || queued + bytes <= queue_max_bytes;
-                if bytes_ok && ob.batches.len() < queue_capacity.max(1) {
-                    queued_bytes.fetch_add(bytes, Ordering::AcqRel);
-                    ob.batches.push_back(batch);
+                let bytes_ok = ob.is_empty() || ob.queued() + bytes <= queue_max_bytes;
+                if bytes_ok && ob.len() < queue_capacity.max(1) {
+                    ob.push(batch);
                     drop(ob);
-                    if let Some((_, waker)) = self.threads.get(thread) {
-                        waker.wake_dirty(id);
-                    }
+                    conn.inbox.post(Cmd::Dirty(id));
                     return Ok(());
                 }
             }
@@ -879,7 +858,7 @@ impl Pool {
                     "outbound backlog stayed over its limits past the enqueue timeout",
                 ));
             }
-            gate.wait(seen, deadline - now);
+            conn.gate.wait(seen, Some(deadline - now));
         }
     }
 
@@ -888,22 +867,18 @@ impl Pool {
     /// `false` (and a no-op) if it was not in the map.
     pub(crate) fn shut(&self, id: ConnId) -> bool {
         // Not an `if let` scrutinee, whose guard would live through the
-        // block: the map lock is not held over a send or a wake.
+        // block: the map lock is not held over a post.
         let conn = self.conns.held().remove(&id);
         let Some(conn) = conn else { return false };
-        if let Some((cmds, waker)) = self.threads.get(conn.thread) {
-            let _ = cmds.send(Cmd::Close(id));
-            waker.wake();
-        }
+        conn.inbox.post(Cmd::Close(id));
         true
     }
 
     /// Has every thread tear its connections down (counting unwritten
     /// frames as dropped) and exit, then joins `threads`.
     pub(crate) fn stop(&self, threads: Vec<JoinHandle<()>>) {
-        for (cmds, waker) in &self.threads {
-            let _ = cmds.send(Cmd::Shutdown);
-            waker.wake();
+        for inbox in &self.inboxes {
+            inbox.post(Cmd::Shutdown);
         }
         for thread in threads {
             thread.join().ok();
@@ -1032,23 +1007,64 @@ mod tests {
         assert!(conns.due.is_empty());
     }
 
+    /// What a mail is, for comparing: its kind and connection.
+    fn label(cmd: &Cmd) -> (&'static str, Option<ConnId>) {
+        match cmd {
+            Cmd::Register(id, ..) => ("register", Some(*id)),
+            Cmd::Dirty(id) => ("dirty", Some(*id)),
+            Cmd::Close(id) => ("close", Some(*id)),
+            Cmd::Shutdown => ("shutdown", None),
+        }
+    }
+
     #[test]
-    fn the_dirty_list_trades_buffers_and_keeps_marks_until_drained() {
-        let waker = PollWaker::default();
-        let mut spare = Vec::with_capacity(4);
-        waker.wake_dirty(A);
-        waker.wake_dirty(B);
-        waker.wake_dirty(A);
-        waker.swap_dirty(&mut spare);
-        assert_eq!(spare, [A, B, A]);
-        waker.swap_dirty(&mut spare);
-        assert!(spare.is_empty());
-        // The list got the first buffer back, capacity and all.
-        assert!(waker.dirty.held().capacity() >= 3);
-        // And the wake latched: this park returns at once.
+    fn the_inbox_keeps_post_order_trades_buffers_and_ends_a_park() {
+        let inbox = Arc::new(Inbox::default());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let shared = Arc::new(conn());
+        let mut spare = Vec::with_capacity(8);
+        inbox.post(Cmd::Dirty(A));
+        inbox.post(Cmd::Register(B, stream, shared));
+        inbox.post(Cmd::Dirty(B));
+        inbox.post(Cmd::Close(A));
+        inbox.post(Cmd::Shutdown);
+        inbox.take(&mut spare);
+        let got: Vec<_> = spare.iter().map(label).collect();
+        assert_eq!(
+            got,
+            [
+                ("dirty", Some(A)),
+                ("register", Some(B)),
+                ("dirty", Some(B)),
+                ("close", Some(A)),
+                ("shutdown", None)
+            ]
+        );
+        // The inbox got the spare buffer, capacity and all; the next take
+        // trades it back, empty.
+        assert!(inbox.mail.held().capacity() >= 8);
+        inbox.take(&mut spare);
+        assert!(spare.is_empty() && spare.capacity() >= 8);
+
+        // A post after `seen` ends a timed park at once.
+        let seen = inbox.gate.generation();
+        inbox.post(Cmd::Dirty(C));
         let start = Instant::now();
-        waker.park(Some(Duration::from_secs(5)));
+        inbox.gate.wait(seen, Some(Duration::from_secs(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
+
+        // A post from another thread ends an untimed park.
+        let seen = inbox.gate.generation();
+        let poster = inbox.clone();
+        let posting = std::thread::spawn(move || poster.post(Cmd::Close(C)));
+        inbox.gate.wait(seen, None);
+        posting.join().unwrap();
+        inbox.take(&mut spare);
+        assert_eq!(
+            spare.iter().map(label).collect::<Vec<_>>(),
+            [("dirty", Some(C)), ("close", Some(C))]
+        );
     }
 
     // ----------------------------------------------------------------------
@@ -1130,19 +1146,18 @@ mod tests {
         }
     }
 
-    /// What an enqueue does: the batch and its backpressure bytes.
+    /// What an enqueue does to the outbox.
     fn queue(conn: &ConnShared, batch: OutBatch) {
-        conn.queued_bytes.fetch_add(batch.bytes, Ordering::AcqRel);
-        conn.outbox.held().batches.push_back(batch);
+        conn.outbox.held().push(batch);
+    }
+
+    /// Bytes `conn`'s outbox counts as queued.
+    fn queued(conn: &ConnShared) -> usize {
+        conn.outbox.held().queued()
     }
 
     fn conn() -> ConnShared {
-        ConnShared {
-            outbox: Arc::default(),
-            queued_bytes: Arc::default(),
-            gate: Arc::default(),
-            thread: 0,
-        }
+        ConnShared { outbox: OutboxLock::default(), gate: Gate::default(), inbox: Arc::default() }
     }
 
     /// A poll thread's flush of `conn`: each write counted and released.
@@ -1154,10 +1169,21 @@ mod tests {
         flush(&conn.outbox, write, |w| conn.drained(w, counters))
     }
 
+    /// Bytes of the front batch already on the wire.
+    fn front_written(ob: &Outbox) -> usize {
+        let Some(front) = ob.batches.front() else { return 0 };
+        front.segments.iter().take(ob.head_seg).map(|b| b.len()).sum::<usize>() + ob.head_off
+    }
+
     /// The head as a write leaves it: batches left and bytes of the
     /// front one written.
     fn head(ob: &Outbox) -> (usize, usize) {
-        (ob.batches.len(), ob.front_written())
+        (ob.batches.len(), front_written(ob))
+    }
+
+    /// The bytes left to write, counted from the batches and the head.
+    fn unwritten(ob: &Outbox) -> usize {
+        ob.batches.iter().map(|b| b.bytes).sum::<usize>() - front_written(ob)
     }
 
     /// The messages in `bytes`, pushed into a `FrameReader` in chunks of
@@ -1196,7 +1222,7 @@ mod tests {
         for call in 1.. {
             if call <= 5 || call == 9 {
                 if let Some(msg) = arrivals.next() {
-                    ob.batches.push_back(batch(std::slice::from_ref(msg)));
+                    ob.push(batch(std::slice::from_ref(msg)));
                 }
             }
             if ob.batches.is_empty() {
@@ -1218,8 +1244,8 @@ mod tests {
     fn a_wouldblock_storm_leaves_the_outbox_as_it_was() {
         let sent: Vec<Message> = (0..3).map(|i| blob(i, 2048)).collect();
         let mut ob = Outbox::default();
-        ob.batches.push_back(batch(&sent[..2]));
-        ob.batches.push_back(batch(&sent[2..]));
+        ob.push(batch(&sent[..2]));
+        ob.push(batch(&sent[2..]));
         let mut sink = scripted(std::iter::once(Step::Take(10)).chain([Step::Block; 100]));
         assert_eq!(ob.write_to(&mut sink).unwrap(), Written { bytes: 10, frames: 0, batches: 1 });
         let before = head(&ob);
@@ -1236,7 +1262,7 @@ mod tests {
     #[test]
     fn a_writer_error_is_returned_and_the_outbox_kept() {
         let mut ob = Outbox::default();
-        ob.batches.push_back(batch(&[blob(0, 100), blob(1, 100)]));
+        ob.push(batch(&[blob(0, 100), blob(1, 100)]));
         let mut sink = scripted([Step::Take(7), Step::Fail(io::ErrorKind::ConnectionReset)]);
         ob.write_to(&mut sink).unwrap();
         let before = head(&ob);
@@ -1251,7 +1277,7 @@ mod tests {
         let sent: Vec<Message> = (0..6).map(|i| blob(i, 40 + i)).collect();
         let mut ob = Outbox::default();
         for range in [0..2, 2..3, 3..6] {
-            ob.batches.push_back(batch(&sent[range]));
+            ob.push(batch(&sent[range]));
         }
         let total: usize = ob.batches.iter().map(|b| b.bytes).sum();
         let mut sink = scripted([Step::Take(3), Step::Take(total - 3 - 10)]);
@@ -1271,7 +1297,7 @@ mod tests {
         let sent: Vec<Message> = (0..3).map(|i| blob(i, 300)).collect();
         queue(&conn, batch(&sent[..1]));
         queue(&conn, batch(&sent[1..]));
-        let total = conn.queued_bytes.load(Ordering::Acquire);
+        let total = queued(&conn);
         let mut sink = scripted([
             Step::Take(5),
             Step::Fail(io::ErrorKind::Interrupted),
@@ -1280,18 +1306,18 @@ mod tests {
             Step::Fail(io::ErrorKind::ConnectionReset),
         ]);
         assert!(drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
-        assert_eq!(conn.queued_bytes.load(Ordering::Acquire), total - 11);
+        assert_eq!(queued(&conn), total - 11);
         assert_eq!(counters.bytes_out.load(Ordering::Relaxed), 11);
         let held = head(&conn.outbox.held());
         // A socket error is the connection's: returned, nothing counted.
         let e = drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
         assert_eq!(head(&conn.outbox.held()), held);
-        assert_eq!(conn.queued_bytes.load(Ordering::Acquire), total - 11);
+        assert_eq!(queued(&conn), total - 11);
         assert_eq!(counters.bytes_out.load(Ordering::Relaxed), 11);
         // The rest goes in one write across both batches.
         assert!(drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap());
-        assert_eq!(conn.queued_bytes.load(Ordering::Acquire), 0);
+        assert_eq!(queued(&conn), 0);
         assert_eq!(counters.bytes_out.load(Ordering::Relaxed), total as u64);
         assert_eq!(counters.frames_out.load(Ordering::Relaxed), 3);
         assert_eq!(counters.coalesced_writes.load(Ordering::Relaxed), 1);
@@ -1314,7 +1340,8 @@ mod tests {
     /// Random frames in random batches, queued while a writer that cuts,
     /// would-blocks and interrupts at random drains them through `flush`,
     /// read back in random chunks: each frame arrives once, in order and
-    /// whole, and every counter adds up.
+    /// whole, every counter adds up, and after every write the outbox's
+    /// own backlog count is the bytes its batches and head leave.
     #[test]
     fn any_cuts_and_chunks_deliver_every_frame_once_in_order() {
         let gen = |r: &mut Rng| {
@@ -1335,15 +1362,20 @@ mod tests {
                 took: Vec::new(),
                 calls: 0,
             };
+            let mut write = |ob: &mut Outbox| {
+                let written = ob.write_to(&mut sink);
+                assert_eq!(ob.queued(), unwritten(ob), "the backlog count after {written:?}");
+                written
+            };
             let mut sent = Vec::new();
             for sizes in &batches {
                 let msgs: Vec<Message> = sizes.iter().map(|&n| blob(sent.len(), n)).collect();
                 sent.extend(msgs.iter().cloned());
                 queue(&conn, batch(&msgs));
-                drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
+                drain(&conn, &counters, &mut write).unwrap();
             }
-            while conn.queued_bytes.load(Ordering::Acquire) > 0 {
-                drain(&conn, &counters, |ob| ob.write_to(&mut sink)).unwrap();
+            while queued(&conn) > 0 {
+                drain(&conn, &counters, &mut write).unwrap();
             }
             assert_eq!(head(&conn.outbox.held()), (0, 0));
             assert_eq!(counters.frames_out.load(Ordering::Relaxed), sent.len() as u64);

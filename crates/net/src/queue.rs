@@ -1,20 +1,20 @@
-//! The channel the transport's threads talk through: one mutex-guarded,
-//! unbounded queue with a condition variable, any number of [`Sender`]s
-//! and one [`Receiver`] (or the [`PollReceiver`] made of it, which cannot
-//! wait). A side learns that the other is gone — the last sender dropped,
-//! or the receiver — instead of waiting for it, and messages queued
-//! before the senders went stay receivable.
+//! The channel a host's events and a client's lifecycle events travel
+//! through: one mutex-guarded, unbounded queue with a condition variable,
+//! any number of [`Sender`]s and one [`Receiver`]. A side learns that the
+//! other is gone — the last sender dropped, or the receiver — instead of
+//! waiting for it, and messages queued before the senders went stay
+//! receivable.
 //!
 //! It is what `std::sync::mpsc` is, plus what the transport needs of it:
-//! a receiver that can be made unable to wait ([`Receiver::poll_only`],
-//! what a poll thread holds), every mutex on the crate's lock ranking
-//! (`lock.rs`), and [`RecvTimeoutError::is_timeout`].
+//! its mutex on the crate's lock ranking (`lock.rs`), and
+//! [`RecvTimeoutError::is_timeout`]. A poll thread holds only senders.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use crate::lock::LeafLock;
+use crate::tcp::deadline;
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -36,25 +36,6 @@ pub struct Sender<T> {
 pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
-
-/// The receiving half as a poll thread holds it: a thread that owns
-/// sockets must never sleep on its command queue, so the only way to
-/// take a message is [`PollReceiver::try_recv`].
-///
-/// ```
-/// let (tx, rx) = cosoft_net::queue::unbounded();
-/// let rx = rx.poll_only();
-/// tx.send(7u8).unwrap();
-/// assert_eq!(rx.try_recv(), Ok(7));
-/// ```
-///
-/// The wait of [`Receiver`] does not exist on it:
-///
-/// ```compile_fail,E0599
-/// let (_tx, rx) = cosoft_net::queue::unbounded::<u8>();
-/// let _ = rx.poll_only().recv_timeout(std::time::Duration::ZERO);
-/// ```
-pub struct PollReceiver<T>(Receiver<T>);
 
 /// A queue without a capacity limit: sends never wait.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
@@ -138,19 +119,7 @@ impl<T> Receiver<T> {
 
     /// Dequeues the next message, waiting at most `timeout` for one.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.recv_until(Some(Instant::now() + timeout))
-    }
-
-    /// Gives up the wait: what is left can only be polled.
-    pub fn poll_only(self) -> PollReceiver<T> {
-        PollReceiver(self)
-    }
-}
-
-impl<T> PollReceiver<T> {
-    /// Dequeues the next message if one is queued.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.0.try_recv()
+        self.recv_until(Some(deadline(Instant::now(), timeout)))
     }
 }
 
@@ -231,6 +200,13 @@ mod tests {
         drop(tx);
         let err = rx.recv_timeout(LONG).unwrap_err();
         assert!(!err.is_timeout() && err == RecvTimeoutError::Disconnected);
+    }
+
+    #[test]
+    fn a_wait_of_duration_max_takes_what_is_queued() {
+        let (tx, rx) = unbounded();
+        tx.send(1u8).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(1));
     }
 
     #[test]

@@ -43,6 +43,25 @@ use crate::lock::{LeafLock, OutboxLock};
 use crate::poll::{self, ConnMap, FrameReader, Gate, OutBatch, Outbox, Pool, MAX_PARK};
 use crate::queue::{unbounded, Receiver, Sender};
 
+/// The instant `wait` after `from`, or, where the clock ends sooner, one
+/// at least halfway from `from` to its end: a caller's or a config's
+/// "wait for ever" (`Duration::MAX`) is a deadline, not a panic.
+pub fn deadline(from: Instant, wait: Duration) -> Instant {
+    from.checked_add(wait).unwrap_or_else(|| deadline(from, wait / 2))
+}
+
+/// Dials `addr` once, for at most 100 ms, to wake a thread blocked in
+/// `accept` on it. A wildcard address (`0.0.0.0`, `::`) is not reliably
+/// connectable, so it is dialed at the loopback address of its family.
+pub fn wake_listener(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        ip if !ip.is_unspecified() => ip,
+        IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+        IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+    };
+    let _ = TcpStream::connect_timeout(&(ip, addr.port()).into(), Duration::from_millis(100));
+}
+
 /// Identifier of one accepted connection on a [`TcpHost`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
@@ -195,9 +214,8 @@ impl TcpStatsHandle {
     pub fn snapshot(&self) -> TcpStats {
         let (active, deepest, deepest_bytes) = {
             let conns = self.conns.held();
-            let deepest = conns.values().map(|c| c.outbox.held().batches.len()).max().unwrap_or(0);
-            let deepest_bytes =
-                conns.values().map(|c| c.queued_bytes.load(Ordering::Relaxed)).max().unwrap_or(0);
+            let deepest = conns.values().map(|c| c.outbox.held().len()).max().unwrap_or(0);
+            let deepest_bytes = conns.values().map(|c| c.outbox.held().queued()).max().unwrap_or(0);
             (conns.len(), deepest, deepest_bytes)
         };
         TcpStats {
@@ -354,12 +372,6 @@ impl TcpHost {
         TcpStatsHandle { counters: self.pool.counters.clone(), conns: self.pool.conns.clone() }
     }
 
-    /// Queued (not yet fully written) outbound batches for one
-    /// connection.
-    pub fn queue_depth(&self, conn: ConnId) -> Option<usize> {
-        self.pool.conns.held().get(&conn).map(|c| c.outbox.held().batches.len())
-    }
-
     /// Sends a message to one connection by enqueueing it on the
     /// connection's outbox and waking the owning poll thread; does not
     /// block on the socket.
@@ -440,19 +452,8 @@ impl TcpHost {
 impl Drop for TcpHost {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a dummy connection. A wildcard
-        // bind address (0.0.0.0 / ::) is not reliably connectable, so
-        // aim the wake-up at the loopback of the same family instead.
-        let wake_ip = if self.local_addr.ip().is_unspecified() {
-            match self.local_addr.ip() {
-                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            }
-        } else {
-            self.local_addr.ip()
-        };
-        let wake_addr = SocketAddr::new(wake_ip, self.local_addr.port());
-        let _ = TcpStream::connect_timeout(&wake_addr, Duration::from_millis(100));
+        // Unblock the accept loop with a dummy connection.
+        wake_listener(self.local_addr);
         if let Some(h) = self.accept_thread.take() {
             h.join().ok();
         }
@@ -544,7 +545,7 @@ impl ReconnectPolicy {
             .base_delay
             .saturating_mul(1u32.checked_shl(attempt.saturating_sub(1)).unwrap_or(u32::MAX))
             .min(self.max_delay);
-        if self.jitter <= 0.0 {
+        if self.jitter.is_nan() || self.jitter <= 0.0 {
             return backoff;
         }
         let seed = self.jitter_seed.unwrap_or_else(|| {
@@ -558,7 +559,8 @@ impl ReconnectPolicy {
         // is mixed in, so neighbouring seeds do not share delays.
         let scrambled = Rng::new(seed).next_u64();
         let unit = Rng::new(scrambled ^ u64::from(attempt)).f64();
-        backoff.mul_f64(1.0 + self.jitter.clamp(0.0, 1.0) * unit)
+        let factor = 1.0 + self.jitter.min(1.0) * unit;
+        Duration::try_from_secs_f64(backoff.as_secs_f64() * factor).unwrap_or(Duration::MAX)
     }
 }
 
@@ -720,7 +722,7 @@ impl TcpClient {
             },
             |_| self.drained.notify(),
         )?;
-        Ok(!self.sending.held().outbox.batches.is_empty())
+        Ok(!self.sending.held().outbox.is_empty())
     }
 
     /// Writes the queued frames until `ready` holds of the outbox, trying
@@ -748,7 +750,7 @@ impl TcpClient {
             self.write_tail()?;
             // A write that moved bytes has notified: no wait, `ready` again.
             let left = deadline.saturating_duration_since(Instant::now());
-            self.drained.wait(seen, MAX_PARK.min(left));
+            self.drained.wait(seen, Some(MAX_PARK.min(left)));
         }
     }
 
@@ -760,7 +762,7 @@ impl TcpClient {
                 // The server's retry advice is a floor under the policy's
                 // own backoff, never a shortcut below it.
                 let advice = Duration::from_millis(self.busy_advice_ms.load(Ordering::Relaxed));
-                let at = Instant::now() + policy.delay_before(attempt).max(advice);
+                let at = deadline(Instant::now(), policy.delay_before(attempt).max(advice));
                 Link::Down { attempt, at }
             }
             Some(_) => {
@@ -862,9 +864,9 @@ impl TcpClient {
         let mut batch = Some(OutBatch { bytes: bytes.len(), segments: vec![bytes], frames: 1 });
         let sent = self
             .write_until(Instant::now() + CLIENT_FLUSH_TIMEOUT, |outbox| {
-                let room = outbox.batches.len() < CLIENT_QUEUE;
+                let room = outbox.len() < CLIENT_QUEUE;
                 if let Some(batch) = batch.take_if(|_| room) {
-                    outbox.batches.push_back(batch);
+                    outbox.push(batch);
                 }
                 room
             })
@@ -907,7 +909,7 @@ impl TcpClient {
     ///
     /// [`RecvError`] when no message arrived.
     pub fn recv_within(&self, timeout: Duration) -> Result<Message, RecvError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline(Instant::now(), timeout);
         // Even a zero-wait receive reads the socket once.
         let mut once = true;
         loop {
@@ -938,7 +940,7 @@ impl TcpClient {
                     return Err(RecvError::Timeout);
                 }
                 // Until the link is handed back or a dial comes due.
-                self.turn.wait(seen, until - now);
+                self.turn.wait(seen, Some(until - now));
                 continue;
             }
             once = false;
@@ -996,8 +998,7 @@ impl TcpClient {
         self.closed.store(true, Ordering::SeqCst);
         // A repeated close (or the Drop after one) finds nothing to write
         // and nothing to shut.
-        let _ = self
-            .write_until(Instant::now() + CLIENT_FLUSH_TIMEOUT, |outbox| outbox.batches.is_empty());
+        let _ = self.write_until(Instant::now() + CLIENT_FLUSH_TIMEOUT, |outbox| outbox.is_empty());
         self.sever();
         // A receive holding the link finds the socket shut, or the client
         // closed after its dial.
@@ -1056,14 +1057,14 @@ mod tests {
             NetEvent::Connected(c) => c,
             other => panic!("expected Connected, got {other:?}"),
         };
-        let outbox = host.pool.conns.held().get(&conn).expect("registered").outbox.clone();
-        let doomed = outbox.clone();
+        let shared = host.pool.conns.held().get(&conn).expect("registered").clone();
+        let doomed = shared.clone();
         let died = std::thread::spawn(move || {
-            let _guard = doomed.held();
+            let _guard = doomed.outbox.held();
             panic!("dies holding the outbox");
         });
         assert!(died.join().is_err());
-        assert!(outbox.is_poisoned());
+        assert!(shared.outbox.is_poisoned());
 
         // The sender enqueues under that lock, the poll thread flushes
         // under it, the stats handle reads it.
@@ -1159,6 +1160,70 @@ mod tests {
         assert!(Duration::from_millis(200) <= delay && delay <= Duration::from_millis(240));
         let plain = ReconnectPolicy { jitter: 0.0, ..policy };
         assert_eq!(plain.delay_before(3), Duration::from_millis(200));
+    }
+
+    /// A jitter that is not a number adds no jitter.
+    #[test]
+    fn a_nan_jitter_adds_nothing() {
+        let policy = ReconnectPolicy { jitter: f64::NAN, ..ReconnectPolicy::default() };
+        assert_eq!(policy.delay_before(1), policy.base_delay);
+    }
+
+    /// "Wait for ever" is `Duration::MAX`, wherever a wait is given: a
+    /// deadline that far out saturates instead of panicking the caller
+    /// or a transport thread.
+    #[test]
+    fn recv_within_duration_max_returns_a_host_push() {
+        let host = TcpHost::bind("127.0.0.1:0").unwrap();
+        let client = TcpClient::connect(host.local_addr()).unwrap();
+        let conn = connected(&host);
+        host.send(conn, &Message::Welcome { instance: InstanceId(4) }).unwrap();
+        assert_eq!(
+            client.recv_within(Duration::MAX),
+            Ok(Message::Welcome { instance: InstanceId(4) })
+        );
+    }
+
+    #[test]
+    fn a_host_with_handshake_timeout_max_carries_a_ping() {
+        let config = TcpHostConfig { handshake_timeout: Duration::MAX, ..TcpHostConfig::default() };
+        let host = TcpHost::bind_with_config("127.0.0.1:0", config).unwrap();
+        let client = TcpClient::connect(host.local_addr()).unwrap();
+        let conn = connected(&host);
+        client.send(&Message::Ping { nonce: 5 }).unwrap();
+        match host.events().recv_timeout(TIMEOUT) {
+            Ok(NetEvent::Message(c, Message::Ping { nonce: 5 })) => assert_eq!(c, conn),
+            other => panic!("expected the Ping, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_host_with_enqueue_timeout_max_carries_a_pong() {
+        let config = TcpHostConfig { enqueue_timeout: Duration::MAX, ..TcpHostConfig::default() };
+        let host = TcpHost::bind_with_config("127.0.0.1:0", config).unwrap();
+        let client = TcpClient::connect(host.local_addr()).unwrap();
+        let conn = connected(&host);
+        host.send(conn, &Message::Pong { nonce: 6 }).unwrap();
+        assert_eq!(client.recv_within(TIMEOUT), Ok(Message::Pong { nonce: 6 }));
+    }
+
+    /// A backoff past what a `Duration` holds, jittered, schedules a
+    /// redial that never comes due: the receive times out as asked.
+    #[test]
+    fn a_reconnect_client_with_a_max_backoff_times_out_after_sever() {
+        let host = TcpHost::bind("127.0.0.1:0").unwrap();
+        let policy = ReconnectPolicy {
+            base_delay: Duration::MAX,
+            max_delay: Duration::MAX,
+            jitter: 0.5,
+            ..ReconnectPolicy::default()
+        };
+        let client = TcpClient::connect_with_reconnect(host.local_addr(), policy).unwrap();
+        client.sever();
+        let t0 = Instant::now();
+        assert_eq!(client.recv_within(Duration::from_millis(100)), Err(RecvError::Timeout));
+        assert!(t0.elapsed() < TIMEOUT, "the receive took {:?}", t0.elapsed());
+        assert_eq!(client.reconnect_attempts(), 0);
     }
 
     #[test]
@@ -1519,7 +1584,7 @@ mod tests {
 
     /// Frames queued on the client's outbox, behind what the socket took.
     fn queued(client: &TcpClient) -> usize {
-        client.sending.held().outbox.batches.len()
+        client.sending.held().outbox.len()
     }
 
     /// Sends ~256 KiB frames, each its own, to a peer that reads none of

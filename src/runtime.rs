@@ -8,7 +8,7 @@
 //! `tcp_end_to_end` integration test.
 
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use cosoft_core::session::Session;
 use cosoft_net::queue::RecvTimeoutError;
 use cosoft_net::tcp::{
-    ClientEvent, ConnId, ReconnectPolicy, RecvError, TcpClient, TcpHost, TcpHostConfig, TcpStats,
-    TcpStatsHandle,
+    deadline, wake_listener, ClientEvent, ConnId, ReconnectPolicy, RecvError, TcpClient, TcpHost,
+    TcpHostConfig, TcpStats, TcpStatsHandle,
 };
 use cosoft_server::{LivenessConfig, OverloadConfig, RouterStats, ServerStats, ShardRouter};
 
@@ -186,18 +186,8 @@ impl Drop for TcpServer {
         // Wake the dispatch loop right away instead of letting shutdown
         // wait out the liveness tick: a dummy connection surfaces as a
         // Connected event (handled as a no-op) and the loop re-checks
-        // the flag. Wildcard binds are not reliably connectable, so aim
-        // at the loopback of the same family.
-        let wake_ip = if self.addr.ip().is_unspecified() {
-            match self.addr.ip() {
-                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            }
-        } else {
-            self.addr.ip()
-        };
-        let wake_addr = SocketAddr::new(wake_ip, self.addr.port());
-        let _ = TcpStream::connect_timeout(&wake_addr, Duration::from_millis(100));
+        // the flag.
+        wake_listener(self.addr);
         if let Some(t) = self.thread.take() {
             t.join().ok();
         }
@@ -357,7 +347,7 @@ impl TcpSession {
         }
         self.drain_client_events();
         self.flush_for_pump()?;
-        let deadline = Instant::now() + window;
+        let deadline = deadline(Instant::now(), window);
         loop {
             if done(&self.session) {
                 return Ok(true);
