@@ -9,7 +9,7 @@
 //! `cosoft_live` runner (which drives actual [`cosoft_core::Session`]s)
 //! and the core integration tests.
 
-use cosoft_wire::{codec, GlobalObjectId, InstanceId, Message, ObjectPath, StateNode, WidgetKind};
+use cosoft_wire::{codec, Message, ObjectPath, StateNode, WidgetKind};
 
 use crate::stats::{ActionKind, ActionSample, RunStats};
 use crate::workload::Workload;
@@ -48,9 +48,7 @@ struct MsgSizes {
 }
 
 fn msg_sizes() -> MsgSizes {
-    let gid = GlobalObjectId::new(InstanceId(1), ObjectPath::parse("work.field").expect("static"));
     let event = Message::Event {
-        origin: gid,
         event: cosoft_wire::UiEvent::new(
             ObjectPath::parse("work.field").expect("static"),
             cosoft_wire::EventKind::TextCommitted,

@@ -180,6 +180,13 @@ pub struct Session {
     /// echo was applied — otherwise the (authoritative) remote value must
     /// survive, even when it happens to equal the echo.
     remote_epoch: HashMap<ObjectPath, u64>,
+    /// The local objects this session disabled for each execution it
+    /// takes part in, as `(exec_id, path)` in the order disabled: the
+    /// origin's object on `EventGranted`, each target of an
+    /// `ExecuteEvent`. `GroupUnlocked` names only the execution, so
+    /// this is what it re-enables; a rejoin re-enables all of it, since
+    /// an unlock in flight on the old connection is lost.
+    disabled: Vec<(u64, ObjectPath)>,
     command_handlers: HashMap<String, CommandHandler>,
     /// Per local object, the last state of it that crossed the connection
     /// in either direction (version, state): applied from a transfer leg
@@ -230,6 +237,7 @@ impl Session {
             pending_events: HashMap::new(),
             pending_order: Vec::new(),
             remote_epoch: HashMap::new(),
+            disabled: Vec::new(),
             command_handlers: HashMap::new(),
             sync_bases: HashMap::new(),
             next_seq: 1,
@@ -308,7 +316,10 @@ impl Session {
     ///
     /// Optimistic echoes and in-flight floor-control requests are
     /// abandoned — their grants or rejections were lost with the old
-    /// connection. If the server handed out a resume token, a
+    /// connection — and every object disabled for an execution is
+    /// re-enabled, since its `GroupUnlocked` may have been lost too (the
+    /// server settles an execution when a member's connection drops).
+    /// If the server handed out a resume token, a
     /// [`Message::Rejoin`] is queued to reclaim the old instance id,
     /// couples, and access rights; otherwise the session falls back to a
     /// fresh [`Message::Register`]. Either way, the next `Welcome`
@@ -318,6 +329,9 @@ impl Session {
     pub fn begin_rejoin(&mut self) {
         self.pending_events.clear();
         self.pending_order.clear();
+        for (_, path) in std::mem::take(&mut self.disabled) {
+            self.set_lock_disabled(&path, false);
+        }
         self.rejoining = true;
         self.stale_instance = self.instance;
         match self.resume_token {
@@ -386,7 +400,9 @@ impl Session {
     /// # Errors
     ///
     /// Toolkit validation errors ([`UiError::Disabled`] when the object is
-    /// locked, unknown paths, malformed parameters).
+    /// locked, unknown paths, malformed parameters), and
+    /// [`SessionError::NotRegistered`] for a coupled object before the
+    /// `Welcome` arrived.
     pub fn user_event(&mut self, event: UiEvent) -> Result<(), SessionError> {
         match self.coupled_base(&event.path) {
             None => {
@@ -394,14 +410,16 @@ impl Session {
                 Ok(())
             }
             Some(_) => {
+                if self.instance.is_none() {
+                    return Err(SessionError::NotRegistered);
+                }
                 let undo = self.toolkit.input(&event)?;
-                let origin = self.gid(&event.path)?;
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 let epoch = self.remote_epoch.get(&event.path).copied().unwrap_or(0);
                 self.pending_events.insert(seq, PendingEvent { event: event.clone(), undo, epoch });
                 self.pending_order.push(seq);
-                self.outbox.push(Message::Event { origin, event, seq });
+                self.outbox.push(Message::Event { event, seq });
                 Ok(())
             }
         }
@@ -662,34 +680,36 @@ impl Session {
                 if let Some(PendingEvent { event, .. }) = self.pending_events.remove(&seq) {
                     // Disable the origin object for the duration of the
                     // group execution, run the callbacks, report done.
-                    if let Some(id) = self.toolkit.tree().resolve(&event.path) {
-                        self.toolkit.tree_mut().set_lock_disabled(id, true).ok();
+                    if self.set_lock_disabled(&event.path, true) {
+                        self.disabled.push((exec_id, event.path.clone()));
                     }
                     self.toolkit.run_callbacks(&event);
                     self.outbox.push(Message::ExecuteDone { exec_id });
                 }
             }
             Message::EventRejected { seq } => self.on_event_rejected(seq),
-            Message::ExecuteEvent { exec_id, target, event } => {
-                if let Some(id) = self.toolkit.tree().resolve(&target) {
-                    self.toolkit.tree_mut().set_lock_disabled(id, true).ok();
+            Message::ExecuteEvent { exec_id, event } => {
+                if self.set_lock_disabled(&event.path, true) {
                     // The remote value is authoritative over any local
                     // optimistic echo still pending on this object.
-                    *self.remote_epoch.entry(target.clone()).or_insert(0) += 1;
-                    let retargeted = event.retarget(target);
-                    if self.toolkit.execute_remote(&retargeted).is_ok() {
+                    *self.remote_epoch.entry(event.path.clone()).or_insert(0) += 1;
+                    if self.toolkit.execute_remote(&event).is_ok() {
                         self.remote_executions += 1;
                     }
+                    self.disabled.push((exec_id, event.path));
                 }
                 // Always report done so the group never stalls on us.
                 self.outbox.push(Message::ExecuteDone { exec_id });
             }
-            Message::GroupUnlocked { objects, .. } => {
-                for path in objects {
-                    if let Some(id) = self.toolkit.tree().resolve(&path) {
-                        self.toolkit.tree_mut().set_lock_disabled(id, false).ok();
+            Message::GroupUnlocked { exec_id } => {
+                let mut held = std::mem::take(&mut self.disabled);
+                held.retain(|(id, path)| {
+                    if *id == exec_id {
+                        self.set_lock_disabled(path, false);
                     }
-                }
+                    *id != exec_id
+                });
+                self.disabled = held;
             }
             Message::StateRequest { req_id, path } => {
                 let snapshot = self.toolkit.tree().resolve(&path).and_then(|id| {
@@ -763,6 +783,14 @@ impl Session {
             // Client-originated kinds arriving at a client are ignored.
             _ => {}
         }
+    }
+
+    /// Sets the floor-control lock of the local object at `path`; whether
+    /// the object exists.
+    fn set_lock_disabled(&mut self, path: &ObjectPath, disabled: bool) -> bool {
+        let Some(id) = self.toolkit.tree().resolve(path) else { return false };
+        self.toolkit.tree_mut().set_lock_disabled(id, disabled).ok();
+        true
     }
 
     /// Handles a floor-control rejection: the rejected echo and every

@@ -18,7 +18,7 @@ use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::NodeId;
 use cosoft_rng::{forall, Rng};
-use cosoft_server::OverloadConfig;
+use cosoft_server::{OverloadConfig, ShardRouter};
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
     codec, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
@@ -1306,21 +1306,90 @@ fn leave_group_detaches_from_every_peer() {
     assert_eq!(h.session_mut(a).leave_group(&path("f.t")).unwrap(), 0);
 }
 
+/// A seed names one run: two runs of it in one process deliver the same
+/// messages, byte for byte, at the same times, between the same nodes,
+/// at 1 and at 3 shards. Three coupled sessions race for the floor every
+/// round, so rounds are granted and rejected under jitter and each
+/// granted round unlocks three instances. Every `HashMap` in a process
+/// has its own random keys, so an order that reaches the wire from one
+/// shows here as two logs that differ.
 #[test]
 fn deterministic_replay_same_seed_same_bytes() {
-    let run = |seed: u64| -> (u64, u64) {
-        let mut h = SimHarness::with_latency(seed, 1_500);
-        let a = h.add_session(session(FIELD_FORM, 1));
-        let b = h.add_session(session(FIELD_FORM, 2));
-        h.settle();
-        let gb = h.session(b).gid(&path("f.t")).unwrap();
-        h.session_mut(a).couple(&path("f.t"), gb).unwrap();
-        h.settle();
-        for i in 0..10 {
-            type_text(&mut h, a, "f.t", &format!("v{i}"));
-            h.settle();
+    type Log = Vec<(u64, NodeId, NodeId, Vec<u8>)>;
+    fn pump(h: &mut SimHarness, log: &mut Log) {
+        h.flush();
+        while let Some(d) = h.step() {
+            log.push((d.at_us, d.src, d.dst, codec::encode_message(&d.msg)));
         }
-        (h.net.stats().bytes_sent, h.net.now_us())
-    };
-    assert_eq!(run(11), run(11));
+    }
+    fn run(seed: u64, shards: usize) -> Log {
+        let mut h = SimHarness::new(seed);
+        h.server = ShardRouter::new(shards);
+        h.net.set_latency(1_500, 1_000);
+        let mut log = Log::new();
+        let nodes: Vec<NodeId> = (1..=3).map(|u| h.add_session(session(FIELD_FORM, u))).collect();
+        pump(&mut h, &mut log);
+        for pair in nodes.windows(2) {
+            let dst = h.session(pair[1]).gid(&path("f.t")).unwrap();
+            h.session_mut(pair[0]).couple(&path("f.t"), dst).unwrap();
+            pump(&mut h, &mut log);
+        }
+        for round in 0..6 {
+            for (i, node) in nodes.iter().enumerate() {
+                type_text(&mut h, *node, "f.t", &format!("r{round}-{i}"));
+            }
+            pump(&mut h, &mut log);
+        }
+        let stats = h.server.stats();
+        assert!(stats.events_granted >= 6 && stats.lock_conflicts > 0, "{stats:?}");
+        log
+    }
+    forall(
+        0..16,
+        |r| r.next_u64(),
+        |seed| {
+            for shards in [1, 3] {
+                assert!(run(seed, shards) == run(seed, shards), "seed {seed} at {shards} shards");
+            }
+        },
+    );
+}
+
+/// An `Event` names no instance: the server takes its object from the
+/// sender's connection. A third instance that writes a raw `Event` for
+/// the path a coupled pair uses executes it on its own object alone;
+/// neither member of the pair re-executes it, and the pair stays equal.
+#[test]
+fn a_raw_event_executes_only_on_its_senders_object() {
+    let mut h = SimHarness::with_latency(3, 1_000);
+    let a = h.add_session(session(FIELD_FORM, 1));
+    let b = h.add_session(session(FIELD_FORM, 2));
+    let c = h.add_session(session(FIELD_FORM, 3));
+    h.settle();
+    let gc = h.session(c).gid(&path("f.t")).unwrap();
+    h.session_mut(a).couple(&path("f.t"), gc).unwrap();
+    h.settle();
+    type_text(&mut h, a, "f.t", "shared");
+    h.settle();
+    let granted = h.server.stats().events_granted;
+
+    let forged =
+        UiEvent::new(path("f.t"), EventKind::TextCommitted, vec![Value::Text("forged".into())]);
+    h.net.send(b, cosoft_core::SERVER_NODE, Message::Event { event: forged, seq: 99 });
+    let mut to_b = Vec::new();
+    while let Some(d) = h.step() {
+        assert!(d.dst == b || d.dst == cosoft_core::SERVER_NODE, "{d:?} reached the pair");
+        if let Message::EventGranted { exec_id, .. } = d.msg {
+            h.net.send(b, cosoft_core::SERVER_NODE, Message::ExecuteDone { exec_id });
+        }
+        if d.dst == b {
+            to_b.push(d.msg.kind_name());
+        }
+    }
+    assert_eq!(to_b, ["event-granted", "group-unlocked"]);
+    assert_eq!(h.server.stats().events_granted, granted + 1, "granted on b's object alone");
+    assert_eq!(h.server.stats().held_locks, 0);
+    assert_eq!(text_of(&h, a, "f.t"), "shared");
+    assert_eq!(text_of(&h, c, "f.t"), "shared");
+    assert_eq!(h.session(c).remote_executions(), 1);
 }

@@ -2,7 +2,8 @@
 //! simulation: liveness grace periods, resume tokens, couple survival,
 //! and the §3.1 `CopyFrom` resync — driven both by explicit harness
 //! disconnects and by scheduled `FaultPlan` outages. A disconnect is a
-//! reset: what was in flight on the old connection is lost.
+//! reset: what was in flight on the old connection is lost, an unlock
+//! included.
 
 use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
@@ -10,7 +11,7 @@ use cosoft_net::sim::{DownWindow, FaultPlan, NodeId};
 use cosoft_rng::forall;
 use cosoft_server::LivenessConfig;
 use cosoft_uikit::{spec, Toolkit};
-use cosoft_wire::{AttrName, EventKind, ObjectPath, UiEvent, UserId, Value};
+use cosoft_wire::{AttrName, EventKind, Message, ObjectPath, UiEvent, UserId, Value};
 
 fn path(s: &str) -> ObjectPath {
     ObjectPath::parse(s).unwrap()
@@ -160,6 +161,66 @@ fn reset_loses_the_old_connections_in_flight_messages() {
     );
     assert!(events.iter().any(|e| matches!(e, SessionEvent::Resumed(_))), "{events:?}");
     assert_eq!(text_of(&h, a, "f.t"), text_of(&h, b, "f.t"), "resync converges");
+    assert_eq!(h.server.stats().held_locks, 0);
+}
+
+/// A reset can eat a `GroupUnlocked`: the server has every
+/// `ExecuteDone`, releases the group's locks and sends the unlocks, and
+/// the one bound for the reset connection is lost. The rejoining session
+/// re-enables what it disabled for the execution itself, so it can type
+/// again — as the follower here, as the origin below.
+#[test]
+fn an_unlock_lost_in_a_reset_leaves_the_follower_enabled() {
+    unlock_lost_in_a_reset(false);
+}
+
+/// The same reset on the origin's side: its object was disabled on the
+/// grant, and its unlock is the one lost.
+#[test]
+fn an_unlock_lost_in_a_reset_leaves_the_origin_enabled() {
+    unlock_lost_in_a_reset(true);
+}
+
+fn unlock_lost_in_a_reset(reset_origin: bool) {
+    let mut h = SimHarness::with_latency(7, 1_000);
+    h.server.set_liveness(LivenessConfig {
+        grace_us: 1_000_000,
+        idle_timeout_us: 0,
+        max_quarantined: 0,
+    });
+    let a = h.add_session(session(FIELD_FORM, 1));
+    let b = h.add_session(session(FIELD_FORM, 2));
+    h.settle();
+    let gb = h.session(b).gid(&path("f.t")).unwrap();
+    h.session_mut(a).couple(&path("f.t"), gb).unwrap();
+    h.settle();
+
+    type_text(&mut h, a, "f.t", "typed");
+    h.flush();
+    let mut dones = 0;
+    while dones < 2 {
+        let d = h.step().expect("the round is still running");
+        if d.dst == cosoft_core::SERVER_NODE && matches!(d.msg, Message::ExecuteDone { .. }) {
+            dones += 1;
+        }
+    }
+    assert_eq!(h.server.stats().held_locks, 0, "the server released the group");
+
+    let (reset, other) = if reset_origin { (a, b) } else { (b, a) };
+    h.disconnect(reset);
+    h.reconnect(reset);
+    h.settle();
+    assert_eq!(h.server.stats().resumes, 1);
+    assert_eq!(text_of(&h, reset, "f.t"), "typed");
+    h.session_mut(reset)
+        .user_event(UiEvent::new(
+            path("f.t"),
+            EventKind::TextCommitted,
+            vec![Value::Text("after".into())],
+        ))
+        .expect("the rejoined session re-enabled its object");
+    h.settle();
+    assert_eq!(text_of(&h, other, "f.t"), "after");
     assert_eq!(h.server.stats().held_locks, 0);
 }
 

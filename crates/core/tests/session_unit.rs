@@ -181,7 +181,6 @@ fn execute_event_for_missing_target_still_reports_done() {
     s.drain_outbox();
     s.on_message(Message::ExecuteEvent {
         exec_id: 4,
-        target: path("f.gone"),
         event: UiEvent::simple(path("f.gone"), EventKind::Activate),
     });
     let out = s.drain_outbox();
@@ -198,7 +197,7 @@ fn spurious_server_messages_are_ignored() {
                      // Replies for unknown seq/exec ids must be no-ops.
     s.on_message(Message::EventGranted { seq: 99, exec_id: 5 });
     s.on_message(Message::EventRejected { seq: 98 });
-    s.on_message(Message::GroupUnlocked { exec_id: 1, objects: vec![path("f.gone")] });
+    s.on_message(Message::GroupUnlocked { exec_id: 1 });
     // Client-originated kinds arriving at a client are ignored.
     s.on_message(Message::Deregister);
     assert!(s.drain_outbox().is_empty());

@@ -54,7 +54,6 @@ pub fn approx_cost(msg: &Message) -> u64 {
         Message::InstanceList { entries } => 32 * entries.len(),
         Message::CoupleUpdate { group } => 16 * group.len(),
         Message::CoupledSet { coupled, .. } => 16 * coupled.len(),
-        Message::GroupUnlocked { objects, .. } => 8 * objects.len(),
         Message::ExecuteEvent { event, .. } => 8 * event.params.len() + 8 * event.path.depth(),
         Message::StateRequest { path, .. } => 8 * path.depth(),
         Message::Deregister
@@ -73,6 +72,7 @@ pub fn approx_cost(msg: &Message) -> u64 {
         | Message::EventGranted { .. }
         | Message::EventRejected { .. }
         | Message::ExecuteDone { .. }
+        | Message::GroupUnlocked { .. }
         | Message::CopyFrom { .. }
         | Message::RemoteCopy { .. }
         | Message::UndoState { .. }

@@ -1,21 +1,25 @@
 //! Floor control (§3.2): the couple relation, and multiple execution of
 //! an event under its group's locks.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use cosoft_wire::{codec, Bytes, GlobalObjectId, InstanceId, Message, ObjectPath};
+use cosoft_wire::{codec, Bytes, GlobalObjectId, InstanceId, Message, ObjectPath, UiEvent};
 
 use super::{Outgoing, ServerCore};
 
 #[derive(Debug, Clone)]
 pub(super) struct ExecState {
-    /// The object each instance actually executed on: the member base
-    /// joined with the event's path relative to the origin's base. These
-    /// are the paths clients disabled, so `GroupUnlocked` must list them.
-    pub(super) targets: Vec<GlobalObjectId>,
-    /// Outstanding `ExecuteDone` replies per instance.
-    pub(super) owed: HashMap<InstanceId, usize>,
+    /// Outstanding `ExecuteDone` replies per instance executing the
+    /// event, in target order: the origin first, then the members in
+    /// group order. `GroupUnlocked` goes to these instances.
+    pub(super) owed: Vec<(InstanceId, usize)>,
+}
+
+impl ExecState {
+    /// Whether every instance has reported its executions done.
+    pub(super) fn is_done(&self) -> bool {
+        self.owed.iter().all(|(_, n)| *n == 0)
+    }
 }
 
 impl<E: Copy + Eq + Hash> ServerCore<E> {
@@ -103,18 +107,15 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
 
     // ---- multiple execution (§3.2) ----------------------------------------
 
-    pub(super) fn do_event(
-        &mut self,
-        from: InstanceId,
-        origin: GlobalObjectId,
-        event: cosoft_wire::UiEvent,
-        seq: u64,
-    ) -> Outgoing<E> {
+    pub(super) fn do_event(&mut self, from: InstanceId, event: UiEvent, seq: u64) -> Outgoing<E> {
         let mut out = Outgoing::new();
         let Some(user) = self.registry.user_of(from) else {
             // Caller races a deregistration: nothing to authorize.
             return out;
         };
+        // The event occurred on the sender's own object: an `Event` names
+        // no instance, so it cannot speak for another instance's object.
+        let origin = GlobalObjectId::new(from, event.path.clone());
         if !self.right_of(user, &origin).allows_write() {
             self.to_instance(from, Message::EventRejected { seq }, &mut out);
             self.stats.events_rejected += 1;
@@ -136,16 +137,14 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         self.next_exec += self.id_stride;
         self.stats.events_granted += 1;
 
-        let mut owed: HashMap<InstanceId, usize> = HashMap::new();
-        let mut targets = Vec::with_capacity(group.len());
         // Origin instance owes one done for its own callback execution.
-        *owed.entry(from).or_insert(0) += 1;
-        targets.push(origin.clone());
+        let mut owed = vec![(from, 1)];
         self.to_instance(from, Message::EventGranted { seq, exec_id }, &mut out);
-        // The event body — the heavy part of `ExecuteEvent` — is encoded
-        // once (lazily, in case every other member is quarantined) and
-        // spliced behind each leg's tiny header (exec id + target path).
-        let mut event_bytes: Option<Bytes> = None;
+        // The event's kind and parameters — the heavy part of
+        // `ExecuteEvent` — are encoded once (lazily, in case every other
+        // member is quarantined) and spliced behind each leg's tiny
+        // header (exec id + target path).
+        let mut body: Option<Bytes> = None;
         for member in &group {
             if *member == base {
                 continue;
@@ -156,19 +155,21 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             let Some(endpoint) = self.registry.endpoint_of(member.instance) else {
                 continue;
             };
-            *owed.entry(member.instance).or_insert(0) += 1;
+            match owed.iter_mut().find(|(i, _)| *i == member.instance) {
+                Some((_, n)) => *n += 1,
+                None => owed.push((member.instance, 1)),
+            }
             let target = member.path.join(&rel);
-            targets.push(GlobalObjectId::new(member.instance, target.clone()));
-            let payload = if let Some(b) = &event_bytes {
+            let payload = if let Some(b) = &body {
                 self.stats.payload_reuses += 1;
                 b.clone()
             } else {
                 self.stats.payload_encodes += 1;
-                event_bytes.insert(codec::encode_event_shared(&event)).clone()
+                body.insert(codec::encode_event_shared(&event)).clone()
             };
             out.push_shared(vec![endpoint], codec::frame_execute_event(exec_id, &target, &payload));
         }
-        self.execs.insert(exec_id, ExecState { targets, owed });
+        self.execs.insert(exec_id, ExecState { owed });
         out
     }
 
@@ -177,33 +178,33 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         let Some(exec) = self.execs.get_mut(&exec_id) else {
             return out;
         };
-        match exec.owed.get_mut(&from) {
-            Some(n) if *n > 0 => *n -= 1,
+        match exec.owed.iter_mut().find(|(i, _)| *i == from) {
+            Some((_, n)) if *n > 0 => *n -= 1,
             Some(_) | None => return out, // spurious done; ignore
         }
-        if exec.owed.values().all(|&n| n == 0) {
+        if exec.is_done() {
             if let Some(exec) = self.execs.remove(&exec_id) {
-                self.finish_exec(exec_id, &exec.targets, &mut out);
+                self.finish_exec(exec_id, &exec, &mut out);
             }
         }
         out
     }
 
-    pub(super) fn finish_exec(
-        &mut self,
-        exec_id: u64,
-        targets: &[GlobalObjectId],
-        out: &mut Outgoing<E>,
-    ) {
+    /// Releases an execution's locks and tells every instance that
+    /// executed it, with one frame, that its objects may be re-enabled.
+    /// Each instance re-enables what it disabled itself.
+    ///
+    /// The frame goes to the target order rotated by a hash of the exec
+    /// id. A fixed order would tell the same instance first every round
+    /// (the origin, say, a head start on the next race for the floor),
+    /// and the order must be a function of the server's inputs, so that
+    /// a seed replays it.
+    pub(super) fn finish_exec(&mut self, exec_id: u64, exec: &ExecState, out: &mut Outgoing<E>) {
         self.locks.unlock_exec(exec_id);
-        // Tell each involved instance which of its local objects to
-        // re-enable: the paths the event actually executed on.
-        let mut per_instance: HashMap<InstanceId, Vec<ObjectPath>> = HashMap::new();
-        for t in targets {
-            per_instance.entry(t.instance).or_default().push(t.path.clone());
-        }
-        for (inst, objects) in per_instance {
-            self.to_instance(inst, Message::GroupUnlocked { exec_id, objects }, out);
-        }
+        let mut instances: Vec<InstanceId> = exec.owed.iter().map(|(i, _)| *i).collect();
+        let first = (exec_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        let first = first.checked_rem(instances.len()).unwrap_or(0);
+        instances.rotate_left(first);
+        self.to_group(&instances, Message::GroupUnlocked { exec_id }, out);
     }
 }

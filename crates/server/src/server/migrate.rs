@@ -90,8 +90,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 .unwrap_or(false);
             let straddles = {
                 let Some(exec) = self.execs.get(&exec_id) else { continue };
-                exec.owed.keys().any(|i| members.contains(i) != home_inside)
-                    || exec.targets.iter().any(|t| members.contains(&t.instance) != home_inside)
+                exec.owed.iter().any(|(i, _)| members.contains(i) != home_inside)
             };
             if straddles {
                 // The far side's locks go with its owed replies. Left in
@@ -109,13 +108,12 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 }
                 let finished = {
                     let Some(exec) = self.execs.get_mut(&exec_id) else { continue };
-                    exec.owed.retain(|i, _| members.contains(i) == home_inside);
-                    exec.targets.retain(|t| members.contains(&t.instance) == home_inside);
-                    exec.owed.values().all(|&n| n == 0)
+                    exec.owed.retain(|(i, _)| members.contains(i) == home_inside);
+                    exec.is_done()
                 };
                 if finished {
                     if let Some(exec) = self.execs.remove(&exec_id) {
-                        self.finish_exec(exec_id, &exec.targets, &mut out);
+                        self.finish_exec(exec_id, &exec, &mut out);
                     }
                     continue;
                 }

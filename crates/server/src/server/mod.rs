@@ -511,8 +511,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                     }
                 }
             }
-            Message::Event { origin, event, seq } => {
-                out.extend(self.do_event(from, origin, event, seq));
+            Message::Event { event, seq } => {
+                out.extend(self.do_event(from, event, seq));
             }
             Message::ExecuteDone { exec_id } => {
                 out.extend(self.do_execute_done(from, exec_id));

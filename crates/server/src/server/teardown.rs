@@ -4,7 +4,7 @@
 
 use std::hash::Hash;
 
-use cosoft_wire::{GlobalObjectId, InstanceId, Message};
+use cosoft_wire::{InstanceId, Message};
 
 use super::{Outgoing, ServerCore};
 
@@ -40,19 +40,19 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// act on. Shared by deregistration and quarantine: peers must never
     /// block on a dead connection, whether or not it may return.
     pub(super) fn sever_instance_io(&mut self, id: InstanceId, out: &mut Outgoing<E>) {
-        // Settle pending executions that were waiting on the dead instance.
-        let exec_ids: Vec<u64> = self.execs.keys().copied().collect();
+        // Settle pending executions that were waiting on the dead
+        // instance, in id order: the unlocks they send are output.
+        let mut exec_ids: Vec<u64> = self.execs.keys().copied().collect();
+        exec_ids.sort_unstable();
         for exec_id in exec_ids {
             let finished = {
                 let Some(exec) = self.execs.get_mut(&exec_id) else { continue };
-                exec.owed.remove(&id);
-                exec.owed.values().all(|&n| n == 0)
+                exec.owed.retain(|(i, _)| *i != id);
+                exec.is_done()
             };
             if finished {
                 if let Some(exec) = self.execs.remove(&exec_id) {
-                    let targets: Vec<GlobalObjectId> =
-                        exec.targets.iter().filter(|t| t.instance != id).cloned().collect();
-                    self.finish_exec(exec_id, &targets, out);
+                    self.finish_exec(exec_id, &exec, out);
                 }
             }
         }

@@ -72,7 +72,6 @@ fn merge_refs(msg: &Message) -> Vec<InstanceId> {
         | Message::CopyTo { src, dst, .. }
         | Message::CopyDelta { src, dst, .. }
         | Message::RemoteCopy { src, dst, .. } => vec![src.instance, dst.instance],
-        Message::Event { origin, .. } => vec![origin.instance],
         Message::UndoState { object } | Message::RedoState { object } => vec![object.instance],
         // Answered by the router itself, without moving anything.
         Message::QueryInstances | Message::ListCoupled { .. } | Message::CoSendCommand { .. }
@@ -84,6 +83,7 @@ fn merge_refs(msg: &Message) -> Vec<InstanceId> {
         | Message::Pong { .. }
         | Message::ObjectDestroyed { .. }
         | Message::SetPermission { .. }
+        | Message::Event { .. }
         // Answers to what the sender's shard asked of it: the execution
         // or transfer they complete was colocated when it started.
         | Message::ExecuteDone { .. }

@@ -179,16 +179,12 @@ impl Model for LockModel {
                 let origin = c.pending.remove(0);
                 c.in_flight += 1;
                 let endpoint = c.endpoint;
-                let event = UiEvent::simple(origin.path.clone(), EventKind::Activate);
+                let event = UiEvent::simple(origin.path, EventKind::Activate);
                 let out = self
                     .server
                     .handle(
                         endpoint,
-                        Message::Event {
-                            origin,
-                            event,
-                            seq: u64::from(self.clients[client].in_flight),
-                        },
+                        Message::Event { event, seq: u64::from(self.clients[client].in_flight) },
                     )
                     .into_messages();
                 self.deliver(out);
@@ -463,8 +459,8 @@ impl Model for ShardModel {
                 c.in_flight += 1;
                 let endpoint = c.endpoint;
                 let seq = u64::from(c.in_flight);
-                let event = UiEvent::simple(origin.path.clone(), EventKind::Activate);
-                let out = self.router.handle(endpoint, Message::Event { origin, event, seq });
+                let event = UiEvent::simple(origin.path, EventKind::Activate);
+                let out = self.router.handle(endpoint, Message::Event { event, seq });
                 self.deliver(out.into_messages());
             }
             ShardAction::Done { client } => {

@@ -2,8 +2,10 @@
 //! each test feeds messages in and asserts on the outgoing message sets,
 //! exercising the protocol flows of §3.1–§3.4.
 //!
-//! Three gates live here, asserted on `Outgoing` and `ServerStats` with
-//! no wall clock. *The delta wire-size gate:* at depth 6 a
+//! Four gates live here, asserted on `Outgoing` and `ServerStats` with
+//! no wall clock. *The event bytes gate:* one granted event through a
+//! `ShardRouter` costs exact framed bytes in and out for groups of 2 and
+//! 16, and its unlock is one shared frame. *The delta wire-size gate:* at depth 6 a
 //! single-attribute delta, the undo of it and the copy after the undo are
 //! each ≤ 25 % of the snapshot frame, the first a smaller share than at
 //! depth 2; each is acknowledged by reference in ≤ 12 B at either depth,
@@ -17,7 +19,7 @@
 //! (320 seeded scripts on a 2-shard router) is the teardown gate.
 
 use cosoft_rng::Rng;
-use cosoft_server::{LivenessConfig, Outgoing, ServerCore, ShardRouter};
+use cosoft_server::{Delivery, LivenessConfig, Outgoing, ServerCore, ShardRouter};
 use cosoft_wire::{
     codec, delta, AccessRight, AttrName, CopyMode, EditOp, EventKind, GlobalObjectId, InstanceId,
     Message, NodeEdit, NodePatch, ObjectPath, Overwritten, StateDelta, StateNode, Target, UiEvent,
@@ -151,7 +153,7 @@ fn event_flow_grant_execute_done_unlock() {
         EventKind::TextCommitted,
         vec![Value::Text("hi".into())],
     );
-    let out = s.handle(1, Message::Event { origin: gid(a, "f.t"), event, seq: 5 }).into_messages();
+    let out = s.handle(1, Message::Event { event, seq: 5 }).into_messages();
     let exec_id = match find(&out, 1, "event-granted") {
         Message::EventGranted { seq, exec_id } => {
             assert_eq!(*seq, 5);
@@ -160,8 +162,8 @@ fn event_flow_grant_execute_done_unlock() {
         _ => unreachable!(),
     };
     match find(&out, 2, "execute-event") {
-        Message::ExecuteEvent { target, event, .. } => {
-            assert_eq!(target.to_string(), "g.t");
+        Message::ExecuteEvent { event, .. } => {
+            assert_eq!(event.path.to_string(), "g.t");
             assert_eq!(event.kind, EventKind::TextCommitted);
         }
         _ => unreachable!(),
@@ -174,7 +176,6 @@ fn event_flow_grant_execute_done_unlock() {
         .handle(
             2,
             Message::Event {
-                origin: gid(b, "g.t"),
                 event: UiEvent::simple(ObjectPath::parse("g.t").unwrap(), EventKind::TextCommitted),
                 seq: 9,
             },
@@ -195,12 +196,11 @@ fn event_flow_grant_execute_done_unlock() {
 #[test]
 fn event_on_uncoupled_object_completes_alone() {
     let mut s: ServerCore<Endpoint> = ServerCore::new();
-    let a = register(&mut s, 1, 1);
+    register(&mut s, 1, 1);
     let out = s
         .handle(
             1,
             Message::Event {
-                origin: gid(a, "solo"),
                 event: UiEvent::simple(ObjectPath::parse("solo").unwrap(), EventKind::Activate),
                 seq: 1,
             },
@@ -710,7 +710,6 @@ fn disconnect_mid_execution_releases_locks() {
         .handle(
             1,
             Message::Event {
-                origin: gid(a, "x"),
                 event: UiEvent::simple(ObjectPath::parse("x").unwrap(), EventKind::Activate),
                 seq: 1,
             },
@@ -827,10 +826,9 @@ fn stats_track_floor_control_and_fanout() {
         EventKind::TextCommitted,
         vec![Value::Text("v".into())],
     );
-    s.handle(1, Message::Event { origin: gid(a, "x"), event: event.clone(), seq: 1 })
-        .into_messages();
+    s.handle(1, Message::Event { event: event.clone(), seq: 1 }).into_messages();
     // A second event on the locked group is a lock-conflict rejection.
-    s.handle(2, Message::Event { origin: gid(b, "x"), event, seq: 2 }).into_messages();
+    s.handle(2, Message::Event { event, seq: 2 }).into_messages();
 
     let stats = s.stats();
     assert_eq!(stats.events_granted, 1);
@@ -841,6 +839,84 @@ fn stats_track_floor_control_and_fanout() {
     // Couple broadcast reached both instances in one turn.
     assert!(stats.max_fanout >= 2);
     assert!(stats.messages_out >= 6);
+}
+
+/// Drives one granted event on `root.field` through a one-shard
+/// [`ShardRouter`] for a group of `n` instances (endpoint `k` owns
+/// instance `k`; endpoint 1 is the origin, coupled with every other),
+/// every member reporting done. Returns the framed bytes in, the framed
+/// bytes out (length headers included) and the last `ExecuteDone`'s
+/// deliveries, which carry the unlock.
+fn event_round_on_the_wire(n: u64) -> (usize, usize, Outgoing<Endpoint>) {
+    let mut router: ShardRouter<Endpoint> = ShardRouter::new(1);
+    let register = |router: &mut ShardRouter<Endpoint>, endpoint: Endpoint| {
+        let msg = Message::Register {
+            user: UserId(endpoint),
+            host: format!("ws{endpoint}"),
+            app_name: "app".into(),
+        };
+        match router.handle(endpoint, msg).into_messages().as_slice() {
+            [(_, Message::Welcome { instance })] => *instance,
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+    };
+    let instances: Vec<InstanceId> = (1..=n).map(|e| register(&mut router, e)).collect();
+    for member in &instances[1..] {
+        let msg = Message::Couple {
+            src: gid(instances[0], "root.field"),
+            dst: gid(*member, "root.field"),
+        };
+        router.handle(1, msg);
+    }
+    let (mut bytes_in, mut bytes_out) = (0, 0);
+    let mut send = |router: &mut ShardRouter<Endpoint>, endpoint: Endpoint, msg: Message| {
+        bytes_in += codec::frame_message(&msg).len();
+        let out = router.handle(endpoint, msg);
+        bytes_out += out.clone().into_frames().iter().map(|(_, f)| f.len()).sum::<usize>();
+        out
+    };
+    let event = UiEvent::new(
+        ObjectPath::parse("root.field").unwrap(),
+        EventKind::TextCommitted,
+        vec![Value::Text("v".into())],
+    );
+    let out = send(&mut router, 1, Message::Event { event, seq: 1 }).into_messages();
+    let exec_id = match find(&out, 1, "event-granted") {
+        Message::EventGranted { exec_id, .. } => *exec_id,
+        _ => unreachable!(),
+    };
+    assert_eq!(count_kind(&out, "execute-event") as u64, n - 1);
+    let mut last = Outgoing::new();
+    for endpoint in 1..=n {
+        last = send(&mut router, endpoint, Message::ExecuteDone { exec_id });
+    }
+    assert_eq!(router.stats().held_locks, 0);
+    (bytes_in, bytes_out, last)
+}
+
+/// The wire cost of multiple execution, in bytes: each message names
+/// every object once. With a 12-byte path and a 4-byte parameter list, a
+/// round of a group of `n` reads an `Event` (23 B framed) and `n`
+/// `ExecuteDone`s (6 B), and writes an `EventGranted` (7 B), `n - 1`
+/// `ExecuteEvent`s (23 B) and `n` `GroupUnlocked`s (6 B). The unlock is
+/// one shared frame for every instance of the group, in a rotation of
+/// target order (the origin, then the members in group order).
+#[test]
+fn a_granted_event_costs_its_bytes_and_one_unlock_frame() {
+    for (n, bytes_in, bytes_out) in [(2, 35, 42), (16, 119, 448)] {
+        let (got_in, got_out, unlock) = event_round_on_the_wire(n);
+        assert_eq!((got_in, got_out), (bytes_in, bytes_out), "group of {n}");
+        match unlock.items() {
+            [Delivery::Shared(endpoints, frame)] => {
+                let mut target_order = endpoints.clone();
+                target_order.rotate_left(endpoints.iter().position(|e| *e == 1).unwrap());
+                assert_eq!(target_order, (1..=n).collect::<Vec<_>>(), "group of {n}");
+                assert_eq!(frame.kind_name(), Some("group-unlocked"));
+                assert_eq!(frame.len(), 6);
+            }
+            other => panic!("group of {n}: the unlock is not one shared frame: {other:?}"),
+        }
+    }
 }
 
 // ---- failure handling & liveness (disconnect, quarantine, rejoin) --------
@@ -1195,7 +1271,7 @@ fn events_skip_quarantined_group_members() {
         EventKind::TextCommitted,
         vec![Value::Text("v".into())],
     );
-    let out = s.handle(1, Message::Event { origin: gid(a, "x"), event, seq: 1 }).into_messages();
+    let out = s.handle(1, Message::Event { event, seq: 1 }).into_messages();
     assert_eq!(count_kind(&out, "execute-event"), 0, "no ExecuteEvent to a dead connection");
     let exec_id = match find(&out, 1, "event-granted") {
         Message::EventGranted { exec_id, .. } => *exec_id,
@@ -1257,7 +1333,7 @@ fn teardown_leaves_no_inflight_work() {
         EventKind::TextCommitted,
         vec![Value::Text("v".into())],
     );
-    let out = s.handle(1, Message::Event { origin: gid(a, "x"), event, seq: 1 }).into_messages();
+    let out = s.handle(1, Message::Event { event, seq: 1 }).into_messages();
     let exec_id = match find(&out, 1, "event-granted") {
         Message::EventGranted { exec_id, .. } => *exec_id,
         _ => unreachable!(),
@@ -1363,7 +1439,7 @@ fn event_fan_out_encodes_payload_once() {
 
     let before = s.stats();
     let event = UiEvent::simple(ObjectPath::parse("x").unwrap(), EventKind::Activate);
-    let out = s.handle(1, Message::Event { origin: gid(a, "x"), event, seq: 1 }).into_messages();
+    let out = s.handle(1, Message::Event { event, seq: 1 }).into_messages();
     let legs = count_kind(&out, "execute-event");
     assert!(legs >= 2, "expected a multi-member fan-out, got {out:?}");
     let after = s.stats();
@@ -2663,7 +2739,7 @@ impl Churn {
             26..=33 => {
                 let event =
                     UiEvent::simple(ObjectPath::parse("o").unwrap(), EventKind::TextCommitted);
-                self.send(endpoint, Message::Event { origin: own, event, seq: req_id });
+                self.send(endpoint, Message::Event { event, seq: req_id });
                 "event"
             }
             34..=45 => {

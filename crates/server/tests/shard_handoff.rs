@@ -178,7 +178,7 @@ fn straddling_round_sheds_the_far_sides_locks_with_its_replies() {
     let (a, b) = (gid(inst[0], "o"), gid(inst[1], "o"));
     let event = || UiEvent::simple(a.path.clone(), EventKind::Activate);
     router.handle(0, Message::Couple { src: a.clone(), dst: b.clone() });
-    router.handle(0, Message::Event { origin: a.clone(), event: event(), seq: 1 });
+    router.handle(0, Message::Event { event: event(), seq: 1 });
     router.handle(0, Message::Decouple { src: a.clone(), dst: b.clone() });
     let home = router.shard_of_instance(inst[1]).unwrap();
     assert!(router.shard(home).locks().is_locked(&b), "the round locked the whole group");
@@ -192,7 +192,7 @@ fn straddling_round_sheds_the_far_sides_locks_with_its_replies() {
     // `b` runs a round of its own where it lives now, and while that one
     // is open the two are coupled again: each round arrives with exactly
     // the locks of its own side.
-    router.handle(1, Message::Event { origin: b.clone(), event: event(), seq: 2 });
+    router.handle(1, Message::Event { event: event(), seq: 2 });
     router.handle(0, Message::Couple { src: a.clone(), dst: b.clone() });
     router.check_invariants().unwrap();
     let merged = router.shard_of_instance(inst[0]).unwrap();

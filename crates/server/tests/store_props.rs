@@ -277,17 +277,14 @@ fn no_leaks_after_all_instances_deregister() {
                     );
                 }
                 CoreOp::Event(a) => {
-                    let Some((ea, ia)) = slots[a as usize] else { continue };
+                    let Some((ea, _)) = slots[a as usize] else { continue };
                     let event = UiEvent::new(
                         ObjectPath::parse("x").expect("valid"),
                         EventKind::TextCommitted,
                         vec![Value::Text("v".into())],
                     );
                     req += 1;
-                    inbox.extend(
-                        s.handle(ea, Message::Event { origin: obj(ia, "x"), event, seq: req })
-                            .into_messages(),
-                    );
+                    inbox.extend(s.handle(ea, Message::Event { event, seq: req }).into_messages());
                 }
                 CoreOp::CopyFrom(a, b) => {
                     let (Some((ea, ia)), Some((_, ib))) = (slots[a as usize], slots[b as usize])

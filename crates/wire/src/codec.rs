@@ -698,26 +698,30 @@ fn seal_frame(mut buf: BytesMut) -> SharedFrame {
     SharedFrame { bytes: buf.freeze() }
 }
 
-/// Encodes a [`UiEvent`] once into a shared payload that
-/// [`frame_execute_event`] can splice into many per-target frames.
+/// Encodes what a [`UiEvent`] carries after its path — its kind and
+/// parameters — once, into a shared payload that [`frame_execute_event`]
+/// can splice behind many per-target paths.
 pub fn encode_event_shared(e: &UiEvent) -> Bytes {
     let mut buf = BytesMut::with_capacity(64);
-    e.put(&mut buf);
+    e.kind.put(&mut buf);
+    e.params.put(&mut buf);
     buf.freeze()
 }
 
-/// Builds an `ExecuteEvent` frame around an already-encoded event
-/// payload ([`encode_event_shared`]). The event — the heavy part of a
-/// multiple-execution fan-out — is encoded once per broadcast instead of
-/// once per group member; the resulting bytes are identical to framing
-/// `Message::ExecuteEvent` whole.
-pub fn frame_execute_event(exec_id: u64, target: &ObjectPath, event: &Bytes) -> SharedFrame {
-    let mut buf = BytesMut::with_capacity(event.len() + 32);
+/// Builds an `ExecuteEvent` frame that re-executes an event on `target`
+/// from its already-encoded kind and parameters
+/// ([`encode_event_shared`]). The parameters — the heavy part of a
+/// multiple-execution fan-out — are encoded once per broadcast instead
+/// of once per group member; the resulting bytes are identical to
+/// framing `Message::ExecuteEvent` whole with `target` as the event's
+/// path.
+pub fn frame_execute_event(exec_id: u64, target: &ObjectPath, body: &Bytes) -> SharedFrame {
+    let mut buf = BytesMut::with_capacity(body.len() + 32);
     buf.put_u32_le(0);
     buf.put_u8(MessageKind::ExecuteEvent as u8);
     exec_id.put(&mut buf);
     target.put(&mut buf);
-    buf.put_slice(event);
+    buf.put_slice(body);
     seal_frame(buf)
 }
 
@@ -858,7 +862,6 @@ mod tests {
             Message::ListCoupled { object: gid(1, "a") },
             Message::CoupledSet { object: gid(1, "a"), coupled: vec![gid(2, "b")] },
             Message::Event {
-                origin: gid(1, "f.slider"),
                 event: UiEvent::new(
                     path("f.slider"),
                     EventKind::ValueChanged,
@@ -870,11 +873,10 @@ mod tests {
             Message::EventRejected { seq: 42 },
             Message::ExecuteEvent {
                 exec_id: 7,
-                target: path("g.s2"),
-                event: UiEvent::simple(path("f.slider"), EventKind::Activate),
+                event: UiEvent::simple(path("g.s2"), EventKind::Activate),
             },
             Message::ExecuteDone { exec_id: 7 },
-            Message::GroupUnlocked { exec_id: 7, objects: vec![path("g.s2"), path("f.slider")] },
+            Message::GroupUnlocked { exec_id: 7 },
             Message::CopyFrom {
                 src: gid(1, "a"),
                 dst: gid(2, "b"),
@@ -1143,8 +1145,7 @@ mod tests {
             let spliced = frame_execute_event(exec_id, &target, &payload);
             let whole = frame_message(&Message::ExecuteEvent {
                 exec_id,
-                target: target.clone(),
-                event: event.clone(),
+                event: event.retarget(target.clone()),
             });
             assert_eq!(spliced.as_slice(), &whole[..], "exec_id={exec_id}");
         }

@@ -354,10 +354,12 @@ protocol! {
 
     // ---- synchronization by multiple execution (§3.2) -------------------
     /// Client → server: a callback event occurred on a coupled object.
+    /// The object is the sender's own, at `event.path`: the server names
+    /// it by the connection's instance, so a client cannot speak for
+    /// another instance's object.
     Event = 12, "event", Control {
-        /// The object the event occurred on.
-        origin: GlobalObjectId,
-        /// The event, packed with parameters.
+        /// The event, packed with parameters; its path is the object it
+        /// occurred on.
         event: UiEvent,
         /// Client-chosen sequence number echoed in grant/reject replies.
         seq: u64,
@@ -381,10 +383,9 @@ protocol! {
     ExecuteEvent = 15, "execute-event", Control {
         /// Server-assigned execution id.
         exec_id: u64,
-        /// Local object the event is re-executed on.
-        target: ObjectPath,
-        /// The original event (its path is the *origin's* path; apply to
-        /// `target` via [`UiEvent::retarget`]).
+        /// The event to re-execute. Its path is the receiver's own object
+        /// the event runs on: the member coupled with the origin, joined
+        /// with the event's path below the origin's coupled base.
         event: UiEvent,
     },
     /// Client → server: re-execution of `exec_id` finished locally.
@@ -392,13 +393,13 @@ protocol! {
         /// The finished execution.
         exec_id: u64,
     },
-    /// Server → all group members: all re-executions finished; unlock and
-    /// re-enable the listed local objects.
+    /// Server → every instance that executed the event: all executions
+    /// finished; re-enable the local objects disabled for `exec_id` (the
+    /// origin's object on [`Message::EventGranted`], each target of a
+    /// [`Message::ExecuteEvent`]), which the receiver recorded itself.
     GroupUnlocked = 17, "group-unlocked", Control {
         /// The finished execution.
         exec_id: u64,
-        /// Local objects to re-enable.
-        objects: Vec<ObjectPath>,
     },
 
     // ---- synchronization by UI state (§3.1) ------------------------------

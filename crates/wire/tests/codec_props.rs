@@ -144,12 +144,10 @@ fn arb_message(r: &mut Rng) -> Message {
         5 => Message::Decouple { src: arb_gid(r), dst: arb_gid(r) },
         6 => Message::RemoteCouple { a: arb_gid(r), b: arb_gid(r) },
         7 => Message::CoupleUpdate { group: r.vec(0..5, arb_gid) },
-        8 => Message::Event { origin: arb_gid(r), event: arb_event(r), seq: r.range(..) },
+        8 => Message::Event { event: arb_event(r), seq: r.range(..) },
         9 => Message::EventGranted { seq: r.range(..), exec_id: r.range(..) },
-        10 => {
-            Message::ExecuteEvent { exec_id: r.range(..), target: arb_path(r), event: arb_event(r) }
-        }
-        11 => Message::GroupUnlocked { exec_id: r.range(..), objects: r.vec(0..4, arb_path) },
+        10 => Message::ExecuteEvent { exec_id: r.range(..), event: arb_event(r) },
+        11 => Message::GroupUnlocked { exec_id: r.range(..) },
         12 => Message::CopyFrom {
             src: arb_gid(r),
             dst: arb_gid(r),
@@ -269,16 +267,17 @@ fn shared_frame_matches_owned_framing() {
     });
 }
 
-/// The fan-out path encodes the event payload once and splices it into
-/// per-target frames; the result must be indistinguishable from framing
-/// the whole ExecuteEvent message.
+/// The fan-out path encodes the event's kind and parameters once and
+/// splices them behind per-target paths; the result must be
+/// indistinguishable from framing the whole ExecuteEvent message with the
+/// target as the event's path.
 #[test]
 fn spliced_execute_event_matches_whole_message() {
     let gen = |r: &mut Rng| (r.range(..), arb_path(r), arb_event(r));
     forall(0..512, gen, |(exec_id, target, event)| {
         let payload = codec::encode_event_shared(&event);
         let frame = codec::frame_execute_event(exec_id, &target, &payload);
-        let msg = Message::ExecuteEvent { exec_id, target, event };
+        let msg = Message::ExecuteEvent { exec_id, event: event.retarget(target) };
         assert_eq!(frame.as_slice(), codec::frame_message(&msg).as_slice());
         assert_eq!(frame.decode().unwrap(), msg);
     });

@@ -95,7 +95,6 @@ fn golden_table() -> Vec<(Message, Vec<u8>)> {
         ),
         (
             M::Event {
-                origin: gid(1, "f"),
                 event: UiEvent::new(
                     path("f"),
                     EventKind::ValueChanged,
@@ -103,28 +102,19 @@ fn golden_table() -> Vec<(Message, Vec<u8>)> {
                 ),
                 seq: 9,
             },
-            // tag ‖ origin ‖ event path ‖ kind=1 ‖ 2 params:
+            // tag ‖ event path ‖ kind=1 ‖ 2 params:
             // Int zigzag(-3)=5, Bool true ‖ seq.
-            vec![
-                0x0c, 0x01, 0x01, 0x01, 0x66, 0x01, 0x01, 0x66, 0x01, 0x02, 0x01, 0x05, 0x00, 0x01,
-                0x09,
-            ],
+            vec![0x0c, 0x01, 0x01, 0x66, 0x01, 0x02, 0x01, 0x05, 0x00, 0x01, 0x09],
         ),
         (M::EventGranted { seq: 9, exec_id: 7 }, vec![0x0d, 0x09, 0x07]),
         (M::EventRejected { seq: 9 }, vec![0x0e, 0x09]),
         (
-            M::ExecuteEvent {
-                exec_id: 7,
-                target: path("g"),
-                event: UiEvent::simple(path("f"), EventKind::Activate),
-            },
-            vec![0x0f, 0x07, 0x01, 0x01, 0x67, 0x01, 0x01, 0x66, 0x00, 0x00],
+            M::ExecuteEvent { exec_id: 7, event: UiEvent::simple(path("g"), EventKind::Activate) },
+            // tag ‖ exec id ‖ target path "g" ‖ kind=0 ‖ 0 params.
+            vec![0x0f, 0x07, 0x01, 0x01, 0x67, 0x00, 0x00],
         ),
         (M::ExecuteDone { exec_id: 7 }, vec![0x10, 0x07]),
-        (
-            M::GroupUnlocked { exec_id: 7, objects: vec![path("g")] },
-            vec![0x11, 0x07, 0x01, 0x01, 0x01, 0x67],
-        ),
+        (M::GroupUnlocked { exec_id: 7 }, vec![0x11, 0x07]),
         (
             M::CopyFrom { src: gid(1, "a"), dst: gid(2, "b"), mode: CopyMode::Strict, req_id: 1 },
             vec![0x12, 0x01, 0x01, 0x01, 0x61, 0x02, 0x01, 0x01, 0x62, 0x00, 0x01],
