@@ -48,6 +48,10 @@
 //! # }
 //! ```
 
+// An order that reaches an output must come from a source, not from a
+// hash map's random keys (DESIGN.md §7.1).
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod compat;
 pub mod harness;
 pub mod semantic;

@@ -60,6 +60,12 @@ impl SemanticHooks {
         self.hooks.is_empty()
     }
 
+    /// Whether a hook is registered at `base` or below it: whether a
+    /// snapshot of the object at `base` may carry a semantic payload.
+    pub fn covers(&self, base: &ObjectPath) -> bool {
+        self.hooks.keys().any(|p| base.is_prefix_of(p))
+    }
+
     /// Fills the `semantic` payloads of a snapshot taken at `base`: for
     /// every node with registered hooks, the store function runs and its
     /// bytes are attached (invoked "in the dominating instance").

@@ -15,11 +15,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use cosoft_uikit::{FeedbackUndo, Toolkit, TreeStamp, UiError, WidgetId};
+use cosoft_uikit::{FeedbackUndo, Toolkit, TreeStamp, UiError, WidgetId, WidgetTree};
+use cosoft_wire::delta::{self, StateDelta, VersionedState};
 use cosoft_wire::{
-    delta, AccessRight, AttrName, CopyMode, EditOp, EncodedState, GlobalObjectId, InstanceId,
-    InstanceInfo, Message, NodePatch, ObjectPath, Overwritten, StateNode, Target, UiEvent, UserId,
-    Value,
+    visits, AccessRight, AttrMap, CopyMode, EditOp, EncodedState, GlobalObjectId, InstanceId,
+    InstanceInfo, Message, NodeEdit, NodePatch, ObjectPath, Overwritten, StateNode, Target,
+    UiEvent, UserId,
 };
 
 use crate::compat::{apply_recorded, CompatError, CorrespondenceTable};
@@ -93,20 +94,36 @@ pub type CommandHandler = Box<dyn FnMut(&mut Toolkit, InstanceId, &[u8]) + Send>
 /// connection (see [`Session`]'s `sync_bases`).
 #[derive(Debug)]
 struct SyncBase {
-    /// Content version of `state` ([`delta::state_version`]).
-    version: u64,
-    state: StateNode,
-    /// The *mirror*: the tree's stamp at which the object's widgets last
-    /// held exactly `state` — its shape, kinds and names, and every
-    /// attribute it carries, with no semantic payload anywhere. Only an
-    /// apply that answered [`Overwritten::Base`] records one; every other
-    /// install of a base leaves it `None`.
-    mirror: Option<TreeStamp>,
+    /// The state, with the hashes its version is made of.
+    state: VersionedState,
+    /// The *mirror*: when the object's widgets last held exactly `state`.
+    /// An apply that answered [`Overwritten::Base`] records one, and so
+    /// does a push or a `StateReply` that carried no semantic payload;
+    /// every other install of a base leaves it `None`.
+    mirror: Option<Mirror>,
+}
+
+/// A point at which an object's widgets held exactly its sync base: its
+/// shape, kinds and names, and every attribute it carries, with no
+/// semantic payload anywhere.
+#[derive(Debug, Clone, Copy)]
+struct Mirror {
+    /// The tree's stamp then.
+    at: TreeStamp,
+    /// Whether a relevant snapshot of the object then *was* the base,
+    /// with no attribute beyond those the base carries. A push or a
+    /// `StateReply` makes such a mirror, and a fast apply keeps it so;
+    /// only such a mirror builds a push from the widgets that changed.
+    exact: bool,
 }
 
 impl SyncBase {
     fn new(state: StateNode) -> SyncBase {
-        SyncBase { version: delta::state_version(&state), state, mirror: None }
+        SyncBase { state: VersionedState::new(state), mirror: None }
+    }
+
+    fn version(&self) -> u64 {
+        self.state.version()
     }
 }
 
@@ -207,6 +224,8 @@ pub struct Session {
     events: Vec<SessionEvent>,
     /// Events re-executed locally on behalf of remote origins (metric).
     remote_executions: u64,
+    /// Pushes built from the widgets changed since the base (metric).
+    pushes_from_changes: u64,
 }
 
 impl fmt::Debug for Session {
@@ -245,6 +264,7 @@ impl Session {
             outbox: Vec::new(),
             events: Vec::new(),
             remote_executions: 0,
+            pushes_from_changes: 0,
         };
         s.outbox.push(Message::Register {
             user,
@@ -279,7 +299,7 @@ impl Session {
     /// state of it that crossed the connection, which the next transfer
     /// either way is a delta against.
     pub fn sync_base(&self, path: &ObjectPath) -> Option<(u64, &StateNode)> {
-        self.sync_bases.get(path).map(|base| (base.version, &base.state))
+        self.sync_bases.get(path).map(|base| (base.version(), base.state.state()))
     }
 
     /// The instance id assigned at registration, if received.
@@ -290,6 +310,12 @@ impl Session {
     /// Events re-executed locally on behalf of remote origins.
     pub fn remote_executions(&self) -> u64 {
         self.remote_executions
+    }
+
+    /// How many [`Session::copy_to`] pushes were built from the widgets
+    /// changed since the object's base, with no snapshot and no diff.
+    pub fn pushes_from_changes(&self) -> u64 {
+        self.pushes_from_changes
     }
 
     /// The resume token from the server's last `SessionToken`, if any.
@@ -526,6 +552,14 @@ impl Session {
     /// session already holds one — the server then holds it too — only
     /// the edits since travel ([`Message::CopyDelta`]).
     ///
+    /// When the widgets mirrored that base exactly at some stamp
+    /// (an exact mirror) and no semantic hook covers the object, the
+    /// edits are read off the widgets changed since: no snapshot, no
+    /// diff, and the base is edited and rehashed in place. They are the
+    /// edits `diff(base, snapshot)` would make; a change they cannot
+    /// express as patches of attributes the base carries sends the push
+    /// down the snapshot-and-diff path.
+    ///
     /// # Errors
     ///
     /// [`SessionError::NotRegistered`] or a toolkit error resolving `src`.
@@ -536,27 +570,64 @@ impl Session {
         mode: CopyMode,
     ) -> Result<u64, SessionError> {
         let src_gid = self.gid(src)?;
-        let id = self.toolkit.tree().resolve_required(src).map_err(SessionError::Ui)?;
-        let mut snapshot = self.toolkit.tree().snapshot(id, true).map_err(SessionError::Ui)?;
-        self.hooks.fill_snapshot(self.toolkit.tree(), src, &mut snapshot);
+        let tree = self.toolkit.tree();
+        let id = tree.resolve_required(src).map_err(SessionError::Ui)?;
         let req_id = self.next_req;
         self.next_req += 1;
-        let pushed = SyncBase::new(snapshot);
-        let push = match self.sync_bases.get(src) {
-            Some(base) => Message::CopyDelta {
-                src: src_gid,
-                dst,
-                base_version: base.version,
-                new_version: pushed.version,
-                delta: delta::diff(&base.state, &pushed.state),
-                mode,
-                req_id,
-            },
+        let hooked = self.hooks.covers(src);
+        let edited = self.sync_bases.get_mut(src).filter(|_| !hooked).and_then(|base| {
+            let since = base.mirror.filter(|m| m.exact)?.at;
+            let located = pushed_edits(tree, id, base.state.state(), since)?;
+            let base_version = base.version();
+            // Patches at indices just found in this very base: no edit
+            // can fail and leave it half done.
+            for (at, edit) in &located {
+                base.state.edit(at, &edit.op).ok()?;
+            }
+            base.mirror = Some(Mirror { at: tree.stamp(), exact: true });
+            let edits = located.into_iter().map(|(_, edit)| edit).collect();
+            Some((base_version, base.version(), StateDelta { edits }))
+        });
+        let push = match edited {
+            Some((base_version, new_version, delta)) => {
+                self.pushes_from_changes += 1;
+                Message::CopyDelta {
+                    src: src_gid,
+                    dst,
+                    base_version,
+                    new_version,
+                    delta,
+                    mode,
+                    req_id,
+                }
+            }
             None => {
-                Message::CopyTo { src: src_gid, dst, snapshot: pushed.state.clone(), mode, req_id }
+                let mut snapshot = tree.snapshot(id, true).map_err(SessionError::Ui)?;
+                self.hooks.fill_snapshot(tree, src, &mut snapshot);
+                let mut pushed = SyncBase::new(snapshot);
+                pushed.mirror = (!hooked).then(|| Mirror { at: tree.stamp(), exact: true });
+                let push = match self.sync_bases.get(src) {
+                    Some(base) => Message::CopyDelta {
+                        src: src_gid,
+                        dst,
+                        base_version: base.version(),
+                        new_version: pushed.version(),
+                        delta: delta::diff(base.state.state(), pushed.state.state()),
+                        mode,
+                        req_id,
+                    },
+                    None => Message::CopyTo {
+                        src: src_gid,
+                        dst,
+                        snapshot: pushed.state.state().clone(),
+                        mode,
+                        req_id,
+                    },
+                };
+                self.sync_bases.insert(src.clone(), pushed);
+                push
             }
         };
-        self.sync_bases.insert(src.clone(), pushed);
         self.outbox.push(push);
         Ok(req_id)
     }
@@ -712,16 +783,20 @@ impl Session {
                 self.disabled = held;
             }
             Message::StateRequest { req_id, path } => {
-                let snapshot = self.toolkit.tree().resolve(&path).and_then(|id| {
-                    let mut snap = self.toolkit.tree().snapshot(id, true).ok()?;
-                    self.hooks.fill_snapshot(self.toolkit.tree(), &path, &mut snap);
+                let tree = self.toolkit.tree();
+                let snapshot = tree.resolve(&path).and_then(|id| {
+                    let mut snap = tree.snapshot(id, true).ok()?;
+                    self.hooks.fill_snapshot(tree, &path, &mut snap);
                     Some(snap)
                 });
                 // The reply crosses the connection in full, so it is the
                 // object's sync base at both ends — also after the server
                 // lost its copy and asked because of that.
                 if let Some(snap) = &snapshot {
-                    self.sync_bases.insert(path, SyncBase::new(snap.clone()));
+                    let mut base = SyncBase::new(snap.clone());
+                    let at = tree.stamp();
+                    base.mirror = (!self.hooks.covers(&path)).then_some(Mirror { at, exact: true });
+                    self.sync_bases.insert(path, base);
                 }
                 self.outbox.push(Message::StateReply { req_id, snapshot });
             }
@@ -959,77 +1034,141 @@ impl Session {
         mode: CopyMode,
     ) -> Result<Overwritten, String> {
         let (mut next, mirror) = match self.sync_bases.remove(path) {
-            Some(base) if base.version == base_version => (base.state, base.mirror),
+            Some(base) if base.version() == base_version => (base.state, base.mirror),
             Some(base) => {
                 return Err(format!(
                     "delta base version mismatch: have {}, server assumed {base_version}",
-                    base.version
+                    base.version()
                 ));
             }
             None => return Err("delta base version mismatch: no base cached".to_owned()),
         };
         // Read off the base before the edits replay on it.
-        let writes = mirror.and_then(|since| self.mirror_writes(path, &next, d, since));
-        delta::apply_in_place(&mut next, d).map_err(|e| format!("delta base diverged: {e}"))?;
-        if delta::state_version(&next) != new_version {
+        let located = mirror.and_then(|m| self.mirror_writes(path, &next, d, m.at));
+        match &located {
+            Some(located) => {
+                d.edits.iter().zip(located).try_for_each(|(edit, (at, _))| next.edit(at, &edit.op))
+            }
+            None => next.apply(d),
+        }
+        .map_err(|e| format!("delta base diverged: {e}"))?;
+        if next.version() != new_version {
             return Err("delta base diverged: reconstructed state version mismatch".to_owned());
         }
-        let (reply, mirrored) = match writes {
-            Some(writes) => {
+        // A fast apply keeps an exact mirror exact: it writes values the
+        // base already carries an attribute for, onto widgets unchanged
+        // since the snapshot that was the base.
+        let (reply, exact) = match located {
+            Some(located) => {
                 let tree = self.toolkit.tree_mut();
-                for (id, attr, value) in writes {
-                    tree.set_attr_unchecked(id, attr, value).map_err(|e| e.to_string())?;
+                for (edit, (_, id)) in d.edits.iter().zip(located) {
+                    for (attr, value) in
+                        simple_patch(&edit.op).map(|p| &p.upserts).into_iter().flatten()
+                    {
+                        tree.set_attr_unchecked(id, attr.clone(), value.clone())
+                            .map_err(|e| e.to_string())?;
+                    }
                 }
-                self.hooks.deliver_snapshot(self.toolkit.tree_mut(), path, &next);
-                (Overwritten::Base, true)
+                self.hooks.deliver_snapshot(self.toolkit.tree_mut(), path, next.state());
+                (Overwritten::Base, mirror.map(|m| m.exact))
             }
             None => {
-                let prev = self.apply_state(path, &next, mode).map_err(|e| e.to_string())?;
+                let prev = self.apply_state(path, next.state(), mode).map_err(|e| e.to_string())?;
                 let prev = EncodedState::of(&prev);
-                if delta::version_of_encoded(prev.as_slice()) == base_version {
-                    (Overwritten::Base, d.edits.iter().all(|e| simple_patch(&e.op).is_some()))
+                if prev.version() == base_version {
+                    let patches = d.edits.iter().all(|e| simple_patch(&e.op).is_some());
+                    (Overwritten::Base, patches.then_some(false))
                 } else {
-                    (Overwritten::State(prev), false)
+                    (Overwritten::State(prev), None)
                 }
             }
         };
-        let mirror = mirrored.then(|| self.toolkit.tree().stamp());
-        self.sync_bases
-            .insert(path.clone(), SyncBase { version: new_version, state: next, mirror });
+        let at = self.toolkit.tree().stamp();
+        let mirror = exact.map(|exact| Mirror { at, exact });
+        self.sync_bases.insert(path.clone(), SyncBase { state: next, mirror });
         Ok(reply)
     }
 
-    /// The attribute writes a leg of `d` comes to when the object's
-    /// widgets have not changed since they mirrored `base` (`since`) and
-    /// every edit is a [`simple_patch`] of attributes `base` already
-    /// carries. `None` sends the leg down the full apply.
+    /// Where a leg of `d` writes when the object's widgets have not
+    /// changed since they mirrored `base` (`since`) and every edit is a
+    /// [`simple_patch`] of attributes `base` already carries: for each
+    /// edit, the child indices that lead to its node in `base` and the
+    /// widget at the end of the same indices. The base is searched by name
+    /// once per edit; the widgets, which have the base's shape, are
+    /// followed by index. `None` sends the leg down the full apply.
     fn mirror_writes(
         &self,
         path: &ObjectPath,
-        base: &StateNode,
+        base: &VersionedState,
         d: &delta::StateDelta,
         since: TreeStamp,
-    ) -> Option<Vec<(WidgetId, AttrName, Value)>> {
+    ) -> Option<Vec<(Vec<usize>, WidgetId)>> {
         let tree = self.toolkit.tree();
         let root = tree.resolve(path)?;
         if !tree.unchanged_since(root, since) {
             return None;
         }
-        let mut writes = Vec::new();
-        for edit in &d.edits {
-            let patch = simple_patch(&edit.op)?;
-            let node = edit.path.iter().try_fold(base, |n, seg| n.child(seg))?;
-            let id = edit.path.iter().try_fold(root, |id, seg| {
-                let children = tree.widget(id).ok()?.children();
-                children.iter().copied().find(|&c| tree.widget(c).is_ok_and(|w| w.name() == seg))
-            })?;
-            for (attr, value) in &patch.upserts {
-                node.attrs.contains_key(attr).then_some(())?;
-                writes.push((id, attr.clone(), value.clone()));
-            }
-        }
-        Some(writes)
+        d.edits
+            .iter()
+            .map(|edit| {
+                let patch = simple_patch(&edit.op)?;
+                let (at, node) = base.locate(&edit.path)?;
+                patch.upserts.keys().all(|attr| node.attrs.contains_key(attr)).then_some(())?;
+                let id = at.iter().zip(&edit.path).try_fold(root, |id, (&i, seg)| {
+                    visits::add(1);
+                    let child = *tree.widget(id).ok()?.children().get(i)?;
+                    tree.widget(child).ok()?.name().eq(seg).then_some(child)
+                })?;
+                Some((at, id))
+            })
+            .collect()
     }
+}
+
+/// The edits that turn `base` into a relevant snapshot of the object at
+/// `root`, read off the widgets that changed since `since` — a stamp at
+/// which that snapshot *was* `base` — without visiting the others, each
+/// with the child indices that lead to its node. They are the edits
+/// `delta::diff(base, snapshot)` makes: in pre-order, one
+/// [`simple_patch`] per widget whose values moved, upserting the
+/// attributes that did. `None` where a leg's fast apply would also give
+/// up, and for a stamp of another tree: a changed widget whose kind,
+/// children or set of attributes is not its base node's (a kind change, a
+/// `Restructure`, an attribute added or removed).
+fn pushed_edits(
+    tree: &WidgetTree,
+    root: WidgetId,
+    base: &StateNode,
+    since: TreeStamp,
+) -> Option<Vec<(Vec<usize>, NodeEdit)>> {
+    let mut edits = Vec::new();
+    for (at, id) in tree.changed_since(root, since)? {
+        let mut path = Vec::with_capacity(at.len());
+        let node = at.iter().try_fold(base, |n, &i| {
+            visits::add(1);
+            let child = n.children.get(i)?;
+            path.push(child.name.clone());
+            Some(child)
+        })?;
+        let now = tree.snapshot_node(id, true).ok()?;
+        let children = tree.widget(id).ok()?.children();
+        visits::add(children.len());
+        let same_children = children.len() == node.children.len()
+            && children
+                .iter()
+                .zip(&node.children)
+                .all(|(&c, n)| tree.widget(c).is_ok_and(|w| w.name() == n.name));
+        if now.kind != node.kind || !same_children || !now.attrs.keys().eq(node.attrs.keys()) {
+            return None;
+        }
+        let upserts: AttrMap =
+            now.attrs.into_iter().filter(|(k, v)| node.attrs.get(k) != Some(v)).collect();
+        if !upserts.is_empty() {
+            let op = EditOp::Patch(NodePatch { upserts, ..NodePatch::default() });
+            edits.push((at, NodeEdit { path, op }));
+        }
+    }
+    Some(edits)
 }
 
 /// The patch of an edit that only upserts attributes: no kind change, no

@@ -252,7 +252,7 @@ fn oracle(
                     return Err("delta base diverged: reconstructed state version mismatch".into());
                 }
                 let prev = EncodedState::of(&apply_full(tree, hooks, corr, path, &next, *mode)?);
-                let reply = if delta::version_of_encoded(prev.as_slice()) == *base_version {
+                let reply = if prev.version() == *base_version {
                     Overwritten::Base
                 } else {
                     Overwritten::State(prev)

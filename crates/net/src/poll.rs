@@ -26,7 +26,9 @@
 //! probes backed off to the cap and no byte either way for `COLD_AFTER`
 //! goes *cold*: out of the sweep, read-probed on its own deadline every
 //! `COLD_PROBE`, hot again once a probe reads bytes. The worst-case added
-//! read latency stays `MAX_SKIP × MAX_PARK` plus sweep time. All a poll
+//! read latency stays `(MAX_SKIP + 1) × MAX_PARK` plus sweep time: a
+//! quiet hot connection skips `MAX_SKIP` sweeps and is probed on the
+//! next, and a cold one is probed sooner than that. All a poll
 //! thread is told is mail in its one [`Inbox`], whose every post notifies
 //! the gate the thread parks on: a socket to adopt, a connection to close,
 //! `Cmd::Dirty` for an enqueue (a cold connection rejoins the sweep before
@@ -67,7 +69,8 @@ const MIN_PARK: Duration = Duration::from_micros(200);
 pub(crate) const MAX_PARK: Duration = Duration::from_millis(2);
 
 /// Most consecutive sweeps a quiet connection skips between read
-/// probes. Worst-case added read latency is `MAX_SKIP × MAX_PARK` plus
+/// probes: it is probed on every `MAX_SKIP + 1`th sweep, so the
+/// worst-case added read latency is `(MAX_SKIP + 1) × MAX_PARK` plus
 /// sweep time; any traffic in either direction resets the backoff.
 const MAX_SKIP: u32 = 4;
 
@@ -75,8 +78,9 @@ const MAX_SKIP: u32 = 4;
 /// slowest benchmark round. Not configuration: only the latency bound is.
 const COLD_AFTER: Duration = Duration::from_millis(100);
 
-/// Interval between a cold connection's read probes: the slowest a quiet
-/// hot one is probed, so cooling keeps `MAX_SKIP`'s latency bound.
+/// Interval between a cold connection's read probes: shorter than the
+/// `(MAX_SKIP + 1) × MAX_PARK` a quiet hot one can wait between probes,
+/// so cooling keeps `MAX_SKIP`'s latency bound.
 const COLD_PROBE: Duration = MAX_PARK.saturating_mul(MAX_SKIP);
 
 /// Cold deadlines fall on a grid of slots this wide, so cold probes wake a
@@ -581,22 +585,11 @@ impl PollThread {
             conn.skip = 0;
             conn.skip_limit = 0;
         }
-        let due = if conn.skip > 0 {
-            conn.skip -= 1;
-            false
-        } else {
-            true
-        };
-        if due {
-            let read_any = Self::read_ready(conn, id, &self.counters, scratch, &self.events)?;
-            if read_any {
-                progressed = true;
-                conn.skip_limit = 0;
-            } else {
-                conn.skip_limit = (conn.skip_limit * 2 + 1).min(MAX_SKIP);
-            }
-            conn.skip = conn.skip_limit;
-        }
+        let (read_any, counters) = skip_ladder((conn.skip, conn.skip_limit), || {
+            Self::read_ready(conn, id, &self.counters, scratch, &self.events)
+        })?;
+        progressed |= read_any;
+        (conn.skip, conn.skip_limit) = counters;
         if progressed {
             conn.last_traffic = now;
         } else if conn.skip_limit == MAX_SKIP
@@ -664,6 +657,26 @@ impl PollThread {
         let _ = stream.shutdown(std::net::Shutdown::Both);
         let _ = self.events.send(NetEvent::Disconnected(id));
     }
+}
+
+/// One sweep's read-probe decision for a hot connection, a function of
+/// its two counters `(skip, skip_limit)` alone: a pass with `skip` left
+/// counts it down and reads nothing; any other pass probes with `read`
+/// and sets both counters to the new ceiling — 0 once the probe read
+/// bytes, else `2 × skip_limit + 1` capped at [`MAX_SKIP`]. So a quiet
+/// connection is probed on every `MAX_SKIP + 1`th pass, and one that just
+/// had traffic (a write resets both counters) on the next. Returns
+/// whether the probe read bytes, and the counters the pass leaves.
+fn skip_ladder(
+    (skip, skip_limit): (u32, u32),
+    read: impl FnOnce() -> io::Result<bool>,
+) -> io::Result<(bool, (u32, u32))> {
+    if skip > 0 {
+        return Ok((false, (skip - 1, skip_limit)));
+    }
+    let read_any = read()?;
+    let limit = if read_any { 0 } else { (skip_limit * 2 + 1).min(MAX_SKIP) };
+    Ok((read_any, (limit, limit)))
 }
 
 /// Flushes as much of the outbox under `outbox` as `write` takes, one
@@ -907,6 +920,43 @@ mod tests {
     /// When the poll thread wakes for its next cold probe.
     fn next_probe(conns: &Conns<()>) -> Option<Instant> {
         conns.due.front().map(|&(at, _)| at)
+    }
+
+    /// The passes, from 0, on which a connection with `counters` is
+    /// read-probed over `passes` sweeps, each probe reading bytes or not
+    /// as `reads` says for that pass.
+    fn probes(
+        mut counters: (u32, u32),
+        passes: usize,
+        reads: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        let mut probed = Vec::new();
+        for pass in 0..passes {
+            let (_, next) = skip_ladder(counters, || {
+                probed.push(pass);
+                Ok(reads(pass))
+            })
+            .unwrap();
+            counters = next;
+        }
+        probed
+    }
+
+    #[test]
+    fn a_quiet_connection_is_probed_every_max_skip_plus_one_passes() {
+        let quiet = probes((0, 0), 40, |_| false);
+        // The ceiling climbs 1, 3, then the cap: gaps of 2 and 4 passes,
+        // then MAX_SKIP + 1 for good.
+        assert_eq!(&quiet[..4], &[0, 2, 6, 11]);
+        let gap = MAX_SKIP as usize + 1;
+        assert!(quiet[2..].windows(2).all(|w| w[1] - w[0] == gap), "{quiet:?}");
+        // A probe that reads bytes resets the ladder: the next pass probes
+        // at once; so does a write (both counters zeroed by the sweep).
+        let capped = (MAX_SKIP, MAX_SKIP);
+        let busy = probes(capped, 20, |pass| pass == gap - 1);
+        assert_eq!(&busy[..3], &[gap - 1, gap, gap + 2]);
+        assert_eq!(probes((0, 0), 1, |_| false), vec![0]);
+        assert_eq!(probes(capped, gap, |_| false), vec![gap - 1]);
     }
 
     fn with_hot(epoch: Instant, ids: &[ConnId]) -> Conns<()> {

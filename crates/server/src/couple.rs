@@ -172,6 +172,7 @@ impl CoupleDirectory {
     /// invisible to the protocol.
     pub fn instance_component(&self, instance: InstanceId) -> Vec<InstanceId> {
         let mut by_instance: HashMap<InstanceId, BTreeSet<InstanceId>> = HashMap::new();
+        #[expect(clippy::iter_over_hash_type, reason = "builds a map of sorted sets")]
         for (o, neighbors) in &self.adj {
             let entry = by_instance.entry(o.instance).or_default();
             entry.extend(neighbors.iter().map(|n| n.instance));
@@ -241,6 +242,10 @@ impl CoupleDirectory {
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn check_invariants(&self) -> Result<(), String> {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order only decides which violation is reported first"
+        )]
         for (o, neighbors) in &self.adj {
             if neighbors.is_empty() {
                 return Err(format!("empty adjacency set retained for {o}"));

@@ -26,6 +26,10 @@
         clippy::allow_attributes_without_reason
     )
 )]
+// An order that reaches an output must come from a source, not from a
+// hash map's random keys; a loop whose order provably does not leak says
+// why on the site (DESIGN.md §7.1).
+#![deny(clippy::iter_over_hash_type)]
 
 mod access;
 mod couple;

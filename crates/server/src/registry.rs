@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use cosoft_wire::{delta, AccessRight, InstanceId, InstanceInfo, ObjectPath, UserId};
+use cosoft_wire::{visits, AccessRight, InstanceId, InstanceInfo, ObjectPath, UserId};
 
 use crate::history::HistoryStore;
 use crate::server::SyncBase;
@@ -355,6 +355,10 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn check_invariants(&self) -> Result<(), String> {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order only decides which violation is reported first"
+        )]
         for (endpoint, id) in &self.by_endpoint {
             match self.by_instance.get(id).map(Record::endpoint) {
                 Some(Some(bound)) if bound == *endpoint => {}
@@ -367,11 +371,19 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
                 None => return Err(format!("endpoint index binds unregistered instance {id}")),
             }
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order only decides which violation is reported first"
+        )]
         for (token, id) in &self.by_token {
             if self.by_instance.get(id).and_then(|r| r.token) != Some(*token) {
                 return Err(format!("token index resumes {id} by a token its record lacks"));
             }
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order only decides which violation is reported first"
+        )]
         for (id, record) in &self.by_instance {
             if record.info.instance != *id {
                 return Err(format!(
@@ -393,7 +405,7 @@ impl<E: Copy + Eq + std::hash::Hash> Registry<E> {
                 return Err(format!("issued id {id} not below the id counter {}", self.next));
             }
             for (path, base) in record.objects.iter().flat_map(|o| &o.sync_bases) {
-                if delta::version_of_encoded(base.encoded.as_slice()) != base.version {
+                if visits::unmetered(|| base.encoded.version()) != base.version() {
                     return Err(format!("sync base of {id}'s {path} does not hash to its version"));
                 }
             }

@@ -283,6 +283,10 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
             }
             holders.insert(exec);
         }
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order only decides which violation is reported first"
+        )]
         for (exec_id, exec) in &self.execs {
             if !holders.contains(exec_id) {
                 return Err(format!("live exec {exec_id} holds no locks (doubled unlock?)"));

@@ -6,8 +6,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
+use cosoft_wire::delta::{self, VersionedState};
 use cosoft_wire::{
-    codec, delta, Bytes, CopyMode, EncodedState, GlobalObjectId, InstanceId, Message, Overwritten,
+    codec, Bytes, CopyMode, EncodedState, GlobalObjectId, InstanceId, Message, Overwritten,
     StateDelta, StateNode,
 };
 
@@ -33,26 +34,32 @@ pub(super) enum TransferKind {
 /// base is kept in its instance's registry record.
 #[derive(Debug, Clone)]
 pub(crate) struct SyncBase {
-    /// Content version of the state ([`delta::state_version`]).
-    pub(crate) version: u64,
-    /// The tree, which the next transfer is diffed against and the next
-    /// `CopyDelta` edits a clone of.
-    state: Arc<StateNode>,
-    /// The canonical encoding `version` is the fingerprint of: what a
-    /// full `ApplyState` leg splices in, and what the history files when
-    /// a destination acknowledges by reference that it overwrote this.
+    /// The tree with the hash of every node, the root's being its version
+    /// ([`delta::state_version`]): the next transfer is diffed against
+    /// it, and the next `CopyDelta` edits and rehashes a clone of it.
+    state: Arc<VersionedState>,
+    /// The canonical encoding of the tree: what a full `ApplyState` leg
+    /// splices in, and what the history files when a destination
+    /// acknowledges by reference that it overwrote this. Made at once,
+    /// because in the steady state of a presenter and its viewers every
+    /// base is filed so a round later.
     pub(crate) encoded: EncodedState,
 }
 
 impl SyncBase {
-    /// Encodes `state`, once, and fingerprints that encoding.
+    /// Hashes `state` and encodes it, once each.
     pub(super) fn of(state: StateNode) -> SyncBase {
-        let encoded = EncodedState::of(&state);
-        SyncBase {
-            version: delta::version_of_encoded(encoded.as_slice()),
-            state: Arc::new(state),
-            encoded,
-        }
+        SyncBase::hashed(VersionedState::new(state))
+    }
+
+    /// Encodes a state whose hashes are known.
+    fn hashed(state: VersionedState) -> SyncBase {
+        SyncBase { encoded: EncodedState::of(state.state()), state: Arc::new(state) }
+    }
+
+    /// The state's version.
+    pub(crate) fn version(&self) -> u64 {
+        self.state.version()
     }
 }
 
@@ -245,6 +252,10 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     /// be answered.
     pub(super) fn check_transfers(&self) -> Result<(), String> {
         let mut owned = 0;
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order only decides which violation is reported first"
+        )]
         for (group_id, g) in &self.transfer_groups {
             for req_id in g.legs.keys() {
                 if self.leg_groups.get(req_id) != Some(group_id) {
@@ -348,9 +359,10 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
     }
 
     /// The state a `CopyDelta` stands for: `delta` replayed on a clone of
-    /// `src`'s sync base, encoded once — the encoding the fan-out sends
-    /// and files. `None`, and no base left, when the base is missing or
-    /// carries another version, an edit does not apply, or that encoding
+    /// `src`'s sync base, which rehashes only the nodes it edits and their
+    /// ancestors, then encoded once — the encoding the fan-out sends and
+    /// files. `None`, and no base left, when the base is missing or
+    /// carries another version, an edit does not apply, or the result
     /// does not hash to `new_version`.
     pub(super) fn rebuild_push(
         &mut self,
@@ -360,9 +372,10 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
         delta: &StateDelta,
     ) -> Option<SyncBase> {
         let bases = &mut self.registry.objects_mut(src.instance)?.sync_bases;
-        let base = bases.remove(&src.path).filter(|base| base.version == base_version)?;
-        let pushed = SyncBase::of(delta::apply(&base.state, delta).ok()?);
-        (pushed.version == new_version).then_some(pushed)
+        let base = bases.remove(&src.path).filter(|base| base.version() == base_version)?;
+        let mut pushed = VersionedState::clone(&base.state);
+        pushed.apply(delta).ok()?;
+        (pushed.version() == new_version).then(|| SyncBase::hashed(pushed))
     }
 
     /// Sends `carried` to `dst` *and every object coupled with it*: a
@@ -414,7 +427,7 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                 self.registry.objects(target.instance).and_then(|o| o.sync_bases.get(&target.path));
             let (frame, diffed_against) = match base {
                 Some(base) => {
-                    let payload = match delta_cache.entry(base.version) {
+                    let payload = match delta_cache.entry(base.version()) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             self.stats.payload_reuses += 1;
                             e.into_mut()
@@ -422,12 +435,12 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                         std::collections::hash_map::Entry::Vacant(e) => {
                             self.stats.payload_encodes += 1;
                             e.insert(match known_edits {
-                                Some((from, edits)) if from == base.version => {
+                                Some((from, edits)) if from == base.version() => {
                                     codec::encode_delta_shared(edits)
                                 }
                                 _ => codec::encode_delta_shared(&delta::diff(
-                                    &base.state,
-                                    &carried.state,
+                                    base.state.state(),
+                                    carried.state.state(),
                                 )),
                             })
                         }
@@ -435,8 +448,8 @@ impl<E: Copy + Eq + Hash> ServerCore<E> {
                     let frame = codec::frame_apply_delta(
                         req_id,
                         &target.path,
-                        base.version,
-                        carried.version,
+                        base.version(),
+                        carried.version(),
                         payload,
                         mode,
                     );

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cosoft_wire::{AttrMap, AttrName, ObjectPath, StateNode, Value, WidgetKind};
+use cosoft_wire::{visits, AttrMap, AttrName, ObjectPath, StateNode, Value, WidgetKind};
 
 use crate::schema::{SchemaRegistry, WidgetSchema};
 use crate::UiError;
@@ -29,6 +29,10 @@ pub struct Widget {
     /// attribute written, or a child created or destroyed (its own
     /// creation included).
     stamp: u64,
+    /// The newest `stamp` in the widget's live subtree, its own included:
+    /// raised along the ancestors at every change, so a subtree that did
+    /// not change is known as such without entering it.
+    subtree: u64,
 }
 
 impl Widget {
@@ -151,24 +155,86 @@ impl WidgetTree {
 
     /// Whether no widget of the live subtree under `id` has changed since
     /// `since` was taken of this tree. `false` for a dead id and for a
-    /// stamp of another tree.
+    /// stamp of another tree. Reads one widget.
     pub fn unchanged_since(&self, id: WidgetId, since: TreeStamp) -> bool {
-        fn rec(tree: &WidgetTree, id: WidgetId, count: u64) -> bool {
+        visits::add(1);
+        since.lineage == self.lineage && self.widget(id).is_ok_and(|w| w.subtree <= since.count)
+    }
+
+    /// The live widgets under `id`, itself included, that changed since
+    /// `since` — an attribute written, a child created or destroyed, or
+    /// created themselves — in pre-order, each with the child indices
+    /// that lead to it from `id`. Walks down from `id` on the subtree
+    /// stamps: it reads the widgets on the way to a change and their
+    /// children, and enters no subtree in which nothing changed, so a
+    /// change costs its depth times the fanout. `None` for a dead id and
+    /// for a stamp of another tree.
+    pub fn changed_since(
+        &self,
+        id: WidgetId,
+        since: TreeStamp,
+    ) -> Option<Vec<(Vec<usize>, WidgetId)>> {
+        fn rec(
+            tree: &WidgetTree,
+            id: WidgetId,
+            count: u64,
+            at: &mut Vec<usize>,
+            out: &mut Vec<(Vec<usize>, WidgetId)>,
+        ) {
             let w = &tree.nodes[id.0];
-            w.stamp <= count && w.children.iter().all(|&c| rec(tree, c, count))
+            if w.stamp > count {
+                out.push((at.clone(), id));
+            }
+            for (i, &c) in w.children.iter().enumerate() {
+                visits::add(1);
+                if tree.nodes[c.0].subtree > count {
+                    at.push(i);
+                    rec(tree, c, count, at, out);
+                    at.pop();
+                }
+            }
         }
-        since.lineage == self.lineage && self.widget(id).is_ok() && rec(self, id, since.count)
+        if since.lineage != self.lineage || self.widget(id).is_err() {
+            return None;
+        }
+        visits::add(1);
+        let mut out = Vec::new();
+        if self.nodes[id.0].subtree > since.count {
+            rec(self, id, since.count, &mut Vec::new(), &mut out);
+        }
+        Some(out)
     }
 
     /// Counts one mutation and stamps `id` with it.
     fn touch(&mut self, id: WidgetId) {
         self.mutations += 1;
+        self.stamp_with(id);
+    }
+
+    /// Stamps `id` with the present mutation count and raises its
+    /// ancestors' subtree stamps.
+    fn stamp_with(&mut self, id: WidgetId) {
         self.nodes[id.0].stamp = self.mutations;
+        self.raise(id);
+    }
+
+    /// Raises the subtree stamp of `id` and of its ancestors to the
+    /// present mutation count: O(depth).
+    fn raise(&mut self, id: WidgetId) {
+        let mut at = Some(id);
+        while let Some(id) = at {
+            let w = &mut self.nodes[id.0];
+            w.subtree = self.mutations;
+            at = w.parent;
+        }
     }
 
     /// Mutable access to the schema registry, for registering custom
-    /// widget classes after construction.
+    /// widget classes after construction. What a snapshot keeps of a
+    /// widget may change with it, so every stamp taken before is then one
+    /// of another tree.
     pub fn registry_mut(&mut self) -> &mut SchemaRegistry {
+        self.lineage = fresh_lineage();
         &mut self.registry
     }
 
@@ -221,6 +287,7 @@ impl WidgetTree {
             lock_disabled: false,
             alive: true,
             stamp: 0,
+            subtree: 0,
         });
         self.touch(id);
         self.root = Some(id);
@@ -271,10 +338,11 @@ impl WidgetTree {
             lock_disabled: false,
             alive: true,
             stamp: 0,
+            subtree: 0,
         });
         self.nodes[parent.0].children.push(id);
         self.touch(id);
-        self.nodes[parent.0].stamp = self.mutations;
+        self.stamp_with(parent);
         Ok(id)
     }
 
@@ -294,7 +362,7 @@ impl WidgetTree {
         self.mutations += 1;
         if let Some(parent) = self.nodes[id.0].parent {
             self.nodes[parent.0].children.retain(|&c| c != id);
-            self.nodes[parent.0].stamp = self.mutations;
+            self.stamp_with(parent);
         }
         if self.root == Some(id) {
             self.root = None;
@@ -459,6 +527,28 @@ impl WidgetTree {
     /// [`UiError::UnknownPath`] for a dead id.
     pub fn snapshot(&self, id: WidgetId, relevant_only: bool) -> Result<StateNode, UiError> {
         let w = self.widget(id)?;
+        let mut node = self.own_state(w, relevant_only);
+        for &c in &w.children {
+            if self.nodes[c.0].alive {
+                node.children.push(self.snapshot(c, relevant_only)?);
+            }
+        }
+        Ok(node)
+    }
+
+    /// The widget alone, as [`WidgetTree::snapshot`] takes it: kind, name
+    /// and (relevant) attributes, no children.
+    ///
+    /// # Errors
+    ///
+    /// [`UiError::UnknownPath`] for a dead id.
+    pub fn snapshot_node(&self, id: WidgetId, relevant_only: bool) -> Result<StateNode, UiError> {
+        Ok(self.own_state(self.widget(id)?, relevant_only))
+    }
+
+    /// A widget's kind, name and (relevant) attributes; one visit.
+    fn own_state(&self, w: &Widget, relevant_only: bool) -> StateNode {
+        visits::add(1);
         let mut node = StateNode::new(w.kind.clone(), &w.name);
         let schema = self.registry.resolve(&w.kind);
         for (k, v) in &w.attrs {
@@ -475,12 +565,7 @@ impl WidgetTree {
                 node.attrs.insert(k.clone(), v.clone());
             }
         }
-        for &c in &w.children {
-            if self.nodes[c.0].alive {
-                node.children.push(self.snapshot(c, relevant_only)?);
-            }
-        }
-        Ok(node)
+        node
     }
 
     /// Walks the live subtree under `id` in pre-order.
@@ -654,5 +739,51 @@ mod tests {
         // Everything is relevant for unregistered custom kinds.
         let snap = t.snapshot(root, true).unwrap();
         assert!(snap.attrs.contains_key(&AttrName::custom("speed")));
+    }
+
+    #[test]
+    fn changed_since_enters_only_the_subtrees_that_changed() {
+        let (mut t, root) = tree_with_form();
+        let p1 = t.create(root, WidgetKind::Panel, "p1").unwrap();
+        let l1 = t.create(p1, WidgetKind::Label, "l1").unwrap();
+        let p2 = t.create(root, WidgetKind::Panel, "p2").unwrap();
+        let l2 = t.create(p2, WidgetKind::Label, "l2").unwrap();
+        let since = t.stamp();
+        let found = |t: &WidgetTree, id| t.changed_since(id, since).unwrap();
+        assert_eq!(found(&t, root), vec![]);
+        t.set_attr(l2, AttrName::Text, Value::Text("x".into())).unwrap();
+        assert!(t.unchanged_since(p1, since) && !t.unchanged_since(root, since));
+        assert_eq!(found(&t, root), vec![(vec![1, 0], l2)]);
+        let before = visits::total();
+        t.changed_since(root, since);
+        // The root, its two children, and p2's one child: p1 is not entered.
+        assert_eq!(visits::total() - before, 4);
+        t.destroy(l1).unwrap();
+        assert_eq!(found(&t, root), vec![(vec![0], p1), (vec![1, 0], l2)]);
+        let l3 = t.create(p2, WidgetKind::Label, "l3").unwrap();
+        assert_eq!(found(&t, p2), vec![(vec![], p2), (vec![0], l2), (vec![1], l3)]);
+        t.destroy(l2).unwrap();
+        assert_eq!(found(&t, p2), vec![(vec![], p2), (vec![0], l3)]);
+        assert_eq!(found(&t, p1), vec![(vec![], p1)]);
+        // A widget created after its parent's later siblings comes first
+        // all the same: pre-order, not creation order.
+        let l4 = t.create(p1, WidgetKind::Label, "l4").unwrap();
+        t.set_attr(l3, AttrName::Text, Value::Text("y".into())).unwrap();
+        assert_eq!(
+            found(&t, root),
+            vec![(vec![0], p1), (vec![0, 0], l4), (vec![1], p2), (vec![1, 0], l3)]
+        );
+    }
+
+    #[test]
+    fn a_stamp_vouches_for_its_own_tree_and_registry_only() {
+        let (mut t, root) = tree_with_form();
+        let since = t.stamp();
+        assert!(t.unchanged_since(root, since));
+        assert!(!t.clone().unchanged_since(root, since));
+        assert_eq!(t.clone().changed_since(root, since), None);
+        t.registry_mut();
+        assert!(!t.unchanged_since(root, since));
+        assert_eq!(t.changed_since(root, since), None);
     }
 }

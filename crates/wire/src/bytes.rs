@@ -129,6 +129,11 @@ impl BytesMut {
         self.put_slice(&v.to_le_bytes());
     }
 
+    /// Empties the buffer and keeps its room.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// The same bytes, immutable and shareable; nothing is copied.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)

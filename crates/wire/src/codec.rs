@@ -103,7 +103,7 @@ pub(crate) fn get_u8(buf: &mut Bytes, what: &'static str) -> Result<u8> {
 }
 
 #[inline]
-fn get_len(buf: &mut Bytes) -> Result<usize> {
+pub(crate) fn get_len(buf: &mut Bytes) -> Result<usize> {
     let n = u64::get(buf)?;
     if n > MAX_LEN {
         return Err(WireError::LengthOverflow { declared: n, max: MAX_LEN });
@@ -514,6 +514,12 @@ impl EncodedState {
     /// canonical value, exactly the bytes the frame carried otherwise.
     pub fn as_slice(&self) -> &[u8] {
         &self.0
+    }
+
+    /// [`crate::delta::version_of_encoded`] of the encoding: the decoded
+    /// tree's version when the encoding is canonical.
+    pub fn version(&self) -> u64 {
+        crate::delta::version_of_encoded(&self.0)
     }
 }
 

@@ -9,13 +9,20 @@
 //! is deterministic because [`AttrMap`] is a `BTreeMap`).
 //!
 //! Deltas are keyed to a *base version* — a content fingerprint of the
-//! snapshot they apply to ([`state_version`]). A receiver whose current
-//! sync base carries a different version must refuse the delta, which
-//! makes the server fall back to a full snapshot (`ApplyState`).
+//! snapshot they apply to ([`state_version`], a Merkle hash). A receiver
+//! whose current sync base carries a different version must refuse the
+//! delta, which makes the server fall back to a full snapshot
+//! (`ApplyState`). A [`VersionedState`] keeps the hash of every node
+//! beside a base, so replaying a delta on it rehashes only what the delta
+//! edits.
 
-use crate::{AttrMap, AttrName, StateNode, WidgetKind};
+use crate::{visits, AttrMap, AttrName, StateNode, WidgetKind};
 use std::collections::HashSet;
 use std::fmt;
+
+mod version;
+
+pub use version::{state_version, version_of_encoded, VersionedState};
 
 record! {
     /// A deterministic, attribute-level difference between two [`StateNode`]
@@ -186,6 +193,7 @@ fn diff_rec(
     path: &mut Vec<String>,
     edits: &mut Vec<NodeEdit>,
 ) {
+    visits::add(1);
     if base == target {
         return;
     }
@@ -256,18 +264,8 @@ fn diff_rec(
 /// snapshot instead.
 pub fn apply(base: &StateNode, delta: &StateDelta) -> Result<StateNode, DeltaError> {
     let mut out = base.clone();
-    apply_in_place(&mut out, delta)?;
+    delta.edits.iter().try_for_each(|edit| apply_edit(&mut out, edit))?;
     Ok(out)
-}
-
-/// [`apply`] on a base the caller owns and no longer needs: the edits
-/// turn `state` into the target where it stands.
-///
-/// # Errors
-///
-/// As [`apply`]; `state` is then left part-edited and must be discarded.
-pub fn apply_in_place(state: &mut StateNode, delta: &StateDelta) -> Result<(), DeltaError> {
-    delta.edits.iter().try_for_each(|edit| apply_edit(state, edit))
 }
 
 fn apply_edit(root: &mut StateNode, edit: &NodeEdit) -> Result<(), DeltaError> {
@@ -276,10 +274,19 @@ fn apply_edit(root: &mut StateNode, edit: &NodeEdit) -> Result<(), DeltaError> {
         node = node
             .children
             .iter_mut()
-            .find(|c| &c.name == seg)
+            .find(|c| {
+                visits::add(1);
+                &c.name == seg
+            })
             .ok_or_else(|| DeltaError::MissingNode { path: edit.path.join(".") })?;
     }
-    match &edit.op {
+    apply_op(node, &edit.op)
+}
+
+/// Performs `op` on the node it addresses.
+fn apply_op(node: &mut StateNode, op: &EditOp) -> Result<(), DeltaError> {
+    visits::add(1);
+    match op {
         EditOp::Patch(p) => {
             if let Some(kind) = &p.kind {
                 node.kind = kind.clone();
@@ -313,26 +320,6 @@ fn apply_edit(root: &mut StateNode, edit: &NodeEdit) -> Result<(), DeltaError> {
         }
     }
     Ok(())
-}
-
-/// Content-derived version of a snapshot: a 64-bit FNV-1a fingerprint of
-/// its canonical wire encoding. Two snapshots carry the same version iff
-/// they are structurally equal (modulo hash collisions), so version
-/// agreement between sender and receiver means their sync bases match and
-/// a delta against that base is safe to apply.
-pub fn state_version(s: &StateNode) -> u64 {
-    version_of_encoded(&crate::codec::encode_state_shared(s))
-}
-
-/// The same fingerprint as [`state_version`], computed over an
-/// already-encoded snapshot (avoids re-encoding on the hot fan-out path).
-pub fn version_of_encoded(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -464,6 +451,45 @@ mod tests {
         assert_eq!(state_version(&a), state_version(&a.clone()));
         assert_ne!(state_version(&a), state_version(&b));
         assert_eq!(state_version(&a), version_of_encoded(&crate::codec::encode_state_shared(&a)));
+    }
+
+    #[test]
+    fn a_node_of_many_children_finds_them_by_name_through_renames() {
+        // Twelve children, past the size that gets a name map; two share
+        // the name "c5", and the first of them is the one a path names.
+        let mut wide = StateNode::new(WidgetKind::Form, "root");
+        for i in 0..12 {
+            let name = if i == 9 { "c5".to_owned() } else { format!("c{i}") };
+            let child = StateNode::new(WidgetKind::TextField, &name)
+                .with_attr(AttrName::Text, Value::Text(format!("{i}")));
+            wide.children.push(child);
+        }
+        let mut versioned = VersionedState::new(wide.clone());
+        let at = |v: &VersionedState, name: &str| v.locate(&[name.to_owned()]).map(|(at, _)| at);
+        assert_eq!(at(&versioned, "c5"), Some(vec![5]));
+        assert_eq!(at(&versioned, "c11"), Some(vec![11]));
+        assert_eq!(at(&versioned, "nope"), None);
+        // A `Replace` that renames the first "c5": the second one is the
+        // namesake now, and the new name resolves.
+        let renamed = StateNode::new(WidgetKind::Label, "moved");
+        let d = StateDelta {
+            edits: vec![NodeEdit { path: vec!["c5".into()], op: EditOp::Replace(renamed.clone()) }],
+        };
+        versioned.apply(&d).unwrap();
+        wide.children[5] = renamed;
+        assert_eq!(versioned, VersionedState::new(wide.clone()));
+        assert_eq!(at(&versioned, "moved"), Some(vec![5]));
+        assert_eq!(at(&versioned, "c5"), Some(vec![9]));
+        assert_eq!(versioned.version(), state_version(&wide));
+    }
+
+    #[test]
+    fn bytes_that_are_no_state_hash_flat() {
+        let encoded = crate::codec::encode_state_shared(&sample());
+        let cut = crate::Bytes::from(encoded[..encoded.len() - 1].to_vec());
+        let padded = crate::Bytes::from([&encoded[..], &[0]].concat());
+        assert_ne!(version_of_encoded(&cut), version_of_encoded(&encoded));
+        assert_ne!(version_of_encoded(&padded), version_of_encoded(&encoded));
     }
 
     #[test]

@@ -71,6 +71,7 @@ mod id;
 mod message;
 mod state;
 mod value;
+pub mod visits;
 
 pub use bytes::{Bytes, BytesMut};
 pub use codec::{EncodedState, SharedFrame, Wire};

@@ -2,10 +2,13 @@
 //! `StateNode` trees (including semantic payloads, child reorders,
 //! renames and duplicate child names) `apply(a, diff(a, b))` must
 //! reconstruct `b` exactly — and therefore re-encode byte-identically —
-//! and the delta codec must round-trip.
+//! and the delta codec must round-trip. Versions are Merkle hashes: two
+//! states get equal versions iff their canonical encodings are equal, the
+//! tree and the encoding hash alike, and a `VersionedState` edited by a
+//! delta keeps the hashes a fresh hash of the result makes.
 
 use cosoft_rng::{forall, Rng};
-use cosoft_wire::delta::{apply, diff, state_version, version_of_encoded};
+use cosoft_wire::delta::{apply, diff, state_version, version_of_encoded, VersionedState};
 use cosoft_wire::{
     codec, AttrName, BytesMut, CopyMode, Message, ObjectPath, StateDelta, StateNode, Value,
     WidgetKind, Wire,
@@ -209,6 +212,85 @@ fn versions_are_content_derived() {
     forall(0..256, arb_state, |a| {
         assert_eq!(state_version(&a), state_version(&a.clone()));
         assert_eq!(state_version(&a), version_of_encoded(&codec::encode_state_shared(&a)));
+    });
+}
+
+/// A state one step away from `s`, as near as a different state gets:
+/// one attribute rewritten, added or dropped, one child renamed, or two
+/// children swapped, at a random node. The step may change nothing (a
+/// rename to the same name, a swap of equal children), which the
+/// property must then see as equal too.
+fn near_miss(r: &mut Rng, s: &StateNode) -> StateNode {
+    let mut t = s.clone();
+    let mut node = &mut t;
+    while !node.children.is_empty() && r.bool(0.6) {
+        let i = r.range(0..node.children.len());
+        node = &mut node.children[i];
+    }
+    match r.range(0..5) {
+        0 if !node.attrs.is_empty() => {
+            let name = node.attrs.keys().nth(r.range(0..node.attrs.len())).cloned().unwrap();
+            node.attrs.insert(name, arb_value(r));
+        }
+        1 if !node.attrs.is_empty() => {
+            let name = node.attrs.keys().nth(r.range(0..node.attrs.len())).cloned().unwrap();
+            node.attrs.remove(&name);
+        }
+        2 if !node.children.is_empty() => {
+            let i = r.range(0..node.children.len());
+            node.children[i].name = r.string("abcde", 1..=1) + &r.string("012", 0..=2);
+        }
+        3 if node.children.len() > 1 => {
+            let i = r.range(1..node.children.len());
+            node.children.swap(i - 1, i);
+        }
+        _ => {
+            node.attrs.insert(arb_attr_name(r), arb_value(r));
+        }
+    }
+    t
+}
+
+/// Two states get equal versions iff their canonical encodings are
+/// equal, over independent random pairs and near-miss pairs; and a
+/// state's version is its encoding's, computed in one pass over it.
+#[test]
+fn versions_are_equal_iff_encodings_are() {
+    let gen = |r: &mut Rng| {
+        let a = arb_state(r);
+        let b = if r.bool(0.5) { arb_state(r) } else { near_miss(r, &a) };
+        (a, b)
+    };
+    forall(0..512, gen, |(a, b)| {
+        let (ea, eb) = (codec::encode_state_shared(&a), codec::encode_state_shared(&b));
+        assert_eq!(ea == eb, state_version(&a) == state_version(&b));
+        assert_eq!(state_version(&a), version_of_encoded(&ea));
+        assert_eq!(state_version(&b), version_of_encoded(&eb));
+        assert_eq!(VersionedState::new(b.clone()).version(), state_version(&b));
+    });
+}
+
+/// A delta replayed on a `VersionedState` rehashes only what it edits,
+/// and what it keeps is what hashing the result afresh makes — over
+/// arbitrary pairs (replaces, restructures) and mutation chains.
+#[test]
+fn a_versioned_apply_keeps_fresh_hashes() {
+    let gen = |r: &mut Rng| {
+        let (a, b) = arb_pair(r);
+        (a, b, r.vec(1..6, |r| r.next_u64()), arb_attr_name(r), arb_value(r))
+    };
+    forall(0..256, gen, |(a, b, seeds, attr, value)| {
+        let mut versioned = VersionedState::new(a.clone());
+        versioned.apply(&diff(&a, &b)).expect("delta of (a, b) must apply to a");
+        assert_eq!(versioned, VersionedState::new(b.clone()));
+        let mut prev = b;
+        for seed in seeds {
+            let next = mutate(prev.clone(), seed, attr.clone(), value.clone());
+            versioned.apply(&diff(&prev, &next)).expect("mutation delta must apply");
+            assert_eq!(versioned.version(), state_version(&next));
+            assert_eq!(versioned, VersionedState::new(next.clone()));
+            prev = next;
+        }
     });
 }
 
