@@ -18,7 +18,7 @@ use cosoft_core::harness::SimHarness;
 use cosoft_core::session::{Session, SessionEvent};
 use cosoft_net::sim::NodeId;
 use cosoft_rng::{forall, Rng};
-use cosoft_server::{OverloadConfig, ShardRouter};
+use cosoft_server::{LivenessConfig, OverloadConfig, ShardRouter};
 use cosoft_uikit::{spec, Toolkit};
 use cosoft_wire::{
     codec, AccessRight, AttrName, CopyMode, EventKind, GlobalObjectId, InstanceId, Message,
@@ -1308,11 +1308,14 @@ fn leave_group_detaches_from_every_peer() {
 
 /// A seed names one run: two runs of it in one process deliver the same
 /// messages, byte for byte, at the same times, between the same nodes,
-/// at 1 and at 3 shards. Three coupled sessions race for the floor every
-/// round, so rounds are granted and rejected under jitter and each
-/// granted round unlocks three instances. Every `HashMap` in a process
-/// has its own random keys, so an order that reaches the wire from one
-/// shows here as two logs that differ.
+/// at 1 and at 3 shards. Under jitter, four coupled sessions race for
+/// the floor every round, so rounds are granted and rejected and each
+/// granted round unlocks the group. Between rounds one member copies to
+/// an uncoupled viewer, which undoes it; one member is reset and rejoins
+/// within its grace; the group's component migrates to another shard;
+/// and one member crashes. Every `HashMap` in a process has its own
+/// random keys, so an order that reaches the wire from one shows here
+/// as two logs that differ.
 #[test]
 fn deterministic_replay_same_seed_same_bytes() {
     type Log = Vec<(u64, NodeId, NodeId, Vec<u8>)>;
@@ -1322,30 +1325,59 @@ fn deterministic_replay_same_seed_same_bytes() {
             log.push((d.at_us, d.src, d.dst, codec::encode_message(&d.msg)));
         }
     }
+    fn race(h: &mut SimHarness, log: &mut Log, nodes: &[NodeId], round: usize) {
+        for (i, node) in nodes.iter().enumerate() {
+            type_text(h, *node, "f.t", &format!("r{round}-{i}"));
+        }
+        pump(h, log);
+    }
     fn run(seed: u64, shards: usize) -> Log {
         let mut h = SimHarness::new(seed);
-        h.server = ShardRouter::new(shards);
+        let liveness = LivenessConfig { grace_us: 60_000_000, ..LivenessConfig::default() };
+        h.server = ShardRouter::with_liveness(shards, liveness);
         h.net.set_latency(1_500, 1_000);
         let mut log = Log::new();
-        let nodes: Vec<NodeId> = (1..=3).map(|u| h.add_session(session(FIELD_FORM, u))).collect();
+        let nodes: Vec<NodeId> = (1..=4).map(|u| h.add_session(session(FIELD_FORM, u))).collect();
+        let viewer = h.add_session(session(FIELD_FORM, 5));
         pump(&mut h, &mut log);
         for pair in nodes.windows(2) {
             let dst = h.session(pair[1]).gid(&path("f.t")).unwrap();
             h.session_mut(pair[0]).couple(&path("f.t"), dst).unwrap();
             pump(&mut h, &mut log);
         }
-        for round in 0..6 {
-            for (i, node) in nodes.iter().enumerate() {
-                type_text(&mut h, *node, "f.t", &format!("r{round}-{i}"));
-            }
-            pump(&mut h, &mut log);
+        race(&mut h, &mut log, &nodes, 0);
+
+        let board = h.session(viewer).gid(&path("f.t")).unwrap();
+        h.session_mut(nodes[0]).copy_to(&path("f.t"), board.clone(), CopyMode::Strict).unwrap();
+        race(&mut h, &mut log, &nodes, 1);
+        h.session_mut(viewer).undo(board);
+        race(&mut h, &mut log, &nodes, 2);
+
+        h.disconnect(nodes[1]);
+        race(&mut h, &mut log, &[nodes[0], nodes[2], nodes[3]], 3);
+        h.reconnect(nodes[1]);
+        race(&mut h, &mut log, &nodes, 4);
+
+        let seed_instance = h.instance_of(nodes[0]).unwrap();
+        let home = h.server.shard_of_instance(seed_instance).unwrap();
+        let settle = h.server.migrate(seed_instance, (home + 1) % shards);
+        for (dst, msg) in settle.into_messages() {
+            h.net.send(cosoft_core::SERVER_NODE, dst, msg);
         }
+        race(&mut h, &mut log, &nodes, 5);
+
+        h.crash(nodes[3]);
+        race(&mut h, &mut log, &nodes[..3], 6);
+
         let stats = h.server.stats();
-        assert!(stats.events_granted >= 6 && stats.lock_conflicts > 0, "{stats:?}");
+        assert!(stats.events_granted >= 7 && stats.lock_conflicts > 0, "{stats:?}");
+        assert_eq!(stats.resumes, 1, "{stats:?}");
+        let handoffs = h.server.router_stats().handoffs_completed;
+        assert_eq!(handoffs > 0, shards > 1, "seed {seed} at {shards} shards");
         log
     }
     forall(
-        0..16,
+        0..32,
         |r| r.next_u64(),
         |seed| {
             for shards in [1, 3] {

@@ -7,12 +7,14 @@
 //!   FIFO links with seeded jitter, outages and connection resets. The
 //!   figures and most tests run here, replacing the paper's 1994 LAN
 //!   with a reproducible substrate.
-//! * [`tcp`] — real sockets (`std::net`, the crate's own [`queue`]) so the same
-//!   server and client logic also runs end-to-end over TCP. A fixed pool
-//!   of poll threads owns every socket of a host (the internal `poll`
-//!   module), so connection count adds state, not threads; a client
-//!   starts no thread, and each of its calls does its I/O on the
-//!   calling thread.
+//! * [`tcp`] — real sockets (`std::net`) so the same server and client
+//!   logic also runs end-to-end over TCP. A fixed pool of poll threads
+//!   owns every socket of a host (the internal `poll` module), so
+//!   connection count adds state, not threads; a client starts no
+//!   thread, and each of its calls does its I/O on the calling thread.
+//!   What one thread tells another goes through the crate's one
+//!   mailbox, [`tcp::Inbox`]: a poll thread's commands, a host's
+//!   connection events and a reconnecting client's lifecycle events.
 //!
 //! The server and client cores are written sans-I/O (they map an incoming
 //! message to outgoing messages) so both carriers drive identical logic.
@@ -23,7 +25,8 @@
 
 // No panic in what a socket can reach: clippy refuses these in the
 // crate's non-test code, and each exception is an `#[expect]` on the
-// site with the invariant that makes it infallible (DESIGN.md §7.1).
+// site with the invariant that makes it infallible. Nor does an order
+// that reaches an output come from a hash map's keys (DESIGN.md §7.1).
 #![cfg_attr(
     not(test),
     deny(
@@ -37,10 +40,10 @@
         clippy::allow_attributes_without_reason
     )
 )]
+#![deny(clippy::iter_over_hash_type)]
 
 pub(crate) mod lock;
 pub(crate) mod poll;
-pub mod queue;
 pub mod sim;
 pub mod tcp;
 

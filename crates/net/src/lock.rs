@@ -8,11 +8,11 @@
 //! |---|---|---|---|
 //! | 0 | [`ConnMapLock`] | the host-wide connection map | nothing |
 //! | 1 | [`OutboxLock`] | one connection's outbox (a client's with its socket's write half) | nothing, or the map |
-//! | 2 | [`LeafLock`] | queue state, a poll thread's inbox, gate generation, a client's receive state | nothing, or an outbox |
+//! | 2 | [`LeafLock`] | a mailbox, gate generation, a client's receive state | nothing, or an outbox |
 //!
 //! A thread climbs one rank at a time: the map orders before an outbox
 //! and nothing else (it is held to file, find or remove a connection,
-//! never over a channel send or a post), an outbox before a leaf, and
+//! never over a post), an outbox before a leaf, and
 //! nothing is taken under a leaf. Two locks of one rank are never held
 //! together, which also refuses taking the same lock twice — a deadlock
 //! on a `std` mutex — before it blocks.
@@ -67,7 +67,7 @@ impl<const RANK: u8, T> Ranked<RANK, T> {
 /// The guard a `lock()` or a condition-variable wait returns, poisoning
 /// ignored. A transport thread that panicked under a lock must not take
 /// the other connections' threads with it, and every structure these
-/// mutexes guard (connection map, outbox ring, queue, inbox, gate) is
+/// mutexes guard (connection map, outbox ring, mailbox, gate) is
 /// valid between any two of its updates.
 fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
@@ -80,15 +80,9 @@ pub(crate) struct Held<'a, T> {
 }
 
 impl<T> Held<'_, T> {
-    /// `Condvar::wait`. The rank stays on record across the wait: the
-    /// thread takes nothing while it sleeps and holds the lock again
+    /// `Condvar::wait_timeout`. The rank stays on record across the wait:
+    /// the thread takes nothing while it sleeps and holds the lock again
     /// when it wakes.
-    pub(crate) fn wait(self, cv: &Condvar) -> Self {
-        let Held { guard, _rank } = self;
-        Held { guard: unpoisoned(cv.wait(guard)), _rank }
-    }
-
-    /// `Condvar::wait_timeout`, the rank kept like [`Held::wait`].
     pub(crate) fn wait_timeout(self, cv: &Condvar, timeout: Duration) -> Self {
         let Held { guard, _rank } = self;
         Held { guard: unpoisoned(cv.wait_timeout(guard, timeout)).0, _rank }
@@ -233,7 +227,7 @@ mod tests {
             });
             let mut guard = guard;
             while *guard == 0 {
-                guard = guard.wait(&cv);
+                guard = guard.wait_timeout(&cv, Duration::from_secs(10));
             }
             assert_holds_only(LEAF);
         });

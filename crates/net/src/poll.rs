@@ -17,7 +17,7 @@
 //! buffered in ring outboxes and flushed on writability, an inbox lets
 //! other threads signal the loop — but readiness is discovered by
 //! adaptive nonblocking sweeps: each connection is read-probed on a
-//! per-connection backoff schedule, and the loop parks on its inbox's gate
+//! per-connection backoff schedule, and the loop parks on its inbox
 //! with an escalating timeout whenever a sweep makes no progress. Swapping
 //! the sweep for a real `Poll::poll` is a local change to [`PollThread`];
 //! nothing above this module would notice.
@@ -29,8 +29,8 @@
 //! read latency stays `(MAX_SKIP + 1) × MAX_PARK` plus sweep time: a
 //! quiet hot connection skips `MAX_SKIP` sweeps and is probed on the
 //! next, and a cold one is probed sooner than that. All a poll
-//! thread is told is mail in its one [`Inbox`], whose every post notifies
-//! the gate the thread parks on: a socket to adopt, a connection to close,
+//! thread is told is mail in its one [`Inbox`], whose every post wakes
+//! the thread parked on it: a socket to adopt, a connection to close,
 //! `Cmd::Dirty` for an enqueue (a cold connection rejoins the sweep before
 //! it runs) and `Cmd::Shutdown`, the thread's one exit. Every path that
 //! drops a pool stops it first (a thread that fails to spawn, an accept
@@ -51,8 +51,7 @@ use std::time::{Duration, Instant};
 
 use cosoft_wire::{codec, Bytes, Message};
 
-use crate::lock::{self, ConnMapLock, LeafLock, OutboxLock};
-use crate::queue::Sender;
+use crate::lock::{self, ConnMapLock, Held, LeafLock, OutboxLock};
 use crate::tcp::{deadline, ConnId, Counters, NetEvent, TcpHostConfig};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
@@ -94,7 +93,7 @@ const COLD_SLOT: Duration = Duration::from_micros(500);
 /// Generation-counted condvar: waiters capture the generation, check
 /// their condition, and sleep only if no notification happened in
 /// between — the classic lost-wakeup-free handshake. Backpressure, flush
-/// and receive waits park on one, and so does an idle poll thread.
+/// and receive waits park on one.
 #[derive(Debug, Default)]
 pub(crate) struct Gate {
     generation: LeafLock<u64>,
@@ -114,39 +113,110 @@ impl Gate {
         self.cv.notify_all();
     }
 
-    /// Sleeps until notified past `seen` or `timeout` elapses (`None`:
-    /// until notified). Returns immediately if a notification already
-    /// happened after `seen` was captured.
-    pub(crate) fn wait(&self, seen: u64, timeout: Option<Duration>) {
+    /// Sleeps until notified past `seen` or `timeout` elapses. Returns
+    /// immediately if a notification already happened after `seen` was
+    /// captured.
+    pub(crate) fn wait(&self, seen: u64, timeout: Duration) {
         let guard = self.generation.held();
         if *guard == seen {
-            drop(match timeout {
-                Some(timeout) => guard.wait_timeout(&self.cv, timeout),
-                None => guard.wait(&self.cv),
-            });
+            drop(guard.wait_timeout(&self.cv, timeout));
         }
     }
 }
 
-/// One poll thread's mail, in the order it was posted, and the gate the
-/// thread parks on. Its lock is a leaf, taken under no other lock.
-#[derive(Default)]
-pub(crate) struct Inbox {
-    mail: LeafLock<Vec<Cmd>>,
-    gate: Gate,
+/// The crate's one mailbox: what any thread posts, in post order, for
+/// the thread that takes it (a poll thread's commands, a host's
+/// [`NetEvent`]s, a reconnecting client's
+/// [`ClientEvent`](crate::tcp::ClientEvent)s). A post takes its leaf lock
+/// once, and a taker waits under that lock for mail or a close, so no post
+/// is missed. Once closed, posts are dropped and a wait on the empty box
+/// ends in `Disconnected`.
+pub struct Inbox<T> {
+    mail: LeafLock<Mail<T>>,
+    posted: Condvar,
 }
 
-impl Inbox {
-    /// Queues `cmd` for the thread and wakes it.
-    fn post(&self, cmd: Cmd) {
-        self.mail.held().push(cmd);
-        self.gate.notify();
+struct Mail<T> {
+    queue: VecDeque<T>,
+    closed: bool,
+}
+
+/// Why a receive or a take from an [`Inbox`] returned nothing.
+#[derive(Debug, PartialEq, Eq, Clone, Copy)]
+pub enum RecvTimeoutError {
+    /// Nothing arrived within the timeout (a `try_recv`'s is zero).
+    Timeout,
+    /// The mailbox is closed and empty.
+    Disconnected,
+}
+
+impl RecvTimeoutError {
+    /// Whether the wait ran out with the mailbox still open.
+    pub fn is_timeout(&self) -> bool {
+        matches!(self, RecvTimeoutError::Timeout)
+    }
+}
+
+impl<T> Default for Inbox<T> {
+    fn default() -> Self {
+        let mail = Mail { queue: VecDeque::new(), closed: false };
+        Inbox { mail: LeafLock::new(mail), posted: Condvar::new() }
+    }
+}
+
+impl<T> Inbox<T> {
+    /// Queues `item` and wakes a taker; dropped once the box is closed.
+    pub(crate) fn post(&self, item: T) {
+        let mut mail = self.mail.held();
+        if !mail.closed {
+            mail.queue.push_back(item);
+            drop(mail);
+            self.posted.notify_one();
+        }
     }
 
-    /// Empties `spare` and trades it for the mail: no allocation.
-    fn take(&self, spare: &mut Vec<Cmd>) {
+    /// Drops every later post and wakes every taker.
+    pub fn close(&self) {
+        self.mail.held().closed = true;
+        self.posted.notify_all();
+    }
+
+    /// The lock, once there is mail, waiting at most `timeout` for it.
+    fn wait(&self, timeout: Duration) -> Result<Held<'_, Mail<T>>, RecvTimeoutError> {
+        let mut mail = self.mail.held();
+        let mut until = None;
+        loop {
+            if !mail.queue.is_empty() {
+                return Ok(mail);
+            }
+            if mail.closed {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            let now = Instant::now();
+            let left = until.get_or_insert_with(|| deadline(now, timeout)).duration_since(now);
+            if left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            mail = mail.wait_timeout(&self.posted, left);
+        }
+    }
+
+    /// Trades `spare`, emptied first, for everything queued (no
+    /// allocation), waiting at most `timeout` for mail.
+    pub fn take(&self, spare: &mut VecDeque<T>, timeout: Duration) -> Result<(), RecvTimeoutError> {
         spare.clear();
-        std::mem::swap(&mut *self.mail.held(), spare);
+        std::mem::swap(&mut self.wait(timeout)?.queue, spare);
+        Ok(())
+    }
+
+    /// The oldest item, waiting at most `timeout` for one.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        self.wait(timeout)?.queue.pop_front().ok_or(RecvTimeoutError::Timeout)
+    }
+
+    /// The oldest item, if one is queued.
+    pub fn try_recv(&self) -> Result<T, RecvTimeoutError> {
+        self.recv_timeout(Duration::ZERO)
     }
 }
 
@@ -303,7 +373,7 @@ pub(crate) struct ConnShared {
     /// connection down, waking blocked enqueuers.
     gate: Gate,
     /// The owning poll thread's inbox.
-    inbox: Arc<Inbox>,
+    inbox: Arc<Inbox<Cmd>>,
 }
 
 impl ConnShared {
@@ -472,11 +542,11 @@ impl PollConn {
 
 /// One thread of the readiness pool: owns its connections' sockets,
 /// flushes outboxes on writability, reassembles inbound frames, and
-/// parks on its inbox's gate (its one wait) between unproductive sweeps.
+/// parks on its inbox (its one wait) between unproductive sweeps.
 struct PollThread {
-    inbox: Arc<Inbox>,
+    inbox: Arc<Inbox<Cmd>>,
     /// Where the host hears its connections' frames and `Disconnected`.
-    events: Sender<NetEvent>,
+    events: Arc<Inbox<NetEvent>>,
     conns_shared: ConnMap,
     counters: Arc<Counters>,
     /// Freshly registered connections must produce a first complete
@@ -489,12 +559,13 @@ impl PollThread {
     /// The loop. Exits on `Cmd::Shutdown`.
     fn run(mut self) {
         let mut scratch = vec![0u8; 64 * 1024];
-        let mut mail = Vec::new();
+        let mut mail = VecDeque::new();
         let mut park = MIN_PARK;
+        // How long the next take may wait for mail: after a pass that made
+        // progress, not at all. Mail posted during a pass ends the wait.
+        let mut wait = Duration::ZERO;
         loop {
-            // Mail posted from here on ends the park below at once.
-            let seen = self.inbox.gate.generation();
-            self.inbox.take(&mut mail);
+            let _ = self.inbox.take(&mut mail, wait);
             for cmd in mail.drain(..) {
                 match cmd {
                     Cmd::Register(id, stream, shared) => {
@@ -557,14 +628,15 @@ impl PollThread {
 
             if progressed {
                 park = MIN_PARK;
+                wait = Duration::ZERO;
                 continue;
             }
             // No park outlasts the next cold probe: each has its deadline.
             // With none due and none hot, only mail can bring work, and
-            // every post notifies.
+            // every post wakes the thread.
             let next = self.conns.due.front().map(|&(at, _)| at.saturating_duration_since(now));
             let idle = self.conns.hot.is_empty() && next.is_none();
-            self.inbox.gate.wait(seen, (!idle).then(|| next.map_or(park, |d| d.min(park))));
+            wait = if idle { Duration::MAX } else { next.map_or(park, |d| d.min(park)) };
             park = (park * 2).min(MAX_PARK);
         }
     }
@@ -609,7 +681,7 @@ impl PollThread {
         id: ConnId,
         counters: &Counters,
         scratch: &mut [u8],
-        events: &Sender<NetEvent>,
+        events: &Inbox<NetEvent>,
     ) -> io::Result<bool> {
         let mut read_any = false;
         let mut budget = MAX_READ_PER_SWEEP;
@@ -632,8 +704,7 @@ impl PollThread {
                 // First complete frame: the peer speaks the protocol,
                 // the handshake deadline (if any) is met.
                 conn.handshake_deadline = None;
-                // Receiver gone; the close or shutdown command follows.
-                let _ = events.send(NetEvent::Message(id, msg));
+                events.post(NetEvent::Message(id, msg));
             }
             budget = budget.saturating_sub(n);
             if budget == 0 || n < scratch.len() {
@@ -655,7 +726,7 @@ impl PollThread {
         self.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
         conn.gate.notify();
         let _ = stream.shutdown(std::net::Shutdown::Both);
-        let _ = self.events.send(NetEvent::Disconnected(id));
+        self.events.post(NetEvent::Disconnected(id));
     }
 }
 
@@ -741,25 +812,22 @@ pub(crate) struct Pool {
     pub(crate) config: TcpHostConfig,
     pub(crate) conns: ConnMap,
     pub(crate) counters: Arc<Counters>,
-    events: Sender<NetEvent>,
-    inboxes: Vec<Arc<Inbox>>,
+    pub(crate) events: Arc<Inbox<NetEvent>>,
+    inboxes: Vec<Arc<Inbox<Cmd>>>,
     next_id: AtomicU64,
 }
 
 impl Pool {
     /// Starts `config.io_threads` (at least one) poll threads, thread `i`
-    /// named `cosoft-poll-{i}`, which send their connections' events to
-    /// `events`. On a spawn failure the threads already started are
-    /// stopped.
-    pub(crate) fn spawn(
-        config: TcpHostConfig,
-        events: Sender<NetEvent>,
-    ) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
+    /// named `cosoft-poll-{i}`, which post their connections' events to
+    /// the pool's `events`. On a spawn failure the threads already started
+    /// are stopped.
+    pub(crate) fn spawn(config: TcpHostConfig) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
         let mut pool = Pool {
             config,
             conns: Arc::new(ConnMapLock::new(HashMap::new())),
             counters: Arc::default(),
-            events,
+            events: Arc::default(),
             inboxes: Vec::new(),
             next_id: AtomicU64::new(1),
         };
@@ -790,7 +858,7 @@ impl Pool {
     }
 
     /// Makes a connected socket nonblocking, hands it to a poll thread
-    /// (round-robin by id) and sends its `Connected`. Socket-option
+    /// (round-robin by id) and posts its `Connected`. Socket-option
     /// failures are counted.
     pub(crate) fn register(&self, stream: TcpStream) -> io::Result<ConnId> {
         if stream.set_nodelay(true).is_err() {
@@ -805,16 +873,12 @@ impl Pool {
             return Err(e);
         }
         let id = ConnId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        let stopped = || io::Error::new(io::ErrorKind::NotConnected, "poll pool stopped");
         let inbox = self.inboxes.get((id.0 as usize) % self.inboxes.len().max(1));
-        let inbox = inbox.ok_or_else(stopped)?.clone();
+        let inbox = inbox.ok_or(io::ErrorKind::NotConnected)?.clone();
         let conn =
             Arc::new(ConnShared { outbox: OutboxLock::default(), gate: Gate::default(), inbox });
         self.conns.held().insert(id, conn.clone());
-        if self.events.send(NetEvent::Connected(id)).is_err() {
-            self.shut(id);
-            return Err(stopped());
-        }
+        self.events.post(NetEvent::Connected(id));
         conn.inbox.post(Cmd::Register(id, stream, conn.clone()));
         Ok(id)
     }
@@ -871,7 +935,7 @@ impl Pool {
                     "outbound backlog stayed over its limits past the enqueue timeout",
                 ));
             }
-            conn.gate.wait(seen, Some(deadline - now));
+            conn.gate.wait(seen, deadline - now);
         }
     }
 
@@ -1073,13 +1137,13 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let shared = Arc::new(conn());
-        let mut spare = Vec::with_capacity(8);
+        let mut spare = VecDeque::with_capacity(8);
         inbox.post(Cmd::Dirty(A));
         inbox.post(Cmd::Register(B, stream, shared));
         inbox.post(Cmd::Dirty(B));
         inbox.post(Cmd::Close(A));
         inbox.post(Cmd::Shutdown);
-        inbox.take(&mut spare);
+        inbox.take(&mut spare, Duration::ZERO).unwrap();
         let got: Vec<_> = spare.iter().map(label).collect();
         assert_eq!(
             got,
@@ -1092,29 +1156,114 @@ mod tests {
             ]
         );
         // The inbox got the spare buffer, capacity and all; the next take
-        // trades it back, empty.
-        assert!(inbox.mail.held().capacity() >= 8);
-        inbox.take(&mut spare);
-        assert!(spare.is_empty() && spare.capacity() >= 8);
+        // finds no mail and leaves the spare empty.
+        assert!(inbox.mail.held().queue.capacity() >= 8);
+        assert_eq!(inbox.take(&mut spare, Duration::ZERO), Err(RecvTimeoutError::Timeout));
+        assert!(spare.is_empty());
 
-        // A post after `seen` ends a timed park at once.
-        let seen = inbox.gate.generation();
+        // Mail already queued ends a timed park at once.
         inbox.post(Cmd::Dirty(C));
         let start = Instant::now();
-        inbox.gate.wait(seen, Some(Duration::from_secs(5)));
+        inbox.take(&mut spare, Duration::from_secs(5)).unwrap();
         assert!(start.elapsed() < Duration::from_secs(1));
 
         // A post from another thread ends an untimed park.
-        let seen = inbox.gate.generation();
         let poster = inbox.clone();
         let posting = std::thread::spawn(move || poster.post(Cmd::Close(C)));
-        inbox.gate.wait(seen, None);
+        let mut parked = VecDeque::new();
+        inbox.take(&mut parked, Duration::MAX).unwrap();
         posting.join().unwrap();
-        inbox.take(&mut spare);
+        spare.append(&mut parked);
         assert_eq!(
             spare.iter().map(label).collect::<Vec<_>>(),
             [("dirty", Some(C)), ("close", Some(C))]
         );
+    }
+
+    const SHORT: Duration = Duration::from_millis(20);
+    const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn two_posting_threads_share_one_fifo() {
+        let inbox = Arc::new(Inbox::default());
+        inbox.post((0, 1));
+        inbox.post((1, 2));
+        inbox.post((0, 3));
+        assert_eq!(
+            [inbox.try_recv(), inbox.try_recv(), inbox.try_recv()],
+            [Ok((0, 1)), Ok((1, 2)), Ok((0, 3))]
+        );
+        assert_eq!(inbox.try_recv(), Err(RecvTimeoutError::Timeout));
+        // Across threads each poster's own order survives, taken one at a
+        // time and in batches.
+        let threads: Vec<_> = (0..2)
+            .map(|who| {
+                let inbox = inbox.clone();
+                std::thread::spawn(move || (0..500).for_each(|i| inbox.post((who, i))))
+            })
+            .collect();
+        let mut next = [0, 0];
+        let mut batch = VecDeque::new();
+        while next != [500, 500] {
+            match inbox.try_recv() {
+                Ok(item) => batch.push_back(item),
+                Err(_) => inbox.take(&mut batch, LONG).unwrap(),
+            }
+            for (who, i) in batch.drain(..) {
+                assert_eq!(i, next[who], "poster {who} reordered");
+                next[who] += 1;
+            }
+        }
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(inbox.try_recv(), Err(RecvTimeoutError::Timeout));
+    }
+
+    #[test]
+    fn an_expired_wait_says_timeout_not_disconnected() {
+        let inbox = Inbox::<u8>::default();
+        let err = inbox.recv_timeout(SHORT).unwrap_err();
+        assert!(err.is_timeout() && err == RecvTimeoutError::Timeout);
+        inbox.close();
+        let err = inbox.recv_timeout(LONG).unwrap_err();
+        assert!(!err.is_timeout() && err == RecvTimeoutError::Disconnected);
+        assert_eq!(inbox.take(&mut VecDeque::new(), LONG), Err(RecvTimeoutError::Disconnected));
+        assert_eq!(inbox.try_recv(), Err(RecvTimeoutError::Disconnected));
+    }
+
+    /// `Duration::MAX` is a deadline (`tcp::deadline`), not an overflow.
+    #[test]
+    fn a_wait_of_duration_max_takes_what_is_queued() {
+        let inbox = Inbox::default();
+        inbox.post(1u8);
+        assert_eq!(inbox.recv_timeout(Duration::MAX), Ok(1));
+        inbox.post(2);
+        let mut batch = VecDeque::new();
+        assert_eq!(inbox.take(&mut batch, Duration::MAX), Ok(()));
+        assert_eq!(batch, [2]);
+    }
+
+    #[test]
+    fn close_wakes_a_parked_receiver_after_it_drains_the_queue() {
+        let inbox = Arc::new(Inbox::default());
+        inbox.post(7u8);
+        let receiver = inbox.clone();
+        let parked = std::thread::spawn(move || {
+            [receiver.recv_timeout(LONG), receiver.recv_timeout(LONG), receiver.recv_timeout(LONG)]
+        });
+        inbox.post(8);
+        inbox.close();
+        // What was queued before the close is still delivered.
+        assert_eq!(parked.join().unwrap(), [Ok(7), Ok(8), Err(RecvTimeoutError::Disconnected)]);
+    }
+
+    #[test]
+    fn a_post_after_close_is_dropped() {
+        let inbox = Inbox::default();
+        inbox.post(3u8);
+        inbox.close();
+        inbox.post(4);
+        assert_eq!(inbox.try_recv(), Ok(3));
+        assert_eq!(inbox.try_recv(), Err(RecvTimeoutError::Disconnected));
     }
 
     // ----------------------------------------------------------------------

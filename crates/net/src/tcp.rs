@@ -1,5 +1,5 @@
 //! Real TCP transport: length-prefixed COSOFT frames over `std::net`
-//! sockets, delivered through the crate's own [`queue`](crate::queue).
+//! sockets, delivered through the crate's one mailbox, [`Inbox`].
 //! The server and client logic that runs over [`crate::sim`] runs here
 //! too; the integration tests, the examples and the benchmark use it.
 //!
@@ -41,7 +41,7 @@ use cosoft_wire::{Message, SharedFrame};
 
 use crate::lock::{LeafLock, OutboxLock};
 use crate::poll::{self, ConnMap, FrameReader, Gate, OutBatch, Outbox, Pool, MAX_PARK};
-use crate::queue::{unbounded, Receiver, Sender};
+pub use crate::poll::{Inbox, RecvTimeoutError};
 
 /// The instant `wait` after `from`, or, where the clock ends sooner, one
 /// at least halfway from `from` to its end: a caller's or a config's
@@ -53,7 +53,7 @@ pub fn deadline(from: Instant, wait: Duration) -> Instant {
 /// Dials `addr` once, for at most 100 ms, to wake a thread blocked in
 /// `accept` on it. A wildcard address (`0.0.0.0`, `::`) is not reliably
 /// connectable, so it is dialed at the loopback address of its family.
-pub fn wake_listener(addr: SocketAddr) {
+fn wake_listener(addr: SocketAddr) {
     let ip = match addr.ip() {
         ip if !ip.is_unspecified() => ip,
         IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
@@ -244,7 +244,6 @@ impl TcpStatsHandle {
 /// own all per-connection I/O; see the module docs for the model.
 pub struct TcpHost {
     local_addr: SocketAddr,
-    events: Receiver<NetEvent>,
     shutdown: Arc<AtomicBool>,
     pool: Arc<Pool>,
     threads: Vec<JoinHandle<()>>,
@@ -277,12 +276,11 @@ impl TcpHost {
     pub fn bind_with_config(addr: &str, config: TcpHostConfig) -> io::Result<TcpHost> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (tx, rx) = unbounded();
         let shutdown = Arc::new(AtomicBool::new(false));
 
         // The fixed I/O pool, spawned up front: a pool-spawn failure is
         // a bind error, not a per-connection casualty.
-        let (pool, threads) = Pool::spawn(config, tx)?;
+        let (pool, threads) = Pool::spawn(config)?;
         let pool = Arc::new(pool);
 
         let accept_pool = pool.clone();
@@ -336,14 +334,7 @@ impl TcpHost {
             }
         };
 
-        Ok(TcpHost {
-            local_addr,
-            events: rx,
-            shutdown,
-            pool,
-            threads,
-            accept_thread: Some(accept_thread),
-        })
+        Ok(TcpHost { local_addr, shutdown, pool, threads, accept_thread: Some(accept_thread) })
     }
 
     /// The bound address (useful with ephemeral ports).
@@ -356,9 +347,10 @@ impl TcpHost {
         self.pool.config
     }
 
-    /// Receiver of connection events.
-    pub fn events(&self) -> &Receiver<NetEvent> {
-        &self.events
+    /// The mailbox the host posts its connection events to. Closing it
+    /// ends a taker's waits once what was posted is taken.
+    pub fn events(&self) -> &Arc<Inbox<NetEvent>> {
+        &self.pool.events
     }
 
     /// Current transport counters.
@@ -637,9 +629,8 @@ pub struct TcpClient {
     inbound: LeafLock<Inbound>,
     /// Notified as a receive hands the link back.
     turn: Gate,
-    /// Lifecycle transitions; their receiver is kept only with a policy.
-    lifecycle: Sender<ClientEvent>,
-    events: Option<Receiver<ClientEvent>>,
+    /// Lifecycle transitions, kept only with a policy.
+    events: Option<Inbox<ClientEvent>>,
     closed: AtomicBool,
     reconnects: AtomicU64,
     reconnect_attempts: AtomicU64,
@@ -688,7 +679,6 @@ impl TcpClient {
     fn open(addr: SocketAddr, policy: Option<ReconnectPolicy>) -> io::Result<TcpClient> {
         let sockopt_failures = AtomicU64::new(0);
         let (stream, sending) = split(TcpStream::connect(addr), &sockopt_failures)?;
-        let (lifecycle, events) = unbounded();
         Ok(TcpClient {
             addr,
             policy,
@@ -700,8 +690,7 @@ impl TcpClient {
                 ready: VecDeque::new(),
             }),
             turn: Gate::default(),
-            lifecycle,
-            events: policy.map(|_| events),
+            events: policy.map(|_| Inbox::default()),
             closed: AtomicBool::new(false),
             reconnects: AtomicU64::new(0),
             reconnect_attempts: AtomicU64::new(0),
@@ -750,7 +739,14 @@ impl TcpClient {
             self.write_tail()?;
             // A write that moved bytes has notified: no wait, `ready` again.
             let left = deadline.saturating_duration_since(Instant::now());
-            self.drained.wait(seen, Some(MAX_PARK.min(left)));
+            self.drained.wait(seen, MAX_PARK.min(left));
+        }
+    }
+
+    /// Posts a lifecycle transition, for a client with a policy.
+    fn tell(&self, event: ClientEvent) {
+        if let Some(events) = &self.events {
+            events.post(event);
         }
     }
 
@@ -766,7 +762,7 @@ impl TcpClient {
                 Link::Down { attempt, at }
             }
             Some(_) => {
-                let _ = self.lifecycle.send(ClientEvent::GaveUp);
+                self.tell(ClientEvent::GaveUp);
                 Link::Dead
             }
             None => Link::Dead,
@@ -816,7 +812,7 @@ impl TcpClient {
         drop(inbound);
         self.sever();
         if !self.closed.load(Ordering::SeqCst) {
-            let _ = self.lifecycle.send(ClientEvent::Disconnected);
+            self.tell(ClientEvent::Disconnected);
         }
         self.schedule(1);
     }
@@ -844,7 +840,7 @@ impl TcpClient {
         // backoff again.
         self.busy_advice_ms.store(0, Ordering::Relaxed);
         self.inbound.held().link = Link::Up(stream);
-        let _ = self.lifecycle.send(ClientEvent::Reconnected { attempts: attempt });
+        self.tell(ClientEvent::Reconnected { attempts: attempt });
     }
 
     /// Sends a message to the server: queues it and writes what the
@@ -940,7 +936,7 @@ impl TcpClient {
                     return Err(RecvError::Timeout);
                 }
                 // Until the link is handed back or a dial comes due.
-                self.turn.wait(seen, Some(until - now));
+                self.turn.wait(seen, until - now);
                 continue;
             }
             once = false;
@@ -962,7 +958,7 @@ impl TcpClient {
 
     /// Lifecycle events, present when the client was created with
     /// [`TcpClient::connect_with_reconnect`].
-    pub fn events(&self) -> Option<&Receiver<ClientEvent>> {
+    pub fn events(&self) -> Option<&Inbox<ClientEvent>> {
         self.events.as_ref()
     }
 

@@ -15,6 +15,10 @@
 //! generator reads zeros, so lists end and choices take their first
 //! arm, and the smallest `n` that still fails is reported.
 
+// An order that reaches an output must come from a source, not from a
+// hash map's random keys (DESIGN.md §7.1).
+#![deny(clippy::iter_over_hash_type)]
+
 use std::any::Any;
 use std::fmt::Debug;
 use std::ops::{Bound, Range, RangeBounds, RangeInclusive};

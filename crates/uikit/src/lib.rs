@@ -41,6 +41,10 @@
 //! # }
 //! ```
 
+// An order that reaches an output must come from a source, not from a
+// hash map's random keys (DESIGN.md §7.1).
+#![deny(clippy::iter_over_hash_type)]
+
 mod error;
 pub mod feedback;
 pub mod render;

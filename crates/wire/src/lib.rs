@@ -58,6 +58,9 @@
         clippy::allow_attributes_without_reason
     )
 )]
+// An order that reaches an output must come from a source, not from a
+// hash map's random keys (DESIGN.md §7.1).
+#![deny(clippy::iter_over_hash_type)]
 
 #[macro_use]
 mod table;

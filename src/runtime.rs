@@ -1,24 +1,23 @@
 //! TCP runtime: runs the sans-I/O shard router and client sessions over
 //! real sockets (`cosoft-net`'s TCP transport).
 //!
-//! The server thread is recv → [`ShardRouter::turn`] → `send_batch`; the
+//! The server thread is take → [`ShardRouter::turn`] → `send_batch`; the
 //! deterministic simulation ([`cosoft_core::harness::SimHarness`]) runs
 //! the same turn on its virtual clock, so what tests check there is what
 //! a deployment runs here — see `examples/tcp_demo.rs` and the
 //! `tcp_end_to_end` integration test.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cosoft_core::session::Session;
-use cosoft_net::queue::RecvTimeoutError;
 use cosoft_net::tcp::{
-    deadline, wake_listener, ClientEvent, ConnId, ReconnectPolicy, RecvError, TcpClient, TcpHost,
-    TcpHostConfig, TcpStats, TcpStatsHandle,
+    deadline, ClientEvent, ConnId, Inbox, NetEvent, ReconnectPolicy, RecvError, RecvTimeoutError,
+    TcpClient, TcpHost, TcpHostConfig, TcpStats, TcpStatsHandle,
 };
 use cosoft_server::{LivenessConfig, OverloadConfig, RouterStats, ServerStats, ShardRouter};
 
@@ -31,7 +30,8 @@ use cosoft_server::{LivenessConfig, OverloadConfig, RouterStats, ServerStats, Sh
 /// policy surface as disconnects and take the §3.2 auto-decoupling path.
 pub struct TcpServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    /// The host's event mailbox; closing it stops the dispatch thread.
+    events: Arc<Inbox<NetEvent>>,
     stats: Arc<Mutex<(ServerStats, RouterStats)>>,
     net_stats: TcpStatsHandle,
     thread: Option<JoinHandle<()>>,
@@ -107,16 +107,15 @@ impl TcpServer {
         let local = host.local_addr();
         let net_stats = host.stats_handle();
         let stats = Arc::new(Mutex::new((ServerStats::default(), RouterStats::default())));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = shutdown.clone();
+        let events = host.events().clone();
         let published = stats.clone();
-        // The turn is event-driven: the transport's poll threads push
-        // into the event channel and the recv below wakes immediately.
-        // The timeout is only a liveness *tick* — it must fire often
-        // enough for quarantine grace / idle deadlines to expire without
-        // traffic (a quarter of the shortest deadline). Shutdown does not
-        // wait for it either: `Drop` wakes the loop with a dummy
-        // connection.
+        // The turn is event-driven: the transport's poll threads post to
+        // the host's mailbox and the take below wakes at once. The
+        // timeout is only a liveness *tick* — it must fire often enough
+        // for quarantine grace / idle deadlines to expire without
+        // traffic (a quarter of the shortest deadline); the router cannot
+        // name its next deadline without a scan. Shutdown does not wait
+        // for it either: `Drop` closes the mailbox.
         let tick = {
             let mut t = Duration::from_secs(1);
             for us in [liveness.grace_us, liveness.idle_timeout_us] {
@@ -130,17 +129,24 @@ impl TcpServer {
             let mut router: ShardRouter<ConnId> = ShardRouter::with_liveness(shards, liveness);
             router.set_overload(overload);
             let start = Instant::now();
-            while !stop.load(Ordering::SeqCst) {
-                let first = match host.events().recv_timeout(tick) {
-                    Ok(e) => Some(e),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                // Every event already queued joins the wakeup's turn, so
+            // What was taken from the mailbox and not yet handled. The
+            // thread waits for mail only while it is empty.
+            let mut batch = VecDeque::new();
+            loop {
+                if batch.is_empty()
+                    && host.events().take(&mut batch, tick) == Err(RecvTimeoutError::Disconnected)
+                {
+                    break;
+                }
+                // Every event posted before the turn runs dry joins it, so
                 // one wakeup becomes one coalesced batch per destination;
-                // what the turn's budget leaves stays queued.
-                let ready =
-                    first.into_iter().chain(std::iter::from_fn(|| host.events().try_recv().ok()));
+                // what the turn's budget leaves stays in `batch`.
+                let ready = std::iter::from_fn(|| {
+                    if batch.is_empty() {
+                        let _ = host.events().take(&mut batch, Duration::ZERO);
+                    }
+                    batch.pop_front()
+                });
                 let outgoing = router.turn(ready, start.elapsed().as_micros() as u64);
                 // Broadcast frames stay pre-encoded all the way down.
                 // Failures mean the peer vanished or was evicted as a
@@ -152,7 +158,7 @@ impl TcpServer {
                 }
             }
         })?;
-        Ok(TcpServer { addr: local, shutdown, stats, net_stats, thread: Some(thread) })
+        Ok(TcpServer { addr: local, events, stats, net_stats, thread: Some(thread) })
     }
 
     /// The bound address.
@@ -182,12 +188,9 @@ impl TcpServer {
 
 impl Drop for TcpServer {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the dispatch loop right away instead of letting shutdown
-        // wait out the liveness tick: a dummy connection surfaces as a
-        // Connected event (handled as a no-op) and the loop re-checks
-        // the flag.
-        wake_listener(self.addr);
+        // The dispatch thread handles what was posted before, then its
+        // wait ends at once instead of at the next liveness tick.
+        self.events.close();
         if let Some(t) = self.thread.take() {
             t.join().ok();
         }
@@ -281,12 +284,9 @@ impl TcpSession {
     /// Reacts to transport lifecycle events (reconnect-enabled clients
     /// only): a completed reconnect starts the session's rejoin.
     fn drain_client_events(&mut self) {
-        let Some(events) = self.client.events() else {
-            return;
-        };
-        let mut pending = Vec::new();
-        while let Ok(event) = events.try_recv() {
-            pending.push(event);
+        let mut pending = VecDeque::new();
+        if let Some(events) = self.client.events() {
+            let _ = events.take(&mut pending, Duration::ZERO);
         }
         for event in pending {
             if let ClientEvent::Reconnected { .. } = event {
@@ -356,33 +356,21 @@ impl TcpSession {
             if now >= deadline {
                 return Ok(false);
             }
-            match self.client.recv_within(deadline - now) {
-                Ok(msg) => {
-                    self.session.on_message(msg);
-                    self.drain_client_events();
-                    self.flush_for_pump()?;
-                }
-                Err(RecvError::Timeout) => {
-                    // Quiet but alive: check for lifecycle transitions
-                    // so a rejoin starts promptly.
-                    self.drain_client_events();
-                    self.flush_for_pump()?;
-                }
-                Err(RecvError::Disconnected) => {
-                    // Gone for good (closed, or the redials gave up):
-                    // nothing will ever arrive again. Drain the
-                    // last lifecycle events and sit out the remainder of
-                    // the window instead of hot-spinning on the dead
-                    // receiver, which is what the collapsed recv_timeout
-                    // used to force here.
-                    self.drain_client_events();
-                    self.flush_for_pump()?;
-                    let now = Instant::now();
-                    if now < deadline {
-                        std::thread::sleep(deadline - now);
-                    }
-                    return Ok(done(&self.session));
-                }
+            let received = self.client.recv_within(deadline - now);
+            let gone = received == Err(RecvError::Disconnected);
+            if let Ok(msg) = received {
+                self.session.on_message(msg);
+            }
+            // After a quiet receive too, so a reconnect starts its rejoin
+            // promptly.
+            self.drain_client_events();
+            self.flush_for_pump()?;
+            if gone {
+                // Gone for good (closed, or the redials gave up): nothing
+                // will ever arrive again, so sit out the rest of the window
+                // instead of spinning on the dead client.
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                return Ok(done(&self.session));
             }
         }
     }

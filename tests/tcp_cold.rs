@@ -12,9 +12,11 @@
 //!   the next wake, not at their next probe.
 //!
 //! And what an idle transport costs: a poll thread with no connection
-//! parks until a command wakes it, connected clients add no thread, and
-//! an idle client's receive wakes none. All three read
-//! `/proc/self/task` (Linux).
+//! parks until a command wakes it, connected clients add no thread, an
+//! idle client's receive wakes none, and an idle server's dispatch
+//! thread waits on its event mailbox for the liveness tick. All four
+//! read `/proc/self/task` (Linux). The dispatch thread's other side: a
+//! burst past a turn's budget is answered without waiting for a tick.
 //!
 //! `stalled_peer_hits_the_handshake_deadline` in `tcp_chaos.rs` (a
 //! 250 ms deadline, past `COLD_AFTER`) guards the deadline check on the
@@ -26,7 +28,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cosoft::net::tcp::{ConnId, NetEvent, TcpClient, TcpHost};
-use cosoft::wire::{codec, Message, SharedFrame};
+use cosoft::runtime::TcpServer;
+use cosoft::wire::{codec, Message, SharedFrame, UserId};
 
 /// `poll.rs`'s quiet time before a connection goes cold.
 const COLD_AFTER: Duration = Duration::from_millis(100);
@@ -248,12 +251,17 @@ fn thread_named(name: &str) -> String {
     }
 }
 
-/// How many times thread `tid` has run: the third field of its
-/// `schedstat`.
-fn run_count(tid: &str) -> u64 {
+/// Field `n` of thread `tid`'s `schedstat`: 0 is its time on a CPU in
+/// nanoseconds, 2 how many times it has run.
+fn schedstat(tid: &str, n: usize) -> u64 {
     let stat =
         std::fs::read_to_string(format!("/proc/self/task/{tid}/schedstat")).expect("schedstat");
-    stat.split_whitespace().nth(2).and_then(|n| n.parse().ok()).expect("run count")
+    stat.split_whitespace().nth(n).and_then(|n| n.parse().ok()).expect("schedstat field")
+}
+
+/// How many times thread `tid` has run.
+fn run_count(tid: &str) -> u64 {
+    schedstat(tid, 2)
 }
 
 /// A poll thread with no connection has nothing due, so it parks until
@@ -380,4 +388,59 @@ fn an_idle_client_wakes_no_thread() {
         host.send(id, &Message::Pong { nonce: 2 }).expect("pong");
         assert_eq!(receiver.join().expect("receiver"), Ok(Message::Pong { nonce: 2 }));
     });
+}
+
+/// An idle server's dispatch thread waits on the host's event mailbox
+/// for its liveness tick (1 s with liveness off): over 500 ms it runs at
+/// most 5 times and spends at most 50 ms on a CPU. One that woke on a
+/// short timer runs hundreds of times; one that spun on an empty
+/// mailbox keeps a CPU nearly the whole time, in few runs.
+#[test]
+fn an_idle_server_runs_its_dispatch_thread_only_at_its_tick() {
+    let _serial = serial();
+    let server = TcpServer::spawn("127.0.0.1:0").expect("bind");
+    let tid = thread_named("cosoft-server");
+    // Past the thread's start.
+    std::thread::sleep(Duration::from_millis(50));
+    let (runs, cpu) = (run_count(&tid), schedstat(&tid, 0));
+    std::thread::sleep(Duration::from_millis(500));
+    let ran = run_count(&tid) - runs;
+    let busy = Duration::from_nanos(schedstat(&tid, 0) - cpu);
+    assert!(
+        ran <= 5 && busy <= Duration::from_millis(50),
+        "an idle dispatch thread ran {ran} times in 500 ms, {busy:?} of it on a CPU"
+    );
+    drop(server);
+}
+
+/// 300 events at once, past a turn's budget of 256: what the first turn
+/// leaves is handled at once, not after the next mail or the 1 s tick.
+/// One raw client registers, writes 300 `Ping`s in one write and reads
+/// all 300 `Pong`s back within 200 ms.
+#[test]
+fn a_burst_past_the_turn_budget_is_answered_without_waiting_for_the_tick() {
+    const PINGS: u64 = 300;
+    let _serial = serial();
+    let server = TcpServer::spawn("127.0.0.1:0").expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+    let mut client = BufReader::new(stream);
+    let register =
+        Message::Register { user: UserId(1), host: "burst".into(), app_name: "t".into() };
+    client.get_mut().write_all(&codec::frame_message(&register)).expect("register");
+    while !matches!(codec::read_frame(&mut client).expect("read"), Some(Message::Welcome { .. })) {}
+
+    let burst: Vec<u8> =
+        (0..PINGS).flat_map(|nonce| codec::frame_message(&Message::Ping { nonce })).collect();
+    let sent = Instant::now();
+    client.get_mut().write_all(&burst).expect("burst");
+    let mut next = 0;
+    while next < PINGS {
+        match codec::read_frame(&mut client).expect("read pong") {
+            Some(Message::Pong { nonce }) if nonce == next => next += 1,
+            other => panic!("expected pong {next}, got {other:?}"),
+        }
+    }
+    let took = sent.elapsed();
+    assert!(took <= Duration::from_millis(200), "{PINGS} pings took {took:?} to answer");
 }

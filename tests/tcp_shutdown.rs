@@ -1,8 +1,9 @@
 //! Deterministic-shutdown regressions: session close used to sleep an
 //! arbitrary 20 ms hoping the goodbye frames had left, and server drop
 //! waited out a 50 ms dispatch poll. Both are handshakes now — close
-//! waits on the client writer's flush signal, drop wakes the dispatch
-//! loop — so these tests assert outcomes, not timing luck.
+//! writes its goodbye itself, waiting on the client's drain gate between
+//! tries, and drop closes the dispatch thread's event mailbox — so these
+//! tests assert outcomes, not timing luck.
 
 use std::time::{Duration, Instant};
 
@@ -36,8 +37,8 @@ fn wait_for(server: &TcpServer, what: &str, ok: impl Fn(&TcpServer) -> bool) {
 /// The goodbye actually flushes: with a long quarantine grace, a client
 /// that merely *vanishes* gets quarantined, while one whose `Deregister`
 /// reached the server is deregistered outright. `close()` must always
-/// land in the second bucket — that is what the flush handshake (writer
-/// signals `close` when the frames hit the socket) guarantees, where the
+/// land in the second bucket — that is what the flush handshake (`close`
+/// writes until the frames have hit the socket) guarantees, where the
 /// old fixed 20 ms nap merely gambled on it.
 #[test]
 fn session_close_deregisters_instead_of_quarantining() {
@@ -57,13 +58,14 @@ fn session_close_deregisters_instead_of_quarantining() {
         stats.quarantined_instances, 0,
         "close() lost the Deregister and the server had to quarantine the instance"
     );
-    // Bounded even so: the handshake waits for the flush signal, not a
-    // wedged socket.
+    // Bounded even so: the handshake writes for at most its flush
+    // timeout, never for as long as a wedged socket would take.
     assert!(close_elapsed < Duration::from_secs(2), "close took {close_elapsed:?}");
 }
 
 /// Dropping the server must not wait out the dispatch tick (1 s when
-/// liveness is off): `Drop` wakes the loop with a dummy connection.
+/// liveness is off): `Drop` closes the host's event mailbox, which ends
+/// the dispatch thread's wait at once.
 #[test]
 fn server_drop_joins_promptly() {
     let server = TcpServer::spawn("127.0.0.1:0").expect("bind");
