@@ -10,8 +10,10 @@
 //! * [`tcp`] — real sockets (`std::net`) so the same server and client
 //!   logic also runs end-to-end over TCP. A fixed pool of poll threads
 //!   owns every socket of a host (the internal `poll` module), so
-//!   connection count adds state, not threads; a client starts no
-//!   thread, and each of its calls does its I/O on the calling thread.
+//!   connection count adds state, not threads; a host given a turn (the
+//!   server's dispatch step) runs it on its first poll thread. A client
+//!   starts no thread, and each of its calls does its I/O on the calling
+//!   thread.
 //!   What one thread tells another goes through the crate's one
 //!   mailbox, [`tcp::Inbox`]: a poll thread's commands, a host's
 //!   connection events and a reconnecting client's lifecycle events.

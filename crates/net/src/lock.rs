@@ -17,10 +17,17 @@
 //! together, which also refuses taking the same lock twice — a deadlock
 //! on a `std` mutex — before it blocks.
 //!
+//! A host's turn runs on a poll thread with none of these held, and
+//! what the turn locks inside is its own: the table needs no row for it.
+//! Its frames keep turn order because one thread queues them all, not
+//! because of a lock. Sending them takes the map (to find a connection,
+//! released), then an outbox (released), then a leaf (a dirty mark).
+//!
 //! Debug builds keep a thread-local record of the ranks a thread holds
 //! and assert the rule at every acquisition, so each test run checks the
 //! orders that actually occur; [`assert_holds_only`] lets a socket
-//! write, a poll thread's or a client's, assert what it runs under. Release builds
+//! write, a poll thread's or a client's, assert what it runs under, and
+//! [`assert_holds_none`] the turn. Release builds
 //! compile none of it: a [`Held`] is then a `MutexGuard` and nothing
 //! else.
 
@@ -143,6 +150,17 @@ impl Drop for HeldRank {
     }
 }
 
+/// Debug builds: panics unless this thread holds no lock of this crate.
+pub(crate) fn assert_holds_none() {
+    #[cfg(debug_assertions)]
+    HELD.with_borrow(|held| {
+        assert!(
+            held.is_empty(),
+            "holding ranks {held:?} where none may be held (crates/net/src/lock.rs)"
+        );
+    });
+}
+
 /// Debug builds: panics unless this thread holds exactly one lock, of
 /// `rank`.
 pub(crate) fn assert_holds_only(rank: u8) {
@@ -161,10 +179,6 @@ pub(crate) fn assert_holds_only(rank: u8) {
 mod tests {
     use super::*;
 
-    fn assert_holds_nothing() {
-        HELD.with_borrow(|held| assert!(held.is_empty(), "{held:?}"));
-    }
-
     #[test]
     fn one_rank_at_a_time_upwards_released_in_any_order() {
         let (map, outbox, leaf) = (ConnMapLock::new(()), OutboxLock::new(()), LeafLock::new(()));
@@ -177,7 +191,7 @@ mod tests {
         // Nothing is left on record: the lowest rank can be taken again.
         drop(map.held());
         drop(leaf.held());
-        assert_holds_nothing();
+        assert_holds_none();
     }
 
     #[test]
@@ -231,6 +245,6 @@ mod tests {
             }
             assert_holds_only(LEAF);
         });
-        assert_holds_nothing();
+        assert_holds_none();
     }
 }

@@ -2,7 +2,7 @@
 //! poll threads owning nonblocking sockets, per-connection ring-buffer
 //! outboxes flushed on writability, incremental frame reassembly on
 //! readability, and generation-counted gates replacing every sleep-poll.
-//! A pool is a host's: it reads and writes the host's sockets and sends
+//! A pool is a host's: it reads and writes the host's sockets and hands
 //! their events to the host. A client has no pool; it writes through the
 //! same [`Outbox`] and [`flush`] on its caller's thread (see
 //! [`nonblocking`]).
@@ -32,13 +32,35 @@
 //! thread is told is mail in its one [`Inbox`], whose every post wakes
 //! the thread parked on it: a socket to adopt, a connection to close,
 //! `Cmd::Dirty` for an enqueue (a cold connection rejoins the sweep before
-//! it runs) and `Cmd::Shutdown`, the thread's one exit. Every path that
-//! drops a pool stops it first (a thread that fails to spawn, an accept
-//! thread that fails to start, `TcpHost`'s drop).
+//! it runs), `Cmd::Event` for the turn it runs and `Cmd::Shutdown`, the
+//! thread's one exit. Every path that drops a pool stops it first (a
+//! thread that fails to spawn, an accept thread that fails to start,
+//! `TcpHost`'s drop).
+//!
+//! # Where a pass's events go
+//!
+//! A host bound with a turn (`TcpHost::bind_with_turn`, the server's
+//! dispatch step) runs it on poll thread 0, at the end of each pass, on
+//! the events that pass produced: no other thread sits between a frame's
+//! read and its replies. The turn takes at most its budget of events and
+//! what it leaves runs on the next pass, without parking; with no event
+//! it still runs once per tick, and the tick bounds the thread's park.
+//! The turn's frames for thread 0's own connections are written in the
+//! same pass; those for another thread's connections are queued and
+//! mailed to it (`Cmd::Dirty`). The other threads post their events, in
+//! order, to thread 0's inbox, so one thread enqueues every frame and a
+//! connection's frames keep turn order with no lock of their own. A turn
+//! never waits on an outbox: a batch over budget is queued all the same,
+//! and the connection's poll thread evicts it as a slow consumer once its
+//! backlog has stayed over budget for the enqueue timeout.
+//!
+//! A host bound without a turn posts each pass's events to its mailbox
+//! (`TcpHost::events`) for a thread of the caller's to take.
 //!
 //! A host's thread count is fixed at bind time by its config's
 //! `io_threads`. Connection count adds no threads, and a thread with
-//! nothing to sweep or probe parks until mail wakes it.
+//! nothing to sweep or probe parks until mail (or its turn's tick) wakes
+//! it.
 
 use std::borrow::BorrowMut;
 use std::collections::{HashMap, VecDeque};
@@ -49,10 +71,10 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cosoft_wire::{codec, Bytes, Message};
+use cosoft_wire::{codec, Bytes, Message, SharedFrame};
 
 use crate::lock::{self, ConnMapLock, Held, LeafLock, OutboxLock};
-use crate::tcp::{deadline, ConnId, Counters, NetEvent, TcpHostConfig};
+use crate::tcp::{deadline, ConnId, Counters, NetEvent, TcpHostConfig, Turn};
 
 /// Most segments gathered into one vectored write (IOV_MAX headroom).
 const MAX_IOV: usize = 256;
@@ -167,11 +189,21 @@ impl<T> Default for Inbox<T> {
 impl<T> Inbox<T> {
     /// Queues `item` and wakes a taker; dropped once the box is closed.
     pub(crate) fn post(&self, item: T) {
+        self.post_all([item]);
+    }
+
+    /// Queues `items` in order under one taking of the lock and wakes a
+    /// taker, if there were any; dropped once the box is closed.
+    pub(crate) fn post_all(&self, items: impl IntoIterator<Item = T>) {
         let mut mail = self.mail.held();
         if !mail.closed {
-            mail.queue.push_back(item);
+            let before = mail.queue.len();
+            mail.queue.extend(items);
+            let posted = mail.queue.len() > before;
             drop(mail);
-            self.posted.notify_one();
+            if posted {
+                self.posted.notify_one();
+            }
         }
     }
 
@@ -238,8 +270,8 @@ pub(crate) struct OutBatch {
     pub(crate) bytes: usize,
 }
 
-/// Per-connection ring buffer of pending writes. The router thread
-/// appends under the lock; the owning poll thread flushes from the head
+/// Per-connection ring buffer of pending writes. A sender (the host's
+/// turn, or a caller of the host's sends) appends under the lock; the owning poll thread flushes from the head
 /// on writability, tracking partial progress so a short `writev` never
 /// re-sends bytes. It counts its own backlog: [`Outbox::push`] adds a
 /// batch's bytes, a write subtracts what the writer took.
@@ -506,6 +538,9 @@ pub(crate) enum Cmd {
     /// Tear one connection down (eviction or disconnect) and surface its
     /// `Disconnected` event.
     Close(ConnId),
+    /// An event for the turn this thread runs: another poll thread's, or
+    /// a `Connected` from the accept thread.
+    Event(NetEvent),
     /// Tear everything down and exit.
     Shutdown,
 }
@@ -527,6 +562,9 @@ struct PollConn {
     handshake_deadline: Option<Instant>,
     /// Start of the last sweep that moved bytes (or registration).
     last_traffic: Instant,
+    /// Since when a write has found the backlog over budget, while it
+    /// stays so; past the enqueue timeout the connection is evicted.
+    over_since: Option<Instant>,
 }
 
 impl PollConn {
@@ -538,21 +576,55 @@ impl PollConn {
         }
         Ok(())
     }
+
+    /// Writes what the socket takes of the outbox, in the pass that
+    /// started at `now`. Returns whether bytes moved and whether nothing
+    /// is left queued; `TimedOut` (counted as an eviction) once the
+    /// backlog has stayed over budget for the enqueue timeout, any other
+    /// `Err` the socket's.
+    fn write(&mut self, pool: &Pool, now: Instant) -> io::Result<(bool, bool)> {
+        let (stream, shared, counters) = (&self.stream, &self.shared, &pool.counters);
+        let left =
+            flush(&shared.outbox, |ob| ob.write_to(stream), |w| shared.drained(w, counters))?;
+        if left.wrote {
+            // A write usually provokes a reply; probe eagerly again.
+            (self.skip, self.skip_limit) = (0, 0);
+        }
+        self.over_since = pool
+            .config
+            .over_budget(left.batches, left.bytes)
+            .then(|| self.over_since.unwrap_or(now));
+        if self.over_since.is_some_and(|since| {
+            now.saturating_duration_since(since) >= pool.config.enqueue_timeout
+        }) {
+            counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        Ok((left.wrote, left.batches == 0))
+    }
+}
+
+/// The host's turn, on the thread that runs it.
+struct Ticked {
+    turn: Turn,
+    /// Longest time between two turns.
+    tick: Duration,
+    /// When the turn runs with no event.
+    due: Instant,
 }
 
 /// One thread of the readiness pool: owns its connections' sockets,
-/// flushes outboxes on writability, reassembles inbound frames, and
-/// parks on its inbox (its one wait) between unproductive sweeps.
+/// flushes outboxes on writability, reassembles inbound frames, runs the
+/// host's turn if it is thread 0 of a host with one, and parks on its
+/// inbox (its one wait) between unproductive sweeps.
 struct PollThread {
+    pool: Arc<Pool>,
     inbox: Arc<Inbox<Cmd>>,
-    /// Where the host hears its connections' frames and `Disconnected`.
-    events: Arc<Inbox<NetEvent>>,
-    conns_shared: ConnMap,
-    counters: Arc<Counters>,
-    /// Freshly registered connections must produce a first complete
-    /// frame within this long; zero disables the deadline.
-    handshake_timeout: Duration,
     conns: Conns<PollConn>,
+    /// Events of this pass (and, for a turn, those its budget left), in
+    /// the order they happened.
+    events: VecDeque<NetEvent>,
+    turn: Option<Ticked>,
 }
 
 impl PollThread {
@@ -560,6 +632,7 @@ impl PollThread {
     fn run(mut self) {
         let mut scratch = vec![0u8; 64 * 1024];
         let mut mail = VecDeque::new();
+        let mut ids = Vec::new();
         let mut park = MIN_PARK;
         // How long the next take may wait for mail: after a pass that made
         // progress, not at all. Mail posted during a pass ends the wait.
@@ -570,6 +643,7 @@ impl PollThread {
                 match cmd {
                     Cmd::Register(id, stream, shared) => {
                         let now = Instant::now();
+                        let handshake = self.pool.config.handshake_timeout;
                         self.conns.hot.insert(
                             id,
                             PollConn {
@@ -578,19 +652,25 @@ impl PollThread {
                                 frames: FrameReader::default(),
                                 skip: 0,
                                 skip_limit: 0,
-                                handshake_deadline: (!self.handshake_timeout.is_zero())
-                                    .then(|| deadline(now, self.handshake_timeout)),
+                                handshake_deadline: (!handshake.is_zero())
+                                    .then(|| deadline(now, handshake)),
                                 last_traffic: now,
+                                over_since: None,
                             },
                         );
                     }
                     Cmd::Dirty(id) => self.conns.heat(id),
                     Cmd::Close(id) => self.teardown(id),
+                    Cmd::Event(event) => self.events.push_back(event),
                     Cmd::Shutdown => {
                         let Conns { hot, cold, .. } = &self.conns;
-                        let ids: Vec<ConnId> = hot.keys().chain(cold.keys()).copied().collect();
-                        for id in ids {
+                        ids.clear();
+                        ids.extend(hot.keys().chain(cold.keys()).copied());
+                        for &id in &ids {
                             self.teardown(id);
+                        }
+                        if self.turn.is_none() {
+                            self.pool.post_events(self.events.drain(..));
                         }
                         return;
                     }
@@ -601,8 +681,8 @@ impl PollThread {
             let mut progressed = false;
             // A cold probe is the handshake deadline and one read (an enqueue heats).
             while let Some((id, conn)) = self.conns.next_due(now) {
-                let probe = conn.check_handshake(&self.counters).and_then(|()| {
-                    Self::read_ready(conn, id, &self.counters, &mut scratch, &self.events)
+                let probe = conn.check_handshake(&self.pool.counters).and_then(|()| {
+                    Self::read_ready(conn, id, &self.pool.counters, &mut scratch, &mut self.events)
                 });
                 match probe {
                     Ok(false) => continue,
@@ -615,8 +695,9 @@ impl PollThread {
                 progressed = true;
             }
             // Ids taken after the mail stay live: a sweep drops only its own.
-            let ids: Vec<ConnId> = self.conns.hot.keys().copied().collect();
-            for id in ids {
+            ids.clear();
+            ids.extend(self.conns.hot.keys().copied());
+            for &id in &ids {
                 match self.sweep_one(id, now, &mut scratch) {
                     Ok(p) => progressed |= p,
                     Err(_) => {
@@ -625,20 +706,72 @@ impl PollThread {
                     }
                 }
             }
+            progressed |= self.deliver(now, &mut ids, &mut scratch);
 
             if progressed {
                 park = MIN_PARK;
                 wait = Duration::ZERO;
                 continue;
             }
-            // No park outlasts the next cold probe: each has its deadline.
-            // With none due and none hot, only mail can bring work, and
-            // every post wakes the thread.
+            // No park outlasts the next cold probe, or the turn's tick:
+            // each has its deadline. With neither and none hot, only mail
+            // can bring work, and every post wakes the thread.
             let next = self.conns.due.front().map(|&(at, _)| at.saturating_duration_since(now));
             let idle = self.conns.hot.is_empty() && next.is_none();
             wait = if idle { Duration::MAX } else { next.map_or(park, |d| d.min(park)) };
+            if let Some(ticked) = &self.turn {
+                wait = wait.min(ticked.due.saturating_duration_since(now));
+            }
             park = (park * 2).min(MAX_PARK);
         }
+    }
+
+    /// Hands the pass's events on. Without the turn, they are posted where
+    /// the host hears them. With it, the turn runs on them (or, with none,
+    /// at its tick), and the frames it returns are queued: each of this
+    /// thread's connections among their destinations (listed in `ids`)
+    /// gets the sweep's step again here and now, so its frames leave in
+    /// this pass and its read probe climbs the ladder as a sweep's write
+    /// makes it. Returns whether that moved bytes, tore a connection down
+    /// or left events for the next pass.
+    fn deliver(&mut self, now: Instant, ids: &mut Vec<ConnId>, scratch: &mut [u8]) -> bool {
+        let Some(ticked) = &mut self.turn else {
+            if !self.events.is_empty() {
+                self.pool.post_events(self.events.drain(..));
+            }
+            return false;
+        };
+        if self.events.is_empty() && now < ticked.due {
+            return false;
+        }
+        ticked.due = deadline(now, ticked.tick);
+        // What the turn locks is its own: no transport lock is held here.
+        lock::assert_holds_none();
+        let events = &mut self.events;
+        let frames = (ticked.turn)(&mut std::iter::from_fn(|| events.pop_front()));
+        // Another thread's connection is mailed; this thread's, listed in
+        // `ids`, are written below. One gone is skipped: its
+        // `Disconnected` cleans up.
+        ids.clear();
+        for (id, batch) in Pool::batches(&frames) {
+            match self.pool.queue(id, batch) {
+                Ok(conn) if Arc::ptr_eq(&conn.inbox, &self.inbox) => ids.push(id),
+                Ok(conn) => conn.inbox.post(Cmd::Dirty(id)),
+                Err(_) => {}
+            }
+        }
+        let mut progressed = false;
+        for &id in ids.iter() {
+            self.conns.heat(id);
+            match self.sweep_one(id, now, scratch) {
+                Ok(p) => progressed |= p,
+                Err(_) => {
+                    self.teardown(id);
+                    progressed = true;
+                }
+            }
+        }
+        progressed || !self.events.is_empty()
     }
 
     /// Write phase then (backoff-gated) read phase for one hot
@@ -646,19 +779,10 @@ impl PollThread {
     /// An `Err` means the connection is dead and must be torn down.
     fn sweep_one(&mut self, id: ConnId, now: Instant, scratch: &mut [u8]) -> io::Result<bool> {
         let Some(conn) = self.conns.hot.get_mut(&id) else { return Ok(false) };
-        conn.check_handshake(&self.counters)?;
-        let mut progressed = false;
-        let (stream, shared, counters) = (&conn.stream, &conn.shared, &self.counters);
-        let wrote =
-            flush(&shared.outbox, |ob| ob.write_to(stream), |w| shared.drained(w, counters))?;
-        if wrote {
-            progressed = true;
-            // A write usually provokes a reply; probe eagerly again.
-            conn.skip = 0;
-            conn.skip_limit = 0;
-        }
+        conn.check_handshake(&self.pool.counters)?;
+        let (mut progressed, drained) = conn.write(&self.pool, now)?;
         let (read_any, counters) = skip_ladder((conn.skip, conn.skip_limit), || {
-            Self::read_ready(conn, id, &self.counters, scratch, &self.events)
+            Self::read_ready(conn, id, &self.pool.counters, scratch, &mut self.events)
         })?;
         progressed |= read_any;
         (conn.skip, conn.skip_limit) = counters;
@@ -666,22 +790,22 @@ impl PollThread {
             conn.last_traffic = now;
         } else if conn.skip_limit == MAX_SKIP
             && now.saturating_duration_since(conn.last_traffic) >= COLD_AFTER
-            && conn.shared.outbox.held().is_empty()
+            && drained
         {
             self.conns.cool(id, now);
         }
         Ok(progressed)
     }
 
-    /// Reads until `WouldBlock` (bounded per sweep), sending complete
-    /// messages to `events`. Returns whether bytes arrived;
+    /// Reads until `WouldBlock` (bounded per sweep), queueing complete
+    /// messages on `events`. Returns whether bytes arrived;
     /// `Err` on EOF, transport error, or a malformed frame.
     fn read_ready(
         conn: &mut PollConn,
         id: ConnId,
         counters: &Counters,
         scratch: &mut [u8],
-        events: &Inbox<NetEvent>,
+        events: &mut VecDeque<NetEvent>,
     ) -> io::Result<bool> {
         let mut read_any = false;
         let mut budget = MAX_READ_PER_SWEEP;
@@ -704,7 +828,7 @@ impl PollThread {
                 // First complete frame: the peer speaks the protocol,
                 // the handshake deadline (if any) is met.
                 conn.handshake_deadline = None;
-                events.post(NetEvent::Message(id, msg));
+                events.push_back(NetEvent::Message(id, msg));
             }
             budget = budget.saturating_sub(n);
             if budget == 0 || n < scratch.len() {
@@ -721,12 +845,12 @@ impl PollThread {
     /// ignored).
     fn teardown(&mut self, id: ConnId) {
         let Some(PollConn { stream, shared: conn, .. }) = self.conns.remove(id) else { return };
-        self.conns_shared.held().remove(&id);
+        self.pool.conns.held().remove(&id);
         let dropped = conn.outbox.held().close();
-        self.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
+        self.pool.counters.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
         conn.gate.notify();
         let _ = stream.shutdown(std::net::Shutdown::Both);
-        self.events.post(NetEvent::Disconnected(id));
+        self.events.push_back(NetEvent::Disconnected(id));
     }
 }
 
@@ -750,37 +874,48 @@ fn skip_ladder(
     Ok((read_any, (limit, limit)))
 }
 
+/// What a [`flush`] did and left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Flushed {
+    /// Whether any bytes moved.
+    pub(crate) wrote: bool,
+    /// Batches still queued.
+    pub(crate) batches: usize,
+    /// Bytes still queued.
+    pub(crate) bytes: usize,
+}
+
 /// Flushes as much of the outbox under `outbox` as `write` takes, one
 /// write of its head at a time (a poll thread's is [`Outbox::write_to`]
 /// the socket; a client's, the same through [`nonblocking`]), handing
 /// what each write moved to `drained` once the lock is released.
-/// Returns whether any bytes moved; `WouldBlock` ends the flush, any
-/// other error is the connection's.
+/// `WouldBlock` ends the flush, any other error is the connection's.
 pub(crate) fn flush<T: BorrowMut<Outbox>>(
     outbox: &OutboxLock<T>,
     mut write: impl FnMut(&mut T) -> io::Result<Written>,
     mut drained: impl FnMut(Written),
-) -> io::Result<bool> {
-    let mut wrote_any = false;
+) -> io::Result<Flushed> {
+    let mut wrote = false;
     loop {
         // The per-connection outbox lock is held over the nonblocking
         // write so head accounting stays atomic with the bytes the
         // socket took; only enqueuers contend.
         let mut ob = outbox.held();
+        let left = |ob: &Outbox| Flushed { wrote, batches: ob.len(), bytes: ob.queued() };
         if ob.borrow().is_empty() {
-            return Ok(wrote_any);
+            return Ok(left(ob.borrow()));
         }
         // That outbox lock and no other: a host-wide lock held here would
         // stall every sender behind one socket.
         lock::assert_holds_only(lock::OUTBOX);
         let written = match write(&mut ob) {
             Ok(written) => written,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(wrote_any),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(left(ob.borrow())),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
         drop(ob);
-        wrote_any = true;
+        wrote = true;
         drained(written);
     }
 }
@@ -804,50 +939,55 @@ pub(crate) fn nonblocking<T>(
 // pool
 // --------------------------------------------------------------------------
 
-/// A host's pool of poll threads as the host holds it: the host's
-/// config, the connections it owns, its counters, where their events go,
-/// and each thread's inbox. The host shares it with its accept thread,
-/// and stops it before dropping it.
+/// A host's pool of poll threads as the host and its threads hold it: the
+/// host's config, the connections it owns, its counters, its event
+/// mailbox, and each thread's inbox. The host shares it with its accept
+/// thread, and stops it before dropping it.
 pub(crate) struct Pool {
     pub(crate) config: TcpHostConfig,
     pub(crate) conns: ConnMap,
     pub(crate) counters: Arc<Counters>,
+    /// Where the host hears its events when no turn of its own takes them.
     pub(crate) events: Arc<Inbox<NetEvent>>,
     inboxes: Vec<Arc<Inbox<Cmd>>>,
+    /// Whether thread 0 runs a turn, and so takes every event.
+    turn: bool,
     next_id: AtomicU64,
 }
 
 impl Pool {
     /// Starts `config.io_threads` (at least one) poll threads, thread `i`
-    /// named `cosoft-poll-{i}`, which post their connections' events to
-    /// the pool's `events`. On a spawn failure the threads already started
-    /// are stopped.
-    pub(crate) fn spawn(config: TcpHostConfig) -> io::Result<(Pool, Vec<JoinHandle<()>>)> {
-        let mut pool = Pool {
+    /// named `cosoft-poll-{i}`. With a `turn` (its tick, and the step),
+    /// thread 0 runs it on every event the pool hears; without one, the
+    /// events go to the pool's `events`. On a spawn failure the threads
+    /// already started are stopped.
+    pub(crate) fn spawn(
+        config: TcpHostConfig,
+        turn: Option<(Duration, Turn)>,
+    ) -> io::Result<(Arc<Pool>, Vec<JoinHandle<()>>)> {
+        let pool = Arc::new(Pool {
             config,
             conns: Arc::new(ConnMapLock::new(HashMap::new())),
             counters: Arc::default(),
             events: Arc::default(),
-            inboxes: Vec::new(),
+            inboxes: (0..config.io_threads.max(1)).map(|_| Arc::default()).collect(),
+            turn: turn.is_some(),
             next_id: AtomicU64::new(1),
-        };
+        });
+        let mut turn =
+            turn.map(|(tick, turn)| Ticked { turn, tick, due: deadline(Instant::now(), tick) });
         let mut handles = Vec::new();
-        for i in 0..config.io_threads.max(1) {
-            let inbox = Arc::new(Inbox::default());
+        for (i, inbox) in pool.inboxes.iter().enumerate() {
             let body = PollThread {
+                pool: pool.clone(),
                 inbox: inbox.clone(),
-                events: pool.events.clone(),
-                conns_shared: pool.conns.clone(),
-                counters: pool.counters.clone(),
-                handshake_timeout: config.handshake_timeout,
                 conns: Conns::new(Instant::now()),
+                events: VecDeque::new(),
+                turn: turn.take(),
             };
             let name = format!("cosoft-poll-{i}");
             match std::thread::Builder::new().name(name).spawn(move || body.run()) {
-                Ok(handle) => {
-                    pool.inboxes.push(inbox);
-                    handles.push(handle);
-                }
+                Ok(handle) => handles.push(handle),
                 Err(e) => {
                     pool.stop(handles);
                     return Err(e);
@@ -855,6 +995,15 @@ impl Pool {
             }
         }
         Ok((pool, handles))
+    }
+
+    /// Posts connection events, in order, where the host hears them: to
+    /// the thread that runs its turn, or to its mailbox.
+    fn post_events(&self, events: impl IntoIterator<Item = NetEvent>) {
+        match self.inboxes.first().filter(|_| self.turn) {
+            Some(turn) => turn.post_all(events.into_iter().map(Cmd::Event)),
+            None => self.events.post_all(events),
+        }
     }
 
     /// Makes a connected socket nonblocking, hands it to a poll thread
@@ -878,31 +1027,91 @@ impl Pool {
         let conn =
             Arc::new(ConnShared { outbox: OutboxLock::default(), gate: Gate::default(), inbox });
         self.conns.held().insert(id, conn.clone());
-        self.events.post(NetEvent::Connected(id));
+        // Before the socket reaches its thread, so before any of its frames.
+        self.post_events([NetEvent::Connected(id)]);
         conn.inbox.post(Cmd::Register(id, stream, conn.clone()));
         Ok(id)
     }
 
-    /// Queues `batch` on connection `id`'s outbox and posts it dirty to
-    /// its poll thread, waiting on the connection's gate while its backlog
-    /// is over the config's `queue_capacity` or `queue_max_bytes` (a batch
-    /// is still admitted into an empty backlog). `NotConnected` once the
-    /// connection is gone; `TimedOut` when the backlog stayed over them
-    /// for `enqueue_timeout`. Either way the batch's frames count as
-    /// dropped, and what becomes of the connection is the caller's call.
-    pub(crate) fn enqueue(&self, id: ConnId, batch: OutBatch) -> io::Result<()> {
-        let TcpHostConfig { queue_capacity, queue_max_bytes, enqueue_timeout, .. } = self.config;
-        let gone = || io::Error::new(io::ErrorKind::NotConnected, "connection closed");
-        // Hold the map lock only to clone the connection's handle: the
-        // admission wait happens outside, so a full backlog on one
-        // connection never blocks sends to its peers.
+    /// A turn's frames, each connection's gathered into one batch (one
+    /// vectored write), the connections in the order they first appear.
+    /// A frame fanned out to many connections is cheap clones of one
+    /// buffer, never re-encoded or concatenated per destination.
+    fn batches(outgoing: &[(ConnId, SharedFrame)]) -> Vec<(ConnId, OutBatch)> {
+        let mut batches: Vec<(ConnId, OutBatch)> = Vec::new();
+        let mut at: HashMap<ConnId, usize> = HashMap::new();
+        for (conn, frame) in outgoing {
+            let i = *at.entry(*conn).or_insert_with(|| {
+                batches.push((*conn, OutBatch { segments: Vec::new(), frames: 0, bytes: 0 }));
+                batches.len() - 1
+            });
+            // `i` indexes the entry pushed for `conn`.
+            if let Some((_, batch)) = batches.get_mut(i) {
+                batch.segments.push(frame.bytes().clone());
+                batch.bytes += frame.len();
+                batch.frames += 1;
+            }
+        }
+        batches
+    }
+
+    /// Sends a turn's frames from a thread outside the pool, each
+    /// connection's [`Pool::batches`] entry through [`Pool::enqueue`],
+    /// which may wait. Returns the connections it failed for: gone, or
+    /// evicted as slow consumers; their `Disconnected` follows.
+    pub(crate) fn send_batch(&self, outgoing: &[(ConnId, SharedFrame)]) -> Vec<ConnId> {
+        let batches = Pool::batches(outgoing);
+        batches
+            .into_iter()
+            .filter_map(|(id, batch)| self.enqueue(id, batch).err().map(|_| id))
+            .collect()
+    }
+
+    /// The connection's shared half, if it is still in the map; if not,
+    /// `batch`'s frames count as dropped. Holds the map lock only to clone
+    /// the handle, so no wait on one connection blocks sends to its peers.
+    fn lookup(&self, id: ConnId, batch: &OutBatch) -> io::Result<Arc<ConnShared>> {
         let conn = self.conns.held().get(&id).cloned();
-        let Some(conn) = conn else {
-            self.counters.frames_dropped.fetch_add(batch.frames, Ordering::Relaxed);
-            return Err(gone());
-        };
+        conn.ok_or_else(|| self.dropped(batch.frames))
+    }
+
+    /// Counts `frames` as dropped: `NotConnected`.
+    fn dropped(&self, frames: u64) -> io::Error {
+        self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
+        io::Error::new(io::ErrorKind::NotConnected, "connection closed")
+    }
+
+    /// Queues `batch` on connection `id`'s outbox without waiting, over
+    /// budget or not (over budget counts in `enqueue_full_waits`): the
+    /// connection's poll thread writes the backlog and evicts the
+    /// connection once it has stayed over budget for `enqueue_timeout`.
+    /// `NotConnected`, the frames counted as dropped, once it is gone.
+    /// What a turn sends goes through here.
+    fn queue(&self, id: ConnId, batch: OutBatch) -> io::Result<Arc<ConnShared>> {
+        let conn = self.lookup(id, &batch)?;
+        let mut ob = conn.outbox.held();
+        if ob.closed {
+            return Err(self.dropped(batch.frames));
+        }
+        ob.push(batch);
+        if self.config.over_budget(ob.len(), ob.queued()) {
+            self.counters.enqueue_full_waits.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(ob);
+        Ok(conn)
+    }
+
+    /// Queues `batch` on connection `id`'s outbox and posts it dirty to
+    /// its poll thread, waiting on the connection's gate while the batch
+    /// would put its backlog over budget (`TcpHostConfig::over_budget`).
+    /// `NotConnected` once the connection is gone; `TimedOut` when the
+    /// backlog stayed over budget for `enqueue_timeout`, and the
+    /// connection is then evicted as a slow consumer. Either way the
+    /// batch's frames count as dropped.
+    pub(crate) fn enqueue(&self, id: ConnId, batch: OutBatch) -> io::Result<()> {
+        let conn = self.lookup(id, &batch)?;
         let (frames, bytes) = (batch.frames, batch.bytes);
-        let deadline = deadline(Instant::now(), enqueue_timeout);
+        let deadline = deadline(Instant::now(), self.config.enqueue_timeout);
         let mut waited = false;
         loop {
             // Capture the gate generation *before* checking admission:
@@ -912,11 +1121,9 @@ impl Pool {
             {
                 let mut ob = conn.outbox.held();
                 if ob.closed {
-                    self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
-                    return Err(gone());
+                    return Err(self.dropped(frames));
                 }
-                let bytes_ok = ob.is_empty() || ob.queued() + bytes <= queue_max_bytes;
-                if bytes_ok && ob.len() < queue_capacity.max(1) {
+                if !self.config.over_budget(ob.len() + 1, ob.queued() + bytes) {
                     ob.push(batch);
                     drop(ob);
                     conn.inbox.post(Cmd::Dirty(id));
@@ -930,6 +1137,9 @@ impl Pool {
             let now = Instant::now();
             if now >= deadline {
                 self.counters.frames_dropped.fetch_add(frames, Ordering::Relaxed);
+                if self.shut(id) {
+                    self.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
+                }
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "outbound backlog stayed over its limits past the enqueue timeout",
@@ -1127,6 +1337,7 @@ mod tests {
             Cmd::Register(id, ..) => ("register", Some(*id)),
             Cmd::Dirty(id) => ("dirty", Some(*id)),
             Cmd::Close(id) => ("close", Some(*id)),
+            Cmd::Event(_) => ("event", None),
             Cmd::Shutdown => ("shutdown", None),
         }
     }
@@ -1365,7 +1576,7 @@ mod tests {
         counters: &Counters,
         write: impl FnMut(&mut Outbox) -> io::Result<Written>,
     ) -> io::Result<bool> {
-        flush(&conn.outbox, write, |w| conn.drained(w, counters))
+        flush(&conn.outbox, write, |w| conn.drained(w, counters)).map(|left| left.wrote)
     }
 
     /// Bytes of the front batch already on the wire.

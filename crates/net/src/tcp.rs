@@ -15,20 +15,30 @@
 //! takes at once, and the client's next send, receive or `close` writes
 //! what a full socket left.
 //!
+//! A host bound with [`TcpHost::bind_with_turn`] runs that turn (the
+//! server's dispatch step) on its first poll thread, at the end of each
+//! pass, on the events the pass read: a frame crosses no thread between
+//! its read and the turn, and the turn's replies to that thread's own
+//! connections are written in the same pass. A host bound without one
+//! posts its events to a mailbox ([`TcpHost::events`]) for the caller's
+//! own loop.
+//!
 //! A host's send is a non-blocking enqueue on the connection's ring
 //! outbox plus a wakeup of its poll thread, which flushes on writability:
 //! one stalled consumer cannot delay its peers. An enqueue over budget
 //! parks on a condvar the poll thread signals as it drains bytes; past
 //! [`TcpHostConfig::enqueue_timeout`] the host evicts the connection as a
 //! slow consumer (surfacing the usual [`NetEvent::Disconnected`], which
-//! the server maps to the §3.2 auto-decoupling path).
-//! [`TcpHost::send_batch`] coalesces a server turn's frames per
-//! connection into one vectored write. A client with a
+//! the server maps to the §3.2 auto-decoupling path). A turn never
+//! parks: its batch is queued over budget, and the connection's poll
+//! thread evicts it once the backlog has stayed over budget for the
+//! enqueue timeout. [`TcpHost::send_batch`] and a turn coalesce a
+//! turn's frames per connection into one vectored write. A client with a
 //! [`ReconnectPolicy`] redials on the thread that receives, within the
 //! receive's timeout.
 
 use std::borrow::{Borrow, BorrowMut};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,6 +52,12 @@ use cosoft_wire::{Message, SharedFrame};
 use crate::lock::{LeafLock, OutboxLock};
 use crate::poll::{self, ConnMap, FrameReader, Gate, OutBatch, Outbox, Pool, MAX_PARK};
 pub use crate::poll::{Inbox, RecvTimeoutError};
+
+/// A host's dispatch step, as its poll thread runs it: it takes the
+/// events it has room for (the rest wait for its next run) and returns
+/// the frames to send.
+pub(crate) type Turn =
+    Box<dyn FnMut(&mut dyn Iterator<Item = NetEvent>) -> Vec<(ConnId, SharedFrame)> + Send>;
 
 /// The instant `wait` after `from`, or, where the clock ends sooner, one
 /// at least halfway from `from` to its end: a caller's or a config's
@@ -84,7 +100,9 @@ pub enum NetEvent<E = ConnId> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHostConfig {
     /// Maximum writes queued per connection before an enqueue has to
-    /// wait (each queued entry is one coalesced batch of frames).
+    /// wait (each queued entry is one coalesced batch of frames). A
+    /// host's turn does not wait: its batch is queued past the limit, and
+    /// a backlog that stays over it for `enqueue_timeout` is evicted.
     pub queue_capacity: usize,
     /// Maximum outbound backlog per connection in *bytes* before an
     /// enqueue has to wait. Byte accounting is what actually bounds
@@ -121,6 +139,16 @@ pub struct TcpHostConfig {
     pub handshake_timeout: Duration,
 }
 
+impl TcpHostConfig {
+    /// Whether a backlog of `batches` batches and `bytes` bytes is over
+    /// budget: more than `queue_capacity` batches, or more than
+    /// `queue_max_bytes` bytes in more than one batch (one batch is always
+    /// admitted into an empty backlog, so it cannot wedge itself).
+    pub(crate) fn over_budget(&self, batches: usize, bytes: usize) -> bool {
+        batches > self.queue_capacity.max(1) || (batches > 1 && bytes > self.queue_max_bytes)
+    }
+}
+
 impl Default for TcpHostConfig {
     fn default() -> Self {
         TcpHostConfig {
@@ -152,7 +180,8 @@ pub struct TcpStats {
     pub read_probes: u64,
     /// Socket writes that carried more than one queued batch.
     pub coalesced_writes: u64,
-    /// Enqueues that found the connection's queue full and had to wait.
+    /// Enqueues that found the connection's queue full and had to wait,
+    /// or, from a host's turn, were queued over budget.
     pub enqueue_full_waits: u64,
     /// Connections forcibly disconnected by the slow-consumer policy.
     pub slow_consumer_evictions: u64,
@@ -196,7 +225,7 @@ pub(crate) struct Counters {
 }
 
 /// Cloneable handle that can snapshot a host's [`TcpStats`] even after
-/// the host moved into a server thread.
+/// the host moved into a server.
 #[derive(Clone)]
 pub struct TcpStatsHandle {
     counters: Arc<Counters>,
@@ -274,14 +303,42 @@ impl TcpHost {
     /// Propagates bind failures, including failure to spawn the accept
     /// thread or the poll pool.
     pub fn bind_with_config(addr: &str, config: TcpHostConfig) -> io::Result<TcpHost> {
+        TcpHost::bind_inner(addr, config, None)
+    }
+
+    /// Binds with `config` and gives the host its turn: poll thread 0
+    /// runs `turn` at the end of each pass on the events the pass
+    /// produced (every thread's, in order), and at least every `tick`
+    /// with none, and sends the frames it returns (see the module docs).
+    /// `turn` may take fewer events than it is offered; the rest are
+    /// offered again on the next pass. The host's mailbox stays empty.
+    ///
+    /// # Errors
+    ///
+    /// As [`TcpHost::bind_with_config`].
+    pub fn bind_with_turn(
+        addr: &str,
+        config: TcpHostConfig,
+        tick: Duration,
+        turn: impl FnMut(&mut dyn Iterator<Item = NetEvent>) -> Vec<(ConnId, SharedFrame)>
+            + Send
+            + 'static,
+    ) -> io::Result<TcpHost> {
+        TcpHost::bind_inner(addr, config, Some((tick, Box::new(turn))))
+    }
+
+    fn bind_inner(
+        addr: &str,
+        config: TcpHostConfig,
+        turn: Option<(Duration, Turn)>,
+    ) -> io::Result<TcpHost> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
 
         // The fixed I/O pool, spawned up front: a pool-spawn failure is
         // a bind error, not a per-connection casualty.
-        let (pool, threads) = Pool::spawn(config)?;
-        let pool = Arc::new(pool);
+        let (pool, threads) = Pool::spawn(config, turn)?;
 
         let accept_pool = pool.clone();
         let accept_shutdown = shutdown.clone();
@@ -347,8 +404,9 @@ impl TcpHost {
         self.pool.config
     }
 
-    /// The mailbox the host posts its connection events to. Closing it
-    /// ends a taker's waits once what was posted is taken.
+    /// The mailbox the host posts its connection events to (none, for a
+    /// host with a turn). Closing it ends a taker's waits once what was
+    /// posted is taken.
     pub fn events(&self) -> &Arc<Inbox<NetEvent>> {
         &self.pool.events
     }
@@ -359,7 +417,7 @@ impl TcpHost {
     }
 
     /// A cloneable handle that can snapshot [`TcpStats`] after the host
-    /// moved into a server thread.
+    /// moved into a server.
     pub fn stats_handle(&self) -> TcpStatsHandle {
         TcpStatsHandle { counters: self.pool.counters.clone(), conns: self.pool.conns.clone() }
     }
@@ -386,7 +444,7 @@ impl TcpHost {
     /// Same as [`TcpHost::send`].
     pub fn send_frame(&self, conn: ConnId, frame: &SharedFrame) -> io::Result<()> {
         let bytes = frame.bytes().clone();
-        self.enqueue(conn, OutBatch { bytes: bytes.len(), segments: vec![bytes], frames: 1 })
+        self.pool.enqueue(conn, OutBatch { bytes: bytes.len(), segments: vec![bytes], frames: 1 })
     }
 
     /// Sends a whole server turn of pre-encoded frames, coalescing all
@@ -397,41 +455,7 @@ impl TcpHost {
     /// could not be delivered to (gone or evicted); the poll loop
     /// surfaces [`NetEvent::Disconnected`] for them.
     pub fn send_batch(&self, outgoing: &[(ConnId, SharedFrame)]) -> Vec<ConnId> {
-        let mut order: Vec<ConnId> = Vec::new();
-        let mut per_conn: HashMap<ConnId, OutBatch> = HashMap::new();
-        for (conn, frame) in outgoing {
-            let batch = per_conn.entry(*conn).or_insert_with(|| {
-                order.push(*conn);
-                OutBatch { segments: Vec::new(), frames: 0, bytes: 0 }
-            });
-            batch.segments.push(frame.bytes().clone());
-            batch.bytes += frame.len();
-            batch.frames += 1;
-        }
-        let mut failed = Vec::new();
-        for conn in order {
-            // Grouped above; a missing entry is reported as a failed
-            // send rather than a host panic.
-            let Some(batch) = per_conn.remove(&conn) else {
-                failed.push(conn);
-                continue;
-            };
-            if self.enqueue(conn, batch).is_err() {
-                failed.push(conn);
-            }
-        }
-        failed
-    }
-
-    fn enqueue(&self, conn: ConnId, batch: OutBatch) -> io::Result<()> {
-        let sent = self.pool.enqueue(conn, batch);
-        // A backlog over budget past the timeout is a slow consumer: it is
-        // forcibly disconnected (its poll thread surfaces `Disconnected`).
-        let timed_out = sent.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::TimedOut);
-        if timed_out && self.pool.shut(conn) {
-            self.pool.counters.slow_consumer_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        sent
+        self.pool.send_batch(outgoing)
     }
 
     /// Closes one connection; the owning poll thread will surface a
@@ -703,7 +727,7 @@ impl TcpClient {
     /// nonblocking under the outbox lock. Returns whether a tail stays
     /// queued; an error is the connection's, and a receive reads it too.
     fn write_tail(&self) -> io::Result<bool> {
-        poll::flush(
+        let left = poll::flush(
             &self.sending,
             |Sending { stream, outbox }| {
                 let stream = stream.as_ref().ok_or(io::ErrorKind::NotConnected)?;
@@ -711,7 +735,7 @@ impl TcpClient {
             },
             |_| self.drained.notify(),
         )?;
-        Ok(!self.sending.held().outbox.is_empty())
+        Ok(left.batches > 0)
     }
 
     /// Writes the queued frames until `ready` holds of the outbox, trying
@@ -1744,6 +1768,96 @@ mod tests {
         ]);
         assert_eq!(failed, vec![conn]);
         assert_eq!(host.stats().frames_dropped, 2);
+    }
+
+    /// The budget rule is the enqueue's admission: a batch is admitted
+    /// exactly when the backlog with it is not over budget.
+    #[test]
+    fn over_budget_is_where_admission_ends() {
+        let config =
+            TcpHostConfig { queue_capacity: 4, queue_max_bytes: 100, ..TcpHostConfig::default() };
+        for (batches, bytes, over) in [
+            (1, 1_000, false),
+            (2, 100, false),
+            (2, 101, true),
+            (4, 100, false),
+            (5, 10, true),
+            (0, 0, false),
+        ] {
+            assert_eq!(config.over_budget(batches, bytes), over, "{batches} batches, {bytes} B");
+        }
+        let one = TcpHostConfig { queue_capacity: 0, ..config };
+        assert!(!one.over_budget(1, 1_000) && one.over_budget(2, 2));
+    }
+
+    /// A turn answering each `Ping` with a `Pong`, taking at most `budget`
+    /// events a run and counting its runs.
+    fn pong_turn(
+        budget: usize,
+        runs: Arc<AtomicU64>,
+    ) -> impl FnMut(&mut dyn Iterator<Item = NetEvent>) -> Vec<(ConnId, SharedFrame)> + Send {
+        move |events| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            events
+                .take(budget)
+                .filter_map(|event| match event {
+                    NetEvent::Message(id, Message::Ping { nonce }) => {
+                        Some((id, SharedFrame::from_message(&Message::Pong { nonce })))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// What a turn leaves of a pass's events it gets on the next pass,
+    /// without waiting for mail or its tick: a turn that takes one event
+    /// a run answers 100 pings sent at once well inside its 10 s tick.
+    /// The host's mailbox stays empty.
+    #[test]
+    fn a_turn_gets_what_it_left_on_the_next_pass() {
+        let runs = Arc::new(AtomicU64::new(0));
+        let tick = Duration::from_secs(10);
+        let host = TcpHost::bind_with_turn(
+            "127.0.0.1:0",
+            TcpHostConfig::default(),
+            tick,
+            pong_turn(1, runs.clone()),
+        )
+        .unwrap();
+        let client = TcpClient::connect(host.local_addr()).unwrap();
+        for nonce in 0..100 {
+            client.send(&Message::Ping { nonce }).unwrap();
+        }
+        let t0 = Instant::now();
+        for nonce in 0..100 {
+            assert_eq!(client.recv_within(TIMEOUT), Ok(Message::Pong { nonce }));
+        }
+        assert!(t0.elapsed() < tick / 4, "100 pings took {:?}", t0.elapsed());
+        // One run per event at least (`Connected` and 100 pings).
+        assert!(runs.load(Ordering::Relaxed) >= 101);
+        assert!(host.events().try_recv().is_err(), "the mailbox of a host with a turn stays empty");
+    }
+
+    /// With no event a turn still runs at its tick, and its thread parks
+    /// in between: over 300 ms, a 50 ms tick runs it about six times.
+    #[test]
+    fn a_turn_with_no_event_runs_at_its_tick() {
+        let runs = Arc::new(AtomicU64::new(0));
+        let tick = Duration::from_millis(50);
+        let host = TcpHost::bind_with_turn(
+            "127.0.0.1:0",
+            TcpHostConfig::default(),
+            tick,
+            pong_turn(256, runs.clone()),
+        )
+        .unwrap();
+        let before = runs.load(Ordering::Relaxed);
+        // The wait: a host with a turn posts nothing to its mailbox.
+        assert!(host.events().recv_timeout(Duration::from_millis(300)).is_err());
+        let ran = runs.load(Ordering::Relaxed) - before;
+        assert!((3..=12).contains(&ran), "a 50 ms tick ran the turn {ran} times in 300 ms");
+        drop(host);
     }
 
     /// The pool really is fixed-size: traffic over many connections with

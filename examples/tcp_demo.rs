@@ -1,7 +1,8 @@
-//! The same coupling stack over real TCP sockets: a server thread plus
-//! two client sessions, coupling a text field end-to-end — then a
-//! simulated network failure under one client, which redials, rejoins
-//! under its resume token, and reconverges.
+//! The same coupling stack over real TCP sockets: a server (its host's
+//! poll thread runs the dispatch turn) plus two client sessions,
+//! coupling a text field end-to-end — then a simulated network failure
+//! under one client, which redials, rejoins under its resume token, and
+//! reconverges.
 //!
 //! Run with `cargo run --example tcp_demo`.
 

@@ -1,45 +1,44 @@
 //! TCP runtime: runs the sans-I/O shard router and client sessions over
 //! real sockets (`cosoft-net`'s TCP transport).
 //!
-//! The server thread is take → [`ShardRouter::turn`] → `send_batch`; the
-//! deterministic simulation ([`cosoft_core::harness::SimHarness`]) runs
-//! the same turn on its virtual clock, so what tests check there is what
-//! a deployment runs here — see `examples/tcp_demo.rs` and the
-//! `tcp_end_to_end` integration test.
+//! The server has no thread of its own: its host's first poll thread runs
+//! [`ShardRouter::turn`] at the end of each pass, on the events that pass
+//! read, and writes the replies before it parks
+//! ([`TcpHost::bind_with_turn`]). The deterministic simulation
+//! ([`cosoft_core::harness::SimHarness`]) runs the same turn on its
+//! virtual clock, so what tests check there is what a deployment runs
+//! here — see `examples/tcp_demo.rs` and the `tcp_end_to_end`
+//! integration test.
 
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cosoft_core::session::Session;
 use cosoft_net::tcp::{
-    deadline, ClientEvent, ConnId, Inbox, NetEvent, ReconnectPolicy, RecvError, RecvTimeoutError,
-    TcpClient, TcpHost, TcpHostConfig, TcpStats, TcpStatsHandle,
+    deadline, ClientEvent, ConnId, ReconnectPolicy, RecvError, TcpClient, TcpHost, TcpHostConfig,
+    TcpStats,
 };
 use cosoft_server::{LivenessConfig, OverloadConfig, RouterStats, ServerStats, ShardRouter};
 
 /// A COSOFT server listening on TCP.
 ///
-/// The dispatch turn runs on a background thread until the value is
-/// dropped. Outbound delivery goes through the transport's
-/// per-connection outboxes, so one stalled client never delays the
-/// dispatch turn or its peers; consumers evicted by the slow-consumer
-/// policy surface as disconnects and take the §3.2 auto-decoupling path.
+/// The dispatch turn runs on the host's first poll thread until the value
+/// is dropped; the server holds the host and no thread. Outbound delivery
+/// goes through the transport's per-connection outboxes, and the turn
+/// never waits on one, so one stalled client never delays the dispatch
+/// turn or its peers; consumers evicted by the slow-consumer policy
+/// surface as disconnects and take the §3.2 auto-decoupling path.
 pub struct TcpServer {
-    addr: SocketAddr,
-    /// The host's event mailbox; closing it stops the dispatch thread.
-    events: Arc<Inbox<NetEvent>>,
+    host: TcpHost,
     stats: Arc<Mutex<(ServerStats, RouterStats)>>,
-    net_stats: TcpStatsHandle,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for TcpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpServer").field("addr", &self.addr).finish()
+        f.debug_struct("TcpServer").field("addr", &self.addr()).finish()
     }
 }
 
@@ -103,19 +102,13 @@ impl TcpServer {
         shards: usize,
         overload: OverloadConfig,
     ) -> io::Result<TcpServer> {
-        let host = TcpHost::bind_with_config(addr, config)?;
-        let local = host.local_addr();
-        let net_stats = host.stats_handle();
         let stats = Arc::new(Mutex::new((ServerStats::default(), RouterStats::default())));
-        let events = host.events().clone();
         let published = stats.clone();
-        // The turn is event-driven: the transport's poll threads post to
-        // the host's mailbox and the take below wakes at once. The
-        // timeout is only a liveness *tick* — it must fire often enough
-        // for quarantine grace / idle deadlines to expire without
-        // traffic (a quarter of the shortest deadline); the router cannot
-        // name its next deadline without a scan. Shutdown does not wait
-        // for it either: `Drop` closes the mailbox.
+        // The turn runs whenever a pass brings events; the tick is only
+        // for liveness — it must come often enough for quarantine grace /
+        // idle deadlines to expire without traffic (a quarter of the
+        // shortest deadline); the router cannot name its next deadline
+        // without a scan.
         let tick = {
             let mut t = Duration::from_secs(1);
             for us in [liveness.grace_us, liveness.idle_timeout_us] {
@@ -125,45 +118,25 @@ impl TcpServer {
             }
             t
         };
-        let thread = std::thread::Builder::new().name("cosoft-server".into()).spawn(move || {
-            let mut router: ShardRouter<ConnId> = ShardRouter::with_liveness(shards, liveness);
-            router.set_overload(overload);
-            let start = Instant::now();
-            // What was taken from the mailbox and not yet handled. The
-            // thread waits for mail only while it is empty.
-            let mut batch = VecDeque::new();
-            loop {
-                if batch.is_empty()
-                    && host.events().take(&mut batch, tick) == Err(RecvTimeoutError::Disconnected)
-                {
-                    break;
-                }
-                // Every event posted before the turn runs dry joins it, so
-                // one wakeup becomes one coalesced batch per destination;
-                // what the turn's budget leaves stays in `batch`.
-                let ready = std::iter::from_fn(|| {
-                    if batch.is_empty() {
-                        let _ = host.events().take(&mut batch, Duration::ZERO);
-                    }
-                    batch.pop_front()
-                });
-                let outgoing = router.turn(ready, start.elapsed().as_micros() as u64);
-                // Broadcast frames stay pre-encoded all the way down.
-                // Failures mean the peer vanished or was evicted as a
-                // slow consumer — its Disconnected event will clean up.
-                let _ = host.send_batch(&outgoing.into_frames());
-                let current = (router.stats(), router.router_stats());
-                if let Ok(mut s) = published.lock() {
-                    *s = current;
-                }
+        let mut router: ShardRouter<ConnId> = ShardRouter::with_liveness(shards, liveness);
+        router.set_overload(overload);
+        let start = Instant::now();
+        let host = TcpHost::bind_with_turn(addr, config, tick, move |events| {
+            // Broadcast frames stay pre-encoded all the way down; a
+            // frame for a peer that vanished or was evicted is dropped,
+            // and its Disconnected event cleans up.
+            let frames = router.turn(events, start.elapsed().as_micros() as u64).into_frames();
+            if let Ok(mut s) = published.lock() {
+                *s = (router.stats(), router.router_stats());
             }
+            frames
         })?;
-        Ok(TcpServer { addr: local, events, stats, net_stats, thread: Some(thread) })
+        Ok(TcpServer { host, stats })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.host.local_addr()
     }
 
     /// Snapshot of the server core's observability counters (floor
@@ -182,18 +155,7 @@ impl TcpServer {
     /// Snapshot of the transport counters (bytes/frames in and out,
     /// queue depths, slow-consumer evictions).
     pub fn net_stats(&self) -> TcpStats {
-        self.net_stats.snapshot()
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        // The dispatch thread handles what was posted before, then its
-        // wait ends at once instead of at the next liveness tick.
-        self.events.close();
-        if let Some(t) = self.thread.take() {
-            t.join().ok();
-        }
+        self.host.stats()
     }
 }
 

@@ -13,10 +13,12 @@
 //!
 //! And what an idle transport costs: a poll thread with no connection
 //! parks until a command wakes it, connected clients add no thread, an
-//! idle client's receive wakes none, and an idle server's dispatch
-//! thread waits on its event mailbox for the liveness tick. All four
-//! read `/proc/self/task` (Linux). The dispatch thread's other side: a
-//! burst past a turn's budget is answered without waiting for a tick.
+//! idle client's receive wakes none, and an idle server's poll thread,
+//! which runs its dispatch turn, parks until the liveness tick; a server
+//! runs its poll threads and accept thread and no other. All five read
+//! `/proc/self/task` (Linux), and the parking ones bound both how often
+//! the thread ran and its time on a CPU. The turn's other side: a burst
+//! past a turn's budget is answered without waiting for a tick.
 //!
 //! `stalled_peer_hits_the_handshake_deadline` in `tcp_chaos.rs` (a
 //! 250 ms deadline, past `COLD_AFTER`) guards the deadline check on the
@@ -27,7 +29,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cosoft::net::tcp::{ConnId, NetEvent, TcpClient, TcpHost};
+use cosoft::net::tcp::{ConnId, NetEvent, TcpClient, TcpHost, TcpHostConfig};
 use cosoft::runtime::TcpServer;
 use cosoft::wire::{codec, Message, SharedFrame, UserId};
 
@@ -264,10 +266,19 @@ fn run_count(tid: &str) -> u64 {
     schedstat(tid, 2)
 }
 
+/// How many times thread `tid` ran over `window`, and its time on a CPU.
+fn idle_cost(tid: &str, window: Duration) -> (u64, Duration) {
+    let (runs, cpu) = (run_count(tid), schedstat(tid, 0));
+    std::thread::sleep(window);
+    (run_count(tid) - runs, Duration::from_nanos(schedstat(tid, 0) - cpu))
+}
+
 /// A poll thread with no connection has nothing due, so it parks until
-/// a command wakes it: over 500 ms it runs at most 5 times, where one
-/// that woke every `MAX_PARK` ran about 250. The dial that follows is
-/// still heard, since registering it wakes the thread.
+/// a command wakes it: over 500 ms it runs at most 5 times and spends at
+/// most 50 ms on a CPU, where one that woke every `MAX_PARK` ran about
+/// 250 times, and one that spun kept a CPU the whole time in few runs.
+/// The dial that follows is still heard, since registering it wakes the
+/// thread.
 #[test]
 fn a_poll_thread_with_no_connection_parks_until_woken() {
     let _serial = serial();
@@ -275,10 +286,11 @@ fn a_poll_thread_with_no_connection_parks_until_woken() {
     let tid = thread_named("cosoft-poll-0");
     // Past the thread's start and its first empty pass.
     std::thread::sleep(Duration::from_millis(50));
-    let before = run_count(&tid);
-    std::thread::sleep(Duration::from_millis(500));
-    let ran = run_count(&tid) - before;
-    assert!(ran <= 5, "an idle poll thread ran {ran} times in 500 ms");
+    let (ran, busy) = idle_cost(&tid, Duration::from_millis(500));
+    assert!(
+        ran <= 5 && busy <= Duration::from_millis(50),
+        "an idle poll thread ran {ran} times in 500 ms, {busy:?} of it on a CPU"
+    );
 
     let (mut stream, id) = connect(&host);
     stream.write_all(&codec::frame_message(&Message::Ping { nonce: 1 })).expect("ping");
@@ -358,10 +370,11 @@ fn an_idle_client_hears_a_push_at_once() {
 }
 
 /// An idle connected client, its receive waiting, wakes no thread: over
-/// 500 ms the receiving thread runs at most 5 times (one that probed the
-/// socket every `COLD_PROBE` ran about 60), and the client has no thread
-/// of its own (`connected_clients_add_no_thread`). A send afterwards
-/// still goes out, written by the sending thread.
+/// 500 ms the receiving thread runs at most 5 times and spends at most
+/// 50 ms on a CPU (one that probed the socket every `COLD_PROBE` ran
+/// about 60 times, and one that spun kept a CPU), and the client has no
+/// thread of its own (`connected_clients_add_no_thread`). A send
+/// afterwards still goes out, written by the sending thread.
 #[test]
 fn an_idle_client_wakes_no_thread() {
     let _serial = serial();
@@ -375,10 +388,11 @@ fn an_idle_client_wakes_no_thread() {
             .expect("spawn");
         let receiving = thread_named("idle-receiver");
         std::thread::sleep(COOL_DOWN);
-        let before = run_count(&receiving);
-        std::thread::sleep(Duration::from_millis(500));
-        let ran = run_count(&receiving) - before;
-        assert!(ran <= 5, "the receiver ran {ran} times in 500 ms");
+        let (ran, busy) = idle_cost(&receiving, Duration::from_millis(500));
+        assert!(
+            ran <= 5 && busy <= Duration::from_millis(50),
+            "the receiver ran {ran} times in 500 ms, {busy:?} of it on a CPU"
+        );
 
         client.send(&Message::Ping { nonce: 2 }).expect("ping");
         match host.events().recv_timeout(TIMEOUT).expect("ping event") {
@@ -390,26 +404,44 @@ fn an_idle_client_wakes_no_thread() {
     });
 }
 
-/// An idle server's dispatch thread waits on the host's event mailbox
-/// for its liveness tick (1 s with liveness off): over 500 ms it runs at
-/// most 5 times and spends at most 50 ms on a CPU. One that woke on a
-/// short timer runs hundreds of times; one that spun on an empty
-/// mailbox keeps a CPU nearly the whole time, in few runs.
+/// An idle server's dispatch turn runs on its poll thread, which parks
+/// until the liveness tick (1 s with liveness off): over 500 ms the
+/// thread runs at most 5 times and spends at most 50 ms on a CPU. One
+/// that woke on a short timer runs hundreds of times; one that spun
+/// keeps a CPU nearly the whole time, in few runs.
 #[test]
 fn an_idle_server_runs_its_dispatch_thread_only_at_its_tick() {
     let _serial = serial();
     let server = TcpServer::spawn("127.0.0.1:0").expect("bind");
-    let tid = thread_named("cosoft-server");
+    let tid = thread_named("cosoft-poll-0");
     // Past the thread's start.
     std::thread::sleep(Duration::from_millis(50));
-    let (runs, cpu) = (run_count(&tid), schedstat(&tid, 0));
-    std::thread::sleep(Duration::from_millis(500));
-    let ran = run_count(&tid) - runs;
-    let busy = Duration::from_nanos(schedstat(&tid, 0) - cpu);
+    let (ran, busy) = idle_cost(&tid, Duration::from_millis(500));
     assert!(
         ran <= 5 && busy <= Duration::from_millis(50),
-        "an idle dispatch thread ran {ran} times in 500 ms, {busy:?} of it on a CPU"
+        "an idle server's poll thread ran {ran} times in 500 ms, {busy:?} of it on a CPU"
     );
+    drop(server);
+}
+
+/// A server's threads are its host's: `io_threads` poll threads (the
+/// first runs the dispatch turn) and one accept thread, and no thread
+/// of its own.
+#[test]
+fn a_server_runs_its_poll_threads_and_one_accept_thread() {
+    let _serial = serial();
+    let config = TcpHostConfig { io_threads: 2, ..TcpHostConfig::default() };
+    let server = TcpServer::spawn_with_config("127.0.0.1:0", config).expect("bind");
+    for name in ["cosoft-poll-0", "cosoft-poll-1", "cosoft-accept"] {
+        thread_named(name);
+    }
+    let mut names: Vec<String> = threads()
+        .into_iter()
+        .map(|(_, comm)| comm)
+        .filter(|comm| comm.starts_with("cosoft-"))
+        .collect();
+    names.sort();
+    assert_eq!(names, ["cosoft-accept", "cosoft-poll-0", "cosoft-poll-1"]);
     drop(server);
 }
 

@@ -311,3 +311,55 @@ fn sim_and_socket_deliver_alike() {
         assert_eq!(sim, tcp, "{shards} shard(s)");
     }
 }
+
+/// With two poll threads the first runs the dispatch turn, and the
+/// second posts what it reads to it. Sixteen raw clients, eight on each
+/// thread, each write 200 `Ping`s in one write, all before any reads:
+/// each must read its 200 `Pong`s back in nonce order. The order comes
+/// from one thread queueing every frame, not from a lock (debug builds
+/// check every transport lock's rank as it is taken).
+#[test]
+fn two_poll_threads_keep_each_connections_turn_order() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+
+    use cosoft::wire::codec;
+
+    const CLIENTS: u64 = 16;
+    const PINGS: u64 = 200;
+    let config = TcpHostConfig { io_threads: 2, ..TcpHostConfig::default() };
+    let server = TcpServer::spawn_with_config("127.0.0.1:0", config).expect("bind");
+    let mut clients: Vec<BufReader<TcpStream>> = (0..CLIENTS)
+        .map(|user| {
+            let stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+            let mut client = BufReader::new(stream);
+            let register = Message::Register {
+                user: UserId(user + 1),
+                host: format!("order{user}"),
+                app_name: "t".into(),
+            };
+            client.get_mut().write_all(&codec::frame_message(&register)).expect("register");
+            while !matches!(
+                codec::read_frame(&mut client).expect("read"),
+                Some(Message::Welcome { .. })
+            ) {}
+            client
+        })
+        .collect();
+
+    let burst: Vec<u8> =
+        (0..PINGS).flat_map(|nonce| codec::frame_message(&Message::Ping { nonce })).collect();
+    for client in &mut clients {
+        client.get_mut().write_all(&burst).expect("burst");
+    }
+    for (i, client) in clients.iter_mut().enumerate() {
+        for next in 0..PINGS {
+            match codec::read_frame(client).expect("read pong") {
+                Some(Message::Pong { nonce }) if nonce == next => {}
+                other => panic!("client {i}: expected pong {next}, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(server.net_stats().frames_dropped, 0);
+}

@@ -2,7 +2,8 @@
 //! arbitrary 20 ms hoping the goodbye frames had left, and server drop
 //! waited out a 50 ms dispatch poll. Both are handshakes now — close
 //! writes its goodbye itself, waiting on the client's drain gate between
-//! tries, and drop closes the dispatch thread's event mailbox — so these
+//! tries, and drop stops the host's poll threads, whose mail ends any
+//! wait at once (the dispatch turn runs on the first of them) — so these
 //! tests assert outcomes, not timing luck.
 
 use std::time::{Duration, Instant};
@@ -64,8 +65,8 @@ fn session_close_deregisters_instead_of_quarantining() {
 }
 
 /// Dropping the server must not wait out the dispatch tick (1 s when
-/// liveness is off): `Drop` closes the host's event mailbox, which ends
-/// the dispatch thread's wait at once.
+/// liveness is off): dropping the host posts `Shutdown` to its poll
+/// threads, which ends the wait of the one that runs the turn at once.
 #[test]
 fn server_drop_joins_promptly() {
     let server = TcpServer::spawn("127.0.0.1:0").expect("bind");

@@ -1,8 +1,9 @@
 //! Regression tests for the server's outgoing path: per-connection
 //! writer queues mean one stalled client cannot delay broadcasts to its
 //! peers, consumers whose queues stay full are evicted (and take the
-//! §3.2 auto-decoupling path), and a `CopyFrom` whose source dies is
-//! failed back to the requester instead of hanging.
+//! §3.2 auto-decoupling path) while one that catches up in time is
+//! not, and a `CopyFrom` whose source dies is failed back to the
+//! requester instead of hanging.
 
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -142,6 +143,75 @@ fn stalled_client_is_evicted_and_does_not_starve_broadcasts() {
     let core = server.server_stats();
     assert!(core.messages_out as usize >= 64, "messages_out={}", core.messages_out);
     assert!(core.max_fanout >= 2, "max_fanout={}", core.max_fanout);
+}
+
+/// A reader that falls behind until its backlog is over budget, then
+/// catches up well within `enqueue_timeout`, is not a slow consumer: it
+/// gets every frame, and nothing is evicted or dropped. The turn that
+/// queues its frames runs on the poll thread that writes them, so a
+/// turn that waited for the backlog to drain would wait out the timeout
+/// and evict the reader.
+#[test]
+fn a_slow_reader_that_catches_up_is_not_evicted() {
+    let config = TcpHostConfig {
+        queue_capacity: 4,
+        enqueue_timeout: Duration::from_secs(1),
+        ..TcpHostConfig::default()
+    };
+    let server = TcpServer::spawn_with_config("127.0.0.1:0", config).expect("bind");
+    let alice = TcpClient::connect(server.addr()).expect("connect alice");
+    register(&alice, 1, "alice");
+
+    // The slow reader registers over a raw socket, then reads nothing
+    // until its backlog is over budget.
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect reader");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+    let mut reader = std::io::BufReader::new(stream);
+    let register =
+        Message::Register { user: UserId(2), host: "reader".into(), app_name: "t".into() };
+    reader.get_mut().write_all(&codec::frame_message(&register)).expect("register reader");
+    while !matches!(codec::read_frame(&mut reader).expect("read"), Some(Message::Welcome { .. })) {}
+
+    let payload = vec![0x3C_u8; 256 * 1024];
+    let mut sent = 0;
+    while server.net_stats().enqueue_full_waits == 0 {
+        assert!(sent < 256, "the reader's backlog never went over budget; the test proves nothing");
+        alice
+            .send(&Message::CoSendCommand {
+                to: Target::Broadcast,
+                command: format!("blob-{sent}"),
+                payload: payload.clone(),
+            })
+            .expect("broadcast");
+        sent += 1;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // It catches up: every broadcast, in order.
+    let start = Instant::now();
+    for i in 0..sent {
+        loop {
+            match codec::read_frame(&mut reader) {
+                Ok(Some(Message::CommandDelivery { command, .. })) => {
+                    assert_eq!(command, format!("blob-{i}"));
+                    break;
+                }
+                Ok(Some(_)) => {}
+                other => panic!("reader: expected blob-{i} of {sent}, got {other:?}"),
+            }
+        }
+    }
+    let caught_up = start.elapsed();
+    let net = server.net_stats();
+    assert_eq!(
+        net.slow_consumer_evictions, 0,
+        "a reader that caught up in {caught_up:?} was evicted"
+    );
+    assert_eq!(net.frames_dropped, 0);
+    assert!(
+        caught_up < config.enqueue_timeout / 2,
+        "the reader took {caught_up:?} to catch up; the test proves nothing"
+    );
 }
 
 /// A `CopyFrom` whose source disconnects before replying completes with
